@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dbs3_bench::JoinDatabase;
-use dbs3_engine::{Activation, ActivationQueue, Executor, TupleBatch};
+use dbs3_engine::{Activation, ActivationQueue, TupleBatch};
 use dbs3_lera::{plans, JoinAlgorithm};
 use dbs3_storage::tuple::int_tuple;
 use dbs3_storage::{HashIndex, Tuple};
@@ -120,15 +120,12 @@ fn end_to_end_join(c: &mut Criterion) {
 
     // Triggered co-partitioned join (fig15 shape, 4 threads).
     let ideal = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
-    // Schedule once through the facade; time only the engine execution so
-    // the measurement isolates the executor (expansion and scheduling are
-    // plan-sized, not data-sized).
-    let ideal_schedule = session.query(&ideal).threads(4).schedule().unwrap();
+    // Prepare once; time only the prepared run so the measurement isolates
+    // the engine (expansion and scheduling are plan-sized, not data-sized).
+    let ideal_prepared = session.query(&ideal).threads(4).prepare().unwrap();
     group.bench_function("ideal_join_4k_threads4", |b| {
         b.iter(|| {
-            let outcome = Executor::new(session.catalog())
-                .execute(&ideal, &ideal_schedule)
-                .unwrap();
+            let outcome = ideal_prepared.run(&session).unwrap();
             black_box(outcome.results["Result"].len())
         })
     });
@@ -137,12 +134,10 @@ fn end_to_end_join(c: &mut Criterion) {
     // path — transmit scatters B' over the join instances, every tuple
     // crosses a shared queue. This is the acceptance metric of perf PRs.
     let assoc = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
-    let assoc_schedule = session.query(&assoc).threads(8).schedule().unwrap();
+    let assoc_prepared = session.query(&assoc).threads(8).prepare().unwrap();
     group.bench_function("pipelined_join_4k_threads8", |b| {
         b.iter(|| {
-            let outcome = Executor::new(session.catalog())
-                .execute(&assoc, &assoc_schedule)
-                .unwrap();
+            let outcome = assoc_prepared.run(&session).unwrap();
             black_box(outcome.results["Result"].len())
         })
     });

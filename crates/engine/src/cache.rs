@@ -43,7 +43,7 @@ use dbs3_storage::{Catalog, HashIndex};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// Bounded capacity of the plan cache (prepared + extended entries).
+/// Bounded capacity of the plan cache, in prepared plans.
 pub const PLAN_CACHE_CAPACITY: usize = 256;
 
 /// Bounded capacity of the index cache, in fragment indexes. A paper-scale
@@ -105,14 +105,15 @@ impl CacheStats {
 
 /// A fully expanded and scheduled plan, ready for repeated submission.
 ///
-/// Holds everything [`Runtime::submit`](crate::Runtime::submit) needs that
+/// Holds everything
+/// [`Runtime::submit_prepared`](crate::Runtime::submit_prepared) needs that
 /// does not depend on live query state: the plan, its extended view and the
 /// execution schedule, plus the catalog generations they were derived from
 /// (so staleness is a cheap per-relation comparison, not a re-expansion).
 #[derive(Debug)]
 pub struct PreparedPlan {
     plan: Plan,
-    extended: Arc<ExtendedPlan>,
+    extended: ExtendedPlan,
     schedule: ExecutionSchedule,
     generations: Vec<(String, u64)>,
     fingerprint: u64,
@@ -159,18 +160,9 @@ struct PlanKey {
     options: u64,
 }
 
-/// What a plan-cache entry holds: a bare expansion (the `submit_with` path,
-/// which receives an externally built schedule) or a full preparation.
-#[derive(Debug, Clone)]
-enum PlanValue {
-    Extended(Arc<ExtendedPlan>),
-    Prepared(Arc<PreparedPlan>),
-}
-
 #[derive(Debug)]
 struct PlanEntry {
-    generations: Vec<(String, u64)>,
-    value: PlanValue,
+    prepared: Arc<PreparedPlan>,
     last_used: u64,
 }
 
@@ -189,21 +181,16 @@ struct PlanCache {
 impl PlanCache {
     /// Looks up `key`, validating the stored generations against `catalog`.
     /// A stale entry is evicted and reported as a miss.
-    fn lookup(&self, key: PlanKey, catalog: &Catalog) -> Option<PlanValue> {
+    fn lookup(&self, key: PlanKey, catalog: &Catalog) -> Option<Arc<PreparedPlan>> {
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         inner.tick += 1;
         let tick = inner.tick;
         match inner.entries.get_mut(&key) {
-            Some(entry)
-                if entry
-                    .generations
-                    .iter()
-                    .all(|(name, generation)| catalog.generation(name) == Some(*generation)) =>
-            {
+            Some(entry) if entry.prepared.is_current(catalog) => {
                 entry.last_used = tick;
-                let value = entry.value.clone();
+                let prepared = Arc::clone(&entry.prepared);
                 inner.counters.hits += 1;
-                Some(value)
+                Some(prepared)
             }
             Some(_) => {
                 // Generation mismatch: the catalog mutated since this entry
@@ -221,15 +208,14 @@ impl PlanCache {
         }
     }
 
-    fn insert(&self, key: PlanKey, generations: Vec<(String, u64)>, value: PlanValue) {
+    fn insert(&self, key: PlanKey, prepared: Arc<PreparedPlan>) {
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         inner.tick += 1;
         let tick = inner.tick;
         inner.entries.insert(
             key,
             PlanEntry {
-                generations,
-                value,
+                prepared,
                 last_used: tick,
             },
         );
@@ -559,8 +545,6 @@ pub fn shared_index(
     }
 }
 
-const EXTENDED_KIND: u64 = 0x45_58_54; // "EXT": keys bare expansions apart
-
 fn write_cost(h: &mut ContentHasher, cost: &CostParameters) {
     h.write_f64(cost.scan_tuple);
     h.write_f64(cost.move_tuple);
@@ -603,15 +587,6 @@ fn options_hash(options: &SchedulerOptions, cost: &CostParameters) -> u64 {
     h.finish()
 }
 
-/// Hash keying a bare expansion: plan + cost only (options don't influence
-/// the extended view).
-fn extended_hash(cost: &CostParameters) -> u64 {
-    let mut h = ContentHasher::new();
-    h.write_u64(EXTENDED_KIND);
-    write_cost(&mut h, cost);
-    h.finish()
-}
-
 /// The relations a plan reads, with their current catalog generations —
 /// what a cache entry derived from this (plan, catalog) pair depends on.
 fn referenced_generations(catalog: &Catalog, plan: &Plan) -> Vec<(String, u64)> {
@@ -636,34 +611,6 @@ fn referenced_generations(catalog: &Catalog, plan: &Plan) -> Vec<(String, u64)> 
         .collect()
 }
 
-/// Expands `plan` against `catalog`, answering repeats from the plan cache
-/// (the `Runtime::submit` path, where the caller supplies its own
-/// schedule).
-pub fn cached_extended(
-    catalog: &Catalog,
-    plan: &Plan,
-    cost: &CostParameters,
-) -> Result<Arc<ExtendedPlan>> {
-    let key = PlanKey {
-        plan: plan.content_hash(),
-        options: extended_hash(cost),
-    };
-    if lookup_fault_bypasses() {
-        return Ok(Arc::new(ExtendedPlan::from_plan(plan, catalog, cost)?));
-    }
-    let cache = &caches().plan;
-    if let Some(PlanValue::Extended(extended)) = cache.lookup(key, catalog) {
-        return Ok(extended);
-    }
-    let extended = Arc::new(ExtendedPlan::from_plan(plan, catalog, cost)?);
-    cache.insert(
-        key,
-        referenced_generations(catalog, plan),
-        PlanValue::Extended(Arc::clone(&extended)),
-    );
-    Ok(extended)
-}
-
 /// Prepares a plan for execution: expansion + scheduling, answered from the
 /// plan cache when this (plan, options, cost) shape was prepared before and
 /// the referenced relations are unchanged.
@@ -681,25 +628,21 @@ pub fn prepare(
     let bypass = lookup_fault_bypasses();
     let cache = &caches().plan;
     if !bypass {
-        if let Some(PlanValue::Prepared(prepared)) = cache.lookup(key, catalog) {
+        if let Some(prepared) = cache.lookup(key, catalog) {
             return Ok(prepared);
         }
     }
-    // The bare expansion is shared with the `submit_with` path, so a
-    // prepare() after a submit() (or vice versa) still reuses the
-    // expensive half.
-    let extended = cached_extended(catalog, plan, cost)?;
+    let extended = ExtendedPlan::from_plan(plan, catalog, cost)?;
     let schedule = Scheduler::build(plan, &extended, options)?;
-    let generations = referenced_generations(catalog, plan);
     let prepared = Arc::new(PreparedPlan {
         plan: plan.clone(),
         extended,
         schedule,
-        generations: generations.clone(),
+        generations: referenced_generations(catalog, plan),
         fingerprint,
     });
     if !bypass {
-        cache.insert(key, generations, PlanValue::Prepared(Arc::clone(&prepared)));
+        cache.insert(key, Arc::clone(&prepared));
     }
     Ok(prepared)
 }
@@ -863,21 +806,5 @@ mod tests {
         assert!(inner.entries.len() <= INDEX_CACHE_CAPACITY);
         drop(inner);
         assert!(cache_stats().index.evictions > before);
-    }
-
-    #[test]
-    fn cached_extended_shares_and_respects_cost_parameters() {
-        let cat = catalog(300, 30, 2);
-        let (plan, _) = fig14(&cat);
-        let cost = CostParameters::default();
-        let a = cached_extended(&cat, &plan, &cost).unwrap();
-        let b = cached_extended(&cat, &plan, &cost).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        let other_cost = CostParameters {
-            scan_tuple: cost.scan_tuple * 2.0,
-            ..cost
-        };
-        let c = cached_extended(&cat, &plan, &other_cost).unwrap();
-        assert!(!Arc::ptr_eq(&a, &c), "cost parameters key the expansion");
     }
 }

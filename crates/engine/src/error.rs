@@ -30,13 +30,9 @@ pub enum EngineError {
     /// The query outcome was already taken from its handle (a second
     /// `wait()` after a successful `try_outcome()`).
     OutcomeTaken,
-    /// A bounded wait on a [`QueryHandle`](crate::runtime::QueryHandle)
-    /// elapsed before the query completed. The query keeps running and the
-    /// handle stays usable (wait again, or cancel).
-    WaitTimeout,
     /// The query's deadline elapsed and the query was cancelled (by
     /// [`QueryHandle::wait_timeout_or_cancel`](crate::runtime::QueryHandle::wait_timeout_or_cancel)).
-    /// Unlike [`EngineError::WaitTimeout`] the query is no longer running.
+    /// The query is no longer running.
     DeadlineExceeded { query: u64 },
     /// The runtime watchdog saw no activation progress on the query for
     /// longer than its stall interval and aborted it.
@@ -70,9 +66,6 @@ impl fmt::Display for EngineError {
             }
             EngineError::OutcomeTaken => {
                 write!(f, "the query outcome was already taken from the handle")
-            }
-            EngineError::WaitTimeout => {
-                write!(f, "timed out waiting for the query to complete")
             }
             EngineError::DeadlineExceeded { query } => {
                 write!(f, "query {query} exceeded its deadline and was cancelled")
@@ -125,7 +118,6 @@ mod tests {
             .contains('7'));
         assert!(EngineError::RuntimeShutdown.to_string().contains("shut"));
         assert!(EngineError::OutcomeTaken.to_string().contains("taken"));
-        assert!(EngineError::WaitTimeout.to_string().contains("timed out"));
         assert!(EngineError::DeadlineExceeded { query: 3 }
             .to_string()
             .contains("deadline"));

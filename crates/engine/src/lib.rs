@@ -8,9 +8,10 @@
 //!
 //! * every operation of the extended plan has one *instance* per fragment,
 //!   and every instance owns a FIFO **activation queue** ([`queue`]);
-//! * a **pool of threads** is allocated to the whole operation, independent
-//!   of the number of instances ([`executor`]); the queues live in shared
-//!   memory so any thread of the pool can consume any activation;
+//! * one fixed **pool of threads** serves every operation of every live
+//!   query ([`runtime`]); the queues live in shared memory so any thread of
+//!   the pool can consume any activation, and an operation's scheduled
+//!   thread count shapes its queues and strategy, not who may run it;
 //! * queues are split into **main** and **secondary** queues per thread to
 //!   limit access conflicts: a thread first drains its main queues and only
 //!   then looks at the others ([`strategy`]);
@@ -30,8 +31,14 @@
 //!   shared pool, spawned once and parked on a condvar when idle, that
 //!   executes any number of concurrently submitted queries — each tagged
 //!   with a [`QueryId`] and observed through a [`QueryHandle`]
-//!   (`wait`/`try_outcome`/`cancel`). The blocking [`Executor`] is a thin
-//!   wrapper that runs one query on a transient pool.
+//!   (`wait`/`wait_timeout_or_cancel`/`try_outcome`/`cancel`).
+//!
+//! There is one way to run a plan: [`prepare`] it (expansion + scheduling,
+//! answered from the plan cache on repeat) and hand the result to
+//! [`Runtime::submit_prepared`] — on a pool the caller owns, or on the
+//! process-wide [`Runtime::shared`] pool of the schedule's width. Blocking
+//! is `.wait()` on the returned handle. [`Runtime::submit`] is the same
+//! path for callers that hand-build an [`ExecutionSchedule`].
 //!
 //! The engine executes plans with real OS threads and produces both the
 //! query result and detailed [`metrics`] (per-thread busy time, activation
@@ -40,7 +47,6 @@
 pub mod activation;
 pub mod cache;
 pub mod error;
-pub mod executor;
 pub mod faults;
 pub mod metrics;
 pub mod operators;
@@ -53,11 +59,10 @@ pub mod sync;
 pub use activation::{Activation, TupleBatch};
 pub use cache::{cache_stats, clear_caches, prepare, CacheCounters, CacheStats, PreparedPlan};
 pub use error::EngineError;
-pub use executor::{ExecutionOutcome, Executor};
 pub use faults::{FaultAction, FaultGuard, FaultPlan, FaultRule, FaultTrigger};
 pub use metrics::{ExecutionMetrics, OperationMetrics};
 pub use queue::{ActivationQueue, TryPushError};
-pub use runtime::{QueryHandle, QueryId, Runtime};
+pub use runtime::{ExecutionOutcome, QueryHandle, QueryId, Runtime};
 pub use schedule::{
     ExecutionSchedule, OperationSchedule, Scheduler, SchedulerOptions, DEFAULT_MORSEL_ROWS,
 };

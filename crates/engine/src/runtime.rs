@@ -92,7 +92,6 @@
 use crate::activation::{Activation, TupleBatch};
 use crate::cache::{self, CacheStats, PreparedPlan};
 use crate::error::EngineError;
-use crate::executor::ExecutionOutcome;
 use crate::faults::{self, FaultAction};
 use crate::metrics::{ExecutionMetrics, OperationMetrics, ThreadMetrics};
 use crate::operators::{
@@ -492,11 +491,12 @@ impl Runtime {
     /// Returns the process-wide shared runtime with `pool_threads` workers,
     /// spawning it on first use.
     ///
-    /// This is the pool behind [`Executor::execute`](crate::Executor):
-    /// repeated blocking runs at the same thread count reuse one long-lived
-    /// pool instead of spawning and joining `n` OS threads per query —
-    /// at paper-scale workloads the spawn/join round trip costs as much as
-    /// the query itself. Shared runtimes live for the rest of the process
+    /// This is the pool behind every blocking run that names no pool of its
+    /// own (the facade's `Backend::Threaded`): repeated runs at the same
+    /// thread count reuse one long-lived pool instead of spawning and
+    /// joining `n` OS threads per query — at paper-scale workloads the
+    /// spawn/join round trip costs as much as the query itself. Shared
+    /// runtimes live for the rest of the process
     /// (they are never dropped; idle workers park on a condvar at ~0% CPU),
     /// and concurrent callers at the same width share one pool — the
     /// runtime schedules their queries side by side, which is its job.
@@ -537,41 +537,25 @@ impl Runtime {
             .sum()
     }
 
-    /// Submits `plan` for execution under `schedule` and returns
-    /// immediately with a [`QueryHandle`]. Equivalent to
-    /// [`Runtime::submit_with`] with default [`CostParameters`].
+    /// Submits `plan` for execution under an explicitly built `schedule`
+    /// and returns immediately with a [`QueryHandle`]. The plan is expanded
+    /// here, uncached, with default [`CostParameters`] — this is the door
+    /// for callers that hand-build schedules (stress and fault tests);
+    /// production callers go through [`crate::cache::prepare`] and
+    /// [`Runtime::submit_prepared`].
+    ///
+    /// Binding happens on the calling thread: relation names resolve to
+    /// `Arc` fragments, triggers are injected, and the query's queue set is
+    /// registered with the pool. Workers start consuming as soon as the
+    /// registry is updated — often before this method returns.
     pub fn submit(
         &self,
         catalog: &Catalog,
         plan: &Plan,
         schedule: &ExecutionSchedule,
     ) -> Result<QueryHandle> {
-        self.submit_with(catalog, plan, schedule, &CostParameters::default())
-    }
-
-    /// Submits `plan` with explicit cost parameters (they drive the static
-    /// cost estimates attached to queues, i.e. the LPT visit order).
-    ///
-    /// Binding happens on the calling thread: relation names resolve to
-    /// `Arc` fragments, triggers are injected, and the query's queue set is
-    /// registered with the pool. Workers start consuming as soon as the
-    /// registry is updated — often before this method returns.
-    pub fn submit_with(
-        &self,
-        catalog: &Catalog,
-        plan: &Plan,
-        schedule: &ExecutionSchedule,
-        cost_params: &CostParameters,
-    ) -> Result<QueryHandle> {
-        if self.inner.shutdown.load(Ordering::SeqCst) {
-            return Err(EngineError::RuntimeShutdown);
-        }
-        honor_submit_fault()?;
-        let cache_baseline = cache::cache_stats();
-        // Repeat submissions of the same plan shape reuse the cached
-        // expansion instead of re-walking the plan per fragment.
-        let extended = cache::cached_extended(catalog, plan, cost_params)?;
-        self.submit_inner(catalog, plan, &extended, schedule, cache_baseline)
+        let extended = ExtendedPlan::from_plan(plan, catalog, &CostParameters::default())?;
+        self.submit_inner(catalog, plan, &extended, schedule)
     }
 
     /// Submits a plan prepared by [`crate::cache::prepare`]: no expansion,
@@ -583,11 +567,6 @@ impl Runtime {
         catalog: &Catalog,
         prepared: &PreparedPlan,
     ) -> Result<QueryHandle> {
-        if self.inner.shutdown.load(Ordering::SeqCst) {
-            return Err(EngineError::RuntimeShutdown);
-        }
-        honor_submit_fault()?;
-        let cache_baseline = cache::cache_stats();
         if !prepared.is_current(catalog) {
             return Err(EngineError::Plan(
                 "prepared plan is stale: a referenced relation changed generation since \
@@ -600,20 +579,27 @@ impl Runtime {
             prepared.plan(),
             prepared.extended(),
             prepared.schedule(),
-            cache_baseline,
         )
     }
 
-    /// The shared back half of every submission path: validation, operator
-    /// binding, queue-set construction and registration with the pool.
+    /// What every submission does once it holds an expanded plan and a
+    /// schedule: the shutdown check and the `runtime.submit` fault point,
+    /// validation, operator binding, queue-set construction and
+    /// registration with the pool.
     fn submit_inner(
         &self,
         catalog: &Catalog,
         plan: &Plan,
         extended: &ExtendedPlan,
         schedule: &ExecutionSchedule,
-        cache_baseline: CacheStats,
     ) -> Result<QueryHandle> {
+        if self.inner.shutdown.load(Ordering::SeqCst) {
+            return Err(EngineError::RuntimeShutdown);
+        }
+        honor_submit_fault()?;
+        // Index-cache activity from here to completion is attributed to
+        // this query's metrics.
+        let cache_baseline = cache::cache_stats();
         schedule.validate(plan)?;
         if !plan
             .nodes()
@@ -856,6 +842,31 @@ impl Drop for Runtime {
     }
 }
 
+/// The result of a query execution.
+#[derive(Debug)]
+pub struct ExecutionOutcome {
+    /// Materialised results, keyed by the store operator's result name.
+    /// Empty per store when the schedule discards results
+    /// ([`ExecutionSchedule::discard_results`]).
+    pub results: BTreeMap<String, Vec<Tuple>>,
+    /// Exact result cardinality per store name, filled in every mode —
+    /// counting stores tally tuples they never materialise.
+    pub cardinalities: BTreeMap<String, usize>,
+    /// Execution metrics.
+    pub metrics: ExecutionMetrics,
+}
+
+impl ExecutionOutcome {
+    /// The single result of a plan with exactly one store operator.
+    pub fn result(&self) -> Option<&Vec<Tuple>> {
+        if self.results.len() == 1 {
+            self.results.values().next()
+        } else {
+            None
+        }
+    }
+}
+
 /// A handle to a query submitted to a [`Runtime`].
 ///
 /// The handle is detachable: dropping it does **not** cancel the query
@@ -907,58 +918,43 @@ impl QueryHandle {
     }
 
     /// Like [`QueryHandle::wait`] with a deadline: blocks for at most
-    /// `timeout` and returns [`EngineError::WaitTimeout`] if the query has
-    /// not completed by then. On timeout the query keeps running and the
-    /// handle stays fully usable — wait again, poll, or [`cancel`] it (a
-    /// server enforcing request deadlines does exactly that). On any other
-    /// return the outcome is consumed: a later wait reports
-    /// [`EngineError::OutcomeTaken`].
-    ///
-    /// [`cancel`]: QueryHandle::cancel
-    pub fn wait_timeout(&mut self, timeout: Duration) -> Result<ExecutionOutcome> {
-        if self.taken {
-            return Err(EngineError::OutcomeTaken);
-        }
-        let deadline = Instant::now() + timeout;
-        let mut slot = self.query.cell.outcome.lock();
-        loop {
-            if let Some(result) = slot.take() {
-                self.taken = true;
-                return result;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(EngineError::WaitTimeout);
-            }
-            self.query.cell.done.wait_for(&mut slot, deadline - now);
-        }
-    }
-
-    /// Like [`QueryHandle::wait_timeout`], but a timeout **cancels the
-    /// query** instead of leaving it running: its queues are closed and
-    /// drained, the admission slot ([`Runtime::live_queries`]) is released
-    /// immediately, and the typed [`EngineError::DeadlineExceeded`] is
-    /// returned. This is the deadline primitive a server wants —
-    /// `wait_timeout` alone leaks the timed-out query, which keeps burning
-    /// workers and holding its slot until it finishes naturally.
+    /// `timeout`, and a timeout **cancels the query** — its queues are
+    /// closed and drained, the admission slot ([`Runtime::live_queries`])
+    /// is released immediately, and the typed
+    /// [`EngineError::DeadlineExceeded`] is returned. This is the deadline
+    /// primitive a server wants: a wait that merely gave up would leave the
+    /// timed-out query burning workers and holding its slot until it
+    /// finished naturally.
     ///
     /// The outcome is always consumed, on success and on timeout alike; if
     /// the query completes in the race window between the timeout and the
     /// cancellation, the completed outcome wins and is returned.
     pub fn wait_timeout_or_cancel(&mut self, timeout: Duration) -> Result<ExecutionOutcome> {
-        match self.wait_timeout(timeout) {
-            Err(EngineError::WaitTimeout) => {
-                let error = EngineError::DeadlineExceeded {
-                    query: self.query.id.0,
-                };
-                abort_query(&self.inner, &self.query, error.clone());
-                self.taken = true;
-                // abort_query seals an outcome unless a natural completion
-                // won the race — either way one is there to take.
-                self.query.cell.outcome.lock().take().unwrap_or(Err(error))
-            }
-            other => other,
+        if self.taken {
+            return Err(EngineError::OutcomeTaken);
         }
+        self.taken = true;
+        let deadline = Instant::now() + timeout;
+        {
+            let mut slot = self.query.cell.outcome.lock();
+            loop {
+                if let Some(result) = slot.take() {
+                    return result;
+                }
+                let now = Instant::now();
+                if now >= deadline {
+                    break;
+                }
+                self.query.cell.done.wait_for(&mut slot, deadline - now);
+            }
+        }
+        let error = EngineError::DeadlineExceeded {
+            query: self.query.id.0,
+        };
+        abort_query(&self.inner, &self.query, error.clone());
+        // abort_query seals an outcome unless a natural completion won the
+        // race — either way one is there to take.
+        self.query.cell.outcome.lock().take().unwrap_or(Err(error))
     }
 
     /// Returns the outcome if the query already completed, without
@@ -1989,44 +1985,6 @@ mod tests {
     }
 
     #[test]
-    fn wait_timeout_returns_typed_and_keeps_the_handle_usable() {
-        let (cat, a_ref, b_ref) = build_catalog(20_000, 2_000, 4);
-        let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
-        let schedule = schedule_for(&plan, &cat, 2);
-        let runtime = Runtime::new(2).unwrap();
-        let mut handle = runtime.submit(&cat, &plan, &schedule).unwrap();
-        // A zero timeout on a 20k x 2k nested-loop join cannot succeed.
-        match handle.wait_timeout(Duration::ZERO) {
-            Err(EngineError::WaitTimeout) => {}
-            other => panic!("expected WaitTimeout, got {other:?}"),
-        }
-        // Documented contract: `wait_timeout` does NOT stop the query — it
-        // keeps running (and keeps holding its admission slot). A server
-        // enforcing deadlines must use `wait_timeout_or_cancel` instead.
-        assert_eq!(runtime.live_queries(), 1);
-        // The handle survives the timeout: a blocking wait still gets the
-        // real outcome.
-        let outcome = handle.wait().unwrap();
-        let expected = a_ref.reference_join(&b_ref, "unique1", "unique1").unwrap();
-        assert_eq!(outcome.results["Result"].len(), expected.len());
-    }
-
-    #[test]
-    fn wait_timeout_consumes_the_outcome_on_success() {
-        let (cat, _, _) = build_catalog(400, 40, 4);
-        let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
-        let schedule = schedule_for(&plan, &cat, 2);
-        let runtime = Runtime::new(2).unwrap();
-        let mut handle = runtime.submit(&cat, &plan, &schedule).unwrap();
-        let outcome = handle.wait_timeout(Duration::from_secs(60)).unwrap();
-        assert!(!outcome.cardinalities.is_empty());
-        match handle.wait_timeout(Duration::from_secs(60)) {
-            Err(EngineError::OutcomeTaken) => {}
-            other => panic!("expected OutcomeTaken, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn wait_timeout_or_cancel_frees_the_admission_slot() {
         let (cat, _, _) = build_catalog(20_000, 2_000, 4);
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
@@ -2037,9 +1995,9 @@ mod tests {
             Err(EngineError::DeadlineExceeded { .. }) => {}
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
-        // Unlike plain `wait_timeout`, the query is gone: the registry slot
-        // is released the moment the outcome is sealed, even though a
-        // worker may still be mid-batch on the cancelled work.
+        // The query is gone, not merely abandoned: the registry slot is
+        // released the moment the outcome is sealed, even though a worker
+        // may still be mid-batch on the cancelled work.
         assert_eq!(runtime.live_queries(), 0);
         // The outcome was consumed by the cancellation.
         assert!(handle.try_outcome().is_none());
@@ -2056,6 +2014,11 @@ mod tests {
             .wait_timeout_or_cancel(Duration::from_secs(60))
             .unwrap();
         assert!(!outcome.cardinalities.is_empty());
+        // The in-time outcome was consumed: the handle is spent.
+        match handle.wait_timeout_or_cancel(Duration::from_secs(60)) {
+            Err(EngineError::OutcomeTaken) => {}
+            other => panic!("expected OutcomeTaken, got {other:?}"),
+        }
     }
 
     #[test]

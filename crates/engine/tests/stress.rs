@@ -4,8 +4,8 @@
 //! queue-based pipeline engine typically deadlocks or loses activations.
 
 use dbs3_engine::{
-    ConsumptionStrategy, ExecutionSchedule, Executor, OperationSchedule, Scheduler,
-    SchedulerOptions,
+    ConsumptionStrategy, ExecutionOutcome, ExecutionSchedule, OperationSchedule, Runtime,
+    Scheduler, SchedulerOptions,
 };
 use dbs3_lera::{plans, CostParameters, ExtendedPlan, JoinAlgorithm, Plan, Predicate};
 use dbs3_storage::{
@@ -52,6 +52,18 @@ fn manual_schedule(
     ExecutionSchedule::from_parts(per_node)
 }
 
+/// Runs `plan` under `schedule` on the process-wide pool of the schedule's
+/// width and blocks for the outcome.
+fn execute(
+    catalog: &Catalog,
+    plan: &Plan,
+    schedule: &ExecutionSchedule,
+) -> dbs3_engine::Result<ExecutionOutcome> {
+    Runtime::shared(schedule.total_threads().max(1))?
+        .submit(catalog, plan, schedule)?
+        .wait()
+}
+
 /// Backpressure: a queue capacity of 2 with thousands of pipelined tuples
 /// forces producers to block on full consumer queues constantly; the
 /// execution must still terminate with the right result.
@@ -62,7 +74,7 @@ fn tiny_queue_capacity_does_not_deadlock() {
     let cat = catalog_with(a, b, 16);
     let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
     let schedule = manual_schedule(&plan, 2, 2, 1);
-    let outcome = Executor::new(&cat).execute(&plan, &schedule).unwrap();
+    let outcome = execute(&cat, &plan, &schedule).unwrap();
     assert_eq!(outcome.results["Result"].len(), 400);
 }
 
@@ -75,7 +87,7 @@ fn cache_larger_than_queue_capacity() {
     let cat = catalog_with(a, b, 8);
     let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::NestedLoop);
     let schedule = manual_schedule(&plan, 3, 4, 256);
-    let outcome = Executor::new(&cat).execute(&plan, &schedule).unwrap();
+    let outcome = execute(&cat, &plan, &schedule).unwrap();
     assert_eq!(outcome.results["Result"].len(), 500);
 }
 
@@ -88,7 +100,7 @@ fn empty_transmitted_relation_terminates() {
     let cat = catalog_with(a, b, 8);
     let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
     let schedule = manual_schedule(&plan, 4, 16, 8);
-    let outcome = Executor::new(&cat).execute(&plan, &schedule).unwrap();
+    let outcome = execute(&cat, &plan, &schedule).unwrap();
     assert!(outcome.results["Result"].is_empty());
 }
 
@@ -100,7 +112,7 @@ fn empty_inner_relation_produces_empty_result() {
     let cat = catalog_with(a, b, 4);
     let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::NestedLoop);
     let schedule = manual_schedule(&plan, 2, 8, 4);
-    let outcome = Executor::new(&cat).execute(&plan, &schedule).unwrap();
+    let outcome = execute(&cat, &plan, &schedule).unwrap();
     assert!(outcome.results["Result"].is_empty());
 }
 
@@ -113,7 +125,7 @@ fn fully_selective_filter() {
     let cat = catalog_with(a, b, 32);
     let plan = plans::selection("A", Predicate::eq("unique1", -1), "Nothing");
     let schedule = manual_schedule(&plan, 4, 64, 8);
-    let outcome = Executor::new(&cat).execute(&plan, &schedule).unwrap();
+    let outcome = execute(&cat, &plan, &schedule).unwrap();
     assert!(outcome.results["Nothing"].is_empty());
     let filter = &outcome.metrics.operations[0];
     assert_eq!(filter.total_activations(), 32);
@@ -128,7 +140,7 @@ fn many_threads_little_work() {
     let cat = catalog_with(a, b, 2);
     let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::TempIndex);
     let schedule = manual_schedule(&plan, 16, 8, 4);
-    let outcome = Executor::new(&cat).execute(&plan, &schedule).unwrap();
+    let outcome = execute(&cat, &plan, &schedule).unwrap();
     assert_eq!(outcome.results["Result"].len(), 50);
     assert_eq!(outcome.metrics.total_threads, 32);
 }
@@ -142,7 +154,7 @@ fn single_fragment_execution() {
     let cat = catalog_with(a, b, 1);
     let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
     let schedule = manual_schedule(&plan, 4, 16, 4);
-    let outcome = Executor::new(&cat).execute(&plan, &schedule).unwrap();
+    let outcome = execute(&cat, &plan, &schedule).unwrap();
     assert_eq!(outcome.results["Result"].len(), 100);
 }
 
@@ -161,9 +173,8 @@ fn repeated_executions_are_stable() {
         &SchedulerOptions::default().with_total_threads(3),
     )
     .unwrap();
-    let executor = Executor::new(&cat);
     for _ in 0..5 {
-        let outcome = executor.execute(&plan, &schedule).unwrap();
+        let outcome = execute(&cat, &plan, &schedule).unwrap();
         assert_eq!(outcome.results["Result"].len(), 250);
     }
 }
@@ -196,6 +207,6 @@ fn lpt_single_thread_skewed() {
     let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
     let mut schedule = manual_schedule(&plan, 1, 4, 2);
     schedule = schedule.with_strategy(ConsumptionStrategy::Lpt);
-    let outcome = Executor::new(&cat).execute(&plan, &schedule).unwrap();
+    let outcome = execute(&cat, &plan, &schedule).unwrap();
     assert_eq!(outcome.results["Result"].len(), expected);
 }

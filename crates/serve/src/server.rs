@@ -680,10 +680,8 @@ fn execute(
             EngineError::RuntimeShutdown => ServeError::RemoteShutdown,
             other => ServeError::Remote(other.to_string()),
         })?;
-    // `wait_timeout_or_cancel`, not `wait_timeout` + `cancel`: the plain
-    // timeout abandons the handle with the query still counted live, which
-    // would leak this request's admission slot until the query drains on
-    // its own. The cancelling variant frees the slot before returning.
+    // A timed-out wait cancels the query, so this request's admission slot
+    // is free before the deadline error goes out.
     let outcome = if deadline_ms > 0 {
         handle.wait_timeout_or_cancel(Duration::from_millis(deadline_ms))
     } else {

@@ -13,7 +13,10 @@ use dbs3_engine::faults::points;
 use dbs3_engine::{FaultAction, FaultPlan, FaultTrigger, SchedulerOptions};
 use dbs3_lera::{plans, JoinAlgorithm};
 use dbs3_serve::server::fault_points;
-use dbs3_serve::{ResilientClient, RetryPolicy, Server, ServerConfig, ServerHandle, ServerStats};
+use dbs3_serve::{
+    RemoteSession, ResilientClient, RetryPolicy, ServeError, Server, ServerConfig, ServerHandle,
+    ServerStats,
+};
 use dbs3_storage::{
     Catalog, ColumnDef, PartitionSpec, PartitionedRelation, Relation, Schema, Tuple, Value,
 };
@@ -53,15 +56,20 @@ fn start_server(
     (handle, addr, runner)
 }
 
-fn drained(handle: &ServerHandle, within: Duration) -> bool {
+/// Watches the admission gauge until it reads `live` (or `within` elapses).
+fn live_queries_reach(handle: &ServerHandle, live: usize, within: Duration) -> bool {
     let start = Instant::now();
     while start.elapsed() < within {
-        if handle.live_queries() == 0 {
+        if handle.live_queries() == live {
             return true;
         }
-        std::thread::sleep(Duration::from_millis(10));
+        std::thread::sleep(Duration::from_millis(1));
     }
-    handle.live_queries() == 0
+    handle.live_queries() == live
+}
+
+fn drained(handle: &ServerHandle, within: Duration) -> bool {
+    live_queries_reach(handle, 0, within)
 }
 
 /// The headline chaos run: 16 self-healing clients, 4 requests each,
@@ -274,4 +282,60 @@ fn busy_shedding_heals_with_backoff() {
     // and the clients must have healed through it.
     assert!(stats.shed >= 1, "the burst must overrun a 1-slot limit");
     assert!(total_busy_retries >= 1);
+}
+
+/// Over-admission is refused with the typed busy frame, deterministically:
+/// the first activation the single worker processes sleeps 300 ms, so the
+/// holder query owns the one admission slot for at least that long however
+/// fast the join itself runs, and the knock happens only once the gauge
+/// shows the holder admitted.
+#[test]
+fn over_admission_gets_a_typed_busy_frame() {
+    let _guard = FaultPlan::new(0)
+        .rule(
+            points::WORKER_PROCESS,
+            FaultTrigger::Nth(1),
+            FaultAction::Delay(Duration::from_millis(300)),
+        )
+        .install();
+
+    let (handle, addr, runner) = start_server(
+        catalog(2_000, 200, 8),
+        ServerConfig {
+            workers: 1,
+            max_inflight: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
+
+    // Connect the knocker first so only one request frame is left to send
+    // inside the holder's 300 ms.
+    let mut knocker = RemoteSession::connect(addr).expect("connect");
+    let holder = {
+        let plan = plan.clone();
+        std::thread::spawn(move || {
+            let mut session = RemoteSession::connect(addr).expect("connect");
+            session.query(&plan).threads(1).run().expect("holder query")
+        })
+    };
+    assert!(
+        live_queries_reach(&handle, 1, Duration::from_secs(10)),
+        "the holder query was never admitted"
+    );
+
+    match knocker.query(&plan).threads(1).run() {
+        Err(ServeError::ServerBusy {
+            live: 1,
+            max_inflight: 1,
+        }) => {}
+        other => panic!("expected ServerBusy {{ live: 1, max_inflight: 1 }}, got {other:?}"),
+    }
+
+    assert_eq!(holder.join().unwrap().result_cardinality(), Some(200));
+    assert!(drained(&handle, Duration::from_secs(10)));
+    handle.stop();
+    let stats = runner.join().unwrap();
+    assert_eq!(stats.served, 1, "only the holder executed");
+    assert_eq!(stats.shed, 1, "the busy refusal is counted as shed");
 }

@@ -135,59 +135,6 @@ fn sixty_four_concurrent_clients_against_eight_workers() {
 }
 
 #[test]
-fn over_admission_gets_a_typed_busy_frame() {
-    // One admission slot and a single worker so a slow nested-loop join
-    // reliably occupies the server while the second client knocks.
-    let (handle, addr, runner) = start_server(
-        catalog(8_000, 800, 8),
-        ServerConfig {
-            workers: 1,
-            max_inflight: 1,
-            ..ServerConfig::default()
-        },
-    );
-
-    let slow = std::thread::spawn(move || {
-        let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::NestedLoop);
-        let mut session = RemoteSession::connect(addr).expect("connect");
-        // The knocking client below may win the single admission slot for a
-        // moment; being shed is retryable by contract.
-        loop {
-            match session.query(&plan).threads(1).run() {
-                Ok(outcome) => return outcome,
-                Err(ServeError::ServerBusy { .. }) => std::thread::sleep(Duration::from_millis(2)),
-                Err(other) => panic!("slow query: {other}"),
-            }
-        }
-    });
-
-    // Knock until the slow query is admitted, then demand the busy error.
-    let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
-    let mut session = RemoteSession::connect(addr).expect("connect");
-    let mut saw_busy = None;
-    for _ in 0..400 {
-        match session.query(&plan).threads(1).run() {
-            Err(ServeError::ServerBusy { live, max_inflight }) => {
-                saw_busy = Some((live, max_inflight));
-                break;
-            }
-            Ok(_) => std::thread::sleep(Duration::from_millis(5)),
-            Err(other) => panic!("expected ServerBusy, got {other}"),
-        }
-    }
-    let (live, max_inflight) = saw_busy.expect("the slow query never saturated admission");
-    assert_eq!(max_inflight, 1);
-    assert!(live >= 1);
-
-    let slow_outcome = slow.join().unwrap();
-    assert_eq!(slow_outcome.result_cardinality(), Some(800));
-
-    handle.stop();
-    let stats = runner.join().unwrap();
-    assert!(stats.shed >= 1, "the busy refusal is counted as shed");
-}
-
-#[test]
 fn shutdown_frame_drains_acks_and_rejects_late_arrivals() {
     let (_handle, addr, runner) = start_server(
         catalog(2_000, 200, 8),

@@ -1,11 +1,14 @@
-//! Pluggable execution backends behind one [`ExecutionBackend`] trait.
+//! The vocabulary of running a query: which pool ([`Backend`]), how to
+//! observe it ([`QueryHandle`]) and what comes back ([`QueryOutcome`],
+//! [`BackendMetrics`]).
 //!
 //! The paper's central claim is that one plan can be executed under many
 //! regimes — different thread counts, consumption strategies, cache sizes,
-//! real OS threads or the simulated 72-processor KSR1. This module makes the
-//! *regime* a value: a [`Query`](crate::Query) carries backend-neutral knobs
-//! ([`SchedulerOptions`]) and hands them to whichever backend it is pointed
-//! at, so swapping real threads for virtual time is a one-line change:
+//! real OS threads or the simulated 72-processor KSR1. A
+//! [`Query`](crate::Query) carries the regime as values: backend-neutral
+//! knobs ([`SchedulerOptions`](dbs3_engine::SchedulerOptions)) plus a
+//! [`Backend`], so swapping real threads for virtual time is a one-line
+//! change:
 //!
 //! ```
 //! use dbs3::prelude::*;
@@ -32,22 +35,26 @@
 //! # Ok::<(), dbs3::Error>(())
 //! ```
 //!
-//! Custom backends implement [`ExecutionBackend`] directly and run through
-//! [`Query::run_on`](crate::Query::run_on); the built-in implementations
-//! are [`ThreadedBackend`] (a transient worker pool per query, via
-//! [`Executor`]), [`PooledBackend`] (a persistent shared
-//! [`Runtime`] pool serving many concurrent queries),
-//! and [`SimBackend`] (virtual time via [`Simulator::simulate`]).
+//! # One engine path, two choices of pool
 //!
-//! # The `Pooled` backend and concurrent queries
+//! Every run on real threads is the same two engine calls —
+//! [`dbs3_engine::prepare`] (expansion + scheduling, cached) then
+//! [`Runtime::submit_prepared`] — and a [`QueryHandle`]. The only things
+//! that vary are *which pool* and *whether the caller waits*:
 //!
-//! [`Backend::Pooled`] points a query at a long-lived
-//! [`Runtime`]: the pool is spawned once, parks when
-//! idle, and serves every query submitted to it — concurrently, with
-//! workers picking activations across all live queries. `run()` on a pooled
-//! query is exactly `submit` + wait; non-blocking submission with a
-//! [`QueryHandle`] (`wait`/`try_outcome`/`cancel`) goes through
-//! [`Query::submit`](crate::Query::submit):
+//! * [`Backend::Threaded`] (the default) uses the process-wide
+//!   [`Runtime::shared`] pool whose width equals the schedule's total
+//!   thread count. The pool is spawned on first use at that width, parks
+//!   when idle and lives for the rest of the process.
+//! * [`Backend::Pooled`] uses a [`Runtime`] the caller owns. Its width is
+//!   fixed at [`Runtime::new`]; the query's `.threads(n)` knob still shapes
+//!   the *schedule* (queue cost estimates, strategy picks) but does not
+//!   resize the pool.
+//!
+//! `run()` is `submit` + [`QueryHandle::wait`] on whichever pool was
+//! selected; [`Query::submit`](crate::Query::submit) returns the handle
+//! instead of waiting. Any number of queries may be in flight on one pool,
+//! with workers picking activations across all of them:
 //!
 //! ```
 //! use dbs3::prelude::*;
@@ -72,153 +79,40 @@
 //! assert_eq!(submitted.result_cardinality("Result"), Some(100));
 //! # Ok::<(), dbs3::Error>(())
 //! ```
-//!
-//! The pool's width is fixed at [`Runtime::new`];
-//! a pooled query's `.threads(n)` knob still shapes its *schedule* (queue
-//! cost estimates, strategy picks) but does not resize the pool.
 
 use crate::error::Result;
-use dbs3_engine::{ExecutionMetrics, ExecutionOutcome, Executor, Runtime, SchedulerOptions};
-use dbs3_lera::{CostParameters, NodeId, OperatorKind, Plan};
-use dbs3_sim::{SimConfig, SimReport, Simulator};
-use dbs3_storage::{Catalog, Tuple};
+use dbs3_engine::{ExecutionMetrics, ExecutionOutcome, Runtime};
+use dbs3_lera::{NodeId, OperatorKind, Plan};
+use dbs3_sim::{SimConfig, SimReport};
+use dbs3_storage::Tuple;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A strategy for turning a plan plus backend-neutral execution knobs into a
-/// [`QueryOutcome`].
-///
-/// Implementations receive the full [`SchedulerOptions`] a
-/// [`Query`](crate::Query) accumulated; they honour the knobs that make
-/// sense for them (the simulator, for instance, has no real producer-side
-/// cache to size) and must fill [`QueryOutcome::cardinalities`] so results
-/// can be compared across backends.
-pub trait ExecutionBackend {
-    /// Short backend name for logs and reports.
-    fn name(&self) -> &'static str;
-
-    /// Executes `plan` against `catalog` under `options`.
-    fn execute(
-        &self,
-        catalog: &Catalog,
-        plan: &Plan,
-        options: &SchedulerOptions,
-    ) -> Result<QueryOutcome>;
-}
-
-/// The built-in backend selector used by [`Query::on`](crate::Query::on).
+/// Where a [`Query`](crate::Query) runs, selected with
+/// [`Query::on`](crate::Query::on).
 #[derive(Debug, Clone, Default)]
 pub enum Backend {
-    /// Execute with real OS threads on a transient per-query worker pool.
+    /// Real OS threads on the process-wide [`Runtime::shared`] pool whose
+    /// width is the schedule's total thread count (spawned on first use,
+    /// reused by every later run at that width).
     #[default]
     Threaded,
-    /// Execute on a persistent shared [`Runtime`] pool that serves many
-    /// concurrent queries (see the [module docs](self)).
+    /// Real OS threads on a caller-owned [`Runtime`] pool, shared with
+    /// whatever else the caller submits to it (see the
+    /// [module docs](self)).
     Pooled(Arc<Runtime>),
     /// Replay the same schedule on the virtual-time simulator configured by
-    /// the given [`SimConfig`] (e.g. [`SimConfig::ksr1`]).
+    /// the given [`SimConfig`] (e.g. [`SimConfig::ksr1`]). The config
+    /// supplies the machine model; an explicit `.threads(n)` or
+    /// `.strategy(..)` on the query overrides its `total_threads` /
+    /// `strategy_override`.
     Simulated(SimConfig),
 }
 
-impl Backend {
-    /// Resolves the selector to a boxed backend implementation.
-    pub fn resolve(&self) -> Box<dyn ExecutionBackend> {
-        match self {
-            Backend::Threaded => Box::new(ThreadedBackend::new()),
-            Backend::Pooled(runtime) => Box::new(PooledBackend::new(Arc::clone(runtime))),
-            Backend::Simulated(config) => Box::new(SimBackend::new(config.clone())),
-        }
-    }
-}
-
-/// Executes queries with real OS threads, wrapping the engine's
-/// expand → schedule → execute pipeline in one call.
-#[derive(Debug, Clone, Default)]
-pub struct ThreadedBackend {
-    cost_params: CostParameters,
-}
-
-impl ThreadedBackend {
-    /// Creates a threaded backend with default cost parameters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Overrides the cost parameters used for plan expansion (they drive the
-    /// scheduler's complexity estimates and the LPT queue order).
-    pub fn with_cost_parameters(mut self, params: CostParameters) -> Self {
-        self.cost_params = params;
-        self
-    }
-}
-
-impl ExecutionBackend for ThreadedBackend {
-    fn name(&self) -> &'static str {
-        "threaded"
-    }
-
-    fn execute(
-        &self,
-        catalog: &Catalog,
-        plan: &Plan,
-        options: &SchedulerOptions,
-    ) -> Result<QueryOutcome> {
-        // Expansion and scheduling go through the engine's prepared-query
-        // cache: repeat runs of the same plan shape skip both.
-        let prepared = dbs3_engine::prepare(catalog, plan, options, &self.cost_params)?;
-        let outcome = Executor::new(catalog)
-            .with_cost_parameters(self.cost_params)
-            .execute_prepared(&prepared)?;
-        Ok(QueryOutcome::from_execution(outcome))
-    }
-}
-
-/// Executes queries on a persistent shared [`Runtime`] worker pool.
-///
-/// Unlike [`ThreadedBackend`], which spawns and joins a fresh pool per
-/// query, this backend submits to a pool that outlives the query and may be
-/// serving other queries at the same time. `execute` blocks on the query's
-/// completion; for non-blocking submission use
-/// [`Query::submit`](crate::Query::submit).
-#[derive(Debug, Clone)]
-pub struct PooledBackend {
-    runtime: Arc<Runtime>,
-}
-
-impl PooledBackend {
-    /// Creates a backend submitting to the given runtime.
-    pub fn new(runtime: Arc<Runtime>) -> Self {
-        PooledBackend { runtime }
-    }
-
-    /// The shared runtime this backend submits to.
-    pub fn runtime(&self) -> &Arc<Runtime> {
-        &self.runtime
-    }
-}
-
-impl ExecutionBackend for PooledBackend {
-    fn name(&self) -> &'static str {
-        "pooled"
-    }
-
-    fn execute(
-        &self,
-        catalog: &Catalog,
-        plan: &Plan,
-        options: &SchedulerOptions,
-    ) -> Result<QueryOutcome> {
-        // Same cached prepare as the threaded backend; the submission then
-        // goes straight to binding on the shared pool.
-        let prepared = dbs3_engine::prepare(catalog, plan, options, &CostParameters::default())?;
-        let outcome = self.runtime.submit_prepared(catalog, &prepared)?.wait()?;
-        Ok(QueryOutcome::from_execution(outcome))
-    }
-}
-
-/// A handle to a query submitted to a shared [`Runtime`] through
-/// [`Query::submit`](crate::Query::submit).
+/// A handle to a query submitted to a [`Runtime`] pool through
+/// [`Query::submit`](crate::Query::submit) or
+/// [`PreparedQuery::submit`](crate::PreparedQuery::submit).
 ///
 /// Wraps the engine-level [`dbs3_engine::QueryHandle`], converting outcomes
 /// to the facade's unified [`QueryOutcome`] and errors to [`crate::Error`].
@@ -252,17 +146,6 @@ impl QueryHandle {
         Ok(QueryOutcome::from_execution(self.inner.wait()?))
     }
 
-    /// Blocks for at most `timeout` waiting for the outcome. An elapsed
-    /// wait reports
-    /// [`EngineError::WaitTimeout`](dbs3_engine::EngineError::WaitTimeout)
-    /// and leaves the handle usable: the query keeps running, and the
-    /// caller may wait again or [`cancel`](Self::cancel).
-    pub fn wait_timeout(&mut self, timeout: std::time::Duration) -> Result<QueryOutcome> {
-        Ok(QueryOutcome::from_execution(
-            self.inner.wait_timeout(timeout)?,
-        ))
-    }
-
     /// Returns the outcome if the query already completed, without
     /// blocking. The first `Some` consumes the outcome; the handle is spent
     /// afterwards.
@@ -276,62 +159,6 @@ impl QueryHandle {
     /// Idempotent, and the runtime stays fully reusable.
     pub fn cancel(&self) {
         self.inner.cancel();
-    }
-}
-
-/// Executes queries in virtual time on the KSR1-scale simulator.
-///
-/// The backend's own [`SimConfig`] supplies the machine model (processors,
-/// data placement, cost calibration, worker assignment); the query-level
-/// knobs win where they overlap — an explicit `.threads(n)` or
-/// `.strategy(..)` on the [`Query`](crate::Query) overrides the config's
-/// `total_threads` / `strategy_override`.
-#[derive(Debug, Clone, Default)]
-pub struct SimBackend {
-    config: SimConfig,
-}
-
-impl SimBackend {
-    /// Creates a simulator backend from a machine configuration.
-    pub fn new(config: SimConfig) -> Self {
-        SimBackend { config }
-    }
-
-    /// The paper's KSR1 machine (70 reserved processors, calibrated costs).
-    pub fn ksr1() -> Self {
-        SimBackend::new(SimConfig::ksr1())
-    }
-
-    /// The backend's machine configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-}
-
-impl ExecutionBackend for SimBackend {
-    fn name(&self) -> &'static str {
-        "simulated"
-    }
-
-    fn execute(
-        &self,
-        catalog: &Catalog,
-        plan: &Plan,
-        options: &SchedulerOptions,
-    ) -> Result<QueryOutcome> {
-        options.validate()?;
-        let mut config = self.config.clone();
-        if let Some(threads) = options.total_threads {
-            config.total_threads = threads;
-        }
-        if let Some(strategy) = options.strategy_override {
-            config.strategy_override = Some(strategy);
-        }
-        // All remaining scheduler tunables (queue/cache sizing, skew
-        // threshold, work per thread) are forwarded so the simulated
-        // schedule matches what the threaded backend would build.
-        let report = Simulator::new(catalog).simulate_with_options(plan, &config, options)?;
-        Ok(QueryOutcome::from_sim_report(plan, report))
     }
 }
 

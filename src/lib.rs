@@ -2,12 +2,14 @@
 //!
 //! The public entry point is the [`Session`]/[`Query`] facade: a session
 //! owns a catalog of partitioned relations, a query chains execution knobs
-//! and runs on a pluggable [`exec::ExecutionBackend`] — a transient
-//! per-query thread pool ([`exec::ThreadedBackend`]), a persistent shared
-//! [`Runtime`] pool serving many concurrent queries
-//! ([`exec::PooledBackend`], non-blocking via [`Query::submit`]), or the
-//! virtual-time KSR1 simulator ([`exec::SimBackend`]) — returning a unified
-//! [`exec::QueryOutcome`].
+//! and runs on the [`Backend`] it names — the process-wide worker pool of
+//! the schedule's width ([`Backend::Threaded`], the default), a
+//! [`Runtime`] pool the caller owns and shares between concurrent queries
+//! ([`Backend::Pooled`], non-blocking via [`Query::submit`]), or the
+//! virtual-time KSR1 simulator ([`Backend::Simulated`]) — returning a
+//! unified [`exec::QueryOutcome`]. Both real-thread backends are one engine
+//! path (`prepare` → `Runtime::submit_prepared`); they differ only in which
+//! pool receives the query.
 //!
 //! The underlying crates stay public for low-level control:
 //!
@@ -16,8 +18,9 @@
 //! * [`lera`] ([`dbs3_lera`]) — the Lera-par dataflow plan language,
 //!   extended-view expansion and complexity estimation;
 //! * [`engine`] ([`dbs3_engine`]) — the adaptive parallel execution engine
-//!   (activation queues, per-operation thread pools, Random/LPT consumption
-//!   strategies, the four-step scheduler);
+//!   (activation queues, one fixed worker pool scheduling activations
+//!   across all live queries, Random/LPT consumption strategies, the
+//!   four-step scheduler);
 //! * [`model`] ([`dbs3_model`]) — the analytical model (skew overhead bound,
 //!   `nmax`, thread-allocation equations);
 //! * [`sim`] ([`dbs3_sim`]) — the virtual-time multiprocessor simulator
@@ -65,22 +68,16 @@ mod session;
 
 pub use dbs3_engine::{cache_stats, clear_caches, CacheCounters, CacheStats, QueryId, Runtime};
 pub use error::{Error, Result};
-pub use exec::{
-    Backend, BackendMetrics, ExecutionBackend, PooledBackend, QueryHandle, QueryOutcome,
-    SimBackend, ThreadedBackend,
-};
+pub use exec::{Backend, BackendMetrics, QueryHandle, QueryOutcome};
 pub use session::{PreparedQuery, Query, Session};
 
 /// The most commonly used items of every crate, for `use dbs3::prelude::*`.
 pub mod prelude {
-    pub use crate::exec::{
-        Backend, BackendMetrics, ExecutionBackend, PooledBackend, QueryHandle, QueryOutcome,
-        SimBackend, ThreadedBackend,
-    };
+    pub use crate::exec::{Backend, BackendMetrics, QueryHandle, QueryOutcome};
     pub use crate::session::{PreparedQuery, Query, Session};
     pub use crate::{Error, Result};
     pub use dbs3_engine::{
-        CacheStats, ConsumptionStrategy, ExecutionSchedule, Executor, QueryId, Runtime, Scheduler,
+        CacheStats, ConsumptionStrategy, ExecutionSchedule, QueryId, Runtime, Scheduler,
         SchedulerOptions,
     };
     pub use dbs3_lera::{

@@ -3,32 +3,35 @@
 //! The low-level API is a five-step ritual — generate, partition/register,
 //! [`ExtendedPlan::from_plan`](dbs3_lera::ExtendedPlan::from_plan),
 //! [`Scheduler::build`](dbs3_engine::Scheduler::build),
-//! [`Executor::execute`](dbs3_engine::Executor::execute) — repeated at every
-//! call site. A [`Session`] owns the catalog and a [`Query`] chains the
-//! execution knobs, so running the paper's experiments under a different
-//! regime (thread count, consumption strategy, cache size, real threads vs.
-//! the simulated KSR1) changes one line instead of five.
+//! [`Runtime::submit`] — repeated at every call site. A [`Session`] owns the
+//! catalog and a [`Query`] chains the execution knobs, so running the
+//! paper's experiments under a different regime (thread count, consumption
+//! strategy, cache size, real threads vs. the simulated KSR1) changes one
+//! line instead of five.
 //!
-//! Queries run either blocking ([`Query::run`], one transient pool per
-//! query on the default backend) or concurrently against a persistent
-//! shared [`Runtime`] pool ([`Query::submit`], returning a
-//! [`QueryHandle`]). `run()` is unchanged for existing callers; on a pooled
-//! backend it is exactly `submit` + wait.
+//! Every run on real threads — [`Query::run`], [`Query::submit`],
+//! [`PreparedQuery::run`], [`PreparedQuery::submit`] — is the same two
+//! engine calls, [`dbs3_engine::prepare`] then
+//! [`Runtime::submit_prepared`], made by one private helper
+//! (`submit_to`). The callers differ only in which pool they name (the
+//! process-wide [`Runtime::shared`] pool of the schedule's width, or a
+//! [`Runtime`] the caller owns) and in whether they wait on the returned
+//! [`QueryHandle`] or hand it back.
 
 use crate::error::Result;
-use crate::exec::{Backend, ExecutionBackend, QueryHandle, QueryOutcome};
+use crate::exec::{Backend, QueryHandle, QueryOutcome};
 use dbs3_engine::{
-    ConsumptionStrategy, ExecutionSchedule, Executor, PreparedPlan, Runtime, Scheduler,
-    SchedulerOptions,
+    ConsumptionStrategy, ExecutionSchedule, PreparedPlan, Runtime, Scheduler, SchedulerOptions,
 };
 use dbs3_lera::{CostParameters, ExtendedPlan, Plan};
+use dbs3_sim::{SimConfig, Simulator};
 use dbs3_storage::{
     Catalog, PartitionSpec, PartitionedRelation, WisconsinConfig, WisconsinGenerator,
 };
 use std::sync::{Arc, Mutex};
 
 /// An execution session: a catalog of partitioned relations plus the entry
-/// point for running queries against it on any [`ExecutionBackend`].
+/// point for running queries against it on any [`Backend`].
 ///
 /// See the crate-level quick start for the full flow.
 #[derive(Debug, Clone, Default)]
@@ -96,7 +99,7 @@ impl Session {
     }
 
     /// Starts a query over a plan. The returned builder chains execution
-    /// knobs and runs on the threaded engine unless pointed elsewhere with
+    /// knobs and runs on [`Backend::Threaded`] unless pointed elsewhere with
     /// [`Query::on`].
     pub fn query<'a>(&'a self, plan: &'a Plan) -> Query<'a> {
         Query {
@@ -116,6 +119,60 @@ impl Session {
     pub fn prepare(&self, plan: &Plan) -> Result<PreparedQuery> {
         self.query(plan).prepare()
     }
+}
+
+/// Expansion + scheduling through the engine's prepared-plan cache.
+fn prepare_plan(
+    catalog: &Catalog,
+    plan: &Plan,
+    options: &SchedulerOptions,
+) -> Result<Arc<PreparedPlan>> {
+    Ok(dbs3_engine::prepare(
+        catalog,
+        plan,
+        options,
+        &CostParameters::default(),
+    )?)
+}
+
+/// The one door from the facade into the engine: submits `prepared` to
+/// `runtime`, or — when the caller named no pool — to the process-wide
+/// pool as wide as the schedule.
+fn submit_to(
+    runtime: Option<&Runtime>,
+    catalog: &Catalog,
+    prepared: &PreparedPlan,
+) -> Result<QueryHandle> {
+    let handle = match runtime {
+        Some(runtime) => runtime.submit_prepared(catalog, prepared)?,
+        None => Runtime::shared(prepared.schedule().total_threads().max(1))?
+            .submit_prepared(catalog, prepared)?,
+    };
+    Ok(QueryHandle::new(handle))
+}
+
+/// Replays the query in virtual time. `config` supplies the machine model
+/// (processors, data placement, cost calibration, worker assignment); the
+/// query-level knobs win where they overlap — an explicit `.threads(n)` or
+/// `.strategy(..)` overrides the config's `total_threads` /
+/// `strategy_override` — and every remaining scheduler tunable is forwarded
+/// so the simulated schedule matches what the engine would build.
+fn simulate(
+    catalog: &Catalog,
+    plan: &Plan,
+    options: &SchedulerOptions,
+    config: &SimConfig,
+) -> Result<QueryOutcome> {
+    options.validate()?;
+    let mut config = config.clone();
+    if let Some(threads) = options.total_threads {
+        config.total_threads = threads;
+    }
+    if let Some(strategy) = options.strategy_override {
+        config.strategy_override = Some(strategy);
+    }
+    let report = Simulator::new(catalog).simulate_with_options(plan, &config, options)?;
+    Ok(QueryOutcome::from_sim_report(plan, report))
 }
 
 /// A chainable query: a plan, backend-neutral execution knobs, and the
@@ -198,8 +255,9 @@ impl<'a> Query<'a> {
         self
     }
 
-    /// Selects the backend: [`Backend::Threaded`] (default) or
-    /// [`Backend::Simulated`] — the one-line regime swap.
+    /// Selects the backend: [`Backend::Threaded`] (default),
+    /// [`Backend::Pooled`] or [`Backend::Simulated`] — the one-line regime
+    /// swap.
     pub fn on(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
@@ -226,35 +284,33 @@ impl<'a> Query<'a> {
         )?)
     }
 
-    /// Runs the query on the selected built-in backend, blocking until the
-    /// outcome is available. On [`Backend::Pooled`] this is exactly
-    /// [`Query::submit`] followed by [`QueryHandle::wait`].
+    /// Runs the query on the selected [`Backend`], blocking until the
+    /// outcome is available. On real threads this is exactly
+    /// [`Query::submit`] followed by [`QueryHandle::wait`], on the backend's
+    /// pool.
     pub fn run(self) -> Result<QueryOutcome> {
-        let backend = self.backend.resolve();
-        backend.execute(self.session.catalog(), self.plan, &self.options)
+        let catalog = self.session.catalog();
+        let runtime = match &self.backend {
+            Backend::Threaded => None,
+            Backend::Pooled(runtime) => Some(runtime.as_ref()),
+            Backend::Simulated(config) => {
+                return simulate(catalog, self.plan, &self.options, config);
+            }
+        };
+        let prepared = prepare_plan(catalog, self.plan, &self.options)?;
+        submit_to(runtime, catalog, &prepared)?.wait()
     }
 
-    /// Runs the query on a caller-provided backend implementation.
-    pub fn run_on(&self, backend: &dyn ExecutionBackend) -> Result<QueryOutcome> {
-        backend.execute(self.session.catalog(), self.plan, &self.options)
-    }
-
-    /// Submits the query to a persistent shared [`Runtime`] pool and
-    /// returns immediately with a [`QueryHandle`]
-    /// (`wait`/`try_outcome`/`cancel`). Any number of queries may be in
-    /// flight on one runtime; workers schedule activations across all of
-    /// them. The query's schedule is built exactly as `run()` would build
-    /// it; the pool's width (fixed at [`Runtime::new`]) bounds the actual
-    /// parallelism.
+    /// Submits the query to a caller-owned [`Runtime`] pool and returns
+    /// immediately with a [`QueryHandle`] (`wait`/`try_outcome`/`cancel`).
+    /// Any number of queries may be in flight on one runtime; workers
+    /// schedule activations across all of them. The query's schedule is
+    /// built exactly as `run()` would build it; the pool's width (fixed at
+    /// [`Runtime::new`]) bounds the actual parallelism.
     pub fn submit(&self, runtime: &Runtime) -> Result<QueryHandle> {
-        let prepared = dbs3_engine::prepare(
-            self.session.catalog(),
-            self.plan,
-            &self.options,
-            &CostParameters::default(),
-        )?;
-        let handle = runtime.submit_prepared(self.session.catalog(), &prepared)?;
-        Ok(QueryHandle::new(handle))
+        let catalog = self.session.catalog();
+        let prepared = prepare_plan(catalog, self.plan, &self.options)?;
+        submit_to(Some(runtime), catalog, &prepared)
     }
 
     /// Resolves the query once — plan expansion, scheduling and generation
@@ -262,12 +318,7 @@ impl<'a> Query<'a> {
     /// The work goes through the process-wide prepared-query cache, so
     /// preparing the same plan shape twice is itself ~free.
     pub fn prepare(self) -> Result<PreparedQuery> {
-        let prepared = dbs3_engine::prepare(
-            self.session.catalog(),
-            self.plan,
-            &self.options,
-            &CostParameters::default(),
-        )?;
+        let prepared = prepare_plan(self.session.catalog(), self.plan, &self.options)?;
         Ok(PreparedQuery {
             plan: self.plan.clone(),
             options: self.options,
@@ -319,30 +370,24 @@ impl PreparedQuery {
     fn current(&self, catalog: &Catalog) -> Result<Arc<PreparedPlan>> {
         let mut slot = self.prepared.lock().unwrap_or_else(|p| p.into_inner());
         if !slot.is_current(catalog) {
-            *slot = dbs3_engine::prepare(
-                catalog,
-                &self.plan,
-                &self.options,
-                &CostParameters::default(),
-            )?;
+            *slot = prepare_plan(catalog, &self.plan, &self.options)?;
         }
         Ok(Arc::clone(&slot))
     }
 
-    /// Runs the prepared query on the threaded engine against `session`'s
-    /// catalog, blocking until the outcome is available.
+    /// Runs the prepared query against `session`'s catalog on the
+    /// process-wide pool of the schedule's width (what
+    /// [`Backend::Threaded`] uses), blocking until the outcome is available.
     pub fn run(&self, session: &Session) -> Result<QueryOutcome> {
         let prepared = self.current(session.catalog())?;
-        let outcome = Executor::new(session.catalog()).execute_prepared(&prepared)?;
-        Ok(QueryOutcome::from_execution(outcome))
+        submit_to(None, session.catalog(), &prepared)?.wait()
     }
 
-    /// Submits the prepared query to a persistent shared [`Runtime`] pool,
+    /// Submits the prepared query to a caller-owned [`Runtime`] pool,
     /// returning immediately with a [`QueryHandle`].
     pub fn submit(&self, session: &Session, runtime: &Runtime) -> Result<QueryHandle> {
         let prepared = self.current(session.catalog())?;
-        let handle = runtime.submit_prepared(session.catalog(), &prepared)?;
-        Ok(QueryHandle::new(handle))
+        submit_to(Some(runtime), session.catalog(), &prepared)
     }
 }
 
@@ -350,7 +395,6 @@ impl PreparedQuery {
 mod tests {
     use super::*;
     use crate::error::Error;
-    use crate::exec::SimBackend;
     use dbs3_engine::EngineError;
     use dbs3_lera::{plans, JoinAlgorithm};
 
@@ -464,18 +508,6 @@ mod tests {
             "lpt_skew_threshold must influence the simulated schedule"
         );
         assert!(lpt <= random * 1.02, "LPT should not lose to Random");
-    }
-
-    #[test]
-    fn run_on_accepts_custom_backend_values() {
-        let session = session();
-        let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::NestedLoop);
-        let outcome = session
-            .query(&plan)
-            .threads(3)
-            .run_on(&SimBackend::ksr1())
-            .unwrap();
-        assert_eq!(outcome.result_cardinality("Result"), Some(80));
     }
 
     #[test]

@@ -34,6 +34,18 @@ fn catalog_from_rows(
     (catalog, a, b)
 }
 
+/// Runs `plan` under `schedule` on the process-wide pool of the schedule's
+/// width and blocks for the outcome.
+fn execute(
+    catalog: &Catalog,
+    plan: &Plan,
+    schedule: &ExecutionSchedule,
+) -> dbs3::engine::Result<dbs3::engine::ExecutionOutcome> {
+    Runtime::shared(schedule.total_threads().max(1))?
+        .submit(catalog, plan, schedule)?
+        .wait()
+}
+
 fn run(
     catalog: &Catalog,
     plan: &Plan,
@@ -49,7 +61,7 @@ fn run(
             .with_strategy(strategy),
     )
     .unwrap();
-    let outcome = Executor::new(catalog).execute(plan, &schedule).unwrap();
+    let outcome = execute(catalog, plan, &schedule).unwrap();
     let mut rows: Vec<(i64, i64, i64, i64)> = outcome.results["Result"]
         .iter()
         .map(|t| {
@@ -141,7 +153,7 @@ proptest! {
             &SchedulerOptions::default().with_total_threads(threads),
         )
         .unwrap();
-        let outcome = Executor::new(&catalog).execute(&plan, &schedule).unwrap();
+        let outcome = execute(&catalog, &plan, &schedule).unwrap();
 
         let mut got: Vec<i64> = outcome.results["Result"]
             .iter()
