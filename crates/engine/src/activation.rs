@@ -22,6 +22,19 @@
 //! hashes every tuple individually, and the simulator keeps modelling
 //! per-tuple activations — which is why `tests/backend_equivalence.rs` holds
 //! across cache sizes.
+//!
+//! There is a third case: rows that are **counted but never built**. When a
+//! query discards its results, the store only tallies `batch.len()` — so the
+//! operator feeding it does not build (and the store's thread does not free)
+//! one tuple per output row; it ships a batch that *stands for* `n` rows
+//! ([`TupleBatch::len`] = built + unbuilt). Such a batch is still `n` logical
+//! activations and `n` units of queue weight, so metrics, back-pressure and
+//! the simulator-pinned activation counts cannot tell the difference.
+//! **Invariant:** unbuilt rows only ever cross a co-located
+//! (`Router::SameInstance`) hop into a counting store. The runtime decides
+//! this once per operator, at bind time, from the schedule's
+//! `discard_results` and the plan edge; every place that reads tuples out of
+//! a batch `debug_assert`s that it has none.
 
 use dbs3_storage::Tuple;
 
@@ -31,42 +44,67 @@ use dbs3_storage::Tuple;
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TupleBatch {
     tuples: Vec<Tuple>,
+    /// Rows this batch stands for beyond `tuples`: counted by the producer,
+    /// never built (see the module docs for where they may travel).
+    unbuilt: usize,
 }
 
 impl TupleBatch {
     /// Creates a batch from tuples.
     pub fn new(tuples: Vec<Tuple>) -> Self {
-        TupleBatch { tuples }
+        TupleBatch { tuples, unbuilt: 0 }
     }
 
-    /// Number of tuples in the batch — the batch's *logical* activation
-    /// count in the paper's per-tuple model.
+    /// A batch standing for `rows` rows that were counted but never built.
+    /// Only a counting store may receive it.
+    pub(crate) fn counted(rows: usize) -> Self {
+        TupleBatch {
+            tuples: Vec::new(),
+            unbuilt: rows,
+        }
+    }
+
+    /// Number of rows in the batch, built or not — the batch's *logical*
+    /// activation count in the paper's per-tuple model.
     #[inline]
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.tuples.len() + self.unbuilt
     }
 
-    /// Whether the batch holds no tuples.
+    /// Whether the batch stands for no rows.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.len() == 0
     }
 
     /// The tuples in arrival order.
     #[inline]
     pub fn tuples(&self) -> &[Tuple] {
+        self.debug_assert_built();
         &self.tuples
     }
 
     /// Iterates over the tuples.
     pub fn iter(&self) -> std::slice::Iter<'_, Tuple> {
-        self.tuples.iter()
+        self.tuples().iter()
     }
 
     /// Consumes the batch, returning the tuple vector.
     #[inline]
     pub fn into_vec(self) -> Vec<Tuple> {
+        self.debug_assert_built();
         self.tuples
+    }
+
+    /// Reading tuples out of a batch that carries unbuilt rows would
+    /// silently lose them: such a batch reached something other than a
+    /// counting store.
+    #[inline]
+    fn debug_assert_built(&self) {
+        debug_assert_eq!(
+            self.unbuilt, 0,
+            "unbuilt rows may only reach a counting store"
+        );
     }
 }
 
@@ -87,7 +125,7 @@ impl IntoIterator for TupleBatch {
     type IntoIter = std::vec::IntoIter<Tuple>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.tuples.into_iter()
+        self.into_vec().into_iter()
     }
 }
 
@@ -96,7 +134,7 @@ impl<'a> IntoIterator for &'a TupleBatch {
     type IntoIter = std::slice::Iter<'a, Tuple>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.tuples.iter()
+        self.iter()
     }
 }
 
@@ -124,7 +162,7 @@ pub enum Activation {
         lead: bool,
     },
     /// A data activation: a batch of tuples flowing through a pipeline
-    /// (logically, one per-tuple activation per batched tuple).
+    /// (logically, one per-tuple activation per batched row, built or not).
     Data(TupleBatch),
 }
 
@@ -251,6 +289,23 @@ mod tests {
         assert_eq!(a.logical_len(), 2);
         assert_eq!(a.batch(), Some(&batch));
         assert_eq!(a.into_batch(), Some(batch));
+    }
+
+    #[test]
+    fn counted_rows_weigh_like_built_ones() {
+        let a = Activation::Data(TupleBatch::counted(5));
+        assert_eq!(a.logical_len(), 5);
+        assert_eq!(a.queue_weight(), 5);
+        assert!(!a.batch().unwrap().is_empty());
+        assert!(TupleBatch::counted(0).is_empty());
+        assert_eq!(TupleBatch::counted(0), TupleBatch::default());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "counting store")]
+    fn reading_tuples_out_of_a_counted_batch_is_a_bug() {
+        let _ = TupleBatch::counted(2).into_vec();
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The filter operator.
 
-use crate::activation::Activation;
+use crate::activation::{Activation, TupleBatch};
 use dbs3_lera::predicate::BoundPredicate;
-use dbs3_storage::{PartitionedRelation, Tuple};
+use dbs3_storage::PartitionedRelation;
 use std::sync::Arc;
 
 /// A triggered selection: when instance `i` receives its trigger activation
@@ -12,6 +12,9 @@ use std::sync::Arc;
 pub struct FilterOperator {
     relation: Arc<PartitionedRelation>,
     predicate: BoundPredicate,
+    /// Whether selected tuples are counted instead of cloned (the consumer
+    /// is a counting store, which only ever reads `batch.len()`).
+    count_only: bool,
 }
 
 impl FilterOperator {
@@ -20,7 +23,15 @@ impl FilterOperator {
         FilterOperator {
             relation,
             predicate,
+            count_only: false,
         }
+    }
+
+    /// Counts selected tuples instead of cloning them; only for an operator
+    /// whose consumer is a counting store.
+    pub(crate) fn counting_matches(mut self, count_only: bool) -> Self {
+        self.count_only = count_only;
+        self
     }
 
     /// Processes one activation for `instance`, returning the output batch.
@@ -29,7 +40,7 @@ impl FilterOperator {
     /// Data activations are ignored (a filter is always triggered); the
     /// executor never routes them here, but being lenient keeps the operator
     /// harmless under misuse.
-    pub fn process(&self, instance: usize, activation: Activation) -> Vec<Tuple> {
+    pub fn process(&self, instance: usize, activation: Activation) -> TupleBatch {
         let fragment = self
             .relation
             .fragment(instance)
@@ -38,13 +49,14 @@ impl FilterOperator {
             .expect("executor only routes activations to existing instances");
         let tuples = fragment.tuples();
         let Some((start, end)) = super::control_range(&activation, tuples.len()) else {
-            return Vec::new();
+            return TupleBatch::default();
         };
-        tuples[start..end]
-            .iter()
-            .filter(|t| self.predicate.eval(t))
-            .cloned()
-            .collect()
+        let selected = tuples[start..end].iter().filter(|t| self.predicate.eval(t));
+        if self.count_only {
+            TupleBatch::counted(selected.count())
+        } else {
+            TupleBatch::new(selected.cloned().collect())
+        }
     }
 
     /// Rows instance `instance` scans when triggered (its fragment's
@@ -119,8 +131,23 @@ mod tests {
         for (start, end, lead) in [(0, 7, true), (7, len, false), (len, len + 50, false)] {
             pieces.extend(op.process(2, Activation::Morsel { start, end, lead }));
         }
-        assert_eq!(pieces, whole);
+        assert_eq!(TupleBatch::new(pieces), whole);
         assert_eq!(op.triggered_rows(2), Some(len));
+    }
+
+    #[test]
+    fn counting_selects_the_same_rows_without_cloning_them() {
+        let rel = relation();
+        let pred = Predicate::range("unique1", 0, 100)
+            .bind("A", rel.schema())
+            .unwrap();
+        let built = FilterOperator::new(Arc::clone(&rel), pred.clone());
+        let counting = FilterOperator::new(Arc::clone(&rel), pred).counting_matches(true);
+        for instance in 0..rel.degree() {
+            let rows = built.process(instance, Activation::Trigger).len();
+            let counted = counting.process(instance, Activation::Trigger);
+            assert_eq!(counted, TupleBatch::counted(rows));
+        }
     }
 
     #[test]

@@ -1,28 +1,29 @@
 //! Join operators: triggered (co-partitioned) and pipelined.
 
-use crate::activation::Activation;
+use crate::activation::{Activation, TupleBatch};
 use dbs3_lera::JoinAlgorithm;
 use dbs3_storage::{HashIndex, PartitionedRelation, Tuple};
 use std::sync::Arc;
 use std::sync::OnceLock;
 
-/// A triggered co-partitioned join (the IdealJoin operation): when instance
-/// `i` receives its trigger it joins fragment `i` of the outer relation with
-/// fragment `i` of the inner relation.
+/// What both join operators share: the inner relation, the key columns, the
+/// algorithm, the lazily resolved per-instance indexes, and what a match
+/// becomes — a built row, or one more in a count.
 #[derive(Debug)]
-pub struct TriggeredJoinOperator {
-    outer: Arc<PartitionedRelation>,
+struct Probe {
     inner: Arc<PartitionedRelation>,
+    /// Column of the outer (scanned or incoming) tuples holding the join key.
     outer_column: usize,
+    /// Column of the inner relation holding the join key.
     inner_column: usize,
     algorithm: JoinAlgorithm,
-    /// Lazily resolved per-instance indexes over the inner fragments.
-    /// Resolved once on the first (trigger or morsel) activation of an
-    /// instance and shared by every morsel of the fragment — splitting the
-    /// outer scan must not multiply the build work. With a
-    /// [`shared_generation`](Self::with_shared_generation) the resolution
-    /// goes through the engine-wide index cache, so concurrent and repeated
-    /// queries over one relation share one build across operators.
+    /// Lazily resolved per-instance indexes over the inner fragments
+    /// (Hash / TempIndex). Resolved once on the first activation of an
+    /// instance and shared by every later morsel or data batch — splitting
+    /// the outer scan must not multiply the build work. With a
+    /// `shared_generation` the resolution goes through the engine-wide index
+    /// cache, so concurrent and repeated queries over one relation share one
+    /// build across operators.
     indexes: Vec<OnceLock<Arc<HashIndex>>>,
     /// Shards each temporary index build is partitioned over
     /// ([`HashIndex::build_parallel`]); 1 = sequential build.
@@ -31,6 +32,103 @@ pub struct TriggeredJoinOperator {
     /// lets builds be shared through [`crate::cache::shared_index`]. `None`
     /// keeps builds private to this operator.
     shared_generation: Option<u64>,
+    /// Whether matches are counted instead of built (the consumer is a
+    /// counting store, which only ever reads `batch.len()`).
+    count_only: bool,
+}
+
+impl Probe {
+    fn new(
+        inner: Arc<PartitionedRelation>,
+        outer_column: usize,
+        inner_column: usize,
+        algorithm: JoinAlgorithm,
+    ) -> Self {
+        let indexes = (0..inner.degree()).map(|_| OnceLock::new()).collect();
+        Probe {
+            inner,
+            outer_column,
+            inner_column,
+            algorithm,
+            indexes,
+            build_shards: 1,
+            shared_generation: None,
+            count_only: false,
+        }
+    }
+
+    /// Joins `outers` against inner fragment `instance`. Built output is
+    /// presized to one row per outer tuple — exact when every outer key has
+    /// one partner (the key joins of the paper's plans), a first guess
+    /// otherwise — instead of regrowing from empty on every activation.
+    fn join(&self, instance: usize, outers: &[Tuple]) -> TupleBatch {
+        let inner = self
+            .inner
+            .fragment(instance)
+            // allow-panic: plan binding verified co-partitioning and hash
+            // routing is modulo the instance count, so the fragment exists;
+            // a miss is a planner bug worth crashing on.
+            .expect("every join instance has an inner fragment")
+            .tuples();
+        // The paper's "index built on the fly": resolved once per instance,
+        // engine-wide with a shared generation. The probe is an
+        // allocation-free iterator over the matching bucket.
+        let index = (self.algorithm != JoinAlgorithm::NestedLoop).then(|| {
+            self.indexes[instance].get_or_init(|| {
+                let build =
+                    || HashIndex::build_parallel(inner, self.inner_column, self.build_shards);
+                match self.shared_generation {
+                    Some(generation) => crate::cache::shared_index(
+                        self.inner.name(),
+                        generation,
+                        self.inner_column,
+                        instance,
+                        build,
+                    ),
+                    None => Arc::new(build()),
+                }
+            })
+        });
+        if self.count_only {
+            let mut rows = 0usize;
+            self.each_match(outers, inner, index, |_, _| rows += 1);
+            TupleBatch::counted(rows)
+        } else {
+            let mut out = Vec::with_capacity(outers.len());
+            self.each_match(outers, inner, index, |o, i| out.push(o.concat(i)));
+            TupleBatch::new(out)
+        }
+    }
+
+    /// The one match loop: calls `on_match(outer, inner)` for every pair
+    /// with equal keys, in outer order then inner-fragment order.
+    fn each_match(
+        &self,
+        outers: &[Tuple],
+        inner: &[Tuple],
+        index: Option<&Arc<HashIndex>>,
+        mut on_match: impl FnMut(&Tuple, &Tuple),
+    ) {
+        for o in outers {
+            let key = o.value(self.outer_column);
+            match index {
+                Some(index) => index.probe(inner, key).for_each(|i| on_match(o, i)),
+                None => inner
+                    .iter()
+                    .filter(|i| i.value(self.inner_column) == key)
+                    .for_each(|i| on_match(o, i)),
+            }
+        }
+    }
+}
+
+/// A triggered co-partitioned join (the IdealJoin operation): when instance
+/// `i` receives its trigger it joins fragment `i` of the outer relation with
+/// fragment `i` of the inner relation.
+#[derive(Debug)]
+pub struct TriggeredJoinOperator {
+    outer: Arc<PartitionedRelation>,
+    probe: Probe,
 }
 
 impl TriggeredJoinOperator {
@@ -43,23 +141,16 @@ impl TriggeredJoinOperator {
         inner_column: usize,
         algorithm: JoinAlgorithm,
     ) -> Self {
-        let indexes = (0..inner.degree()).map(|_| OnceLock::new()).collect();
         TriggeredJoinOperator {
             outer,
-            inner,
-            outer_column,
-            inner_column,
-            algorithm,
-            indexes,
-            build_shards: 1,
-            shared_generation: None,
+            probe: Probe::new(inner, outer_column, inner_column, algorithm),
         }
     }
 
     /// Partitions every temporary index build over `shards` threads. Probe
     /// results are identical to the sequential build (same grouped layout).
     pub fn with_build_shards(mut self, shards: usize) -> Self {
-        self.build_shards = shards.max(1);
+        self.probe.build_shards = shards.max(1);
         self
     }
 
@@ -68,76 +159,31 @@ impl TriggeredJoinOperator {
     /// builds produce bit-identical layouts, so sharing across operators
     /// with different `build_shards` settings is sound.
     pub fn with_shared_generation(mut self, generation: Option<u64>) -> Self {
-        self.shared_generation = generation;
+        self.probe.shared_generation = generation;
+        self
+    }
+
+    /// Counts matches instead of building rows; only for an operator whose
+    /// consumer is a counting store.
+    pub(crate) fn counting_matches(mut self, count_only: bool) -> Self {
+        self.probe.count_only = count_only;
         self
     }
 
     /// Processes one activation for `instance`, returning the output batch.
     /// A trigger joins the whole outer fragment against the co-partitioned
     /// inner fragment; a morsel joins only its outer row range.
-    pub fn process(&self, instance: usize, activation: Activation) -> Vec<Tuple> {
+    pub fn process(&self, instance: usize, activation: Activation) -> TupleBatch {
         let outer = self
             .outer
             .fragment(instance)
             // allow-panic: plan binding verified co-partitioning; a missing
             // fragment is a planner bug worth crashing on.
-            .expect("co-partitioned operands share the degree of partitioning");
-        let outer_tuples = outer.tuples();
-        let Some((start, end)) = super::control_range(&activation, outer_tuples.len()) else {
-            return Vec::new();
-        };
-        let inner = self
-            .inner
-            .fragment(instance)
-            // allow-panic: same co-partitioning invariant as `outer` above.
-            .expect("co-partitioned operands share the degree of partitioning");
-        match self.algorithm {
-            JoinAlgorithm::NestedLoop => {
-                let mut out = Vec::new();
-                for o in &outer_tuples[start..end] {
-                    let key = o.value(self.outer_column);
-                    for i in inner.tuples() {
-                        if i.value(self.inner_column) == key {
-                            out.push(o.concat(i));
-                        }
-                    }
-                }
-                out
-            }
-            JoinAlgorithm::Hash | JoinAlgorithm::TempIndex => {
-                // Build a temporary index over the inner fragment, then probe
-                // it with every outer tuple of the covered range (the paper's
-                // "index built on the fly" configuration behaves the same
-                // way). The index is resolved once per instance and reused by
-                // every sibling morsel; with a shared generation the build
-                // itself is shared engine-wide. The probe is an
-                // allocation-free iterator over the matching bucket.
-                let index = self.indexes[instance].get_or_init(|| {
-                    let build = || {
-                        HashIndex::build_parallel(
-                            inner.tuples(),
-                            self.inner_column,
-                            self.build_shards,
-                        )
-                    };
-                    match self.shared_generation {
-                        Some(generation) => crate::cache::shared_index(
-                            self.inner.name(),
-                            generation,
-                            self.inner_column,
-                            instance,
-                            build,
-                        ),
-                        None => Arc::new(build()),
-                    }
-                });
-                let mut out = Vec::new();
-                for o in &outer_tuples[start..end] {
-                    let key = o.value(self.outer_column);
-                    out.extend(index.probe(inner.tuples(), key).map(|m| o.concat(m)));
-                }
-                out
-            }
+            .expect("co-partitioned operands share the degree of partitioning")
+            .tuples();
+        match super::control_range(&activation, outer.len()) {
+            Some((start, end)) => self.probe.join(instance, &outer[start..end]),
+            None => TupleBatch::default(),
         }
     }
 
@@ -155,117 +201,50 @@ impl TriggeredJoinOperator {
 /// single activation dispatch is where transport batching pays off.
 #[derive(Debug)]
 pub struct PipelinedJoinOperator {
-    inner: Arc<PartitionedRelation>,
-    /// Column of the *incoming* tuples holding the join key.
-    outer_column: usize,
-    /// Column of the inner relation holding the join key.
-    inner_column: usize,
-    algorithm: JoinAlgorithm,
-    /// Lazily resolved per-instance indexes (Hash / TempIndex algorithms
-    /// resolve the index once per instance, on first probe, and reuse it
-    /// for every subsequent data activation).
-    indexes: Vec<OnceLock<Arc<HashIndex>>>,
-    /// Shards each lazy index build is partitioned over
-    /// ([`HashIndex::build_parallel`]); 1 = sequential build.
-    build_shards: usize,
-    /// Catalog generation of the inner relation, when known (see
-    /// [`TriggeredJoinOperator::with_shared_generation`]).
-    shared_generation: Option<u64>,
+    probe: Probe,
 }
 
 impl PipelinedJoinOperator {
     /// Creates a bound pipelined join (sequential index builds; see
-    /// [`Self::with_build_shards`]).
+    /// [`Self::with_build_shards`]). `outer_column` is the key column of the
+    /// *incoming* tuples.
     pub fn new(
         inner: Arc<PartitionedRelation>,
         outer_column: usize,
         inner_column: usize,
         algorithm: JoinAlgorithm,
     ) -> Self {
-        let indexes = (0..inner.degree()).map(|_| OnceLock::new()).collect();
         PipelinedJoinOperator {
-            inner,
-            outer_column,
-            inner_column,
-            algorithm,
-            indexes,
-            build_shards: 1,
-            shared_generation: None,
+            probe: Probe::new(inner, outer_column, inner_column, algorithm),
         }
     }
 
     /// Partitions every lazy per-instance index build over `shards`
     /// threads. Probe results are identical to the sequential build.
     pub fn with_build_shards(mut self, shards: usize) -> Self {
-        self.build_shards = shards.max(1);
+        self.probe.build_shards = shards.max(1);
         self
     }
 
     /// Routes index resolution through the engine-wide shared cache (see
     /// [`TriggeredJoinOperator::with_shared_generation`]).
     pub fn with_shared_generation(mut self, generation: Option<u64>) -> Self {
-        self.shared_generation = generation;
+        self.probe.shared_generation = generation;
+        self
+    }
+
+    /// Counts matches instead of building rows (see
+    /// [`TriggeredJoinOperator::counting_matches`]).
+    pub(crate) fn counting_matches(mut self, count_only: bool) -> Self {
+        self.probe.count_only = count_only;
         self
     }
 
     /// Processes one activation for `instance`, returning the output batch.
-    pub fn process(&self, instance: usize, activation: Activation) -> Vec<Tuple> {
-        let batch = match activation.into_batch() {
-            Some(b) => b,
-            None => return Vec::new(), // pipelined joins ignore stray triggers
-        };
-        let inner = self
-            .inner
-            .fragment(instance)
-            // allow-panic: hash routing is modulo the instance count, so the
-            // fragment exists; a miss is a planner bug worth crashing on.
-            .expect("routing always targets an existing inner fragment");
-        let inner_tuples = inner.tuples();
-        match self.algorithm {
-            JoinAlgorithm::NestedLoop => {
-                let mut out = Vec::new();
-                for outer_tuple in &batch {
-                    let key = outer_tuple.value(self.outer_column);
-                    out.extend(
-                        inner_tuples
-                            .iter()
-                            .filter(|i| i.value(self.inner_column) == key)
-                            .map(|i| outer_tuple.concat(i)),
-                    );
-                }
-                out
-            }
-            JoinAlgorithm::Hash | JoinAlgorithm::TempIndex => {
-                let index = self.indexes[instance].get_or_init(|| {
-                    let build = || {
-                        HashIndex::build_parallel(
-                            inner_tuples,
-                            self.inner_column,
-                            self.build_shards,
-                        )
-                    };
-                    match self.shared_generation {
-                        Some(generation) => crate::cache::shared_index(
-                            self.inner.name(),
-                            generation,
-                            self.inner_column,
-                            instance,
-                            build,
-                        ),
-                        None => Arc::new(build()),
-                    }
-                });
-                let mut out = Vec::new();
-                for outer_tuple in &batch {
-                    let key = outer_tuple.value(self.outer_column);
-                    out.extend(
-                        index
-                            .probe(inner_tuples, key)
-                            .map(|i| outer_tuple.concat(i)),
-                    );
-                }
-                out
-            }
+    pub fn process(&self, instance: usize, activation: Activation) -> TupleBatch {
+        match activation.into_batch() {
+            Some(batch) => self.probe.join(instance, batch.tuples()),
+            None => TupleBatch::default(), // pipelined joins ignore stray triggers
         }
     }
 }
@@ -273,7 +252,6 @@ impl PipelinedJoinOperator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activation::TupleBatch;
     use dbs3_storage::{PartitionSpec, Relation, WisconsinConfig, WisconsinGenerator};
 
     fn partitioned(
@@ -370,7 +348,7 @@ mod tests {
                 .iter()
                 .flat_map(|t| op.process(1, Activation::single(t.clone())))
                 .collect();
-            assert_eq!(batched, singles, "algorithm {algorithm:?}");
+            assert_eq!(batched, TupleBatch::new(singles), "algorithm {algorithm:?}");
             assert_eq!(batched.len(), probes.len(), "unique1 self-join");
         }
     }
@@ -383,9 +361,9 @@ mod tests {
         // Probing twice must not rebuild (OnceLock gives the same instance).
         let probe = a.fragments()[1].tuples()[0].clone();
         let _ = op.process(1, Activation::single(probe.clone()));
-        let ptr1 = Arc::as_ptr(op.indexes[1].get().unwrap());
+        let ptr1 = Arc::as_ptr(op.probe.indexes[1].get().unwrap());
         let _ = op.process(1, Activation::single(probe));
-        let ptr2 = Arc::as_ptr(op.indexes[1].get().unwrap());
+        let ptr2 = Arc::as_ptr(op.probe.indexes[1].get().unwrap());
         assert_eq!(ptr1, ptr2);
     }
 
@@ -405,8 +383,8 @@ mod tests {
         let out2 = second.process(2, Activation::single(probe));
         assert_eq!(out1, out2);
         assert_eq!(
-            Arc::as_ptr(first.indexes[2].get().unwrap()),
-            Arc::as_ptr(second.indexes[2].get().unwrap()),
+            Arc::as_ptr(first.probe.indexes[2].get().unwrap()),
+            Arc::as_ptr(second.probe.indexes[2].get().unwrap()),
             "two operators over one (relation, generation) share one build"
         );
         // Without a generation, builds stay private.
@@ -414,8 +392,8 @@ mod tests {
         let probe2 = a.fragments()[2].tuples()[1].clone();
         let _ = private.process(2, Activation::single(probe2));
         assert_ne!(
-            Arc::as_ptr(first.indexes[2].get().unwrap()),
-            Arc::as_ptr(private.indexes[2].get().unwrap())
+            Arc::as_ptr(first.probe.indexes[2].get().unwrap()),
+            Arc::as_ptr(private.probe.indexes[2].get().unwrap())
         );
     }
 
@@ -430,7 +408,7 @@ mod tests {
         let (_, a) = partitioned("A", 40_000, 2);
         let u1 = a.schema().column_index("unique1").unwrap();
         let probes: Vec<Tuple> = a.fragments()[0].tuples()[..500].to_vec();
-        let reference: Vec<Tuple> = {
+        let reference: TupleBatch = {
             let op = PipelinedJoinOperator::new(Arc::clone(&a), u1, u1, JoinAlgorithm::Hash);
             op.process(0, Activation::Data(TupleBatch::from(probes.clone())))
         };
@@ -500,7 +478,40 @@ mod tests {
                 ));
                 start = end;
             }
-            assert_eq!(pieces, whole, "algorithm {algorithm:?}");
+            assert_eq!(TupleBatch::new(pieces), whole, "algorithm {algorithm:?}");
+        }
+    }
+
+    #[test]
+    fn counted_morsels_sum_to_the_built_trigger() {
+        let (_, a) = partitioned("A", 400, 4);
+        let (_, b) = partitioned("Bprime", 40, 4);
+        let u1 = a.schema().column_index("unique1").unwrap();
+        for algorithm in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
+            let built =
+                TriggeredJoinOperator::new(Arc::clone(&a), Arc::clone(&b), u1, u1, algorithm)
+                    .process(1, Activation::Trigger);
+            let op = TriggeredJoinOperator::new(Arc::clone(&a), Arc::clone(&b), u1, u1, algorithm)
+                .counting_matches(true);
+            let whole = op.process(1, Activation::Trigger);
+            assert_eq!(whole, TupleBatch::counted(built.len()));
+            assert!(!whole.is_empty(), "fragment 1 has matches to count");
+            let rows = op.triggered_rows(1).unwrap();
+            let mut counted = 0usize;
+            for start in (0..rows).step_by(13) {
+                let end = (start + 13).min(rows);
+                let lead = start == 0;
+                let piece = op.process(1, Activation::Morsel { start, end, lead });
+                assert_eq!(piece, TupleBatch::counted(piece.len()), "nothing built");
+                counted += piece.len();
+            }
+            assert_eq!(counted, built.len(), "algorithm {algorithm:?}");
+            // The pipelined twin: the outer fragment arriving as one batch.
+            let probes = TupleBatch::from(a.fragments()[1].tuples().to_vec());
+            let pipelined = PipelinedJoinOperator::new(Arc::clone(&b), u1, u1, algorithm)
+                .counting_matches(true)
+                .process(1, Activation::Data(probes));
+            assert_eq!(pipelined, whole, "algorithm {algorithm:?}");
         }
     }
 
@@ -519,7 +530,7 @@ mod tests {
                 lead: true,
             },
         );
-        let ptr1 = Arc::as_ptr(op.indexes[1].get().unwrap());
+        let ptr1 = Arc::as_ptr(op.probe.indexes[1].get().unwrap());
         let _ = op.process(
             1,
             Activation::Morsel {
@@ -528,7 +539,7 @@ mod tests {
                 lead: false,
             },
         );
-        let ptr2 = Arc::as_ptr(op.indexes[1].get().unwrap());
+        let ptr2 = Arc::as_ptr(op.probe.indexes[1].get().unwrap());
         assert_eq!(ptr1, ptr2, "morsels of one fragment share one build");
     }
 

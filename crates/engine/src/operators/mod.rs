@@ -16,8 +16,7 @@ pub use join::{PipelinedJoinOperator, TriggeredJoinOperator};
 pub use store::StoreOperator;
 pub use transmit::TransmitOperator;
 
-use crate::activation::Activation;
-use dbs3_storage::Tuple;
+use crate::activation::{Activation, TupleBatch};
 
 /// Resolves a control activation to the fragment row range it covers, given
 /// the fragment's cardinality: a trigger covers the whole fragment, a morsel
@@ -55,9 +54,10 @@ pub enum BoundOperator {
 
 impl BoundOperator {
     /// Processes one transport activation for `instance`, returning the
-    /// produced output batch (empty for `Store`). A data activation's whole
+    /// produced output batch (empty for `Store`; rows counted but not built
+    /// for a producer bound to a counting store). A data activation's whole
     /// tuple batch is processed under this single dispatch.
-    pub fn process(&self, instance: usize, activation: Activation) -> Vec<Tuple> {
+    pub fn process(&self, instance: usize, activation: Activation) -> TupleBatch {
         match self {
             BoundOperator::Filter(op) => op.process(instance, activation),
             BoundOperator::Transmit(op) => op.process(instance, activation),

@@ -1,6 +1,6 @@
 //! The store operator.
 
-use crate::activation::Activation;
+use crate::activation::{Activation, TupleBatch};
 use dbs3_storage::Tuple;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -17,7 +17,10 @@ use std::sync::Arc;
 /// A store built with [`StoreOperator::counting`] never materialises tuples:
 /// it bumps a per-fragment atomic counter instead, so workloads that only
 /// need cardinalities and metrics (benches, the `baseline` bin,
-/// `Query::discard_results()`) skip the result `Vec<Tuple>` entirely.
+/// `Query::discard_results()`) skip the result `Vec<Tuple>` entirely. It
+/// reads nothing of a batch but its length, which is why the operator bound
+/// in front of it counts its output rows instead of building them (see
+/// [`crate::activation`]): the batches arriving here usually hold no tuples.
 #[derive(Debug)]
 pub struct StoreOperator {
     result_name: String,
@@ -72,7 +75,7 @@ impl StoreOperator {
     /// Processes one activation for `instance`. A data batch is appended to
     /// the instance's result fragment (or tallied, in counting mode) in one
     /// pass; triggers are ignored.
-    pub fn process(&self, instance: usize, activation: Activation) -> Vec<Tuple> {
+    pub fn process(&self, instance: usize, activation: Activation) -> TupleBatch {
         if let Some(batch) = activation.into_batch() {
             let slot = instance % self.buffers.len();
             if self.discard {
@@ -82,7 +85,7 @@ impl StoreOperator {
                 buffer.extend(batch);
             }
         }
-        Vec::new()
+        TupleBatch::default()
     }
 
     /// Total number of stored (or, in counting mode, tallied) tuples across
@@ -122,7 +125,6 @@ impl StoreOperator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activation::TupleBatch;
     use dbs3_storage::tuple::int_tuple;
 
     #[test]

@@ -1,7 +1,7 @@
 //! The transmit (redistribution) operator.
 
-use crate::activation::Activation;
-use dbs3_storage::{PartitionedRelation, Tuple};
+use crate::activation::{Activation, TupleBatch};
+use dbs3_storage::PartitionedRelation;
 use std::sync::Arc;
 
 /// A triggered scan that forwards every tuple of its fragment downstream as
@@ -25,7 +25,7 @@ impl TransmitOperator {
     /// Processes one activation for `instance`, returning the output batch.
     /// A trigger forwards the whole fragment; a morsel forwards its row
     /// range.
-    pub fn process(&self, instance: usize, activation: Activation) -> Vec<Tuple> {
+    pub fn process(&self, instance: usize, activation: Activation) -> TupleBatch {
         let tuples = self
             .relation
             .fragment(instance)
@@ -34,9 +34,9 @@ impl TransmitOperator {
             .expect("executor only routes activations to existing instances")
             .tuples();
         let Some((start, end)) = super::control_range(&activation, tuples.len()) else {
-            return Vec::new();
+            return TupleBatch::default();
         };
-        tuples[start..end].to_vec()
+        TupleBatch::new(tuples[start..end].to_vec())
     }
 
     /// Rows instance `instance` forwards when triggered (its fragment's

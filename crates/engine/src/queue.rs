@@ -124,7 +124,10 @@ impl ActivationQueue {
             capacity,
             estimated_cost,
             state: Mutex::new(QueueState {
-                buffer: VecDeque::with_capacity(capacity.min(1024)),
+                // Grown on demand: a triggered queue holds a few control
+                // activations and a store queue a handful of batches, and a
+                // query builds hundreds of queues.
+                buffer: VecDeque::new(),
                 weight: 0,
                 closed: false,
             }),

@@ -78,8 +78,16 @@
 //!   capacities stay deadlock-free.
 //! * **Idle costs nothing.** Workers that find no poppable activation
 //!   anywhere park on a condvar (epoch-checked so a wakeup between the scan
-//!   and the park is never lost). An idle runtime burns no CPU; `submit`
-//!   and every queue flush wake the sleepers.
+//!   and the park is never lost). An idle runtime burns no CPU. Wake-ups
+//!   *cascade*: an announcement wakes one sleeper, and a worker that pops a
+//!   batch and leaves more buffered behind it wakes the next. Besides
+//!   sparing a herd of wake-ups per flush, this decides where the kernel
+//!   puts the workers: woken together by a submitting thread that is about
+//!   to block in `wait`, two workers are placed while the submitter's CPU
+//!   still looks busy and can end up sharing the other one for the whole of
+//!   a millisecond-scale query (measured: a 2-worker pool on 2 vCPUs ran
+//!   streaks of hundreds of queries at half speed); woken by a *working*
+//!   sibling a moment later, the next worker finds the submitter's CPU idle.
 //!
 //! Cancellation ([`QueryHandle::cancel`]) closes and drains the query's
 //! queues and completes the cell with
@@ -265,16 +273,16 @@ impl QueryState {
 
 /// Epoch-checked condvar parking: workers that find no work anywhere sleep
 /// here; every producer-side event (submit, queue flush, shutdown) bumps the
-/// epoch and wakes the sleepers. The parker re-checks the epoch *after*
-/// announcing itself, so a wakeup between its last scan and the wait can
-/// never be lost.
+/// epoch and wakes a sleeper (all of them on shutdown). The parker re-checks
+/// the epoch *after* announcing itself, so a wakeup between its last scan
+/// and the wait can never be lost.
 struct IdleParking {
     // ordering(epoch): SeqCst — the snapshot/announce/re-check dance only
     // excludes lost wakeups if the epoch bump, the sleeper count and the
     // parker's re-read sit in one total order (this is the textbook
     // flag-and-check where weaker orders allow both sides to miss).
     epoch: AtomicU64,
-    // ordering(sleepers): SeqCst — read by `wake_all` to decide whether to
+    // ordering(sleepers): SeqCst — read by `wake_one` to decide whether to
     // take the mutex at all; must not be reorderable against the epoch
     // bump or a parker could announce itself and still sleep unwoken.
     sleepers: AtomicUsize,
@@ -297,14 +305,22 @@ impl IdleParking {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    /// Signals that new work may exist. Cheap when nobody sleeps: one
-    /// atomic increment and one atomic load.
-    fn wake_all(&self) {
+    /// Signals that one more worker could find work (see "Idle costs
+    /// nothing" in the module docs for why one and not all). Cheap when
+    /// nobody sleeps: one atomic increment and one atomic load.
+    fn wake_one(&self) {
         self.epoch.fetch_add(1, Ordering::SeqCst);
         if self.sleepers.load(Ordering::SeqCst) > 0 {
             let _guard = self.mutex.lock();
-            self.cv.notify_all();
+            self.cv.notify_one();
         }
+    }
+
+    /// Wakes every sleeper (shutdown).
+    fn wake_all(&self) {
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        let _guard = self.mutex.lock();
+        self.cv.notify_all();
     }
 
     /// Parks the calling worker unless the epoch moved past `seen` (i.e.
@@ -361,7 +377,8 @@ impl RuntimeInner {
 
 /// Puts `op_index` of `query` into the ready deque unless it is already
 /// there (the `announced` CAS enforces the one-entry-per-op invariant) and
-/// wakes parked workers. Called by every producer-side push.
+/// wakes one parked worker; [`try_process_op`] carries the wake-up on to the
+/// next sleeper while work remains. Called by every producer-side push.
 fn announce_op(inner: &RuntimeInner, query: &Arc<QueryState>, op_index: usize) {
     let op = &query.ops[op_index];
     if op.finished.load(Ordering::SeqCst) {
@@ -373,7 +390,7 @@ fn announce_op(inner: &RuntimeInner, query: &Arc<QueryState>, op_index: usize) {
         .is_ok()
     {
         inner.push_ready(Arc::clone(query), op_index);
-        inner.idle.wake_all();
+        inner.idle.wake_one();
     }
 }
 
@@ -786,7 +803,8 @@ impl Runtime {
             return Err(EngineError::RuntimeShutdown);
         }
         // Announce the triggered leaves (the only ops with queued work at
-        // submit time); announce_op wakes the parked workers.
+        // submit time); announce_op wakes one parked worker per leaf and
+        // the workers wake the rest.
         for op_index in 0..query.ops.len() {
             if query.ops[op_index].pending.load(Ordering::SeqCst) > 0 {
                 announce_op(&self.inner, &query, op_index);
@@ -1034,8 +1052,11 @@ fn honor_submit_fault() -> Result<()> {
 
 /// Binds a plan node to a physical operator over catalog fragments.
 /// `discard_results` selects counting stores (cardinalities without
-/// materialisation); `build_shards` is handed to the join operators'
-/// temporary hash-index builds (`HashIndex::build_parallel`).
+/// materialisation) — and, for a filter or join whose consumer is that
+/// store, counting its matches instead of building rows nobody will read
+/// (the one place this is decided; see [`crate::activation`] for the
+/// invariant). `build_shards` is handed to the join operators' temporary
+/// hash-index builds (`HashIndex::build_parallel`).
 pub(crate) fn bind_operator(
     catalog: &Catalog,
     plan: &Plan,
@@ -1044,6 +1065,13 @@ pub(crate) fn bind_operator(
     discard_results: bool,
     build_shards: usize,
 ) -> Result<BoundOperator> {
+    // A store is always co-located (`Router::SameInstance`: it has no
+    // routing column), so "feeds a counting store" is all there is to check.
+    let count_only = discard_results
+        && match plan.consumers(node.id).first() {
+            Some(consumer) => matches!(plan.node(*consumer)?.kind, OperatorKind::Store { .. }),
+            None => false,
+        };
     match &node.kind {
         OperatorKind::Filter {
             relation,
@@ -1051,7 +1079,9 @@ pub(crate) fn bind_operator(
         } => {
             let rel = catalog.get(relation)?;
             let bound = predicate.bind(relation, rel.schema())?;
-            Ok(BoundOperator::Filter(FilterOperator::new(rel, bound)))
+            Ok(BoundOperator::Filter(
+                FilterOperator::new(rel, bound).counting_matches(count_only),
+            ))
         }
         OperatorKind::Transmit { relation, .. } => {
             let rel = catalog.get(relation)?;
@@ -1082,7 +1112,8 @@ pub(crate) fn bind_operator(
                             *algorithm,
                         )
                         .with_build_shards(build_shards)
-                        .with_shared_generation(generation),
+                        .with_shared_generation(generation)
+                        .counting_matches(count_only),
                     ))
                 }
                 OuterInput::Pipeline => {
@@ -1094,7 +1125,8 @@ pub(crate) fn bind_operator(
                     Ok(BoundOperator::PipelinedJoin(
                         PipelinedJoinOperator::new(inner, outer_column, inner_column, *algorithm)
                             .with_build_shards(build_shards)
-                            .with_shared_generation(generation),
+                            .with_shared_generation(generation)
+                            .counting_matches(count_only),
                     ))
                 }
             }
@@ -1249,6 +1281,12 @@ fn try_process_op(
         }
         match select_and_pop(op, inner.pool_threads, ctx) {
             Some((queue_index, batch)) => {
+                // More is buffered behind this batch: pass the wake-up on
+                // before starting to work, so a parked pool comes up as a
+                // doubling cascade instead of all at once from `submit`.
+                if op.pending.load(Ordering::SeqCst) > 0 {
+                    inner.idle.wake_one();
+                }
                 process_batch(inner, query, op_index, queue_index, batch, ctx.id);
                 Processed::Worked(true)
             }
@@ -1354,8 +1392,10 @@ fn select_and_pop(
 thread_local! {
     /// Reusable scatter-buffer sets, one entry per nested [`help_drain`]
     /// depth, so [`process_batch`] does not allocate a consumer-degree-sized
-    /// `Vec<Vec<Tuple>>` on every popped batch. Workers are long-lived, so
-    /// the warm buffers amortise across every query the thread serves.
+    /// `Vec<Vec<Tuple>>` on every popped batch. Only that outer vector is
+    /// kept warm: every filled inner buffer leaves with its flush (it
+    /// *becomes* the transport batch), so the inner ones come back empty
+    /// and unallocated.
     static SCATTER_SCRATCH: std::cell::RefCell<Vec<Vec<Vec<Tuple>>>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -1416,10 +1456,10 @@ fn process_batch(
         .map(|link| query.ops[link.consumer_index].queues.len())
         .unwrap_or(0);
     // Scatter buffers exist only for hash redistribution; a co-located
-    // consumer receives output vectors directly. Ops that need no buffers
+    // consumer receives output batches directly. Ops that need no buffers
     // must not touch the thread-local scratch at all — popping the warm set
-    // just to truncate it to zero would throw away the grown buffer
-    // capacities the cache exists to preserve.
+    // just to truncate it to zero would throw away the outer vector the
+    // cache exists to preserve.
     let needs_buffers = matches!(
         op.consumer.as_ref().map(|link| &link.router),
         Some(Router::HashColumn { .. })
@@ -1453,7 +1493,8 @@ fn process_batch(
             Router::SameInstance => {
                 // Direct ship: the whole output batch has exactly one
                 // destination, so it becomes one transport activation
-                // without being re-collected tuple by tuple.
+                // without being re-collected tuple by tuple — the only hop
+                // a batch of counted-but-unbuilt rows ever takes.
                 if !out.is_empty() {
                     let dest = queue_index % consumer_degree.max(1);
                     flush_to(
@@ -1482,7 +1523,7 @@ fn process_batch(
                             query,
                             link.consumer_index,
                             dest,
-                            full,
+                            TupleBatch::new(full),
                             worker,
                             &mut helped,
                         );
@@ -1500,7 +1541,7 @@ fn process_batch(
                     query,
                     link.consumer_index,
                     dest,
-                    std::mem::take(buffer),
+                    TupleBatch::new(std::mem::take(buffer)),
                     worker,
                     &mut helped,
                 );
@@ -1541,12 +1582,12 @@ fn flush_to(
     query: &Arc<QueryState>,
     consumer_index: usize,
     dest: usize,
-    tuples: Vec<Tuple>,
+    batch: TupleBatch,
     worker: usize,
     helped: &mut Duration,
 ) {
     let consumer = &query.ops[consumer_index];
-    let mut activation = Activation::Data(TupleBatch::new(tuples));
+    let mut activation = Activation::Data(batch);
     let weight = activation.queue_weight() as u64;
     loop {
         if query.cancelled.load(Ordering::Relaxed) || inner.shutdown.load(Ordering::Relaxed) {

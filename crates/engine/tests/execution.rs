@@ -3,13 +3,16 @@
 //! scheduler-built schedules, must produce exactly what the sequential
 //! reference evaluator produces — plus the shape of the reported metrics,
 //! pool reuse across blocking runs, prepared execution and result
-//! discarding.
+//! discarding (including that a discarding run counts exactly the rows a
+//! materialising run builds).
 
 use dbs3_engine::{
     ConsumptionStrategy, ExecutionOutcome, ExecutionSchedule, PreparedPlan, Runtime, Scheduler,
     SchedulerOptions,
 };
-use dbs3_lera::{plans, CostParameters, ExtendedPlan, JoinAlgorithm, Plan, Predicate};
+use dbs3_lera::{
+    plans, CostParameters, ExtendedPlan, JoinAlgorithm, JoinCondition, Plan, PlanBuilder, Predicate,
+};
 use dbs3_storage::{
     Catalog, PartitionSpec, PartitionedRelation, Relation, WisconsinConfig, WisconsinGenerator,
 };
@@ -240,4 +243,129 @@ fn discarded_results_report_cardinalities_only() {
     assert_eq!(outcome.cardinalities["Result"], expected.len());
     assert!(outcome.results["Result"].is_empty());
     assert!(outcome.metrics.total_activations() > 0);
+}
+
+/// A, B′ and C on `unique1` at degree 6; with `empty_fragment`, A loses every
+/// row of its fragment 0 (an instance whose trigger scans — and whose inner
+/// side holds — nothing). Returns the relations as stored.
+fn equivalence_catalog(empty_fragment: bool) -> (Catalog, [Relation; 3]) {
+    let spec = PartitionSpec::on("unique1", 6, 2);
+    let mut cat = Catalog::new();
+    let relations = [("A", 600), ("Bprime", 120), ("C", 300)].map(|(name, rows)| {
+        let mut rel = WisconsinGenerator::new()
+            .generate(&WisconsinConfig::narrow(name, rows))
+            .unwrap();
+        if empty_fragment && name == "A" {
+            let u1 = rel.column_index("unique1").unwrap();
+            let kept = rel.reference_select(|t| spec.fragment_of_hash(t.hash_key(&[u1])) != 0);
+            rel = Relation::new(name, rel.schema().clone(), kept).unwrap();
+        }
+        let part = PartitionedRelation::from_relation(&rel, spec.clone()).unwrap();
+        assert_eq!(
+            part.fragment(0).unwrap().cardinality() == 0,
+            empty_fragment && name == "A"
+        );
+        cat.register(part).unwrap();
+        rel
+    });
+    (cat, relations)
+}
+
+fn bag(tuples: &[dbs3_storage::Tuple]) -> std::collections::HashMap<&dbs3_storage::Tuple, usize> {
+    let mut bag = std::collections::HashMap::new();
+    for t in tuples {
+        *bag.entry(t).or_insert(0) += 1;
+    }
+    bag
+}
+
+/// A discarding run counts rows where a materialising run builds them (the
+/// filter or join feeding the counting store never constructs a tuple), so
+/// the two must agree on everything but the rows themselves: cardinalities
+/// and, per operation, logical activations and tuples out — while the
+/// materialised bag is the sequential reference's.
+#[test]
+fn discarding_counts_exactly_what_materialising_builds() {
+    let runtime = Runtime::new(2).unwrap();
+    let low = |t: &dbs3_storage::Tuple| (0..200).contains(&t.value(0).as_int().unwrap());
+    for empty_fragment in [false, true] {
+        let (cat, [a, b, c]) = equivalence_catalog(empty_fragment);
+        let a_low = Relation::new("Alow", a.schema().clone(), a.reference_select(low)).unwrap();
+        let b_a = b.reference_join(&a, "unique1", "unique1").unwrap();
+        let b_a_c = Relation::new("BA", b.schema().join(a.schema(), "A"), b_a.clone())
+            .unwrap()
+            .reference_join(&c, "unique1", "unique1")
+            .unwrap();
+        for algorithm in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
+            // transmit(B′) → join(A) → join(C) → store: only the last join
+            // feeds the store, so only it may count; the first must keep
+            // building the rows the second probes with. (The first join's
+            // output schema prefixes A's colliding columns, so `unique1`
+            // still names B′'s key and the chain validates.)
+            let chain = {
+                let mut p = PlanBuilder::new("JoinChain");
+                let transmit = p.transmit("Bprime", "unique1");
+                let natural = || JoinCondition::natural("unique1");
+                let first = p.pipelined_join(transmit, "A", natural(), algorithm);
+                let second = p.pipelined_join(first, "C", natural(), algorithm);
+                p.store(second, "Result");
+                p.build()
+            };
+            chain.validate(&cat).unwrap();
+            let range = || Predicate::range("unique1", 0, 200);
+            let cases = [
+                (
+                    plans::ideal_join("A", "Bprime", "unique1", algorithm),
+                    a.reference_join(&b, "unique1", "unique1").unwrap(),
+                ),
+                (
+                    plans::assoc_join("Bprime", "A", "unique1", algorithm),
+                    b_a.clone(),
+                ),
+                (
+                    plans::filter_join("A", range(), "Bprime", "unique1", algorithm),
+                    a_low.reference_join(&b, "unique1", "unique1").unwrap(),
+                ),
+                (
+                    plans::selection("A", range(), "Result"),
+                    a.reference_select(low),
+                ),
+                (chain, b_a_c.clone()),
+            ];
+            for (plan, expected) in &cases {
+                // One trigger per fragment, then morsels of 7 rows.
+                for morsel_rows in [usize::MAX, 7] {
+                    let case = format!(
+                        "{} {algorithm:?} morsel_rows={morsel_rows} empty_fragment={empty_fragment}",
+                        plan.name()
+                    );
+                    let run = |discard: bool| {
+                        let schedule = schedule_for(plan, &cat, 2)
+                            .with_morsel_rows(morsel_rows)
+                            .with_discard_results(discard);
+                        runtime
+                            .submit(&cat, plan, &schedule)
+                            .unwrap()
+                            .wait()
+                            .unwrap()
+                    };
+                    let (built, counted) = (run(false), run(true));
+                    assert!(
+                        !expected.is_empty(),
+                        "{case}: a vacuous case proves nothing"
+                    );
+                    assert_eq!(bag(&built.results["Result"]), bag(expected), "{case}");
+                    assert!(counted.results["Result"].is_empty(), "{case}");
+                    assert_eq!(counted.cardinalities, built.cardinalities, "{case}");
+                    assert_eq!(counted.cardinalities["Result"], expected.len(), "{case}");
+                    let per_op = |o: &ExecutionOutcome| -> Vec<_> {
+                        let ops = o.metrics.operations.iter();
+                        ops.map(|m| (m.node, m.total_activations(), m.total_tuples_out()))
+                            .collect()
+                    };
+                    assert_eq!(per_op(&counted), per_op(&built), "{case}");
+                }
+            }
+        }
+    }
 }

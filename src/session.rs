@@ -241,8 +241,9 @@ impl<'a> Query<'a> {
     /// Counts result tuples in the store operators instead of materialising
     /// them: `QueryOutcome::results` stays empty while `cardinalities` and
     /// every metric stay exact. For benches and workloads that only need
-    /// counts — skipping the result `Vec<Tuple>` removes the last
-    /// per-result-tuple allocation.
+    /// counts: the filter or join feeding such a store counts its matches
+    /// instead of building a row per match, so nothing allocated grows with
+    /// the result — no result `Vec<Tuple>`, and no result tuples either.
     pub fn discard_results(mut self) -> Self {
         self.options.discard_results = true;
         self
