@@ -236,10 +236,11 @@ impl PlanCache {
 
 /// Key of an index-cache entry. The relation *generation* lives in the
 /// entry, not the key, so a stale entry is found (and evicted) by the very
-/// lookup that replaces it.
+/// lookup that replaces it. The relation name is shared with the caller, so
+/// building a key for a lookup allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct IndexKey {
-    relation: String,
+    relation: Arc<str>,
     column: usize,
     fragment: usize,
 }
@@ -505,8 +506,10 @@ fn honor_build_fault() {
 /// The first requester of a `(relation, column, fragment, generation)`
 /// builds; concurrent requesters block on the build in flight; later
 /// requesters clone the `Arc`. `build` runs *outside* every cache lock.
+/// `relation` is the caller's shared copy of the name (a bound join makes
+/// it once), so the lookup key costs a reference count, not an allocation.
 pub fn shared_index(
-    relation: &str,
+    relation: &Arc<str>,
     generation: u64,
     column: usize,
     fragment: usize,
@@ -516,7 +519,7 @@ pub fn shared_index(
         return Arc::new(build());
     }
     let key = IndexKey {
-        relation: relation.to_string(),
+        relation: Arc::clone(relation),
         column,
         fragment,
     };
@@ -733,9 +736,13 @@ mod tests {
         let generation = cat.generation("A").unwrap();
         let tuples = rel.fragments()[0].tuples();
 
+        let name: Arc<str> = Arc::from("A");
         let before = cache_stats();
-        let first = shared_index("A", generation, 0, 0, || HashIndex::build(tuples, 0));
-        let again = shared_index("A", generation, 0, 0, || HashIndex::build(tuples, 0));
+        let first = shared_index(&name, generation, 0, 0, || HashIndex::build(tuples, 0));
+        // A separately allocated copy of the name finds the same entry.
+        let again = shared_index(&Arc::from("A"), generation, 0, 0, || {
+            HashIndex::build(tuples, 0)
+        });
         assert!(Arc::ptr_eq(&first, &again), "one build, shared Arc");
         let delta = cache_stats().since(&before);
         assert!(
@@ -744,7 +751,7 @@ mod tests {
         );
 
         // A different generation never sees the old build.
-        let fresh = shared_index("A", generation + 1_000_000, 0, 0, || {
+        let fresh = shared_index(&name, generation + 1_000_000, 0, 0, || {
             HashIndex::build(tuples, 0)
         });
         assert!(!Arc::ptr_eq(&first, &fresh));
@@ -765,7 +772,7 @@ mod tests {
                     let rel = Arc::clone(&rel);
                     let built = Arc::clone(&built);
                     scope.spawn(move || {
-                        shared_index("concurrent-test", generation, 0, 0, || {
+                        shared_index(&Arc::from("concurrent-test"), generation, 0, 0, || {
                             // ordering: Relaxed — test-only tally of how many
                             // closures ran; no ordering dependencies.
                             built.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -796,9 +803,10 @@ mod tests {
         let rel = cat.get("A").unwrap();
         let tuples = rel.fragments()[0].tuples();
         let generation = u64::MAX - 99;
+        let name: Arc<str> = Arc::from("lru-test");
         let before = cache_stats().index.evictions;
         for fragment in 0..(INDEX_CACHE_CAPACITY + 8) {
-            let _ = shared_index("lru-test", generation, 0, fragment, || {
+            let _ = shared_index(&name, generation, 0, fragment, || {
                 HashIndex::build(tuples, 0)
             });
         }

@@ -21,17 +21,19 @@ struct Probe {
     /// (Hash / TempIndex). Resolved once on the first activation of an
     /// instance and shared by every later morsel or data batch — splitting
     /// the outer scan must not multiply the build work. With a
-    /// `shared_generation` the resolution goes through the engine-wide index
+    /// `shared_key` the resolution goes through the engine-wide index
     /// cache, so concurrent and repeated queries over one relation share one
     /// build across operators.
     indexes: Vec<OnceLock<Arc<HashIndex>>>,
     /// Shards each temporary index build is partitioned over
     /// ([`HashIndex::build_parallel`]); 1 = sequential build.
     build_shards: usize,
-    /// Catalog generation of the inner relation, when known: the key that
-    /// lets builds be shared through [`crate::cache::shared_index`]. `None`
-    /// keeps builds private to this operator.
-    shared_generation: Option<u64>,
+    /// The inner relation's name and catalog generation, when the
+    /// generation is known: the key that lets builds be shared through
+    /// [`crate::cache::shared_index`]. The name is copied once here, at
+    /// bind time, so per-fragment lookups allocate nothing. `None` keeps
+    /// builds private to this operator.
+    shared_key: Option<(Arc<str>, u64)>,
     /// Whether matches are counted instead of built (the consumer is a
     /// counting store, which only ever reads `batch.len()`).
     count_only: bool,
@@ -52,9 +54,13 @@ impl Probe {
             algorithm,
             indexes,
             build_shards: 1,
-            shared_generation: None,
+            shared_key: None,
             count_only: false,
         }
+    }
+
+    fn share_builds(&mut self, generation: Option<u64>) {
+        self.shared_key = generation.map(|generation| (Arc::from(self.inner.name()), generation));
     }
 
     /// Joins `outers` against inner fragment `instance`. Built output is
@@ -77,10 +83,10 @@ impl Probe {
             self.indexes[instance].get_or_init(|| {
                 let build =
                     || HashIndex::build_parallel(inner, self.inner_column, self.build_shards);
-                match self.shared_generation {
-                    Some(generation) => crate::cache::shared_index(
-                        self.inner.name(),
-                        generation,
+                match &self.shared_key {
+                    Some((relation, generation)) => crate::cache::shared_index(
+                        relation,
+                        *generation,
                         self.inner_column,
                         instance,
                         build,
@@ -159,7 +165,7 @@ impl TriggeredJoinOperator {
     /// builds produce bit-identical layouts, so sharing across operators
     /// with different `build_shards` settings is sound.
     pub fn with_shared_generation(mut self, generation: Option<u64>) -> Self {
-        self.probe.shared_generation = generation;
+        self.probe.share_builds(generation);
         self
     }
 
@@ -229,7 +235,7 @@ impl PipelinedJoinOperator {
     /// Routes index resolution through the engine-wide shared cache (see
     /// [`TriggeredJoinOperator::with_shared_generation`]).
     pub fn with_shared_generation(mut self, generation: Option<u64>) -> Self {
-        self.probe.shared_generation = generation;
+        self.probe.share_builds(generation);
         self
     }
 

@@ -41,9 +41,11 @@
 //! consumers actually moving tuples. The queue therefore mirrors its logical
 //! length and closed flag in atomics, updated inside the critical section of
 //! every mutation: `len()`, `is_empty()`, `is_closed()` and `is_exhausted()`
-//! are single atomic loads, and an empty-queue [`ActivationQueue::try_pop_batch`]
-//! returns without touching the mutex at all. The mutex remains the sole
-//! guard of buffer *mutation*; the mirrors are observational.
+//! are single atomic loads, and an empty-queue pop
+//! ([`ActivationQueue::try_pop_into`] or its allocating wrapper
+//! [`ActivationQueue::try_pop_batch`]) returns without touching the mutex
+//! at all. The mutex remains the sole guard of buffer *mutation*; the
+//! mirrors are observational.
 //!
 //! The mirrors are safe for termination because they are monotone where it
 //! matters: once a queue is closed no push can succeed, so an observed
@@ -257,21 +259,37 @@ impl ActivationQueue {
     ///
     /// Returns an empty vector when the queue is currently empty (whether or
     /// not it is closed); use [`ActivationQueue::is_exhausted`] to tell the
-    /// difference.
+    /// difference. Allocates the returned vector on every successful pop;
+    /// hot loops use [`ActivationQueue::try_pop_into`] instead.
     pub fn try_pop_batch(&self, max_weight: usize) -> Vec<Activation> {
+        let mut out = Vec::new();
+        self.try_pop_into(max_weight, &mut out);
+        out
+    }
+
+    /// [`ActivationQueue::try_pop_batch`] into a buffer the caller owns:
+    /// popped activations are *appended* to `out` (whatever it already
+    /// holds stays in front), and the queue weight popped is returned —
+    /// `0` exactly when nothing was popped. Same budget, control-stop and
+    /// at-least-one rules; the budget counts only this pop's activations.
+    ///
+    /// A worker that keeps one `out` for its lifetime pays no allocation
+    /// per pop once the buffer has grown to its largest batch. The
+    /// empty-queue fast path is still a single atomic load and leaves `out`
+    /// untouched.
+    pub fn try_pop_into(&self, max_weight: usize, out: &mut Vec<Activation>) -> usize {
         // Lock-free fast path: a queue that currently looks empty yields
         // nothing — identical to arriving at the mutex a moment earlier.
         // This keeps the runtime's speculative probes off the mutex
         // entirely.
         if self.atomic_len.load(Ordering::SeqCst) == 0 {
-            return Vec::new();
+            return 0;
         }
         let mut state = self.state.lock();
-        let mut out = Vec::new();
         let mut popped = 0usize;
         while let Some(front) = state.buffer.front() {
             let weight = front.queue_weight();
-            if !out.is_empty() && popped + weight > max_weight {
+            if popped > 0 && popped + weight > max_weight {
                 break;
             }
             // allow-panic: the `while let Some(front)` above proved
@@ -291,7 +309,7 @@ impl ActivationQueue {
             self.dequeued.fetch_add(popped as u64, Ordering::SeqCst);
             self.not_full.notify_all();
         }
-        out
+        popped
     }
 
     /// Pops one activation, blocking until one is available or the queue is
@@ -453,6 +471,70 @@ mod tests {
         assert!(!popped[0].is_control());
         assert!(popped[1].is_control());
         assert_eq!(q.total_dequeued(), 5);
+    }
+
+    #[test]
+    fn try_pop_into_appends_and_returns_the_weight() {
+        let q = ActivationQueue::new(0, 64, 0.0);
+        q.push(Activation::Data(TupleBatch::from(vec![
+            int_tuple(&[1]),
+            int_tuple(&[2]),
+        ])));
+        q.push(Activation::single(int_tuple(&[3])));
+        let mut out = vec![Activation::Trigger];
+        assert_eq!(q.try_pop_into(usize::MAX, &mut out), 3);
+        assert_eq!(out.len(), 3, "appended behind what the buffer held");
+        assert!(out[0].is_trigger());
+        assert_eq!(out[1].logical_len(), 2);
+        assert_eq!(out[2].logical_len(), 1);
+        assert_eq!(q.total_dequeued(), 3);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn try_pop_into_stops_after_a_control_activation() {
+        let q = ActivationQueue::new(0, 64, 0.0);
+        q.push(Activation::single(int_tuple(&[1])));
+        q.push(Activation::Morsel {
+            start: 0,
+            end: 4,
+            lead: true,
+        });
+        q.push(Activation::single(int_tuple(&[2])));
+        let mut out = Vec::new();
+        assert_eq!(q.try_pop_into(usize::MAX, &mut out), 2);
+        assert_eq!(out.len(), 2);
+        assert!(out[1].is_control());
+        assert_eq!(q.len(), 1, "the data behind the morsel stays queued");
+    }
+
+    #[test]
+    fn try_pop_into_takes_one_activation_over_budget() {
+        let q = ActivationQueue::new(0, 64, 0.0);
+        q.push(Activation::Data(TupleBatch::from(
+            (0..5).map(|i| int_tuple(&[i])).collect::<Vec<_>>(),
+        )));
+        q.push(Activation::single(int_tuple(&[9])));
+        // The budget counts this pop only, not what `out` already holds.
+        let mut out = vec![Activation::single(int_tuple(&[0]))];
+        assert_eq!(q.try_pop_into(2, &mut out), 5);
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[1].logical_len(), 5);
+        assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn try_pop_into_an_empty_queue_leaves_the_buffer_untouched() {
+        let q = ActivationQueue::new(0, 4, 0.0);
+        let mut out = Vec::with_capacity(3);
+        out.push(Activation::Trigger);
+        assert_eq!(q.try_pop_into(usize::MAX, &mut out), 0);
+        q.close();
+        assert_eq!(q.try_pop_into(usize::MAX, &mut out), 0);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out.capacity(), 3);
+        assert!(out[0].is_trigger());
+        assert_eq!(q.total_dequeued(), 0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests of the [`ActivationQueue`]: under arbitrary
 //! interleavings of `push` / `push_batch` / `try_push` / `try_pop_batch` /
-//! `close`, no tuple is ever lost or duplicated, and the lock-free
+//! `try_pop_into` / `close`, no tuple is ever lost or duplicated, and the
+//! lock-free
 //! observation mirrors (`len` / `is_empty` / `is_closed` / `is_exhausted`
 //! and the enqueue/dequeue totals) always agree with the data that actually
 //! moved.
@@ -133,6 +134,10 @@ proptest! {
         let q = ActivationQueue::new(0, capacity, 0.0);
         let mut model = Model::default();
         let mut next_payload = 0i64;
+        // The `try_pop_into` buffer and what it should hold: appending must
+        // never disturb what an earlier pop left in it.
+        let mut reused: Vec<Activation> = Vec::new();
+        let mut reused_entries: Vec<Entry> = Vec::new();
         for (kind, size) in ops {
             match kind {
                 // try_push: always safe; refused on full/closed.
@@ -169,10 +174,26 @@ proptest! {
                     model.enqueued += size as u64;
                     next_payload += size as i64;
                 }
-                // try_pop_batch with a random weight budget.
+                // A pop with a random weight budget: half of them through
+                // `try_pop_batch`, half through `try_pop_into` appending to
+                // one reused buffer, as a pool worker does.
                 3 => {
-                    let got = render(&q.try_pop_batch(size));
                     let want = model.pop(size);
+                    let got = if size % 2 == 0 {
+                        render(&q.try_pop_batch(size))
+                    } else {
+                        let held = reused.len();
+                        let weight = q.try_pop_into(size, &mut reused);
+                        let got = render(&reused[held..]);
+                        prop_assert_eq!(weight, got.iter().map(Entry::weight).sum::<usize>());
+                        reused_entries.extend(got.iter().cloned());
+                        // Empty it now and then: only its capacity carries on.
+                        if reused.len() > 8 {
+                            prop_assert_eq!(render(&reused), std::mem::take(&mut reused_entries));
+                            reused.clear();
+                        }
+                        got
+                    };
                     prop_assert_eq!(got, want, "pop diverged from the model");
                 }
                 // close (possibly mid-script, possibly repeated).
@@ -203,10 +224,18 @@ proptest! {
             prop_assert_eq!(q.total_enqueued(), model.enqueued);
             prop_assert_eq!(q.total_dequeued(), model.dequeued);
         }
+        prop_assert_eq!(render(&reused), reused_entries);
         // Drain: everything enqueued comes back out exactly once. A pop
-        // ends at each control activation, so drain in rounds.
-        loop {
-            let rest = render(&q.try_pop_batch(usize::MAX));
+        // ends at each control activation, so drain in rounds, alternating
+        // between the two pop entry points.
+        for round in 0.. {
+            let rest = if round % 2 == 0 {
+                render(&q.try_pop_batch(usize::MAX))
+            } else {
+                reused.clear();
+                q.try_pop_into(usize::MAX, &mut reused);
+                render(&reused)
+            };
             let want = model.pop(usize::MAX);
             let drained = rest.is_empty();
             prop_assert_eq!(rest, want);
@@ -238,14 +267,24 @@ proptest! {
         let q = Arc::new(ActivationQueue::new(0, capacity, 0.0));
 
         // Consumers: mix non-blocking batch pops with blocking pops until
-        // the queue is closed and drained; collect every payload seen.
+        // the queue is closed (while they run) and drained; collect every
+        // payload seen. Consumer 0 pops with `try_pop_batch`, consumer 1
+        // with `try_pop_into` through one reused buffer.
         let consumers: Vec<_> = (0..2)
-            .map(|_| {
+            .map(|c| {
                 let q = Arc::clone(&q);
                 thread::spawn(move || {
                     let mut seen: Vec<i64> = Vec::new();
+                    let mut batch: Vec<Activation> = Vec::new();
+                    let (mut last_enq, mut last_deq) = (0u64, 0u64);
                     loop {
-                        let batch = q.try_pop_batch(budget);
+                        batch.clear();
+                        if c == 0 {
+                            batch = q.try_pop_batch(budget);
+                        } else {
+                            let weight = q.try_pop_into(budget, &mut batch);
+                            assert_eq!(weight, batch.iter().map(Activation::queue_weight).sum::<usize>());
+                        }
                         if batch.is_empty() {
                             // Fall back to a blocking pop: returns None only
                             // when the queue is exhausted.
@@ -261,6 +300,8 @@ proptest! {
                         let deq = q.total_dequeued();
                         let enq = q.total_enqueued();
                         assert!(deq <= enq, "dequeued {deq} > enqueued {enq}");
+                        assert!(deq >= last_deq && enq >= last_enq, "a total went backwards");
+                        (last_enq, last_deq) = (enq, deq);
                     }
                     seen
                 })
