@@ -10,7 +10,7 @@
 //! affinity ablation runs the real multi-threaded engine.
 
 use crate::data::{selection_session, ExperimentScale, JoinDatabase};
-use dbs3::{Backend, Session};
+use dbs3::{Backend, Query, Session};
 use dbs3_engine::ConsumptionStrategy;
 use dbs3_lera::{plans, JoinAlgorithm, NodeId, Plan, Predicate};
 use dbs3_model as model;
@@ -46,18 +46,12 @@ pub fn skew_sweep(scale: ExperimentScale) -> Vec<f64> {
     }
 }
 
-/// The KSR1 simulator configuration with `threads` total threads.
-fn sim_threads(threads: usize) -> SimConfig {
-    SimConfig::ksr1().with_threads(threads)
-}
-
-/// Runs `plan` on the session's simulated-KSR1 backend and returns the
+/// Runs `query` on the simulated machine `config` and returns the
 /// virtual-time report. Every figure harness funnels through this one
 /// facade call; the Criterion benches and the `experiments` binary differ
 /// only in scale.
-fn simulate(session: &Session, plan: &Plan, config: SimConfig) -> SimReport {
-    session
-        .query(plan)
+fn simulate(query: Query<'_>, config: SimConfig) -> SimReport {
+    query
         .on(Backend::Simulated(config))
         .run()
         .expect("valid simulated query")
@@ -106,14 +100,12 @@ pub fn fig08_remote_access(scale: ExperimentScale) -> Vec<RemoteAccessRow> {
         .into_iter()
         .map(|n| {
             let local = simulate(
-                &session,
-                &plan,
-                sim_threads(n).with_placement(DataPlacement::Local),
+                session.query(&plan).threads(n),
+                SimConfig::ksr1().with_placement(DataPlacement::Local),
             );
             let remote = simulate(
-                &session,
-                &plan,
-                sim_threads(n).with_placement(DataPlacement::Remote),
+                session.query(&plan).threads(n),
+                SimConfig::ksr1().with_placement(DataPlacement::Remote),
             );
             RemoteAccessRow {
                 threads: n,
@@ -170,9 +162,11 @@ pub fn fig12_assocjoin_skew(scale: ExperimentScale) -> Vec<AssocSkewRow> {
         .map(|theta| {
             let session = db.session(degree, theta);
             let report = simulate(
-                &session,
-                &plan,
-                sim_threads(threads).with_strategy(ConsumptionStrategy::Random),
+                session
+                    .query(&plan)
+                    .threads(threads)
+                    .strategy(ConsumptionStrategy::Random),
+                SimConfig::ksr1(),
             );
             // Tworst from the analytic model, over the pipelined join's
             // activation profile and the threads its pool actually received.
@@ -230,14 +224,18 @@ pub fn fig13_idealjoin_skew(scale: ExperimentScale) -> Vec<IdealSkewRow> {
         .map(|theta| {
             let session = db.session(degree, theta);
             let random = simulate(
-                &session,
-                &plan,
-                sim_threads(threads).with_strategy(ConsumptionStrategy::Random),
+                session
+                    .query(&plan)
+                    .threads(threads)
+                    .strategy(ConsumptionStrategy::Random),
+                SimConfig::ksr1(),
             );
             let lpt = simulate(
-                &session,
-                &plan,
-                sim_threads(threads).with_strategy(ConsumptionStrategy::Lpt),
+                session
+                    .query(&plan)
+                    .threads(threads)
+                    .strategy(ConsumptionStrategy::Lpt),
+                SimConfig::ksr1(),
             );
             let join = random.operation(NodeId(0)).expect("join is simulated");
             let tworst_us = random.startup_us
@@ -298,8 +296,8 @@ pub fn fig14_assocjoin_speedup(scale: ExperimentScale) -> Vec<AssocSpeedupRow> {
     thread_sweep(scale)
         .into_iter()
         .map(|n| {
-            let unskewed = simulate(&unskewed_session, &plan, sim_threads(n));
-            let skewed = simulate(&skewed_session, &plan, sim_threads(n));
+            let unskewed = simulate(unskewed_session.query(&plan).threads(n), SimConfig::ksr1());
+            let skewed = simulate(skewed_session.query(&plan).threads(n), SimConfig::ksr1());
             AssocSpeedupRow {
                 threads: n,
                 unskewed: unskewed.speedup(),
@@ -352,9 +350,12 @@ pub fn fig15_idealjoin_speedup(scale: ExperimentScale) -> Vec<IdealSpeedupRow> {
         .map(|n| {
             let speedup_at = |idx: usize| {
                 simulate(
-                    &sessions[idx].1,
-                    &plan,
-                    sim_threads(n).with_strategy(ConsumptionStrategy::Lpt),
+                    sessions[idx]
+                        .1
+                        .query(&plan)
+                        .threads(n)
+                        .strategy(ConsumptionStrategy::Lpt),
+                    SimConfig::ksr1(),
                 )
                 .speedup()
             };
@@ -418,7 +419,7 @@ pub fn fig16_partitioning_overhead(scale: ExperimentScale) -> Vec<PartitioningOv
 
     let run = |plan: &Plan, degree: usize| -> f64 {
         let session = db.session(degree, 0.0);
-        simulate(&session, plan, sim_threads(threads)).total_seconds()
+        simulate(session.query(plan).threads(threads), SimConfig::ksr1()).total_seconds()
     };
     let ideal_base = run(&ideal, base_degree);
     let assoc_base = run(&assoc, base_degree);
@@ -486,8 +487,10 @@ pub fn fig17_index_partitioning(scale: ExperimentScale) -> Vec<IndexPartitioning
             let session = db.session(d, 0.0);
             IndexPartitioningRow {
                 degree: d,
-                ideal_s: simulate(&session, &ideal, sim_threads(threads)).total_seconds(),
-                assoc_s: simulate(&session, &assoc, sim_threads(threads)).total_seconds(),
+                ideal_s: simulate(session.query(&ideal).threads(threads), SimConfig::ksr1())
+                    .total_seconds(),
+                assoc_s: simulate(session.query(&assoc).threads(threads), SimConfig::ksr1())
+                    .total_seconds(),
             }
         })
         .collect()
@@ -530,9 +533,11 @@ pub fn fig18_skew_vs_partitioning(scale: ExperimentScale) -> Vec<SkewVsPartition
     let run = |db: &JoinDatabase, plan: &Plan, degree: usize, theta: f64| -> f64 {
         let session = db.session(degree, theta);
         simulate(
-            &session,
-            plan,
-            sim_threads(threads).with_strategy(ConsumptionStrategy::Lpt),
+            session
+                .query(plan)
+                .threads(threads)
+                .strategy(ConsumptionStrategy::Lpt),
+            SimConfig::ksr1(),
         )
         .total_seconds()
     };
@@ -591,9 +596,11 @@ pub fn fig19_saved_time(scale: ExperimentScale) -> Vec<SavedTimeRow> {
         .map(|&d| {
             let session = db.session(d, 0.6);
             simulate(
-                &session,
-                &plan,
-                sim_threads(threads).with_strategy(ConsumptionStrategy::Lpt),
+                session
+                    .query(&plan)
+                    .threads(threads)
+                    .strategy(ConsumptionStrategy::Lpt),
+                SimConfig::ksr1(),
             )
             .total_seconds()
         })
@@ -626,7 +633,7 @@ pub fn fig19_t0_reference(scale: ExperimentScale) -> f64 {
     let db = JoinDatabase::generate(scale.cardinality(500_000), scale.cardinality(50_000));
     let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::TempIndex);
     let session = db.session(scale.degree(250), 0.0);
-    simulate(&session, &plan, sim_threads(20)).total_seconds()
+    simulate(session.query(&plan).threads(20), SimConfig::ksr1()).total_seconds()
 }
 
 // ---------------------------------------------------------------------------
@@ -651,18 +658,14 @@ pub fn ablation_static_baseline(scale: ExperimentScale) -> Vec<StaticBaselineRow
         .into_iter()
         .map(|theta| {
             let session = db.session(degree, theta);
-            let adaptive = simulate(
-                &session,
-                &plan,
-                sim_threads(10).with_strategy(ConsumptionStrategy::Lpt),
-            );
-            let fixed = simulate(
-                &session,
-                &plan,
-                sim_threads(10)
-                    .with_strategy(ConsumptionStrategy::Lpt)
-                    .with_static_baseline(),
-            );
+            let query = || {
+                session
+                    .query(&plan)
+                    .threads(10)
+                    .strategy(ConsumptionStrategy::Lpt)
+            };
+            let adaptive = simulate(query(), SimConfig::ksr1());
+            let fixed = simulate(query(), SimConfig::ksr1().with_static_baseline());
             StaticBaselineRow {
                 theta,
                 adaptive_s: adaptive.total_seconds(),
@@ -814,15 +817,19 @@ pub fn ablation_granule(scale: ExperimentScale) -> Vec<GranuleRow> {
     granules
         .into_iter()
         .map(|granule| {
-            let config = |pool_threads: usize| {
-                let mut c = sim_threads(pool_threads).with_strategy(ConsumptionStrategy::Lpt);
-                if let Some(g) = granule {
-                    c = c.with_triggered_granule(g);
-                }
-                c
+            let config = match granule {
+                Some(g) => SimConfig::ksr1().with_triggered_granule(g),
+                None => SimConfig::ksr1(),
             };
-            let skewed_report = simulate(&skewed, &plan, config(threads));
-            let unskewed_report = simulate(&unskewed, &plan, config(threads));
+            let run = |session: &Session| {
+                let query = session
+                    .query(&plan)
+                    .threads(threads)
+                    .strategy(ConsumptionStrategy::Lpt);
+                simulate(query, config.clone())
+            };
+            let skewed_report = run(&skewed);
+            let unskewed_report = run(&unskewed);
             GranuleRow {
                 granule,
                 activations: skewed_report
@@ -889,15 +896,19 @@ pub fn ablation_bound(scale: ExperimentScale) -> Vec<BoundRow> {
         let unskewed = db.session(degree, 0.0);
         for &threads in &thread_counts {
             let t_skewed = simulate(
-                &skewed,
-                &plan,
-                sim_threads(threads).with_strategy(ConsumptionStrategy::Lpt),
+                skewed
+                    .query(&plan)
+                    .threads(threads)
+                    .strategy(ConsumptionStrategy::Lpt),
+                SimConfig::ksr1(),
             )
             .execution_us;
             let t_ideal = simulate(
-                &unskewed,
-                &plan,
-                sim_threads(threads).with_strategy(ConsumptionStrategy::Lpt),
+                unskewed
+                    .query(&plan)
+                    .threads(threads)
+                    .strategy(ConsumptionStrategy::Lpt),
+                SimConfig::ksr1(),
             )
             .execution_us;
             rows.push(BoundRow {

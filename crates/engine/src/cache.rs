@@ -573,8 +573,6 @@ fn write_option_usize(h: &mut ContentHasher, v: Option<usize>) {
 fn options_hash(options: &SchedulerOptions, cost: &CostParameters) -> u64 {
     let mut h = ContentHasher::new();
     write_option_usize(&mut h, options.total_threads);
-    h.write_usize(options.max_threads);
-    h.write_f64(options.work_per_thread);
     h.write_usize(options.queue_capacity);
     h.write_usize(options.cache_size);
     h.write_u64(match options.strategy_override {
@@ -582,10 +580,7 @@ fn options_hash(options: &SchedulerOptions, cost: &CostParameters) -> u64 {
         Some(crate::strategy::ConsumptionStrategy::Random) => 1,
         Some(crate::strategy::ConsumptionStrategy::Lpt) => 2,
     });
-    h.write_f64(options.lpt_skew_threshold);
     h.write_u64(options.discard_results as u64);
-    write_option_usize(&mut h, options.build_threads);
-    write_option_usize(&mut h, options.morsel_rows);
     write_cost(&mut h, cost);
     h.finish()
 }
@@ -707,24 +702,49 @@ mod tests {
         let cat = catalog(500, 50, 4);
         let (plan, _) = fig14(&cat);
         let cost = CostParameters::default();
-        let two = prepare(
-            &cat,
-            &plan,
-            &SchedulerOptions::default().with_total_threads(2),
-            &cost,
-        )
-        .unwrap();
-        let four = prepare(
-            &cat,
-            &plan,
-            &SchedulerOptions::default().with_total_threads(4),
-            &cost,
-        )
-        .unwrap();
-        assert!(!Arc::ptr_eq(&two, &four));
-        assert_eq!(two.fingerprint(), four.fingerprint());
+        let base_options = SchedulerOptions::default().with_total_threads(2);
+        let base = prepare(&cat, &plan, &base_options, &cost).unwrap();
+        // Each row changes exactly one field: `options_hash` must see it.
+        let variants = [
+            ("total_threads", base_options.with_total_threads(4)),
+            (
+                "queue_capacity",
+                SchedulerOptions {
+                    queue_capacity: base_options.queue_capacity * 2,
+                    ..base_options
+                },
+            ),
+            (
+                "cache_size",
+                SchedulerOptions {
+                    cache_size: base_options.cache_size * 2,
+                    ..base_options
+                },
+            ),
+            (
+                "strategy_override",
+                base_options.with_strategy(crate::strategy::ConsumptionStrategy::Lpt),
+            ),
+            (
+                "discard_results",
+                SchedulerOptions {
+                    discard_results: true,
+                    ..base_options
+                },
+            ),
+        ];
+        for (field, options) in variants {
+            assert_ne!(options, base_options, "{field} row changes nothing");
+            let prepared = prepare(&cat, &plan, &options, &cost).unwrap();
+            assert!(
+                !Arc::ptr_eq(&base, &prepared),
+                "changing {field} alone must prepare a new plan"
+            );
+            assert_eq!(base.fingerprint(), prepared.fingerprint());
+        }
+        let four = prepare(&cat, &plan, &base_options.with_total_threads(4), &cost).unwrap();
         assert_ne!(
-            two.schedule().total_threads(),
+            base.schedule().total_threads(),
             four.schedule().total_threads()
         );
     }

@@ -44,15 +44,28 @@ pub struct OperationSchedule {
 /// rows) stay below it and keep their single whole-fragment trigger.
 pub const DEFAULT_MORSEL_ROWS: usize = 4_096;
 
+/// Upper bound on the thread count step 1 derives from complexity.
+const MAX_DERIVED_THREADS: usize = 64;
+
+/// Estimated work (cost units) step 1 gives one thread before adding
+/// another — amortises thread start-up over low-complexity queries.
+const WORK_PER_THREAD: f64 = 250_000.0;
+
+/// Skew factor (max instance cost / average instance cost) above which
+/// step 4 switches a triggered operation from Random to LPT.
+const LPT_SKEW_THRESHOLD: f64 = 3.0;
+
 /// Execution parameters for a whole plan.
 #[derive(Debug, Clone)]
 pub struct ExecutionSchedule {
     per_node: BTreeMap<NodeId, OperationSchedule>,
+    /// Step 1's answer: the thread count the caller fixed, or the one
+    /// derived from the estimated complexity.
+    query_threads: usize,
     /// Store operators count result tuples instead of materialising them.
     discard_results: bool,
     /// Shards a temporary hash-index build is partitioned over
-    /// (`HashIndex::build_parallel`); sized from the schedule's total thread
-    /// count unless the caller overrode it.
+    /// (`HashIndex::build_parallel`), derived from the query's thread count.
     build_parallelism: usize,
     /// Fragment rows per morsel for triggered operations
     /// ([`DEFAULT_MORSEL_ROWS`] unless overridden). Fragments at or below
@@ -61,11 +74,13 @@ pub struct ExecutionSchedule {
 }
 
 impl ExecutionSchedule {
-    /// Builds a schedule from explicit per-node parameters (results are
-    /// materialised and index builds are sequential; see
-    /// [`Self::with_discard_results`] / [`Self::with_build_parallelism`]).
+    /// Builds a schedule from explicit per-node parameters. The query's
+    /// thread count is the sum of the per-node counts, results are
+    /// materialised (see [`Self::with_discard_results`]) and index builds
+    /// are sequential.
     pub fn from_parts(per_node: BTreeMap<NodeId, OperationSchedule>) -> Self {
         ExecutionSchedule {
+            query_threads: per_node.values().map(|s| s.threads).sum(),
             per_node,
             discard_results: false,
             build_parallelism: 1,
@@ -83,13 +98,6 @@ impl ExecutionSchedule {
     /// Fragment rows per morsel for triggered operations.
     pub fn morsel_rows(&self) -> usize {
         self.morsel_rows
-    }
-
-    /// Sets how many shards temporary hash-index builds are partitioned
-    /// over (clamped to at least 1).
-    pub fn with_build_parallelism(mut self, shards: usize) -> Self {
-        self.build_parallelism = shards.max(1);
-        self
     }
 
     /// Shards used for temporary hash-index builds.
@@ -117,24 +125,18 @@ impl ExecutionSchedule {
             .ok_or(EngineError::IncompleteSchedule { node: node.0 })
     }
 
-    /// Overrides the strategy of every operation (used by the experiments to
-    /// force Random or LPT).
-    pub fn with_strategy(mut self, strategy: ConsumptionStrategy) -> Self {
-        for s in self.per_node.values_mut() {
-            s.strategy = strategy;
-        }
-        self
+    /// The query's thread count (scheduling step 1): the count the caller
+    /// fixed with [`SchedulerOptions::total_threads`], or the one derived
+    /// from the estimated complexity. Unlike [`Self::total_threads`] it is
+    /// not rounded up per operation, so it can be smaller than that sum.
+    pub fn query_threads(&self) -> usize {
+        self.query_threads
     }
 
-    /// Overrides the thread count of a single operation.
-    pub fn with_operation_threads(mut self, node: NodeId, threads: usize) -> Self {
-        if let Some(s) = self.per_node.get_mut(&node) {
-            s.threads = threads.max(1);
-        }
-        self
-    }
-
-    /// Total threads across all pools.
+    /// Total threads across all pools: the per-operation counts of steps
+    /// 2–3 summed, each rounded up to at least 1 — so a query of `n`
+    /// threads over more than `n` operations reports more than `n` here
+    /// (see [`Self::query_threads`]).
     pub fn total_threads(&self) -> usize {
         self.per_node.values().map(|s| s.threads).sum()
     }
@@ -166,62 +168,32 @@ impl ExecutionSchedule {
     }
 }
 
-/// Tunables of the scheduler.
-#[derive(Debug, Clone, Copy)]
+/// Tunables of the scheduler: every setting a caller can vary per query,
+/// each settable here and nowhere else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerOptions {
     /// Explicit total thread count (the experiments fix this). `None` lets
     /// step 1 derive it from the estimated complexity.
     pub total_threads: Option<usize>,
-    /// Upper bound on the derived thread count (e.g. the number of
-    /// processors the system may use).
-    pub max_threads: usize,
-    /// Estimated work (cost units) one thread should be given before it is
-    /// worth adding another thread — controls start-up-time amortisation for
-    /// low-complexity queries (step 1).
-    pub work_per_thread: f64,
     /// Capacity of every activation queue.
     pub queue_capacity: usize,
-    /// Producer-side internal cache size.
+    /// Producer-side internal cache size: tuples per transport batch.
     pub cache_size: usize,
     /// Force a strategy for every operation instead of letting step 4 pick.
     pub strategy_override: Option<ConsumptionStrategy>,
-    /// Skew factor (max instance cost / average instance cost) above which a
-    /// triggered operation switches from Random to LPT.
-    pub lpt_skew_threshold: f64,
     /// Count result tuples in the store operators instead of materialising
     /// them (for workloads that only need cardinalities and metrics).
     pub discard_results: bool,
-    /// Shards a temporary hash-index build is partitioned over. `None`
-    /// (default) derives it from the schedule: the resolved total thread
-    /// count divided by the number of join instances that build
-    /// concurrently (so a saturated pool gets sequential per-instance
-    /// builds, while scarce instances absorb the idle threads).
-    /// `Some(n)` pins every build to `n` shards; `Some(1)` forces
-    /// sequential builds. Zero is rejected by [`Self::validate`] — no
-    /// silent clamping.
-    pub build_threads: Option<usize>,
-    /// Fragment rows per morsel for triggered operations. `None` (default)
-    /// uses [`DEFAULT_MORSEL_ROWS`]; `Some(n)` pins the morsel size (a
-    /// fragment of `r` rows is split into `ceil(r / n)` control
-    /// activations, only the first carrying logical weight — morsel size is
-    /// invisible to logical activation counts). Zero is rejected by
-    /// [`Self::validate`].
-    pub morsel_rows: Option<usize>,
 }
 
 impl Default for SchedulerOptions {
     fn default() -> Self {
         SchedulerOptions {
             total_threads: None,
-            max_threads: 64,
-            work_per_thread: 250_000.0,
             queue_capacity: 1024,
             cache_size: 32,
             strategy_override: None,
-            lpt_skew_threshold: 3.0,
             discard_results: false,
-            build_threads: None,
-            morsel_rows: None,
         }
     }
 }
@@ -246,8 +218,7 @@ impl SchedulerOptions {
     ///
     /// Rejected configurations (each would otherwise dead-lock or crash the
     /// engine at run time): an explicit total thread count of zero, a zero
-    /// activation-queue capacity, a zero internal cache size, and a zero
-    /// `max_threads` ceiling for the derived thread count.
+    /// activation-queue capacity and a zero internal cache size.
     pub fn validate(&self) -> Result<()> {
         if self.total_threads == Some(0) {
             return Err(EngineError::InvalidOptions(
@@ -262,21 +233,6 @@ impl SchedulerOptions {
         if self.cache_size == 0 {
             return Err(EngineError::InvalidOptions(
                 "cache_size must be at least 1".to_string(),
-            ));
-        }
-        if self.max_threads == 0 {
-            return Err(EngineError::InvalidOptions(
-                "max_threads must be at least 1".to_string(),
-            ));
-        }
-        if self.build_threads == Some(0) {
-            return Err(EngineError::InvalidOptions(
-                "build_threads must be at least 1".to_string(),
-            ));
-        }
-        if self.morsel_rows == Some(0) {
-            return Err(EngineError::InvalidOptions(
-                "morsel_rows must be at least 1".to_string(),
             ));
         }
         Ok(())
@@ -302,8 +258,8 @@ impl Scheduler {
         let total_threads = match options.total_threads {
             Some(n) => n,
             None => {
-                let derived = (complexity.total() / options.work_per_thread).ceil() as usize;
-                derived.clamp(1, options.max_threads)
+                let derived = (complexity.total() / WORK_PER_THREAD).ceil() as usize;
+                derived.clamp(1, MAX_DERIVED_THREADS)
             }
         };
 
@@ -348,39 +304,33 @@ impl Scheduler {
             }
         }
 
-        // Index-build parallelism: the caller's pin wins verbatim; the
-        // derived default divides the thread budget across the operation
-        // instances that build *concurrently*. One temporary index is built
-        // per join instance, and with instances >= threads the pool is
-        // already saturated by whole builds — sharding each build further
+        // Index-build parallelism divides the thread budget across the
+        // operation instances that build *concurrently*. One temporary index
+        // is built per join instance, and with instances >= threads the pool
+        // is already saturated by whole builds — sharding each build further
         // would spawn threads× extra workers and re-scan the hash array
         // shards× for no wall-clock gain. Only when instances are scarcer
         // than threads (low degree, single-fragment inners) do the idle
         // threads go into each build.
-        let build_parallelism = match options.build_threads {
-            Some(n) => n.max(1),
-            None => {
-                let max_building_instances = plan
-                    .nodes()
-                    .iter()
-                    .filter(|n| {
-                        matches!(
-                            &n.kind,
-                            dbs3_lera::OperatorKind::Join { algorithm, .. }
-                                if !matches!(algorithm, dbs3_lera::JoinAlgorithm::NestedLoop)
-                        )
-                    })
-                    .filter_map(|n| extended.operation(n.id).map(|op| op.instance_count()))
-                    .max()
-                    .unwrap_or(1);
-                (total_threads / max_building_instances.max(1)).max(1)
-            }
-        };
+        let max_building_instances = plan
+            .nodes()
+            .iter()
+            .filter(|n| {
+                matches!(
+                    &n.kind,
+                    dbs3_lera::OperatorKind::Join { algorithm, .. }
+                        if !matches!(algorithm, dbs3_lera::JoinAlgorithm::NestedLoop)
+                )
+            })
+            .filter_map(|n| extended.operation(n.id).map(|op| op.instance_count()))
+            .max()
+            .unwrap_or(1);
         let schedule = ExecutionSchedule {
             per_node,
+            query_threads: total_threads,
             discard_results: options.discard_results,
-            build_parallelism,
-            morsel_rows: options.morsel_rows.unwrap_or(DEFAULT_MORSEL_ROWS).max(1),
+            build_parallelism: (total_threads / max_building_instances.max(1)).max(1),
+            morsel_rows: DEFAULT_MORSEL_ROWS,
         };
         schedule.validate(plan)?;
         Ok(schedule)
@@ -409,7 +359,7 @@ impl Scheduler {
         }
         let max = costs.iter().cloned().fold(f64::MIN, f64::max);
         let avg = costs.iter().sum::<f64>() / costs.len() as f64;
-        if avg > 0.0 && max / avg > options.lpt_skew_threshold {
+        if avg > 0.0 && max / avg > LPT_SKEW_THRESHOLD {
             ConsumptionStrategy::Lpt
         } else {
             ConsumptionStrategy::Random
@@ -426,13 +376,17 @@ mod tests {
     };
 
     fn catalog(skew: f64) -> Catalog {
+        catalog_of(5000, 500, 40, skew)
+    }
+
+    fn catalog_of(a_card: usize, b_card: usize, degree: usize, skew: f64) -> Catalog {
         let gen = WisconsinGenerator::new();
-        let a = gen.generate(&WisconsinConfig::narrow("A", 5000)).unwrap();
+        let a = gen.generate(&WisconsinConfig::narrow("A", a_card)).unwrap();
         let b = gen
-            .generate(&WisconsinConfig::narrow("Bprime", 500))
+            .generate(&WisconsinConfig::narrow("Bprime", b_card))
             .unwrap();
         let mut cat = Catalog::new();
-        let spec = PartitionSpec::on("unique1", 40, 4);
+        let spec = PartitionSpec::on("unique1", degree, 4);
         let a_part = if skew > 0.0 {
             PartitionedRelation::from_relation_with_skew(&a, spec.clone(), skew).unwrap()
         } else {
@@ -469,19 +423,31 @@ mod tests {
 
     #[test]
     fn derived_thread_count_scales_with_complexity() {
-        let cat = catalog(0.0);
+        let cat = catalog_of(20_000, 2_000, 20, 0.0);
         let small = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
         let big = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
-        let options = SchedulerOptions {
-            total_threads: None,
-            work_per_thread: 10_000.0,
-            max_threads: 32,
-            ..SchedulerOptions::default()
+        let derive = |plan: &Plan| {
+            let ext = extended(&cat, plan);
+            let expected =
+                (PlanComplexity::from_extended(&ext).total() / WORK_PER_THREAD).ceil() as usize;
+            let schedule = Scheduler::build(plan, &ext, &SchedulerOptions::default()).unwrap();
+            assert_eq!(
+                schedule.query_threads(),
+                expected.clamp(1, MAX_DERIVED_THREADS)
+            );
+            schedule.query_threads()
         };
-        let s_small = Scheduler::build(&small, &extended(&cat, &small), &options).unwrap();
-        let s_big = Scheduler::build(&big, &extended(&cat, &big), &options).unwrap();
-        assert!(s_big.total_threads() >= s_small.total_threads());
-        assert!(s_big.total_threads() <= 32 + 1); // clamp (+1 for the minimum-per-op rule)
+        assert!(derive(&big) > derive(&small));
+        // An explicit count is step 1's answer verbatim, even where every
+        // operation is rounded up to one thread and the sum exceeds it.
+        let one = Scheduler::build(
+            &small,
+            &extended(&cat, &small),
+            &SchedulerOptions::default().with_total_threads(1),
+        )
+        .unwrap();
+        assert_eq!(one.query_threads(), 1);
+        assert_eq!(one.total_threads(), 2);
     }
 
     #[test]
@@ -604,7 +570,7 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_zero_queue_capacity_and_max_threads() {
+    fn validate_rejects_zero_queue_capacity() {
         let zero_capacity = SchedulerOptions {
             queue_capacity: 0,
             ..SchedulerOptions::default()
@@ -613,19 +579,11 @@ mod tests {
             zero_capacity.validate(),
             Err(EngineError::InvalidOptions(_))
         ));
-        let zero_max = SchedulerOptions {
-            max_threads: 0,
-            ..SchedulerOptions::default()
-        };
-        assert!(matches!(
-            zero_max.validate(),
-            Err(EngineError::InvalidOptions(_))
-        ));
         assert!(SchedulerOptions::default().validate().is_ok());
     }
 
     #[test]
-    fn build_parallelism_follows_thread_count_unless_pinned() {
+    fn build_parallelism_follows_thread_count() {
         let cat = catalog(0.0);
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
         let ext = extended(&cat, &plan);
@@ -640,20 +598,7 @@ mod tests {
         assert_eq!(derived.build_parallelism(), 1);
         // With fewer instances than threads, the idle budget goes into each
         // build: 2 instances × 6 threads => 3 shards per build.
-        let narrow_cat = {
-            let gen = WisconsinGenerator::new();
-            let a = gen.generate(&WisconsinConfig::narrow("A", 5000)).unwrap();
-            let b = gen
-                .generate(&WisconsinConfig::narrow("Bprime", 500))
-                .unwrap();
-            let spec = PartitionSpec::on("unique1", 2, 2);
-            let mut cat = Catalog::new();
-            cat.register(PartitionedRelation::from_relation(&a, spec.clone()).unwrap())
-                .unwrap();
-            cat.register(PartitionedRelation::from_relation(&b, spec).unwrap())
-                .unwrap();
-            cat
-        };
+        let narrow_cat = catalog_of(5000, 500, 2, 0.0);
         let narrow_ext = extended(&narrow_cat, &plan);
         let narrow = Scheduler::build(
             &plan,
@@ -662,38 +607,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(narrow.build_parallelism(), 3);
-        let pinned = Scheduler::build(
-            &plan,
-            &ext,
-            &SchedulerOptions {
-                build_threads: Some(2),
-                ..SchedulerOptions::default().with_total_threads(6)
-            },
-        )
-        .unwrap();
-        assert_eq!(pinned.build_parallelism(), 2);
-        // Explicit zero is a typed error, not a silent clamp.
-        let err = Scheduler::build(
-            &plan,
-            &ext,
-            &SchedulerOptions {
-                build_threads: Some(0),
-                ..SchedulerOptions::default().with_total_threads(6)
-            },
-        )
-        .unwrap_err();
-        assert!(
-            matches!(&err, EngineError::InvalidOptions(msg) if msg.contains("build_threads")),
-            "got {err:?}"
-        );
-        // Hand-built schedules default to sequential builds and can opt in.
+        // Hand-built schedules build sequentially.
         let manual = ExecutionSchedule::from_parts(BTreeMap::new());
         assert_eq!(manual.build_parallelism(), 1);
-        assert_eq!(manual.with_build_parallelism(8).build_parallelism(), 8);
     }
 
     #[test]
-    fn morsel_rows_default_pin_and_zero_rejection() {
+    fn morsel_rows_default_and_schedule_override() {
         let cat = catalog(0.0);
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
         let ext = extended(&cat, &plan);
@@ -704,32 +624,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(derived.morsel_rows(), DEFAULT_MORSEL_ROWS);
-        let pinned = Scheduler::build(
-            &plan,
-            &ext,
-            &SchedulerOptions {
-                morsel_rows: Some(512),
-                ..SchedulerOptions::default().with_total_threads(4)
-            },
-        )
-        .unwrap();
-        assert_eq!(pinned.morsel_rows(), 512);
-        let err = Scheduler::build(
-            &plan,
-            &ext,
-            &SchedulerOptions {
-                morsel_rows: Some(0),
-                ..SchedulerOptions::default().with_total_threads(4)
-            },
-        )
-        .unwrap_err();
-        assert!(
-            matches!(&err, EngineError::InvalidOptions(msg) if msg.contains("morsel_rows")),
-            "got {err:?}"
-        );
+        assert_eq!(derived.clone().with_morsel_rows(512).morsel_rows(), 512);
+        assert_eq!(derived.with_morsel_rows(0).morsel_rows(), 1);
         let manual = ExecutionSchedule::from_parts(BTreeMap::new());
         assert_eq!(manual.morsel_rows(), DEFAULT_MORSEL_ROWS);
-        assert_eq!(manual.with_morsel_rows(64).morsel_rows(), 64);
     }
 
     #[test]
@@ -742,13 +640,16 @@ mod tests {
             &ext,
             &SchedulerOptions::default().with_total_threads(4),
         )
-        .unwrap()
-        .with_strategy(ConsumptionStrategy::Lpt)
-        .with_operation_threads(NodeId(0), 7);
-        assert_eq!(schedule.operation(NodeId(0)).unwrap().threads, 7);
-        assert_eq!(
-            schedule.operation(NodeId(1)).unwrap().strategy,
-            ConsumptionStrategy::Lpt
-        );
+        .unwrap();
+        assert!(!schedule.discard_results());
+        let adjusted = schedule
+            .clone()
+            .with_discard_results(true)
+            .with_morsel_rows(7);
+        assert!(adjusted.discard_results());
+        assert_eq!(adjusted.morsel_rows(), 7);
+        // The per-operation plan and step 1's answer are untouched.
+        assert_eq!(adjusted.per_node(), schedule.per_node());
+        assert_eq!(adjusted.query_threads(), 4);
     }
 }

@@ -142,7 +142,11 @@ fn selection_stores_matching_tuples() {
 fn skewed_ideal_join_with_lpt_matches_reference() {
     let (cat, a_ref, b_ref) = build_catalog(1000, 100, 20, 1.0);
     let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
-    let schedule = schedule_for(&plan, &cat, 5).with_strategy(ConsumptionStrategy::Lpt);
+    let ext = ExtendedPlan::from_plan(&plan, &cat, &CostParameters::default()).unwrap();
+    let options = SchedulerOptions::default()
+        .with_total_threads(5)
+        .with_strategy(ConsumptionStrategy::Lpt);
+    let schedule = Scheduler::build(&plan, &ext, &options).unwrap();
     let outcome = execute(&cat, &plan, &schedule).unwrap();
     let expected = a_ref.reference_join(&b_ref, "unique1", "unique1").unwrap();
     assert_eq!(outcome.results["Result"].len(), expected.len());

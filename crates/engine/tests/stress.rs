@@ -205,8 +205,16 @@ fn lpt_single_thread_skewed() {
         .len();
 
     let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
-    let mut schedule = manual_schedule(&plan, 1, 4, 2);
-    schedule = schedule.with_strategy(ConsumptionStrategy::Lpt);
+    let extended = ExtendedPlan::from_plan(&plan, &cat, &CostParameters::default()).unwrap();
+    let options = SchedulerOptions {
+        queue_capacity: 4,
+        cache_size: 2,
+        ..SchedulerOptions::default()
+            .with_total_threads(1)
+            .with_strategy(ConsumptionStrategy::Lpt)
+    };
+    let schedule = Scheduler::build(&plan, &extended, &options).unwrap();
+    assert!(schedule.per_node().values().all(|op| op.threads == 1));
     let outcome = execute(&cat, &plan, &schedule).unwrap();
     assert_eq!(outcome.results["Result"].len(), expected);
 }

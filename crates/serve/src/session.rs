@@ -63,7 +63,8 @@ impl RemoteQuery<'_> {
         self
     }
 
-    /// Sets the simulated processor cache size (fragments).
+    /// Sets the producer-side activation cache size: tuples per transport
+    /// batch.
     pub fn cache_size(mut self, cache_size: usize) -> Self {
         self.options.cache_size = cache_size;
         self
@@ -84,8 +85,10 @@ impl RemoteQuery<'_> {
         self
     }
 
-    /// Replaces the full scheduler options (escape hatch for knobs without
-    /// a dedicated builder method).
+    /// Replaces the full scheduler options — the way to set
+    /// `queue_capacity`, the one knob without a builder method here. The
+    /// server forces `discard_results`, since the wire ships cardinalities,
+    /// not tuples.
     pub fn options(mut self, options: SchedulerOptions) -> Self {
         self.options = options;
         self

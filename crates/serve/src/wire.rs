@@ -14,6 +14,8 @@
 //! | type | name          | payload                                        |
 //! |------|---------------|------------------------------------------------|
 //! | 0x01 | `Query`       | version, plan, options, deadline_ms, request_id|
+//! |      |               | (options: total_threads?, queue_capacity,      |
+//! |      |               | cache_size, strategy tag, discard_results)     |
 //! | 0x02 | `Shutdown`    | empty (graceful-shutdown control frame)        |
 //! | 0x81 | `Cardinality` | store name, row count (one frame per store)    |
 //! | 0x82 | `Metrics`     | elapsed_us, activations, imbalance, threads    |
@@ -40,8 +42,10 @@ use std::io::{Read, Write};
 
 /// Version byte carried inside every `Query` frame; bumped on incompatible
 /// payload changes so stale clients get a typed error, not garbage.
-/// Version 2 added the idempotency `request_id` to the `Query` payload.
-pub const PROTOCOL_VERSION: u8 = 2;
+/// Version 2 added the idempotency `request_id` to the `Query` payload;
+/// version 3 cut the options from ten fields to the five
+/// `SchedulerOptions` keeps.
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Upper bound on a frame payload. Plans are small (a handful of nodes and
 /// strings); 16 MiB is far above anything legitimate while keeping a
@@ -542,8 +546,6 @@ fn decode_plan(dec: &mut Dec<'_>) -> ServeResult<Plan> {
 
 fn encode_options(enc: &mut Enc, options: &SchedulerOptions) {
     enc.opt_u64(options.total_threads.map(|v| v as u64));
-    enc.u64(options.max_threads as u64);
-    enc.f64(options.work_per_thread);
     enc.u64(options.queue_capacity as u64);
     enc.u64(options.cache_size as u64);
     match options.strategy_override {
@@ -551,10 +553,7 @@ fn encode_options(enc: &mut Enc, options: &SchedulerOptions) {
         Some(ConsumptionStrategy::Random) => enc.u8(1),
         Some(ConsumptionStrategy::Lpt) => enc.u8(2),
     }
-    enc.f64(options.lpt_skew_threshold);
     enc.bool(options.discard_results);
-    enc.opt_u64(options.build_threads.map(|v| v as u64));
-    enc.opt_u64(options.morsel_rows.map(|v| v as u64));
 }
 
 fn decode_options(dec: &mut Dec<'_>) -> ServeResult<SchedulerOptions> {
@@ -562,8 +561,6 @@ fn decode_options(dec: &mut Dec<'_>) -> ServeResult<SchedulerOptions> {
         .opt_u64("total_threads")?
         .map(|v| Dec::usize_of(v, "total_threads"))
         .transpose()?;
-    let max_threads = Dec::usize_of(dec.u64("max_threads")?, "max_threads")?;
-    let work_per_thread = dec.f64("work_per_thread")?;
     let queue_capacity = Dec::usize_of(dec.u64("queue_capacity")?, "queue_capacity")?;
     let cache_size = Dec::usize_of(dec.u64("cache_size")?, "cache_size")?;
     let strategy_override = match dec.u8("strategy tag")? {
@@ -576,27 +573,13 @@ fn decode_options(dec: &mut Dec<'_>) -> ServeResult<SchedulerOptions> {
             )))
         }
     };
-    let lpt_skew_threshold = dec.f64("lpt_skew_threshold")?;
     let discard_results = dec.bool("discard_results")?;
-    let build_threads = dec
-        .opt_u64("build_threads")?
-        .map(|v| Dec::usize_of(v, "build_threads"))
-        .transpose()?;
-    let morsel_rows = dec
-        .opt_u64("morsel_rows")?
-        .map(|v| Dec::usize_of(v, "morsel_rows"))
-        .transpose()?;
     Ok(SchedulerOptions {
         total_threads,
-        max_threads,
-        work_per_thread,
         queue_capacity,
         cache_size,
         strategy_override,
-        lpt_skew_threshold,
         discard_results,
-        build_threads,
-        morsel_rows,
     })
 }
 
@@ -835,20 +818,9 @@ mod tests {
         let request = sample_request();
         let decoded = QueryRequest::decode(&request.encode()).unwrap();
         assert_eq!(decoded.plan, request.plan);
+        assert_eq!(decoded.options, request.options);
         assert_eq!(decoded.deadline_ms, request.deadline_ms);
         assert_eq!(decoded.request_id, request.request_id);
-        // SchedulerOptions has no PartialEq; byte-equality of the
-        // re-encoding is the round-trip witness.
-        assert_eq!(
-            QueryRequest {
-                plan: decoded.plan,
-                options: decoded.options,
-                deadline_ms: decoded.deadline_ms,
-                request_id: decoded.request_id
-            }
-            .encode(),
-            request.encode()
-        );
     }
 
     #[test]
@@ -944,6 +916,31 @@ mod tests {
             QueryRequest::decode(&payload),
             Err(ServeError::Malformed(_))
         ));
+        // A version-2 client's frame, with its ten-field options layout,
+        // names both versions instead of being misparsed as version 3.
+        let request = sample_request();
+        let mut v2 = Enc::new();
+        v2.u8(2);
+        encode_plan(&mut v2, &request.plan);
+        v2.opt_u64(Some(4)); // total_threads
+        v2.u64(64); // max_threads
+        v2.f64(250_000.0); // work_per_thread
+        v2.u64(1024); // queue_capacity
+        v2.u64(32); // cache_size
+        v2.u8(0); // strategy tag
+        v2.f64(3.0); // lpt_skew_threshold
+        v2.bool(false); // discard_results
+        v2.opt_u64(None); // build_threads
+        v2.opt_u64(None); // morsel_rows
+        v2.u64(request.deadline_ms);
+        v2.u64(request.request_id);
+        match Frame::decode(frame_type::QUERY, &v2.buf) {
+            Err(ServeError::Malformed(msg)) => assert!(
+                msg.contains("protocol version 2") && msg.contains("speaks 3"),
+                "{msg}"
+            ),
+            other => panic!("expected a typed version error, got {other:?}"),
+        }
         // Error frame with an unknown code.
         let mut enc = Enc::new();
         enc.u8(200);

@@ -91,7 +91,6 @@ fn options_from(
     cache: u32,
     strategy: u32,
     discard: bool,
-    morsel: Option<u32>,
 ) -> SchedulerOptions {
     SchedulerOptions {
         total_threads: threads.map(|t| t as usize + 1),
@@ -102,8 +101,6 @@ fn options_from(
             _ => Some(ConsumptionStrategy::Lpt),
         },
         discard_results: discard,
-        morsel_rows: morsel.map(|m| m as usize + 1),
-        work_per_thread: f64::from(cache) * 1000.0 + 0.5,
         ..SchedulerOptions::default()
     }
 }
@@ -111,9 +108,8 @@ fn options_from(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every well-formed request round-trips exactly: the plan compares
-    /// equal and the re-encoding is byte-identical (the witness for
-    /// `SchedulerOptions`, which has no `PartialEq`).
+    /// Every well-formed request round-trips exactly: every field compares
+    /// equal and the re-encoding is byte-identical.
     #[test]
     fn requests_round_trip(
         chain_seeds in collection::vec(any::<u32>(), 1..6),
@@ -122,27 +118,21 @@ proptest! {
         cache in 0u32..4096,
         strategy in any::<u32>(),
         discard in any::<bool>(),
-        has_morsel in any::<bool>(),
-        morsel in 0u32..100_000,
         deadline_ms in any::<u64>(),
         request_id in any::<u64>(),
     ) {
         let request = QueryRequest {
             plan: plan_from(&chain_seeds),
-            options: options_from(
-                has_threads.then_some(threads),
-                cache,
-                strategy,
-                discard,
-                has_morsel.then_some(morsel),
-            ),
+            options: options_from(has_threads.then_some(threads), cache, strategy, discard),
             deadline_ms,
             request_id,
         };
         let bytes = request.encode();
         let decoded = QueryRequest::decode(&bytes).expect("well-formed request decodes");
         prop_assert_eq!(&decoded.plan, &request.plan);
+        prop_assert_eq!(decoded.options, request.options);
         prop_assert_eq!(decoded.deadline_ms, request.deadline_ms);
+        prop_assert_eq!(decoded.request_id, request.request_id);
         prop_assert_eq!(decoded.encode(), bytes);
     }
 

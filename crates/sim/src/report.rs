@@ -67,7 +67,8 @@ impl OperationReport {
 /// The outcome of simulating one plan execution.
 #[derive(Debug, Clone)]
 pub struct SimReport {
-    /// Total threads of the simulated execution.
+    /// Total threads of the simulated execution: the schedule's
+    /// `query_threads`, fixed by the query or derived from its complexity.
     pub threads: usize,
     /// Sequential start-up time (queue creation + thread start), virtual µs.
     pub startup_us: f64,

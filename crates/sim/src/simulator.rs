@@ -52,16 +52,13 @@ pub enum WorkerAssignment {
     StaticPerInstance,
 }
 
-/// Configuration of one simulation run.
+/// The simulated machine. What the query asks for — its thread count and
+/// consumption strategy — comes from the [`SchedulerOptions`] passed to
+/// [`Simulator::simulate`], exactly as on the real engine.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Total threads allocated to the query (the paper's x-axis).
-    pub total_threads: usize,
     /// Number of physical processors (KSR1: 72; the experiments reserve 70).
     pub processors: usize,
-    /// Force a consumption strategy for every operation instead of letting
-    /// the scheduler pick.
-    pub strategy_override: Option<ConsumptionStrategy>,
     /// Shared queues (adaptive) or static per-instance binding (baseline).
     pub assignment: WorkerAssignment,
     /// Where base data resides relative to the executing processors.
@@ -88,9 +85,7 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            total_threads: 10,
             processors: 70,
-            strategy_override: None,
             assignment: WorkerAssignment::SharedQueues,
             placement: DataPlacement::Local,
             costs: SimCostParams::default(),
@@ -109,18 +104,6 @@ impl SimConfig {
     /// so call sites read as "simulate the paper's machine".
     pub fn ksr1() -> Self {
         Self::default()
-    }
-
-    /// Sets the total thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.total_threads = threads;
-        self
-    }
-
-    /// Forces a consumption strategy.
-    pub fn with_strategy(mut self, strategy: ConsumptionStrategy) -> Self {
-        self.strategy_override = Some(strategy);
-        self
     }
 
     /// Selects the static one-thread-per-instance baseline.
@@ -177,35 +160,27 @@ impl<'a> Simulator<'a> {
         Simulator { catalog }
     }
 
-    /// Simulates the execution of `plan` under `config`, with default
-    /// scheduler tunables.
-    pub fn simulate(&self, plan: &Plan, config: &SimConfig) -> Result<SimReport> {
-        self.simulate_with_options(plan, config, &SchedulerOptions::default())
-    }
-
-    /// Simulates the execution of `plan` under `config`, scheduling with
-    /// the given tunables (queue/cache sizing, `lpt_skew_threshold`,
-    /// `work_per_thread`, ...). The machine configuration wins where the two
-    /// overlap: `config.total_threads` and `config.strategy_override`
-    /// replace the options' thread count and strategy override.
-    pub fn simulate_with_options(
+    /// Simulates the execution of `plan` on the machine `config`, scheduled
+    /// by the engine's [`Scheduler`] under `options`. The query's thread
+    /// count is the schedule's [`query_threads`]: the count `options` fixes,
+    /// or the one step 1 derives from the estimated complexity.
+    ///
+    /// [`query_threads`]: dbs3_engine::ExecutionSchedule::query_threads
+    pub fn simulate(
         &self,
         plan: &Plan,
         config: &SimConfig,
-        scheduler_options: &SchedulerOptions,
+        options: &SchedulerOptions,
     ) -> Result<SimReport> {
-        if config.total_threads == 0 || config.processors == 0 {
+        if options.total_threads == Some(0) || config.processors == 0 {
             return Err(SimError::InvalidConfig(
                 "total_threads and processors must be at least 1".to_string(),
             ));
         }
         let extended = ExtendedPlan::from_plan(plan, self.catalog, &CostParameters::default())?;
-        let mut options = scheduler_options.with_total_threads(config.total_threads);
-        if let Some(s) = config.strategy_override {
-            options = options.with_strategy(s);
-        }
-        let schedule = Scheduler::build(plan, &extended, &options)?;
-        let dilation = (config.total_threads as f64 / config.processors as f64).max(1.0);
+        let schedule = Scheduler::build(plan, &extended, options)?;
+        let threads = schedule.query_threads();
+        let dilation = (threads as f64 / config.processors as f64).max(1.0);
 
         // Start-up cost: queue creation for every non-store operation plus
         // thread start-up.
@@ -254,12 +229,10 @@ impl<'a> Simulator<'a> {
                 .filter_map(|c| schedule.operation(c.id).ok())
                 .map(|s| s.threads)
                 .sum();
-            let pool_threads =
-                (op_schedule.threads + store_threads).min(config.total_threads.max(1));
-            let strategy = config.strategy_override.unwrap_or(op_schedule.strategy);
+            let pool_threads = (op_schedule.threads + store_threads).min(threads);
 
             let (mut activations, tuples_out) =
-                self.build_activations(plan, id, config, &mut pending)?;
+                self.build_activations(plan, id, config, threads, &mut pending)?;
             let total_work: f64 = activations.iter().map(|a| a.cost).sum();
             let max_activation = activations.iter().map(|a| a.cost).fold(0.0, f64::max);
             sequential_work_us += total_work;
@@ -267,7 +240,7 @@ impl<'a> Simulator<'a> {
             let (completion, busy_us) = simulate_pool(
                 &mut activations,
                 pool_threads,
-                strategy,
+                op_schedule.strategy,
                 config.assignment,
                 dilation,
                 &mut rng,
@@ -292,6 +265,7 @@ impl<'a> Simulator<'a> {
                         consumer_id,
                         &activations,
                         config,
+                        threads,
                     )?;
                     pending.insert(consumer_id, produced);
                 }
@@ -311,7 +285,7 @@ impl<'a> Simulator<'a> {
         }
 
         Ok(SimReport {
-            threads: config.total_threads,
+            threads,
             startup_us,
             execution_us,
             sequential_work_us,
@@ -323,12 +297,14 @@ impl<'a> Simulator<'a> {
     /// number of output tuples the operation produces. The output count is
     /// computed over the actual stored tuples and feeds reporting only —
     /// activation *costs* still use the estimates the scheduler sees, so
-    /// virtual times are unchanged.
+    /// virtual times are unchanged. `threads` is the query's thread count,
+    /// which sizes each thread's share of the Allcache.
     fn build_activations(
         &self,
         plan: &Plan,
         id: NodeId,
         config: &SimConfig,
+        threads: usize,
         pending: &mut HashMap<NodeId, PendingPipeline>,
     ) -> Result<(Vec<SimActivation>, usize)> {
         let node = plan.node(id)?;
@@ -350,7 +326,7 @@ impl<'a> Simulator<'a> {
                 let access = config.allcache.access_us_per_tuple(
                     config.placement,
                     rel.cardinality() as u64,
-                    config.total_threads,
+                    threads,
                 );
                 let per_emitted = if consumer_is_store {
                     costs.store_tuple_us
@@ -378,7 +354,7 @@ impl<'a> Simulator<'a> {
                 let access = config.allcache.access_us_per_tuple(
                     config.placement,
                     rel.cardinality() as u64,
-                    config.total_threads,
+                    threads,
                 );
                 let activations = rel
                     .fragments()
@@ -480,6 +456,7 @@ impl<'a> Simulator<'a> {
         consumer_id: NodeId,
         producer_activations: &[SimActivation],
         config: &SimConfig,
+        threads: usize,
     ) -> Result<PendingPipeline> {
         let producer = plan.node(producer_id)?;
         let consumer = plan.node(consumer_id)?;
@@ -545,7 +522,7 @@ impl<'a> Simulator<'a> {
                 let access = config.allcache.access_us_per_tuple(
                     config.placement,
                     rel.cardinality() as u64,
-                    config.total_threads,
+                    threads,
                 );
                 for frag in rel.fragments() {
                     let mut t = *start_of_instance.get(&frag.id()).unwrap_or(&0.0);
@@ -578,7 +555,7 @@ impl<'a> Simulator<'a> {
                 let access = config.allcache.access_us_per_tuple(
                     config.placement,
                     rel.cardinality() as u64,
-                    config.total_threads,
+                    threads,
                 );
                 for frag in rel.fragments() {
                     let mut t = *start_of_instance.get(&frag.id()).unwrap_or(&0.0);
@@ -742,6 +719,11 @@ mod tests {
     use dbs3_lera::Predicate;
     use dbs3_storage::{PartitionSpec, PartitionedRelation, WisconsinConfig, WisconsinGenerator};
 
+    /// Scheduler options fixing the query's thread count.
+    fn threads(n: usize) -> SchedulerOptions {
+        SchedulerOptions::default().with_total_threads(n)
+    }
+
     /// Builds an experiment catalog: relation `A` (optionally skewed) and
     /// `Bprime`, both partitioned on `unique1` with the given degree.
     fn catalog(a_card: usize, b_card: usize, degree: usize, theta: f64) -> Catalog {
@@ -769,13 +751,13 @@ mod tests {
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
         let sim = Simulator::new(&cat);
         let r1 = sim
-            .simulate(&plan, &SimConfig::default().with_threads(1))
+            .simulate(&plan, &SimConfig::default(), &threads(1))
             .unwrap();
         let r10 = sim
-            .simulate(&plan, &SimConfig::default().with_threads(10))
+            .simulate(&plan, &SimConfig::default(), &threads(10))
             .unwrap();
         let r70 = sim
-            .simulate(&plan, &SimConfig::default().with_threads(70))
+            .simulate(&plan, &SimConfig::default(), &threads(70))
             .unwrap();
         assert!(r10.total_us() < r1.total_us() / 5.0);
         // Start-up (queues + threads) is significant for this deliberately
@@ -799,13 +781,17 @@ mod tests {
         let cat = catalog(10_000, 1_000, 200, 1.0);
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
         let sim = Simulator::new(&cat);
-        let cfg = |n: usize| {
-            SimConfig::default()
-                .with_threads(n)
-                .with_strategy(ConsumptionStrategy::Lpt)
+        let speedup = |n: usize| {
+            sim.simulate(
+                &plan,
+                &SimConfig::default(),
+                &threads(n).with_strategy(ConsumptionStrategy::Lpt),
+            )
+            .unwrap()
+            .speedup()
         };
-        let s10 = sim.simulate(&plan, &cfg(10)).unwrap().speedup();
-        let s70 = sim.simulate(&plan, &cfg(70)).unwrap().speedup();
+        let s10 = speedup(10);
+        let s70 = speedup(70);
         // nmax ≈ 6 for Zipf = 1 with 200 fragments: more threads do not help.
         assert!(s10 < 9.0, "speedup(10) = {s10}");
         assert!(
@@ -820,12 +806,12 @@ mod tests {
         let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::NestedLoop);
         let sim = Simulator::new(&cat);
         let skewed = sim
-            .simulate(&plan, &SimConfig::default().with_threads(10))
+            .simulate(&plan, &SimConfig::default(), &threads(10))
             .unwrap();
         let cat0 = catalog(10_000, 1_000, 200, 0.0);
         let sim0 = Simulator::new(&cat0);
         let unskewed = sim0
-            .simulate(&plan, &SimConfig::default().with_threads(10))
+            .simulate(&plan, &SimConfig::default(), &threads(10))
             .unwrap();
         let overhead = skewed.total_us() / unskewed.total_us() - 1.0;
         assert!(
@@ -842,17 +828,15 @@ mod tests {
         let lpt = sim
             .simulate(
                 &plan,
-                &SimConfig::default()
-                    .with_threads(10)
-                    .with_strategy(ConsumptionStrategy::Lpt),
+                &SimConfig::default(),
+                &threads(10).with_strategy(ConsumptionStrategy::Lpt),
             )
             .unwrap();
         let random = sim
             .simulate(
                 &plan,
-                &SimConfig::default()
-                    .with_threads(10)
-                    .with_strategy(ConsumptionStrategy::Random),
+                &SimConfig::default(),
+                &threads(10).with_strategy(ConsumptionStrategy::Random),
             )
             .unwrap();
         assert!(lpt.total_us() <= random.total_us() * 1.02);
@@ -864,12 +848,13 @@ mod tests {
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
         let sim = Simulator::new(&cat);
         let adaptive = sim
-            .simulate(&plan, &SimConfig::default().with_threads(10))
+            .simulate(&plan, &SimConfig::default(), &threads(10))
             .unwrap();
         let baseline = sim
             .simulate(
                 &plan,
-                &SimConfig::default().with_threads(10).with_static_baseline(),
+                &SimConfig::default().with_static_baseline(),
+                &threads(10),
             )
             .unwrap();
         assert!(
@@ -884,10 +869,10 @@ mod tests {
         let low = catalog(5_000, 500, 20, 0.0);
         let high = catalog(5_000, 500, 400, 0.0);
         let r_low = Simulator::new(&low)
-            .simulate(&plan, &SimConfig::default().with_threads(20))
+            .simulate(&plan, &SimConfig::default(), &threads(20))
             .unwrap();
         let r_high = Simulator::new(&high)
-            .simulate(&plan, &SimConfig::default().with_threads(20))
+            .simulate(&plan, &SimConfig::default(), &threads(20))
             .unwrap();
         assert!(r_high.startup_us > r_low.startup_us);
         // Roughly 0.45 ms per extra fragment for a triggered join.
@@ -912,14 +897,13 @@ mod tests {
         let plan = plans::selection("DewittA", Predicate::range("unique1", 0, 10_000), "Out");
         let sim = Simulator::new(&cat);
         let local = sim
-            .simulate(&plan, &SimConfig::default().with_threads(20))
+            .simulate(&plan, &SimConfig::default(), &threads(20))
             .unwrap();
         let remote = sim
             .simulate(
                 &plan,
-                &SimConfig::default()
-                    .with_threads(20)
-                    .with_placement(DataPlacement::Remote),
+                &SimConfig::default().with_placement(DataPlacement::Remote),
+                &threads(20),
             )
             .unwrap();
         let overhead = remote.total_us() / local.total_us() - 1.0;
@@ -936,10 +920,10 @@ mod tests {
         let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::NestedLoop);
         let sim = Simulator::new(&cat);
         let at_70 = sim
-            .simulate(&plan, &SimConfig::default().with_threads(70))
+            .simulate(&plan, &SimConfig::default(), &threads(70))
             .unwrap();
         let at_100 = sim
-            .simulate(&plan, &SimConfig::default().with_threads(100))
+            .simulate(&plan, &SimConfig::default(), &threads(100))
             .unwrap();
         assert!(at_100.speedup() <= at_70.speedup() + 1.0);
     }
@@ -952,12 +936,14 @@ mod tests {
         let cat = catalog(10_000, 1_000, 50, 1.0);
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
         let sim = Simulator::new(&cat);
-        let base = SimConfig::default()
-            .with_threads(20)
-            .with_strategy(ConsumptionStrategy::Lpt);
-        let coarse = sim.simulate(&plan, &base.clone()).unwrap();
+        let lpt = threads(20).with_strategy(ConsumptionStrategy::Lpt);
+        let coarse = sim.simulate(&plan, &SimConfig::default(), &lpt).unwrap();
         let fine = sim
-            .simulate(&plan, &base.clone().with_triggered_granule(50))
+            .simulate(
+                &plan,
+                &SimConfig::default().with_triggered_granule(50),
+                &lpt,
+            )
             .unwrap();
         assert!(
             fine.execution_us < coarse.execution_us * 0.7,
@@ -983,14 +969,13 @@ mod tests {
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
         let sim = Simulator::new(&cat);
         let plain = sim
-            .simulate(&plan, &SimConfig::default().with_threads(8))
+            .simulate(&plan, &SimConfig::default(), &threads(8))
             .unwrap();
         let huge = sim
             .simulate(
                 &plan,
-                &SimConfig::default()
-                    .with_threads(8)
-                    .with_triggered_granule(1_000_000),
+                &SimConfig::default().with_triggered_granule(1_000_000),
+                &threads(8),
             )
             .unwrap();
         assert_eq!(
@@ -1006,7 +991,7 @@ mod tests {
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
         let sim = Simulator::new(&cat);
         assert!(matches!(
-            sim.simulate(&plan, &SimConfig::default().with_threads(0)),
+            sim.simulate(&plan, &SimConfig::default(), &threads(0)),
             Err(SimError::InvalidConfig(_))
         ));
     }
@@ -1021,7 +1006,7 @@ mod tests {
 
             let ideal = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
             let r = Simulator::new(&cat)
-                .simulate(&ideal, &SimConfig::ksr1().with_threads(8))
+                .simulate(&ideal, &SimConfig::ksr1(), &threads(8))
                 .unwrap();
             assert_eq!(
                 r.operation(NodeId(0)).unwrap().tuples_out,
@@ -1031,7 +1016,7 @@ mod tests {
 
             let assoc = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::NestedLoop);
             let r = Simulator::new(&cat)
-                .simulate(&assoc, &SimConfig::ksr1().with_threads(8))
+                .simulate(&assoc, &SimConfig::ksr1(), &threads(8))
                 .unwrap();
             assert_eq!(
                 r.operation(NodeId(1)).unwrap().tuples_out,
@@ -1048,7 +1033,7 @@ mod tests {
         let cat = catalog(10_000, 1_000, 200, 0.0);
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
         let report = Simulator::new(&cat)
-            .simulate(&plan, &SimConfig::ksr1().with_threads(10))
+            .simulate(&plan, &SimConfig::ksr1(), &threads(10))
             .unwrap();
         let join = report.operation(NodeId(0)).unwrap();
         assert_eq!(join.busy_us.len(), join.threads);
@@ -1063,7 +1048,7 @@ mod tests {
         let cat = catalog(2_000, 200, 20, 0.0);
         let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
         let report = Simulator::new(&cat)
-            .simulate(&plan, &SimConfig::default().with_threads(8))
+            .simulate(&plan, &SimConfig::default(), &threads(8))
             .unwrap();
         // Transmit and join are reported; store is folded away.
         assert_eq!(report.operations.len(), 2);

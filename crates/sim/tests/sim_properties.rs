@@ -1,7 +1,7 @@
 //! Property-based tests of the simulator: scheduling-theoretic invariants
 //! that must hold for any workload the simulator is given.
 
-use dbs3_engine::ConsumptionStrategy;
+use dbs3_engine::{ConsumptionStrategy, SchedulerOptions};
 use dbs3_lera::{plans, JoinAlgorithm};
 use dbs3_sim::{SimConfig, Simulator};
 use dbs3_storage::{
@@ -56,7 +56,11 @@ proptest! {
             plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop)
         };
         let report = Simulator::new(&cat)
-            .simulate(&plan, &SimConfig::default().with_threads(threads))
+            .simulate(
+                &plan,
+                &SimConfig::default(),
+                &SchedulerOptions::default().with_total_threads(threads),
+            )
             .unwrap();
         // The scheduler gives every operation pool at least one thread, so
         // the effective worker count can exceed the requested total for
@@ -90,7 +94,10 @@ proptest! {
             Simulator::new(&cat)
                 .simulate(
                     &plan,
-                    &SimConfig::default().with_threads(n).with_strategy(ConsumptionStrategy::Lpt),
+                    &SimConfig::default(),
+                    &SchedulerOptions::default()
+                        .with_total_threads(n)
+                        .with_strategy(ConsumptionStrategy::Lpt),
                 )
                 .unwrap()
                 .execution_us
@@ -114,10 +121,12 @@ proptest! {
         let theta = f64::from(theta_millis) / 1000.0;
         let cat = catalog(a_card, b_card, degree, theta);
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
-        let base = SimConfig::default().with_threads(threads).with_strategy(ConsumptionStrategy::Lpt);
-        let adaptive = Simulator::new(&cat).simulate(&plan, &base.clone()).unwrap();
+        let lpt = SchedulerOptions::default()
+            .with_total_threads(threads)
+            .with_strategy(ConsumptionStrategy::Lpt);
+        let adaptive = Simulator::new(&cat).simulate(&plan, &SimConfig::default(), &lpt).unwrap();
         let fixed = Simulator::new(&cat)
-            .simulate(&plan, &base.with_static_baseline())
+            .simulate(&plan, &SimConfig::default().with_static_baseline(), &lpt)
             .unwrap();
         prop_assert!(fixed.execution_us + 1e-6 >= adaptive.execution_us);
     }
@@ -137,12 +146,13 @@ proptest! {
         let ideal = plans::ideal_join("A", "Bprime", "unique1", algorithm);
         let assoc = plans::assoc_join("Bprime", "A", "unique1", algorithm);
         let sim = Simulator::new(&cat);
-        let config = SimConfig::default().with_threads(4);
+        let config = SimConfig::default();
+        let options = SchedulerOptions::default().with_total_threads(4);
 
-        let ideal_report = sim.simulate(&ideal, &config).unwrap();
+        let ideal_report = sim.simulate(&ideal, &config, &options).unwrap();
         prop_assert_eq!(ideal_report.operation(dbs3_lera::NodeId(0)).unwrap().activations, degree);
 
-        let assoc_report = sim.simulate(&assoc, &config).unwrap();
+        let assoc_report = sim.simulate(&assoc, &config, &options).unwrap();
         let expected = b_card + if indexed { degree } else { 0 };
         prop_assert_eq!(assoc_report.operation(dbs3_lera::NodeId(1)).unwrap().activations, expected);
     }

@@ -104,9 +104,9 @@ pub enum Backend {
     Pooled(Arc<Runtime>),
     /// Replay the same schedule on the virtual-time simulator configured by
     /// the given [`SimConfig`] (e.g. [`SimConfig::ksr1`]). The config
-    /// supplies the machine model; an explicit `.threads(n)` or
-    /// `.strategy(..)` on the query overrides its `total_threads` /
-    /// `strategy_override`.
+    /// supplies only the machine model; the thread count and strategy come
+    /// from the query, as on the real-thread backends — a query without
+    /// `.threads(n)` runs with the count scheduling step 1 derives.
     Simulated(SimConfig),
 }
 

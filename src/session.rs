@@ -151,12 +151,11 @@ fn submit_to(
     Ok(QueryHandle::new(handle))
 }
 
-/// Replays the query in virtual time. `config` supplies the machine model
-/// (processors, data placement, cost calibration, worker assignment); the
-/// query-level knobs win where they overlap — an explicit `.threads(n)` or
-/// `.strategy(..)` overrides the config's `total_threads` /
-/// `strategy_override` — and every remaining scheduler tunable is forwarded
-/// so the simulated schedule matches what the engine would build.
+/// Replays the query in virtual time. `config` supplies only the machine
+/// model (processors, data placement, cost calibration, worker
+/// assignment); every scheduling setting — thread count and strategy
+/// included — comes from the query's options, so the simulated schedule is
+/// the one the engine would build.
 fn simulate(
     catalog: &Catalog,
     plan: &Plan,
@@ -164,14 +163,7 @@ fn simulate(
     config: &SimConfig,
 ) -> Result<QueryOutcome> {
     options.validate()?;
-    let mut config = config.clone();
-    if let Some(threads) = options.total_threads {
-        config.total_threads = threads;
-    }
-    if let Some(strategy) = options.strategy_override {
-        config.strategy_override = Some(strategy);
-    }
-    let report = Simulator::new(catalog).simulate_with_options(plan, &config, options)?;
+    let report = Simulator::new(catalog).simulate(plan, config, options)?;
     Ok(QueryOutcome::from_sim_report(plan, report))
 }
 
@@ -190,8 +182,9 @@ pub struct Query<'a> {
 }
 
 impl<'a> Query<'a> {
-    /// Fixes the total thread budget (the paper's x-axis). Zero is rejected
-    /// with a typed error when the query runs.
+    /// Fixes the total thread budget (the paper's x-axis) on every backend;
+    /// unset, scheduling step 1 derives it from the query's complexity.
+    /// Zero is rejected with a typed error when the query runs.
     pub fn threads(mut self, total: usize) -> Self {
         self.options.total_threads = Some(total);
         self
@@ -216,28 +209,6 @@ impl<'a> Query<'a> {
         self
     }
 
-    /// Partitions every temporary hash-index build over `shards` threads
-    /// (`HashIndex::build_parallel`). Unset, builds are sized from the
-    /// query's resolved thread count divided across the join instances
-    /// that build concurrently; probe results are identical either way.
-    /// Zero is rejected with a typed error when the query runs.
-    pub fn build_threads(mut self, shards: usize) -> Self {
-        self.options.build_threads = Some(shards);
-        self
-    }
-
-    /// Pins the morsel size: fragment rows per control activation when a
-    /// triggered fragment is split for intra-operator parallelism. Unset,
-    /// the engine uses its default (`dbs3_engine::DEFAULT_MORSEL_ROWS`).
-    /// Morsel size changes how many workers can share one fragment scan,
-    /// never the result or the logical activation counts; the simulated
-    /// backend ignores it. Zero is rejected with a typed error when the
-    /// query runs.
-    pub fn morsel_rows(mut self, rows: usize) -> Self {
-        self.options.morsel_rows = Some(rows);
-        self
-    }
-
     /// Counts result tuples in the store operators instead of materialising
     /// them: `QueryOutcome::results` stays empty while `cardinalities` and
     /// every metric stay exact. For benches and workloads that only need
@@ -249,8 +220,9 @@ impl<'a> Query<'a> {
         self
     }
 
-    /// Replaces all scheduler options at once (for knobs without a dedicated
-    /// chain method, e.g. `work_per_thread` or `lpt_skew_threshold`).
+    /// Replaces all scheduler options at once. Every field also has a
+    /// dedicated chain method; this is for callers that already hold a
+    /// [`SchedulerOptions`] value.
     pub fn scheduler_options(mut self, options: SchedulerOptions) -> Self {
         self.options = options;
         self
@@ -475,9 +447,9 @@ mod tests {
 
     #[test]
     fn scheduler_knobs_reach_the_simulated_backend() {
-        // A strongly skewed triggered join: the default lpt_skew_threshold
-        // (3.0) makes scheduling step 4 pick LPT, while an unreachable
-        // threshold forces Random — observable as different virtual times.
+        // A strongly skewed triggered join: scheduling step 4 picks LPT,
+        // while a forced Random strategy is observable as a different
+        // virtual time.
         let mut session = Session::new();
         let spec = PartitionSpec::on("unique1", 40, 4);
         session
@@ -500,13 +472,10 @@ mod tests {
                 .total_us()
         };
         let lpt = run(SchedulerOptions::default());
-        let random = run(SchedulerOptions {
-            lpt_skew_threshold: f64::INFINITY,
-            ..SchedulerOptions::default()
-        });
+        let random = run(SchedulerOptions::default().with_strategy(ConsumptionStrategy::Random));
         assert_ne!(
             lpt, random,
-            "lpt_skew_threshold must influence the simulated schedule"
+            "the strategy must influence the simulated schedule"
         );
         assert!(lpt <= random * 1.02, "LPT should not lose to Random");
     }

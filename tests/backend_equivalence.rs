@@ -171,10 +171,13 @@ fn batching_never_changes_logical_work() {
 /// index builds as one extra activation per instance; its *result* must
 /// still match.)
 ///
-/// Sizing is load-bearing: `build_parallel` falls back to a sequential
-/// build below 4_096 rows per shard, so the *inner* relation of both plans
-/// is A at 40_000 tuples over 4 fragments (~10_000 per per-instance build)
-/// — `build_threads` 2 and 8 genuinely run the partitioned build.
+/// Build parallelism is derived: the query's threads divided by the join
+/// instances that build concurrently, so 4, 8 and 32 threads over 4
+/// fragments give 1, 2 and 8 shards. Sizing is load-bearing:
+/// `build_parallel` falls back to a sequential build below 4_096 rows per
+/// shard, so the *inner* relation of both plans is A at 40_000 tuples over
+/// 4 fragments (~10_000 per per-instance build) — 2 and 8 shards genuinely
+/// run the partitioned build.
 #[test]
 fn parallel_index_builds_are_invisible_across_all_backends() {
     /// Pinned reference: (cardinalities per store, per-op activation counts).
@@ -186,7 +189,9 @@ fn parallel_index_builds_are_invisible_across_all_backends() {
         plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash),
     ] {
         let mut reference: Option<Pinned> = None;
-        for build_threads in [1usize, 2, 8] {
+        for (threads, shards) in [(4usize, 1usize), (8, 2), (32, 8)] {
+            let schedule = session.query(&plan).threads(threads).schedule().unwrap();
+            assert_eq!(schedule.build_parallelism(), shards, "{threads} threads");
             for backend in [
                 Backend::Threaded,
                 Backend::Pooled(std::sync::Arc::clone(&runtime)),
@@ -194,8 +199,7 @@ fn parallel_index_builds_are_invisible_across_all_backends() {
             ] {
                 let outcome = session
                     .query(&plan)
-                    .threads(4)
-                    .build_threads(build_threads)
+                    .threads(threads)
                     .on(backend)
                     .run()
                     .unwrap();
@@ -212,18 +216,18 @@ fn parallel_index_builds_are_invisible_across_all_backends() {
                         assert_eq!(
                             ref_cards,
                             &outcome.cardinalities,
-                            "cardinalities diverge on {} ({} build threads, {})",
+                            "cardinalities diverge on {} ({} build shards, {})",
                             plan.name(),
-                            build_threads,
+                            shards,
                             outcome.metrics.backend_name()
                         );
                         if is_engine {
                             assert_eq!(
                                 ref_counts,
                                 &counts,
-                                "activation counts diverge on {} ({} build threads, {})",
+                                "activation counts diverge on {} ({} build shards, {})",
                                 plan.name(),
-                                build_threads,
+                                shards,
                                 outcome.metrics.backend_name()
                             );
                         }
@@ -239,12 +243,12 @@ fn parallel_index_builds_are_invisible_across_all_backends() {
 /// cache-sized morsels changes which worker scans which rows *when*, never
 /// what the query computes or how much logical work it reports. Every
 /// morsel size — splitting a fragment into dozens of pieces, an uneven
-/// divisor, the default, and "never split" — must produce identical
-/// cardinalities and identical per-operation logical activation counts
-/// across Threaded, Pooled and Simulated backends (only the lead morsel of
-/// a fragment carries logical weight, so counts stay pinned to the
-/// simulator's one-activation-per-fragment model; the simulated backend
-/// ignores the knob entirely).
+/// divisor, the default, and "never split" — set on the schedule and
+/// submitted to both the shared pool and a caller-owned one must produce
+/// the cardinalities and per-operation logical activation counts of the
+/// simulated run (only the lead morsel of a fragment carries logical
+/// weight, so counts stay pinned to the simulator's
+/// one-activation-per-fragment model).
 ///
 /// Sizing is load-bearing: A partitions into 6_000-row fragments and
 /// Bprime into 600-row fragments, so morsel sizes 512 and 1_999 genuinely
@@ -252,13 +256,19 @@ fn parallel_index_builds_are_invisible_across_all_backends() {
 /// no-split fallback. The hash-join plans are excluded from the simulator
 /// per-op comparison for the same reason as the parallel-build test (the
 /// simulator models index builds as one extra activation per instance);
-/// the nested-loop plan is compared exactly on all three backends.
+/// their engine runs are compared with each other instead. The nested-loop
+/// plan is compared exactly with the simulator.
 #[test]
 fn morsel_granularity_is_invisible_across_all_backends() {
-    /// Pinned reference: (cardinalities per store, per-op activation counts).
-    type Pinned = (std::collections::BTreeMap<String, usize>, Vec<Option<u64>>);
     let session = session(24_000, 2_400, 4, 0.0);
     let runtime = std::sync::Arc::new(Runtime::new(4).unwrap());
+    let activation_counts = |plan: &Plan, outcome: &QueryOutcome| -> Vec<Option<u64>> {
+        plan.nodes()
+            .iter()
+            .filter(|n| !matches!(n.kind, OperatorKind::Store { .. }))
+            .map(|n| outcome.metrics.activations(n.id))
+            .collect()
+    };
     for (plan, sim_counts_exact) in [
         (
             plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop),
@@ -273,54 +283,79 @@ fn morsel_granularity_is_invisible_across_all_backends() {
             false,
         ),
     ] {
-        let mut reference: Option<Pinned> = None;
+        let query = || session.query(&plan).threads(4);
+        let simulated = query()
+            .on(Backend::Simulated(SimConfig::ksr1()))
+            .run()
+            .unwrap();
+        let sim_counts = activation_counts(&plan, &simulated);
+        let mut engine_counts: Option<Vec<Option<u64>>> = None;
         for morsel_rows in [512usize, 1_999, 4_096, 1_000_000] {
-            for backend in [
-                Backend::Threaded,
-                Backend::Pooled(std::sync::Arc::clone(&runtime)),
-                Backend::Simulated(SimConfig::ksr1()),
-            ] {
-                let outcome = session
-                    .query(&plan)
-                    .threads(4)
-                    .morsel_rows(morsel_rows)
-                    .on(backend)
-                    .run()
-                    .unwrap();
-                let is_engine = outcome.metrics.backend_name() != "simulated";
-                let counts: Vec<Option<u64>> = plan
-                    .nodes()
-                    .iter()
-                    .filter(|n| !matches!(n.kind, OperatorKind::Store { .. }))
-                    .map(|n| outcome.metrics.activations(n.id))
-                    .collect();
-                match &reference {
-                    None => reference = Some((outcome.cardinalities.clone(), counts)),
-                    Some((ref_cards, ref_counts)) => {
-                        assert_eq!(
-                            ref_cards,
-                            &outcome.cardinalities,
-                            "cardinalities diverge on {} (morsel_rows {}, {})",
-                            plan.name(),
-                            morsel_rows,
-                            outcome.metrics.backend_name()
-                        );
-                        if is_engine || sim_counts_exact {
-                            assert_eq!(
-                                ref_counts,
-                                &counts,
-                                "logical activation counts diverge on {} (morsel_rows {}, {})",
-                                plan.name(),
-                                morsel_rows,
-                                outcome.metrics.backend_name()
-                            );
-                        }
-                    }
+            let schedule = query().schedule().unwrap().with_morsel_rows(morsel_rows);
+            let shared = Runtime::shared(schedule.total_threads()).unwrap();
+            for pool in [&shared, &runtime] {
+                let outcome = QueryOutcome::from_execution(
+                    pool.submit(session.catalog(), &plan, &schedule)
+                        .unwrap()
+                        .wait()
+                        .unwrap(),
+                );
+                assert_eq!(
+                    simulated.cardinalities,
+                    outcome.cardinalities,
+                    "cardinalities diverge on {} (morsel_rows {})",
+                    plan.name(),
+                    morsel_rows
+                );
+                let counts = activation_counts(&plan, &outcome);
+                if sim_counts_exact {
+                    assert_eq!(
+                        sim_counts,
+                        counts,
+                        "logical activation counts diverge from the simulator on {} \
+                         (morsel_rows {})",
+                        plan.name(),
+                        morsel_rows
+                    );
                 }
+                let reference = engine_counts.get_or_insert_with(|| counts.clone());
+                assert_eq!(
+                    reference,
+                    &counts,
+                    "logical activation counts diverge on {} (morsel_rows {})",
+                    plan.name(),
+                    morsel_rows
+                );
             }
         }
     }
     assert_eq!(runtime.live_queries(), 0);
+}
+
+/// A query without `.threads(n)` runs with the thread count scheduling
+/// step 1 derives from its complexity on the simulated backend too, not
+/// with a machine default.
+#[test]
+fn simulated_backend_uses_the_derived_thread_count() {
+    for (a_card, b_card, degree, algorithm, derived) in [
+        (1_000, 100, 8, JoinAlgorithm::Hash, 1),
+        (20_000, 2_000, 20, JoinAlgorithm::NestedLoop, 9),
+    ] {
+        let session = session(a_card, b_card, degree, 0.0);
+        let plan = plans::ideal_join("A", "Bprime", "unique1", algorithm);
+        let query_threads = session.query(&plan).schedule().unwrap().query_threads();
+        assert_eq!(query_threads, derived, "{algorithm:?} join");
+        let simulated = session
+            .query(&plan)
+            .on(Backend::Simulated(SimConfig::ksr1()))
+            .run()
+            .unwrap();
+        assert_eq!(
+            simulated.metrics.total_threads(),
+            query_threads,
+            "{algorithm:?} join"
+        );
+    }
 }
 
 #[test]
