@@ -1,11 +1,10 @@
 //! Rule `bench-schema`: the bench document schema version must agree across
-//! its three homes — the Rust emitters (`baseline` / `serve_bench` write the
-//! version into their JSON output), the Python validator
+//! its three homes — the Rust emitter (`crates/bench/src/baseline.rs`
+//! writes the version into its JSON output), the Python validator
 //! (`tools/check_bench_schema.py`, `SCHEMA_VERSION = N`), and the committed
-//! `BENCH_engine.json` record (top-level `"schema_version"`; embedded
-//! pre-PR reference sections keep their historical versions and are not
-//! checked). A bump that misses one of the three is exactly the silent
-//! drift this rule exists to stop.
+//! `BENCH_engine.json` record (top-level `"schema_version"` only; a version
+//! inside a nested object is not checked). A bump that misses one of the
+//! three is exactly the silent drift this rule exists to stop.
 
 use super::Code;
 use crate::findings::{Finding, Rule};

@@ -1,8 +1,9 @@
 //! Micro-benchmarks of the real execution engine: activation queue
 //! throughput (per-tuple vs batched transport), the lock-free queue-scan
 //! fast path, parallel vs sequential temporary hash-index builds, a small
-//! end-to-end IdealJoin, and the pipelined-join hot path at 8 threads — the
-//! number the committed `BENCH_engine.json` baseline tracks across PRs.
+//! end-to-end IdealJoin, and the pipelined-join hot path at 8 threads.
+//! These are per-component timings for local profiling; no committed record
+//! tracks them.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dbs3_bench::JoinDatabase;

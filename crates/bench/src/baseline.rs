@@ -1,23 +1,21 @@
-//! Benchmark-baseline emitter: the perf trajectory of the repository.
+//! Benchmark-baseline emitter: the paper-figure record of the repository.
 //!
-//! Every perf-oriented PR needs a number to beat. This module runs the two
-//! join shapes of the paper's speed-up experiments — the AssocJoin of
-//! Figure 14 (transmit → pipelined join, the engine's hottest data path) and
-//! the IdealJoin of Figure 15 (co-partitioned triggered join) — on the *real
-//! threaded engine* at 1/4/8 threads and serialises elapsed time and
-//! throughput to `BENCH_engine.json`, so future PRs can diff performance
-//! against the committed baseline (`cargo run -p dbs3-bench --release --bin
-//! baseline`).
+//! This module runs the two join shapes of the paper's speed-up
+//! experiments — the AssocJoin of Figure 14 (transmit → pipelined join, the
+//! engine's hottest data path) and the IdealJoin of Figure 15
+//! (co-partitioned triggered join) — on the *real threaded engine* at
+//! 1/4/8 threads and serialises their elapsed time to `BENCH_engine.json`
+//! (`cargo run -p dbs3-bench --release --bin baseline`).
 //!
 //! The hash-join variant is measured (not the paper's nested loop) because it
 //! makes per-tuple *engine* overhead — routing, queue locking, activation
 //! dispatch — the dominant cost, which is exactly what the baseline is meant
 //! to track; algorithmic join cost would only dilute the signal.
 //!
-//! Since the scaled-tier work (`ExperimentScale::Scaled`, 32× the paper's
-//! cardinalities) the document is **tiered**: each tier carries its runs
-//! plus derived `speedup_4t`/`speedup_8t` ratios per shape (throughput at
-//! 4/8 threads over 1 thread), and the top level records `host_cpus` — a
+//! The document is **tiered**: each tier (paper scale, and `scaled` at 32×
+//! the paper's cardinalities) carries its runs plus derived
+//! `speedup_4t`/`speedup_8t` ratios per shape (1-thread elapsed time over
+//! 4/8-thread elapsed time), and the top level records `host_cpus` — a
 //! speedup measured on a 1-core container is honestly a flat line, and the
 //! record must say so.
 
@@ -43,10 +41,10 @@ pub struct BaselineRun {
     pub elapsed_s: f64,
     /// Cardinality of the materialised join result.
     pub result_tuples: usize,
-    /// Logical activations consumed across all operations.
+    /// Logical activations consumed across all operations. A property of
+    /// the plan and data, not of the thread count, which is what lets
+    /// [`speedups_of`] compare elapsed times directly.
     pub logical_activations: u64,
-    /// Logical activations per second ([`dbs3::QueryOutcome::tuples_per_second`]).
-    pub tuples_per_second: f64,
 }
 
 /// The two measured shapes: (identifier, plan).
@@ -77,15 +75,15 @@ pub fn run_baseline(scale: ExperimentScale) -> Vec<BaselineRun> {
     runs
 }
 
-/// Derived multicore speedup of one shape: throughput at 4 and 8 threads
-/// over the 1-thread run of the same tier.
+/// Derived multicore speedup of one shape: 1-thread elapsed time over the
+/// 4- and 8-thread elapsed times of the same tier.
 #[derive(Debug, Clone)]
 pub struct SpeedupRow {
     /// Shape identifier the ratios belong to.
     pub shape: &'static str,
-    /// `tuples_per_second(4 threads) / tuples_per_second(1 thread)`.
+    /// `elapsed_s(1 thread) / elapsed_s(4 threads)`.
     pub speedup_4t: f64,
-    /// `tuples_per_second(8 threads) / tuples_per_second(1 thread)`.
+    /// `elapsed_s(1 thread) / elapsed_s(8 threads)`.
     pub speedup_8t: f64,
 }
 
@@ -101,11 +99,16 @@ pub struct BaselineTier {
 }
 
 /// Derives the per-shape speedup rows from a tier's measured runs.
+///
+/// # Panics
+///
+/// If a shape's runs disagree on `logical_activations`: the ratio of
+/// elapsed times is a speedup only when every thread count did the same
+/// work.
 pub fn speedups_of(runs: &[BaselineRun]) -> Vec<SpeedupRow> {
-    let tps = |shape: &str, threads: usize| {
+    let run = |shape: &str, threads: usize| {
         runs.iter()
             .find(|r| r.shape == shape && r.threads == threads)
-            .map(|r| r.tuples_per_second)
     };
     let mut shapes: Vec<&'static str> = Vec::new();
     for r in runs {
@@ -116,14 +119,20 @@ pub fn speedups_of(runs: &[BaselineRun]) -> Vec<SpeedupRow> {
     shapes
         .into_iter()
         .filter_map(|shape| {
-            let base = tps(shape, 1)?;
-            if base <= 0.0 {
-                return None;
-            }
+            let base = run(shape, 1)?;
+            let speedup = |threads: usize| {
+                run(shape, threads).map_or(0.0, |r| {
+                    assert_eq!(
+                        r.logical_activations, base.logical_activations,
+                        "{shape} at {threads} threads did different work than at 1 thread"
+                    );
+                    base.elapsed_s / r.elapsed_s
+                })
+            };
             Some(SpeedupRow {
                 shape,
-                speedup_4t: tps(shape, 4).map_or(0.0, |t| t / base),
-                speedup_8t: tps(shape, 8).map_or(0.0, |t| t / base),
+                speedup_4t: speedup(4),
+                speedup_8t: speedup(8),
             })
         })
         .collect()
@@ -165,7 +174,6 @@ fn measure(session: &Session, plan: &Plan, shape: &'static str, threads: usize) 
             elapsed_s: outcome.elapsed().as_secs_f64(),
             result_tuples: outcome.result_cardinality("Result").unwrap_or(0),
             logical_activations: outcome.metrics.total_activations(),
-            tuples_per_second: outcome.tuples_per_second(),
         };
         if best.as_ref().is_none_or(|b| run.elapsed_s < b.elapsed_s) {
             best = Some(run);
@@ -174,50 +182,23 @@ fn measure(session: &Session, plan: &Plan, shape: &'static str, threads: usize) 
     best.expect("at least one repetition ran")
 }
 
-/// Strips the trailing `"reference"` section (if any) from a document this
-/// module emitted, returning a self-contained baseline document.
-///
-/// Used when regenerating `BENCH_engine.json` in place: the previous
-/// emission becomes the new file's `reference` (the before/after record of a
-/// perf PR), but its *own* nested reference is dropped so the file never
-/// grows a chain of historical baselines — git history holds those.
-pub fn without_reference(doc: &str) -> String {
-    match doc.find(",\n  \"reference\":") {
-        Some(i) => format!("{}\n}}\n", &doc[..i]),
-        None => doc.to_string(),
-    }
-}
-
 /// Serialises baseline tiers as the `BENCH_engine.json` document
-/// (schema version 4).
+/// (schema version 5).
 ///
 /// The format is intentionally flat so future PRs can diff it textually:
 /// one object per tier under `"tiers"` — each holding one object per
 /// configuration under `"runs"` and per-shape `speedup_4t`/`speedup_8t`
 /// rows under `"speedups"` — one object per concurrency level under
-/// `"concurrent"` (the multi-query throughput shape of the shared
-/// [`dbs3::Runtime`] pool), one object per tier under `"repeat"` (the
-/// repeated-submit shape of the prepared-query and shared-index caches,
-/// with cold/warm latencies and warm hit/miss counts per cache), one object
-/// per client count under `"serve"` (closed-loop latency percentiles
-/// through the `dbs3-serve` network front door, with `shed_requests`
-/// recorded explicitly — zero means *measured* zero), and the measuring
-/// host's parallelism under `"host_cpus"` (a flat speedup curve on a 1-core
-/// host is expected, not a regression). `reference` optionally carries the
-/// previous baseline forward (the before/after record of a perf PR).
-pub fn to_json(
-    tiers: &[BaselineTier],
-    concurrent: &[crate::concurrent::ConcurrentRun],
-    repeat: &[crate::repeat::RepeatRun],
-    serve: &[crate::serve::ServeRun],
-    reference: Option<&str>,
-) -> String {
+/// `"concurrent"` (the multi-query shape of the shared [`dbs3::Runtime`]
+/// pool, as queries and elapsed time), and the measuring host's parallelism
+/// under `"host_cpus"` (below 4 CPUs the speedups are a degenerate
+/// reference, not evidence of scaling).
+pub fn to_json(tiers: &[BaselineTier], concurrent: &[crate::concurrent::ConcurrentRun]) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema_version\": 4,\n");
+    out.push_str("  \"schema_version\": 5,\n");
     out.push_str(
         "  \"bench\": \"dbs3 engine baseline (threaded backend, hash join); \
-         tuples_per_second counts logical activations across all pipeline \
-         hops per second of execution\",\n",
+         speedups divide 1-thread elapsed_s by n-thread elapsed_s\",\n",
     );
     out.push_str(&format!("  \"host_cpus\": {},\n", host_cpus()));
     out.push_str("  \"tiers\": [\n");
@@ -229,14 +210,12 @@ pub fn to_json(
         for (i, r) in tier.runs.iter().enumerate() {
             out.push_str(&format!(
                 "      {{\"shape\": \"{}\", \"threads\": {}, \"elapsed_s\": {:.6}, \
-                 \"result_tuples\": {}, \"logical_activations\": {}, \
-                 \"tuples_per_second\": {:.1}}}{}\n",
+                 \"result_tuples\": {}, \"logical_activations\": {}}}{}\n",
                 r.shape,
                 r.threads,
                 r.elapsed_s,
                 r.result_tuples,
                 r.logical_activations,
-                r.tuples_per_second,
                 if i + 1 < tier.runs.len() { "," } else { "" },
             ));
         }
@@ -261,42 +240,16 @@ pub fn to_json(
         for (i, c) in concurrent.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"workload\": \"{}\", \"scale\": \"{}\", \"pool_threads\": {}, \
-                 \"queries\": {}, \
-                 \"elapsed_s\": {:.6}, \"total_logical_activations\": {}, \
-                 \"aggregate_activations_per_second\": {:.1}}}{}\n",
+                 \"queries\": {}, \"elapsed_s\": {:.6}}}{}\n",
                 c.workload,
                 c.scale,
                 c.pool_threads,
                 c.queries,
                 c.elapsed_s,
-                c.total_logical_activations,
-                c.aggregate_activations_per_second,
                 if i + 1 < concurrent.len() { "," } else { "" },
             ));
         }
         out.push_str("  ]");
-    }
-    if !repeat.is_empty() {
-        out.push_str(",\n  \"repeat\": [\n");
-        for (i, r) in repeat.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(&r.to_json_row());
-            out.push_str(if i + 1 < repeat.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]");
-    }
-    if !serve.is_empty() {
-        out.push_str(",\n  \"serve\": [\n");
-        for (i, s) in serve.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(&s.to_json_row());
-            out.push_str(if i + 1 < serve.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]");
-    }
-    if let Some(reference) = reference {
-        out.push_str(",\n  \"reference\": ");
-        out.push_str(reference.trim_end());
     }
     out.push_str("\n}\n");
     out
@@ -306,24 +259,23 @@ pub fn to_json(
 mod tests {
     use super::*;
 
-    fn run(shape: &'static str, threads: usize, tps: f64) -> BaselineRun {
+    fn run(shape: &'static str, threads: usize, elapsed_s: f64) -> BaselineRun {
         BaselineRun {
             shape,
             threads,
-            elapsed_s: 0.25,
+            elapsed_s,
             result_tuples: 1_000,
             logical_activations: 2_020,
-            tuples_per_second: tps,
         }
     }
 
     fn sample_tier(scale: ExperimentScale) -> BaselineTier {
         let runs = vec![
-            run("fig14_assoc_join", 1, 8_080.0),
-            run("fig14_assoc_join", 4, 24_240.0),
-            run("fig14_assoc_join", 8, 32_320.0),
-            run("fig15_ideal_join", 1, 8_160.0),
-            run("fig15_ideal_join", 8, 16_320.0),
+            run("fig14_assoc_join", 1, 0.12),
+            run("fig14_assoc_join", 4, 0.04),
+            run("fig14_assoc_join", 8, 0.03),
+            run("fig15_ideal_join", 1, 0.2),
+            run("fig15_ideal_join", 8, 0.1),
         ];
         let speedups = speedups_of(&runs);
         BaselineTier {
@@ -348,148 +300,54 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "did different work")]
+    fn speedups_refuse_runs_that_did_different_work() {
+        let mut runs = vec![
+            run("fig14_assoc_join", 1, 0.12),
+            run("fig14_assoc_join", 4, 0.04),
+        ];
+        runs[1].logical_activations += 1;
+        speedups_of(&runs);
+    }
+
+    #[test]
     fn json_has_one_object_per_run_and_balanced_braces() {
         let tiers = [
             sample_tier(ExperimentScale::Smoke),
             sample_tier(ExperimentScale::ScaledSmoke),
         ];
-        let json = to_json(&tiers, &[], &[], &[], None);
+        let json = to_json(&tiers, &[]);
         // One "shape" per run object plus one per speedup row, per tier.
         assert_eq!(json.matches("\"shape\"").count(), 2 * (5 + 2));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert!(json.contains("\"schema_version\": 5"));
         assert!(json.contains("\"scale\": \"smoke\""));
         assert!(json.contains("\"scale\": \"scaled_smoke\""));
         assert!(json.contains("\"host_cpus\": "));
         assert!(json.contains("\"speedup_4t\": 3.000"));
         assert!(json.contains("\"speedup_8t\": 4.000"));
-        assert!(json.contains("\"tuples_per_second\": 8080.0"));
-        assert!(!json.contains("reference"));
+        assert!(json.contains("\"elapsed_s\": 0.120000"));
+        assert!(!json.contains("\"concurrent\""));
     }
 
     #[test]
-    fn json_embeds_reference_document() {
-        let tiers = [sample_tier(ExperimentScale::Paper)];
-        let previous = to_json(&tiers, &[], &[], &[], None);
-        let json = to_json(&tiers, &[], &[], &[], Some(&previous));
-        assert!(json.contains("\"reference\": {"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches("\"schema_version\"").count(), 2);
-    }
-
-    #[test]
-    fn without_reference_round_trips() {
-        let tiers = [sample_tier(ExperimentScale::Paper)];
-        let bare = to_json(&tiers, &[], &[], &[], None);
-        // A document without a reference passes through untouched.
-        assert_eq!(without_reference(&bare), bare);
-        // Regenerating drops exactly the old nested reference, so chaining
-        // emissions never accumulates history.
-        let older = to_json(&tiers[..1], &[], &[], &[], None);
-        let with_ref = to_json(&tiers, &[], &[], &[], Some(&older));
-        assert_eq!(without_reference(&with_ref), bare);
-        let chained = to_json(&tiers, &[], &[], &[], Some(&without_reference(&with_ref)));
-        assert_eq!(chained.matches("\"schema_version\"").count(), 2);
-        assert_eq!(chained.matches('{').count(), chained.matches('}').count());
-    }
-
-    #[test]
-    fn json_includes_concurrent_section_and_reference_stripping_survives_it() {
+    fn json_includes_concurrent_section() {
         let concurrent = vec![crate::concurrent::ConcurrentRun {
             workload: "fig14_assoc_join",
             scale: "paper",
             pool_threads: 4,
             queries: 16,
             elapsed_s: 0.5,
-            total_logical_activations: 643_200,
-            aggregate_activations_per_second: 1_286_400.0,
             cardinalities: vec![20_000; 16],
         }];
         let tiers = [sample_tier(ExperimentScale::Paper)];
-        let json = to_json(&tiers, &concurrent, &[], &[], None);
+        let json = to_json(&tiers, &concurrent);
         assert!(json.contains("\"concurrent\": ["));
         assert!(json.contains("\"scale\": \"paper\""));
-        assert!(json.contains("\"queries\": 16"));
-        assert!(json.contains("\"aggregate_activations_per_second\": 1286400.0"));
+        assert!(json.contains("\"queries\": 16, \"elapsed_s\": 0.500000}"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-        let with_ref = to_json(&tiers, &concurrent, &[], &[], Some(&json));
-        assert_eq!(without_reference(&with_ref), json);
-    }
-
-    #[test]
-    fn json_includes_repeat_section_with_cache_counts() {
-        let repeat = vec![crate::repeat::RepeatRun {
-            workload: "fig14_assoc_join_small_probe",
-            scale: "paper",
-            pool_threads: 4,
-            submits: 16,
-            cold_s: 0.125,
-            warm_avg_s: 0.0125,
-            warm_best_s: 0.01,
-            warm_speedup: 10.0,
-            warm_plan_hits: 15,
-            warm_plan_misses: 0,
-            warm_index_hits: 120,
-            warm_index_misses: 0,
-            warm_hit_rate: 1.0,
-            cardinalities: vec![2_000; 16],
-        }];
-        let tiers = [sample_tier(ExperimentScale::Paper)];
-        let json = to_json(&tiers, &[], &repeat, &[], None);
-        assert!(json.contains("\"repeat\": ["));
-        assert!(json.contains("\"submits\": 16"));
-        assert!(json.contains("\"warm_speedup\": 10.00"));
-        // Cache counts are explicit per cache: a zero miss count is a
-        // measurement, not an omission.
-        assert!(json.contains("\"warm_plan_misses\": 0"));
-        assert!(json.contains("\"warm_index_hits\": 120"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        let with_ref = to_json(&tiers, &[], &repeat, &[], Some(&json));
-        assert_eq!(without_reference(&with_ref), json);
-    }
-
-    #[test]
-    fn json_includes_serve_section_with_explicit_shed_counts() {
-        let serve = vec![crate::serve::ServeRun {
-            scale: "paper",
-            clients: 64,
-            queries_per_client: 8,
-            requests: 512,
-            ok: 512,
-            shed_requests: 0,
-            retried: 3,
-            deadline_exceeded: 0,
-            gave_up: 0,
-            protocol_errors: 0,
-            elapsed_s: 3.2,
-            queries_per_second: 160.0,
-            p50_ms: 11.5,
-            p95_ms: 42.25,
-            p99_ms: 55.125,
-            workers: 8,
-            max_inflight: 128,
-        }];
-        let tiers = [sample_tier(ExperimentScale::Paper)];
-        let json = to_json(&tiers, &[], &[], &serve, None);
-        assert!(json.contains("\"serve\": ["));
-        assert!(json.contains("\"clients\": 64"));
-        // Robustness counts are explicit: zero is a measurement, not an
-        // omission, and retries are recorded even when every request succeeds.
-        assert!(json.contains("\"shed_requests\": 0"));
-        assert!(json.contains("\"retried\": 3"));
-        assert!(json.contains("\"deadline_exceeded\": 0"));
-        assert!(json.contains("\"gave_up\": 0"));
-        assert!(json.contains("\"p50_ms\": 11.500"));
-        assert!(json.contains("\"p95_ms\": 42.250"));
-        assert!(json.contains("\"p99_ms\": 55.125"));
-        assert!(json.contains("\"queries_per_second\": 160.00"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        // Reference stripping is unaffected by the new trailing section.
-        let with_ref = to_json(&tiers, &[], &[], &serve, Some(&json));
-        assert_eq!(without_reference(&with_ref), json);
     }
 
     #[test]
@@ -498,7 +356,7 @@ mod tests {
         assert_eq!(tier.runs.len(), 2 * BASELINE_THREADS.len());
         for r in &tier.runs {
             assert!(r.elapsed_s > 0.0, "{:?}", r);
-            assert!(r.tuples_per_second > 0.0, "{:?}", r);
+            assert!(r.logical_activations > 0, "{:?}", r);
             // Both shapes join the full Bprime against A on the unique key.
             assert_eq!(r.result_tuples, 1_000);
         }

@@ -82,7 +82,8 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!(
-        "# ok: {queries} queries agreed; elapsed={:.4}s aggregate acts/s={:.0}",
-        run.elapsed_s, run.aggregate_activations_per_second
+        "# ok: {queries} queries agreed; elapsed={:.4}s queries/s={:.1}",
+        run.elapsed_s,
+        run.queries_per_second()
     );
 }

@@ -3,11 +3,11 @@
 //! The paper evaluates one query at a time; the runtime's reason to exist
 //! is many queries sharing one pool. This module measures that shape: `N`
 //! identical queries submitted concurrently to a `Runtime` of `P` workers,
-//! waited to completion, and summarised as **aggregate logical activations
-//! per second** — the multi-query counterpart of the single-query
-//! `tuples_per_second` the engine baseline records. Queries run with
-//! `discard_results()` (cardinalities and metrics only), so the measurement
-//! tracks engine scheduling cost, not result materialisation.
+//! waited to completion, and summarised as **queries per second** — every
+//! query of a level runs the same plan, so this is the aggregate throughput
+//! of the pool at that concurrency. Queries run with `discard_results()`
+//! (cardinalities and metrics only), so the measurement tracks engine
+//! scheduling cost, not result materialisation.
 //!
 //! The same harness backs the `concurrent` binary (the CI stress gate: a
 //! deadlocked or livelocked pool fails by timeout instead of hanging the
@@ -31,14 +31,17 @@ pub struct ConcurrentRun {
     pub queries: usize,
     /// Wall-clock time from first submit to last completion, in seconds.
     pub elapsed_s: f64,
-    /// Logical activations consumed across all queries and operations.
-    pub total_logical_activations: u64,
-    /// `total_logical_activations / elapsed_s` — the aggregate throughput
-    /// of the pool under this concurrency level.
-    pub aggregate_activations_per_second: f64,
     /// Result cardinality of each query, in submission order (for
     /// verification against a sequential run).
     pub cardinalities: Vec<usize>,
+}
+
+impl ConcurrentRun {
+    /// `queries / elapsed_s` — the aggregate throughput of the pool under
+    /// this concurrency level.
+    pub fn queries_per_second(&self) -> f64 {
+        self.queries as f64 / self.elapsed_s
+    }
 }
 
 /// Submits `queries` copies of `plan` to one fresh [`Runtime`] of
@@ -68,25 +71,16 @@ pub fn run_concurrent(
         .collect::<dbs3::Result<Vec<_>>>()?;
     let elapsed_s = started.elapsed().as_secs_f64();
 
-    let total_logical_activations: u64 =
-        outcomes.iter().map(|o| o.metrics.total_activations()).sum();
     let cardinalities: Vec<usize> = outcomes
         .iter()
         .map(|o| o.result_cardinality("Result").unwrap_or(0))
         .collect();
-    let aggregate_activations_per_second = if elapsed_s > 0.0 {
-        total_logical_activations as f64 / elapsed_s
-    } else {
-        0.0
-    };
     Ok(ConcurrentRun {
         workload,
         scale: "unscaled",
         pool_threads,
         queries,
         elapsed_s,
-        total_logical_activations,
-        aggregate_activations_per_second,
         cardinalities,
     })
 }
@@ -132,8 +126,8 @@ pub fn run_concurrent_baseline(
 
 /// Whether aggregate throughput holds up as concurrency rises: every
 /// successive concurrency level of each scale must keep at least
-/// `min_ratio` of the *best* aggregate acts/s seen at any lower level of
-/// that scale. This is the shape of the 4-query anomaly the ready-deque
+/// `min_ratio` of the *best* queries/s seen at any lower level of that
+/// scale. This is the shape of the 4-query anomaly the ready-deque
 /// scheduler fixed — aggregate throughput at 4 concurrent queries dropped
 /// to a quarter of the 1-query figure because workers stuck to one query's
 /// longest queues — phrased loosely enough to tolerate bench noise.
@@ -146,10 +140,10 @@ pub fn is_non_collapsing(runs: &[ConcurrentRun], min_ratio: f64) -> bool {
     scales.iter().all(|&scale| {
         let mut best_so_far = 0.0f64;
         for run in runs.iter().filter(|r| r.scale == scale) {
-            if run.aggregate_activations_per_second < best_so_far * min_ratio {
+            if run.queries_per_second() < best_so_far * min_ratio {
                 return false;
             }
-            best_so_far = best_so_far.max(run.aggregate_activations_per_second);
+            best_so_far = best_so_far.max(run.queries_per_second());
         }
         true
     })
@@ -178,7 +172,6 @@ mod tests {
         assert_eq!(run.cardinalities.len(), 8);
         assert!(run.cardinalities.iter().all(|&c| c == sequential));
         assert!(run.elapsed_s > 0.0);
-        assert!(run.aggregate_activations_per_second > 0.0);
     }
 
     #[test]
@@ -189,23 +182,21 @@ mod tests {
             assert_eq!(run.queries, queries);
             assert_eq!(run.pool_threads, CONCURRENT_POOL_THREADS);
             assert_eq!(run.scale, "smoke");
-            assert!(run.total_logical_activations > 0);
+            assert!(run.elapsed_s > 0.0);
             let first = run.cardinalities[0];
             assert!(run.cardinalities.iter().all(|&c| c == first));
         }
     }
 
-    /// Builds a throwaway run with the given scale and throughput for shape
-    /// tests of the gate predicate.
-    fn run_at(scale: &'static str, acts_per_s: f64) -> ConcurrentRun {
+    /// Builds a throwaway one-query run with the given scale and queries/s
+    /// for shape tests of the gate predicate.
+    fn run_at(scale: &'static str, queries_per_s: f64) -> ConcurrentRun {
         ConcurrentRun {
             workload: "test",
             scale,
             pool_threads: 4,
             queries: 1,
-            elapsed_s: 1.0,
-            total_logical_activations: acts_per_s as u64,
-            aggregate_activations_per_second: acts_per_s,
+            elapsed_s: 1.0 / queries_per_s,
             cardinalities: vec![],
         }
     }
@@ -214,16 +205,16 @@ mod tests {
     fn non_collapsing_accepts_monotone_and_noisy_flat_shapes() {
         // Strictly rising.
         let rising = [
-            run_at("paper", 1.0e6),
-            run_at("paper", 1.5e6),
-            run_at("paper", 2.0e6),
+            run_at("paper", 40.0),
+            run_at("paper", 60.0),
+            run_at("paper", 80.0),
         ];
         assert!(is_non_collapsing(&rising, 0.75));
         // A noisy dip within tolerance of the best-so-far.
         let noisy = [
-            run_at("paper", 1.0e6),
-            run_at("paper", 0.8e6),
-            run_at("paper", 1.1e6),
+            run_at("paper", 40.0),
+            run_at("paper", 32.0),
+            run_at("paper", 44.0),
         ];
         assert!(is_non_collapsing(&noisy, 0.75));
         // Empty and single-run inputs trivially hold.
@@ -233,11 +224,13 @@ mod tests {
 
     #[test]
     fn non_collapsing_rejects_the_four_query_collapse_shape() {
-        // The pre-fix BENCH_engine.json shape: 1.84M -> 0.45M -> 0.88M.
+        // The pre-fix BENCH_engine.json shape: 1.84M -> 0.45M -> 0.88M
+        // aggregate acts/s, i.e. 45.8 -> 11.2 -> 21.9 q/s at 40 200 acts per
+        // query.
         let collapse = [
-            run_at("paper", 1.84e6),
-            run_at("paper", 0.45e6),
-            run_at("paper", 0.88e6),
+            run_at("paper", 45.8),
+            run_at("paper", 11.2),
+            run_at("paper", 21.9),
         ];
         assert!(!is_non_collapsing(&collapse, 0.75));
     }
@@ -248,17 +241,17 @@ mod tests {
         // scale boundary must not trip the check, but a collapse inside one
         // scale must.
         let ok = [
-            run_at("paper", 2.0e6),
-            run_at("paper", 2.1e6),
-            run_at("scaled", 0.5e6),
-            run_at("scaled", 0.6e6),
+            run_at("paper", 50.0),
+            run_at("paper", 52.0),
+            run_at("scaled", 1.5),
+            run_at("scaled", 1.8),
         ];
         assert!(is_non_collapsing(&ok, 0.75));
         let bad = [
-            run_at("paper", 2.0e6),
-            run_at("paper", 2.1e6),
-            run_at("scaled", 0.6e6),
-            run_at("scaled", 0.2e6),
+            run_at("paper", 50.0),
+            run_at("paper", 52.0),
+            run_at("scaled", 1.8),
+            run_at("scaled", 0.6),
         ];
         assert!(!is_non_collapsing(&bad, 0.75));
     }

@@ -3,10 +3,12 @@
 //! Every function returns the rows of the corresponding figure (one struct
 //! per row, all fields public) and has a `print_*` companion that renders
 //! them as an aligned table — the output format the `experiments` binary
-//! uses and that `EXPERIMENTS.md` records.
+//! uses. README's "Reproducing the paper's figures" table maps each figure
+//! to its harness, and `tests/golden/figures_smoke.txt` pins the smoke-scale
+//! output of every simulator-driven subcommand.
 //!
 //! All experiments except the ablations run on the virtual-time simulator
-//! (the substitution for the 72-processor KSR1 documented in DESIGN.md); the
+//! (the `dbs3-sim` stand-in for the paper's 72-processor KSR1); the
 //! affinity ablation runs the real multi-threaded engine.
 
 use crate::data::{selection_session, ExperimentScale, JoinDatabase};

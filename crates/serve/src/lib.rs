@@ -22,8 +22,8 @@
 //!   request ids), and the builder-style [`RemoteSession`] mirroring the
 //!   local `dbs3::Session` facade.
 //!
-//! The closed-loop traffic generator that measures this stack end to end
-//! (latency percentiles under 1/8/64 clients) lives in `dbs3-bench`.
+//! The `dbs3-e2e` benchmark measures this stack end to end with open-loop
+//! traffic (its `serve_open_assoc` workload).
 
 pub mod client;
 pub mod error;

@@ -88,11 +88,10 @@ fn sixteen_concurrent_clients_match_the_sequential_reference() {
     assert_eq!(stats.shed, 0, "nothing sheds under the admission limit");
 }
 
-/// The acceptance shape: 64 concurrent closed-loop clients against an
-/// 8-worker server, every remote cardinality exactly the sequential one.
-/// The catalog is small so the test stays fast in debug builds — the
-/// committed `BENCH_engine.json` serve tier records the same shape at
-/// paper scale.
+/// The acceptance shape: 64 concurrent clients against an 8-worker server,
+/// every remote cardinality exactly the sequential one. The catalog is
+/// small so the test stays fast in debug builds; latency under load is
+/// measured by `dbs3-e2e`'s open-loop `serve_open_assoc` workload.
 #[test]
 fn sixty_four_concurrent_clients_against_eight_workers() {
     let a_card = 1_000;

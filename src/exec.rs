@@ -321,23 +321,6 @@ impl QueryOutcome {
         self.metrics.elapsed()
     }
 
-    /// Pipeline throughput: logical activations consumed per second of
-    /// (wall-clock or virtual) execution time.
-    ///
-    /// Both backends count *logical* activations — one per tuple flowing
-    /// through a pipelined operation, one per trigger — independent of how
-    /// the threaded engine physically batches tuples into transport
-    /// activations, so this number is comparable across cache sizes and is
-    /// the yardstick `BENCH_engine.json` records per PR.
-    pub fn tuples_per_second(&self) -> f64 {
-        let secs = self.metrics.elapsed().as_secs_f64();
-        if secs > 0.0 {
-            self.metrics.total_activations() as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
     /// Shorthand for `metrics.as_simulated()`.
     pub fn sim_report(&self) -> Option<&SimReport> {
         self.metrics.as_simulated()

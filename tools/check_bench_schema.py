@@ -1,66 +1,19 @@
 #!/usr/bin/env python3
-"""Schema check for dbs3 benchmark JSON documents.
+"""Schema check for the dbs3 benchmark record `BENCH_engine.json`.
 
 Usage:
-    python3 tools/check_bench_schema.py PATH [--mode full|serve-only]
+    python3 tools/check_bench_schema.py PATH
 
-Modes:
-    full        (default) a complete `BENCH_engine.json`: engine tiers,
-                multi-query concurrency levels, one repeated-submit row per
-                tier (with explicit per-cache warm hit/miss counts and a
-                warm hit rate of at least 0.9), and the serve tier at
-                1/8/64 clients.
-    serve-only  the standalone document `serve_bench --out` writes: just a
-                `serve` array with at least one row.
-
-The serve-tier rows are validated strictly in both modes: every row must
-carry all latency percentile keys (p50_ms/p95_ms/p99_ms) and explicit
-`shed_requests`/`retried`/`deadline_exceeded`/`gave_up` counts — a row
-that omits them is rejected, because a missing count is not the same as a
-measured zero. The outcome accounting must be total:
-`ok + deadline_exceeded + gave_up + protocol_errors == requests`.
+The record holds the paper-figure tiers (fig14/fig15 elapsed time at
+1/4/8 threads, with speedup rows whose shapes match the runs), the
+multi-query levels at 1/4/16 concurrent queries per tier, and the
+measuring host's `host_cpus`.
 """
 
 import json
 import sys
 
-SCHEMA_VERSION = 4
-
-REPEAT_KEYS = (
-    "workload",
-    "scale",
-    "pool_threads",
-    "submits",
-    "cold_s",
-    "warm_avg_s",
-    "warm_best_s",
-    "warm_speedup",
-    "warm_plan_hits",
-    "warm_plan_misses",
-    "warm_index_hits",
-    "warm_index_misses",
-    "warm_hit_rate",
-)
-
-SERVE_KEYS = (
-    "scale",
-    "clients",
-    "queries_per_client",
-    "requests",
-    "ok",
-    "shed_requests",
-    "retried",
-    "deadline_exceeded",
-    "gave_up",
-    "protocol_errors",
-    "workers",
-    "max_inflight",
-    "elapsed_s",
-    "queries_per_second",
-    "p50_ms",
-    "p95_ms",
-    "p99_ms",
-)
+SCHEMA_VERSION = 5
 
 SCALES = ("paper", "smoke", "scaled", "scaled_smoke")
 
@@ -70,85 +23,7 @@ def fail(msg):
     sys.exit(1)
 
 
-def check_serve_rows(rows, expect_client_levels=None):
-    if not isinstance(rows, list) or not rows:
-        fail("serve tier must be a non-empty array")
-    for row in rows:
-        missing = [k for k in SERVE_KEYS if k not in row]
-        if missing:
-            fail(f"serve row is missing keys {missing}: {row}")
-        if row["scale"] not in SCALES:
-            fail(f"serve row has unknown scale {row['scale']!r}")
-        for key in ("clients", "queries_per_client", "requests", "ok"):
-            if not isinstance(row[key], int) or row[key] < 0:
-                fail(f"serve row {key} must be a non-negative int: {row}")
-        # Explicit robustness accounting: integers, never null/absent.
-        for key in ("shed_requests", "retried", "deadline_exceeded", "gave_up"):
-            if not isinstance(row[key], int) or row[key] < 0:
-                fail(f"serve row {key} must be an explicit count: {row}")
-        if row["protocol_errors"] != 0:
-            fail(f"serve row recorded protocol errors: {row}")
-        if row["requests"] != row["clients"] * row["queries_per_client"]:
-            fail(f"serve row requests != clients * queries_per_client: {row}")
-        # Total outcome accounting: every request ended exactly one way.
-        # (Sheds are retry *causes*, not outcomes — a shed request is
-        # retried by the self-healing client until it succeeds or the
-        # budget runs dry, so it lands in ok or gave_up.)
-        outcomes = (
-            row["ok"]
-            + row["deadline_exceeded"]
-            + row["gave_up"]
-            + row["protocol_errors"]
-        )
-        if outcomes != row["requests"]:
-            fail(
-                "serve row ok + deadline_exceeded + gave_up + protocol_errors "
-                f"!= requests: {row}"
-            )
-        if row["ok"] > 0:
-            if not (0.0 < row["p50_ms"] <= row["p95_ms"] <= row["p99_ms"]):
-                fail(f"serve row percentiles are not monotone: {row}")
-            if row["queries_per_second"] <= 0.0:
-                fail(f"serve row queries_per_second must be positive: {row}")
-    if expect_client_levels is not None:
-        levels = [row["clients"] for row in rows]
-        if levels != expect_client_levels:
-            fail(f"serve client levels {levels} != expected {expect_client_levels}")
-
-
-def check_repeat_rows(rows, expect_tiers):
-    if not isinstance(rows, list) or len(rows) != expect_tiers:
-        fail(f"expected {expect_tiers} repeat tiers, got {len(rows or [])}")
-    for row in rows:
-        missing = [k for k in REPEAT_KEYS if k not in row]
-        if missing:
-            fail(f"repeat row is missing keys {missing}: {row}")
-        if row["scale"] not in SCALES:
-            fail(f"repeat row has unknown scale {row['scale']!r}")
-        if not isinstance(row["submits"], int) or row["submits"] < 2:
-            fail(f"repeat row needs one cold and one warm submit: {row}")
-        # Cache counts are explicit integers: a zero miss count is a
-        # measurement, not an omission.
-        for key in (
-            "warm_plan_hits",
-            "warm_plan_misses",
-            "warm_index_hits",
-            "warm_index_misses",
-        ):
-            if not isinstance(row[key], int) or row[key] < 0:
-                fail(f"repeat row {key} must be an explicit count: {row}")
-        if row["cold_s"] <= 0.0 or row["warm_avg_s"] <= 0.0:
-            fail(f"repeat row latencies must be positive: {row}")
-        if not 0.0 <= row["warm_hit_rate"] <= 1.0:
-            fail(f"repeat row warm_hit_rate out of range: {row}")
-        # The warm window repeats a plan the cold submit just cached
-        # against an unchanged catalog; the committed record must show the
-        # caches actually serving it.
-        if row["warm_hit_rate"] < 0.9:
-            fail(f"repeat row warm_hit_rate below 0.9: {row}")
-
-
-def check_full(doc):
+def check(doc):
     if doc.get("schema_version") != SCHEMA_VERSION:
         fail(f"schema_version {doc.get('schema_version')!r} != {SCHEMA_VERSION}")
     if not isinstance(doc.get("host_cpus"), int) or doc["host_cpus"] < 1:
@@ -176,45 +51,20 @@ def check_full(doc):
         by_scale.setdefault(c["scale"], []).append(c["queries"])
     if len(by_scale) != 2 or any(v != [1, 4, 16] for v in by_scale.values()):
         fail(f"concurrent levels wrong: {by_scale}")
-    if "repeat" not in doc:
-        fail("document has no repeat tier")
-    check_repeat_rows(doc["repeat"], expect_tiers=2)
-    if "serve" not in doc:
-        fail("document has no serve tier")
-    check_serve_rows(doc["serve"], expect_client_levels=[1, 8, 64])
-
-
-def check_serve_only(doc):
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        fail(f"schema_version {doc.get('schema_version')!r} != {SCHEMA_VERSION}")
-    if "serve" not in doc:
-        fail("document has no serve array")
-    check_serve_rows(doc["serve"])
 
 
 def main():
-    argv = sys.argv[1:]
-    mode = "full"
-    if "--mode" in argv:
-        i = argv.index("--mode")
-        try:
-            mode = argv[i + 1]
-        except IndexError:
-            fail("--mode expects a value")
-        del argv[i : i + 2]
-    if len(argv) != 1 or mode not in ("full", "serve-only"):
+    if len(sys.argv) != 2:
         print(__doc__, file=sys.stderr)
         sys.exit(2)
+    path = sys.argv[1]
     try:
-        with open(argv[0]) as fh:
+        with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
-        fail(f"cannot load {argv[0]}: {e}")
-    if mode == "full":
-        check_full(doc)
-    else:
-        check_serve_only(doc)
-    print(f"{argv[0]}: schema OK ({mode})")
+        fail(f"cannot load {path}: {e}")
+    check(doc)
+    print(f"{path}: schema OK")
 
 
 if __name__ == "__main__":
