@@ -8,12 +8,18 @@
 //!
 //! The index stores positions rather than tuple clones so that building it is
 //! cheap — the cost the paper attributes to "building indexes on the fly".
-//! The layout is a contiguous grouped table (bucket offsets + positions
-//! grouped by bucket + full hashes), built in two counting passes with
-//! exactly three right-sized allocations. The obvious alternative — a
+//! The layout is a contiguous grouped table: per-bucket start offsets plus
+//! one `(tag, position)` entry per row, grouped by bucket. A counting sort
+//! builds it in two passes over the rows and exactly two right-sized
+//! allocations — the two arrays the index keeps. The obvious alternative — a
 //! `HashMap<u64, Vec<u32>>` — costs one heap allocation *per distinct key*,
 //! which at Wisconsin cardinalities (unique join keys) made index
 //! construction the single most expensive step of a pipelined join.
+//!
+//! The index hashes keys with its own `index_hash`, not with
+//! [`Value::stable_hash`]: nothing outside the index sees its buckets, so it
+//! needs no stable byte-wise hash, only a cheap one whose low bits do not
+//! correlate with the partitioning hash that chose the fragment's rows.
 
 use crate::fragment::Fragment;
 use crate::relation::Relation;
@@ -25,25 +31,79 @@ use crate::value::Value;
 pub struct HashIndex {
     /// Column the index is built on.
     key_index: usize,
-    /// Bucket mask (`bucket_count - 1`, bucket count is a power of two).
+    /// Bucket mask (bucket count − 1; the bucket count is a power of two).
     mask: usize,
-    /// Per-bucket start offsets into `positions` (length `buckets + 1`).
+    /// `starts[b]` is the offset of bucket `b`'s first entry (length
+    /// `buckets + 1`, so `starts[buckets]` is the row count).
     starts: Vec<u32>,
-    /// Tuple positions grouped by bucket.
-    positions: Vec<u32>,
-    /// Full 64-bit key hash of each entry, parallel to `positions`, so a
-    /// probe skips same-bucket entries with different hashes without
-    /// touching the tuple data.
-    hashes: Vec<u64>,
-    /// Number of non-empty buckets.
-    occupied: usize,
+    /// `(tag, position)` of every indexed tuple, grouped by bucket and in
+    /// ascending position within a bucket. The tag lets a probe skip
+    /// same-bucket entries of other keys without touching the tuple data.
+    entries: Vec<(u32, u32)>,
 }
 
-/// Squeezes a 64-bit stable hash into a bucket index: xor-fold the high bits
-/// down so buckets see the whole hash, then mask.
+/// The index's key hash: a splitmix64 finaliser for integers (a few
+/// independent multiplies instead of FNV-1a's nine dependent ones), the
+/// stable hash for strings. Probes re-check equality, so the hash decides
+/// speed only, never a result.
+#[inline]
+fn index_hash(value: &Value) -> u64 {
+    match value {
+        Value::Int(v) => {
+            let mut z = *v as u64;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+        Value::Str(_) => value.stable_hash(),
+    }
+}
+
+/// The bucket of an index hash: its low bits.
 #[inline]
 fn bucket_of(hash: u64, mask: usize) -> usize {
-    ((hash ^ (hash >> 33)) as usize) & mask
+    hash as usize & mask
+}
+
+/// The tag of an index hash: its high 32 bits, disjoint from the bucket
+/// bits below 2³² buckets.
+#[inline]
+fn tag_of(hash: u64) -> u32 {
+    (hash >> 32) as u32
+}
+
+/// The counting sort both builds share. `rows()` yields `(index hash,
+/// position)` in ascending position, the same sequence on every call, for
+/// the rows whose buckets lie in `[lo, lo + starts.len())`; `table` is those
+/// buckets' slice of the entry table, which begins at global offset `base`.
+///
+/// Counts into `starts`, turns the counts into inclusive running totals
+/// from `base`, then walks the rows backwards, decrementing each bucket's
+/// total and writing the entry there: `starts[b - lo]` ends at bucket `b`'s
+/// first entry and duplicates keep ascending position order.
+fn group_by_bucket<I>(
+    rows: impl Fn() -> I,
+    mask: usize,
+    lo: usize,
+    base: u32,
+    starts: &mut [u32],
+    table: &mut [(u32, u32)],
+) where
+    I: DoubleEndedIterator<Item = (u64, u32)>,
+{
+    for (h, _) in rows() {
+        starts[bucket_of(h, mask) - lo] += 1;
+    }
+    let mut acc = base;
+    for slot in starts.iter_mut() {
+        acc += *slot;
+        *slot = acc;
+    }
+    for (h, pos) in rows().rev() {
+        let slot = &mut starts[bucket_of(h, mask) - lo];
+        *slot -= 1;
+        table[(*slot - base) as usize] = (tag_of(h), pos);
+    }
 }
 
 impl HashIndex {
@@ -52,38 +112,23 @@ impl HashIndex {
         // Load factor <= 1: at least one bucket per tuple, rounded up.
         let buckets = tuples.len().next_power_of_two().max(1);
         let mask = buckets - 1;
-
-        // Pass 1: hash every key once and count the bucket sizes.
-        let mut hashes_by_pos: Vec<u64> = Vec::with_capacity(tuples.len());
         let mut starts = vec![0u32; buckets + 1];
-        for t in tuples {
-            let h = t.value(key_index).stable_hash();
-            hashes_by_pos.push(h);
-            starts[bucket_of(h, mask) + 1] += 1;
-        }
-        let occupied = starts.iter().skip(1).filter(|&&c| c > 0).count();
-        for b in 0..buckets {
-            starts[b + 1] += starts[b];
-        }
-
-        // Pass 2: scatter positions (and their hashes) into bucket order.
-        let mut cursor = starts.clone();
-        let mut positions = vec![0u32; tuples.len()];
-        let mut hashes = vec![0u64; tuples.len()];
-        for (pos, &h) in hashes_by_pos.iter().enumerate() {
-            let slot = &mut cursor[bucket_of(h, mask)];
-            positions[*slot as usize] = pos as u32;
-            hashes[*slot as usize] = h;
-            *slot += 1;
-        }
-
+        let mut entries = vec![(0u32, 0u32); tuples.len()];
+        // Each key is hashed twice, once per pass: staging the n hashes
+        // instead would save a little CPU but cost 8 bytes per row.
+        let rows = || {
+            tuples
+                .iter()
+                .enumerate()
+                .map(|(pos, t)| (index_hash(t.value(key_index)), pos as u32))
+        };
+        group_by_bucket(rows, mask, 0, 0, &mut starts[..buckets], &mut entries);
+        starts[buckets] = tuples.len() as u32;
         HashIndex {
             key_index,
             mask,
             starts,
-            positions,
-            hashes,
-            occupied,
+            entries,
         }
     }
 
@@ -94,25 +139,22 @@ impl HashIndex {
     /// the `(hash, position)` entry by the shard owning its bucket — shard
     /// `s` owns the contiguous bucket range `[bounds[s], bounds[s + 1])`.
     /// Phase two (parallel over shards) then touches **only the shard's own
-    /// binned entries**: count its buckets, prefix-sum into its disjoint
-    /// slice of `starts`, scatter into its disjoint slice of the grouped
-    /// table. Total work is `O(rows + buckets)` — the earlier formulation
-    /// re-scanned the full hash array once per shard per pass, so its cost
-    /// grew as `O(shards × rows)` and sharding past a handful of threads
-    /// made the build *slower*.
+    /// binned entries**: the same counting sort as the sequential build,
+    /// into the shard's disjoint slices of `starts` and of the entry table.
+    /// Total work is `O(rows + buckets)` whatever the shard count.
     ///
     /// Chunks are visited in order and each chunk bins in scan order, so
     /// every shard sees its entries in ascending tuple position: the
-    /// produced `starts`/`positions`/`hashes` arrays are **identical** to
-    /// the sequential build's — same probe results, same duplicate-key
-    /// order — which `tests` and `crates/engine`'s equivalence suite pin.
+    /// produced `starts`/`entries` arrays are **identical** to the
+    /// sequential build's — same probe results, same duplicate-key order —
+    /// which `tests` and `crates/engine`'s equivalence suite pin.
     ///
     /// Small inputs (or `shards <= 1`) fall back to the sequential build:
     /// below a few thousand rows the scoped-thread spawn/join costs more
     /// than the build itself.
     pub fn build_parallel(tuples: &[Tuple], key_index: usize, shards: usize) -> Self {
-        // Cap the shard count: the sequential stitches (entry bases,
-        // occupied count) and the per-chunk bin bookkeeping grow with it.
+        // Cap the shard count: the sequential stitches (entry bases) and
+        // the per-chunk bin bookkeeping grow with it.
         let shards = shards.min(64).min(tuples.len() / Self::MIN_ROWS_PER_SHARD);
         if shards <= 1 {
             return Self::build(tuples, key_index);
@@ -151,7 +193,7 @@ impl HashIndex {
                     }
                     let base = c * chunk;
                     for (i, t) in t_chunk.iter().enumerate() {
-                        let h = t.value(key_index).stable_hash();
+                        let h = index_hash(t.value(key_index));
                         part[shard_of(bucket_of(h, mask))].push((h, (base + i) as u32));
                     }
                 });
@@ -167,71 +209,38 @@ impl HashIndex {
             entry_base[s + 1] = entry_base[s] + parts.iter().map(|p| p[s].len()).sum::<usize>();
         }
 
-        // Phase 2 (parallel over bucket ranges): each shard counts,
-        // prefix-sums and scatters only its own binned entries, writing the
-        // disjoint `starts[lo + 1 ..= hi]` and entry slices its range maps
-        // to.
+        // Phase 2 (parallel over bucket ranges): each shard sorts only its
+        // own binned entries into the disjoint `starts[lo..hi]` and entry
+        // slice its range maps to.
         let mut starts = vec![0u32; buckets + 1];
-        let mut positions = vec![0u32; tuples.len()];
-        let mut hashes = vec![0u64; tuples.len()];
+        let mut entries = vec![(0u32, 0u32); tuples.len()];
         std::thread::scope(|scope| {
-            let mut starts_rest: &mut [u32] = &mut starts[1..];
-            let mut pos_rest: &mut [u32] = &mut positions;
-            let mut hash_rest: &mut [u64] = &mut hashes;
+            let mut starts_rest: &mut [u32] = &mut starts[..buckets];
+            let mut entries_rest: &mut [(u32, u32)] = &mut entries;
             for (s, w) in bounds.windows(2).enumerate() {
                 let (lo, hi) = (w[0], w[1]);
                 let (starts_mine, starts_tail) = starts_rest.split_at_mut(hi - lo);
                 starts_rest = starts_tail;
-                let span = entry_base[s + 1] - entry_base[s];
-                let (pos_mine, pos_tail) = pos_rest.split_at_mut(span);
-                let (hash_mine, hash_tail) = hash_rest.split_at_mut(span);
-                pos_rest = pos_tail;
-                hash_rest = hash_tail;
+                let (entries_mine, entries_tail) =
+                    entries_rest.split_at_mut(entry_base[s + 1] - entry_base[s]);
+                entries_rest = entries_tail;
                 if lo == hi {
                     continue;
                 }
                 let base = entry_base[s] as u32;
                 scope.spawn(move || {
-                    // Count the shard's buckets (starts_mine[b - lo] will
-                    // end up holding the global starts[b + 1]).
-                    for part in parts {
-                        for &(h, _) in &part[s] {
-                            starts_mine[bucket_of(h, mask) - lo] += 1;
-                        }
-                    }
-                    // Prefix within the shard; offsetting by the shard's
-                    // entry base makes the slice globally identical to the
-                    // sequential build's running totals.
-                    let mut acc = base;
-                    for slot in starts_mine.iter_mut() {
-                        acc += *slot;
-                        *slot = acc;
-                    }
-                    // Scatter through per-bucket cursors relative to the
-                    // shard's entry slice: cursor[k] = starts[lo + k] - base.
-                    let mut cursor: Vec<u32> = std::iter::once(0)
-                        .chain(starts_mine[..hi - lo - 1].iter().map(|&v| v - base))
-                        .collect();
-                    for part in parts {
-                        for &(h, pos) in &part[s] {
-                            let slot = &mut cursor[bucket_of(h, mask) - lo];
-                            pos_mine[*slot as usize] = pos;
-                            hash_mine[*slot as usize] = h;
-                            *slot += 1;
-                        }
-                    }
+                    let rows = || parts.iter().flat_map(|p| p[s].iter().copied());
+                    group_by_bucket(rows, mask, lo, base, starts_mine, entries_mine);
                 });
             }
         });
-        let occupied = (0..buckets).filter(|&b| starts[b + 1] > starts[b]).count();
+        starts[buckets] = tuples.len() as u32;
 
         HashIndex {
             key_index,
             mask,
             starts,
-            positions,
-            hashes,
-            occupied,
+            entries,
         }
     }
 
@@ -257,47 +266,17 @@ impl HashIndex {
 
     /// Number of indexed tuples.
     pub fn len(&self) -> usize {
-        self.positions.len()
+        self.entries.len()
     }
 
     /// Returns true when no tuples are indexed.
     pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
-    }
-
-    /// Number of distinct non-empty hash buckets.
-    pub fn bucket_count(&self) -> usize {
-        self.occupied
-    }
-
-    /// The bucket entry range for a key hash: `(full_hash, position)` pairs
-    /// of every tuple whose key falls into the same bucket.
-    #[inline]
-    fn bucket_entries(&self, hash: u64) -> impl Iterator<Item = (u64, u32)> + '_ {
-        let b = bucket_of(hash, self.mask);
-        let (lo, hi) = (self.starts[b] as usize, self.starts[b + 1] as usize);
-        self.hashes[lo..hi]
-            .iter()
-            .copied()
-            .zip(self.positions[lo..hi].iter().copied())
-    }
-
-    /// Looks up the positions of tuples whose key *hash* matches `value`.
-    ///
-    /// Because the index stores hashes, the caller must re-check equality on
-    /// the actual values (`probe` does this for you); collisions are
-    /// astronomically unlikely with a 64-bit hash but correctness never
-    /// relies on that. Allocation-free.
-    pub fn candidate_positions<'a>(&'a self, value: &Value) -> impl Iterator<Item = u32> + 'a {
-        let h = value.stable_hash();
-        self.bucket_entries(h)
-            .filter(move |&(eh, _)| eh == h)
-            .map(|(_, pos)| pos)
+        self.entries.is_empty()
     }
 
     /// Probes the index with `value` over `tuples` (the same collection the
-    /// index was built from) and yields references to the matching tuples,
-    /// with exact equality re-checked.
+    /// index was built from) and yields references to the matching tuples
+    /// in ascending position, with exact equality re-checked.
     ///
     /// The probe is allocation-free: it walks the bucket's entry range
     /// lazily instead of materialising a `Vec` per call, which matters in
@@ -309,17 +288,15 @@ impl HashIndex {
         value: &'a Value,
     ) -> impl Iterator<Item = &'a Tuple> + 'a {
         let key_index = self.key_index;
-        let h = value.stable_hash();
-        self.bucket_entries(h)
-            .filter(move |&(eh, _)| eh == h)
-            .map(move |(_, pos)| &tuples[pos as usize])
+        let h = index_hash(value);
+        let tag = tag_of(h);
+        let b = bucket_of(h, self.mask);
+        let (lo, hi) = (self.starts[b] as usize, self.starts[b + 1] as usize);
+        self.entries[lo..hi]
+            .iter()
+            .filter(move |&&(t, _)| t == tag)
+            .map(move |&(_, pos)| &tuples[pos as usize])
             .filter(move |t| t.value(key_index) == value)
-    }
-
-    /// Estimated number of comparisons an index probe performs for `value`
-    /// (used by the simulator's cost model).
-    pub fn probe_cost(&self, value: &Value) -> usize {
-        self.candidate_positions(value).count().max(1)
     }
 }
 
@@ -361,8 +338,7 @@ mod tests {
         }
         let idx = HashIndex::build_for_fragment(&frag, 0);
         assert_eq!(idx.probe(frag.tuples(), &Value::Int(3)).count(), 10);
-        assert!(idx.probe_cost(&Value::Int(3)) >= 10);
-        assert_eq!(idx.probe_cost(&Value::Int(999)), 1);
+        assert_eq!(idx.probe(frag.tuples(), &Value::Int(999)).count(), 0);
     }
 
     #[test]
@@ -384,9 +360,7 @@ mod tests {
         assert_eq!(a.key_index, b.key_index);
         assert_eq!(a.mask, b.mask);
         assert_eq!(a.starts, b.starts);
-        assert_eq!(a.positions, b.positions);
-        assert_eq!(a.hashes, b.hashes);
-        assert_eq!(a.occupied, b.occupied);
+        assert_eq!(a.entries, b.entries);
     }
 
     /// A skewed key set: key `k` (of `ranks` distinct keys) appears with
@@ -471,8 +445,7 @@ mod tests {
     fn empty_index() {
         let idx = HashIndex::build(&[], 0);
         assert!(idx.is_empty());
-        assert_eq!(idx.bucket_count(), 0);
-        assert_eq!(idx.candidate_positions(&Value::Int(0)).count(), 0);
+        assert_eq!(idx.probe(&[], &Value::Int(0)).count(), 0);
     }
 
     #[test]
@@ -484,7 +457,8 @@ mod tests {
         frag.push(Tuple::new(vec![Value::from("AAA")]));
         let idx = HashIndex::build_for_fragment(&frag, 0);
         assert_eq!(idx.probe(frag.tuples(), &Value::from("AAA")).count(), 2);
-        assert_eq!(idx.bucket_count(), 2);
+        assert_eq!(idx.probe(frag.tuples(), &Value::from("BBB")).count(), 1);
+        assert_eq!(idx.probe(frag.tuples(), &Value::from("")).count(), 0);
     }
 
     #[test]
@@ -492,10 +466,47 @@ mod tests {
         let rows: Vec<(i64, i64)> = (0..1000).map(|i| (i % 37, i)).collect();
         let rel = test_relation("r", &rows);
         let idx = HashIndex::build_for_relation(&rel, 0);
-        let mut seen: Vec<u32> = (0..37)
-            .flat_map(|k| idx.candidate_positions(&Value::Int(k)).collect::<Vec<_>>())
+        let mut seen: Vec<i64> = (0..37)
+            .flat_map(|k| {
+                let key = Value::Int(k);
+                idx.probe(rel.tuples(), &key)
+                    .map(|t| t.value(1).as_int().unwrap())
+                    .collect::<Vec<_>>()
+            })
             .collect();
         seen.sort_unstable();
-        assert_eq!(seen, (0..1000u32).collect::<Vec<_>>());
+        assert_eq!(seen, (0..1000).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn buckets_spread_keys_the_partitioning_hash_groups() {
+        // A weak mixer (or an identity "hash") piles structured keys into a
+        // few buckets; so would one whose low bits correlate with the
+        // partitioning hash that put a fragment's rows together. 10 000
+        // random keys over 16 384 buckets occupy 45.7 % of them.
+        let one_partition = (0i64..)
+            .filter(|&k| crate::value::stable_hash_values([&Value::Int(k)]) % 20 == 7)
+            .take(10_000)
+            .collect();
+        let key_sets: [(&str, Vec<i64>); 5] = [
+            ("consecutive", (0..10_000).collect()),
+            ("one partition", one_partition),
+            ("multiples of 2^16", (0..10_000).map(|k| k << 16).collect()),
+            ("multiples of 2^32", (0..10_000).map(|k| k << 32).collect()),
+            ("negatives", (1..=10_000).map(|k| -k).collect()),
+        ];
+        for (name, keys) in key_sets {
+            let tuples: Vec<Tuple> = keys.iter().map(|&k| int_tuple(&[k])).collect();
+            let idx = HashIndex::build(&tuples, 0);
+            assert_eq!(idx.starts.len(), 16_385, "{name}");
+            let sizes = idx.starts.windows(2).map(|w| w[1] - w[0]);
+            let longest = sizes.clone().max().unwrap();
+            let occupied = sizes.filter(|&n| n > 0).count();
+            assert!(longest <= 8, "{name}: longest bucket {longest}");
+            assert!(
+                occupied as f64 >= 0.42 * 16_384.0,
+                "{name}: {occupied} of 16 384 buckets occupied"
+            );
+        }
     }
 }

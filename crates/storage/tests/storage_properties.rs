@@ -23,6 +23,57 @@ fn relation_from_rows(rows: &[(i64, i64)]) -> Relation {
     Relation::new("r", schema2(), tuples).unwrap()
 }
 
+/// An index key from a small universe, so bags repeat keys: the extreme
+/// integers, small negative and positive integers, and short strings
+/// including the empty one. `(kind, n)` is what the strategy draws.
+fn index_key((kind, n): (u8, i64)) -> Value {
+    match kind {
+        0 => Value::Int(i64::MIN),
+        1 => Value::Int(i64::MAX),
+        2 => Value::from(""),
+        3 => Value::from(format!("s{n}")),
+        _ => Value::Int(n),
+    }
+}
+
+/// Every key [`index_key`] can draw from `n` in `-20..20`, plus keys it
+/// never draws.
+fn key_universe() -> Vec<Value> {
+    let mut keys: Vec<Value> = (0..4).map(|kind| index_key((kind, 0))).collect();
+    for n in -25..25 {
+        keys.push(index_key((3, n)));
+        keys.push(index_key((4, n)));
+    }
+    keys
+}
+
+/// Tuples `(key, position)` over a bag of drawn keys.
+fn keyed_tuples(draws: &[(u8, i64)]) -> Vec<Tuple> {
+    draws
+        .iter()
+        .enumerate()
+        .map(|(pos, &d)| Tuple::new(vec![index_key(d), Value::Int(pos as i64)]))
+        .collect()
+}
+
+/// For every key of [`key_universe`], the positions an equality scan
+/// finds, in ascending order, and those `probe` yields, in its order.
+fn probe_and_scan(index: &HashIndex, tuples: &[Tuple]) -> Vec<(Vec<i64>, Vec<i64>)> {
+    let position = |t: &Tuple| t.value(1).as_int().unwrap();
+    key_universe()
+        .iter()
+        .map(|key| {
+            let probed = index.probe(tuples, key).map(position).collect();
+            let scanned = tuples
+                .iter()
+                .filter(|t| t.value(0) == key)
+                .map(position)
+                .collect();
+            (probed, scanned)
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -126,21 +177,18 @@ proptest! {
         }
     }
 
-    /// An index probe returns exactly the tuples an equality scan returns.
+    /// An index probe returns exactly the tuples an equality scan returns,
+    /// in ascending position order, for every key, present or absent.
     #[test]
     fn index_probe_equals_scan(
-        rows in proptest::collection::vec((-50i64..50, any::<i64>()), 0..300),
-        probe in -60i64..60,
+        draws in proptest::collection::vec((0u8..6, -20i64..20), 0..400),
     ) {
-        let rel = relation_from_rows(&rows);
-        let idx = HashIndex::build_for_relation(&rel, 0);
-        let via_index: usize = idx.probe(rel.tuples(), &Value::Int(probe)).count();
-        let via_scan = rel
-            .tuples()
-            .iter()
-            .filter(|t| t.value(0) == &Value::Int(probe))
-            .count();
-        prop_assert_eq!(via_index, via_scan);
+        let tuples = keyed_tuples(&draws);
+        let idx = HashIndex::build(&tuples, 0);
+        prop_assert_eq!(idx.len(), tuples.len());
+        for (probed, scanned) in probe_and_scan(&idx, &tuples) {
+            prop_assert_eq!(probed, scanned);
+        }
     }
 
     /// The reference join is symmetric in cardinality: |A ⋈ B| == |B ⋈ A|.
@@ -154,5 +202,25 @@ proptest! {
         let ab = a.reference_join(&b, "id", "id").unwrap().len();
         let ba = b.reference_join(&a, "id", "id").unwrap().len();
         prop_assert_eq!(ab, ba);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// A sharded build answers every probe as the sequential build does.
+    /// Above 2 × 4 096 rows each requested shard count really splits the
+    /// work (3 and 8 are capped at one shard per 4 096 rows).
+    #[test]
+    fn parallel_index_probes_yield_scan_matches_in_position_order(
+        draws in proptest::collection::vec((0u8..6, -20i64..20), 8_193..20_000),
+    ) {
+        let tuples = keyed_tuples(&draws);
+        for shards in [2usize, 3, 8] {
+            let idx = HashIndex::build_parallel(&tuples, 0, shards);
+            for (probed, scanned) in probe_and_scan(&idx, &tuples) {
+                prop_assert_eq!(probed, scanned, "shards {}", shards);
+            }
+        }
     }
 }
