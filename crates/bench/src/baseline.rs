@@ -35,7 +35,7 @@ const REPETITIONS: usize = 3;
 pub struct BaselineRun {
     /// Shape identifier (`fig14_assoc_join` or `fig15_ideal_join`).
     pub shape: &'static str,
-    /// Total threads the scheduler distributed over the pools.
+    /// The query's thread count, which is the width of the pool it ran on.
     pub threads: usize,
     /// Best-of-N wall-clock execution time in seconds.
     pub elapsed_s: f64,
@@ -191,8 +191,8 @@ fn measure(session: &Session, plan: &Plan, shape: &'static str, threads: usize) 
 /// rows under `"speedups"` — one object per concurrency level under
 /// `"concurrent"` (the multi-query shape of the shared [`dbs3::Runtime`]
 /// pool, as queries and elapsed time), and the measuring host's parallelism
-/// under `"host_cpus"` (below 4 CPUs the speedups are a degenerate
-/// reference, not evidence of scaling).
+/// under `"host_cpus"` (a speedup cannot exceed it, so below 4 CPUs the
+/// 4- and 8-thread ratios top out at the host's width).
 pub fn to_json(tiers: &[BaselineTier], concurrent: &[crate::concurrent::ConcurrentRun]) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"schema_version\": 5,\n");

@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p dbs3-bench --release --bin baseline                    # paper + scaled tiers
 //! cargo run -p dbs3-bench --release --bin baseline -- --scale paper  # one tier only
-//! cargo run -p dbs3-bench --release --bin baseline -- --scale scaled --smoke --gate
+//! cargo run -p dbs3-bench --release --bin baseline -- --scale scaled --gate
 //! cargo run -p dbs3-bench --release --bin baseline -- --out /tmp/b.json
 //! ```
 //!
@@ -16,11 +16,11 @@
 //!
 //! `--smoke` substitutes the CI-sized tiers (smoke / scaled_smoke).
 //! `--gate` turns the run into a scaling gate: after measuring, the scaled
-//! tier's fig14 shape must reach a 4-thread speedup of at least 2.0×, and
+//! tier's fig14 shape must reach a 4-thread speedup of at least
+//! `0.6 × min(4, host_cpus)` (1.2 on 2 CPUs, 2.4 on 4 or more), and
 //! multi-query queries/s must not collapse as concurrency rises (each
 //! level keeps at least 70% of the best lower level, per tier) — or
-//! the process exits non-zero. When the host offers fewer than 4 CPUs, both
-//! expectations would be meaningless and the gate reports itself skipped.
+//! the process exits non-zero. The gate runs on every host.
 //! The emitted file is re-read and sanity-checked so a truncated write fails
 //! loudly (the CI smoke step relies on a non-zero exit here).
 
@@ -30,12 +30,11 @@ use dbs3_bench::concurrent::{
 };
 use dbs3_bench::ExperimentScale;
 
-/// Minimum 4-thread speedup the scaled fig14 shape must reach under
-/// `--gate`. CI runners are noisy and shared, so this sits below the
-/// committed record's ratio, but with morsel scheduling a 4-thread run
-/// that fails to at least halve the elapsed time means intra-fragment
-/// parallelism stopped paying.
-const GATE_MIN_SPEEDUP_4T: f64 = 2.0;
+/// Share of the host's usable width, `min(4, host_cpus)`, that the scaled
+/// fig14 shape's 4-thread speedup must reach under `--gate`. A 2-CPU host
+/// measures ~2.0 against a floor of 1.2; a 4-thread run that falls below it
+/// means the extra workers stopped paying.
+const GATE_SPEEDUP_PER_CPU: f64 = 0.6;
 
 /// Minimum fraction of the best lower-concurrency queries/s each
 /// multi-query level must keep under `--gate`. Guards the 4-query anomaly
@@ -166,19 +165,13 @@ fn main() {
     }
 }
 
-/// The CI scaling gate: on a host with at least 4 CPUs, the scaled-tier
-/// fig14 shape must reach `GATE_MIN_SPEEDUP_4T` at 4 threads, and the
+/// The CI scaling gate: the scaled-tier fig14 shape must reach
+/// `GATE_SPEEDUP_PER_CPU × min(4, host_cpus)` at 4 threads, and the
 /// multi-query queries/s must be non-collapsing across concurrency levels
 /// at every measured tier.
 fn run_gate(tiers: &[BaselineTier], scaled_tier: ExperimentScale, concurrent: &[ConcurrentRun]) {
     let cpus = host_cpus();
-    if cpus < 4 {
-        eprintln!(
-            "# gate: SKIPPED — host offers {cpus} CPU(s); a 4-thread speedup \
-             expectation needs at least 4"
-        );
-        return;
-    }
+    let min_speedup = GATE_SPEEDUP_PER_CPU * cpus.min(4) as f64;
     let Some(tier) = tiers.iter().find(|t| t.scale == scaled_tier) else {
         eprintln!("error: gate requested but the scaled tier was not measured");
         std::process::exit(1);
@@ -187,9 +180,9 @@ fn run_gate(tiers: &[BaselineTier], scaled_tier: ExperimentScale, concurrent: &[
         eprintln!("error: gate shape {GATE_SHAPE} missing from the scaled tier");
         std::process::exit(1);
     };
-    if row.speedup_4t < GATE_MIN_SPEEDUP_4T {
+    if row.speedup_4t < min_speedup {
         eprintln!(
-            "error: gate FAILED — {GATE_SHAPE} 4-thread speedup {:.2} < {GATE_MIN_SPEEDUP_4T} \
+            "error: gate FAILED — {GATE_SHAPE} 4-thread speedup {:.2} < {min_speedup:.1} \
              on a {cpus}-CPU host (parallelism stopped paying)",
             row.speedup_4t
         );
@@ -213,7 +206,7 @@ fn run_gate(tiers: &[BaselineTier], scaled_tier: ExperimentScale, concurrent: &[
         std::process::exit(1);
     }
     eprintln!(
-        "# gate: OK — {GATE_SHAPE} speedup_4t={:.2} (>= {GATE_MIN_SPEEDUP_4T}), multi-query \
+        "# gate: OK — {GATE_SHAPE} speedup_4t={:.2} (>= {min_speedup:.1}), multi-query \
          queries/s non-collapsing over {} levels (ratio >= {GATE_MIN_CONCURRENT_RATIO}, \
          host_cpus={cpus})",
         row.speedup_4t,

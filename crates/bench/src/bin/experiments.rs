@@ -9,7 +9,7 @@
 //! Subcommands: `fig8`, `fig9`, `fig12`, `fig13`, `fig14`, `fig15`, `fig16`,
 //! `fig17`, `fig18`, `fig19`, `ablation-static`, `ablation-affinity`,
 //! `ablation-bound`, `all`. The `--smoke` flag switches to the reduced scale
-//! used by the Criterion benches.
+//! whose output `tests/golden/figures_smoke.txt` pins.
 
 use dbs3_bench::experiments as exp;
 use dbs3_bench::ExperimentScale;

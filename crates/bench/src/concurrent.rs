@@ -9,9 +9,10 @@
 //! (cardinalities and metrics only), so the measurement tracks engine
 //! scheduling cost, not result materialisation.
 //!
-//! The same harness backs the `concurrent` binary (the CI stress gate: a
-//! deadlocked or livelocked pool fails by timeout instead of hanging the
-//! build) and the `concurrent` section of `BENCH_engine.json`.
+//! It backs the `concurrent` section of `BENCH_engine.json` and the
+//! non-collapse half of the `baseline --gate` check. Correctness of
+//! concurrent queries, under a hard timeout, is pinned in tier-1 by
+//! `tests/runtime.rs`.
 
 use dbs3::prelude::*;
 use std::time::Instant;

@@ -50,8 +50,7 @@ pub fn skew_sweep(scale: ExperimentScale) -> Vec<f64> {
 
 /// Runs `query` on the simulated machine `config` and returns the
 /// virtual-time report. Every figure harness funnels through this one
-/// facade call; the Criterion benches and the `experiments` binary differ
-/// only in scale.
+/// facade call, at paper or smoke scale.
 fn simulate(query: Query<'_>, config: SimConfig) -> SimReport {
     query
         .on(Backend::Simulated(config))

@@ -743,10 +743,10 @@ mod tests {
             assert_eq!(base.fingerprint(), prepared.fingerprint());
         }
         let four = prepare(&cat, &plan, &base_options.with_total_threads(4), &cost).unwrap();
-        assert_ne!(
-            base.schedule().total_threads(),
-            four.schedule().total_threads()
-        );
+        let allocated = |p: &PreparedPlan| -> usize {
+            p.schedule().per_node().values().map(|s| s.threads).sum()
+        };
+        assert_ne!(allocated(&base), allocated(&four));
     }
 
     #[test]

@@ -127,18 +127,11 @@ impl ExecutionSchedule {
 
     /// The query's thread count (scheduling step 1): the count the caller
     /// fixed with [`SchedulerOptions::total_threads`], or the one derived
-    /// from the estimated complexity. Unlike [`Self::total_threads`] it is
-    /// not rounded up per operation, so it can be smaller than that sum.
+    /// from the estimated complexity. It is the width of the pool a query
+    /// runs on by default. The per-operation counts of steps 2–3 are each
+    /// rounded up to at least 1, so their sum can exceed it.
     pub fn query_threads(&self) -> usize {
         self.query_threads
-    }
-
-    /// Total threads across all pools: the per-operation counts of steps
-    /// 2–3 summed, each rounded up to at least 1 — so a query of `n`
-    /// threads over more than `n` operations reports more than `n` here
-    /// (see [`Self::query_threads`]).
-    pub fn total_threads(&self) -> usize {
-        self.per_node.values().map(|s| s.threads).sum()
     }
 
     /// All per-node schedules.
@@ -413,7 +406,7 @@ mod tests {
             &SchedulerOptions::default().with_total_threads(10),
         )
         .unwrap();
-        assert_eq!(schedule.total_threads(), 10);
+        assert_eq!(allocated_threads(&schedule), 10);
         // The join dominates the complexity, so it receives most threads.
         let join_threads = schedule.operation(NodeId(1)).unwrap().threads;
         let transmit_threads = schedule.operation(NodeId(0)).unwrap().threads;
@@ -447,7 +440,12 @@ mod tests {
         )
         .unwrap();
         assert_eq!(one.query_threads(), 1);
-        assert_eq!(one.total_threads(), 2);
+        assert_eq!(allocated_threads(&one), 2);
+    }
+
+    /// Steps 2–3's per-operation thread counts, summed.
+    fn allocated_threads(schedule: &ExecutionSchedule) -> usize {
+        schedule.per_node().values().map(|s| s.threads).sum()
     }
 
     #[test]

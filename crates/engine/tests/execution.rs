@@ -26,7 +26,7 @@ fn execute(
     plan: &Plan,
     schedule: &ExecutionSchedule,
 ) -> dbs3_engine::Result<ExecutionOutcome> {
-    Runtime::shared(schedule.total_threads().max(1))?
+    Runtime::shared(schedule.query_threads().max(1))?
         .submit(catalog, plan, schedule)?
         .wait()
 }
@@ -36,7 +36,7 @@ fn execute_prepared(
     catalog: &Catalog,
     prepared: &PreparedPlan,
 ) -> dbs3_engine::Result<ExecutionOutcome> {
-    Runtime::shared(prepared.schedule().total_threads().max(1))?
+    Runtime::shared(prepared.schedule().query_threads().max(1))?
         .submit_prepared(catalog, prepared)?
         .wait()
 }

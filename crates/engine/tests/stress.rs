@@ -59,7 +59,7 @@ fn execute(
     plan: &Plan,
     schedule: &ExecutionSchedule,
 ) -> dbs3_engine::Result<ExecutionOutcome> {
-    Runtime::shared(schedule.total_threads().max(1))?
+    Runtime::shared(schedule.query_threads().max(1))?
         .submit(catalog, plan, schedule)?
         .wait()
 }

@@ -200,10 +200,12 @@ impl<'a> Simulator<'a> {
                 control_queues += count;
             }
         }
-        let startup_us =
-            config
-                .costs
-                .startup_us(control_queues, data_queues, schedule.total_threads());
+        // The modelled machine starts one pool per operation, so every
+        // operation's thread (steps 2–3, each at least 1) is paid for.
+        let pool_threads: usize = schedule.per_node().values().map(|s| s.threads).sum();
+        let startup_us = config
+            .costs
+            .startup_us(control_queues, data_queues, pool_threads);
 
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut reports: Vec<OperationReport> = Vec::new();

@@ -43,9 +43,11 @@
 //! that vary are *which pool* and *whether the caller waits*:
 //!
 //! * [`Backend::Threaded`] (the default) uses the process-wide
-//!   [`Runtime::shared`] pool whose width equals the schedule's total
-//!   thread count. The pool is spawned on first use at that width, parks
-//!   when idle and lives for the rest of the process.
+//!   [`Runtime::shared`] pool whose width equals the query's thread count
+//!   ([`ExecutionSchedule::query_threads`](dbs3_engine::ExecutionSchedule::query_threads)),
+//!   so `.threads(n)` runs on exactly `n` workers. The pool is spawned on
+//!   first use at that width, parks when idle and lives for the rest of the
+//!   process.
 //! * [`Backend::Pooled`] uses a [`Runtime`] the caller owns. Its width is
 //!   fixed at [`Runtime::new`]; the query's `.threads(n)` knob still shapes
 //!   the *schedule* (queue cost estimates, strategy picks) but does not
@@ -94,8 +96,9 @@ use std::time::Duration;
 #[derive(Debug, Clone, Default)]
 pub enum Backend {
     /// Real OS threads on the process-wide [`Runtime::shared`] pool whose
-    /// width is the schedule's total thread count (spawned on first use,
-    /// reused by every later run at that width).
+    /// width is the query's thread count — `.threads(n)`, or the count
+    /// scheduling step 1 derives (spawned on first use, reused by every
+    /// later run at that width).
     #[default]
     Threaded,
     /// Real OS threads on a caller-owned [`Runtime`] pool, shared with

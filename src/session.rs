@@ -137,7 +137,7 @@ fn prepare_plan(
 
 /// The one door from the facade into the engine: submits `prepared` to
 /// `runtime`, or — when the caller named no pool — to the process-wide
-/// pool as wide as the schedule.
+/// pool as wide as the query's thread count (scheduling step 1).
 fn submit_to(
     runtime: Option<&Runtime>,
     catalog: &Catalog,
@@ -145,7 +145,7 @@ fn submit_to(
 ) -> Result<QueryHandle> {
     let handle = match runtime {
         Some(runtime) => runtime.submit_prepared(catalog, prepared)?,
-        None => Runtime::shared(prepared.schedule().total_threads().max(1))?
+        None => Runtime::shared(prepared.schedule().query_threads().max(1))?
             .submit_prepared(catalog, prepared)?,
     };
     Ok(QueryHandle::new(handle))
@@ -438,7 +438,9 @@ mod tests {
             .cache_size(16)
             .schedule()
             .unwrap();
-        assert_eq!(schedule.total_threads(), 6);
+        assert_eq!(schedule.query_threads(), 6);
+        let allocated: usize = schedule.per_node().values().map(|op| op.threads).sum();
+        assert_eq!(allocated, 6);
         for op in schedule.per_node().values() {
             assert_eq!(op.strategy, ConsumptionStrategy::Lpt);
             assert_eq!(op.cache_size, 16);

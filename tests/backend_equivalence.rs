@@ -292,7 +292,7 @@ fn morsel_granularity_is_invisible_across_all_backends() {
         let mut engine_counts: Option<Vec<Option<u64>>> = None;
         for morsel_rows in [512usize, 1_999, 4_096, 1_000_000] {
             let schedule = query().schedule().unwrap().with_morsel_rows(morsel_rows);
-            let shared = Runtime::shared(schedule.total_threads()).unwrap();
+            let shared = Runtime::shared(schedule.query_threads()).unwrap();
             for pool in [&shared, &runtime] {
                 let outcome = QueryOutcome::from_execution(
                     pool.submit(session.catalog(), &plan, &schedule)
@@ -382,6 +382,25 @@ fn shared_metric_accessors_are_populated_on_both_backends() {
         assert!(outcome.elapsed() > std::time::Duration::ZERO);
         assert!(outcome.metrics.total_activations() > 0);
         assert!(outcome.metrics.worst_imbalance() >= 1.0);
-        assert!(outcome.metrics.total_threads() >= 4);
+        assert_eq!(outcome.metrics.total_threads(), 4);
+    }
+}
+
+/// Threads mean threads: the default threaded backend runs a query on a
+/// pool exactly as wide as the query's thread count — `.threads(1)` is one
+/// worker, however many operations the plan has — and without `.threads()`
+/// on the width scheduling step 1 derives.
+#[test]
+fn threaded_backend_is_as_wide_as_the_query() {
+    let session = session(10_000, 1_000, 20, 0.0);
+    for plan in [
+        plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash),
+        plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash),
+    ] {
+        let one = session.query(&plan).threads(1).run().unwrap();
+        assert_eq!(one.metrics.total_threads(), 1, "{}", plan.name());
+        let derived = session.query(&plan).schedule().unwrap().query_threads();
+        let outcome = session.query(&plan).run().unwrap();
+        assert_eq!(outcome.metrics.total_threads(), derived, "{}", plan.name());
     }
 }

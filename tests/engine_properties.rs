@@ -41,7 +41,7 @@ fn execute(
     plan: &Plan,
     schedule: &ExecutionSchedule,
 ) -> dbs3::engine::Result<dbs3::engine::ExecutionOutcome> {
-    Runtime::shared(schedule.total_threads().max(1))?
+    Runtime::shared(schedule.query_threads().max(1))?
         .submit(catalog, plan, schedule)?
         .wait()
 }

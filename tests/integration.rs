@@ -187,8 +187,9 @@ fn scheduler_respects_thread_budget_across_plans() {
     ] {
         for budget in [2usize, 5, 12] {
             let schedule = session.query(&plan).threads(budget).schedule().unwrap();
+            let allocated: usize = schedule.per_node().values().map(|s| s.threads).sum();
             assert_eq!(
-                schedule.total_threads(),
+                allocated,
                 budget.max(plan.len()),
                 "plan {} with budget {budget}",
                 plan.name()

@@ -19,7 +19,8 @@
 use dbs3::prelude::*;
 use dbs3_engine::EngineError;
 use dbs3_lera::OperatorKind;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 fn session(a_card: usize, b_card: usize, degree: usize) -> Session {
     let mut session = Session::new();
@@ -44,9 +45,11 @@ fn plan_mix() -> Vec<Plan> {
     ]
 }
 
-/// Acceptance criterion: a single `Runtime` executes ≥ 16 concurrently
+/// The multi-query contract: a single `Runtime` executes ≥ 16 concurrently
 /// submitted queries with per-query cardinalities (and logical activation
-/// counts) identical to sequential `run()`.
+/// counts) identical to sequential `run()`. The handles are waited on a
+/// helper thread under a hard timeout, so a deadlocked or livelocked pool
+/// fails the test instead of hanging `cargo test`.
 #[test]
 fn sixteen_concurrent_queries_match_sequential_run() {
     let session = session(2_000, 200, 16);
@@ -80,8 +83,19 @@ fn sixteen_concurrent_queries_match_sequential_run() {
         })
         .collect();
 
-    for (shape, handle) in handles {
-        let outcome = handle.wait().unwrap();
+    let (done, outcomes) = mpsc::channel();
+    std::thread::spawn(move || {
+        for (shape, handle) in handles {
+            if done.send((shape, handle.wait())).is_err() {
+                return;
+            }
+        }
+    });
+    for _ in 0..16 {
+        let (shape, outcome) = outcomes
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the pool wedged: no outcome within 60 s");
+        let outcome = outcome.unwrap();
         let (expected_cardinality, expected_counts) = &reference[shape];
         assert_eq!(
             outcome.result_cardinality("Result"),
