@@ -13,10 +13,9 @@
 
 use crate::data::{selection_session, ExperimentScale, JoinDatabase};
 use dbs3::{Backend, Query, Session};
-use dbs3_engine::ConsumptionStrategy;
 use dbs3_lera::{plans, JoinAlgorithm, NodeId, Plan, Predicate};
 use dbs3_model as model;
-use dbs3_sim::{DataPlacement, SimConfig, SimReport};
+use dbs3_sim::{ConsumptionStrategy, DataPlacement, SimConfig, SimReport};
 
 /// The degrees of parallelism the paper sweeps in Figures 14–15.
 pub fn thread_sweep(scale: ExperimentScale) -> Vec<usize> {
@@ -163,11 +162,8 @@ pub fn fig12_assocjoin_skew(scale: ExperimentScale) -> Vec<AssocSkewRow> {
         .map(|theta| {
             let session = db.session(degree, theta);
             let report = simulate(
-                session
-                    .query(&plan)
-                    .threads(threads)
-                    .strategy(ConsumptionStrategy::Random),
-                SimConfig::ksr1(),
+                session.query(&plan).threads(threads),
+                SimConfig::ksr1().with_strategy(ConsumptionStrategy::Random),
             );
             // Tworst from the analytic model, over the pipelined join's
             // activation profile and the threads its pool actually received.
@@ -224,20 +220,14 @@ pub fn fig13_idealjoin_skew(scale: ExperimentScale) -> Vec<IdealSkewRow> {
         .into_iter()
         .map(|theta| {
             let session = db.session(degree, theta);
-            let random = simulate(
-                session
-                    .query(&plan)
-                    .threads(threads)
-                    .strategy(ConsumptionStrategy::Random),
-                SimConfig::ksr1(),
-            );
-            let lpt = simulate(
-                session
-                    .query(&plan)
-                    .threads(threads)
-                    .strategy(ConsumptionStrategy::Lpt),
-                SimConfig::ksr1(),
-            );
+            let run = |strategy| {
+                simulate(
+                    session.query(&plan).threads(threads),
+                    SimConfig::ksr1().with_strategy(strategy),
+                )
+            };
+            let random = run(ConsumptionStrategy::Random);
+            let lpt = run(ConsumptionStrategy::Lpt);
             let join = random.operation(NodeId(0)).expect("join is simulated");
             let tworst_us = random.startup_us
                 + model::worst_time(
@@ -351,12 +341,8 @@ pub fn fig15_idealjoin_speedup(scale: ExperimentScale) -> Vec<IdealSpeedupRow> {
         .map(|n| {
             let speedup_at = |idx: usize| {
                 simulate(
-                    sessions[idx]
-                        .1
-                        .query(&plan)
-                        .threads(n)
-                        .strategy(ConsumptionStrategy::Lpt),
-                    SimConfig::ksr1(),
+                    sessions[idx].1.query(&plan).threads(n),
+                    SimConfig::ksr1().with_strategy(ConsumptionStrategy::Lpt),
                 )
                 .speedup()
             };
@@ -534,11 +520,8 @@ pub fn fig18_skew_vs_partitioning(scale: ExperimentScale) -> Vec<SkewVsPartition
     let run = |db: &JoinDatabase, plan: &Plan, degree: usize, theta: f64| -> f64 {
         let session = db.session(degree, theta);
         simulate(
-            session
-                .query(plan)
-                .threads(threads)
-                .strategy(ConsumptionStrategy::Lpt),
-            SimConfig::ksr1(),
+            session.query(plan).threads(threads),
+            SimConfig::ksr1().with_strategy(ConsumptionStrategy::Lpt),
         )
         .total_seconds()
     };
@@ -597,11 +580,8 @@ pub fn fig19_saved_time(scale: ExperimentScale) -> Vec<SavedTimeRow> {
         .map(|&d| {
             let session = db.session(d, 0.6);
             simulate(
-                session
-                    .query(&plan)
-                    .threads(threads)
-                    .strategy(ConsumptionStrategy::Lpt),
-                SimConfig::ksr1(),
+                session.query(&plan).threads(threads),
+                SimConfig::ksr1().with_strategy(ConsumptionStrategy::Lpt),
             )
             .total_seconds()
         })
@@ -659,14 +639,10 @@ pub fn ablation_static_baseline(scale: ExperimentScale) -> Vec<StaticBaselineRow
         .into_iter()
         .map(|theta| {
             let session = db.session(degree, theta);
-            let query = || {
-                session
-                    .query(&plan)
-                    .threads(10)
-                    .strategy(ConsumptionStrategy::Lpt)
-            };
-            let adaptive = simulate(query(), SimConfig::ksr1());
-            let fixed = simulate(query(), SimConfig::ksr1().with_static_baseline());
+            let query = || session.query(&plan).threads(10);
+            let lpt = SimConfig::ksr1().with_strategy(ConsumptionStrategy::Lpt);
+            let adaptive = simulate(query(), lpt.clone());
+            let fixed = simulate(query(), lpt.with_static_baseline());
             StaticBaselineRow {
                 theta,
                 adaptive_s: adaptive.total_seconds(),
@@ -818,17 +794,13 @@ pub fn ablation_granule(scale: ExperimentScale) -> Vec<GranuleRow> {
     granules
         .into_iter()
         .map(|granule| {
+            let lpt = SimConfig::ksr1().with_strategy(ConsumptionStrategy::Lpt);
             let config = match granule {
-                Some(g) => SimConfig::ksr1().with_triggered_granule(g),
-                None => SimConfig::ksr1(),
+                Some(g) => lpt.with_triggered_granule(g),
+                None => lpt,
             };
-            let run = |session: &Session| {
-                let query = session
-                    .query(&plan)
-                    .threads(threads)
-                    .strategy(ConsumptionStrategy::Lpt);
-                simulate(query, config.clone())
-            };
+            let run =
+                |session: &Session| simulate(session.query(&plan).threads(threads), config.clone());
             let skewed_report = run(&skewed);
             let unskewed_report = run(&unskewed);
             GranuleRow {
@@ -896,22 +868,9 @@ pub fn ablation_bound(scale: ExperimentScale) -> Vec<BoundRow> {
         let skewed = db.session(degree, theta);
         let unskewed = db.session(degree, 0.0);
         for &threads in &thread_counts {
-            let t_skewed = simulate(
-                skewed
-                    .query(&plan)
-                    .threads(threads)
-                    .strategy(ConsumptionStrategy::Lpt),
-                SimConfig::ksr1(),
-            )
-            .execution_us;
-            let t_ideal = simulate(
-                unskewed
-                    .query(&plan)
-                    .threads(threads)
-                    .strategy(ConsumptionStrategy::Lpt),
-                SimConfig::ksr1(),
-            )
-            .execution_us;
+            let lpt = || SimConfig::ksr1().with_strategy(ConsumptionStrategy::Lpt);
+            let t_skewed = simulate(skewed.query(&plan).threads(threads), lpt()).execution_us;
+            let t_ideal = simulate(unskewed.query(&plan).threads(threads), lpt()).execution_us;
             rows.push(BoundRow {
                 theta,
                 threads,

@@ -575,11 +575,6 @@ fn options_hash(options: &SchedulerOptions, cost: &CostParameters) -> u64 {
     write_option_usize(&mut h, options.total_threads);
     h.write_usize(options.queue_capacity);
     h.write_usize(options.cache_size);
-    h.write_u64(match options.strategy_override {
-        None => 0,
-        Some(crate::strategy::ConsumptionStrategy::Random) => 1,
-        Some(crate::strategy::ConsumptionStrategy::Lpt) => 2,
-    });
     h.write_u64(options.discard_results as u64);
     write_cost(&mut h, cost);
     h.finish()
@@ -720,10 +715,6 @@ mod tests {
                     cache_size: base_options.cache_size * 2,
                     ..base_options
                 },
-            ),
-            (
-                "strategy_override",
-                base_options.with_strategy(crate::strategy::ConsumptionStrategy::Lpt),
             ),
             (
                 "discard_results",

@@ -11,22 +11,24 @@
 //! * one fixed **pool of threads** serves every operation of every live
 //!   query ([`runtime`]); the queues live in shared memory so any thread of
 //!   the pool can consume any activation, and an operation's scheduled
-//!   thread count shapes its queues and strategy, not who may run it;
-//! * queues are split into **main** and **secondary** queues per thread to
-//!   limit access conflicts: a thread first drains its main queues and only
-//!   then looks at the others ([`strategy`]);
+//!   thread count does not bind who may run it;
+//! * each operation's queues are ordered once by decreasing estimated cost,
+//!   and every thread walks that order as a ring starting at its own slice:
+//!   the slice is the thread's **main** queues, the rest its **secondary**
+//!   ones, so a thread first drains its main queues and only then looks at
+//!   the others, costliest first;
 //! * a producer-side **internal activation cache** batches outgoing tuples
 //!   per destination and flushes each buffer as one [`TupleBatch`] transport
 //!   activation, so `CacheSize` tuples cross the queue under a single lock
 //!   acquisition (implemented by the runtime's scatter buffers; metrics
 //!   still count the paper's logical per-tuple activations, see
 //!   [`activation`]);
-//! * two **consumption strategies** are provided, `Random` (default) and
-//!   `LPT` (longest processing time first) for skewed triggered operations;
-//! * the **scheduler** ([`schedule`]) fixes `ThreadNb`, `QueueNb`,
-//!   `CacheSize` and `Strategy` for every operation following the four-step
-//!   top-down approach of Figure 5, using the analytic thread-allocation
-//!   solver of [`dbs3_model`];
+//! * the **scheduler** ([`schedule`]) fixes `ThreadNb`, `QueueNb` and
+//!   `CacheSize` for every operation following steps 1–3 of the top-down
+//!   approach of Figure 5, using the analytic thread-allocation solver of
+//!   [`dbs3_model`]; the paper's Random/LPT strategies and step 4, which
+//!   picks between them, live in the simulator (`dbs3_sim`), the only code
+//!   that models them;
 //! * the **runtime** ([`runtime`]) owns the worker threads: a persistent
 //!   shared pool, spawned once and parked on a condvar when idle, that
 //!   executes any number of concurrently submitted queries — each tagged
@@ -53,7 +55,6 @@ pub mod operators;
 pub mod queue;
 pub mod runtime;
 pub mod schedule;
-pub mod strategy;
 pub mod sync;
 
 pub use activation::{Activation, TupleBatch};
@@ -66,7 +67,6 @@ pub use runtime::{ExecutionOutcome, QueryHandle, QueryId, Runtime};
 pub use schedule::{
     ExecutionSchedule, OperationSchedule, Scheduler, SchedulerOptions, DEFAULT_MORSEL_ROWS,
 };
-pub use strategy::ConsumptionStrategy;
 pub use sync::CachePadded;
 
 /// Convenient `Result` alias for engine operations.

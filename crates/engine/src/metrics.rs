@@ -7,7 +7,6 @@
 //! vs static one-thread-per-instance, effect of the internal cache).
 
 use crate::cache::CacheStats;
-use crate::strategy::ConsumptionStrategy;
 use dbs3_lera::NodeId;
 use std::time::Duration;
 
@@ -31,9 +30,11 @@ pub struct ThreadMetrics {
     /// batch (another worker emptied them between the work hint and the
     /// pop).
     pub idle_polls: u64,
-    /// Logical activations consumed from the thread's main queues.
+    /// Logical activations consumed from the thread's main queues: its own
+    /// slice of the operation's cost-ordered queue ring.
     pub main_queue_hits: u64,
-    /// Logical activations consumed from secondary queues.
+    /// Logical activations consumed from any other queue, including batches
+    /// the thread popped while helping drain a full queue.
     pub secondary_queue_hits: u64,
     /// Batch flushes of the producer-side internal cache.
     pub cache_flushes: u64,
@@ -46,8 +47,6 @@ pub struct OperationMetrics {
     pub node: NodeId,
     /// Operation display name.
     pub name: String,
-    /// Strategy the pool used.
-    pub strategy: ConsumptionStrategy,
     /// Number of activation queues (operation instances).
     pub queues: usize,
     /// Per-thread metrics.
@@ -174,7 +173,6 @@ mod tests {
         OperationMetrics {
             node: NodeId(0),
             name: "join".to_string(),
-            strategy: ConsumptionStrategy::Random,
             queues: 4,
             threads: vec![thread(0, 10, 100, 8, 2), thread(1, 30, 300, 30, 0)],
         }
@@ -206,7 +204,6 @@ mod tests {
         let op = OperationMetrics {
             node: NodeId(1),
             name: "store".into(),
-            strategy: ConsumptionStrategy::Lpt,
             queues: 0,
             threads: vec![],
         };

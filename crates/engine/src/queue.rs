@@ -89,7 +89,8 @@ pub struct ActivationQueue {
     /// below the bound (the queue briefly overfills rather than
     /// deadlocking).
     capacity: usize,
-    /// Static cost estimate of the work behind this queue, used by LPT.
+    /// Static cost estimate of the work behind this queue; it orders the
+    /// workers' queue scan.
     estimated_cost: f64,
     state: Mutex<QueueState>,
     not_empty: Condvar,
@@ -147,7 +148,7 @@ impl ActivationQueue {
         self.instance
     }
 
-    /// The static cost estimate used by the LPT strategy.
+    /// The static cost estimate that orders the workers' queue scan.
     pub fn estimated_cost(&self) -> f64 {
         self.estimated_cost
     }

@@ -10,9 +10,8 @@
 //! — one [`ActivationQueue`] per operation instance, exactly the structure
 //! of Figure 4 — tags it with a [`QueryId`], and registers it with the pool.
 //! Workers then pick activations **across all live queries**, still under
-//! the paper's consumption machinery (main/secondary queues, `Random`/`LPT`
-//! per operation), so the intra-query scheduling of Section 3 extends to
-//! inter-query scheduling without new mechanism.
+//! the paper's main/secondary queue split, so the intra-query scheduling of
+//! Section 3 extends to inter-query scheduling without new mechanism.
 //!
 //! # Work finding: the global ready-op deque
 //!
@@ -41,8 +40,22 @@
 //! successful push (the CAS makes duplicates impossible), and a worker that
 //! pops an entry whose operation has no buffered work left clears the flag,
 //! then re-checks and re-announces if a push raced the clear — the classic
-//! lost-wakeup two-step. Within an operation, *which queue* to pop stays
-//! exactly the paper's machinery (main/secondary split, `Random`/`LPT`).
+//! lost-wakeup two-step. Within an operation, *which queue* to pop follows
+//! one fixed consumption order (see below).
+//!
+//! # Queue scan: one cost-ordered ring
+//!
+//! At submit, each operation sorts its queues once by decreasing estimated
+//! cost into `order`. Slice `w` of `P` equal contiguous slices of `order`
+//! holds worker `w`'s *main* queues (each queue is the main queue of only
+//! one worker, as in the paper). A worker walks `order` as a ring from the
+//! first entry of its slice: its main queues first, costliest first, then
+//! the others as *secondary* queues, so idle workers start from different
+//! points instead of converging on one queue. There is no per-operation
+//! `Random`/`LPT` choice (scheduling step 4): a per-poll shuffle cost CPU
+//! and bought nothing measurable with morsels, while the cost order keeps
+//! what LPT's visit order is worth on wider pools. The simulator keeps
+//! both strategies.
 //!
 //! # Morsels
 //!
@@ -60,8 +73,8 @@
 //!
 //! * **Thread ownership is inverted.** Threads belong to the runtime, not
 //!   to an operation of one query. An operation's scheduled thread count
-//!   still shapes the *plan* (queue cost estimates, strategy choice); the
-//!   pool width bounds actual parallelism.
+//!   shapes only the simulated *plan*; the pool width bounds actual
+//!   parallelism.
 //! * **Termination is by accounting, not by thread exit.** The old executor
 //!   closed a consumer's queues when the last producer *thread* exited.
 //!   Here an operation is *finished* when all its queues are exhausted
@@ -111,17 +124,14 @@ use crate::operators::{
 };
 use crate::queue::{ActivationQueue, TryPushError};
 use crate::schedule::ExecutionSchedule;
-use crate::strategy::ConsumptionStrategy;
 use crate::sync::CachePadded;
 use crate::Result;
 use dbs3_lera::{CostParameters, ExtendedPlan, NodeId, OperatorKind, OuterInput, Plan};
 use dbs3_storage::{Catalog, Tuple};
 use parking_lot::{Condvar, Mutex};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -165,14 +175,13 @@ struct OpRuntime {
     /// One queue per instance, held inline: nothing outside the query
     /// state ever holds a queue, so one allocation covers the whole set.
     queues: Vec<ActivationQueue>,
-    strategy: ConsumptionStrategy,
     /// Batch budget of one pop and flush threshold of the producer-side
     /// scatter buffers (the paper's `CacheSize`).
     cache_size: usize,
     consumer: Option<ConsumerLink>,
-    /// Queue indexes in decreasing estimated-cost order (the LPT visit
-    /// order; computed once at submit because the estimates are static).
-    lpt_order: Vec<usize>,
+    /// Queue indexes in decreasing estimated-cost order: the ring every
+    /// worker walks. Computed once at submit: the estimates are static.
+    order: Vec<usize>,
     /// Workers currently holding popped activations of this operation (or
     /// probing its queues). The operation cannot finish while non-zero.
     /// Cache-padded: bumped by every worker touching the operation, and a
@@ -670,8 +679,8 @@ impl Runtime {
                     )
                 })
                 .collect();
-            let mut lpt_order: Vec<usize> = (0..queues.len()).collect();
-            lpt_order.sort_by(|a, b| {
+            let mut order: Vec<usize> = (0..queues.len()).collect();
+            order.sort_by(|a, b| {
                 queues[*b]
                     .estimated_cost()
                     .partial_cmp(&queues[*a].estimated_cost())
@@ -684,10 +693,9 @@ impl Runtime {
                 name: node.name.clone(),
                 operator,
                 queues,
-                strategy: op_schedule.strategy,
                 cache_size: op_schedule.cache_size.max(1),
                 consumer: None,
-                lpt_order,
+                order,
                 inflight: CachePadded::new(AtomicUsize::new(0)),
                 finished: AtomicBool::new(false),
                 announced: AtomicBool::new(false),
@@ -1146,21 +1154,18 @@ pub(crate) fn bind_operator(
     }
 }
 
-/// Per-worker scan state: the worker's RNG (for the `Random` strategy's
-/// per-poll shuffle), a reused visit-order buffer and the buffer every pop
-/// lands in.
+/// Per-worker scan state: the worker's index, which fixes its slice of
+/// every operation's queue ring, and the buffer every pop lands in.
 ///
 /// The pop buffer lives here and not in a thread-local pool on purpose: a
-/// thread-local taken and returned around every queue probe made a
-/// `Random`/`LPT` scan over hundreds of mostly-empty queues pay two TLS
-/// round trips per probe instead of one atomic load, and cost 10–17 % more
-/// CPU per query at identical allocation counts (measured on
-/// `local_assoc_pipeline` and `local_ideal_skew`). Owned by the worker, the
-/// buffer is touched only by a pop that found work.
+/// thread-local taken and returned around every queue probe made a scan
+/// over hundreds of mostly-empty queues pay two TLS round trips per probe
+/// instead of one atomic load, and cost 10–17 % more CPU per query at
+/// identical allocation counts (measured on `local_assoc_pipeline` and
+/// `local_ideal_skew`). Owned by the worker, the buffer is touched only by
+/// a pop that found work.
 struct WorkerCtx {
     id: usize,
-    rng: StdRng,
-    scratch: Vec<usize>,
     /// What [`select_and_pop`] popped; [`process_batch`] drains it, so it is
     /// empty between batches and only its capacity carries over.
     popped: Vec<Activation>,
@@ -1176,8 +1181,6 @@ struct WorkerCtx {
 fn worker_loop(inner: &Arc<RuntimeInner>, worker: usize) {
     let mut ctx = WorkerCtx {
         id: worker,
-        rng: StdRng::seed_from_u64(0x5eed_0000 ^ worker as u64),
-        scratch: Vec::new(),
         popped: Vec::new(),
     };
     loop {
@@ -1300,14 +1303,22 @@ fn try_process_op(
             None => {}
         }
         match select_and_pop(op, inner.pool_threads, ctx) {
-            Some(queue_index) => {
+            Some((queue_index, main)) => {
                 // More is buffered behind this batch: pass the wake-up on
                 // before starting to work, so a parked pool comes up as a
                 // doubling cascade instead of all at once from `submit`.
                 if op.pending.load(Ordering::SeqCst) > 0 {
                     inner.idle.wake_one();
                 }
-                process_batch(inner, query, op_index, queue_index, &mut ctx.popped, ctx.id);
+                process_batch(
+                    inner,
+                    query,
+                    op_index,
+                    queue_index,
+                    main,
+                    &mut ctx.popped,
+                    ctx.id,
+                );
                 Processed::Worked(true)
             }
             None => {
@@ -1366,43 +1377,41 @@ fn try_process_op(
     }
 }
 
-/// Selects the next queue of `op` for this worker, pops up to `cache_size`
-/// logical activations from it into `ctx.popped` and returns the queue's
-/// index.
-///
-/// Queue ownership follows the paper's main/secondary split, projected onto
-/// the pool: queue `q` is a main queue of worker `q % pool_threads`. Main
-/// queues are visited before secondary ones; within each group `Random`
-/// shuffles the visit order per poll and `LPT` uses the static
-/// decreasing-cost order. Probing an empty queue is one atomic load.
-fn select_and_pop(op: &OpRuntime, pool_threads: usize, ctx: &mut WorkerCtx) -> Option<usize> {
-    for group in 0..2 {
-        let is_main_group = group == 0;
-        ctx.scratch.clear();
-        match op.strategy {
-            ConsumptionStrategy::Lpt => ctx.scratch.extend(
-                op.lpt_order
-                    .iter()
-                    .copied()
-                    .filter(|q| (q % pool_threads == ctx.id) == is_main_group),
-            ),
-            ConsumptionStrategy::Random => {
-                ctx.scratch.extend(
-                    (0..op.queues.len()).filter(|q| (q % pool_threads == ctx.id) == is_main_group),
-                );
-                ctx.scratch.shuffle(&mut ctx.rng);
-            }
-        }
-        for i in 0..ctx.scratch.len() {
-            let queue_index = ctx.scratch[i];
-            let weight = op.queues[queue_index].try_pop_into(op.cache_size, &mut ctx.popped);
-            if weight > 0 {
-                op.pending.fetch_sub(weight as u64, Ordering::SeqCst);
-                return Some(queue_index);
-            }
+/// Selects the next queue of `op` for this worker in [`ring_scan`] order,
+/// pops up to `cache_size` logical activations from it into `ctx.popped`
+/// and returns the queue's index and whether it is one of the worker's main
+/// queues. Probing an empty queue is one atomic load.
+fn select_and_pop(
+    op: &OpRuntime,
+    pool_threads: usize,
+    ctx: &mut WorkerCtx,
+) -> Option<(usize, bool)> {
+    for (position, main) in ring_scan(ctx.id, pool_threads, op.order.len()) {
+        let queue_index = op.order[position];
+        let weight = op.queues[queue_index].try_pop_into(op.cache_size, &mut ctx.popped);
+        if weight > 0 {
+            op.pending.fetch_sub(weight as u64, Ordering::SeqCst);
+            return Some((queue_index, main));
         }
     }
     None
+}
+
+/// Positions in an `n`-queue `order` of `worker`'s main queues: slice
+/// `worker` of `pool_threads` equal contiguous slices, which differ in size
+/// by at most one (some are empty when `n < pool_threads`).
+fn main_slice(worker: usize, pool_threads: usize, n: usize) -> Range<usize> {
+    worker * n / pool_threads..(worker + 1) * n / pool_threads
+}
+
+/// The positions of an `n`-queue `order` that `worker` probes, in order,
+/// each with whether it is a main queue: the ring from the first entry of
+/// the worker's [`main_slice`] (see the module docs).
+fn ring_scan(worker: usize, pool_threads: usize, n: usize) -> impl Iterator<Item = (usize, bool)> {
+    let main = main_slice(worker, pool_threads, n);
+    (main.start..n)
+        .chain(0..main.start)
+        .map(move |position| (position, main.contains(&position)))
 }
 
 thread_local! {
@@ -1442,7 +1451,8 @@ fn recycle_scatter_buffers(mut buffers: Vec<Vec<Tuple>>) {
 }
 
 /// Processes one popped batch of activations of `op`, scattering the
-/// produced tuples to the consumer's queues and recording metrics.
+/// produced tuples to the consumer's queues and recording metrics. `main`
+/// says whether the batch came from one of `worker`'s main queues.
 ///
 /// Routing is the producer-side activation cache of the paper, specialised
 /// per [`Router`]:
@@ -1465,6 +1475,7 @@ fn process_batch(
     query: &Arc<QueryState>,
     op_index: usize,
     queue_index: usize,
+    main: bool,
     batch: &mut Vec<Activation>,
     worker: usize,
 ) {
@@ -1583,7 +1594,7 @@ fn process_batch(
     slot.tuples_out += tuples_out;
     slot.busy += started.elapsed().saturating_sub(helped);
     slot.cache_flushes += flushes;
-    if queue_index % inner.pool_threads == worker {
+    if main {
         slot.main_queue_hits += logical;
     } else {
         slot.secondary_queue_hits += logical;
@@ -1638,9 +1649,10 @@ fn flush_to(
 
 /// Pops one batch from the congested consumer queue and processes it on
 /// behalf of the consumer operation (cooperative backpressure). Recursion
-/// through [`process_batch`] is bounded by the pipeline depth. The pop
-/// buffer is local: this path is rare, and an empty `Vec` allocates only
-/// if the pop finds work.
+/// through [`process_batch`] is bounded by the pipeline depth. The batch
+/// counts as secondary consumption: the worker did not pick the queue. The
+/// pop buffer is local: this path is rare, and an empty `Vec` allocates
+/// only if the pop finds work.
 fn help_drain(
     inner: &Arc<RuntimeInner>,
     query: &Arc<QueryState>,
@@ -1657,7 +1669,15 @@ fn help_drain(
         std::thread::yield_now();
     } else {
         consumer.pending.fetch_sub(weight as u64, Ordering::SeqCst);
-        process_batch(inner, query, consumer_index, dest, &mut popped, worker);
+        process_batch(
+            inner,
+            query,
+            consumer_index,
+            dest,
+            false,
+            &mut popped,
+            worker,
+        );
     }
     if consumer.inflight.fetch_sub(1, Ordering::SeqCst) == 1 {
         try_finish_op(inner, query, consumer_index);
@@ -1731,7 +1751,6 @@ fn finalize_query(inner: &Arc<RuntimeInner>, query: &Arc<QueryState>) {
             OperationMetrics {
                 node: op.node,
                 name: op.name.clone(),
-                strategy: op.strategy,
                 queues: op.queues.len(),
                 threads,
             }
@@ -1845,6 +1864,46 @@ mod tests {
     }
 
     #[test]
+    fn main_slices_partition_the_ring_and_each_scan_starts_at_its_own() {
+        for pool in [1usize, 2, 3, 4, 7] {
+            // Fewer queues than workers, as many, and more.
+            for n in [0, pool / 2, pool, pool + 1, 3 * pool + 2, 200] {
+                let slices: Vec<Range<usize>> = (0..pool).map(|w| main_slice(w, pool, n)).collect();
+                // Contiguous, in worker order, covering 0..n: a partition.
+                assert_eq!(slices[0].start, 0);
+                assert_eq!(slices[pool - 1].end, n);
+                for pair in slices.windows(2) {
+                    assert_eq!(pair[0].end, pair[1].start, "pool {pool}, n {n}");
+                }
+                let sizes: Vec<usize> = slices.iter().map(|s| s.len()).collect();
+                let (min, max) = (sizes.iter().min(), sizes.iter().max());
+                assert!(
+                    max.unwrap() - min.unwrap() <= 1,
+                    "pool {pool}, n {n}: {sizes:?}"
+                );
+
+                for (w, slice) in slices.iter().enumerate() {
+                    let scan: Vec<(usize, bool)> = ring_scan(w, pool, n).collect();
+                    assert_eq!(scan.len(), n);
+                    if n == 0 {
+                        continue;
+                    }
+                    // The first probe is the first entry of the worker's
+                    // slice, and every later one is the next ring position.
+                    assert_eq!(scan[0].0, w * n / pool);
+                    for pair in scan.windows(2) {
+                        assert_eq!(pair[1].0, (pair[0].0 + 1) % n, "pool {pool}, n {n}, w {w}");
+                    }
+                    // The slice comes first and is all main; the rest is not.
+                    let main: Vec<usize> = scan.iter().filter(|p| p.1).map(|p| p.0).collect();
+                    assert_eq!(main, slice.clone().collect::<Vec<_>>());
+                    assert!(scan[..slice.len()].iter().all(|p| p.1));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn tiny_queue_capacity_does_not_deadlock_the_shared_pool() {
         let (cat, _, b_ref) = build_catalog(4_000, 400, 16);
         let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
@@ -1854,7 +1913,6 @@ mod tests {
                 node.id,
                 OperationSchedule {
                     threads: 1,
-                    strategy: ConsumptionStrategy::Random,
                     queue_capacity: 2,
                     cache_size: 1,
                 },

@@ -1,7 +1,7 @@
-//! The scheduler: fixing `ThreadNb`, `QueueNb`, `CacheSize` and `Strategy`
-//! for every operation (Section 3, Figure 5).
+//! The scheduler: fixing `ThreadNb`, `QueueNb` and `CacheSize` for every
+//! operation (Section 3, Figure 5).
 //!
-//! The four steps:
+//! The engine runs the first three of the paper's four steps:
 //!
 //! 1. **Choosing the number of threads** from the query's estimated
 //!    complexity (or an explicit request from the caller, as in the paper's
@@ -11,15 +11,16 @@
 //!    ([`dbs3_model::allocate_subqueries`]).
 //! 3. **Assigning the threads of each chain to its operations** by
 //!    complexity ratio ([`dbs3_model::allocate_chain`]).
-//! 4. **Choosing the consumption strategy** per operation: LPT for triggered
-//!    operations over skewed fragments, Random otherwise.
+//!
+//! Step 4, choosing a Random or LPT consumption strategy per operation, has
+//! no counterpart here: every worker of the shared pool walks one fixed,
+//! cost-ordered ring of an operation's queues ([`crate::runtime`]). The
+//! simulator (`dbs3_sim::strategy`), which models the paper's machine, keeps
+//! step 4.
 
 use crate::error::EngineError;
-use crate::strategy::ConsumptionStrategy;
 use crate::Result;
-use dbs3_lera::{
-    ActivationKind, ExtendedPlan, NodeId, Plan, PlanComplexity, SubqueryDecomposition,
-};
+use dbs3_lera::{ExtendedPlan, NodeId, Plan, PlanComplexity, SubqueryDecomposition};
 use dbs3_model::{allocate_chain, allocate_subqueries, SubqueryNode};
 use std::collections::BTreeMap;
 
@@ -28,8 +29,6 @@ use std::collections::BTreeMap;
 pub struct OperationSchedule {
     /// Number of threads in the operation's pool.
     pub threads: usize,
-    /// Consumption strategy of the pool.
-    pub strategy: ConsumptionStrategy,
     /// Capacity of each activation queue.
     pub queue_capacity: usize,
     /// Producer-side internal cache size (activations per destination before
@@ -50,10 +49,6 @@ const MAX_DERIVED_THREADS: usize = 64;
 /// Estimated work (cost units) step 1 gives one thread before adding
 /// another — amortises thread start-up over low-complexity queries.
 const WORK_PER_THREAD: f64 = 250_000.0;
-
-/// Skew factor (max instance cost / average instance cost) above which
-/// step 4 switches a triggered operation from Random to LPT.
-const LPT_SKEW_THRESHOLD: f64 = 3.0;
 
 /// Execution parameters for a whole plan.
 #[derive(Debug, Clone)]
@@ -172,8 +167,6 @@ pub struct SchedulerOptions {
     pub queue_capacity: usize,
     /// Producer-side internal cache size: tuples per transport batch.
     pub cache_size: usize,
-    /// Force a strategy for every operation instead of letting step 4 pick.
-    pub strategy_override: Option<ConsumptionStrategy>,
     /// Count result tuples in the store operators instead of materialising
     /// them (for workloads that only need cardinalities and metrics).
     pub discard_results: bool,
@@ -185,7 +178,6 @@ impl Default for SchedulerOptions {
             total_threads: None,
             queue_capacity: 1024,
             cache_size: 32,
-            strategy_override: None,
             discard_results: false,
         }
     }
@@ -198,12 +190,6 @@ impl SchedulerOptions {
     /// when the schedule is built — no silent clamping.
     pub fn with_total_threads(mut self, threads: usize) -> Self {
         self.total_threads = Some(threads);
-        self
-    }
-
-    /// Forces one consumption strategy everywhere.
-    pub fn with_strategy(mut self, strategy: ConsumptionStrategy) -> Self {
-        self.strategy_override = Some(strategy);
         self
     }
 
@@ -237,7 +223,7 @@ impl SchedulerOptions {
 pub struct Scheduler;
 
 impl Scheduler {
-    /// Builds an execution schedule for a plan (steps 1–4 of Figure 5).
+    /// Builds an execution schedule for a plan (steps 1–3 of Figure 5).
     pub fn build(
         plan: &Plan,
         extended: &ExtendedPlan,
@@ -283,13 +269,10 @@ impl Scheduler {
             let op_complexities: Vec<f64> = sq.nodes.iter().map(|n| complexity.node(*n)).collect();
             let shares = allocate_chain(threads, &op_complexities);
             for (node, share) in sq.nodes.iter().zip(shares) {
-                // Step 4: consumption strategy.
-                let strategy = Self::pick_strategy(extended, *node, options);
                 per_node.insert(
                     *node,
                     OperationSchedule {
                         threads: share,
-                        strategy,
                         queue_capacity: options.queue_capacity,
                         cache_size: options.cache_size,
                     },
@@ -328,36 +311,6 @@ impl Scheduler {
         schedule.validate(plan)?;
         Ok(schedule)
     }
-
-    /// Step 4: LPT for skewed triggered operations, Random otherwise.
-    fn pick_strategy(
-        extended: &ExtendedPlan,
-        node: NodeId,
-        options: &SchedulerOptions,
-    ) -> ConsumptionStrategy {
-        if let Some(forced) = options.strategy_override {
-            return forced;
-        }
-        let Some(op) = extended.operation(node) else {
-            return ConsumptionStrategy::Random;
-        };
-        if op.activation_kind != ActivationKind::Control {
-            // Pipelined operations are naturally insensitive to skew
-            // (Section 4.1): Random is fine and cheaper.
-            return ConsumptionStrategy::Random;
-        }
-        let costs: Vec<f64> = op.instances().iter().map(|i| i.estimated_cost).collect();
-        if costs.is_empty() {
-            return ConsumptionStrategy::Random;
-        }
-        let max = costs.iter().cloned().fold(f64::MIN, f64::max);
-        let avg = costs.iter().sum::<f64>() / costs.len() as f64;
-        if avg > 0.0 && max / avg > LPT_SKEW_THRESHOLD {
-            ConsumptionStrategy::Lpt
-        } else {
-            ConsumptionStrategy::Random
-        }
-    }
 }
 
 #[cfg(test)]
@@ -368,11 +321,11 @@ mod tests {
         Catalog, PartitionSpec, PartitionedRelation, WisconsinConfig, WisconsinGenerator,
     };
 
-    fn catalog(skew: f64) -> Catalog {
-        catalog_of(5000, 500, 40, skew)
+    fn catalog() -> Catalog {
+        catalog_of(5000, 500, 40)
     }
 
-    fn catalog_of(a_card: usize, b_card: usize, degree: usize, skew: f64) -> Catalog {
+    fn catalog_of(a_card: usize, b_card: usize, degree: usize) -> Catalog {
         let gen = WisconsinGenerator::new();
         let a = gen.generate(&WisconsinConfig::narrow("A", a_card)).unwrap();
         let b = gen
@@ -380,12 +333,8 @@ mod tests {
             .unwrap();
         let mut cat = Catalog::new();
         let spec = PartitionSpec::on("unique1", degree, 4);
-        let a_part = if skew > 0.0 {
-            PartitionedRelation::from_relation_with_skew(&a, spec.clone(), skew).unwrap()
-        } else {
-            PartitionedRelation::from_relation(&a, spec.clone()).unwrap()
-        };
-        cat.register(a_part).unwrap();
+        cat.register(PartitionedRelation::from_relation(&a, spec.clone()).unwrap())
+            .unwrap();
         cat.register(PartitionedRelation::from_relation(&b, spec).unwrap())
             .unwrap();
         cat
@@ -397,7 +346,7 @@ mod tests {
 
     #[test]
     fn explicit_thread_count_is_distributed_across_the_chain() {
-        let cat = catalog(0.0);
+        let cat = catalog();
         let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::NestedLoop);
         let ext = extended(&cat, &plan);
         let schedule = Scheduler::build(
@@ -416,7 +365,7 @@ mod tests {
 
     #[test]
     fn derived_thread_count_scales_with_complexity() {
-        let cat = catalog_of(20_000, 2_000, 20, 0.0);
+        let cat = catalog_of(20_000, 2_000, 20);
         let small = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
         let big = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
         let derive = |plan: &Plan| {
@@ -449,59 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn skewed_triggered_join_gets_lpt() {
-        let cat = catalog(1.0);
-        let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
-        let ext = extended(&cat, &plan);
-        let schedule = Scheduler::build(
-            &plan,
-            &ext,
-            &SchedulerOptions::default().with_total_threads(10),
-        )
-        .unwrap();
-        assert_eq!(
-            schedule.operation(NodeId(0)).unwrap().strategy,
-            ConsumptionStrategy::Lpt
-        );
-    }
-
-    #[test]
-    fn unskewed_join_keeps_random() {
-        let cat = catalog(0.0);
-        let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
-        let ext = extended(&cat, &plan);
-        let schedule = Scheduler::build(
-            &plan,
-            &ext,
-            &SchedulerOptions::default().with_total_threads(10),
-        )
-        .unwrap();
-        assert_eq!(
-            schedule.operation(NodeId(0)).unwrap().strategy,
-            ConsumptionStrategy::Random
-        );
-    }
-
-    #[test]
-    fn strategy_override_wins() {
-        let cat = catalog(1.0);
-        let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
-        let ext = extended(&cat, &plan);
-        let schedule = Scheduler::build(
-            &plan,
-            &ext,
-            &SchedulerOptions::default()
-                .with_total_threads(10)
-                .with_strategy(ConsumptionStrategy::Random),
-        )
-        .unwrap();
-        assert_eq!(
-            schedule.operation(NodeId(0)).unwrap().strategy,
-            ConsumptionStrategy::Random
-        );
-    }
-
-    #[test]
     fn missing_operation_is_an_error() {
         let schedule = ExecutionSchedule::from_parts(BTreeMap::new());
         assert!(matches!(
@@ -512,7 +408,6 @@ mod tests {
 
     #[test]
     fn validate_rejects_zero_threads() {
-        let cat = catalog(0.0);
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
         let mut per_node = BTreeMap::new();
         for node in plan.nodes() {
@@ -520,7 +415,6 @@ mod tests {
                 node.id,
                 OperationSchedule {
                     threads: 0,
-                    strategy: ConsumptionStrategy::Random,
                     queue_capacity: 16,
                     cache_size: 4,
                 },
@@ -531,12 +425,11 @@ mod tests {
             schedule.validate(&plan),
             Err(EngineError::InvalidSchedule(_))
         ));
-        let _ = cat;
     }
 
     #[test]
     fn build_rejects_zero_total_threads() {
-        let cat = catalog(0.0);
+        let cat = catalog();
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
         let ext = extended(&cat, &plan);
         let err = Scheduler::build(
@@ -553,7 +446,7 @@ mod tests {
 
     #[test]
     fn build_rejects_zero_cache_size() {
-        let cat = catalog(0.0);
+        let cat = catalog();
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
         let ext = extended(&cat, &plan);
         let options = SchedulerOptions {
@@ -582,7 +475,7 @@ mod tests {
 
     #[test]
     fn build_parallelism_follows_thread_count() {
-        let cat = catalog(0.0);
+        let cat = catalog();
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
         let ext = extended(&cat, &plan);
         // 40 join instances build concurrently across 6 threads: each build
@@ -596,7 +489,7 @@ mod tests {
         assert_eq!(derived.build_parallelism(), 1);
         // With fewer instances than threads, the idle budget goes into each
         // build: 2 instances × 6 threads => 3 shards per build.
-        let narrow_cat = catalog_of(5000, 500, 2, 0.0);
+        let narrow_cat = catalog_of(5000, 500, 2);
         let narrow_ext = extended(&narrow_cat, &plan);
         let narrow = Scheduler::build(
             &plan,
@@ -612,7 +505,7 @@ mod tests {
 
     #[test]
     fn morsel_rows_default_and_schedule_override() {
-        let cat = catalog(0.0);
+        let cat = catalog();
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
         let ext = extended(&cat, &plan);
         let derived = Scheduler::build(
@@ -630,7 +523,7 @@ mod tests {
 
     #[test]
     fn with_helpers_adjust_schedule() {
-        let cat = catalog(0.0);
+        let cat = catalog();
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
         let ext = extended(&cat, &plan);
         let schedule = Scheduler::build(

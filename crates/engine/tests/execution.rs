@@ -7,8 +7,7 @@
 //! materialising run builds).
 
 use dbs3_engine::{
-    ConsumptionStrategy, ExecutionOutcome, ExecutionSchedule, PreparedPlan, Runtime, Scheduler,
-    SchedulerOptions,
+    ExecutionOutcome, ExecutionSchedule, PreparedPlan, Runtime, Scheduler, SchedulerOptions,
 };
 use dbs3_lera::{
     plans, CostParameters, ExtendedPlan, JoinAlgorithm, JoinCondition, Plan, PlanBuilder, Predicate,
@@ -138,18 +137,56 @@ fn selection_stores_matching_tuples() {
     assert!(outcome.result().is_some());
 }
 
+/// Skewed triggered and pipelined joins match the reference, and the queue
+/// scan accounts for every activation: on one worker every queue is a main
+/// queue, and on two workers with a queue capacity of 2, which forces
+/// help-draining, each logical activation is still counted exactly once as
+/// main or secondary.
 #[test]
-fn skewed_ideal_join_with_lpt_matches_reference() {
+fn skewed_joins_match_reference_and_count_every_activation_as_main_or_secondary() {
     let (cat, a_ref, b_ref) = build_catalog(1000, 100, 20, 1.0);
-    let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
-    let ext = ExtendedPlan::from_plan(&plan, &cat, &CostParameters::default()).unwrap();
-    let options = SchedulerOptions::default()
-        .with_total_threads(5)
-        .with_strategy(ConsumptionStrategy::Lpt);
-    let schedule = Scheduler::build(&plan, &ext, &options).unwrap();
-    let outcome = execute(&cat, &plan, &schedule).unwrap();
-    let expected = a_ref.reference_join(&b_ref, "unique1", "unique1").unwrap();
-    assert_eq!(outcome.results["Result"].len(), expected.len());
+    let cases = [
+        (
+            plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop),
+            a_ref.reference_join(&b_ref, "unique1", "unique1").unwrap(),
+        ),
+        (
+            plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash),
+            b_ref.reference_join(&a_ref, "unique1", "unique1").unwrap(),
+        ),
+    ];
+    for (plan, expected) in &cases {
+        let ext = ExtendedPlan::from_plan(plan, &cat, &CostParameters::default()).unwrap();
+        for (workers, queue_capacity) in [(1, 1024), (2, 2)] {
+            let options = SchedulerOptions {
+                queue_capacity,
+                ..SchedulerOptions::default().with_total_threads(workers)
+            };
+            let schedule = Scheduler::build(plan, &ext, &options).unwrap();
+            let outcome = Runtime::new(workers)
+                .unwrap()
+                .submit(&cat, plan, &schedule)
+                .unwrap()
+                .wait()
+                .unwrap();
+            let case = format!("{} on {workers} worker(s)", plan.name());
+            assert_eq!(outcome.results["Result"].len(), expected.len(), "{case}");
+            for op in &outcome.metrics.operations {
+                let hits = |f: fn(&dbs3_engine::metrics::ThreadMetrics) -> u64| -> u64 {
+                    op.threads.iter().map(f).sum()
+                };
+                assert_eq!(
+                    hits(|t| t.main_queue_hits) + hits(|t| t.secondary_queue_hits),
+                    op.total_activations(),
+                    "{case}, {}",
+                    op.name
+                );
+                if workers == 1 {
+                    assert_eq!(op.secondary_consumption_ratio(), 0.0, "{case}, {}", op.name);
+                }
+            }
+        }
+    }
 }
 
 #[test]

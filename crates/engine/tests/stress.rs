@@ -4,8 +4,7 @@
 //! queue-based pipeline engine typically deadlocks or loses activations.
 
 use dbs3_engine::{
-    ConsumptionStrategy, ExecutionOutcome, ExecutionSchedule, OperationSchedule, Runtime,
-    Scheduler, SchedulerOptions,
+    ExecutionOutcome, ExecutionSchedule, OperationSchedule, Runtime, Scheduler, SchedulerOptions,
 };
 use dbs3_lera::{plans, CostParameters, ExtendedPlan, JoinAlgorithm, Plan, Predicate};
 use dbs3_storage::{
@@ -43,7 +42,6 @@ fn manual_schedule(
             node.id,
             OperationSchedule {
                 threads,
-                strategy: ConsumptionStrategy::Random,
                 queue_capacity,
                 cache_size,
             },
@@ -179,11 +177,11 @@ fn repeated_executions_are_stable() {
     }
 }
 
-/// The LPT strategy on a heavily skewed, low-fragment-count database still
-/// terminates and produces the reference result with a single thread per
-/// pool (worst case for queue starvation logic).
+/// A heavily skewed, low-fragment-count database still terminates and
+/// produces the reference result with a single thread per pool (worst case
+/// for queue starvation logic).
 #[test]
-fn lpt_single_thread_skewed() {
+fn single_thread_skewed() {
     let gen = dbs3_storage::WisconsinGenerator::new();
     let a = gen
         .generate(&dbs3_storage::WisconsinConfig::narrow("A", 2_000))
@@ -209,9 +207,7 @@ fn lpt_single_thread_skewed() {
     let options = SchedulerOptions {
         queue_capacity: 4,
         cache_size: 2,
-        ..SchedulerOptions::default()
-            .with_total_threads(1)
-            .with_strategy(ConsumptionStrategy::Lpt)
+        ..SchedulerOptions::default().with_total_threads(1)
     };
     let schedule = Scheduler::build(&plan, &extended, &options).unwrap();
     assert!(schedule.per_node().values().all(|op| op.threads == 1));

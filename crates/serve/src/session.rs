@@ -12,7 +12,7 @@
 
 use crate::client::{Client, RemoteOutcome};
 use crate::error::ServeResult;
-use dbs3_engine::{ConsumptionStrategy, SchedulerOptions};
+use dbs3_engine::SchedulerOptions;
 use dbs3_lera::Plan;
 use std::net::ToSocketAddrs;
 use std::time::Duration;
@@ -67,12 +67,6 @@ impl RemoteQuery<'_> {
     /// batch.
     pub fn cache_size(mut self, cache_size: usize) -> Self {
         self.options.cache_size = cache_size;
-        self
-    }
-
-    /// Forces one consumption strategy everywhere.
-    pub fn strategy(mut self, strategy: ConsumptionStrategy) -> Self {
-        self.options = self.options.with_strategy(strategy);
         self
     }
 

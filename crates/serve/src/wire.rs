@@ -15,7 +15,7 @@
 //! |------|---------------|------------------------------------------------|
 //! | 0x01 | `Query`       | version, plan, options, deadline_ms, request_id|
 //! |      |               | (options: total_threads?, queue_capacity,      |
-//! |      |               | cache_size, strategy tag, discard_results)     |
+//! |      |               | cache_size, discard_results)                   |
 //! | 0x02 | `Shutdown`    | empty (graceful-shutdown control frame)        |
 //! | 0x81 | `Cardinality` | store name, row count (one frame per store)    |
 //! | 0x82 | `Metrics`     | elapsed_us, activations, imbalance, threads    |
@@ -32,7 +32,7 @@
 //! present ([`MAX_FRAME_LEN`] bounds allocation).
 
 use crate::error::{ServeError, ServeResult};
-use dbs3_engine::{ConsumptionStrategy, SchedulerOptions};
+use dbs3_engine::SchedulerOptions;
 use dbs3_lera::{
     CompareOp, InputSource, JoinAlgorithm, JoinCondition, NodeId, OperatorKind, OperatorNode,
     OuterInput, Plan, Predicate,
@@ -44,8 +44,9 @@ use std::io::{Read, Write};
 /// payload changes so stale clients get a typed error, not garbage.
 /// Version 2 added the idempotency `request_id` to the `Query` payload;
 /// version 3 cut the options from ten fields to the five
-/// `SchedulerOptions` keeps.
-pub const PROTOCOL_VERSION: u8 = 3;
+/// `SchedulerOptions` kept then; version 4 dropped the strategy tag, leaving
+/// the four it keeps now.
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// Upper bound on a frame payload. Plans are small (a handful of nodes and
 /// strings); 16 MiB is far above anything legitimate while keeping a
@@ -548,11 +549,6 @@ fn encode_options(enc: &mut Enc, options: &SchedulerOptions) {
     enc.opt_u64(options.total_threads.map(|v| v as u64));
     enc.u64(options.queue_capacity as u64);
     enc.u64(options.cache_size as u64);
-    match options.strategy_override {
-        None => enc.u8(0),
-        Some(ConsumptionStrategy::Random) => enc.u8(1),
-        Some(ConsumptionStrategy::Lpt) => enc.u8(2),
-    }
     enc.bool(options.discard_results);
 }
 
@@ -563,22 +559,11 @@ fn decode_options(dec: &mut Dec<'_>) -> ServeResult<SchedulerOptions> {
         .transpose()?;
     let queue_capacity = Dec::usize_of(dec.u64("queue_capacity")?, "queue_capacity")?;
     let cache_size = Dec::usize_of(dec.u64("cache_size")?, "cache_size")?;
-    let strategy_override = match dec.u8("strategy tag")? {
-        0 => None,
-        1 => Some(ConsumptionStrategy::Random),
-        2 => Some(ConsumptionStrategy::Lpt),
-        other => {
-            return Err(ServeError::Malformed(format!(
-                "unknown strategy tag {other}"
-            )))
-        }
-    };
     let discard_results = dec.bool("discard_results")?;
     Ok(SchedulerOptions {
         total_threads,
         queue_capacity,
         cache_size,
-        strategy_override,
         discard_results,
     })
 }
@@ -916,8 +901,9 @@ mod tests {
             QueryRequest::decode(&payload),
             Err(ServeError::Malformed(_))
         ));
-        // A version-2 client's frame, with its ten-field options layout,
-        // names both versions instead of being misparsed as version 3.
+        // Frames of older clients — version 2 with its ten-field options
+        // layout, version 3 with five fields including the strategy tag —
+        // name both versions instead of being misparsed as version 4.
         let request = sample_request();
         let mut v2 = Enc::new();
         v2.u8(2);
@@ -934,12 +920,25 @@ mod tests {
         v2.opt_u64(None); // morsel_rows
         v2.u64(request.deadline_ms);
         v2.u64(request.request_id);
-        match Frame::decode(frame_type::QUERY, &v2.buf) {
-            Err(ServeError::Malformed(msg)) => assert!(
-                msg.contains("protocol version 2") && msg.contains("speaks 3"),
-                "{msg}"
-            ),
-            other => panic!("expected a typed version error, got {other:?}"),
+        let mut v3 = Enc::new();
+        v3.u8(3);
+        encode_plan(&mut v3, &request.plan);
+        v3.opt_u64(Some(4)); // total_threads
+        v3.u64(1024); // queue_capacity
+        v3.u64(32); // cache_size
+        v3.u8(2); // strategy tag (LPT)
+        v3.bool(false); // discard_results
+        v3.u64(request.deadline_ms);
+        v3.u64(request.request_id);
+        for (version, frame) in [(2, v2.buf), (3, v3.buf)] {
+            match Frame::decode(frame_type::QUERY, &frame) {
+                Err(ServeError::Malformed(msg)) => assert!(
+                    msg.contains(&format!("protocol version {version}"))
+                        && msg.contains("speaks 4"),
+                    "{msg}"
+                ),
+                other => panic!("expected a typed version error, got {other:?}"),
+            }
         }
         // Error frame with an unknown code.
         let mut enc = Enc::new();

@@ -2,7 +2,7 @@
 //! round-trip exactly, and arbitrary damage — truncation, bit flips, pure
 //! noise — decodes to a typed error without ever panicking.
 
-use dbs3_engine::{ConsumptionStrategy, SchedulerOptions};
+use dbs3_engine::SchedulerOptions;
 use dbs3_lera::{JoinAlgorithm, JoinCondition, Plan, PlanBuilder, Predicate};
 use dbs3_serve::{Frame, QueryRequest, ServeError};
 use dbs3_storage::Value;
@@ -86,20 +86,10 @@ fn plan_from(chain_seeds: &[u32]) -> Plan {
     builder.build()
 }
 
-fn options_from(
-    threads: Option<u32>,
-    cache: u32,
-    strategy: u32,
-    discard: bool,
-) -> SchedulerOptions {
+fn options_from(threads: Option<u32>, cache: u32, discard: bool) -> SchedulerOptions {
     SchedulerOptions {
         total_threads: threads.map(|t| t as usize + 1),
         cache_size: cache as usize,
-        strategy_override: match strategy % 3 {
-            0 => None,
-            1 => Some(ConsumptionStrategy::Random),
-            _ => Some(ConsumptionStrategy::Lpt),
-        },
         discard_results: discard,
         ..SchedulerOptions::default()
     }
@@ -116,14 +106,13 @@ proptest! {
         has_threads in any::<bool>(),
         threads in 0u32..512,
         cache in 0u32..4096,
-        strategy in any::<u32>(),
         discard in any::<bool>(),
         deadline_ms in any::<u64>(),
         request_id in any::<u64>(),
     ) {
         let request = QueryRequest {
             plan: plan_from(&chain_seeds),
-            options: options_from(has_threads.then_some(threads), cache, strategy, discard),
+            options: options_from(has_threads.then_some(threads), cache, discard),
             deadline_ms,
             request_id,
         };

@@ -13,9 +13,12 @@
 //! remote-access penalty — are *scheduling* phenomena: they are fully
 //! determined by which worker processes which activation when, and by a
 //! per-activation cost model. The simulator therefore replays the same
-//! extended plans, with the same activation granularity, the same consumption
-//! strategies (Random / LPT) and the same thread-allocation decisions as the
-//! real engine, but advances a virtual clock instead of burning CPU.
+//! extended plans, with the same activation granularity and the same
+//! thread-allocation decisions as the real engine, but advances a virtual
+//! clock instead of burning CPU. It also keeps the paper's consumption
+//! strategies (Random / LPT) and scheduling step 4, which picks one per
+//! operation: they matter on the modelled machine, while the real engine's
+//! shared pool walks one fixed, cost-ordered ring of queues instead.
 //!
 //! ## Calibration
 //!
@@ -34,6 +37,8 @@
 //! * [`simulator`] — pipeline-aware list-scheduling simulation of an
 //!   extended plan on `n` virtual workers, with the adaptive shared-queue
 //!   policy or the static one-thread-per-instance baseline;
+//! * [`strategy`] — the Random / LPT consumption strategies and scheduling
+//!   step 4's choice between them;
 //! * [`report`] — the simulation report (virtual times, speed-ups,
 //!   per-operation breakdown).
 
@@ -41,11 +46,13 @@ pub mod allcache;
 pub mod cost;
 pub mod report;
 pub mod simulator;
+pub mod strategy;
 
 pub use allcache::{AllcacheParams, DataPlacement};
 pub use cost::SimCostParams;
 pub use report::{OperationReport, SimReport};
 pub use simulator::{SimConfig, Simulator, WorkerAssignment};
+pub use strategy::ConsumptionStrategy;
 
 /// Convenient `Result` alias for simulator operations.
 pub type Result<T> = std::result::Result<T, SimError>;

@@ -7,9 +7,11 @@
 //! * every operation has its own pool of virtual workers, sized by the same
 //!   [`dbs3_engine::Scheduler`] the real engine uses;
 //! * a triggered operation's activations are all available at start; the
-//!   pool consumes them in the order dictated by the consumption strategy
-//!   (`Random` or `LPT`), each activation going to the earliest-free worker —
-//!   which is precisely what shared activation queues achieve;
+//!   pool consumes them in the order dictated by the paper's consumption
+//!   strategy (`Random` or `LPT`, picked per operation by scheduling step 4
+//!   or forced by [`SimConfig::with_strategy`]; see [`crate::strategy`]),
+//!   each activation going to the earliest-free worker — which is precisely
+//!   what shared activation queues achieve;
 //! * a pipelined operation's activations are *released* over time, as the
 //!   producer instances stream their tuples; they are consumed in release
 //!   order by the earliest-free worker of the consumer pool;
@@ -28,8 +30,9 @@
 use crate::allcache::{AllcacheParams, DataPlacement};
 use crate::cost::SimCostParams;
 use crate::report::{OperationReport, SimReport};
+use crate::strategy::{pick_strategy, ConsumptionStrategy};
 use crate::{Result, SimError};
-use dbs3_engine::{ConsumptionStrategy, Scheduler, SchedulerOptions};
+use dbs3_engine::{Scheduler, SchedulerOptions};
 use dbs3_lera::{
     CostParameters, ExtendedPlan, JoinAlgorithm, NodeId, OperatorKind, OuterInput, Plan,
 };
@@ -52,9 +55,10 @@ pub enum WorkerAssignment {
     StaticPerInstance,
 }
 
-/// The simulated machine. What the query asks for — its thread count and
-/// consumption strategy — comes from the [`SchedulerOptions`] passed to
-/// [`Simulator::simulate`], exactly as on the real engine.
+/// The simulated machine, and the consumption strategy its threads use.
+/// What the query asks for — its thread count — comes from the
+/// [`SchedulerOptions`] passed to [`Simulator::simulate`], exactly as on the
+/// real engine.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Number of physical processors (KSR1: 72; the experiments reserve 70).
@@ -69,6 +73,10 @@ pub struct SimConfig {
     pub allcache: AllcacheParams,
     /// Seed of the Random strategy's shuffles.
     pub seed: u64,
+    /// The consumption strategy of every operation. `None` lets scheduling
+    /// step 4 pick per operation: LPT for skewed triggered operations,
+    /// Random otherwise.
+    pub strategy: Option<ConsumptionStrategy>,
     /// Grain of parallelism for *triggered* joins: when set, each
     /// co-partitioned join activation is split into sub-activations of at
     /// most this many outer tuples.
@@ -91,6 +99,7 @@ impl Default for SimConfig {
             costs: SimCostParams::default(),
             allcache: AllcacheParams::default(),
             seed: 0xD857,
+            strategy: None,
             triggered_granule: None,
         }
     }
@@ -123,6 +132,24 @@ impl SimConfig {
     pub fn with_triggered_granule(mut self, outer_tuples: usize) -> Self {
         self.triggered_granule = Some(outer_tuples.max(1));
         self
+    }
+
+    /// Forces one consumption strategy for every operation instead of
+    /// letting scheduling step 4 pick per operation.
+    pub fn with_strategy(mut self, strategy: ConsumptionStrategy) -> Self {
+        self.strategy = Some(strategy);
+        self
+    }
+
+    /// The strategy operation `node` is consumed with: the forced one, or
+    /// step 4's pick.
+    pub(crate) fn strategy_for(
+        &self,
+        extended: &ExtendedPlan,
+        node: NodeId,
+    ) -> ConsumptionStrategy {
+        self.strategy
+            .unwrap_or_else(|| pick_strategy(extended, node))
     }
 }
 
@@ -242,7 +269,7 @@ impl<'a> Simulator<'a> {
             let (completion, busy_us) = simulate_pool(
                 &mut activations,
                 pool_threads,
-                op_schedule.strategy,
+                config.strategy_for(&extended, id),
                 config.assignment,
                 dilation,
                 &mut rng,
@@ -715,7 +742,7 @@ impl Ord for OrderedF64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dbs3_lera::plans;
     use dbs3_lera::Predicate;
@@ -728,7 +755,7 @@ mod tests {
 
     /// Builds an experiment catalog: relation `A` (optionally skewed) and
     /// `Bprime`, both partitioned on `unique1` with the given degree.
-    fn catalog(a_card: usize, b_card: usize, degree: usize, theta: f64) -> Catalog {
+    pub(crate) fn catalog(a_card: usize, b_card: usize, degree: usize, theta: f64) -> Catalog {
         let gen = WisconsinGenerator::new();
         let a = gen.generate(&WisconsinConfig::narrow("A", a_card)).unwrap();
         let b = gen
@@ -786,8 +813,8 @@ mod tests {
         let speedup = |n: usize| {
             sim.simulate(
                 &plan,
-                &SimConfig::default(),
-                &threads(n).with_strategy(ConsumptionStrategy::Lpt),
+                &SimConfig::default().with_strategy(ConsumptionStrategy::Lpt),
+                &threads(n),
             )
             .unwrap()
             .speedup()
@@ -827,20 +854,16 @@ mod tests {
         let cat = catalog(10_000, 1_000, 200, 0.8);
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
         let sim = Simulator::new(&cat);
-        let lpt = sim
-            .simulate(
+        let run = |strategy| {
+            sim.simulate(
                 &plan,
-                &SimConfig::default(),
-                &threads(10).with_strategy(ConsumptionStrategy::Lpt),
+                &SimConfig::default().with_strategy(strategy),
+                &threads(10),
             )
-            .unwrap();
-        let random = sim
-            .simulate(
-                &plan,
-                &SimConfig::default(),
-                &threads(10).with_strategy(ConsumptionStrategy::Random),
-            )
-            .unwrap();
+            .unwrap()
+        };
+        let lpt = run(ConsumptionStrategy::Lpt);
+        let random = run(ConsumptionStrategy::Random);
         assert!(lpt.total_us() <= random.total_us() * 1.02);
     }
 
@@ -938,14 +961,10 @@ mod tests {
         let cat = catalog(10_000, 1_000, 50, 1.0);
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
         let sim = Simulator::new(&cat);
-        let lpt = threads(20).with_strategy(ConsumptionStrategy::Lpt);
-        let coarse = sim.simulate(&plan, &SimConfig::default(), &lpt).unwrap();
+        let lpt = SimConfig::default().with_strategy(ConsumptionStrategy::Lpt);
+        let coarse = sim.simulate(&plan, &lpt, &threads(20)).unwrap();
         let fine = sim
-            .simulate(
-                &plan,
-                &SimConfig::default().with_triggered_granule(50),
-                &lpt,
-            )
+            .simulate(&plan, &lpt.with_triggered_granule(50), &threads(20))
             .unwrap();
         assert!(
             fine.execution_us < coarse.execution_us * 0.7,

@@ -1,9 +1,9 @@
 //! Property-based tests of the simulator: scheduling-theoretic invariants
 //! that must hold for any workload the simulator is given.
 
-use dbs3_engine::{ConsumptionStrategy, SchedulerOptions};
+use dbs3_engine::SchedulerOptions;
 use dbs3_lera::{plans, JoinAlgorithm};
-use dbs3_sim::{SimConfig, Simulator};
+use dbs3_sim::{ConsumptionStrategy, SimConfig, Simulator};
 use dbs3_storage::{
     Catalog, ColumnDef, PartitionSpec, PartitionedRelation, Relation, Schema, Tuple, Value,
 };
@@ -94,10 +94,8 @@ proptest! {
             Simulator::new(&cat)
                 .simulate(
                     &plan,
-                    &SimConfig::default(),
-                    &SchedulerOptions::default()
-                        .with_total_threads(n)
-                        .with_strategy(ConsumptionStrategy::Lpt),
+                    &SimConfig::default().with_strategy(ConsumptionStrategy::Lpt),
+                    &SchedulerOptions::default().with_total_threads(n),
                 )
                 .unwrap()
                 .execution_us
@@ -121,12 +119,11 @@ proptest! {
         let theta = f64::from(theta_millis) / 1000.0;
         let cat = catalog(a_card, b_card, degree, theta);
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
-        let lpt = SchedulerOptions::default()
-            .with_total_threads(threads)
-            .with_strategy(ConsumptionStrategy::Lpt);
-        let adaptive = Simulator::new(&cat).simulate(&plan, &SimConfig::default(), &lpt).unwrap();
+        let options = SchedulerOptions::default().with_total_threads(threads);
+        let lpt = SimConfig::default().with_strategy(ConsumptionStrategy::Lpt);
+        let adaptive = Simulator::new(&cat).simulate(&plan, &lpt, &options).unwrap();
         let fixed = Simulator::new(&cat)
-            .simulate(&plan, &SimConfig::default().with_static_baseline(), &lpt)
+            .simulate(&plan, &lpt.with_static_baseline(), &options)
             .unwrap();
         prop_assert!(fixed.execution_us + 1e-6 >= adaptive.execution_us);
     }

@@ -1,12 +1,11 @@
-//! Adaptive scheduling: the four-step thread-allocation procedure of
-//! Section 3 (Figure 5) applied to a filter–join pipeline.
+//! Adaptive scheduling: the thread-allocation steps of Section 3
+//! (Figure 5) applied to a filter–join pipeline.
 //!
 //! The example builds the filter–join query of Figure 1 with the fluent
 //! plan builder, shows how the scheduler distributes a thread budget over
 //! the operations of the pipeline proportionally to their estimated
-//! complexity, how the consumption strategy is picked per operation, and
-//! then executes the plan on the real engine to compare the predicted and
-//! observed load balance.
+//! complexity, and then executes the plan on the real engine to compare the
+//! predicted and observed load balance.
 //!
 //! ```text
 //! cargo run --release --example adaptive_scheduling
@@ -36,18 +35,13 @@ fn main() -> Result<()> {
     builder.store(join, "Out");
     let plan = builder.build();
 
-    println!("four-step scheduling for `{}`:", plan.name());
+    println!("thread allocation for `{}`:", plan.name());
     for budget in [4usize, 8, 16] {
         let schedule = session.query(&plan).threads(budget).schedule()?;
         print!("  {budget:>2} threads ->");
         for node in plan.nodes() {
             let op = schedule.operation(node.id)?;
-            print!(
-                "  {}[{} thr, {}]",
-                node.name,
-                op.threads,
-                op.strategy.name()
-            );
+            print!("  {}[{} thr]", node.name, op.threads);
         }
         println!();
     }
@@ -73,9 +67,9 @@ fn main() -> Result<()> {
     }
     println!();
     println!(
-        "The shared activation queues let every thread of a pool drain whichever instance still \
-         has work, so the busy-time imbalance stays close to 1 even though R's fragments are \
-         heavily skewed."
+        "Any worker of the pool can drain any of an operation's queues, so R's skewed fragments \
+         do not pin work to one thread. On a host with fewer cores than pool workers, time \
+         sharing alone pushes the busy-time imbalance above 1."
     );
     Ok(())
 }

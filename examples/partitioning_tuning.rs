@@ -36,11 +36,11 @@ fn main() -> Result<()> {
     for degree in [20usize, 100, 250, 500, 1000, 1500] {
         let run = |theta: f64| -> Result<_> {
             let session = build_session(degree, theta)?;
+            let lpt = SimConfig::ksr1().with_strategy(ConsumptionStrategy::Lpt);
             let outcome = session
                 .query(&plan)
                 .threads(threads)
-                .strategy(ConsumptionStrategy::Lpt)
-                .on(Backend::Simulated(SimConfig::ksr1()))
+                .on(Backend::Simulated(lpt))
                 .run()?;
             Ok(outcome
                 .sim_report()

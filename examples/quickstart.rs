@@ -22,8 +22,8 @@ fn main() -> Result<()> {
     let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
 
     // 3. Let the DBS3 scheduler fix the execution parameters (threads per
-    //    operation, consumption strategy, queue sizes) for 8 threads total,
-    //    and print its decisions before executing.
+    //    operation, queue sizes) for 8 threads total, and print its
+    //    decisions before executing.
     let query = session.query(&plan).threads(8);
     let schedule = query.schedule()?;
     let extended = query.extended_plan()?;
@@ -31,10 +31,9 @@ fn main() -> Result<()> {
     for node in plan.nodes() {
         let op = schedule.operation(node.id)?;
         println!(
-            "  {:<24} threads={:<2} strategy={:<6} queues={}",
+            "  {:<24} threads={:<2} queues={}",
             node.name,
             op.threads,
-            op.strategy.name(),
             extended.operation(node.id).unwrap().instance_count()
         );
     }

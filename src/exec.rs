@@ -50,8 +50,8 @@
 //!   process.
 //! * [`Backend::Pooled`] uses a [`Runtime`] the caller owns. Its width is
 //!   fixed at [`Runtime::new`]; the query's `.threads(n)` knob still shapes
-//!   the *schedule* (queue cost estimates, strategy picks) but does not
-//!   resize the pool.
+//!   the *schedule* (per-operation thread counts, index-build sharding) but
+//!   does not resize the pool.
 //!
 //! `run()` is `submit` + [`QueryHandle::wait`] on whichever pool was
 //! selected; [`Query::submit`](crate::Query::submit) returns the handle
@@ -107,9 +107,11 @@ pub enum Backend {
     Pooled(Arc<Runtime>),
     /// Replay the same schedule on the virtual-time simulator configured by
     /// the given [`SimConfig`] (e.g. [`SimConfig::ksr1`]). The config
-    /// supplies only the machine model; the thread count and strategy come
-    /// from the query, as on the real-thread backends — a query without
-    /// `.threads(n)` runs with the count scheduling step 1 derives.
+    /// supplies the machine model and the paper's consumption strategy
+    /// ([`SimConfig::with_strategy`], which only the simulator models); the
+    /// thread count comes from the query, as on the real-thread backends — a
+    /// query without `.threads(n)` runs with the count scheduling step 1
+    /// derives.
     Simulated(SimConfig),
 }
 

@@ -19,12 +19,15 @@
 //!   extended-view expansion and complexity estimation;
 //! * [`engine`] ([`dbs3_engine`]) — the adaptive parallel execution engine
 //!   (activation queues, one fixed worker pool scheduling activations
-//!   across all live queries, Random/LPT consumption strategies, the
-//!   four-step scheduler);
+//!   across all live queries, each worker walking a cost-ordered ring of an
+//!   operation's queues from its own main slice, the thread-allocation
+//!   steps 1–3 of the scheduler);
 //! * [`model`] ([`dbs3_model`]) — the analytical model (skew overhead bound,
 //!   `nmax`, thread-allocation equations);
 //! * [`sim`] ([`dbs3_sim`]) — the virtual-time multiprocessor simulator
-//!   standing in for the 72-processor KSR1.
+//!   standing in for the 72-processor KSR1, with the paper's Random/LPT
+//!   consumption strategies and scheduling step 4, which picks between
+//!   them.
 //!
 //! ## Quick start
 //!
@@ -45,11 +48,12 @@
 //! assert_eq!(outcome.result_cardinality("Result"), Some(200));
 //!
 //! // 4. Same query, same knobs, on the simulated KSR1 — one line changed.
+//! //    The simulated machine also models the paper's LPT consumption.
+//! let ksr1 = SimConfig::ksr1().with_strategy(ConsumptionStrategy::Lpt);
 //! let simulated = session
 //!     .query(&plan)
 //!     .threads(4)
-//!     .strategy(ConsumptionStrategy::Lpt)
-//!     .on(Backend::Simulated(SimConfig::ksr1()))
+//!     .on(Backend::Simulated(ksr1))
 //!     .run()?;
 //! assert_eq!(simulated.result_cardinality("Result"), Some(200));
 //! assert!(simulated.metrics.worst_imbalance() >= 1.0);
@@ -77,14 +81,15 @@ pub mod prelude {
     pub use crate::session::{PreparedQuery, Query, Session};
     pub use crate::{Error, Result};
     pub use dbs3_engine::{
-        CacheStats, ConsumptionStrategy, ExecutionSchedule, QueryId, Runtime, Scheduler,
-        SchedulerOptions,
+        CacheStats, ExecutionSchedule, QueryId, Runtime, Scheduler, SchedulerOptions,
     };
     pub use dbs3_lera::{
         plans, CostParameters, ExtendedPlan, JoinAlgorithm, Plan, PlanBuilder, Predicate,
     };
     pub use dbs3_model::{n_max, overhead_bound, theoretical_speedup, zipf_max_to_avg};
-    pub use dbs3_sim::{DataPlacement, SimConfig, Simulator, WorkerAssignment};
+    pub use dbs3_sim::{
+        ConsumptionStrategy, DataPlacement, SimConfig, Simulator, WorkerAssignment,
+    };
     pub use dbs3_storage::{
         Catalog, PartitionSpec, PartitionedRelation, Relation, Schema, Tuple, Value,
         WisconsinConfig, WisconsinGenerator, Zipf,

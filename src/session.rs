@@ -5,9 +5,8 @@
 //! [`Scheduler::build`](dbs3_engine::Scheduler::build),
 //! [`Runtime::submit`] — repeated at every call site. A [`Session`] owns the
 //! catalog and a [`Query`] chains the execution knobs, so running the
-//! paper's experiments under a different regime (thread count, consumption
-//! strategy, cache size, real threads vs. the simulated KSR1) changes one
-//! line instead of five.
+//! paper's experiments under a different regime (thread count, cache size,
+//! real threads vs. the simulated KSR1) changes one line instead of five.
 //!
 //! Every run on real threads — [`Query::run`], [`Query::submit`],
 //! [`PreparedQuery::run`], [`PreparedQuery::submit`] — is the same two
@@ -20,9 +19,7 @@
 
 use crate::error::Result;
 use crate::exec::{Backend, QueryHandle, QueryOutcome};
-use dbs3_engine::{
-    ConsumptionStrategy, ExecutionSchedule, PreparedPlan, Runtime, Scheduler, SchedulerOptions,
-};
+use dbs3_engine::{ExecutionSchedule, PreparedPlan, Runtime, Scheduler, SchedulerOptions};
 use dbs3_lera::{CostParameters, ExtendedPlan, Plan};
 use dbs3_sim::{SimConfig, Simulator};
 use dbs3_storage::{
@@ -151,11 +148,11 @@ fn submit_to(
     Ok(QueryHandle::new(handle))
 }
 
-/// Replays the query in virtual time. `config` supplies only the machine
-/// model (processors, data placement, cost calibration, worker
-/// assignment); every scheduling setting — thread count and strategy
-/// included — comes from the query's options, so the simulated schedule is
-/// the one the engine would build.
+/// Replays the query in virtual time. `config` supplies the machine model
+/// (processors, data placement, cost calibration, worker assignment) and
+/// the consumption strategy, which only the simulator models; every
+/// scheduling setting the engine reads comes from the query's options, so
+/// the simulated schedule is the one the engine would build.
 fn simulate(
     catalog: &Catalog,
     plan: &Plan,
@@ -170,9 +167,8 @@ fn simulate(
 /// A chainable query: a plan, backend-neutral execution knobs, and the
 /// backend to run on.
 ///
-/// Knobs not set explicitly are decided by the four-step scheduler (thread
-/// count from estimated complexity, LPT for skewed triggered operations,
-/// default queue and cache sizes).
+/// Knobs not set explicitly are decided by the scheduler (thread count
+/// from estimated complexity, default queue and cache sizes).
 #[derive(Debug, Clone)]
 pub struct Query<'a> {
     session: &'a Session,
@@ -187,13 +183,6 @@ impl<'a> Query<'a> {
     /// Zero is rejected with a typed error when the query runs.
     pub fn threads(mut self, total: usize) -> Self {
         self.options.total_threads = Some(total);
-        self
-    }
-
-    /// Forces one consumption strategy for every operation instead of
-    /// letting scheduling step 4 pick per operation.
-    pub fn strategy(mut self, strategy: ConsumptionStrategy) -> Self {
-        self.options.strategy_override = Some(strategy);
         self
     }
 
@@ -241,8 +230,8 @@ impl<'a> Query<'a> {
         &self.options
     }
 
-    /// Builds the execution schedule (steps 1–4 of Figure 5) without
-    /// executing — for inspecting thread allocation and strategy choices.
+    /// Builds the execution schedule (steps 1–3 of Figure 5) without
+    /// executing — for inspecting thread allocation.
     pub fn schedule(&self) -> Result<ExecutionSchedule> {
         let extended = self.extended_plan()?;
         Ok(Scheduler::build(self.plan, &extended, &self.options)?)
@@ -410,7 +399,7 @@ mod tests {
         assert!(outcome.sim_report().unwrap().total_us() > 0.0);
     }
 
-    use dbs3_sim::SimConfig;
+    use dbs3_sim::{ConsumptionStrategy, SimConfig};
 
     #[test]
     fn zero_threads_is_a_typed_error_on_both_backends() {
@@ -434,7 +423,6 @@ mod tests {
         let schedule = session
             .query(&plan)
             .threads(6)
-            .strategy(ConsumptionStrategy::Lpt)
             .cache_size(16)
             .schedule()
             .unwrap();
@@ -442,15 +430,15 @@ mod tests {
         let allocated: usize = schedule.per_node().values().map(|op| op.threads).sum();
         assert_eq!(allocated, 6);
         for op in schedule.per_node().values() {
-            assert_eq!(op.strategy, ConsumptionStrategy::Lpt);
             assert_eq!(op.cache_size, 16);
         }
     }
 
     #[test]
     fn scheduler_knobs_reach_the_simulated_backend() {
-        // A strongly skewed triggered join: scheduling step 4 picks LPT,
-        // while a forced Random strategy is observable as a different
+        // A strongly skewed triggered join: the query's thread count reaches
+        // the simulator, scheduling step 4 picks LPT, and a Random strategy
+        // forced on the simulated machine is observable as a different
         // virtual time.
         let mut session = Session::new();
         let spec = PartitionSpec::on("unique1", 40, 4);
@@ -461,20 +449,19 @@ mod tests {
             .load_wisconsin(&WisconsinConfig::narrow("Bprime", 500), spec)
             .unwrap();
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
-        let run = |options: SchedulerOptions| {
-            session
+        let run = |config: SimConfig| {
+            let outcome = session
                 .query(&plan)
-                .scheduler_options(options)
                 .threads(10)
-                .on(Backend::Simulated(SimConfig::ksr1()))
+                .on(Backend::Simulated(config))
                 .run()
-                .unwrap()
-                .sim_report()
-                .unwrap()
-                .total_us()
+                .unwrap();
+            let report = outcome.sim_report().unwrap();
+            assert_eq!(report.threads, 10);
+            report.total_us()
         };
-        let lpt = run(SchedulerOptions::default());
-        let random = run(SchedulerOptions::default().with_strategy(ConsumptionStrategy::Random));
+        let lpt = run(SimConfig::ksr1());
+        let random = run(SimConfig::ksr1().with_strategy(ConsumptionStrategy::Random));
         assert_ne!(
             lpt, random,
             "the strategy must influence the simulated schedule"

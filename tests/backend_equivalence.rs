@@ -9,8 +9,9 @@
 //! `Backend::Simulated(..)` changes *when* work happens, never *what* work
 //! happens. The threaded engine physically moves tuples in `CacheSize`-sized
 //! transport batches, but counts one logical activation per batched tuple —
-//! so the equivalence must also hold across cache sizes and consumption
-//! strategies, which `batching_never_changes_logical_work` pins down.
+//! so the equivalence must also hold across cache sizes and the
+//! simulator's consumption strategies, which
+//! `batching_never_changes_logical_work` pins down.
 
 use dbs3::prelude::*;
 use dbs3_lera::OperatorKind;
@@ -85,78 +86,64 @@ fn skewed_joins_are_backend_equivalent() {
     }
 }
 
-/// The tentpole invariant of activation batching: run the same plans under
-/// every consumption-strategy regime (scheduler-picked, forced Random,
-/// forced LPT) and at cache sizes 1 (per-tuple transport, the paper's
-/// model) and 64 (batched transport), on both backends. Cardinalities and
-/// per-operation logical activation counts must never move.
+/// The tentpole invariant of activation batching: run the same plans at
+/// cache sizes 1 (per-tuple transport, the paper's model) and 64 (batched
+/// transport) on the engine, and on the simulator under every
+/// consumption-strategy regime it models (step-4-picked, forced Random,
+/// forced LPT). Cardinalities and per-operation logical activation counts
+/// must never move.
 #[test]
 fn batching_never_changes_logical_work() {
     let session = session(2_000, 200, 16, 0.0);
-    let strategies: [Option<ConsumptionStrategy>; 3] = [
-        None,
-        Some(ConsumptionStrategy::Random),
-        Some(ConsumptionStrategy::Lpt),
+    let machines = [
+        SimConfig::ksr1(),
+        SimConfig::ksr1().with_strategy(ConsumptionStrategy::Random),
+        SimConfig::ksr1().with_strategy(ConsumptionStrategy::Lpt),
     ];
     for plan in [
         plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop),
         plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::NestedLoop),
     ] {
+        let counts = |outcome: &QueryOutcome| -> Vec<Option<u64>> {
+            plan.nodes()
+                .iter()
+                .filter(|n| !matches!(n.kind, OperatorKind::Store { .. }))
+                .map(|n| outcome.metrics.activations(n.id))
+                .collect()
+        };
         let mut reference: Option<(Vec<Option<u64>>, usize)> = None;
-        for strategy in strategies {
-            for cache_size in [1usize, 64] {
-                let run = |backend: Backend| {
-                    let mut q = session.query(&plan).threads(4).cache_size(cache_size);
-                    if let Some(s) = strategy {
-                        q = q.strategy(s);
-                    }
-                    q.on(backend).run().unwrap()
-                };
-                let threaded = run(Backend::Threaded);
-                let simulated = run(Backend::Simulated(SimConfig::ksr1()));
-
+        for cache_size in [1usize, 64] {
+            let query = || session.query(&plan).threads(4).cache_size(cache_size);
+            let threaded = query().run().unwrap();
+            for machine in &machines {
+                let simulated = query()
+                    .on(Backend::Simulated(machine.clone()))
+                    .run()
+                    .unwrap();
+                let regime = format!("strategy {:?}, cache {cache_size}", machine.strategy);
                 assert_eq!(
                     threaded.cardinalities,
                     simulated.cardinalities,
-                    "cardinalities diverge on {} (strategy {strategy:?}, cache {cache_size})",
+                    "cardinalities diverge on {} ({regime})",
                     plan.name()
                 );
-                let counts: Vec<Option<u64>> = plan
-                    .nodes()
-                    .iter()
-                    .filter(|n| !matches!(n.kind, OperatorKind::Store { .. }))
-                    .map(|n| threaded.metrics.activations(n.id))
-                    .collect();
-                let sim_counts: Vec<Option<u64>> = plan
-                    .nodes()
-                    .iter()
-                    .filter(|n| !matches!(n.kind, OperatorKind::Store { .. }))
-                    .map(|n| simulated.metrics.activations(n.id))
-                    .collect();
                 assert_eq!(
-                    counts,
-                    sim_counts,
-                    "logical activation counts diverge between backends on {} \
-                     (strategy {strategy:?}, cache {cache_size})",
+                    counts(&threaded),
+                    counts(&simulated),
+                    "logical activation counts diverge between backends on {} ({regime})",
                     plan.name()
                 );
-                // And they are identical across every (strategy, cache size)
-                // regime: batch granularity is invisible to logical work.
-                let cardinality = threaded.result_cardinality("Result").unwrap();
-                match &reference {
-                    None => reference = Some((counts, cardinality)),
-                    Some((ref_counts, ref_cardinality)) => {
-                        assert_eq!(
-                            ref_counts,
-                            &counts,
-                            "logical activation counts depend on the regime on {} \
-                             (strategy {strategy:?}, cache {cache_size})",
-                            plan.name()
-                        );
-                        assert_eq!(ref_cardinality, &cardinality);
-                    }
-                }
             }
+            // And they are identical across cache sizes: batch granularity
+            // is invisible to logical work.
+            let cardinality = threaded.result_cardinality("Result").unwrap();
+            let pinned = reference.get_or_insert_with(|| (counts(&threaded), cardinality));
+            assert_eq!(
+                (&pinned.0, pinned.1),
+                (&counts(&threaded), cardinality),
+                "logical work depends on the cache size on {} (cache {cache_size})",
+                plan.name()
+            );
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Property-based end-to-end tests: for arbitrary small relations, degrees
-//! of partitioning, thread counts and strategies, the parallel engine must
+//! of partitioning and thread counts, the parallel engine must
 //! produce exactly the tuples of the reference (sequential, unpartitioned)
 //! implementation.
 
@@ -46,19 +46,12 @@ fn execute(
         .wait()
 }
 
-fn run(
-    catalog: &Catalog,
-    plan: &Plan,
-    threads: usize,
-    strategy: ConsumptionStrategy,
-) -> Vec<(i64, i64, i64, i64)> {
+fn run(catalog: &Catalog, plan: &Plan, threads: usize) -> Vec<(i64, i64, i64, i64)> {
     let extended = ExtendedPlan::from_plan(plan, catalog, &CostParameters::default()).unwrap();
     let schedule = Scheduler::build(
         plan,
         &extended,
-        &SchedulerOptions::default()
-            .with_total_threads(threads)
-            .with_strategy(strategy),
+        &SchedulerOptions::default().with_total_threads(threads),
     )
     .unwrap();
     let outcome = execute(catalog, plan, &schedule).unwrap();
@@ -99,22 +92,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The parallel IdealJoin produces exactly the reference join result
-    /// (as a sorted multiset), for any data, degree, thread count,
-    /// algorithm and strategy.
+    /// (as a sorted multiset), for any data, degree, thread count and
+    /// algorithm.
     #[test]
     fn parallel_ideal_join_equals_reference(
         a_rows in proptest::collection::vec((-40i64..40, any::<i64>()), 0..120),
         b_rows in proptest::collection::vec((-40i64..40, any::<i64>()), 0..60),
         degree in 1usize..24,
         threads in 1usize..6,
-        use_lpt in any::<bool>(),
         use_hash in any::<bool>(),
     ) {
         let (catalog, a, b) = catalog_from_rows(&a_rows, &b_rows, degree);
         let algorithm = if use_hash { JoinAlgorithm::Hash } else { JoinAlgorithm::NestedLoop };
-        let strategy = if use_lpt { ConsumptionStrategy::Lpt } else { ConsumptionStrategy::Random };
         let plan = plans::ideal_join("A", "Bprime", "unique1", algorithm);
-        prop_assert_eq!(run(&catalog, &plan, threads, strategy), reference(&a, &b));
+        prop_assert_eq!(run(&catalog, &plan, threads), reference(&a, &b));
     }
 
     /// The AssocJoin (dynamic redistribution + pipelined join) produces the
@@ -128,7 +119,7 @@ proptest! {
     ) {
         let (catalog, a, b) = catalog_from_rows(&a_rows, &b_rows, degree);
         let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
-        prop_assert_eq!(run(&catalog, &plan, threads, ConsumptionStrategy::Random), reference(&b, &a));
+        prop_assert_eq!(run(&catalog, &plan, threads), reference(&b, &a));
     }
 
     /// A parallel selection returns exactly the reference selection.

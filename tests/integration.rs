@@ -156,8 +156,9 @@ fn simulator_speedup_ceiling_matches_analytic_nmax() {
         session
             .query(&plan)
             .threads(threads)
-            .strategy(ConsumptionStrategy::Lpt)
-            .on(Backend::Simulated(SimConfig::ksr1()))
+            .on(Backend::Simulated(
+                SimConfig::ksr1().with_strategy(ConsumptionStrategy::Lpt),
+            ))
             .run()
             .unwrap()
             .sim_report()
