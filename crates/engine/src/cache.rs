@@ -734,10 +734,10 @@ mod tests {
             assert_eq!(base.fingerprint(), prepared.fingerprint());
         }
         let four = prepare(&cat, &plan, &base_options.with_total_threads(4), &cost).unwrap();
-        let allocated = |p: &PreparedPlan| -> usize {
-            p.schedule().per_node().values().map(|s| s.threads).sum()
-        };
-        assert_ne!(allocated(&base), allocated(&four));
+        assert_ne!(
+            base.schedule().query_threads(),
+            four.schedule().query_threads()
+        );
     }
 
     #[test]

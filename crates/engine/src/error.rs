@@ -11,7 +11,7 @@ pub enum EngineError {
     Storage(String),
     /// The schedule does not cover every operation of the plan.
     IncompleteSchedule { node: usize },
-    /// A schedule parameter is invalid (zero threads, zero queue capacity,...).
+    /// A schedule parameter is invalid (zero queue capacity or cache size).
     InvalidSchedule(String),
     /// The scheduler options themselves are invalid (zero total threads,
     /// zero cache size, ...). Rejected up front instead of silently clamping.

@@ -10,8 +10,7 @@
 //!   and every instance owns a FIFO **activation queue** ([`queue`]);
 //! * one fixed **pool of threads** serves every operation of every live
 //!   query ([`runtime`]); the queues live in shared memory so any thread of
-//!   the pool can consume any activation, and an operation's scheduled
-//!   thread count does not bind who may run it;
+//!   the pool can consume any activation;
 //! * each operation's queues are ordered once by decreasing estimated cost,
 //!   and every thread walks that order as a ring starting at its own slice:
 //!   the slice is the thread's **main** queues, the rest its **secondary**
@@ -23,12 +22,12 @@
 //!   acquisition (implemented by the runtime's scatter buffers; metrics
 //!   still count the paper's logical per-tuple activations, see
 //!   [`activation`]);
-//! * the **scheduler** ([`schedule`]) fixes `ThreadNb`, `QueueNb` and
-//!   `CacheSize` for every operation following steps 1–3 of the top-down
-//!   approach of Figure 5, using the analytic thread-allocation solver of
-//!   [`dbs3_model`]; the paper's Random/LPT strategies and step 4, which
-//!   picks between them, live in the simulator (`dbs3_sim`), the only code
-//!   that models them;
+//! * the **scheduler** ([`schedule`]) fixes the query's `ThreadNb` (step 1
+//!   of the top-down approach of Figure 5, the width of the pool it runs on)
+//!   and every operation's `QueueNb` and `CacheSize`; steps 2–4 — threads
+//!   per subquery and per operation, and the Random/LPT choice — live in the
+//!   simulator (`dbs3_sim`), the only code that models one pool per
+//!   operation;
 //! * the **runtime** ([`runtime`]) owns the worker threads: a persistent
 //!   shared pool, spawned once and parked on a condvar when idle, that
 //!   executes any number of concurrently submitted queries — each tagged

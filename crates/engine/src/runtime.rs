@@ -72,9 +72,9 @@
 //! # Differences from the per-query scoped-thread executor
 //!
 //! * **Thread ownership is inverted.** Threads belong to the runtime, not
-//!   to an operation of one query. An operation's scheduled thread count
-//!   shapes only the simulated *plan*; the pool width bounds actual
-//!   parallelism.
+//!   to an operation of one query, and the pool width bounds actual
+//!   parallelism. Per-operation thread counts (scheduling steps 2–3) exist
+//!   only in the simulator.
 //! * **Termination is by accounting, not by thread exit.** The old executor
 //!   closed a consumer's queues when the last producer *thread* exited.
 //!   Here an operation is *finished* when all its queues are exhausted
@@ -547,25 +547,6 @@ impl Runtime {
     /// or cancelled).
     pub fn live_queries(&self) -> usize {
         self.inner.queries.lock().len()
-    }
-
-    /// Total buffered logical activations across every live query's
-    /// operations — the pool's backlog, read from the per-op advisory
-    /// `pending` counters the ready-deque machinery already maintains (one
-    /// relaxed-cost atomic load per operation; no queue locks taken).
-    ///
-    /// This is an admission-control signal, not an exact count: the
-    /// counters are advisory (see their field docs) and can run slightly
-    /// ahead of or behind the queues. Zero with [`Runtime::live_queries`]
-    /// positive means queries exist whose remaining work is all in flight
-    /// on workers.
-    pub fn queue_pressure(&self) -> u64 {
-        let queries = self.inner.queries.lock();
-        queries
-            .iter()
-            .flat_map(|q| q.ops.iter())
-            .map(|op| op.pending.load(Ordering::SeqCst))
-            .sum()
     }
 
     /// Submits `plan` for execution under an explicitly built `schedule`
@@ -1912,13 +1893,12 @@ mod tests {
             per_node.insert(
                 node.id,
                 OperationSchedule {
-                    threads: 1,
                     queue_capacity: 2,
                     cache_size: 1,
                 },
             );
         }
-        let schedule = ExecutionSchedule::from_parts(per_node);
+        let schedule = ExecutionSchedule::from_parts(per_node, 2);
         let runtime = Runtime::new(2).unwrap();
         let outcome = runtime
             .submit(&cat, &plan, &schedule)
@@ -2051,7 +2031,7 @@ mod tests {
         // Build a plan whose store was... every helper plan stores; use the
         // executor's validation path instead: a schedule missing a node.
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
-        let schedule = ExecutionSchedule::from_parts(BTreeMap::new());
+        let schedule = ExecutionSchedule::from_parts(BTreeMap::new(), 1);
         let runtime = Runtime::new(1).unwrap();
         assert!(runtime.submit(&cat, &plan, &schedule).is_err());
     }
@@ -2165,28 +2145,5 @@ mod tests {
             Runtime::with_watchdog(2, Duration::ZERO),
             Err(EngineError::InvalidOptions(_))
         ));
-    }
-
-    #[test]
-    fn queue_pressure_tracks_the_backlog() {
-        let (cat, _, _) = build_catalog(400, 40, 4);
-        let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
-        let schedule = schedule_for(&plan, &cat, 2);
-        let runtime = Runtime::new(1).unwrap();
-        assert_eq!(runtime.queue_pressure(), 0);
-        let handles: Vec<QueryHandle> = (0..4)
-            .map(|_| runtime.submit(&cat, &plan, &schedule).unwrap())
-            .collect();
-        // With 4 queries just submitted on a 1-worker pool, at least one
-        // still has buffered triggers (its own submit stored them before
-        // the handle returned). Exact values are advisory — only the
-        // "work exists" signal is contractual.
-        assert!(runtime.live_queries() > 0);
-        for handle in handles {
-            handle.wait().unwrap();
-        }
-        // Drained pool: no live queries, no pressure.
-        assert_eq!(runtime.live_queries(), 0);
-        assert_eq!(runtime.queue_pressure(), 0);
     }
 }

@@ -1,34 +1,26 @@
-//! The scheduler: fixing `ThreadNb`, `QueueNb` and `CacheSize` for every
-//! operation (Section 3, Figure 5).
+//! The scheduler: fixing `ThreadNb`, `QueueNb` and `CacheSize` for a query
+//! (Section 3, Figure 5).
 //!
-//! The engine runs the first three of the paper's four steps:
+//! The engine runs the first of the paper's four steps: **choosing the
+//! number of threads** from the query's estimated complexity (or an explicit
+//! request from the caller, as in the paper's experiments which fix the
+//! thread count). That count is the width of the pool the query runs on.
 //!
-//! 1. **Choosing the number of threads** from the query's estimated
-//!    complexity (or an explicit request from the caller, as in the paper's
-//!    experiments which fix the thread count).
-//! 2. **Assigning the threads to subqueries** bottom-up over the subquery
-//!    tree, proportionally to sequential complexity
-//!    ([`dbs3_model::allocate_subqueries`]).
-//! 3. **Assigning the threads of each chain to its operations** by
-//!    complexity ratio ([`dbs3_model::allocate_chain`]).
-//!
-//! Step 4, choosing a Random or LPT consumption strategy per operation, has
-//! no counterpart here: every worker of the shared pool walks one fixed,
-//! cost-ordered ring of an operation's queues ([`crate::runtime`]). The
-//! simulator (`dbs3_sim::strategy`), which models the paper's machine, keeps
-//! step 4.
+//! Steps 2–4 have no counterpart here. Every worker of the shared pool
+//! serves every operation, walking one fixed, cost-ordered ring of an
+//! operation's queues ([`crate::runtime`]), so there is no per-subquery or
+//! per-operation thread count (steps 2–3) and no per-operation consumption
+//! strategy (step 4) to read. The simulator (`dbs3_sim`), which models the
+//! paper's machine of one pool per operation, runs steps 2–4.
 
 use crate::error::EngineError;
 use crate::Result;
-use dbs3_lera::{ExtendedPlan, NodeId, Plan, PlanComplexity, SubqueryDecomposition};
-use dbs3_model::{allocate_chain, allocate_subqueries, SubqueryNode};
+use dbs3_lera::{ExtendedPlan, NodeId, Plan, PlanComplexity};
 use std::collections::BTreeMap;
 
 /// Execution parameters of one operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperationSchedule {
-    /// Number of threads in the operation's pool.
-    pub threads: usize,
     /// Capacity of each activation queue.
     pub queue_capacity: usize,
     /// Producer-side internal cache size (activations per destination before
@@ -69,13 +61,12 @@ pub struct ExecutionSchedule {
 }
 
 impl ExecutionSchedule {
-    /// Builds a schedule from explicit per-node parameters. The query's
-    /// thread count is the sum of the per-node counts, results are
-    /// materialised (see [`Self::with_discard_results`]) and index builds
-    /// are sequential.
-    pub fn from_parts(per_node: BTreeMap<NodeId, OperationSchedule>) -> Self {
+    /// Builds a schedule from explicit per-node parameters and the query's
+    /// thread count. Results are materialised (see
+    /// [`Self::with_discard_results`]) and index builds are sequential.
+    pub fn from_parts(per_node: BTreeMap<NodeId, OperationSchedule>, query_threads: usize) -> Self {
         ExecutionSchedule {
-            query_threads: per_node.values().map(|s| s.threads).sum(),
+            query_threads,
             per_node,
             discard_results: false,
             build_parallelism: 1,
@@ -123,8 +114,7 @@ impl ExecutionSchedule {
     /// The query's thread count (scheduling step 1): the count the caller
     /// fixed with [`SchedulerOptions::total_threads`], or the one derived
     /// from the estimated complexity. It is the width of the pool a query
-    /// runs on by default. The per-operation counts of steps 2–3 are each
-    /// rounded up to at least 1, so their sum can exceed it.
+    /// runs on by default.
     pub fn query_threads(&self) -> usize {
         self.query_threads
     }
@@ -134,17 +124,11 @@ impl ExecutionSchedule {
         &self.per_node
     }
 
-    /// Checks the schedule is sane (non-zero threads, capacities and cache
-    /// sizes everywhere, and covers every plan node).
+    /// Checks the schedule is sane (non-zero capacities and cache sizes
+    /// everywhere, and covers every plan node).
     pub fn validate(&self, plan: &Plan) -> Result<()> {
         for node in plan.nodes() {
             let s = self.operation(node.id)?;
-            if s.threads == 0 {
-                return Err(EngineError::InvalidSchedule(format!(
-                    "operation {} has zero threads",
-                    node.id
-                )));
-            }
             if s.queue_capacity == 0 || s.cache_size == 0 {
                 return Err(EngineError::InvalidSchedule(format!(
                     "operation {} has a zero queue capacity or cache size",
@@ -223,62 +207,28 @@ impl SchedulerOptions {
 pub struct Scheduler;
 
 impl Scheduler {
-    /// Builds an execution schedule for a plan (steps 1–3 of Figure 5).
+    /// Builds an execution schedule for a plan (step 1 of Figure 5).
     pub fn build(
         plan: &Plan,
         extended: &ExtendedPlan,
         options: &SchedulerOptions,
     ) -> Result<ExecutionSchedule> {
         options.validate()?;
-        let complexity = PlanComplexity::from_extended(extended);
-        let decomposition = SubqueryDecomposition::decompose(plan)?;
 
         // Step 1: total thread count.
         let total_threads = match options.total_threads {
             Some(n) => n,
             None => {
-                let derived = (complexity.total() / WORK_PER_THREAD).ceil() as usize;
+                let complexity = PlanComplexity::from_extended(extended).total();
+                let derived = (complexity / WORK_PER_THREAD).ceil() as usize;
                 derived.clamp(1, MAX_DERIVED_THREADS)
             }
         };
-
-        // Step 2: threads per subquery. Independent chains become children of
-        // a synthetic root whose own complexity is zero, which reproduces the
-        // paper's proportional split between sibling subqueries.
-        let chain_threads: Vec<usize> = if decomposition.len() == 1 {
-            vec![total_threads]
-        } else {
-            let children: Vec<SubqueryNode> = decomposition
-                .subqueries()
-                .iter()
-                .map(|sq| SubqueryNode::leaf(sq.id, sq.complexity(&complexity)))
-                .collect();
-            let root_id = decomposition.len(); // unused id for the synthetic root
-            let tree = SubqueryNode::node(root_id, 0.0, children);
-            let alloc = allocate_subqueries(&tree, total_threads);
-            decomposition
-                .subqueries()
-                .iter()
-                .map(|sq| alloc.integral_threads_of(sq.id).unwrap_or(1))
-                .collect()
+        let op = OperationSchedule {
+            queue_capacity: options.queue_capacity,
+            cache_size: options.cache_size,
         };
-
-        // Step 3: threads per operation within each chain.
-        let mut per_node: BTreeMap<NodeId, OperationSchedule> = BTreeMap::new();
-        for (sq, &threads) in decomposition.subqueries().iter().zip(&chain_threads) {
-            let op_complexities: Vec<f64> = sq.nodes.iter().map(|n| complexity.node(*n)).collect();
-            let shares = allocate_chain(threads, &op_complexities);
-            for (node, share) in sq.nodes.iter().zip(shares) {
-                per_node.insert(
-                    *node,
-                    OperationSchedule {
-                        threads: share,
-                        queue_capacity: options.queue_capacity,
-                        cache_size: options.cache_size,
-                    },
-                );
-            }
-        }
+        let per_node = plan.nodes().iter().map(|node| (node.id, op)).collect();
 
         // Index-build parallelism divides the thread budget across the
         // operation instances that build *concurrently*. One temporary index
@@ -345,25 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_thread_count_is_distributed_across_the_chain() {
-        let cat = catalog();
-        let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::NestedLoop);
-        let ext = extended(&cat, &plan);
-        let schedule = Scheduler::build(
-            &plan,
-            &ext,
-            &SchedulerOptions::default().with_total_threads(10),
-        )
-        .unwrap();
-        assert_eq!(allocated_threads(&schedule), 10);
-        // The join dominates the complexity, so it receives most threads.
-        let join_threads = schedule.operation(NodeId(1)).unwrap().threads;
-        let transmit_threads = schedule.operation(NodeId(0)).unwrap().threads;
-        assert!(join_threads > transmit_threads);
-        assert!(transmit_threads >= 1);
-    }
-
-    #[test]
     fn derived_thread_count_scales_with_complexity() {
         let cat = catalog_of(20_000, 2_000, 20);
         let small = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
@@ -380,8 +311,7 @@ mod tests {
             schedule.query_threads()
         };
         assert!(derive(&big) > derive(&small));
-        // An explicit count is step 1's answer verbatim, even where every
-        // operation is rounded up to one thread and the sum exceeds it.
+        // An explicit count is step 1's answer verbatim.
         let one = Scheduler::build(
             &small,
             &extended(&cat, &small),
@@ -389,17 +319,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(one.query_threads(), 1);
-        assert_eq!(allocated_threads(&one), 2);
-    }
-
-    /// Steps 2–3's per-operation thread counts, summed.
-    fn allocated_threads(schedule: &ExecutionSchedule) -> usize {
-        schedule.per_node().values().map(|s| s.threads).sum()
     }
 
     #[test]
     fn missing_operation_is_an_error() {
-        let schedule = ExecutionSchedule::from_parts(BTreeMap::new());
+        let schedule = ExecutionSchedule::from_parts(BTreeMap::new(), 1);
         assert!(matches!(
             schedule.operation(NodeId(0)),
             Err(EngineError::IncompleteSchedule { node: 0 })
@@ -407,20 +331,19 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_zero_threads() {
+    fn validate_rejects_zero_queue_capacity_in_parts() {
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
         let mut per_node = BTreeMap::new();
         for node in plan.nodes() {
             per_node.insert(
                 node.id,
                 OperationSchedule {
-                    threads: 0,
-                    queue_capacity: 16,
+                    queue_capacity: 0,
                     cache_size: 4,
                 },
             );
         }
-        let schedule = ExecutionSchedule::from_parts(per_node);
+        let schedule = ExecutionSchedule::from_parts(per_node, 2);
         assert!(matches!(
             schedule.validate(&plan),
             Err(EngineError::InvalidSchedule(_))
@@ -499,7 +422,7 @@ mod tests {
         .unwrap();
         assert_eq!(narrow.build_parallelism(), 3);
         // Hand-built schedules build sequentially.
-        let manual = ExecutionSchedule::from_parts(BTreeMap::new());
+        let manual = ExecutionSchedule::from_parts(BTreeMap::new(), 1);
         assert_eq!(manual.build_parallelism(), 1);
     }
 
@@ -517,7 +440,7 @@ mod tests {
         assert_eq!(derived.morsel_rows(), DEFAULT_MORSEL_ROWS);
         assert_eq!(derived.clone().with_morsel_rows(512).morsel_rows(), 512);
         assert_eq!(derived.with_morsel_rows(0).morsel_rows(), 1);
-        let manual = ExecutionSchedule::from_parts(BTreeMap::new());
+        let manual = ExecutionSchedule::from_parts(BTreeMap::new(), 1);
         assert_eq!(manual.morsel_rows(), DEFAULT_MORSEL_ROWS);
     }
 

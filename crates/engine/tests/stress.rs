@@ -4,9 +4,13 @@
 //! queue-based pipeline engine typically deadlocks or loses activations.
 
 use dbs3_engine::{
-    ExecutionOutcome, ExecutionSchedule, OperationSchedule, Runtime, Scheduler, SchedulerOptions,
+    EngineError, ExecutionOutcome, ExecutionSchedule, OperationSchedule, Runtime, Scheduler,
+    SchedulerOptions,
 };
-use dbs3_lera::{plans, CostParameters, ExtendedPlan, JoinAlgorithm, Plan, Predicate};
+use dbs3_lera::{
+    plans, CostParameters, ExtendedPlan, JoinAlgorithm, NodeId, OperatorKind, Plan, PlanError,
+    Predicate,
+};
 use dbs3_storage::{
     Catalog, ColumnDef, PartitionSpec, PartitionedRelation, Relation, Schema, Tuple, Value,
 };
@@ -41,13 +45,12 @@ fn manual_schedule(
         per_node.insert(
             node.id,
             OperationSchedule {
-                threads,
                 queue_capacity,
                 cache_size,
             },
         );
     }
-    ExecutionSchedule::from_parts(per_node)
+    ExecutionSchedule::from_parts(per_node, threads)
 }
 
 /// Runs `plan` under `schedule` on the process-wide pool of the schedule's
@@ -71,7 +74,7 @@ fn tiny_queue_capacity_does_not_deadlock() {
     let b = int_relation("Bprime", 0..400);
     let cat = catalog_with(a, b, 16);
     let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
-    let schedule = manual_schedule(&plan, 2, 2, 1);
+    let schedule = manual_schedule(&plan, 6, 2, 1);
     let outcome = execute(&cat, &plan, &schedule).unwrap();
     assert_eq!(outcome.results["Result"].len(), 400);
 }
@@ -84,7 +87,7 @@ fn cache_larger_than_queue_capacity() {
     let b = int_relation("Bprime", 0..500);
     let cat = catalog_with(a, b, 8);
     let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::NestedLoop);
-    let schedule = manual_schedule(&plan, 3, 4, 256);
+    let schedule = manual_schedule(&plan, 9, 4, 256);
     let outcome = execute(&cat, &plan, &schedule).unwrap();
     assert_eq!(outcome.results["Result"].len(), 500);
 }
@@ -97,7 +100,7 @@ fn empty_transmitted_relation_terminates() {
     let b = int_relation("Bprime", std::iter::empty());
     let cat = catalog_with(a, b, 8);
     let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
-    let schedule = manual_schedule(&plan, 4, 16, 8);
+    let schedule = manual_schedule(&plan, 12, 16, 8);
     let outcome = execute(&cat, &plan, &schedule).unwrap();
     assert!(outcome.results["Result"].is_empty());
 }
@@ -109,7 +112,7 @@ fn empty_inner_relation_produces_empty_result() {
     let b = int_relation("Bprime", 0..200);
     let cat = catalog_with(a, b, 4);
     let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::NestedLoop);
-    let schedule = manual_schedule(&plan, 2, 8, 4);
+    let schedule = manual_schedule(&plan, 6, 8, 4);
     let outcome = execute(&cat, &plan, &schedule).unwrap();
     assert!(outcome.results["Result"].is_empty());
 }
@@ -122,7 +125,7 @@ fn fully_selective_filter() {
     let b = int_relation("Bprime", 0..10);
     let cat = catalog_with(a, b, 32);
     let plan = plans::selection("A", Predicate::eq("unique1", -1), "Nothing");
-    let schedule = manual_schedule(&plan, 4, 64, 8);
+    let schedule = manual_schedule(&plan, 8, 64, 8);
     let outcome = execute(&cat, &plan, &schedule).unwrap();
     assert!(outcome.results["Nothing"].is_empty());
     let filter = &outcome.metrics.operations[0];
@@ -137,7 +140,7 @@ fn many_threads_little_work() {
     let b = int_relation("Bprime", 0..50);
     let cat = catalog_with(a, b, 2);
     let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::TempIndex);
-    let schedule = manual_schedule(&plan, 16, 8, 4);
+    let schedule = manual_schedule(&plan, 32, 8, 4);
     let outcome = execute(&cat, &plan, &schedule).unwrap();
     assert_eq!(outcome.results["Result"].len(), 50);
     assert_eq!(outcome.metrics.total_threads, 32);
@@ -151,7 +154,7 @@ fn single_fragment_execution() {
     let b = int_relation("Bprime", 0..100);
     let cat = catalog_with(a, b, 1);
     let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
-    let schedule = manual_schedule(&plan, 4, 16, 4);
+    let schedule = manual_schedule(&plan, 8, 16, 4);
     let outcome = execute(&cat, &plan, &schedule).unwrap();
     assert_eq!(outcome.results["Result"].len(), 100);
 }
@@ -210,7 +213,38 @@ fn single_thread_skewed() {
         ..SchedulerOptions::default().with_total_threads(1)
     };
     let schedule = Scheduler::build(&plan, &extended, &options).unwrap();
-    assert!(schedule.per_node().values().all(|op| op.threads == 1));
+    assert_eq!(schedule.query_threads(), 1);
     let outcome = execute(&cat, &plan, &schedule).unwrap();
     assert_eq!(outcome.results["Result"].len(), expected);
+}
+
+/// The runtime wires only an operation's first consumer, so a plan whose
+/// join feeds two stores would silently lose a branch. `Plan::from_nodes`
+/// (the wire-decode path) does not check consumers; `Plan::validate`, which
+/// every engine entry runs while expanding the plan, must reject it.
+#[test]
+fn a_plan_with_two_consumers_is_rejected_before_execution() {
+    let cat = catalog_with(int_relation("A", 0..100), int_relation("Bprime", 0..10), 2);
+    let mut nodes = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash)
+        .nodes()
+        .to_vec();
+    let mut second_store = nodes[1].clone();
+    second_store.id = NodeId(2);
+    second_store.kind = OperatorKind::Store {
+        result_name: "Copy".to_string(),
+    };
+    nodes.push(second_store);
+    let plan = Plan::from_nodes("two-stores", nodes).unwrap();
+    let expected = EngineError::from(PlanError::MultipleConsumers(0));
+
+    let options = SchedulerOptions::default().with_total_threads(2);
+    let err = dbs3_engine::prepare(&cat, &plan, &options, &CostParameters::default()).unwrap_err();
+    assert_eq!(err, expected);
+
+    let schedule = manual_schedule(&plan, 2, 16, 4);
+    let err = Runtime::new(1)
+        .unwrap()
+        .submit(&cat, &plan, &schedule)
+        .unwrap_err();
+    assert_eq!(err, expected);
 }

@@ -8,7 +8,8 @@
 //!
 //! * the LPT consumption strategy (queues ordered by decreasing estimated
 //!   activation cost),
-//! * the scheduler's complexity-proportional thread allocation,
+//! * the scheduler's thread count and the simulator's
+//!   complexity-proportional split of it over operations,
 //! * the simulator's virtual-time cost accounting.
 
 use crate::complexity::CostParameters;
@@ -267,16 +268,6 @@ impl ExtendedPlan {
     pub fn operation(&self, node: NodeId) -> Option<&ExtendedOperation> {
         self.by_node.get(&node).map(|&i| &self.operations[i])
     }
-
-    /// Total number of operation instances (and therefore activation queues)
-    /// across the plan — the quantity that grows with the degree of
-    /// partitioning and causes the overhead measured in Expt 3.
-    pub fn total_instances(&self) -> usize {
-        self.operations
-            .iter()
-            .map(ExtendedOperation::instance_count)
-            .sum()
-    }
 }
 
 fn triggered_join_cost(
@@ -354,7 +345,6 @@ mod tests {
         // Store mirrors the join's instances.
         let store = ext.operation(NodeId(1)).unwrap();
         assert_eq!(store.instance_count(), 25);
-        assert_eq!(ext.total_instances(), 50);
     }
 
     #[test]

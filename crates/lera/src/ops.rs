@@ -150,15 +150,6 @@ impl OperatorKind {
         }
     }
 
-    /// The kind of activation this operator's queue receives.
-    pub fn input_activation_kind(&self) -> ActivationKind {
-        if self.requires_pipeline() {
-            ActivationKind::Data
-        } else {
-            ActivationKind::Control
-        }
-    }
-
     /// The column of incoming pipelined tuples used to route each data
     /// activation to an instance (hash routing), when applicable.
     ///
@@ -238,7 +229,6 @@ mod tests {
         let k = filter_kind();
         assert!(k.requires_trigger());
         assert!(!k.requires_pipeline());
-        assert_eq!(k.input_activation_kind(), ActivationKind::Control);
         assert_eq!(k.associated_relation(), Some("R"));
         assert_eq!(k.name(), "filter");
     }
@@ -254,7 +244,6 @@ mod tests {
         assert!(k.requires_pipeline());
         assert!(!k.requires_trigger());
         assert_eq!(k.routing_column(), Some("b_key"));
-        assert_eq!(k.input_activation_kind(), ActivationKind::Data);
     }
 
     #[test]

@@ -73,15 +73,6 @@ impl Predicate {
         }
     }
 
-    /// `column < constant` shorthand.
-    pub fn lt(column: impl Into<String>, value: impl Into<Value>) -> Self {
-        Predicate::Compare {
-            column: column.into(),
-            op: CompareOp::Lt,
-            value: value.into(),
-        }
-    }
-
     /// `lo <= column < hi` range shorthand (the classic Wisconsin range
     /// selection).
     pub fn range(column: impl Into<String>, lo: i64, hi: i64) -> Self {

@@ -2,8 +2,9 @@
 //!
 //! Section 3 of the paper describes the execution graph as "pipelined
 //! operation chains (called subqueries) and result materializations between
-//! chains" (Figure 5). The scheduler assigns threads first to subqueries,
-//! then to the operations of each chain.
+//! chains" (Figure 5). Scheduling steps 2–3, which the simulator runs,
+//! assign threads first to subqueries, then to the operations of each
+//! chain.
 //!
 //! A subquery is a maximal chain of operators connected by pipeline (data)
 //! edges; a chain starts at a triggered operator and ends at a sink
@@ -40,11 +41,6 @@ impl Subquery {
     /// The triggered head of the chain.
     pub fn head(&self) -> NodeId {
         self.nodes[0]
-    }
-
-    /// The sink of the chain.
-    pub fn sink(&self) -> NodeId {
-        *self.nodes.last().expect("chains are non-empty")
     }
 
     /// Sequential complexity of the chain under a plan complexity estimate.
@@ -103,11 +99,6 @@ impl SubqueryDecomposition {
     pub fn is_empty(&self) -> bool {
         self.subqueries.is_empty()
     }
-
-    /// The chain containing a given node, if any.
-    pub fn chain_of(&self, node: NodeId) -> Option<&Subquery> {
-        self.subqueries.iter().find(|s| s.nodes.contains(&node))
-    }
 }
 
 #[cfg(test)]
@@ -126,7 +117,7 @@ mod tests {
         let sq = &dec.subqueries()[0];
         assert_eq!(sq.len(), 3);
         assert_eq!(sq.head(), NodeId(0));
-        assert_eq!(sq.sink(), NodeId(2));
+        assert_eq!(sq.nodes.last(), Some(&NodeId(2)));
     }
 
     #[test]
@@ -148,9 +139,8 @@ mod tests {
         let plan = b.build();
         let dec = SubqueryDecomposition::decompose(&plan).unwrap();
         assert_eq!(dec.len(), 2);
-        assert_eq!(dec.chain_of(NodeId(1)).unwrap().id, 0);
-        assert_eq!(dec.chain_of(NodeId(3)).unwrap().id, 1);
-        assert!(dec.chain_of(NodeId(9)).is_none());
+        assert_eq!(dec.subqueries()[0].nodes, vec![NodeId(0), NodeId(1)]);
+        assert_eq!(dec.subqueries()[1].nodes, vec![NodeId(2), NodeId(3)]);
     }
 
     #[test]

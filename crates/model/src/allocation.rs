@@ -1,7 +1,8 @@
 //! Thread allocation across subqueries and operations (Section 3, Figure 5).
 //!
 //! The scheduler fixes the execution parameters top-down in four steps; this
-//! module implements the two numeric ones:
+//! module implements the two numeric ones, which the simulator runs for its
+//! one-pool-per-operation machine:
 //!
 //! * **Step 2 — assigning threads to subqueries.** The execution graph is an
 //!   inverted tree of subqueries (pipelined chains separated by
@@ -17,7 +18,7 @@
 //!
 //! Fractional allocations are also rounded to integers (each subquery and
 //!   operation gets at least one thread, and the integer counts sum to the
-//!   requested totals) because the engine ultimately spawns whole threads.
+//!   requested totals) because the simulated machine runs whole threads.
 
 use std::collections::BTreeMap;
 
@@ -59,15 +60,6 @@ impl SubqueryNode {
                 .iter()
                 .map(SubqueryNode::subtree_complexity)
                 .sum::<f64>()
-    }
-
-    /// Number of subqueries in the subtree.
-    pub fn subtree_size(&self) -> usize {
-        1 + self
-            .children
-            .iter()
-            .map(SubqueryNode::subtree_size)
-            .sum::<usize>()
     }
 }
 
@@ -319,7 +311,6 @@ mod tests {
     #[test]
     fn subtree_helpers() {
         let tree = figure5_tree(1.0, 2.0, 3.0, 4.0, 5.0);
-        assert_eq!(tree.subtree_size(), 5);
         assert!((tree.subtree_complexity() - 15.0).abs() < 1e-12);
     }
 

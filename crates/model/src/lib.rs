@@ -14,7 +14,8 @@
 //!   equations of Figure 5 step 2), and the per-operation split within a
 //!   pipeline chain (step 3).
 //!
-//! The engine's scheduler and the simulator both consume this crate, and the
+//! The simulator consumes the thread-allocation solver (scheduling steps
+//! 2–3, which only its one-pool-per-operation machine reads), and the
 //! benches overlay its predictions (Tworst, theoretical speed-up, vworst) on
 //! the measured curves exactly as the paper's figures do.
 
@@ -23,5 +24,5 @@ pub mod overhead;
 pub mod speedup;
 
 pub use allocation::{allocate_chain, allocate_subqueries, SubqueryNode, SubqueryPlanAllocation};
-pub use overhead::{ideal_time, overhead_bound, skew_overhead, worst_time, OperationProfile};
+pub use overhead::{ideal_time, overhead_bound, skew_overhead, worst_time};
 pub use speedup::{n_max, theoretical_speedup, triggered_speedup_ceiling, zipf_max_to_avg};

@@ -14,70 +14,6 @@
 //! of Section 5 plot as `vworst`, and what Expt 3 measures as
 //! `v0.6 = T0.6 / T0 − 1`.
 
-/// A static profile of a single parallel operation, sufficient to evaluate
-/// the analytic formulas.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OperationProfile {
-    /// Number of activations `a` (fragments for a triggered operation,
-    /// pipelined tuples for a pipelined operation).
-    pub activations: u64,
-    /// Average activation processing time `P` (any consistent time unit).
-    pub avg_cost: f64,
-    /// Processing time of the most expensive activation `Pmax`.
-    pub max_cost: f64,
-    /// Number of threads `n` allocated to the operation.
-    pub threads: usize,
-}
-
-impl OperationProfile {
-    /// Builds a profile from per-activation costs.
-    ///
-    /// Returns `None` for an empty cost list (an operation with no
-    /// activations has no meaningful profile).
-    pub fn from_costs(costs: &[f64], threads: usize) -> Option<Self> {
-        if costs.is_empty() {
-            return None;
-        }
-        let total: f64 = costs.iter().sum();
-        let max = costs.iter().cloned().fold(f64::MIN, f64::max);
-        Some(OperationProfile {
-            activations: costs.len() as u64,
-            avg_cost: total / costs.len() as f64,
-            max_cost: max,
-            threads,
-        })
-    }
-
-    /// The skew factor `Pmax / P`.
-    pub fn skew_factor(&self) -> f64 {
-        if self.avg_cost == 0.0 {
-            1.0
-        } else {
-            self.max_cost / self.avg_cost
-        }
-    }
-
-    /// Total sequential work `a · P`.
-    pub fn sequential_time(&self) -> f64 {
-        self.activations as f64 * self.avg_cost
-    }
-
-    /// `Tideal` for this profile (equation 1).
-    pub fn ideal_time(&self) -> f64 {
-        ideal_time(self.activations, self.avg_cost, self.threads)
-    }
-
-    /// `Tworst` for this profile (equation 2).
-    pub fn worst_time(&self) -> f64 {
-        worst_time(self.activations, self.avg_cost, self.max_cost, self.threads)
-    }
-
-    /// The overhead bound `v` for this profile (equation 3).
-    pub fn overhead_bound(&self) -> f64 {
-        overhead_bound(self.activations, self.skew_factor(), self.threads)
-    }
-}
-
 /// Equation 1: the ideal execution time `a · P / n`, reached when all
 /// threads complete simultaneously.
 pub fn ideal_time(activations: u64, avg_cost: f64, threads: usize) -> f64 {
@@ -166,20 +102,6 @@ mod tests {
         assert!(few > 5.0);
         // ...pipelined operation (a = 20_000): the bound is small.
         assert!(many < 0.2);
-    }
-
-    #[test]
-    fn profile_from_costs() {
-        let costs = vec![1.0, 1.0, 1.0, 5.0];
-        let p = OperationProfile::from_costs(&costs, 2).unwrap();
-        assert_eq!(p.activations, 4);
-        assert!((p.avg_cost - 2.0).abs() < 1e-12);
-        assert!((p.max_cost - 5.0).abs() < 1e-12);
-        assert!((p.skew_factor() - 2.5).abs() < 1e-12);
-        assert!((p.sequential_time() - 8.0).abs() < 1e-12);
-        assert!((p.ideal_time() - 4.0).abs() < 1e-12);
-        assert!(p.worst_time() >= p.ideal_time());
-        assert!(OperationProfile::from_costs(&[], 2).is_none());
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //! ## Admission control
 //!
 //! A query is shed with a typed [`ServeError::ServerBusy`] frame when
-//! [`Runtime::live_queries`] has reached `max_inflight` (and optionally when
-//! [`Runtime::queue_pressure`] exceeds `pressure_limit`). Shedding happens
+//! [`Runtime::live_queries`] has reached `max_inflight`. Shedding happens
 //! *before* any binding or scheduling work, so a busy server stays cheap to
 //! refuse; the connection stays open and the client may retry.
 //!
@@ -83,10 +82,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Admission limit: queries live at once before new ones are shed.
     pub max_inflight: u64,
-    /// Optional backlog limit: shed when [`Runtime::queue_pressure`]
-    /// exceeds this many buffered activations, even under `max_inflight`
-    /// live queries. `None` disables the pressure gate.
-    pub pressure_limit: Option<u64>,
     /// How long, after a stop request, session threads keep answering late
     /// arrivals with typed shutdown errors before closing their sockets.
     pub drain_grace: Duration,
@@ -102,7 +97,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 4,
             max_inflight: 64,
-            pressure_limit: None,
             drain_grace: Duration::from_millis(300),
             stall_after: None,
         }
@@ -595,10 +589,7 @@ fn serve_connection(
                     continue;
                 }
                 let live = runtime.live_queries() as u64;
-                let over_pressure = config
-                    .pressure_limit
-                    .is_some_and(|limit| runtime.queue_pressure() > limit);
-                if live >= config.max_inflight || over_pressure {
+                if live >= config.max_inflight {
                     // A shed request never executed: release the claim so
                     // the client's retry can run it for real.
                     if request_id != 0 {

@@ -83,11 +83,6 @@ impl SimCostParams {
         self.activation_overhead_us + oc * self.scan_tuple_us + join + rc * self.store_tuple_us
     }
 
-    /// Cost of scanning and emitting one source tuple (filter / transmit).
-    pub fn emit_tuple_us(&self) -> f64 {
-        self.scan_tuple_us + self.move_tuple_us
-    }
-
     /// Cost of one pipelined-join probe against an `inner_card`-tuple
     /// fragment, storing `matches` result tuples.
     pub fn pipelined_probe_us(
@@ -146,7 +141,7 @@ mod tests {
         // 20K transmitted tuples, each probing a 1000-tuple fragment with a
         // nested loop; paper reports Tseq = 1048 s.
         let p = SimCostParams::default();
-        let emit = 20_000.0 * p.emit_tuple_us();
+        let emit = 20_000.0 * (p.scan_tuple_us + p.move_tuple_us);
         let probe = 20_000.0 * p.pipelined_probe_us(1000, 1, JoinAlgorithm::NestedLoop);
         let total_s = (emit + probe) / 1e6;
         assert!(

@@ -14,11 +14,13 @@
 //! determined by which worker processes which activation when, and by a
 //! per-activation cost model. The simulator therefore replays the same
 //! extended plans, with the same activation granularity and the same
-//! thread-allocation decisions as the real engine, but advances a virtual
-//! clock instead of burning CPU. It also keeps the paper's consumption
-//! strategies (Random / LPT) and scheduling step 4, which picks one per
-//! operation: they matter on the modelled machine, while the real engine's
-//! shared pool walks one fixed, cost-ordered ring of queues instead.
+//! thread count (scheduling step 1) as the real engine, but advances a
+//! virtual clock instead of burning CPU. It also runs the rest of the
+//! paper's scheduler: steps 2–3 split the thread count into one pool per
+//! operation, and step 4 picks a consumption strategy (Random / LPT) per
+//! operation. They matter on the modelled machine, while the real engine's
+//! one shared pool serves every operation and walks one fixed, cost-ordered
+//! ring of queues instead.
 //!
 //! ## Calibration
 //!
@@ -35,8 +37,9 @@
 //! * [`allcache`] — the KSR1 Allcache memory model (local cache capacity,
 //!   remote-access ratio) used by the Section 5.2 experiment;
 //! * [`simulator`] — pipeline-aware list-scheduling simulation of an
-//!   extended plan on `n` virtual workers, with the adaptive shared-queue
-//!   policy or the static one-thread-per-instance baseline;
+//!   extended plan on `n` virtual workers, split into per-operation pools
+//!   by scheduling steps 2–3, with the adaptive shared-queue policy or the
+//!   static one-thread-per-instance baseline;
 //! * [`strategy`] — the Random / LPT consumption strategies and scheduling
 //!   step 4's choice between them;
 //! * [`report`] — the simulation report (virtual times, speed-ups,

@@ -93,11 +93,6 @@ impl SimReport {
         self.total_us() / 1e6
     }
 
-    /// Parallel execution span in seconds (without start-up).
-    pub fn execution_seconds(&self) -> f64 {
-        self.execution_us / 1e6
-    }
-
     /// Speed-up relative to an explicitly measured sequential time (µs).
     pub fn speedup_vs(&self, sequential_us: f64) -> f64 {
         sequential_us / self.total_us()

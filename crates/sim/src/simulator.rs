@@ -4,8 +4,11 @@
 //!
 //! * every operation has one activation per fragment (triggered) or one per
 //!   pipelined tuple (data), with a cost from [`crate::cost::SimCostParams`];
-//! * every operation has its own pool of virtual workers, sized by the same
-//!   [`dbs3_engine::Scheduler`] the real engine uses;
+//! * every operation has its own pool of virtual workers. The query's
+//!   thread count is step 1's, from the same [`dbs3_engine::Scheduler`] the
+//!   real engine uses; scheduling steps 2–3 then split it over subqueries
+//!   and over the operations of each chain (`operation_threads`), which
+//!   only this machine model reads;
 //! * a triggered operation's activations are all available at start; the
 //!   pool consumes them in the order dictated by the paper's consumption
 //!   strategy (`Random` or `LPT`, picked per operation by scheduling step 4
@@ -35,7 +38,9 @@ use crate::{Result, SimError};
 use dbs3_engine::{Scheduler, SchedulerOptions};
 use dbs3_lera::{
     CostParameters, ExtendedPlan, JoinAlgorithm, NodeId, OperatorKind, OuterInput, Plan,
+    PlanComplexity, SubqueryDecomposition,
 };
+use dbs3_model::{allocate_chain, allocate_subqueries, SubqueryNode};
 use dbs3_storage::Catalog;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -153,6 +158,56 @@ impl SimConfig {
     }
 }
 
+/// Scheduling steps 2–3 (Section 3, Figure 5): the threads of each
+/// operation's pool on the modelled machine, from the query's thread count.
+///
+/// 2. **Assigning the threads to subqueries** bottom-up over the subquery
+///    tree, proportionally to sequential complexity
+///    ([`dbs3_model::allocate_subqueries`]).
+/// 3. **Assigning the threads of each chain to its operations** by
+///    complexity ratio ([`dbs3_model::allocate_chain`]).
+///
+/// Every operation gets at least one thread, so the counts can sum to more
+/// than `query_threads`.
+fn operation_threads(
+    plan: &Plan,
+    extended: &ExtendedPlan,
+    query_threads: usize,
+) -> Result<HashMap<NodeId, usize>> {
+    let complexity = PlanComplexity::from_extended(extended);
+    let decomposition = SubqueryDecomposition::decompose(plan)?;
+
+    // Step 2: threads per subquery. Independent chains become children of
+    // a synthetic root whose own complexity is zero, which reproduces the
+    // paper's proportional split between sibling subqueries.
+    let chain_threads: Vec<usize> = if decomposition.len() == 1 {
+        vec![query_threads]
+    } else {
+        let children: Vec<SubqueryNode> = decomposition
+            .subqueries()
+            .iter()
+            .map(|sq| SubqueryNode::leaf(sq.id, sq.complexity(&complexity)))
+            .collect();
+        let root_id = decomposition.len(); // unused id for the synthetic root
+        let tree = SubqueryNode::node(root_id, 0.0, children);
+        let alloc = allocate_subqueries(&tree, query_threads);
+        decomposition
+            .subqueries()
+            .iter()
+            .map(|sq| alloc.integral_threads_of(sq.id).unwrap_or(1))
+            .collect()
+    };
+
+    // Step 3: threads per operation within each chain.
+    let mut per_node = HashMap::new();
+    for (sq, &threads) in decomposition.subqueries().iter().zip(&chain_threads) {
+        let op_complexities: Vec<f64> = sq.nodes.iter().map(|n| complexity.node(*n)).collect();
+        let shares = allocate_chain(threads, &op_complexities);
+        per_node.extend(sq.nodes.iter().copied().zip(shares));
+    }
+    Ok(per_node)
+}
+
 /// One simulated activation.
 #[derive(Debug, Clone)]
 struct SimActivation {
@@ -190,7 +245,8 @@ impl<'a> Simulator<'a> {
     /// Simulates the execution of `plan` on the machine `config`, scheduled
     /// by the engine's [`Scheduler`] under `options`. The query's thread
     /// count is the schedule's [`query_threads`]: the count `options` fixes,
-    /// or the one step 1 derives from the estimated complexity.
+    /// or the one step 1 derives from the estimated complexity. Steps 2–3
+    /// then size each operation's pool from it.
     ///
     /// [`query_threads`]: dbs3_engine::ExecutionSchedule::query_threads
     pub fn simulate(
@@ -207,6 +263,7 @@ impl<'a> Simulator<'a> {
         let extended = ExtendedPlan::from_plan(plan, self.catalog, &CostParameters::default())?;
         let schedule = Scheduler::build(plan, &extended, options)?;
         let threads = schedule.query_threads();
+        let op_threads = operation_threads(plan, &extended, threads)?;
         let dilation = (threads as f64 / config.processors as f64).max(1.0);
 
         // Start-up cost: queue creation for every non-store operation plus
@@ -229,7 +286,7 @@ impl<'a> Simulator<'a> {
         }
         // The modelled machine starts one pool per operation, so every
         // operation's thread (steps 2–3, each at least 1) is paid for.
-        let pool_threads: usize = schedule.per_node().values().map(|s| s.threads).sum();
+        let pool_threads: usize = op_threads.values().sum();
         let startup_us = config
             .costs
             .startup_us(control_queues, data_queues, pool_threads);
@@ -245,20 +302,18 @@ impl<'a> Simulator<'a> {
             if matches!(node.kind, OperatorKind::Store { .. }) {
                 continue;
             }
-            let op_schedule = schedule.operation(id)?;
             // Store operations are folded into their producers (the paper's
             // plans write result fragments directly from the join
-            // instances), so the threads the scheduler reserved for a store
-            // are credited back to the producer's pool.
+            // instances), so the threads steps 2–3 reserved for a store are
+            // credited back to the producer's pool.
             let store_threads: usize = plan
                 .consumers(id)
                 .iter()
                 .filter_map(|c| plan.node(*c).ok())
                 .filter(|c| matches!(c.kind, OperatorKind::Store { .. }))
-                .filter_map(|c| schedule.operation(c.id).ok())
-                .map(|s| s.threads)
+                .filter_map(|c| op_threads.get(&c.id))
                 .sum();
-            let pool_threads = (op_schedule.threads + store_threads).min(threads);
+            let pool_threads = (op_threads[&id] + store_threads).min(threads);
 
             let (mut activations, tuples_out) =
                 self.build_activations(plan, id, config, threads, &mut pending)?;
@@ -772,6 +827,45 @@ pub(crate) mod tests {
         cat.register(PartitionedRelation::from_relation(&b, spec).unwrap())
             .unwrap();
         cat
+    }
+
+    /// Steps 2–3's per-operation thread counts for `plan` under a budget.
+    fn allocate(cat: &Catalog, plan: &Plan, budget: usize) -> HashMap<NodeId, usize> {
+        let ext = ExtendedPlan::from_plan(plan, cat, &CostParameters::default()).unwrap();
+        operation_threads(plan, &ext, budget).unwrap()
+    }
+
+    #[test]
+    fn explicit_thread_count_is_distributed_across_the_chain() {
+        let cat = catalog(5_000, 500, 40, 0.0);
+        let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::NestedLoop);
+        let threads = allocate(&cat, &plan, 10);
+        assert_eq!(threads.values().sum::<usize>(), 10);
+        // The join dominates the complexity, so it receives most threads.
+        assert!(threads[&NodeId(1)] > threads[&NodeId(0)]);
+        assert!(threads[&NodeId(0)] >= 1);
+    }
+
+    #[test]
+    fn scheduler_respects_thread_budget_across_plans() {
+        let cat = catalog(2_000, 200, 10, 0.0);
+        for plan in [
+            plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash),
+            plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash),
+            plans::selection("A", Predicate::one_in("ten", 10), "Out"),
+        ] {
+            for budget in [1usize, 2, 5, 12] {
+                // Every operation gets at least one thread, so the sum only
+                // exceeds the budget when the plan has more operations.
+                let allocated: usize = allocate(&cat, &plan, budget).values().sum();
+                assert_eq!(
+                    allocated,
+                    budget.max(plan.len()),
+                    "plan {} with budget {budget}",
+                    plan.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -62,9 +62,9 @@ proptest! {
                 &SchedulerOptions::default().with_total_threads(threads),
             )
             .unwrap();
-        // The scheduler gives every operation pool at least one thread, so
-        // the effective worker count can exceed the requested total for
-        // tiny budgets; bound the span by the workers actually granted.
+        // Scheduling steps 2–3 give every operation pool at least one
+        // thread, so the effective worker count can exceed the requested
+        // total for tiny budgets; bound the span by the workers granted.
         let effective_workers: usize = report.operations.iter().map(|o| o.threads).sum();
         prop_assert!(
             report.execution_us + 1e-6

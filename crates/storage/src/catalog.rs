@@ -106,13 +106,6 @@ impl Catalog {
         Ok(removed)
     }
 
-    /// Names of all registered relations, sorted.
-    pub fn relation_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.relations.keys().cloned().collect();
-        names.sort();
-        names
-    }
-
     /// Number of registered relations.
     pub fn len(&self) -> usize {
         self.relations.len()
@@ -171,7 +164,7 @@ mod tests {
         let mut cat = Catalog::new();
         cat.register(partitioned("B")).unwrap();
         cat.register(partitioned("A")).unwrap();
-        assert_eq!(cat.relation_names(), vec!["A".to_string(), "B".to_string()]);
+        assert!(cat.contains("A") && cat.contains("B"));
         cat.remove("A").unwrap();
         assert!(!cat.contains("A"));
         assert!(cat.remove("A").is_err());
@@ -215,6 +208,6 @@ mod tests {
     fn empty_catalog() {
         let cat = Catalog::new();
         assert!(cat.is_empty());
-        assert!(cat.relation_names().is_empty());
+        assert_eq!(cat.len(), 0);
     }
 }

@@ -43,15 +43,6 @@ impl PartitionSpec {
         }
     }
 
-    /// Creates a partitioning spec on multiple attributes.
-    pub fn on_columns(columns: Vec<String>, degree: usize, num_disks: usize) -> Self {
-        PartitionSpec {
-            key_columns: columns,
-            degree,
-            num_disks,
-        }
-    }
-
     fn validate(&self, schema: &Schema) -> Result<Vec<usize>> {
         if self.degree == 0 {
             return Err(StorageError::InvalidDegree(self.degree));

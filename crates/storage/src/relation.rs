@@ -128,18 +128,6 @@ impl Relation {
             .collect()
     }
 
-    /// Renames the relation (used when deriving `B'` from `B` in the
-    /// experiment databases).
-    pub fn renamed(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
-    /// Consumes the relation, returning its tuples.
-    pub fn into_tuples(self) -> Vec<Tuple> {
-        self.tuples
-    }
-
     /// Validates that the relation is internally consistent; returns the
     /// first violation found. Useful as a cheap invariant check in
     /// integration tests after bulk loads.
@@ -228,13 +216,6 @@ mod tests {
         let a = test_relation("a", &[(1, 10), (2, 20), (3, 30)]);
         let out = a.reference_select(|t| t.value(1).as_int().unwrap() >= 20);
         assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn renamed_changes_only_name() {
-        let a = test_relation("a", &[(1, 10)]).renamed("b");
-        assert_eq!(a.name(), "b");
-        assert_eq!(a.cardinality(), 1);
     }
 
     #[test]

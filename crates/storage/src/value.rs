@@ -7,7 +7,6 @@
 //! directly shows up in the queue/cache interference the paper discusses.
 
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A single column value.
@@ -147,17 +146,6 @@ where
         h ^= h >> 33;
     }
     h
-}
-
-/// Wrapper implementing `Hash` via [`Value::stable_hash`], so values can be
-/// used as keys in hash maps with deterministic bucket assignment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StableKey(pub Value);
-
-impl Hash for StableKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.0.stable_hash());
-    }
 }
 
 #[cfg(test)]

@@ -21,19 +21,15 @@ fn main() -> Result<()> {
     //    co-partitioned join followed by a store.
     let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
 
-    // 3. Let the DBS3 scheduler fix the execution parameters (threads per
-    //    operation, queue sizes) for 8 threads total, and print its
-    //    decisions before executing.
+    // 3. Fix 8 threads for the query and print each operation's queue
+    //    count (one activation queue per fragment) before executing.
     let query = session.query(&plan).threads(8);
-    let schedule = query.schedule()?;
     let extended = query.extended_plan()?;
     println!("plan: {}", plan.name());
     for node in plan.nodes() {
-        let op = schedule.operation(node.id)?;
         println!(
-            "  {:<24} threads={:<2} queues={}",
+            "  {:<24} queues={}",
             node.name,
-            op.threads,
             extended.operation(node.id).unwrap().instance_count()
         );
     }

@@ -39,28 +39,30 @@
 //!
 //! Every run on real threads is the same two engine calls —
 //! [`dbs3_engine::prepare`] (expansion + scheduling, cached) then
-//! [`Runtime::submit_prepared`] — and a [`QueryHandle`]. The only things
-//! that vary are *which pool* and *whether the caller waits*:
+//! [`Runtime::submit_prepared`](crate::Runtime::submit_prepared) — and a
+//! [`QueryHandle`]. The only things that vary are *which pool* and
+//! *whether the caller waits*:
 //!
-//! * [`Backend::Threaded`] (the default) uses the process-wide
-//!   [`Runtime::shared`] pool whose width equals the query's thread count
+//! * `run()` on [`Backend::Threaded`] (the default) uses the process-wide
+//!   [`Runtime::shared`](crate::Runtime::shared) pool whose width equals
+//!   the query's thread count
 //!   ([`ExecutionSchedule::query_threads`](dbs3_engine::ExecutionSchedule::query_threads)),
 //!   so `.threads(n)` runs on exactly `n` workers. The pool is spawned on
 //!   first use at that width, parks when idle and lives for the rest of the
-//!   process.
-//! * [`Backend::Pooled`] uses a [`Runtime`] the caller owns. Its width is
-//!   fixed at [`Runtime::new`]; the query's `.threads(n)` knob still shapes
-//!   the *schedule* (per-operation thread counts, index-build sharding) but
-//!   does not resize the pool.
+//!   process. `run()` waits on the [`QueryHandle`] before returning.
+//! * [`Query::submit`](crate::Query::submit) uses a
+//!   [`Runtime`](crate::Runtime) the caller owns and returns the handle
+//!   instead of waiting; blocking on that pool is
+//!   `.submit(&runtime)?.wait()`. The pool's width is fixed at
+//!   [`Runtime::new`](crate::Runtime::new); the query's `.threads(n)` knob
+//!   still shapes the *schedule* (index-build sharding) but does not resize
+//!   the pool.
 //!
-//! `run()` is `submit` + [`QueryHandle::wait`] on whichever pool was
-//! selected; [`Query::submit`](crate::Query::submit) returns the handle
-//! instead of waiting. Any number of queries may be in flight on one pool,
-//! with workers picking activations across all of them:
+//! Any number of queries may be in flight on one pool, with workers picking
+//! activations across all of them:
 //!
 //! ```
 //! use dbs3::prelude::*;
-//! use std::sync::Arc;
 //!
 //! let mut session = Session::new();
 //! let spec = PartitionSpec::on("unique1", 8, 2);
@@ -68,55 +70,45 @@
 //! session.load_wisconsin(&WisconsinConfig::narrow("Bprime", 100), spec)?;
 //! let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
 //!
-//! let runtime = Arc::new(Runtime::new(4)?);
-//! // Blocking, through the backend selector...
-//! let pooled = session
-//!     .query(&plan)
-//!     .on(Backend::Pooled(Arc::clone(&runtime)))
-//!     .run()?;
-//! // ...or submit-and-wait with a handle.
-//! let handle = session.query(&plan).submit(&runtime)?;
-//! let submitted = handle.wait()?;
-//! assert_eq!(pooled.result_cardinality("Result"), Some(100));
-//! assert_eq!(submitted.result_cardinality("Result"), Some(100));
+//! let runtime = Runtime::new(4)?;
+//! let first = session.query(&plan).submit(&runtime)?;
+//! let second = session.query(&plan).submit(&runtime)?;
+//! assert_eq!(first.wait()?.result_cardinality("Result"), Some(100));
+//! assert_eq!(second.wait()?.result_cardinality("Result"), Some(100));
 //! # Ok::<(), dbs3::Error>(())
 //! ```
 
 use crate::error::Result;
-use dbs3_engine::{ExecutionMetrics, ExecutionOutcome, Runtime};
+use dbs3_engine::{ExecutionMetrics, ExecutionOutcome};
 use dbs3_lera::{NodeId, OperatorKind, Plan};
 use dbs3_sim::{SimConfig, SimReport};
 use dbs3_storage::Tuple;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Where a [`Query`](crate::Query) runs, selected with
 /// [`Query::on`](crate::Query::on).
 #[derive(Debug, Clone, Default)]
 pub enum Backend {
-    /// Real OS threads on the process-wide [`Runtime::shared`] pool whose
-    /// width is the query's thread count — `.threads(n)`, or the count
-    /// scheduling step 1 derives (spawned on first use, reused by every
-    /// later run at that width).
+    /// Real OS threads on the process-wide
+    /// [`Runtime::shared`](crate::Runtime::shared) pool whose width is the
+    /// query's thread count — `.threads(n)`, or the count scheduling step 1
+    /// derives (spawned on first use, reused by every later run at that
+    /// width). To run on a caller-owned [`Runtime`](crate::Runtime) pool
+    /// instead, use [`Query::submit`](crate::Query::submit).
     #[default]
     Threaded,
-    /// Real OS threads on a caller-owned [`Runtime`] pool, shared with
-    /// whatever else the caller submits to it (see the
-    /// [module docs](self)).
-    Pooled(Arc<Runtime>),
     /// Replay the same schedule on the virtual-time simulator configured by
     /// the given [`SimConfig`] (e.g. [`SimConfig::ksr1`]). The config
     /// supplies the machine model and the paper's consumption strategy
     /// ([`SimConfig::with_strategy`], which only the simulator models); the
-    /// thread count comes from the query, as on the real-thread backends — a
-    /// query without `.threads(n)` runs with the count scheduling step 1
-    /// derives.
+    /// thread count comes from the query, as on real threads — a query
+    /// without `.threads(n)` runs with the count scheduling step 1 derives.
     Simulated(SimConfig),
 }
 
-/// A handle to a query submitted to a [`Runtime`] pool through
-/// [`Query::submit`](crate::Query::submit) or
+/// A handle to a query submitted to a [`Runtime`](crate::Runtime) pool
+/// through [`Query::submit`](crate::Query::submit) or
 /// [`PreparedQuery::submit`](crate::PreparedQuery::submit).
 ///
 /// Wraps the engine-level [`dbs3_engine::QueryHandle`], converting outcomes
@@ -261,8 +253,8 @@ impl BackendMetrics {
 /// The unified result of running a [`Query`](crate::Query) on any backend.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
-    /// Materialised result tuples, keyed by store name. Only the threaded
-    /// and pooled backends materialise tuples — and not when the query ran
+    /// Materialised result tuples, keyed by store name. Only real-thread
+    /// runs materialise tuples — and not when the query ran
     /// with [`Query::discard_results`](crate::Query::discard_results); the
     /// simulator always leaves this empty and reports cardinalities instead.
     pub results: BTreeMap<String, Vec<Tuple>>,

@@ -3,13 +3,13 @@
 //! The public entry point is the [`Session`]/[`Query`] facade: a session
 //! owns a catalog of partitioned relations, a query chains execution knobs
 //! and runs on the [`Backend`] it names — the process-wide worker pool of
-//! the schedule's width ([`Backend::Threaded`], the default), a
-//! [`Runtime`] pool the caller owns and shares between concurrent queries
-//! ([`Backend::Pooled`], non-blocking via [`Query::submit`]), or the
+//! the schedule's width ([`Backend::Threaded`], the default) or the
 //! virtual-time KSR1 simulator ([`Backend::Simulated`]) — returning a
-//! unified [`exec::QueryOutcome`]. Both real-thread backends are one engine
-//! path (`prepare` → `Runtime::submit_prepared`); they differ only in which
-//! pool receives the query.
+//! unified [`exec::QueryOutcome`]. [`Query::submit`] hands the query to a
+//! [`Runtime`] pool the caller owns and shares between concurrent queries
+//! instead. Every real-thread run is one engine path (`prepare` →
+//! `Runtime::submit_prepared`); runs differ only in which pool receives the
+//! query.
 //!
 //! The underlying crates stay public for low-level control:
 //!
@@ -20,14 +20,14 @@
 //! * [`engine`] ([`dbs3_engine`]) — the adaptive parallel execution engine
 //!   (activation queues, one fixed worker pool scheduling activations
 //!   across all live queries, each worker walking a cost-ordered ring of an
-//!   operation's queues from its own main slice, the thread-allocation
-//!   steps 1–3 of the scheduler);
+//!   operation's queues from its own main slice, scheduling step 1's
+//!   thread count as the pool width);
 //! * [`model`] ([`dbs3_model`]) — the analytical model (skew overhead bound,
 //!   `nmax`, thread-allocation equations);
 //! * [`sim`] ([`dbs3_sim`]) — the virtual-time multiprocessor simulator
-//!   standing in for the 72-processor KSR1, with the paper's Random/LPT
-//!   consumption strategies and scheduling step 4, which picks between
-//!   them.
+//!   standing in for the 72-processor KSR1, with one pool per operation
+//!   sized by scheduling steps 2–3, and the paper's Random/LPT consumption
+//!   strategies with step 4, which picks between them.
 //!
 //! ## Quick start
 //!

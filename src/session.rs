@@ -217,9 +217,9 @@ impl<'a> Query<'a> {
         self
     }
 
-    /// Selects the backend: [`Backend::Threaded`] (default),
-    /// [`Backend::Pooled`] or [`Backend::Simulated`] — the one-line regime
-    /// swap.
+    /// Selects the backend: [`Backend::Threaded`] (default) or
+    /// [`Backend::Simulated`] — the one-line regime swap. To run on a pool
+    /// the caller owns, use [`Query::submit`].
     pub fn on(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
@@ -230,8 +230,9 @@ impl<'a> Query<'a> {
         &self.options
     }
 
-    /// Builds the execution schedule (steps 1–3 of Figure 5) without
-    /// executing — for inspecting thread allocation.
+    /// Builds the execution schedule (step 1 of Figure 5: the query's thread
+    /// count, plus every operation's queue capacity and cache size) without
+    /// executing.
     pub fn schedule(&self) -> Result<ExecutionSchedule> {
         let extended = self.extended_plan()?;
         Ok(Scheduler::build(self.plan, &extended, &self.options)?)
@@ -248,19 +249,17 @@ impl<'a> Query<'a> {
 
     /// Runs the query on the selected [`Backend`], blocking until the
     /// outcome is available. On real threads this is exactly
-    /// [`Query::submit`] followed by [`QueryHandle::wait`], on the backend's
-    /// pool.
+    /// [`Query::submit`] followed by [`QueryHandle::wait`], on the
+    /// process-wide pool of the schedule's width.
     pub fn run(self) -> Result<QueryOutcome> {
         let catalog = self.session.catalog();
-        let runtime = match &self.backend {
-            Backend::Threaded => None,
-            Backend::Pooled(runtime) => Some(runtime.as_ref()),
-            Backend::Simulated(config) => {
-                return simulate(catalog, self.plan, &self.options, config);
+        match &self.backend {
+            Backend::Threaded => {
+                let prepared = prepare_plan(catalog, self.plan, &self.options)?;
+                submit_to(None, catalog, &prepared)?.wait()
             }
-        };
-        let prepared = prepare_plan(catalog, self.plan, &self.options)?;
-        submit_to(runtime, catalog, &prepared)?.wait()
+            Backend::Simulated(config) => simulate(catalog, self.plan, &self.options, config),
+        }
     }
 
     /// Submits the query to a caller-owned [`Runtime`] pool and returns
@@ -427,8 +426,6 @@ mod tests {
             .schedule()
             .unwrap();
         assert_eq!(schedule.query_threads(), 6);
-        let allocated: usize = schedule.per_node().values().map(|op| op.threads).sum();
-        assert_eq!(allocated, 6);
         for op in schedule.per_node().values() {
             assert_eq!(op.cache_size, 16);
         }

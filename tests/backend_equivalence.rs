@@ -149,9 +149,9 @@ fn batching_never_changes_logical_work() {
 }
 
 /// Hash joins at every build-parallelism regime (sequential, 2-shard,
-/// 8-shard temporary index builds), across Threaded, Pooled and Simulated
-/// backends: cardinalities must be identical everywhere, and the
-/// Threaded/Pooled engines must also agree on per-operation logical
+/// 8-shard temporary index builds), on the shared pool, a caller-owned pool
+/// and the simulator: cardinalities must be identical everywhere, and the
+/// two engine runs must also agree on per-operation logical
 /// activation counts — the partitioned build changes *when* index entries
 /// are written, never what a probe returns. (The simulator is excluded from
 /// the per-op comparison for hash joins only because it deliberately models
@@ -170,7 +170,7 @@ fn parallel_index_builds_are_invisible_across_all_backends() {
     /// Pinned reference: (cardinalities per store, per-op activation counts).
     type Pinned = (std::collections::BTreeMap<String, usize>, Vec<Option<u64>>);
     let session = session(40_000, 4_000, 4, 0.0);
-    let runtime = std::sync::Arc::new(Runtime::new(4).unwrap());
+    let runtime = Runtime::new(4).unwrap();
     for plan in [
         plans::ideal_join("Bprime", "A", "unique1", JoinAlgorithm::Hash),
         plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash),
@@ -179,17 +179,15 @@ fn parallel_index_builds_are_invisible_across_all_backends() {
         for (threads, shards) in [(4usize, 1usize), (8, 2), (32, 8)] {
             let schedule = session.query(&plan).threads(threads).schedule().unwrap();
             assert_eq!(schedule.build_parallelism(), shards, "{threads} threads");
-            for backend in [
-                Backend::Threaded,
-                Backend::Pooled(std::sync::Arc::clone(&runtime)),
-                Backend::Simulated(SimConfig::ksr1()),
-            ] {
-                let outcome = session
-                    .query(&plan)
-                    .threads(threads)
-                    .on(backend)
+            let query = || session.query(&plan).threads(threads);
+            for outcome in [
+                query().run().unwrap(),
+                query().submit(&runtime).unwrap().wait().unwrap(),
+                query()
+                    .on(Backend::Simulated(SimConfig::ksr1()))
                     .run()
-                    .unwrap();
+                    .unwrap(),
+            ] {
                 let is_engine = outcome.metrics.backend_name() != "simulated";
                 let counts: Vec<Option<u64>> = plan
                     .nodes()

@@ -43,8 +43,8 @@ fn session(a_card: usize, b_card: usize, degree: usize, theta: f64) -> Session {
 /// the first (cold) execution populates the caches, every later (warm)
 /// execution of the same plan is served by them — and cardinalities plus
 /// per-operation logical activation counts must be bit-identical between
-/// the cold run and warm runs across Threaded, Pooled and Simulated
-/// backends. The cache-stats delta attributed to the warm threaded run
+/// the cold run and warm runs on the shared pool, a caller-owned pool and
+/// the simulator. The cache-stats delta attributed to each warm engine run
 /// proves the warm path actually hit the caches rather than accidentally
 /// rebuilding.
 #[test]
@@ -53,7 +53,7 @@ fn cached_setup_is_identical_to_cold_setup_across_all_backends() {
     /// Pinned reference: (cardinalities per store, per-op activation counts).
     type Pinned = (std::collections::BTreeMap<String, usize>, Vec<Option<u64>>);
     let session = session(8_000, 800, 8, 0.0);
-    let runtime = std::sync::Arc::new(Runtime::new(4).unwrap());
+    let runtime = Runtime::new(4).unwrap();
     for plan in [
         plans::ideal_join("Bprime", "A", "unique1", JoinAlgorithm::Hash),
         plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash),
@@ -62,12 +62,15 @@ fn cached_setup_is_identical_to_cold_setup_across_all_backends() {
         // Round 0 is cold for this (fresh) session's generations; rounds
         // 1..3 repeat the identical query and must be served by the caches.
         for round in 0..3 {
-            for backend in [
-                Backend::Threaded,
-                Backend::Pooled(std::sync::Arc::clone(&runtime)),
-                Backend::Simulated(SimConfig::ksr1()),
+            let query = || session.query(&plan).threads(4);
+            for outcome in [
+                query().run().unwrap(),
+                query().submit(&runtime).unwrap().wait().unwrap(),
+                query()
+                    .on(Backend::Simulated(SimConfig::ksr1()))
+                    .run()
+                    .unwrap(),
             ] {
-                let outcome = session.query(&plan).threads(4).on(backend).run().unwrap();
                 // The in-window cache signal of a warm run is the shared
                 // build-side index: operator binding consults it during
                 // execution, squarely inside the attribution window (the

@@ -177,24 +177,3 @@ fn simulator_speedup_ceiling_matches_analytic_nmax() {
         "speed-up should plateau: {s40} vs {s70}"
     );
 }
-
-#[test]
-fn scheduler_respects_thread_budget_across_plans() {
-    let session = build_session(2_000, 200, 10, 0.0);
-    for plan in [
-        plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash),
-        plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash),
-        plans::selection("A", Predicate::one_in("ten", 10), "Out"),
-    ] {
-        for budget in [2usize, 5, 12] {
-            let schedule = session.query(&plan).threads(budget).schedule().unwrap();
-            let allocated: usize = schedule.per_node().values().map(|s| s.threads).sum();
-            assert_eq!(
-                allocated,
-                budget.max(plan.len()),
-                "plan {} with budget {budget}",
-                plan.name()
-            );
-        }
-    }
-}

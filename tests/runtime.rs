@@ -11,15 +11,16 @@
 //!   pool reusable;
 //! * dropping the runtime with queries in flight shuts down cleanly — no
 //!   hang, every waiter gets an outcome or a typed shutdown error;
-//! * the `Backend::Pooled` selector is equivalent to `Threaded` and
-//!   `Simulated` on everything that is not a clock;
+//! * a query submitted to a caller-owned pool is equivalent to the same
+//!   query on the shared pool and on the simulator on everything that is
+//!   not a clock;
 //! * `discard_results()` keeps cardinalities and metrics exact while
 //!   materialising nothing.
 
 use dbs3::prelude::*;
 use dbs3_engine::EngineError;
 use dbs3_lera::OperatorKind;
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::Duration;
 
 fn session(a_card: usize, b_card: usize, degree: usize) -> Session {
@@ -168,16 +169,19 @@ fn dropping_the_runtime_with_inflight_queries_shuts_down_cleanly() {
     }
 }
 
-/// The pooled backend agrees with the threaded and simulated backends on
-/// cardinalities and per-operation logical activation counts — the same
-/// contract `tests/backend_equivalence.rs` pins for the other two. (As in
+/// A query submitted to a caller-owned pool agrees with the same query on
+/// the shared pool and on the simulator on cardinalities and per-operation
+/// logical activation counts — the same contract
+/// `tests/backend_equivalence.rs` pins for the other two. (As in
 /// that suite, the activation comparison with the simulator uses the
 /// nested-loop shapes: the simulator additionally models per-instance
-/// hash-table *build* activations for hash joins.)
+/// hash-table *build* activations for hash joins.) "Pooled" here is the
+/// caller-owned pool reached through `submit`, and "threaded" is
+/// `Backend::Threaded`.
 #[test]
 fn pooled_backend_is_equivalent_to_threaded_and_simulated() {
     let session = session(2_000, 200, 16);
-    let runtime = Arc::new(Runtime::new(4).unwrap());
+    let runtime = Runtime::new(4).unwrap();
     for plan in plan_mix() {
         let is_nested_loop = plan.nodes().iter().any(|n| {
             matches!(
@@ -192,8 +196,9 @@ fn pooled_backend_is_equivalent_to_threaded_and_simulated() {
         let pooled = session
             .query(&plan)
             .threads(4)
-            .on(Backend::Pooled(Arc::clone(&runtime)))
-            .run()
+            .submit(&runtime)
+            .unwrap()
+            .wait()
             .unwrap();
         let simulated = session
             .query(&plan)
