@@ -27,9 +27,6 @@ pub enum EngineError {
     /// The [`Runtime`](crate::runtime::Runtime) was shut down (dropped) while
     /// the query was still in flight.
     RuntimeShutdown,
-    /// The query outcome was already taken from its handle (a second
-    /// `wait()` after a successful `try_outcome()`).
-    OutcomeTaken,
     /// The query's deadline elapsed and the query was cancelled (by
     /// [`QueryHandle::wait_timeout_or_cancel`](crate::runtime::QueryHandle::wait_timeout_or_cancel)).
     /// The query is no longer running.
@@ -63,9 +60,6 @@ impl fmt::Display for EngineError {
             }
             EngineError::RuntimeShutdown => {
                 write!(f, "the runtime was shut down before the query completed")
-            }
-            EngineError::OutcomeTaken => {
-                write!(f, "the query outcome was already taken from the handle")
             }
             EngineError::DeadlineExceeded { query } => {
                 write!(f, "query {query} exceeded its deadline and was cancelled")
@@ -117,7 +111,6 @@ mod tests {
             .to_string()
             .contains('7'));
         assert!(EngineError::RuntimeShutdown.to_string().contains("shut"));
-        assert!(EngineError::OutcomeTaken.to_string().contains("taken"));
         assert!(EngineError::DeadlineExceeded { query: 3 }
             .to_string()
             .contains("deadline"));

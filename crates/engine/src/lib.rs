@@ -32,7 +32,7 @@
 //!   shared pool, spawned once and parked on a condvar when idle, that
 //!   executes any number of concurrently submitted queries — each tagged
 //!   with a [`QueryId`] and observed through a [`QueryHandle`]
-//!   (`wait`/`wait_timeout_or_cancel`/`try_outcome`/`cancel`).
+//!   (`wait`/`wait_timeout_or_cancel`/`cancel`).
 //!
 //! There is one way to run a plan: [`prepare`] it (expansion + scheduling,
 //! answered from the plan cache on repeat) and hand the result to

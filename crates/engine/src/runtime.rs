@@ -730,9 +730,8 @@ impl Runtime {
                     let rows = op.operator.triggered_rows(q.instance());
                     match rows {
                         Some(card) if card > morsel_rows => {
-                            // Queues are sized before workers can drain
-                            // them, so never split past the capacity —
-                            // pushing more than fits would block forever.
+                            // Never split past the capacity, so a fresh
+                            // queue is within its bound from the first pop.
                             let step = morsel_rows.max(card.div_ceil(q.capacity()));
                             let mut start = 0;
                             while start < card {
@@ -807,7 +806,6 @@ impl Runtime {
         Ok(QueryHandle {
             query,
             inner: Arc::clone(&self.inner),
-            taken: false,
         })
     }
 
@@ -839,12 +837,6 @@ impl Runtime {
         for query in leftover {
             query.complete(Err(EngineError::RuntimeShutdown));
         }
-    }
-
-    /// Whether [`Runtime::shutdown`] was called (or the runtime is mid-drop):
-    /// submissions are being rejected with [`EngineError::RuntimeShutdown`].
-    pub fn is_shut_down(&self) -> bool {
-        self.inner.shutdown.load(Ordering::SeqCst)
     }
 }
 
@@ -887,15 +879,12 @@ impl ExecutionOutcome {
 pub struct QueryHandle {
     query: Arc<QueryState>,
     inner: Arc<RuntimeInner>,
-    /// Whether `try_outcome` already moved the outcome out of the cell.
-    taken: bool,
 }
 
 impl fmt::Debug for QueryHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("QueryHandle")
             .field("id", &self.query.id)
-            .field("finished", &self.is_finished())
             .finish()
     }
 }
@@ -906,20 +895,10 @@ impl QueryHandle {
         self.query.id
     }
 
-    /// Whether the outcome is available (completed, cancelled or failed).
-    pub fn is_finished(&self) -> bool {
-        self.taken || self.query.cell.outcome.lock().is_some()
-    }
-
     /// Blocks until the query completes and returns its outcome. Returns
-    /// [`EngineError::QueryCancelled`] if it was cancelled,
-    /// [`EngineError::RuntimeShutdown`] if the runtime was dropped first,
-    /// and [`EngineError::OutcomeTaken`] if a prior
-    /// [`QueryHandle::try_outcome`] already consumed the outcome.
+    /// [`EngineError::QueryCancelled`] if it was cancelled and
+    /// [`EngineError::RuntimeShutdown`] if the runtime was dropped first.
     pub fn wait(self) -> Result<ExecutionOutcome> {
-        if self.taken {
-            return Err(EngineError::OutcomeTaken);
-        }
         let mut slot = self.query.cell.outcome.lock();
         loop {
             if let Some(result) = slot.take() {
@@ -938,14 +917,9 @@ impl QueryHandle {
     /// timed-out query burning workers and holding its slot until it
     /// finished naturally.
     ///
-    /// The outcome is always consumed, on success and on timeout alike; if
-    /// the query completes in the race window between the timeout and the
-    /// cancellation, the completed outcome wins and is returned.
-    pub fn wait_timeout_or_cancel(&mut self, timeout: Duration) -> Result<ExecutionOutcome> {
-        if self.taken {
-            return Err(EngineError::OutcomeTaken);
-        }
-        self.taken = true;
+    /// If the query completes in the race window between the timeout and
+    /// the cancellation, the completed outcome wins and is returned.
+    pub fn wait_timeout_or_cancel(self, timeout: Duration) -> Result<ExecutionOutcome> {
         let deadline = Instant::now() + timeout;
         {
             let mut slot = self.query.cell.outcome.lock();
@@ -967,18 +941,6 @@ impl QueryHandle {
         // abort_query seals an outcome unless a natural completion won the
         // race — either way one is there to take.
         self.query.cell.outcome.lock().take().unwrap_or(Err(error))
-    }
-
-    /// Returns the outcome if the query already completed, without
-    /// blocking. The first `Some` moves the outcome out of the handle;
-    /// later calls return `None` and a later `wait()` reports
-    /// [`EngineError::OutcomeTaken`].
-    pub fn try_outcome(&mut self) -> Option<Result<ExecutionOutcome>> {
-        let result = self.query.cell.outcome.lock().take();
-        if result.is_some() {
-            self.taken = true;
-        }
-        result
     }
 
     /// Cancels the query: its queues are closed and drained, in-flight
@@ -1969,25 +1931,6 @@ mod tests {
     }
 
     #[test]
-    fn try_outcome_polls_then_takes_once() {
-        let (cat, _, b_ref) = build_catalog(800, 80, 8);
-        let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
-        let schedule = schedule_for(&plan, &cat, 2);
-        let runtime = Runtime::new(2).unwrap();
-        let mut handle = runtime.submit(&cat, &plan, &schedule).unwrap();
-        let outcome = loop {
-            if let Some(result) = handle.try_outcome() {
-                break result.unwrap();
-            }
-            std::thread::yield_now();
-        };
-        assert_eq!(outcome.results["Result"].len(), b_ref.cardinality());
-        assert!(handle.is_finished());
-        assert!(handle.try_outcome().is_none());
-        assert!(matches!(handle.wait(), Err(EngineError::OutcomeTaken)));
-    }
-
-    #[test]
     fn empty_pipeline_terminates_on_the_runtime() {
         let gen = WisconsinGenerator::new();
         let a = gen.generate(&WisconsinConfig::narrow("A", 1_000)).unwrap();
@@ -2056,9 +1999,7 @@ mod tests {
             .unwrap()
             .wait()
             .unwrap();
-        assert!(!runtime.is_shut_down());
         runtime.shutdown();
-        assert!(runtime.is_shut_down());
         // Second (and third) shutdown is a no-op, not a panic or a hang.
         runtime.shutdown();
         runtime.shutdown();
@@ -2091,7 +2032,7 @@ mod tests {
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
         let schedule = schedule_for(&plan, &cat, 2);
         let runtime = Runtime::new(2).unwrap();
-        let mut handle = runtime.submit(&cat, &plan, &schedule).unwrap();
+        let handle = runtime.submit(&cat, &plan, &schedule).unwrap();
         match handle.wait_timeout_or_cancel(Duration::ZERO) {
             Err(EngineError::DeadlineExceeded { .. }) => {}
             other => panic!("expected DeadlineExceeded, got {other:?}"),
@@ -2100,8 +2041,6 @@ mod tests {
         // released the moment the outcome is sealed, even though a worker
         // may still be mid-batch on the cancelled work.
         assert_eq!(runtime.live_queries(), 0);
-        // The outcome was consumed by the cancellation.
-        assert!(handle.try_outcome().is_none());
     }
 
     #[test]
@@ -2110,16 +2049,11 @@ mod tests {
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
         let schedule = schedule_for(&plan, &cat, 2);
         let runtime = Runtime::new(2).unwrap();
-        let mut handle = runtime.submit(&cat, &plan, &schedule).unwrap();
+        let handle = runtime.submit(&cat, &plan, &schedule).unwrap();
         let outcome = handle
             .wait_timeout_or_cancel(Duration::from_secs(60))
             .unwrap();
         assert!(!outcome.cardinalities.is_empty());
-        // The in-time outcome was consumed: the handle is spent.
-        match handle.wait_timeout_or_cancel(Duration::from_secs(60)) {
-            Err(EngineError::OutcomeTaken) => {}
-            other => panic!("expected OutcomeTaken, got {other:?}"),
-        }
     }
 
     #[test]

@@ -2,19 +2,18 @@
 //! interleavings of `push` / `push_batch` / `try_push` / `try_pop_batch` /
 //! `try_pop_into` / `close`, no tuple is ever lost or duplicated, and the
 //! lock-free
-//! observation mirrors (`len` / `is_empty` / `is_closed` / `is_exhausted`
-//! and the enqueue/dequeue totals) always agree with the data that actually
-//! moved.
+//! observation mirrors (`len` / `is_empty` / `is_closed` / `is_exhausted`)
+//! always agree with the data that actually moved.
 //!
 //! Two complementary properties:
 //!
 //! * a **sequential model check** drives one queue and an exact in-memory
 //!   model through a random operation script (including mid-script closes)
-//!   and asserts every observable — popped values, lengths, closed state,
-//!   totals — matches the model after every step;
+//!   and asserts every observable — popped values, lengths, closed state —
+//!   matches the model after every step;
 //! * a **concurrent interleaving check** runs random multi-producer scripts
 //!   against racing consumers and asserts the multiset of consumed tuples
-//!   equals the multiset of successfully pushed ones, with monotone totals.
+//!   equals the multiset of successfully pushed ones.
 
 use dbs3_engine::{Activation, ActivationQueue, TryPushError, TupleBatch};
 use dbs3_storage::tuple::int_tuple;
@@ -31,6 +30,18 @@ fn batch_of(base: i64, count: usize) -> Activation {
             .map(|i| int_tuple(&[base + i]))
             .collect::<Vec<_>>(),
     ))
+}
+
+/// Pushes as a pool worker does: `try_push`, yielding while the queue is
+/// full. The queue is closed only after every producer finished.
+fn push_retrying(q: &ActivationQueue, mut activation: Activation) {
+    while let Err(refused) = q.try_push(activation) {
+        match refused {
+            TryPushError::Full(back) => activation = back,
+            TryPushError::Closed(_) => panic!("producer pushed into a closed queue"),
+        }
+        thread::yield_now();
+    }
 }
 
 /// Flattens popped activations into their tuple payloads.
@@ -85,8 +96,6 @@ fn render(batch: &[Activation]) -> Vec<Entry> {
 struct Model {
     buffer: VecDeque<Entry>,
     closed: bool,
-    enqueued: u64,
-    dequeued: u64,
 }
 
 impl Model {
@@ -114,7 +123,6 @@ impl Model {
                 break;
             }
         }
-        self.dequeued += popped as u64;
         out
     }
 }
@@ -123,9 +131,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Sequential model check over random op scripts. Ops are encoded as
-    /// `(kind, size)`; blocking entry points (`push`, `push_batch`) are only
-    /// issued when the model proves they cannot block or panic, exactly as
-    /// the engine's producers do (they never push after closing).
+    /// `(kind, size)`; the unconditional appends (`push`, `push_batch`) are
+    /// only issued below capacity on an open queue, the contract submit
+    /// keeps (producers never push after closing).
     #[test]
     fn queue_matches_reference_model(
         ops in proptest::collection::vec((0u8..6, 1usize..8), 1..150),
@@ -150,28 +158,24 @@ proptest! {
                     } else {
                         prop_assert!(result.is_ok());
                         model.buffer.push_back(Entry::Data((next_payload..next_payload + size as i64).collect()));
-                        model.enqueued += size as u64;
                         next_payload += size as i64;
                     }
                 }
-                // push: blocking; issued only when it will be accepted
-                // immediately (below capacity, not closed).
+                // push: issued only below capacity on an open queue.
                 1 if !model.closed && model.len() < capacity => {
                     q.push(batch_of(next_payload, size));
                     model.buffer.push_back(Entry::Data((next_payload..next_payload + size as i64).collect()));
-                    model.enqueued += size as u64;
                     next_payload += size as i64;
                 }
-                // push_batch of singletons; issued only when the whole batch
-                // fits (so no acquisition can block).
-                2 if !model.closed && model.len() + size <= capacity => {
+                // push_batch of singletons; the whole batch lands, even past
+                // the capacity.
+                2 if !model.closed && model.len() < capacity => {
                     let singles: Vec<Activation> =
                         (0..size as i64).map(|i| Activation::single(int_tuple(&[next_payload + i]))).collect();
                     q.push_batch(singles);
                     for i in 0..size as i64 {
                         model.buffer.push_back(Entry::Data(vec![next_payload + i]));
                     }
-                    model.enqueued += size as u64;
                     next_payload += size as i64;
                 }
                 // A pop with a random weight budget: half of them through
@@ -203,7 +207,7 @@ proptest! {
                 }
                 // push of a control activation (trigger or a non-lead
                 // morsel — both weigh one queue unit and end any pop that
-                // claims them); issued only when it cannot block.
+                // claims them); issued only below capacity.
                 5 if !model.closed && model.len() < capacity => {
                     let (activation, tag) = if size % 2 == 0 {
                         (Activation::Trigger, "trigger")
@@ -212,17 +216,14 @@ proptest! {
                     };
                     q.push(activation);
                     model.buffer.push_back(Entry::Control(tag));
-                    model.enqueued += 1;
                 }
-                _ => {} // guarded push variants that would block: skip.
+                _ => {} // guarded pushes the contract rules out: skip.
             }
             // The lock-free observers agree with the model after every op.
             prop_assert_eq!(q.len(), model.len());
             prop_assert_eq!(q.is_empty(), model.len() == 0);
             prop_assert_eq!(q.is_closed(), model.closed);
             prop_assert_eq!(q.is_exhausted(), model.closed && model.len() == 0);
-            prop_assert_eq!(q.total_enqueued(), model.enqueued);
-            prop_assert_eq!(q.total_dequeued(), model.dequeued);
         }
         prop_assert_eq!(render(&reused), reused_entries);
         // Drain: everything enqueued comes back out exactly once. A pop
@@ -243,18 +244,18 @@ proptest! {
                 break;
             }
         }
-        prop_assert_eq!(q.total_dequeued(), q.total_enqueued());
+        prop_assert!(q.is_empty());
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Concurrent interleavings: random producer scripts (mixing blocking
-    /// pushes, batch pushes and lossy try_pushes) race two consumers. The
-    /// multiset of consumed payloads must equal the multiset of payloads
-    /// whose push was *accepted* — nothing lost, nothing duplicated — and
-    /// the totals must match exactly once the dust settles.
+    /// Concurrent interleavings: random producer scripts (mixing retried
+    /// pushes of one batch or of singletons with lossy try_pushes) race two
+    /// consumers. The multiset of consumed payloads must equal the multiset
+    /// of payloads whose push was *accepted* — nothing lost, nothing
+    /// duplicated.
     #[test]
     fn concurrent_interleavings_lose_and_duplicate_nothing(
         scripts in proptest::collection::vec(
@@ -266,18 +267,17 @@ proptest! {
     ) {
         let q = Arc::new(ActivationQueue::new(0, capacity, 0.0));
 
-        // Consumers: mix non-blocking batch pops with blocking pops until
-        // the queue is closed (while they run) and drained; collect every
-        // payload seen. Consumer 0 pops with `try_pop_batch`, consumer 1
-        // with `try_pop_into` through one reused buffer.
+        // Consumers: pop until the queue is closed (while they run) and
+        // drained, yielding when it is empty; collect every payload seen.
+        // Consumer 0 pops with `try_pop_batch`, consumer 1 with
+        // `try_pop_into` through one reused buffer.
         let consumers: Vec<_> = (0..2)
             .map(|c| {
                 let q = Arc::clone(&q);
                 thread::spawn(move || {
                     let mut seen: Vec<i64> = Vec::new();
                     let mut batch: Vec<Activation> = Vec::new();
-                    let (mut last_enq, mut last_deq) = (0u64, 0u64);
-                    loop {
+                    while !q.is_exhausted() {
                         batch.clear();
                         if c == 0 {
                             batch = q.try_pop_batch(budget);
@@ -286,22 +286,9 @@ proptest! {
                             assert_eq!(weight, batch.iter().map(Activation::queue_weight).sum::<usize>());
                         }
                         if batch.is_empty() {
-                            // Fall back to a blocking pop: returns None only
-                            // when the queue is exhausted.
-                            match q.pop_blocking() {
-                                Some(a) => seen.extend(payloads(std::slice::from_ref(&a))),
-                                None => break,
-                            }
-                        } else {
-                            seen.extend(payloads(&batch));
+                            thread::yield_now();
                         }
-                        // Totals are monotone and never cross: reading the
-                        // dequeue total first makes the comparison sound.
-                        let deq = q.total_dequeued();
-                        let enq = q.total_enqueued();
-                        assert!(deq <= enq, "dequeued {deq} > enqueued {enq}");
-                        assert!(deq >= last_deq && enq >= last_enq, "a total went backwards");
-                        (last_enq, last_deq) = (enq, deq);
+                        seen.extend(payloads(&batch));
                     }
                     seen
                 })
@@ -322,17 +309,16 @@ proptest! {
                         let base = next;
                         next += size as i64;
                         match kind {
-                            // Blocking push of one batch: always accepted.
+                            // One batch, retried until accepted.
                             0 => {
-                                q.push(batch_of(base, size));
+                                push_retrying(&q, batch_of(base, size));
                                 accepted.extend(base..base + size as i64);
                             }
-                            // push_batch of singletons: always accepted.
+                            // Singletons, each retried until accepted.
                             1 => {
-                                let singles: Vec<Activation> = (0..size as i64)
-                                    .map(|i| Activation::single(int_tuple(&[base + i])))
-                                    .collect();
-                                q.push_batch(singles);
+                                for i in 0..size as i64 {
+                                    push_retrying(&q, Activation::single(int_tuple(&[base + i])));
+                                }
                                 accepted.extend(base..base + size as i64);
                             }
                             // try_push: accepted only if the queue had room.
@@ -364,7 +350,6 @@ proptest! {
             consumed, pushed,
             "consumed multiset differs from accepted-push multiset"
         );
-        prop_assert_eq!(q.total_enqueued(), q.total_dequeued());
         prop_assert!(q.is_exhausted());
     }
 }

@@ -665,7 +665,7 @@ fn execute(
     // relation share a single build-side hash index.
     let prepared = dbs3_engine::prepare(catalog, &plan, &options, &cost)
         .map_err(|e| ServeError::Remote(e.to_string()))?;
-    let mut handle = runtime
+    let handle = runtime
         .submit_prepared(catalog, &prepared)
         .map_err(|e| match e {
             EngineError::RuntimeShutdown => ServeError::RemoteShutdown,

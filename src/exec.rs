@@ -129,11 +129,6 @@ impl QueryHandle {
         self.inner.id()
     }
 
-    /// Whether the outcome is available (completed, cancelled or failed).
-    pub fn is_finished(&self) -> bool {
-        self.inner.is_finished()
-    }
-
     /// Blocks until the query completes and returns its outcome. A
     /// cancelled query reports
     /// [`EngineError::QueryCancelled`](dbs3_engine::EngineError::QueryCancelled);
@@ -141,15 +136,6 @@ impl QueryHandle {
     /// [`EngineError::RuntimeShutdown`](dbs3_engine::EngineError::RuntimeShutdown).
     pub fn wait(self) -> Result<QueryOutcome> {
         Ok(QueryOutcome::from_execution(self.inner.wait()?))
-    }
-
-    /// Returns the outcome if the query already completed, without
-    /// blocking. The first `Some` consumes the outcome; the handle is spent
-    /// afterwards.
-    pub fn try_outcome(&mut self) -> Option<Result<QueryOutcome>> {
-        self.inner
-            .try_outcome()
-            .map(|result| Ok(QueryOutcome::from_execution(result?)))
     }
 
     /// Cancels the query; `wait()` then reports a typed cancelled error.
@@ -301,16 +287,6 @@ impl QueryOutcome {
     /// Cardinality of the named result, if the plan stored it.
     pub fn result_cardinality(&self, name: &str) -> Option<usize> {
         self.cardinalities.get(name).copied()
-    }
-
-    /// The materialised tuples of a plan with exactly one store operator
-    /// (threaded backend only).
-    pub fn result(&self) -> Option<&Vec<Tuple>> {
-        if self.results.len() == 1 {
-            self.results.values().next()
-        } else {
-            None
-        }
     }
 
     /// Shorthand for `metrics.elapsed()`.

@@ -263,7 +263,7 @@ impl<'a> Query<'a> {
     }
 
     /// Submits the query to a caller-owned [`Runtime`] pool and returns
-    /// immediately with a [`QueryHandle`] (`wait`/`try_outcome`/`cancel`).
+    /// immediately with a [`QueryHandle`] (`wait`/`cancel`).
     /// Any number of queries may be in flight on one runtime; workers
     /// schedule activations across all of them. The query's schedule is
     /// built exactly as `run()` would build it; the pool's width (fixed at
