@@ -25,9 +25,6 @@ struct Probe {
     /// cache, so concurrent and repeated queries over one relation share one
     /// build across operators.
     indexes: Vec<OnceLock<Arc<HashIndex>>>,
-    /// Shards each temporary index build is partitioned over
-    /// ([`HashIndex::build_parallel`]); 1 = sequential build.
-    build_shards: usize,
     /// The inner relation's name and catalog generation, when the
     /// generation is known: the key that lets builds be shared through
     /// [`crate::cache::shared_index`]. The name is copied once here, at
@@ -53,7 +50,6 @@ impl Probe {
             inner_column,
             algorithm,
             indexes,
-            build_shards: 1,
             shared_key: None,
             count_only: false,
         }
@@ -81,8 +77,7 @@ impl Probe {
         // allocation-free iterator over the matching bucket.
         let index = (self.algorithm != JoinAlgorithm::NestedLoop).then(|| {
             self.indexes[instance].get_or_init(|| {
-                let build =
-                    || HashIndex::build_parallel(inner, self.inner_column, self.build_shards);
+                let build = || HashIndex::build(inner, self.inner_column);
                 match &self.shared_key {
                     Some((relation, generation)) => crate::cache::shared_index(
                         relation,
@@ -138,8 +133,7 @@ pub struct TriggeredJoinOperator {
 }
 
 impl TriggeredJoinOperator {
-    /// Creates a bound triggered join (sequential index builds; see
-    /// [`Self::with_build_shards`]).
+    /// Creates a bound triggered join.
     pub fn new(
         outer: Arc<PartitionedRelation>,
         inner: Arc<PartitionedRelation>,
@@ -153,17 +147,8 @@ impl TriggeredJoinOperator {
         }
     }
 
-    /// Partitions every temporary index build over `shards` threads. Probe
-    /// results are identical to the sequential build (same grouped layout).
-    pub fn with_build_shards(mut self, shards: usize) -> Self {
-        self.probe.build_shards = shards.max(1);
-        self
-    }
-
     /// Routes index resolution through the engine-wide shared cache, keyed
-    /// by the inner relation's catalog `generation`. Sequential and sharded
-    /// builds produce bit-identical layouts, so sharing across operators
-    /// with different `build_shards` settings is sound.
+    /// by the inner relation's catalog `generation`.
     pub fn with_shared_generation(mut self, generation: Option<u64>) -> Self {
         self.probe.share_builds(generation);
         self
@@ -211,9 +196,8 @@ pub struct PipelinedJoinOperator {
 }
 
 impl PipelinedJoinOperator {
-    /// Creates a bound pipelined join (sequential index builds; see
-    /// [`Self::with_build_shards`]). `outer_column` is the key column of the
-    /// *incoming* tuples.
+    /// Creates a bound pipelined join. `outer_column` is the key column of
+    /// the *incoming* tuples.
     pub fn new(
         inner: Arc<PartitionedRelation>,
         outer_column: usize,
@@ -223,13 +207,6 @@ impl PipelinedJoinOperator {
         PipelinedJoinOperator {
             probe: Probe::new(inner, outer_column, inner_column, algorithm),
         }
-    }
-
-    /// Partitions every lazy per-instance index build over `shards`
-    /// threads. Probe results are identical to the sequential build.
-    pub fn with_build_shards(mut self, shards: usize) -> Self {
-        self.probe.build_shards = shards.max(1);
-        self
     }
 
     /// Routes index resolution through the engine-wide shared cache (see
@@ -401,60 +378,6 @@ mod tests {
             Arc::as_ptr(first.probe.indexes[2].get().unwrap()),
             Arc::as_ptr(private.probe.indexes[2].get().unwrap())
         );
-    }
-
-    #[test]
-    fn sharded_index_builds_do_not_change_join_output() {
-        // Builds happen per *fragment*, and `build_parallel` falls back to
-        // sequential below 4_096 rows per shard — so each inner fragment
-        // must hold >= 8_192 tuples for 2 shards to genuinely engage the
-        // partitioned build. 40_000 over 2 fragments gives ~20_000 per
-        // fragment: 2 shards engage as requested, 8 clamp to 4 (both real
-        // parallel builds, not the sequential fallback).
-        let (_, a) = partitioned("A", 40_000, 2);
-        let u1 = a.schema().column_index("unique1").unwrap();
-        let probes: Vec<Tuple> = a.fragments()[0].tuples()[..500].to_vec();
-        let reference: TupleBatch = {
-            let op = PipelinedJoinOperator::new(Arc::clone(&a), u1, u1, JoinAlgorithm::Hash);
-            op.process(0, Activation::Data(TupleBatch::from(probes.clone())))
-        };
-        assert_eq!(reference.len(), 500, "unique1 self-join");
-        for shards in [1usize, 2, 8] {
-            let op = PipelinedJoinOperator::new(Arc::clone(&a), u1, u1, JoinAlgorithm::Hash)
-                .with_build_shards(shards);
-            let out = op.process(0, Activation::Data(TupleBatch::from(probes.clone())));
-            assert_eq!(out, reference, "pipelined join diverged at {shards} shards");
-        }
-        // Triggered join with the big relation as the *inner* operand, so
-        // its per-fragment temporary index build also crosses the parallel
-        // threshold; B' (20_000 over 2 => ~10_000/fragment) is the outer.
-        let (_, b) = partitioned("Bprime", 20_000, 2);
-        let expected = {
-            let op = TriggeredJoinOperator::new(
-                Arc::clone(&b),
-                Arc::clone(&a),
-                u1,
-                u1,
-                JoinAlgorithm::Hash,
-            );
-            run_triggered(&op, 2)
-        };
-        assert_eq!(expected, 20_000, "B' joins A fully on unique1");
-        for shards in [2usize, 8] {
-            let op = TriggeredJoinOperator::new(
-                Arc::clone(&b),
-                Arc::clone(&a),
-                u1,
-                u1,
-                JoinAlgorithm::Hash,
-            )
-            .with_build_shards(shards);
-            assert_eq!(
-                run_triggered(&op, 2),
-                expected,
-                "triggered join at {shards} shards"
-            );
-        }
     }
 
     #[test]

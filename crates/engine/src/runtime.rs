@@ -643,7 +643,6 @@ impl Runtime {
                 node,
                 ext_op.instance_count(),
                 schedule.discard_results(),
-                schedule.build_parallelism(),
             )?);
             if let OperatorKind::Store { result_name } = &node.kind {
                 stores.push((result_name.clone(), Arc::clone(&operator)));
@@ -860,17 +859,6 @@ pub struct ExecutionOutcome {
     pub metrics: ExecutionMetrics,
 }
 
-impl ExecutionOutcome {
-    /// The single result of a plan with exactly one store operator.
-    pub fn result(&self) -> Option<&Vec<Tuple>> {
-        if self.results.len() == 1 {
-            self.results.values().next()
-        } else {
-            None
-        }
-    }
-}
-
 /// A handle to a query submitted to a [`Runtime`].
 ///
 /// The handle is detachable: dropping it does **not** cancel the query
@@ -1013,15 +1001,14 @@ fn honor_submit_fault() -> Result<()> {
 /// materialisation) — and, for a filter or join whose consumer is that
 /// store, counting its matches instead of building rows nobody will read
 /// (the one place this is decided; see [`crate::activation`] for the
-/// invariant). `build_shards` is handed to the join operators' temporary
-/// hash-index builds (`HashIndex::build_parallel`).
+/// invariant). A hash or temporary-index join builds each inner fragment's
+/// index on the worker whose activation first needs it.
 pub(crate) fn bind_operator(
     catalog: &Catalog,
     plan: &Plan,
     node: &dbs3_lera::OperatorNode,
     instance_count: usize,
     discard_results: bool,
-    build_shards: usize,
 ) -> Result<BoundOperator> {
     // A store is always co-located (`Router::SameInstance`: it has no
     // routing column), so "feeds a counting store" is all there is to check.
@@ -1069,7 +1056,6 @@ pub(crate) fn bind_operator(
                             inner_column,
                             *algorithm,
                         )
-                        .with_build_shards(build_shards)
                         .with_shared_generation(generation)
                         .counting_matches(count_only),
                     ))
@@ -1082,7 +1068,6 @@ pub(crate) fn bind_operator(
                     let outer_column = incoming_schema.column_index(&condition.outer_column)?;
                     Ok(BoundOperator::PipelinedJoin(
                         PipelinedJoinOperator::new(inner, outer_column, inner_column, *algorithm)
-                            .with_build_shards(build_shards)
                             .with_shared_generation(generation)
                             .counting_matches(count_only),
                     ))

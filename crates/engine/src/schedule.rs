@@ -51,9 +51,6 @@ pub struct ExecutionSchedule {
     query_threads: usize,
     /// Store operators count result tuples instead of materialising them.
     discard_results: bool,
-    /// Shards a temporary hash-index build is partitioned over
-    /// (`HashIndex::build_parallel`), derived from the query's thread count.
-    build_parallelism: usize,
     /// Fragment rows per morsel for triggered operations
     /// ([`DEFAULT_MORSEL_ROWS`] unless overridden). Fragments at or below
     /// this size keep a single whole-fragment trigger.
@@ -63,13 +60,12 @@ pub struct ExecutionSchedule {
 impl ExecutionSchedule {
     /// Builds a schedule from explicit per-node parameters and the query's
     /// thread count. Results are materialised (see
-    /// [`Self::with_discard_results`]) and index builds are sequential.
+    /// [`Self::with_discard_results`]).
     pub fn from_parts(per_node: BTreeMap<NodeId, OperationSchedule>, query_threads: usize) -> Self {
         ExecutionSchedule {
             query_threads,
             per_node,
             discard_results: false,
-            build_parallelism: 1,
             morsel_rows: DEFAULT_MORSEL_ROWS,
         }
     }
@@ -84,11 +80,6 @@ impl ExecutionSchedule {
     /// Fragment rows per morsel for triggered operations.
     pub fn morsel_rows(&self) -> usize {
         self.morsel_rows
-    }
-
-    /// Shards used for temporary hash-index builds.
-    pub fn build_parallelism(&self) -> usize {
-        self.build_parallelism
     }
 
     /// Makes store operators count result tuples instead of materialising
@@ -230,32 +221,10 @@ impl Scheduler {
         };
         let per_node = plan.nodes().iter().map(|node| (node.id, op)).collect();
 
-        // Index-build parallelism divides the thread budget across the
-        // operation instances that build *concurrently*. One temporary index
-        // is built per join instance, and with instances >= threads the pool
-        // is already saturated by whole builds — sharding each build further
-        // would spawn threads× extra workers and re-scan the hash array
-        // shards× for no wall-clock gain. Only when instances are scarcer
-        // than threads (low degree, single-fragment inners) do the idle
-        // threads go into each build.
-        let max_building_instances = plan
-            .nodes()
-            .iter()
-            .filter(|n| {
-                matches!(
-                    &n.kind,
-                    dbs3_lera::OperatorKind::Join { algorithm, .. }
-                        if !matches!(algorithm, dbs3_lera::JoinAlgorithm::NestedLoop)
-                )
-            })
-            .filter_map(|n| extended.operation(n.id).map(|op| op.instance_count()))
-            .max()
-            .unwrap_or(1);
         let schedule = ExecutionSchedule {
             per_node,
             query_threads: total_threads,
             discard_results: options.discard_results,
-            build_parallelism: (total_threads / max_building_instances.max(1)).max(1),
             morsel_rows: DEFAULT_MORSEL_ROWS,
         };
         schedule.validate(plan)?;
@@ -394,36 +363,6 @@ mod tests {
             Err(EngineError::InvalidOptions(_))
         ));
         assert!(SchedulerOptions::default().validate().is_ok());
-    }
-
-    #[test]
-    fn build_parallelism_follows_thread_count() {
-        let cat = catalog();
-        let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
-        let ext = extended(&cat, &plan);
-        // 40 join instances build concurrently across 6 threads: each build
-        // is sequential (sharding it would only oversubscribe the pool).
-        let derived = Scheduler::build(
-            &plan,
-            &ext,
-            &SchedulerOptions::default().with_total_threads(6),
-        )
-        .unwrap();
-        assert_eq!(derived.build_parallelism(), 1);
-        // With fewer instances than threads, the idle budget goes into each
-        // build: 2 instances × 6 threads => 3 shards per build.
-        let narrow_cat = catalog_of(5000, 500, 2);
-        let narrow_ext = extended(&narrow_cat, &plan);
-        let narrow = Scheduler::build(
-            &plan,
-            &narrow_ext,
-            &SchedulerOptions::default().with_total_threads(6),
-        )
-        .unwrap();
-        assert_eq!(narrow.build_parallelism(), 3);
-        // Hand-built schedules build sequentially.
-        let manual = ExecutionSchedule::from_parts(BTreeMap::new(), 1);
-        assert_eq!(manual.build_parallelism(), 1);
     }
 
     #[test]

@@ -72,40 +72,6 @@ fn tag_of(hash: u64) -> u32 {
     (hash >> 32) as u32
 }
 
-/// The counting sort both builds share. `rows()` yields `(index hash,
-/// position)` in ascending position, the same sequence on every call, for
-/// the rows whose buckets lie in `[lo, lo + starts.len())`; `table` is those
-/// buckets' slice of the entry table, which begins at global offset `base`.
-///
-/// Counts into `starts`, turns the counts into inclusive running totals
-/// from `base`, then walks the rows backwards, decrementing each bucket's
-/// total and writing the entry there: `starts[b - lo]` ends at bucket `b`'s
-/// first entry and duplicates keep ascending position order.
-fn group_by_bucket<I>(
-    rows: impl Fn() -> I,
-    mask: usize,
-    lo: usize,
-    base: u32,
-    starts: &mut [u32],
-    table: &mut [(u32, u32)],
-) where
-    I: DoubleEndedIterator<Item = (u64, u32)>,
-{
-    for (h, _) in rows() {
-        starts[bucket_of(h, mask) - lo] += 1;
-    }
-    let mut acc = base;
-    for slot in starts.iter_mut() {
-        acc += *slot;
-        *slot = acc;
-    }
-    for (h, pos) in rows().rev() {
-        let slot = &mut starts[bucket_of(h, mask) - lo];
-        *slot -= 1;
-        table[(*slot - base) as usize] = (tag_of(h), pos);
-    }
-}
-
 impl HashIndex {
     /// Builds an index over an arbitrary slice of tuples.
     pub fn build(tuples: &[Tuple], key_index: usize) -> Self {
@@ -114,16 +80,29 @@ impl HashIndex {
         let mask = buckets - 1;
         let mut starts = vec![0u32; buckets + 1];
         let mut entries = vec![(0u32, 0u32); tuples.len()];
-        // Each key is hashed twice, once per pass: staging the n hashes
-        // instead would save a little CPU but cost 8 bytes per row.
-        let rows = || {
-            tuples
-                .iter()
-                .enumerate()
-                .map(|(pos, t)| (index_hash(t.value(key_index)), pos as u32))
-        };
-        group_by_bucket(rows, mask, 0, 0, &mut starts[..buckets], &mut entries);
-        starts[buckets] = tuples.len() as u32;
+        // A counting sort. Each key is hashed twice, once per pass: staging
+        // the n hashes instead would save a little CPU but cost 8 bytes per
+        // row.
+        let hash = |t: &Tuple| index_hash(t.value(key_index));
+        for t in tuples {
+            starts[bucket_of(hash(t), mask)] += 1;
+        }
+        // Running totals: each bucket's ends one past its entries, and the
+        // sentinel `starts[buckets]` (never counted into) ends at the row
+        // count. Walking the rows backwards and decrementing a total leaves
+        // `starts[b]` at bucket `b`'s first entry, with duplicates in
+        // ascending position.
+        let mut acc = 0;
+        for slot in &mut starts {
+            acc += *slot;
+            *slot = acc;
+        }
+        for (pos, t) in tuples.iter().enumerate().rev() {
+            let h = hash(t);
+            let slot = &mut starts[bucket_of(h, mask)];
+            *slot -= 1;
+            entries[*slot as usize] = (tag_of(h), pos as u32);
+        }
         HashIndex {
             key_index,
             mask,
@@ -131,122 +110,6 @@ impl HashIndex {
             entries,
         }
     }
-
-    /// Builds the same index as [`HashIndex::build`], partitioning the work
-    /// over `shards` scoped threads with a **single pass over the data**.
-    ///
-    /// Phase one (parallel over row chunks) hashes every key once and bins
-    /// the `(hash, position)` entry by the shard owning its bucket — shard
-    /// `s` owns the contiguous bucket range `[bounds[s], bounds[s + 1])`.
-    /// Phase two (parallel over shards) then touches **only the shard's own
-    /// binned entries**: the same counting sort as the sequential build,
-    /// into the shard's disjoint slices of `starts` and of the entry table.
-    /// Total work is `O(rows + buckets)` whatever the shard count.
-    ///
-    /// Chunks are visited in order and each chunk bins in scan order, so
-    /// every shard sees its entries in ascending tuple position: the
-    /// produced `starts`/`entries` arrays are **identical** to the
-    /// sequential build's — same probe results, same duplicate-key order —
-    /// which `tests` and `crates/engine`'s equivalence suite pin.
-    ///
-    /// Small inputs (or `shards <= 1`) fall back to the sequential build:
-    /// below a few thousand rows the scoped-thread spawn/join costs more
-    /// than the build itself.
-    pub fn build_parallel(tuples: &[Tuple], key_index: usize, shards: usize) -> Self {
-        // Cap the shard count: the sequential stitches (entry bases) and
-        // the per-chunk bin bookkeeping grow with it.
-        let shards = shards.min(64).min(tuples.len() / Self::MIN_ROWS_PER_SHARD);
-        if shards <= 1 {
-            return Self::build(tuples, key_index);
-        }
-        let buckets = tuples.len().next_power_of_two().max(1);
-        let mask = buckets - 1;
-
-        // Shard `s` owns buckets `[bounds[s], bounds[s + 1])`.
-        let bounds: Vec<usize> = (0..=shards).map(|s| s * buckets / shards).collect();
-        let shard_of = |b: usize| -> usize {
-            // Guess from the near-uniform split, fixed up against the
-            // floor-rounded bounds (off by at most one step).
-            let mut s = (b * shards / buckets).min(shards - 1);
-            while b < bounds[s] {
-                s -= 1;
-            }
-            while b >= bounds[s + 1] {
-                s += 1;
-            }
-            s
-        };
-
-        // Phase 1 (parallel over row chunks): hash every key once, binning
-        // each entry by owning shard. `parts[c][s]` holds chunk `c`'s
-        // entries for shard `s`, in ascending tuple position.
-        let chunk = tuples.len().div_ceil(shards);
-        let n_chunks = tuples.len().div_ceil(chunk);
-        let mut parts: Vec<Vec<Vec<(u64, u32)>>> =
-            (0..n_chunks).map(|_| vec![Vec::new(); shards]).collect();
-        std::thread::scope(|scope| {
-            for (c, (t_chunk, part)) in tuples.chunks(chunk).zip(parts.iter_mut()).enumerate() {
-                let shard_of = &shard_of;
-                scope.spawn(move || {
-                    for bin in part.iter_mut() {
-                        bin.reserve(t_chunk.len() / shards + 8);
-                    }
-                    let base = c * chunk;
-                    for (i, t) in t_chunk.iter().enumerate() {
-                        let h = index_hash(t.value(key_index));
-                        part[shard_of(bucket_of(h, mask))].push((h, (base + i) as u32));
-                    }
-                });
-            }
-        });
-        let parts = &parts;
-
-        // Shard `s`'s entries occupy `[entry_base[s], entry_base[s + 1])`
-        // of the grouped table (buckets are laid out in order, so a bucket
-        // range maps to a contiguous entry range).
-        let mut entry_base = vec![0usize; shards + 1];
-        for s in 0..shards {
-            entry_base[s + 1] = entry_base[s] + parts.iter().map(|p| p[s].len()).sum::<usize>();
-        }
-
-        // Phase 2 (parallel over bucket ranges): each shard sorts only its
-        // own binned entries into the disjoint `starts[lo..hi]` and entry
-        // slice its range maps to.
-        let mut starts = vec![0u32; buckets + 1];
-        let mut entries = vec![(0u32, 0u32); tuples.len()];
-        std::thread::scope(|scope| {
-            let mut starts_rest: &mut [u32] = &mut starts[..buckets];
-            let mut entries_rest: &mut [(u32, u32)] = &mut entries;
-            for (s, w) in bounds.windows(2).enumerate() {
-                let (lo, hi) = (w[0], w[1]);
-                let (starts_mine, starts_tail) = starts_rest.split_at_mut(hi - lo);
-                starts_rest = starts_tail;
-                let (entries_mine, entries_tail) =
-                    entries_rest.split_at_mut(entry_base[s + 1] - entry_base[s]);
-                entries_rest = entries_tail;
-                if lo == hi {
-                    continue;
-                }
-                let base = entry_base[s] as u32;
-                scope.spawn(move || {
-                    let rows = || parts.iter().flat_map(|p| p[s].iter().copied());
-                    group_by_bucket(rows, mask, lo, base, starts_mine, entries_mine);
-                });
-            }
-        });
-        starts[buckets] = tuples.len() as u32;
-
-        HashIndex {
-            key_index,
-            mask,
-            starts,
-            entries,
-        }
-    }
-
-    /// Below this many rows per shard a parallel build is slower than the
-    /// sequential two-pass build (thread spawn/join dominates).
-    const MIN_ROWS_PER_SHARD: usize = 4_096;
 
     /// Builds an index over a fragment (the common case: one temporary index
     /// per join operation instance).
@@ -352,93 +215,6 @@ mod tests {
             .map(|t| t.value(1).as_int().unwrap())
             .collect();
         assert_eq!(payloads, vec![0, 2, 3]);
-    }
-
-    /// Asserts two indexes are identical: same grouped-table layout, hence
-    /// byte-identical probe behaviour (order of duplicates included).
-    fn assert_same_index(a: &HashIndex, b: &HashIndex) {
-        assert_eq!(a.key_index, b.key_index);
-        assert_eq!(a.mask, b.mask);
-        assert_eq!(a.starts, b.starts);
-        assert_eq!(a.entries, b.entries);
-    }
-
-    /// A skewed key set: key `k` (of `ranks` distinct keys) appears with
-    /// Zipf(theta) frequency, mirroring the paper's skewed databases.
-    fn zipf_rows(total: usize, ranks: usize, theta: f64) -> Vec<(i64, i64)> {
-        let zipf = crate::zipf::Zipf::new(theta, ranks).unwrap();
-        let mut rows = Vec::with_capacity(total);
-        for (rank, count) in zipf.cardinalities(total).into_iter().enumerate() {
-            for _ in 0..count {
-                rows.push((rank as i64, rows.len() as i64));
-            }
-        }
-        rows
-    }
-
-    #[test]
-    fn parallel_build_is_identical_to_sequential() {
-        // 20_000 rows clears MIN_ROWS_PER_SHARD for up to 4 shards; the
-        // requested shard counts 1/2/8 exercise the fallback (1), a real
-        // split (2) and a clamped request (8 -> 4 effective shards).
-        let rows: Vec<(i64, i64)> = (0..20_000).map(|i| (i % 1_337, i)).collect();
-        let rel = test_relation("r", &rows);
-        let sequential = HashIndex::build(rel.tuples(), 0);
-        for shards in [1usize, 2, 8] {
-            let parallel = HashIndex::build_parallel(rel.tuples(), 0, shards);
-            assert_same_index(&sequential, &parallel);
-            // Spot-check probes anyway (belt and braces over the layout
-            // equality): duplicates must come back in build order.
-            let expected: Vec<i64> = sequential
-                .probe(rel.tuples(), &Value::Int(42))
-                .map(|t| t.value(1).as_int().unwrap())
-                .collect();
-            let got: Vec<i64> = parallel
-                .probe(rel.tuples(), &Value::Int(42))
-                .map(|t| t.value(1).as_int().unwrap())
-                .collect();
-            assert_eq!(expected, got, "shards {shards}");
-        }
-    }
-
-    #[test]
-    fn parallel_build_matches_on_skewed_zipf_keys() {
-        // Zipf(1.0) over 64 ranks: the hottest key holds a large fraction of
-        // all rows, so shard bucket ranges are heavily imbalanced — exactly
-        // the layout-preservation case worth pinning.
-        let rows = zipf_rows(30_000, 64, 1.0);
-        let rel = test_relation("z", &rows);
-        let sequential = HashIndex::build(rel.tuples(), 0);
-        for shards in [2usize, 8] {
-            let parallel = HashIndex::build_parallel(rel.tuples(), 0, shards);
-            assert_same_index(&sequential, &parallel);
-            for key in [0i64, 1, 63] {
-                let expected: Vec<i64> = sequential
-                    .probe(rel.tuples(), &Value::Int(key))
-                    .map(|t| t.value(1).as_int().unwrap())
-                    .collect();
-                let got: Vec<i64> = parallel
-                    .probe(rel.tuples(), &Value::Int(key))
-                    .map(|t| t.value(1).as_int().unwrap())
-                    .collect();
-                assert_eq!(expected, got, "key {key} shards {shards}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_build_small_inputs_fall_back_to_sequential() {
-        // Below MIN_ROWS_PER_SHARD per shard the parallel entry point must
-        // still produce the same index (via the sequential path).
-        let rows: Vec<(i64, i64)> = (0..500).map(|i| (i % 7, i)).collect();
-        let rel = test_relation("s", &rows);
-        let sequential = HashIndex::build(rel.tuples(), 0);
-        for shards in [0usize, 1, 2, 8] {
-            let parallel = HashIndex::build_parallel(rel.tuples(), 0, shards);
-            assert_same_index(&sequential, &parallel);
-        }
-        let empty = HashIndex::build_parallel(&[], 0, 8);
-        assert!(empty.is_empty());
     }
 
     #[test]

@@ -55,8 +55,7 @@
 //!   instead of waiting; blocking on that pool is
 //!   `.submit(&runtime)?.wait()`. The pool's width is fixed at
 //!   [`Runtime::new`](crate::Runtime::new); the query's `.threads(n)` knob
-//!   still shapes the *schedule* (index-build sharding) but does not resize
-//!   the pool.
+//!   neither resizes the pool nor changes what the engine runs on it.
 //!
 //! Any number of queries may be in flight on one pool, with workers picking
 //! activations across all of them:
