@@ -194,7 +194,7 @@ fn reversed(mut segments: Vec<Segment>) -> Vec<Segment> {
 /// The name a receiver chain is known by: the last field-like (non-call)
 /// segment other than `self`, falling back to the first segment. This maps
 /// `self.inner.queries.lock()` to `queries`, `active().lock()` to `active`
-/// and `POOLS.get_or_init(..).lock()` to `POOLS`.
+/// and `CACHES.get_or_init(..).lock()` to `CACHES`.
 pub fn chain_name(segments: &[Segment]) -> Option<String> {
     segments
         .iter()
@@ -232,8 +232,8 @@ mod tests {
         );
         assert_eq!(name_at_lock("active().lock();").as_deref(), Some("active"));
         assert_eq!(
-            name_at_lock("POOLS.get_or_init(|| x).lock();").as_deref(),
-            Some("POOLS")
+            name_at_lock("CACHES.get_or_init(|| x).lock();").as_deref(),
+            Some("CACHES")
         );
         assert_eq!(
             name_at_lock("query.metrics[op][id].lock();").as_deref(),

@@ -20,7 +20,7 @@
 //! record must say so.
 
 use crate::{ExperimentScale, JoinDatabase};
-use dbs3::Session;
+use dbs3::{Runtime, Session};
 use dbs3_lera::{plans, JoinAlgorithm, Plan};
 
 /// Thread counts every baseline shape is measured at.
@@ -156,17 +156,20 @@ pub fn host_cpus() -> usize {
 }
 
 /// Measures one (plan, threads) configuration, keeping the best repetition.
+/// Every repetition runs on one `threads`-wide pool owned here.
 /// Results are discarded (counting stores): the baseline tracks engine
 /// overhead, and materialising a 20K-tuple `Vec` per run would only add
 /// allocator noise to the signal.
 fn measure(session: &Session, plan: &Plan, shape: &'static str, threads: usize) -> BaselineRun {
+    let runtime = Runtime::new(threads).expect("baseline thread counts are positive");
     let mut best: Option<BaselineRun> = None;
     for _ in 0..REPETITIONS {
         let outcome = session
             .query(plan)
             .threads(threads)
             .discard_results()
-            .run()
+            .submit(&runtime)
+            .and_then(|handle| handle.wait())
             .expect("baseline plans execute on any thread count");
         let run = BaselineRun {
             shape,

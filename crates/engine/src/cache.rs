@@ -20,14 +20,15 @@
 //! generation, entries record the generations they were derived from, and a
 //! lookup that finds a stale entry evicts it and reports a miss. Stale
 //! entries are therefore unreachable the instant the catalog changes.
-//! Capacity is bounded with LRU eviction on top, and per-cache
-//! hit/miss/evict counters are surfaced through
-//! [`ExecutionMetrics`](crate::ExecutionMetrics) and the serve stats path.
+//! Capacity is bounded with LRU eviction on top. The per-cache
+//! hit/miss/evict counters are process-wide too: a caller meters a phase
+//! as `cache_stats().since(&before)` ([`cache_stats`], [`CacheStats::since`]),
+//! as the serve stats path does over a server's lifetime.
 //!
-//! Both caches are process-wide (like [`Runtime::shared`](crate::Runtime)):
-//! generations are unique across *all* catalogs, so entries from unrelated
-//! sessions can never be confused, and cross-connection reuse in the serve
-//! layer falls out for free.
+//! Both caches are process-wide — with the fault registry, the engine's
+//! only process-globals: generations are unique across *all* catalogs, so
+//! entries from unrelated sessions can never be confused, and
+//! cross-connection reuse in the serve layer falls out for free.
 //!
 //! Fault points [`faults::points::CACHE_LOOKUP`] and
 //! [`faults::points::CACHE_BUILD`] cover the new path: a lookup fault

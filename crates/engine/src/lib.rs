@@ -28,18 +28,20 @@
 //!   per subquery and per operation, and the Random/LPT choice — live in the
 //!   simulator (`dbs3_sim`), the only code that models one pool per
 //!   operation;
-//! * the **runtime** ([`runtime`]) owns the worker threads: a persistent
-//!   shared pool, spawned once and parked on a condvar when idle, that
-//!   executes any number of concurrently submitted queries — each tagged
-//!   with a [`QueryId`] and observed through a [`QueryHandle`]
-//!   (`wait`/`wait_timeout_or_cancel`/`cancel`).
+//! * the **runtime** ([`runtime`]) owns the worker threads: a pool,
+//!   spawned by [`Runtime::new`], parked on a condvar when idle and joined
+//!   when dropped, that executes any number of concurrently submitted
+//!   queries — each tagged with a [`QueryId`] and observed through a
+//!   [`QueryHandle`] (`wait`/`wait_timeout_or_cancel`/`cancel`).
 //!
 //! There is one way to run a plan: [`prepare`] it (expansion + scheduling,
 //! answered from the plan cache on repeat) and hand the result to
-//! [`Runtime::submit_prepared`] — on a pool the caller owns, or on the
-//! process-wide [`Runtime::shared`] pool of the schedule's width. Blocking
-//! is `.wait()` on the returned handle. [`Runtime::submit`] is the same
-//! path for callers that hand-build an [`ExecutionSchedule`].
+//! [`Runtime::submit_prepared`] on a pool the caller owns. Blocking is
+//! `.wait()` on the returned handle. [`Runtime::submit`] is the same path
+//! for callers that hand-build an [`ExecutionSchedule`]. The engine keeps
+//! no pool of its own: a query that wants threads of its own spawns a
+//! runtime as wide as [`ExecutionSchedule::query_threads`] and drops it
+//! when done, as the `dbs3` facade's blocking `run()` does.
 //!
 //! The engine executes plans with real OS threads and produces both the
 //! query result and detailed [`metrics`] (per-thread busy time, activation

@@ -6,7 +6,6 @@
 //! main queues. These metrics also power the ablation benches (adaptive pool
 //! vs static one-thread-per-instance, effect of the internal cache).
 
-use crate::cache::CacheStats;
 use dbs3_lera::NodeId;
 use std::time::Duration;
 
@@ -116,11 +115,6 @@ pub struct ExecutionMetrics {
     pub total_threads: usize,
     /// Per-operation metrics, in plan order.
     pub operations: Vec<OperationMetrics>,
-    /// Query-setup cache activity attributable to this execution: the delta
-    /// of the process-wide [`CacheStats`] between submission and completion.
-    /// Under concurrent queries the counters race, so treat the numbers as
-    /// attribution, not an exact per-query ledger.
-    pub caches: CacheStats,
 }
 
 impl ExecutionMetrics {
@@ -218,7 +212,6 @@ mod tests {
             elapsed: Duration::from_millis(500),
             total_threads: 2,
             operations: vec![operation()],
-            caches: CacheStats::default(),
         };
         assert_eq!(m.total_activations(), 40);
         assert!(m.operation(NodeId(0)).is_some());

@@ -20,17 +20,15 @@ struct Probe {
     /// Lazily resolved per-instance indexes over the inner fragments
     /// (Hash / TempIndex). Resolved once on the first activation of an
     /// instance and shared by every later morsel or data batch — splitting
-    /// the outer scan must not multiply the build work. With a
-    /// `shared_key` the resolution goes through the engine-wide index
-    /// cache, so concurrent and repeated queries over one relation share one
-    /// build across operators.
+    /// the outer scan must not multiply the build work. The resolution goes
+    /// through the engine-wide index cache, so concurrent and repeated
+    /// queries over one relation share one build across operators.
     indexes: Vec<OnceLock<Arc<HashIndex>>>,
-    /// The inner relation's name and catalog generation, when the
-    /// generation is known: the key that lets builds be shared through
-    /// [`crate::cache::shared_index`]. The name is copied once here, at
-    /// bind time, so per-fragment lookups allocate nothing. `None` keeps
-    /// builds private to this operator.
-    shared_key: Option<(Arc<str>, u64)>,
+    /// The inner relation's name and catalog generation: the key under
+    /// which builds are shared through [`crate::cache::shared_index`]. The
+    /// name is copied once here, at bind time, so per-fragment lookups
+    /// allocate nothing.
+    shared_key: (Arc<str>, u64),
     /// Whether matches are counted instead of built (the consumer is a
     /// counting store, which only ever reads `batch.len()`).
     count_only: bool,
@@ -42,21 +40,18 @@ impl Probe {
         outer_column: usize,
         inner_column: usize,
         algorithm: JoinAlgorithm,
+        generation: u64,
     ) -> Self {
         let indexes = (0..inner.degree()).map(|_| OnceLock::new()).collect();
         Probe {
+            shared_key: (Arc::from(inner.name()), generation),
             inner,
             outer_column,
             inner_column,
             algorithm,
             indexes,
-            shared_key: None,
             count_only: false,
         }
-    }
-
-    fn share_builds(&mut self, generation: Option<u64>) {
-        self.shared_key = generation.map(|generation| (Arc::from(self.inner.name()), generation));
     }
 
     /// Joins `outers` against inner fragment `instance`. Built output is
@@ -73,21 +68,18 @@ impl Probe {
             .expect("every join instance has an inner fragment")
             .tuples();
         // The paper's "index built on the fly": resolved once per instance,
-        // engine-wide with a shared generation. The probe is an
-        // allocation-free iterator over the matching bucket.
+        // engine-wide. The probe is an allocation-free iterator over the
+        // matching bucket.
         let index = (self.algorithm != JoinAlgorithm::NestedLoop).then(|| {
             self.indexes[instance].get_or_init(|| {
-                let build = || HashIndex::build(inner, self.inner_column);
-                match &self.shared_key {
-                    Some((relation, generation)) => crate::cache::shared_index(
-                        relation,
-                        *generation,
-                        self.inner_column,
-                        instance,
-                        build,
-                    ),
-                    None => Arc::new(build()),
-                }
+                let (relation, generation) = &self.shared_key;
+                crate::cache::shared_index(
+                    relation,
+                    *generation,
+                    self.inner_column,
+                    instance,
+                    || HashIndex::build(inner, self.inner_column),
+                )
             })
         });
         if self.count_only {
@@ -133,25 +125,20 @@ pub struct TriggeredJoinOperator {
 }
 
 impl TriggeredJoinOperator {
-    /// Creates a bound triggered join.
+    /// Creates a bound triggered join. `generation` is the inner relation's
+    /// catalog generation, which keys its indexes in the engine-wide cache.
     pub fn new(
         outer: Arc<PartitionedRelation>,
         inner: Arc<PartitionedRelation>,
         outer_column: usize,
         inner_column: usize,
         algorithm: JoinAlgorithm,
+        generation: u64,
     ) -> Self {
         TriggeredJoinOperator {
             outer,
-            probe: Probe::new(inner, outer_column, inner_column, algorithm),
+            probe: Probe::new(inner, outer_column, inner_column, algorithm, generation),
         }
-    }
-
-    /// Routes index resolution through the engine-wide shared cache, keyed
-    /// by the inner relation's catalog `generation`.
-    pub fn with_shared_generation(mut self, generation: Option<u64>) -> Self {
-        self.probe.share_builds(generation);
-        self
     }
 
     /// Counts matches instead of building rows; only for an operator whose
@@ -197,23 +184,18 @@ pub struct PipelinedJoinOperator {
 
 impl PipelinedJoinOperator {
     /// Creates a bound pipelined join. `outer_column` is the key column of
-    /// the *incoming* tuples.
+    /// the *incoming* tuples; `generation` is as for
+    /// [`TriggeredJoinOperator::new`].
     pub fn new(
         inner: Arc<PartitionedRelation>,
         outer_column: usize,
         inner_column: usize,
         algorithm: JoinAlgorithm,
+        generation: u64,
     ) -> Self {
         PipelinedJoinOperator {
-            probe: Probe::new(inner, outer_column, inner_column, algorithm),
+            probe: Probe::new(inner, outer_column, inner_column, algorithm, generation),
         }
-    }
-
-    /// Routes index resolution through the engine-wide shared cache (see
-    /// [`TriggeredJoinOperator::with_shared_generation`]).
-    pub fn with_shared_generation(mut self, generation: Option<u64>) -> Self {
-        self.probe.share_builds(generation);
-        self
     }
 
     /// Counts matches instead of building rows (see
@@ -235,21 +217,45 @@ impl PipelinedJoinOperator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbs3_storage::{PartitionSpec, Relation, WisconsinConfig, WisconsinGenerator};
+    use dbs3_storage::{Catalog, PartitionSpec, Relation, WisconsinConfig, WisconsinGenerator};
 
+    /// Generates `name` and registers it in a catalog of its own: the
+    /// relation, its fragments and the catalog generation that keys its
+    /// indexes in the engine-wide cache (so no two tests share an entry).
     fn partitioned(
         name: &str,
         cardinality: usize,
         degree: usize,
-    ) -> (Relation, Arc<PartitionedRelation>) {
+    ) -> (Relation, Arc<PartitionedRelation>, u64) {
         let rel = WisconsinGenerator::new()
             .generate(&WisconsinConfig::narrow(name, cardinality))
             .unwrap();
-        let part = Arc::new(
-            PartitionedRelation::from_relation(&rel, PartitionSpec::on("unique1", degree, 2))
-                .unwrap(),
-        );
-        (rel, part)
+        let spec = PartitionSpec::on("unique1", degree, 2);
+        let mut catalog = Catalog::new();
+        let part = catalog.register(PartitionedRelation::from_relation(&rel, spec).unwrap());
+        (rel, part.unwrap(), catalog.generation(name).unwrap())
+    }
+
+    /// A triggered join of `outer` with `inner` on `unique1`.
+    fn triggered(
+        outer: &Arc<PartitionedRelation>,
+        inner: &Arc<PartitionedRelation>,
+        generation: u64,
+        algorithm: JoinAlgorithm,
+    ) -> TriggeredJoinOperator {
+        let u1 = outer.schema().column_index("unique1").unwrap();
+        let (outer, inner) = (Arc::clone(outer), Arc::clone(inner));
+        TriggeredJoinOperator::new(outer, inner, u1, u1, algorithm, generation)
+    }
+
+    /// A pipelined join of incoming tuples with `inner` on `unique1`.
+    fn pipelined(
+        inner: &Arc<PartitionedRelation>,
+        generation: u64,
+        algorithm: JoinAlgorithm,
+    ) -> PipelinedJoinOperator {
+        let u1 = inner.schema().column_index("unique1").unwrap();
+        PipelinedJoinOperator::new(Arc::clone(inner), u1, u1, algorithm, generation)
     }
 
     fn run_triggered(op: &TriggeredJoinOperator, degree: usize) -> usize {
@@ -260,9 +266,8 @@ mod tests {
 
     #[test]
     fn triggered_join_matches_reference_for_all_algorithms() {
-        let (a_rel, a) = partitioned("A", 400, 10);
-        let (b_rel, b) = partitioned("Bprime", 40, 10);
-        let u1 = a.schema().column_index("unique1").unwrap();
+        let (a_rel, a, _) = partitioned("A", 400, 10);
+        let (b_rel, b, gb) = partitioned("Bprime", 40, 10);
         let expected = a_rel
             .reference_join(&b_rel, "unique1", "unique1")
             .unwrap()
@@ -272,18 +277,17 @@ mod tests {
             JoinAlgorithm::Hash,
             JoinAlgorithm::TempIndex,
         ] {
-            let op = TriggeredJoinOperator::new(Arc::clone(&a), Arc::clone(&b), u1, u1, algorithm);
+            let op = triggered(&a, &b, gb, algorithm);
             assert_eq!(run_triggered(&op, 10), expected, "algorithm {algorithm:?}");
         }
     }
 
     #[test]
     fn triggered_join_result_tuples_are_concatenations() {
-        let (_, a) = partitioned("A", 100, 5);
-        let (_, b) = partitioned("Bprime", 100, 5);
+        let (_, a, _) = partitioned("A", 100, 5);
+        let (_, b, gb) = partitioned("Bprime", 100, 5);
         let u1 = a.schema().column_index("unique1").unwrap();
-        let op =
-            TriggeredJoinOperator::new(Arc::clone(&a), Arc::clone(&b), u1, u1, JoinAlgorithm::Hash);
+        let op = triggered(&a, &b, gb, JoinAlgorithm::Hash);
         let out = op.process(2, Activation::Trigger);
         assert!(!out.is_empty());
         let width = a.schema().width() + b.schema().width();
@@ -295,8 +299,8 @@ mod tests {
 
     #[test]
     fn pipelined_join_matches_reference() {
-        let (a_rel, a) = partitioned("A", 300, 8);
-        let (b_rel, _b) = partitioned("Bprime", 30, 8);
+        let (a_rel, a, ga) = partitioned("A", 300, 8);
+        let (b_rel, _, _) = partitioned("Bprime", 30, 8);
         let u1 = a.schema().column_index("unique1").unwrap();
         let expected = b_rel
             .reference_join(&a_rel, "unique1", "unique1")
@@ -304,7 +308,7 @@ mod tests {
             .len();
 
         for algorithm in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
-            let op = PipelinedJoinOperator::new(Arc::clone(&a), u1, u1, algorithm);
+            let op = pipelined(&a, ga, algorithm);
             // Route every B' tuple to the instance its key hashes to, exactly
             // like the executor does.
             let mut total = 0usize;
@@ -319,10 +323,9 @@ mod tests {
 
     #[test]
     fn batched_probes_match_per_tuple_probes() {
-        let (_, a) = partitioned("A", 200, 4);
-        let u1 = a.schema().column_index("unique1").unwrap();
+        let (_, a, ga) = partitioned("A", 200, 4);
         for algorithm in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
-            let op = PipelinedJoinOperator::new(Arc::clone(&a), u1, u1, algorithm);
+            let op = pipelined(&a, ga, algorithm);
             // All tuples of fragment 1 probed against themselves, once as
             // one batch and once tuple by tuple.
             let probes: Vec<Tuple> = a.fragments()[1].tuples().to_vec();
@@ -338,9 +341,8 @@ mod tests {
 
     #[test]
     fn pipelined_join_reuses_per_instance_index() {
-        let (_, a) = partitioned("A", 100, 4);
-        let u1 = a.schema().column_index("unique1").unwrap();
-        let op = PipelinedJoinOperator::new(Arc::clone(&a), u1, u1, JoinAlgorithm::TempIndex);
+        let (_, a, ga) = partitioned("A", 100, 4);
+        let op = pipelined(&a, ga, JoinAlgorithm::TempIndex);
         // Probing twice must not rebuild (OnceLock gives the same instance).
         let probe = a.fragments()[1].tuples()[0].clone();
         let _ = op.process(1, Activation::single(probe.clone()));
@@ -352,46 +354,39 @@ mod tests {
 
     #[test]
     fn shared_generation_shares_builds_across_operators() {
-        let (_, a) = partitioned("A", 200, 4);
-        let u1 = a.schema().column_index("unique1").unwrap();
-        // A private generation keeps this test's cache entries disjoint
-        // from every real catalog generation in the process.
-        let generation = Some(u64::MAX - 41);
+        let (_, a, generation) = partitioned("A", 200, 4);
         let probe = a.fragments()[2].tuples()[0].clone();
-        let first = PipelinedJoinOperator::new(Arc::clone(&a), u1, u1, JoinAlgorithm::Hash)
-            .with_shared_generation(generation);
-        let second = PipelinedJoinOperator::new(Arc::clone(&a), u1, u1, JoinAlgorithm::Hash)
-            .with_shared_generation(generation);
+        let first = pipelined(&a, generation, JoinAlgorithm::Hash);
+        let second = pipelined(&a, generation, JoinAlgorithm::Hash);
         let out1 = first.process(2, Activation::single(probe.clone()));
-        let out2 = second.process(2, Activation::single(probe));
+        let out2 = second.process(2, Activation::single(probe.clone()));
         assert_eq!(out1, out2);
         assert_eq!(
             Arc::as_ptr(first.probe.indexes[2].get().unwrap()),
             Arc::as_ptr(second.probe.indexes[2].get().unwrap()),
             "two operators over one (relation, generation) share one build"
         );
-        // Without a generation, builds stay private.
-        let private = PipelinedJoinOperator::new(Arc::clone(&a), u1, u1, JoinAlgorithm::Hash);
-        let probe2 = a.fragments()[2].tuples()[1].clone();
-        let _ = private.process(2, Activation::single(probe2));
+        // The same rows registered again carry a new generation and get a
+        // build of their own.
+        let (_, again, regenerated) = partitioned("A", 200, 4);
+        let fresh = pipelined(&again, regenerated, JoinAlgorithm::Hash);
+        assert_eq!(fresh.process(2, Activation::single(probe)), out1);
         assert_ne!(
             Arc::as_ptr(first.probe.indexes[2].get().unwrap()),
-            Arc::as_ptr(private.probe.indexes[2].get().unwrap())
+            Arc::as_ptr(fresh.probe.indexes[2].get().unwrap())
         );
     }
 
     #[test]
     fn triggered_join_morsels_union_to_the_whole_trigger() {
-        let (_, a) = partitioned("A", 400, 4);
-        let (_, b) = partitioned("Bprime", 40, 4);
-        let u1 = a.schema().column_index("unique1").unwrap();
+        let (_, a, _) = partitioned("A", 400, 4);
+        let (_, b, gb) = partitioned("Bprime", 40, 4);
         for algorithm in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
             let whole = {
-                let op =
-                    TriggeredJoinOperator::new(Arc::clone(&a), Arc::clone(&b), u1, u1, algorithm);
+                let op = triggered(&a, &b, gb, algorithm);
                 op.process(1, Activation::Trigger)
             };
-            let op = TriggeredJoinOperator::new(Arc::clone(&a), Arc::clone(&b), u1, u1, algorithm);
+            let op = triggered(&a, &b, gb, algorithm);
             let rows = op.triggered_rows(1).unwrap();
             let mut pieces = Vec::new();
             let mut start = 0usize;
@@ -413,15 +408,11 @@ mod tests {
 
     #[test]
     fn counted_morsels_sum_to_the_built_trigger() {
-        let (_, a) = partitioned("A", 400, 4);
-        let (_, b) = partitioned("Bprime", 40, 4);
-        let u1 = a.schema().column_index("unique1").unwrap();
+        let (_, a, _) = partitioned("A", 400, 4);
+        let (_, b, gb) = partitioned("Bprime", 40, 4);
         for algorithm in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
-            let built =
-                TriggeredJoinOperator::new(Arc::clone(&a), Arc::clone(&b), u1, u1, algorithm)
-                    .process(1, Activation::Trigger);
-            let op = TriggeredJoinOperator::new(Arc::clone(&a), Arc::clone(&b), u1, u1, algorithm)
-                .counting_matches(true);
+            let built = triggered(&a, &b, gb, algorithm).process(1, Activation::Trigger);
+            let op = triggered(&a, &b, gb, algorithm).counting_matches(true);
             let whole = op.process(1, Activation::Trigger);
             assert_eq!(whole, TupleBatch::counted(built.len()));
             assert!(!whole.is_empty(), "fragment 1 has matches to count");
@@ -437,7 +428,7 @@ mod tests {
             assert_eq!(counted, built.len(), "algorithm {algorithm:?}");
             // The pipelined twin: the outer fragment arriving as one batch.
             let probes = TupleBatch::from(a.fragments()[1].tuples().to_vec());
-            let pipelined = PipelinedJoinOperator::new(Arc::clone(&b), u1, u1, algorithm)
+            let pipelined = pipelined(&b, gb, algorithm)
                 .counting_matches(true)
                 .process(1, Activation::Data(probes));
             assert_eq!(pipelined, whole, "algorithm {algorithm:?}");
@@ -446,11 +437,9 @@ mod tests {
 
     #[test]
     fn triggered_join_reuses_per_instance_index_across_morsels() {
-        let (_, a) = partitioned("A", 100, 4);
-        let (_, b) = partitioned("Bprime", 100, 4);
-        let u1 = a.schema().column_index("unique1").unwrap();
-        let op =
-            TriggeredJoinOperator::new(Arc::clone(&a), Arc::clone(&b), u1, u1, JoinAlgorithm::Hash);
+        let (_, a, _) = partitioned("A", 100, 4);
+        let (_, b, gb) = partitioned("Bprime", 100, 4);
+        let op = triggered(&a, &b, gb, JoinAlgorithm::Hash);
         let _ = op.process(
             1,
             Activation::Morsel {
@@ -474,14 +463,12 @@ mod tests {
 
     #[test]
     fn stray_activations_are_ignored() {
-        let (_, a) = partitioned("A", 50, 4);
-        let (_, b) = partitioned("Bprime", 50, 4);
-        let u1 = a.schema().column_index("unique1").unwrap();
-        let triggered =
-            TriggeredJoinOperator::new(Arc::clone(&a), Arc::clone(&b), u1, u1, JoinAlgorithm::Hash);
+        let (_, a, ga) = partitioned("A", 50, 4);
+        let (_, b, gb) = partitioned("Bprime", 50, 4);
+        let triggered = triggered(&a, &b, gb, JoinAlgorithm::Hash);
         let some = a.fragments()[0].tuples()[0].clone();
         assert!(triggered.process(0, Activation::single(some)).is_empty());
-        let pipelined = PipelinedJoinOperator::new(Arc::clone(&a), u1, u1, JoinAlgorithm::Hash);
+        let pipelined = pipelined(&a, ga, JoinAlgorithm::Hash);
         assert!(pipelined.process(0, Activation::Trigger).is_empty());
     }
 }

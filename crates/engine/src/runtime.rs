@@ -114,7 +114,7 @@
 //! so no waiter ever hangs.
 
 use crate::activation::{Activation, TupleBatch};
-use crate::cache::{self, CacheStats, PreparedPlan};
+use crate::cache::PreparedPlan;
 use crate::error::EngineError;
 use crate::faults::{self, FaultAction};
 use crate::metrics::{ExecutionMetrics, OperationMetrics, ThreadMetrics};
@@ -261,9 +261,6 @@ struct QueryState {
     // eventually-visible increment works; its reader uses SeqCst merely to
     // pair with the rest of the watchdog scan.
     progress: AtomicU64,
-    /// Process-wide cache counters as of submission; finalization reports
-    /// the delta as this query's cache activity.
-    cache_baseline: CacheStats,
     metrics: MetricsSlots,
     cell: CompletionCell,
 }
@@ -519,30 +516,6 @@ impl Runtime {
         self.inner.pool_threads
     }
 
-    /// Returns the process-wide shared runtime with `pool_threads` workers,
-    /// spawning it on first use.
-    ///
-    /// This is the pool behind every blocking run that names no pool of its
-    /// own (the facade's `Backend::Threaded`): repeated runs at the same
-    /// thread count reuse one long-lived pool instead of spawning and
-    /// joining `n` OS threads per query — at paper-scale workloads the
-    /// spawn/join round trip costs as much as the query itself. Shared
-    /// runtimes live for the rest of the process
-    /// (they are never dropped; idle workers park on a condvar at ~0% CPU),
-    /// and concurrent callers at the same width share one pool — the
-    /// runtime schedules their queries side by side, which is its job.
-    pub fn shared(pool_threads: usize) -> Result<Arc<Runtime>> {
-        static POOLS: std::sync::OnceLock<Mutex<BTreeMap<usize, Arc<Runtime>>>> =
-            std::sync::OnceLock::new();
-        let mut pools = POOLS.get_or_init(|| Mutex::new(BTreeMap::new())).lock();
-        if let Some(runtime) = pools.get(&pool_threads) {
-            return Ok(Arc::clone(runtime));
-        }
-        let runtime = Arc::new(Runtime::new(pool_threads)?);
-        pools.insert(pool_threads, Arc::clone(&runtime));
-        Ok(runtime)
-    }
-
     /// Number of queries currently registered (submitted, not yet completed
     /// or cancelled).
     pub fn live_queries(&self) -> usize {
@@ -609,9 +582,6 @@ impl Runtime {
             return Err(EngineError::RuntimeShutdown);
         }
         honor_submit_fault()?;
-        // Index-cache activity from here to completion is attributed to
-        // this query's metrics.
-        let cache_baseline = cache::cache_stats();
         schedule.validate(plan)?;
         if !plan
             .nodes()
@@ -775,7 +745,6 @@ impl Runtime {
             cancelled: AtomicBool::new(false),
             ops_remaining,
             progress: AtomicU64::new(0),
-            cache_baseline,
             metrics,
             cell: CompletionCell {
                 outcome: Mutex::new(None),
@@ -1043,7 +1012,12 @@ pub(crate) fn bind_operator(
             // The inner relation's generation keys the engine-wide shared
             // build-index cache: every query binding this (relation,
             // generation) pair shares one build per fragment.
-            let generation = catalog.generation(inner_relation);
+            let generation = catalog
+                .generation(inner_relation)
+                // allow-panic: the catalog registers, replaces and removes
+                // a relation and its generation together, and `get` just
+                // found this one.
+                .expect("a registered relation has a generation");
             match outer {
                 OuterInput::Fragment { relation } => {
                     let outer_rel = catalog.get(relation)?;
@@ -1055,8 +1029,8 @@ pub(crate) fn bind_operator(
                             outer_column,
                             inner_column,
                             *algorithm,
+                            generation,
                         )
-                        .with_shared_generation(generation)
                         .counting_matches(count_only),
                     ))
                 }
@@ -1067,9 +1041,14 @@ pub(crate) fn bind_operator(
                     let incoming_schema = plan.output_schema(producer, catalog)?;
                     let outer_column = incoming_schema.column_index(&condition.outer_column)?;
                     Ok(BoundOperator::PipelinedJoin(
-                        PipelinedJoinOperator::new(inner, outer_column, inner_column, *algorithm)
-                            .with_shared_generation(generation)
-                            .counting_matches(count_only),
+                        PipelinedJoinOperator::new(
+                            inner,
+                            outer_column,
+                            inner_column,
+                            *algorithm,
+                            generation,
+                        )
+                        .counting_matches(count_only),
                     ))
                 }
             }
@@ -1688,7 +1667,6 @@ fn finalize_query(inner: &Arc<RuntimeInner>, query: &Arc<QueryState>) {
         elapsed,
         total_threads: inner.pool_threads,
         operations,
-        caches: cache::cache_stats().since(&query.cache_baseline),
     };
 
     let mut results = BTreeMap::new();

@@ -2,8 +2,7 @@
 //! engine binds (triggered and pipelined joins, filters, selections), under
 //! scheduler-built schedules, must produce exactly what the sequential
 //! reference evaluator produces — plus the shape of the reported metrics,
-//! pool reuse across blocking runs, prepared execution and result
-//! discarding (including that a discarding run counts exactly the rows a
+//! prepared execution and result discarding (including that a discarding run counts exactly the rows a
 //! materialising run builds).
 
 use dbs3_engine::{
@@ -15,17 +14,16 @@ use dbs3_lera::{
 use dbs3_storage::{
     Catalog, PartitionSpec, PartitionedRelation, Relation, WisconsinConfig, WisconsinGenerator,
 };
-use std::sync::Arc;
 use std::time::Duration;
 
-/// Runs `plan` under `schedule` on the process-wide pool of the schedule's
-/// width and blocks for the outcome.
+/// Runs `plan` under `schedule` on a pool of the schedule's width and
+/// blocks for the outcome.
 fn execute(
     catalog: &Catalog,
     plan: &Plan,
     schedule: &ExecutionSchedule,
 ) -> dbs3_engine::Result<ExecutionOutcome> {
-    Runtime::shared(schedule.query_threads().max(1))?
+    Runtime::new(schedule.query_threads())?
         .submit(catalog, plan, schedule)?
         .wait()
 }
@@ -35,7 +33,7 @@ fn execute_prepared(
     catalog: &Catalog,
     prepared: &PreparedPlan,
 ) -> dbs3_engine::Result<ExecutionOutcome> {
-    Runtime::shared(prepared.schedule().query_threads().max(1))?
+    Runtime::new(prepared.schedule().query_threads())?
         .submit_prepared(catalog, prepared)?
         .wait()
 }
@@ -223,31 +221,6 @@ fn metrics_report_queue_and_thread_structure() {
     }
     assert!(m.elapsed > Duration::ZERO);
     assert!(m.worst_imbalance() >= 1.0);
-}
-
-#[test]
-fn repeated_executions_reuse_one_shared_pool() {
-    let (cat, a_ref, b_ref) = build_catalog(400, 40, 6, 0.0);
-    let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
-    // Width 7 is used by no other test in this binary: the final
-    // live_queries() == 0 assertion must not race a concurrently
-    // running test whose execute() shares the same process-wide pool.
-    let schedule = schedule_for(&plan, &cat, 7);
-    let expected = a_ref.reference_join(&b_ref, "unique1", "unique1").unwrap();
-    // The registry hands back the same runtime for the same width...
-    let first = Runtime::shared(7).unwrap();
-    let second = Runtime::shared(7).unwrap();
-    assert!(Arc::ptr_eq(&first, &second));
-    assert_ne!(
-        first.pool_threads(),
-        Runtime::shared(2).unwrap().pool_threads()
-    );
-    // ...and back-to-back executions over it stay correct.
-    for _ in 0..3 {
-        let outcome = execute(&cat, &plan, &schedule).unwrap();
-        assert_eq!(outcome.results["Result"].len(), expected.len());
-    }
-    assert_eq!(first.live_queries(), 0);
 }
 
 #[test]

@@ -53,14 +53,14 @@ fn manual_schedule(
     ExecutionSchedule::from_parts(per_node, threads)
 }
 
-/// Runs `plan` under `schedule` on the process-wide pool of the schedule's
-/// width and blocks for the outcome.
+/// Runs `plan` under `schedule` on a pool of the schedule's width and
+/// blocks for the outcome.
 fn execute(
     catalog: &Catalog,
     plan: &Plan,
     schedule: &ExecutionSchedule,
 ) -> dbs3_engine::Result<ExecutionOutcome> {
-    Runtime::shared(schedule.query_threads().max(1))?
+    Runtime::new(schedule.query_threads())?
         .submit(catalog, plan, schedule)?
         .wait()
 }

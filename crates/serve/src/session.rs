@@ -6,7 +6,7 @@
 //!
 //! let mut session = RemoteSession::connect("127.0.0.1:7878").unwrap();
 //! let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
-//! let outcome = session.query(&plan).threads(8).run().unwrap();
+//! let outcome = session.query(&plan).run().unwrap();
 //! println!("{:?} rows", outcome.result_cardinality());
 //! ```
 
@@ -57,12 +57,6 @@ pub struct RemoteQuery<'a> {
 }
 
 impl RemoteQuery<'_> {
-    /// Fixes the total thread count the server schedules for this query.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.options = self.options.with_total_threads(threads);
-        self
-    }
-
     /// Sets the producer-side activation cache size: tuples per transport
     /// batch.
     pub fn cache_size(mut self, cache_size: usize) -> Self {

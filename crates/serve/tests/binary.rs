@@ -52,7 +52,7 @@ fn sigterm_drains_the_server_binary_and_exits_zero() {
     let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
     let mut session = RemoteSession::connect(("127.0.0.1", port)).expect("connect");
     for _ in 0..8 {
-        let outcome = session.query(&plan).threads(2).run().expect("remote query");
+        let outcome = session.query(&plan).run().expect("remote query");
         assert_eq!(outcome.result_cardinality(), Some(1_000));
     }
 

@@ -316,7 +316,7 @@ fn over_admission_gets_a_typed_busy_frame() {
         let plan = plan.clone();
         std::thread::spawn(move || {
             let mut session = RemoteSession::connect(addr).expect("connect");
-            session.query(&plan).threads(1).run().expect("holder query")
+            session.query(&plan).run().expect("holder query")
         })
     };
     assert!(
@@ -324,7 +324,7 @@ fn over_admission_gets_a_typed_busy_frame() {
         "the holder query was never admitted"
     );
 
-    match knocker.query(&plan).threads(1).run() {
+    match knocker.query(&plan).run() {
         Err(ServeError::ServerBusy {
             live: 1,
             max_inflight: 1,

@@ -73,7 +73,7 @@ fn sixteen_concurrent_clients_match_the_sequential_reference() {
             let plan = plan.clone();
             std::thread::spawn(move || {
                 let mut session = RemoteSession::connect(addr).expect("connect");
-                let outcome = session.query(&plan).threads(2).run().expect("remote query");
+                let outcome = session.query(&plan).run().expect("remote query");
                 outcome.result_cardinality().expect("single store") as usize
             })
         })
@@ -118,7 +118,7 @@ fn sixty_four_concurrent_clients_against_eight_workers() {
             let plan = plan.clone();
             std::thread::spawn(move || {
                 let mut session = RemoteSession::connect(addr).expect("connect");
-                let outcome = session.query(&plan).threads(2).run().expect("remote query");
+                let outcome = session.query(&plan).run().expect("remote query");
                 outcome.result_cardinality().expect("single store") as usize
             })
         })
@@ -147,7 +147,7 @@ fn shutdown_frame_drains_acks_and_rejects_late_arrivals() {
 
     let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
     let mut session = RemoteSession::connect(addr).expect("connect");
-    let outcome = session.query(&plan).threads(2).run().expect("query");
+    let outcome = session.query(&plan).run().expect("query");
     assert_eq!(outcome.result_cardinality(), Some(200));
 
     // A second connection opened BEFORE the stop: its post-stop request
@@ -155,7 +155,7 @@ fn shutdown_frame_drains_acks_and_rejects_late_arrivals() {
     let mut late = RemoteSession::connect(addr).expect("connect before stop");
 
     session.shutdown_server().expect("shutdown acked");
-    match late.query(&plan).threads(2).run() {
+    match late.query(&plan).run() {
         Err(ServeError::RemoteShutdown) => {}
         other => panic!("expected RemoteShutdown, got {other:?}"),
     }
@@ -185,7 +185,6 @@ fn per_request_deadline_is_enforced_server_side() {
     let mut session = RemoteSession::connect(addr).expect("connect");
     match session
         .query(&plan)
-        .threads(1)
         .deadline(Duration::from_millis(1))
         .run()
     {
@@ -204,7 +203,7 @@ fn execution_errors_come_back_typed_not_as_hangs() {
     // Unknown relation: fails at bind time, server-side.
     let plan = plans::assoc_join("NoSuchRelation", "A", "unique1", JoinAlgorithm::Hash);
     let mut session = RemoteSession::connect(addr).expect("connect");
-    match session.query(&plan).threads(2).run() {
+    match session.query(&plan).run() {
         Err(ServeError::Remote(msg)) => {
             assert!(msg.contains("NoSuchRelation") || msg.to_lowercase().contains("relation"))
         }
@@ -216,14 +215,14 @@ fn execution_errors_come_back_typed_not_as_hangs() {
     let f = builder.filter("A", Predicate::eq("no_such_column", 1));
     builder.store(f, "Out");
     let bad = builder.build();
-    match session.query(&bad).threads(2).run() {
+    match session.query(&bad).run() {
         Err(ServeError::Remote(_)) => {}
         other => panic!("expected a remote execution error, got {other:?}"),
     }
 
     // The connection survives both failures: a valid query still runs.
     let good = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
-    let outcome = session.query(&good).threads(2).run().expect("recovery");
+    let outcome = session.query(&good).run().expect("recovery");
     assert_eq!(outcome.result_cardinality(), Some(200));
 
     handle.stop();

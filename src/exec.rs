@@ -43,13 +43,14 @@
 //! [`QueryHandle`]. The only things that vary are *which pool* and
 //! *whether the caller waits*:
 //!
-//! * `run()` on [`Backend::Threaded`] (the default) uses the process-wide
-//!   [`Runtime::shared`](crate::Runtime::shared) pool whose width equals
-//!   the query's thread count
+//! * `run()` on [`Backend::Threaded`] (the default) spawns a
+//!   [`Runtime`](crate::Runtime) whose width equals the query's thread
+//!   count
 //!   ([`ExecutionSchedule::query_threads`](dbs3_engine::ExecutionSchedule::query_threads)),
-//!   so `.threads(n)` runs on exactly `n` workers. The pool is spawned on
-//!   first use at that width, parks when idle and lives for the rest of the
-//!   process. `run()` waits on the [`QueryHandle`] before returning.
+//!   so `.threads(n)` runs on exactly `n` workers. The threads start with
+//!   the query, as scheduling step 1 has them in the paper: `run()` waits on
+//!   the [`QueryHandle`], then drops the pool, which joins its workers,
+//!   before returning.
 //! * [`Query::submit`](crate::Query::submit) uses a
 //!   [`Runtime`](crate::Runtime) the caller owns and returns the handle
 //!   instead of waiting; blocking on that pool is
@@ -89,12 +90,11 @@ use std::time::Duration;
 /// [`Query::on`](crate::Query::on).
 #[derive(Debug, Clone, Default)]
 pub enum Backend {
-    /// Real OS threads on the process-wide
-    /// [`Runtime::shared`](crate::Runtime::shared) pool whose width is the
-    /// query's thread count — `.threads(n)`, or the count scheduling step 1
-    /// derives (spawned on first use, reused by every later run at that
-    /// width). To run on a caller-owned [`Runtime`](crate::Runtime) pool
-    /// instead, use [`Query::submit`](crate::Query::submit).
+    /// Real OS threads on a pool spawned for the query and joined when it
+    /// completes, as wide as the query's thread count — `.threads(n)`, or
+    /// the count scheduling step 1 derives. To run on a caller-owned
+    /// [`Runtime`](crate::Runtime) pool instead, use
+    /// [`Query::submit`](crate::Query::submit).
     #[default]
     Threaded,
     /// Replay the same schedule on the virtual-time simulator configured by
@@ -207,15 +207,6 @@ impl BackendMetrics {
             BackendMetrics::Threaded(m) => m.total_threads,
             BackendMetrics::Simulated(r) => r.threads,
         }
-    }
-
-    /// Query-setup cache activity attributed to this execution (prepared
-    /// plans and shared build-side hash indexes); `None` for the simulator,
-    /// which has no cache to consult. See
-    /// [`ExecutionMetrics::caches`](dbs3_engine::ExecutionMetrics) for the
-    /// attribution caveats under concurrency.
-    pub fn cache_stats(&self) -> Option<dbs3_engine::CacheStats> {
-        self.as_threaded().map(|m| m.caches)
     }
 
     /// The threaded engine's metrics, if this execution used real threads.

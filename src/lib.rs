@@ -2,8 +2,8 @@
 //!
 //! The public entry point is the [`Session`]/[`Query`] facade: a session
 //! owns a catalog of partitioned relations, a query chains execution knobs
-//! and runs on the [`Backend`] it names — the process-wide worker pool of
-//! the schedule's width ([`Backend::Threaded`], the default) or the
+//! and runs on the [`Backend`] it names — a worker pool of the schedule's
+//! width, spawned for the query ([`Backend::Threaded`], the default) or the
 //! virtual-time KSR1 simulator ([`Backend::Simulated`]) — returning a
 //! unified [`exec::QueryOutcome`]. [`Query::submit`] hands the query to a
 //! [`Runtime`] pool the caller owns and shares between concurrent queries

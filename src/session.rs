@@ -9,13 +9,13 @@
 //! real threads vs. the simulated KSR1) changes one line instead of five.
 //!
 //! Every run on real threads — [`Query::run`], [`Query::submit`],
-//! [`PreparedQuery::run`], [`PreparedQuery::submit`] — is the same two
-//! engine calls, [`dbs3_engine::prepare`] then
-//! [`Runtime::submit_prepared`], made by one private helper
-//! (`submit_to`). The callers differ only in which pool they name (the
-//! process-wide [`Runtime::shared`] pool of the schedule's width, or a
-//! [`Runtime`] the caller owns) and in whether they wait on the returned
-//! [`QueryHandle`] or hand it back.
+//! [`PreparedQuery::submit`] — is the same two engine calls,
+//! [`dbs3_engine::prepare`] then [`Runtime::submit_prepared`], made by one
+//! private helper (`submit_to`). The callers differ only in whose pool it
+//! is and whether they wait: `run()` spawns a [`Runtime`] as wide as the
+//! schedule's thread count, waits on the [`QueryHandle`] and joins the
+//! pool before returning; the `submit` methods take a [`Runtime`] the
+//! caller owns and hand the handle back.
 
 use crate::error::Result;
 use crate::exec::{Backend, QueryHandle, QueryOutcome};
@@ -109,10 +109,9 @@ impl Session {
 
     /// Prepares `plan` under default options: expansion and scheduling run
     /// once (through the process-wide prepared-query cache) and the result
-    /// can be [`run`](PreparedQuery::run) or
-    /// [`submit`](PreparedQuery::submit)ted any number of times. Equivalent
-    /// to `session.query(plan).prepare()`; use the builder form to bake in
-    /// knobs.
+    /// can be [`submit`](PreparedQuery::submit)ted any number of times.
+    /// Equivalent to `session.query(plan).prepare()`; use the builder form
+    /// to bake in knobs.
     pub fn prepare(&self, plan: &Plan) -> Result<PreparedQuery> {
         self.query(plan).prepare()
     }
@@ -133,19 +132,11 @@ fn prepare_plan(
 }
 
 /// The one door from the facade into the engine: submits `prepared` to
-/// `runtime`, or — when the caller named no pool — to the process-wide
-/// pool as wide as the query's thread count (scheduling step 1).
-fn submit_to(
-    runtime: Option<&Runtime>,
-    catalog: &Catalog,
-    prepared: &PreparedPlan,
-) -> Result<QueryHandle> {
-    let handle = match runtime {
-        Some(runtime) => runtime.submit_prepared(catalog, prepared)?,
-        None => Runtime::shared(prepared.schedule().query_threads().max(1))?
-            .submit_prepared(catalog, prepared)?,
-    };
-    Ok(QueryHandle::new(handle))
+/// `runtime`.
+fn submit_to(runtime: &Runtime, catalog: &Catalog, prepared: &PreparedPlan) -> Result<QueryHandle> {
+    Ok(QueryHandle::new(
+        runtime.submit_prepared(catalog, prepared)?,
+    ))
 }
 
 /// Replays the query in virtual time. `config` supplies the machine model
@@ -248,15 +239,17 @@ impl<'a> Query<'a> {
     }
 
     /// Runs the query on the selected [`Backend`], blocking until the
-    /// outcome is available. On real threads this is exactly
-    /// [`Query::submit`] followed by [`QueryHandle::wait`], on the
-    /// process-wide pool of the schedule's width.
+    /// outcome is available. On real threads this spawns a [`Runtime`] as
+    /// wide as the schedule's thread count (scheduling step 1), runs
+    /// [`Query::submit`] and [`QueryHandle::wait`] on it, and joins its
+    /// workers before returning.
     pub fn run(self) -> Result<QueryOutcome> {
         let catalog = self.session.catalog();
         match &self.backend {
             Backend::Threaded => {
                 let prepared = prepare_plan(catalog, self.plan, &self.options)?;
-                submit_to(None, catalog, &prepared)?.wait()
+                let runtime = Runtime::new(prepared.schedule().query_threads())?;
+                submit_to(&runtime, catalog, &prepared)?.wait()
             }
             Backend::Simulated(config) => simulate(catalog, self.plan, &self.options, config),
         }
@@ -271,7 +264,7 @@ impl<'a> Query<'a> {
     pub fn submit(&self, runtime: &Runtime) -> Result<QueryHandle> {
         let catalog = self.session.catalog();
         let prepared = prepare_plan(catalog, self.plan, &self.options)?;
-        submit_to(Some(runtime), catalog, &prepared)
+        submit_to(runtime, catalog, &prepared)
     }
 
     /// Resolves the query once — plan expansion, scheduling and generation
@@ -291,8 +284,8 @@ impl<'a> Query<'a> {
 /// A query prepared once and executed many times.
 ///
 /// Holds the expanded plan, execution schedule and the catalog generations
-/// they were derived from. [`run`](Self::run) and [`submit`](Self::submit)
-/// skip straight to operator binding — no re-expansion, no re-scheduling.
+/// they were derived from. [`submit`](Self::submit) skips straight to
+/// operator binding — no re-expansion, no re-scheduling.
 /// If the session's catalog mutated since preparation (a referenced relation
 /// was replaced or removed), the prepared query transparently re-prepares
 /// against the current catalog instead of failing, so callers can hold one
@@ -336,19 +329,12 @@ impl PreparedQuery {
         Ok(Arc::clone(&slot))
     }
 
-    /// Runs the prepared query against `session`'s catalog on the
-    /// process-wide pool of the schedule's width (what
-    /// [`Backend::Threaded`] uses), blocking until the outcome is available.
-    pub fn run(&self, session: &Session) -> Result<QueryOutcome> {
-        let prepared = self.current(session.catalog())?;
-        submit_to(None, session.catalog(), &prepared)?.wait()
-    }
-
     /// Submits the prepared query to a caller-owned [`Runtime`] pool,
-    /// returning immediately with a [`QueryHandle`].
+    /// returning immediately with a [`QueryHandle`]; blocking is
+    /// `prepared.submit(&session, &runtime)?.wait()`.
     pub fn submit(&self, session: &Session, runtime: &Runtime) -> Result<QueryHandle> {
         let prepared = self.current(session.catalog())?;
-        submit_to(Some(runtime), session.catalog(), &prepared)
+        submit_to(runtime, session.catalog(), &prepared)
     }
 }
 
@@ -474,10 +460,9 @@ mod tests {
         assert!(prepared.is_current(&session));
         let fingerprint = prepared.fingerprint();
         assert_eq!(fingerprint, plan.content_hash());
-        assert_eq!(
-            prepared.run(&session).unwrap().result_cardinality("Result"),
-            Some(80)
-        );
+        let runtime = Runtime::new(4).unwrap();
+        let run = |session: &Session| prepared.submit(session, &runtime).unwrap().wait().unwrap();
+        assert_eq!(run(&session).result_cardinality("Result"), Some(80));
 
         // Replace A with a repartitioned copy: new generation, same rows.
         let a = WisconsinGenerator::new()
@@ -487,11 +472,10 @@ mod tests {
             PartitionedRelation::from_relation(&a, PartitionSpec::on("unique1", 8, 2)).unwrap(),
         );
         assert!(!prepared.is_current(&session));
-        let warm = prepared.run(&session).unwrap();
-        assert_eq!(warm.result_cardinality("Result"), Some(80));
+        assert_eq!(run(&session).result_cardinality("Result"), Some(80));
         assert!(
             prepared.is_current(&session),
-            "run() must transparently re-prepare against the mutated catalog"
+            "submit() must transparently re-prepare against the mutated catalog"
         );
         assert_eq!(prepared.fingerprint(), fingerprint);
     }
@@ -516,9 +500,11 @@ mod tests {
         let session = session();
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
         let prepared = session.prepare(&plan).unwrap();
-        let outcome = prepared.run(&session).unwrap();
+        let before = crate::cache_stats();
+        let runtime = Runtime::new(2).unwrap();
+        let outcome = prepared.submit(&session, &runtime).unwrap().wait().unwrap();
         assert_eq!(outcome.result_cardinality("Result"), Some(80));
-        let stats = outcome.metrics.cache_stats().expect("threaded metrics");
+        let stats = crate::cache_stats().since(&before);
         assert!(
             stats.index.hits + stats.index.misses > 0,
             "join builds must consult the shared index cache"

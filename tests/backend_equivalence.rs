@@ -148,9 +148,10 @@ fn batching_never_changes_logical_work() {
     }
 }
 
-/// Hash joins at pool widths 4, 8 and 32 over 4 join instances, on the
-/// shared pool, a caller-owned 4-worker pool and the simulator: at 8 and 32
-/// workers several threads contend for each instance's one index build.
+/// Hash joins at pool widths 4, 8 and 32 over 4 join instances, on a
+/// blocking run's own pool, a caller-owned 4-worker pool and the simulator:
+/// at 8 and 32 workers several threads contend for each instance's one
+/// index build.
 /// Cardinalities must be identical everywhere, and the engine runs must
 /// also agree on per-operation logical activation counts — the pool width
 /// changes *who* builds an index and when, never what a probe returns. (The
@@ -219,10 +220,10 @@ fn hash_joins_agree_across_pool_widths_and_backends() {
 /// what the query computes or how much logical work it reports. Every
 /// morsel size — splitting a fragment into dozens of pieces, an uneven
 /// divisor, the default, and "never split" — set on the schedule and
-/// submitted to both the shared pool and a caller-owned one must produce
-/// the cardinalities and per-operation logical activation counts of the
-/// simulated run (only the lead morsel of a fragment carries logical
-/// weight, so counts stay pinned to the simulator's
+/// submitted to both a pool of the schedule's width and a caller-owned one
+/// must produce the cardinalities and per-operation logical activation
+/// counts of the simulated run (only the lead morsel of a fragment carries
+/// logical weight, so counts stay pinned to the simulator's
 /// one-activation-per-fragment model).
 ///
 /// Sizing is load-bearing: A partitions into 6_000-row fragments and
@@ -267,8 +268,8 @@ fn morsel_granularity_is_invisible_across_all_backends() {
         let mut engine_counts: Option<Vec<Option<u64>>> = None;
         for morsel_rows in [512usize, 1_999, 4_096, 1_000_000] {
             let schedule = query().schedule().unwrap().with_morsel_rows(morsel_rows);
-            let shared = Runtime::shared(schedule.query_threads()).unwrap();
-            for pool in [&shared, &runtime] {
+            let own = Runtime::new(schedule.query_threads()).unwrap();
+            for pool in [&own, &runtime] {
                 let outcome = QueryOutcome::from_execution(
                     pool.submit(session.catalog(), &plan, &schedule)
                         .unwrap()

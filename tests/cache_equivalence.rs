@@ -10,7 +10,7 @@
 //! and run one at a time (the file-local [`SERIAL`] mutex), so counter
 //! deltas are exact.
 //!
-//! This is the stop-gap. The root-cause fix is ROADMAP item 1(a): caches
+//! This is the stop-gap. The root-cause fix is ROADMAP item 6(a): caches
 //! owned by the `Runtime`/`Session` instead of the process, after which a
 //! neighbour cannot evict what it cannot reach and these tests can move
 //! back.
@@ -25,6 +25,14 @@ static SERIAL: Mutex<()> = Mutex::new(());
 /// fail the others through poisoning.
 fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Runs `run`, returning its outcome and the cache activity it caused
+/// (exactly its own: [`SERIAL`] keeps every other test of this binary out).
+fn metered(run: impl FnOnce() -> QueryOutcome) -> (QueryOutcome, CacheStats) {
+    let before = dbs3::cache_stats();
+    let outcome = run();
+    (outcome, dbs3::cache_stats().since(&before))
 }
 
 fn session(a_card: usize, b_card: usize, degree: usize, theta: f64) -> Session {
@@ -43,8 +51,8 @@ fn session(a_card: usize, b_card: usize, degree: usize, theta: f64) -> Session {
 /// the first (cold) execution populates the caches, every later (warm)
 /// execution of the same plan is served by them — and cardinalities plus
 /// per-operation logical activation counts must be bit-identical between
-/// the cold run and warm runs on the shared pool, a caller-owned pool and
-/// the simulator. The cache-stats delta attributed to each warm engine run
+/// the cold run and warm runs on a blocking run's own pool, a caller-owned
+/// pool and the simulator. The cache-stats delta metered around each warm engine run
 /// proves the warm path actually hit the caches rather than accidentally
 /// rebuilding.
 #[test]
@@ -63,20 +71,23 @@ fn cached_setup_is_identical_to_cold_setup_across_all_backends() {
         // 1..3 repeat the identical query and must be served by the caches.
         for round in 0..3 {
             let query = || session.query(&plan).threads(4);
-            for outcome in [
-                query().run().unwrap(),
-                query().submit(&runtime).unwrap().wait().unwrap(),
-                query()
-                    .on(Backend::Simulated(SimConfig::ksr1()))
-                    .run()
-                    .unwrap(),
+            let (run, run_stats) = metered(|| query().run().unwrap());
+            let (submitted, submit_stats) =
+                metered(|| query().submit(&runtime).unwrap().wait().unwrap());
+            let simulated = query()
+                .on(Backend::Simulated(SimConfig::ksr1()))
+                .run()
+                .unwrap();
+            for (outcome, stats) in [
+                (run, Some(run_stats)),
+                (submitted, Some(submit_stats)),
+                (simulated, None),
             ] {
-                // The in-window cache signal of a warm run is the shared
-                // build-side index: operator binding consults it during
-                // execution, squarely inside the attribution window (the
-                // plan-cache hit happens in `prepare`, before submission).
+                // The cache signal of a warm engine run is the shared
+                // build-side index, which operator binding consults during
+                // execution.
                 if round > 0 {
-                    if let Some(stats) = outcome.metrics.cache_stats() {
+                    if let Some(stats) = stats {
                         assert!(
                             stats.index.hits >= 1,
                             "warm round {round} of {} missed the shared-index cache: {stats:?}",
@@ -165,9 +176,8 @@ fn catalog_mutation_invalidates_cached_plans_and_indexes() {
     );
 
     // And the re-warmed state is served again: a second run hits.
-    let rewarmed = session.query(&plan).threads(4).run().unwrap();
+    let (rewarmed, stats) = metered(|| session.query(&plan).threads(4).run().unwrap());
     assert_eq!(rewarmed.result_cardinality("Result"), Some(400));
-    let stats = rewarmed.metrics.cache_stats().expect("threaded metrics");
     assert!(stats.index.hits >= 1, "re-warmed run must hit: {stats:?}");
 }
 

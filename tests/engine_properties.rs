@@ -34,14 +34,14 @@ fn catalog_from_rows(
     (catalog, a, b)
 }
 
-/// Runs `plan` under `schedule` on the process-wide pool of the schedule's
-/// width and blocks for the outcome.
+/// Runs `plan` under `schedule` on a pool of the schedule's width and
+/// blocks for the outcome.
 fn execute(
     catalog: &Catalog,
     plan: &Plan,
     schedule: &ExecutionSchedule,
 ) -> dbs3::engine::Result<dbs3::engine::ExecutionOutcome> {
-    Runtime::shared(schedule.query_threads().max(1))?
+    Runtime::new(schedule.query_threads())?
         .submit(catalog, plan, schedule)?
         .wait()
 }

@@ -1,5 +1,4 @@
-//! The persistent multi-query [`Runtime`]: one shared worker pool, many
-//! concurrent queries.
+//! The multi-query [`Runtime`]: one worker pool, many concurrent queries.
 //!
 //! These tests pin the contract of the `submit()`/[`QueryHandle`] API:
 //!
@@ -12,7 +11,7 @@
 //! * dropping the runtime with queries in flight shuts down cleanly — no
 //!   hang, every waiter gets an outcome or a typed shutdown error;
 //! * a query submitted to a caller-owned pool is equivalent to the same
-//!   query on the shared pool and on the simulator on everything that is
+//!   query's blocking `run()` and to the simulator on everything that is
 //!   not a clock;
 //! * `discard_results()` keeps cardinalities and metrics exact while
 //!   materialising nothing.
@@ -171,9 +170,9 @@ fn dropping_the_runtime_with_inflight_queries_shuts_down_cleanly() {
     }
 }
 
-/// A query submitted to a caller-owned pool agrees with the same query on
-/// the shared pool and on the simulator on cardinalities and per-operation
-/// logical activation counts — the same contract
+/// A query submitted to a caller-owned pool agrees with the same query's
+/// blocking `run()` and with the simulator on cardinalities and
+/// per-operation logical activation counts — the same contract
 /// `tests/backend_equivalence.rs` pins for the other two. (As in
 /// that suite, the activation comparison with the simulator uses the
 /// nested-loop shapes: the simulator additionally models per-instance
@@ -181,7 +180,7 @@ fn dropping_the_runtime_with_inflight_queries_shuts_down_cleanly() {
 /// caller-owned pool reached through `submit`, and "threaded" is
 /// `Backend::Threaded`.
 #[test]
-fn pooled_backend_is_equivalent_to_threaded_and_simulated() {
+fn submit_to_an_owned_pool_matches_blocking_run_and_simulator() {
     let session = session(2_000, 200, 16);
     let runtime = Runtime::new(4).unwrap();
     for plan in plan_mix() {
