@@ -6,7 +6,9 @@
 //!
 //! Boots an in-process `dbs3-serve` server with the runtime watchdog armed
 //! and a seeded fault plan injecting connection drops, read/write failures,
-//! slow writes and worker faults, then drives it with a fleet of
+//! slow writes, worker faults and shared-index build faults (the first
+//! build panics while other clients' queries wait in the same cache cell;
+//! slowed builds widen that window), then drives it with a fleet of
 //! self-healing clients. Every fourth request carries a 1 ms deadline so
 //! the deadline-cancellation path runs under fire too.
 //!
@@ -143,6 +145,19 @@ fn main() -> ExitCode {
             points::WORKER_PROCESS,
             FaultTrigger::EveryK(401),
             FaultAction::Panic,
+        )
+        // Only the first wave builds (the catalog never changes), so these
+        // cost milliseconds: the first shared build panics, and slowed
+        // builds keep other queries waiting in the same cell.
+        .rule(
+            points::CACHE_BUILD,
+            FaultTrigger::Nth(1),
+            FaultAction::Panic,
+        )
+        .rule(
+            points::CACHE_BUILD,
+            FaultTrigger::Probability(0.5),
+            FaultAction::Delay(Duration::from_millis(20)),
         )
         .install();
 

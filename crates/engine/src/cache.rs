@@ -11,9 +11,10 @@
 //!   [`ExecutionSchedule`] (a [`PreparedPlan`]);
 //! * the **index cache** maps (relation, key column, fragment, relation
 //!   *generation*) to an `Arc<HashIndex>`, so concurrent and repeated
-//!   queries over one relation share a single build — the first requester
-//!   builds, later requesters either clone the `Arc` or *wait on the build
-//!   in flight* instead of duplicating it.
+//!   queries over one relation share a single build — each entry holds its
+//!   fragment's build cell (a [`OnceLock`]): the first requester builds
+//!   into it, concurrent requesters *wait on the build in flight* instead
+//!   of duplicating it, and later requesters clone the `Arc`.
 //!
 //! **Invalidation is by generation, not by flushing**: every [`Catalog`]
 //! mutation stamps the touched relation with a process-wide unique
@@ -34,7 +35,8 @@
 //! [`faults::points::CACHE_BUILD`] cover the new path: a lookup fault
 //! bypasses the cache (an uncached build is always correct — faults may
 //! fail or slow queries, never falsify them), a build fault escalates to a
-//! panic contained by the worker's `catch_unwind`.
+//! panic contained by the worker's `catch_unwind` and leaves the cell empty
+//! for the next requester to build into.
 
 use crate::faults::{self, points, FaultAction};
 use crate::schedule::{ExecutionSchedule, Scheduler, SchedulerOptions};
@@ -42,7 +44,7 @@ use crate::Result;
 use dbs3_lera::{ContentHasher, CostParameters, ExtendedPlan, OperatorKind, OuterInput, Plan};
 use dbs3_storage::{Catalog, HashIndex};
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Bounded capacity of the plan cache, in prepared plans.
 pub const PLAN_CACHE_CAPACITY: usize = 256;
@@ -246,35 +248,16 @@ struct IndexKey {
     fragment: usize,
 }
 
-/// Rendezvous cell for a build in flight: the builder publishes here, and
-/// concurrent requesters of the same fragment wait on it instead of
-/// duplicating the build.
-#[derive(Debug, Default)]
-struct BuildCell {
-    done: Mutex<BuildSlot>,
-    ready: Condvar,
-}
-
-#[derive(Debug, Default)]
-enum BuildSlot {
-    #[default]
-    Pending,
-    Done(Arc<HashIndex>),
-    /// The builder panicked (e.g. an injected fault). Waiters fall back to
-    /// a private build — slower, never wrong.
-    Failed,
-}
-
-#[derive(Debug)]
-enum IndexState {
-    Ready(Arc<HashIndex>),
-    Building(Arc<BuildCell>),
-}
+/// A fragment's build cell: empty while its index is in flight (or after
+/// a build panicked), then the shared index. Concurrent requesters wait in
+/// [`OnceLock::get_or_init`]; if the builder panics, the cell stays empty
+/// and the next caller, a waiter included, builds into it.
+type IndexCell = Arc<OnceLock<Arc<HashIndex>>>;
 
 #[derive(Debug)]
 struct IndexEntry {
     generation: u64,
-    state: IndexState,
+    cell: IndexCell,
     last_used: u64,
 }
 
@@ -290,95 +273,44 @@ struct IndexCache {
     inner: Mutex<IndexCacheInner>,
 }
 
-/// What the locked lookup decided; acted on *after* the cache lock is
-/// released so waiting and building never hold it.
-enum IndexPlan {
-    Hit(Arc<HashIndex>),
-    Wait(Arc<BuildCell>),
-    Build(Arc<BuildCell>),
-}
-
 impl IndexCache {
-    fn plan_for(&self, key: &IndexKey, generation: u64) -> IndexPlan {
+    /// The build cell of `key` at `generation`, under one lock: a
+    /// generation match is a hit whether the cell is built or in flight
+    /// (the work is shared, not repeated); anything else evicts the stale
+    /// entry, inserts an empty cell and is a miss. The LRU bound is
+    /// enforced here too, over built cells only: an empty one is a build in
+    /// flight (or a failed one awaiting its retry) and is never evicted.
+    fn cell(&self, key: &IndexKey, generation: u64) -> IndexCell {
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(entry) = inner.entries.get_mut(key) {
             if entry.generation == generation {
                 entry.last_used = tick;
-                match &entry.state {
-                    IndexState::Ready(index) => {
-                        let index = Arc::clone(index);
-                        inner.counters.hits += 1;
-                        return IndexPlan::Hit(index);
-                    }
-                    IndexState::Building(cell) => {
-                        // A build in flight counts as a hit: the work is
-                        // shared, not repeated.
-                        let cell = Arc::clone(cell);
-                        inner.counters.hits += 1;
-                        return IndexPlan::Wait(cell);
-                    }
-                }
+                let cell = Arc::clone(&entry.cell);
+                inner.counters.hits += 1;
+                return cell;
             }
-            // Stale generation — evict whatever was there (a stale build in
-            // flight still publishes to its own cell; only the map entry
-            // goes).
+            // Stale generation — evict the map entry (a stale build in
+            // flight still fills its own cell for the callers holding it).
             inner.entries.remove(key);
             inner.counters.evictions += 1;
         }
         inner.counters.misses += 1;
-        let cell = Arc::new(BuildCell::default());
+        let cell = IndexCell::default();
         inner.entries.insert(
             key.clone(),
             IndexEntry {
                 generation,
-                state: IndexState::Building(Arc::clone(&cell)),
+                cell: Arc::clone(&cell),
                 last_used: tick,
             },
         );
-        IndexPlan::Build(cell)
-    }
-
-    /// Blocks until the cell's build publishes.
-    fn await_build(&self, cell: &BuildCell) -> Option<Arc<HashIndex>> {
-        let mut slot = cell.done.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            match &*slot {
-                BuildSlot::Pending => {
-                    slot = cell.ready.wait(slot).unwrap_or_else(|p| p.into_inner());
-                }
-                BuildSlot::Done(index) => return Some(Arc::clone(index)),
-                BuildSlot::Failed => return None,
-            }
-        }
-    }
-
-    /// Publishes a finished build: wakes waiters, flips the map entry to
-    /// `Ready` and enforces the capacity bound.
-    fn publish(&self, key: &IndexKey, cell: &Arc<BuildCell>, index: &Arc<HashIndex>) {
-        {
-            let mut slot = cell.done.lock().unwrap_or_else(|p| p.into_inner());
-            *slot = BuildSlot::Done(Arc::clone(index));
-        }
-        cell.ready.notify_all();
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(entry) = inner.entries.get_mut(key) {
-            // Only flip the entry this build owns — a stale-eviction +
-            // rebuild may have replaced it with a younger generation.
-            if matches!(&entry.state, IndexState::Building(c) if Arc::ptr_eq(c, cell)) {
-                entry.state = IndexState::Ready(Arc::clone(index));
-                entry.last_used = tick;
-            }
-        }
-        // LRU capacity bound; builds in flight are never evicted.
         while inner.entries.len() > INDEX_CACHE_CAPACITY {
             let Some(oldest) = inner
                 .entries
                 .iter()
-                .filter(|(_, e)| matches!(e.state, IndexState::Ready(_)))
+                .filter(|(_, e)| e.cell.get().is_some())
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| k.clone())
             else {
@@ -387,39 +319,7 @@ impl IndexCache {
             inner.entries.remove(&oldest);
             inner.counters.evictions += 1;
         }
-    }
-
-    /// Marks a build failed (builder panicked): wakes waiters with the
-    /// fallback signal and removes the map entry so the next requester
-    /// starts a fresh build.
-    fn abandon(&self, key: &IndexKey, cell: &Arc<BuildCell>) {
-        {
-            let mut slot = cell.done.lock().unwrap_or_else(|p| p.into_inner());
-            *slot = BuildSlot::Failed;
-        }
-        cell.ready.notify_all();
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(entry) = inner.entries.get(key) {
-            if matches!(&entry.state, IndexState::Building(c) if Arc::ptr_eq(c, cell)) {
-                inner.entries.remove(key);
-            }
-        }
-    }
-}
-
-/// Unwinds-safely publishes or abandons a build in flight.
-struct BuildGuard<'a> {
-    cache: &'a IndexCache,
-    key: &'a IndexKey,
-    cell: &'a Arc<BuildCell>,
-    armed: bool,
-}
-
-impl Drop for BuildGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.cache.abandon(self.key, self.cell);
-        }
+        cell
     }
 }
 
@@ -452,7 +352,7 @@ pub fn cache_stats() -> CacheStats {
 /// Drops every cached entry (counters keep accumulating). Benchmarks call
 /// this between tiers so retained scaled-tier indexes don't distort memory
 /// or accidentally warm an unrelated measurement; builds in flight still
-/// publish to their waiters.
+/// fill the cells their waiters hold.
 pub fn clear_caches() {
     let caches = caches();
     {
@@ -488,7 +388,8 @@ fn lookup_fault_bypasses() -> bool {
 /// Build faults have nothing safe to "drop" or type as an error at this
 /// depth — escalate everything but delay to a panic, exactly like
 /// `engine.queue.push` (the worker's `catch_unwind` turns it into a typed
-/// `WorkerPanicked`; waiters fall back to private builds).
+/// `WorkerPanicked`; the cell stays empty and the next requester, a waiter
+/// included, builds into it).
 fn honor_build_fault() {
     match faults::hit(points::CACHE_BUILD) {
         None => {}
@@ -505,8 +406,10 @@ fn honor_build_fault() {
 /// Fetches (or builds) the shared hash index of one relation fragment.
 ///
 /// The first requester of a `(relation, column, fragment, generation)`
-/// builds; concurrent requesters block on the build in flight; later
-/// requesters clone the `Arc`. `build` runs *outside* every cache lock.
+/// builds into the entry's cell; concurrent requesters wait for that build;
+/// later requesters clone the `Arc`. `build` runs *outside* the cache lock.
+/// A build that panics leaves the cell empty, and the next requester builds
+/// into it again (through the `engine.cache.build` fault point again).
 /// `relation` is the caller's shared copy of the name (a bound join makes
 /// it once), so the lookup key costs a reference count, not an allocation.
 pub fn shared_index(
@@ -524,29 +427,11 @@ pub fn shared_index(
         column,
         fragment,
     };
-    let cache = &caches().index;
-    match cache.plan_for(&key, generation) {
-        IndexPlan::Hit(index) => index,
-        IndexPlan::Wait(cell) => match cache.await_build(&cell) {
-            Some(index) => index,
-            // The shared build panicked; a private build keeps this query
-            // correct (and the failed entry is already gone from the map).
-            None => Arc::new(build()),
-        },
-        IndexPlan::Build(cell) => {
-            let mut guard = BuildGuard {
-                cache,
-                key: &key,
-                cell: &cell,
-                armed: true,
-            };
-            honor_build_fault();
-            let index = Arc::new(build());
-            guard.armed = false;
-            cache.publish(&key, &cell, &index);
-            index
-        }
-    }
+    let cell = caches().index.cell(&key, generation);
+    Arc::clone(cell.get_or_init(|| {
+        honor_build_fault();
+        Arc::new(build())
+    }))
 }
 
 fn write_cost(h: &mut ContentHasher, cost: &CostParameters) {
@@ -805,6 +690,45 @@ mod tests {
         for index in &indexes {
             assert!(Arc::ptr_eq(index, &indexes[0]));
         }
+    }
+
+    #[test]
+    fn a_failed_build_is_retried_in_the_shared_cell() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::time::Duration;
+        let cat = catalog(2_000, 40, 2);
+        let rel = cat.get("A").unwrap();
+        let generation = u64::MAX - 13;
+        let name: Arc<str> = Arc::from("failed-build-test");
+        let built = AtomicU64::new(0);
+        let build = || {
+            // ordering: Relaxed — test-only tally of how many non-panicking
+            // closures ran; no ordering dependencies.
+            built.fetch_add(1, Ordering::Relaxed);
+            HashIndex::build(rel.fragments()[0].tuples(), 0)
+        };
+        let (waiter, third) = std::thread::scope(|scope| {
+            let failing = scope.spawn(|| {
+                shared_index(&name, generation, 0, 0, || -> HashIndex {
+                    std::thread::sleep(Duration::from_millis(200));
+                    panic!("deliberate build failure");
+                })
+            });
+            std::thread::sleep(Duration::from_millis(20));
+            let waiter = scope.spawn(|| shared_index(&name, generation, 0, 0, build));
+            assert!(failing.join().is_err(), "the first build panics");
+            let third = shared_index(&name, generation, 0, 0, build);
+            (waiter.join().unwrap(), third)
+        });
+        assert_eq!(
+            built.load(Ordering::Relaxed),
+            1,
+            "after the failed build exactly one requester rebuilds into the cell"
+        );
+        assert!(
+            Arc::ptr_eq(&waiter, &third),
+            "the retry is shared, not private"
+        );
     }
 
     #[test]

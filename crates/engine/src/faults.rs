@@ -32,7 +32,7 @@
 //! | `serve.read`            | request frame read (dbs3-serve)  | drop/error close the connection; delay; panic |
 //! | `serve.write`           | response frame write (dbs3-serve)| drop/error close the connection; delay; panic |
 //! | `engine.cache.lookup`   | prepared-plan / index cache lookup | error, drop → bypass the cache (compute uncached); delay; panic |
-//! | `engine.cache.build`    | shared hash-index build (cache-owned) | panic, delay (error/drop escalate to panic) |
+//! | `engine.cache.build`    | shared hash-index build (cache-owned) | panic, delay (error/drop escalate to panic; the next requester rebuilds) |
 //!
 //! `engine.queue.push` escalates `error`/`drop` to a panic on purpose:
 //! silently dropping an activation would corrupt results, and the panic is
@@ -64,7 +64,9 @@ pub mod points {
     /// `error`/`drop` here bypasses the cache — correct, just slower.
     pub const CACHE_LOOKUP: &str = "engine.cache.lookup";
     /// A cache-owned shared hash-index build about to run. Everything but
-    /// `delay` escalates to a panic (waiters fall back to private builds).
+    /// `delay` escalates to a panic; the cell stays empty and the next
+    /// requester, a waiter included, builds into it (through this point
+    /// again).
     pub const CACHE_BUILD: &str = "engine.cache.build";
 }
 

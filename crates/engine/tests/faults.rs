@@ -224,10 +224,10 @@ fn cache_lookup_fault_bypasses_the_caches_without_falsifying_results() {
 
 /// A non-delay fault at `engine.cache.build` escalates to a panic inside
 /// the shared build, which the worker contains as a typed
-/// `WorkerPanicked`; the abandoned cache entry is cleaned up, so the next
-/// submit rebuilds and succeeds.
+/// `WorkerPanicked`; the failed build leaves its cache cell empty, so the
+/// next submit rebuilds into it and succeeds.
 #[test]
-fn cache_build_fault_is_contained_and_the_entry_abandoned() {
+fn cache_build_fault_is_contained_and_the_next_submit_rebuilds() {
     let _guard = FaultPlan::new(7)
         .rule(
             points::CACHE_BUILD,
@@ -245,13 +245,56 @@ fn cache_build_fault_is_contained_and_the_entry_abandoned() {
         other => panic!("expected WorkerPanicked, got {other:?}"),
     }
     assert_eq!(runtime.live_queries(), 0);
-    // Nth(1) is spent and the failed build left no poisoned entry behind:
-    // the same prepared plan now builds its index and answers correctly.
+    // Nth(1) is spent and the failed build left its cell empty, not
+    // poisoned: the same prepared plan now builds its index into it and
+    // answers correctly.
     let outcome = runtime
         .submit_prepared(&cat, &prepared)
         .unwrap()
         .wait()
         .unwrap();
+    assert_eq!(outcome.cardinalities["Result"], 200);
+    runtime.shutdown();
+}
+
+/// Cancelling a query whose only worker is inside a slow shared build
+/// frees its admission slot at once and wakes `wait()` with
+/// `QueryCancelled` without waiting for the build; the pool stays usable,
+/// and the next query on it answers correctly.
+#[test]
+fn cancelling_during_a_build_frees_the_admission_slot() {
+    let delay = Duration::from_millis(500);
+    let guard = FaultPlan::new(8)
+        .rule(
+            points::CACHE_BUILD,
+            FaultTrigger::Nth(1),
+            FaultAction::Delay(delay),
+        )
+        .install();
+    // A fresh catalog has fresh generations: its first build is a miss
+    // that really runs, so the delay fires inside it.
+    let cat = catalog(2_000, 200, 8);
+    let runtime = Runtime::new(1).unwrap();
+    let handle = submit(&runtime, &cat, 1);
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(
+        guard.counts()[0].2,
+        1,
+        "the worker is inside the build delay"
+    );
+    let cancelled_at = std::time::Instant::now();
+    handle.cancel();
+    assert_eq!(runtime.live_queries(), 0, "cancel freed the slot at once");
+    match handle.wait() {
+        Err(EngineError::QueryCancelled { .. }) => {}
+        other => panic!("expected QueryCancelled, got {other:?}"),
+    }
+    assert!(
+        cancelled_at.elapsed() < delay / 2,
+        "wait() returned {:?} after cancel, not well inside the build delay",
+        cancelled_at.elapsed()
+    );
+    let outcome = submit(&runtime, &cat, 1).wait().unwrap();
     assert_eq!(outcome.cardinalities["Result"], 200);
     runtime.shutdown();
 }
