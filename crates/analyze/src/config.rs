@@ -18,14 +18,6 @@ pub struct Config {
     pub panic_deny_in: Vec<String>,
     /// Path prefixes scanned by the lock and atomic-ordering rules.
     pub sync_scan: Vec<String>,
-    /// File declaring the canonical fault-point registry.
-    pub fault_registry_file: String,
-    /// The bench-schema validator script.
-    pub schema_tool: String,
-    /// The committed bench record.
-    pub schema_bench_json: String,
-    /// Path prefixes containing the bench emitters.
-    pub schema_emitters: Vec<String>,
 }
 
 impl Config {
@@ -50,22 +42,11 @@ impl Config {
                 "locks.order" => config.lock_order = values,
                 "panics.deny_in" => config.panic_deny_in = values,
                 "sync.scan" => config.sync_scan = values,
-                "faults.registry_file" => config.fault_registry_file = single(&full, values)?,
-                "schema.tool" => config.schema_tool = single(&full, values)?,
-                "schema.bench_json" => config.schema_bench_json = single(&full, values)?,
-                "schema.emitters" => config.schema_emitters = values,
                 other => return Err(format!("unknown analyze.toml key {other}")),
             }
         }
         Ok(config)
     }
-}
-
-fn single(key: &str, values: Vec<String>) -> Result<String, String> {
-    if values.len() != 1 {
-        return Err(format!("{key} expects exactly one string"));
-    }
-    Ok(values.into_iter().next().expect("length checked"))
 }
 
 /// Parses `[section]` / `key = "v"` / `key = ["a", "b", ...]` lines
@@ -158,21 +139,12 @@ deny_in = ["crates/engine/src"]
 
 [sync]
 scan = ["crates", "src"]
-
-[faults]
-registry_file = "crates/engine/src/faults.rs"
-
-[schema]
-tool = "tools/check_bench_schema.py"
-bench_json = "BENCH_engine.json"
-emitters = ["crates/bench/src"]
 "#,
         )
         .unwrap();
         assert_eq!(c.lock_order, vec!["faults.INSTALL_LOCK", "faults.ACTIVE"]);
         assert_eq!(c.panic_deny_in, vec!["crates/engine/src"]);
-        assert_eq!(c.fault_registry_file, "crates/engine/src/faults.rs");
-        assert_eq!(c.schema_tool, "tools/check_bench_schema.py");
+        assert_eq!(c.sync_scan, vec!["crates", "src"]);
     }
 
     #[test]
@@ -187,6 +159,6 @@ emitters = ["crates/bench/src"]
 
     #[test]
     fn unquoted_value_is_an_error() {
-        assert!(Config::parse("[schema]\ntool = bare").is_err());
+        assert!(Config::parse("[sync]\nscan = bare").is_err());
     }
 }

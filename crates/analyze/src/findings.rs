@@ -9,14 +9,12 @@
 use std::fmt;
 use std::path::Path;
 
-/// The five rules, used as stable finding-key prefixes.
+/// The three rules, used as stable finding-key prefixes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
     LockHierarchy,
     AtomicOrdering,
-    FaultRegistry,
     PanicPath,
-    BenchSchema,
 }
 
 impl Rule {
@@ -25,20 +23,12 @@ impl Rule {
         match self {
             Rule::LockHierarchy => "lock-hierarchy",
             Rule::AtomicOrdering => "atomic-ordering",
-            Rule::FaultRegistry => "fault-registry",
             Rule::PanicPath => "panic-path",
-            Rule::BenchSchema => "bench-schema",
         }
     }
 
     /// All rules, in reporting order.
-    pub const ALL: [Rule; 5] = [
-        Rule::LockHierarchy,
-        Rule::AtomicOrdering,
-        Rule::FaultRegistry,
-        Rule::PanicPath,
-        Rule::BenchSchema,
-    ];
+    pub const ALL: [Rule; 3] = [Rule::LockHierarchy, Rule::AtomicOrdering, Rule::PanicPath];
 }
 
 impl fmt::Display for Rule {

@@ -2,20 +2,22 @@
 //!
 //! A concurrency-aware static analysis pass for the workspace's hand-rolled
 //! synchronization. The engine's correctness rests on conventions a compiler
-//! never checks: condvar-parked pools with a declared lock order, atomic
-//! mirrors whose load/store orderings are load-bearing, a string-keyed fault
-//! registry, panic-free worker paths, and a bench document schema pinned in
-//! three places. This crate walks the workspace source with a small
-//! hand-rolled lexer (no external dependencies, like the rest of the repo)
-//! and enforces five repo-specific rules:
+//! never checks: a declared lock order, atomic mirrors whose load/store
+//! orderings are load-bearing, and panic-free worker paths. This crate walks
+//! the workspace source with a small hand-rolled lexer (no external
+//! dependencies, like the rest of the repo) and enforces three repo-specific
+//! rules:
 //!
 //! | rule | checks |
 //! |------|--------|
 //! | `lock-hierarchy`   | nested `Mutex` acquisitions follow the order declared in `analyze.toml`; no cycles, no self-nesting |
 //! | `atomic-ordering`  | every `Ordering::Relaxed`/`SeqCst` carries an `// ordering:` justification; mixed-ordering fields declare a protocol |
-//! | `fault-registry`   | fault-point strings match `dbs3_engine::faults::REGISTRY` everywhere; no dead or duplicate points |
 //! | `panic-path`       | no `unwrap`/`expect`/`panic!`/`unreachable!` in production paths without `// allow-panic:` |
-//! | `bench-schema`     | emitters, `tools/check_bench_schema.py` and `BENCH_engine.json` agree on the schema version |
+//!
+//! Fault points need no rule: `dbs3_engine::faults::FaultPoint` is an enum,
+//! so a mistyped point does not compile. The bench document's schema
+//! version is pinned by the `dbs3-bench` baseline unit test and CI's
+//! `tools/check_bench_schema.py` steps.
 //!
 //! Findings diff against the committed `analyze-baseline.json`: new findings
 //! fail the run, baselined ones are visible debt, and keys that no longer
@@ -38,7 +40,6 @@ pub use config::Config;
 pub use findings::{Baseline, Diff, Finding, Rule};
 pub use source::SourceFile;
 
-use rules::schema::SchemaInputs;
 use std::path::{Path, PathBuf};
 
 /// Directory names never descended into.
@@ -46,18 +47,18 @@ const SKIP_DIRS: [&str; 4] = ["vendor", "target", ".git", "node_modules"];
 /// The analyzer's own crate, excluded from analysis (see module docs).
 const SELF_DIR: &str = "crates/analyze";
 
-/// Walks the workspace, runs all five rules, returns the findings.
+/// Walks the workspace, runs all three rules, returns the findings.
 pub fn analyze_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     let config = Config::load(&root.join("analyze.toml"))?;
     let mut files = Vec::new();
     walk(root, root, &mut files)?;
     files.sort_by(|a, b| a.path.cmp(&b.path));
-    Ok(run_rules(&config, &files, root))
+    Ok(run_rules(&config, &files))
 }
 
 /// Runs the rules over pre-parsed sources (the workspace smoke test and the
 /// fixtures use this directly).
-pub fn run_rules(config: &Config, files: &[SourceFile], root: &Path) -> Vec<Finding> {
+pub fn run_rules(config: &Config, files: &[SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
 
     let in_scope =
@@ -75,38 +76,6 @@ pub fn run_rules(config: &Config, files: &[SourceFile], root: &Path) -> Vec<Find
         .filter(|f| in_scope(f, &config.panic_deny_in) && !f.is_test_file())
         .collect();
     findings.extend(rules::panics::check(&panic_files));
-
-    let registry_path = Path::new(&config.fault_registry_file);
-    match files.iter().find(|f| f.path == registry_path) {
-        Some(registry_file) => {
-            let others: Vec<&SourceFile> =
-                files.iter().filter(|f| f.path != registry_path).collect();
-            findings.extend(rules::faultreg::check(registry_file, &others));
-        }
-        None => findings.push(Finding::new(
-            Rule::FaultRegistry,
-            &config.fault_registry_file,
-            0,
-            "registry-file-missing",
-            "fault registry file not found in the walked sources",
-        )),
-    }
-
-    let tool_text = std::fs::read_to_string(root.join(&config.schema_tool)).ok();
-    let json_text = std::fs::read_to_string(root.join(&config.schema_bench_json)).ok();
-    let emitters: Vec<&SourceFile> = files
-        .iter()
-        .filter(|f| in_scope(f, &config.schema_emitters) && !f.is_test_file())
-        .collect();
-    findings.extend(rules::schema::check(&SchemaInputs {
-        tool: tool_text
-            .as_deref()
-            .map(|t| (config.schema_tool.as_str(), t)),
-        bench_json: json_text
-            .as_deref()
-            .map(|t| (config.schema_bench_json.as_str(), t)),
-        emitters,
-    }));
 
     findings
         .sort_by(|a, b| (a.rule.name(), &a.file, a.line).cmp(&(b.rule.name(), &b.file, b.line)));

@@ -1,10 +1,8 @@
-//! The five rule passes and their shared token-walking helpers.
+//! The three rule passes and their shared token-walking helpers.
 
 pub mod atomics;
-pub mod faultreg;
 pub mod locks;
 pub mod panics;
-pub mod schema;
 
 use crate::lexer::Token;
 use crate::source::SourceFile;

@@ -9,17 +9,14 @@
 use crate::config::Config;
 use crate::findings::Rule;
 use crate::rules;
-use crate::rules::schema::SchemaInputs;
 use crate::source::SourceFile;
 
-/// Runs all five self-checks; returns `(rule, result)` per rule.
+/// Runs all three self-checks; returns `(rule, result)` per rule.
 pub fn run() -> Vec<(Rule, Result<(), String>)> {
     vec![
         (Rule::LockHierarchy, locks()),
         (Rule::AtomicOrdering, atomics()),
-        (Rule::FaultRegistry, faultreg()),
         (Rule::PanicPath, panics()),
-        (Rule::BenchSchema, schema()),
     ]
 }
 
@@ -74,26 +71,6 @@ fn atomics() -> Result<(), String> {
     )
 }
 
-fn faultreg() -> Result<(), String> {
-    let registry = SourceFile::parse(
-        "faults.rs",
-        r#"
-pub const ALPHA: &str = "engine.alpha.one";
-pub const REGISTRY: &[&str] = &[ALPHA];
-"#,
-    );
-    let bad = SourceFile::parse(
-        "crates/x/src/user.rs",
-        r#"fn f() { faults::hit(ALPHA); faults::hit("engine.alpha.two"); }"#,
-    );
-    let good = SourceFile::parse("crates/x/src/user.rs", "fn f() { faults::hit(ALPHA); }");
-    expect_fires(
-        Rule::FaultRegistry,
-        rules::faultreg::check(&registry, &[&bad]).len(),
-        rules::faultreg::check(&registry, &[&good]).len(),
-    )
-}
-
 fn panics() -> Result<(), String> {
     let bad = SourceFile::parse(
         "crates/x/src/fix.rs",
@@ -111,28 +88,6 @@ fn panics() -> Result<(), String> {
         rules::panics::check(&[&bad]).len(),
         rules::panics::check(&[&good]).len(),
     )
-}
-
-fn schema() -> Result<(), String> {
-    let tool = "SCHEMA_VERSION = 3\n";
-    let bad_emitter = SourceFile::parse(
-        "crates/bench/src/em.rs",
-        r#"fn f(out: &mut String) { out.push_str("  \"schema_version\": 2,\n"); }"#,
-    );
-    let good_emitter = SourceFile::parse(
-        "crates/bench/src/em.rs",
-        r#"fn f(out: &mut String) { out.push_str("  \"schema_version\": 3,\n"); }"#,
-    );
-    let json = "{\n  \"schema_version\": 3\n}";
-    let run = |em: &SourceFile| {
-        rules::schema::check(&SchemaInputs {
-            tool: Some(("tool.py", tool)),
-            bench_json: Some(("BENCH.json", json)),
-            emitters: vec![em],
-        })
-        .len()
-    };
-    expect_fires(Rule::BenchSchema, run(&bad_emitter), run(&good_emitter))
 }
 
 #[cfg(test)]

@@ -4,7 +4,6 @@
 //! `SourceFile::parse` exactly as a walked file would, so comment
 //! attachment, test-region marking and path handling are all in play.
 
-use dbs3_analyze::rules::schema::SchemaInputs;
 use dbs3_analyze::{rules, selfcheck, Config, Rule, SourceFile};
 
 fn src(path: &str, text: &str) -> SourceFile {
@@ -115,43 +114,6 @@ fn acquire_release_pair_needs_no_justification() {
     assert!(rules::atomics::check(&[&good]).is_empty());
 }
 
-// ---- fault-registry ----
-
-const REGISTRY_SRC: &str = r#"
-pub const ALPHA: &str = "engine.alpha";
-pub const BETA: &str = "engine.beta";
-pub const REGISTRY: &[&str] = &[ALPHA, BETA];
-"#;
-
-#[test]
-fn unregistered_point_literal_fires() {
-    let registry = src("crates/engine/src/faults.rs", REGISTRY_SRC);
-    let bad = src(
-        "crates/x/src/user.rs",
-        r#"fn f() { hit(ALPHA); hit(BETA); hit("engine.gamma"); }"#,
-    );
-    let f = rules::faultreg::check(&registry, &[&bad]);
-    assert_eq!(f.len(), 1, "got {f:?}");
-    assert_eq!(f[0].rule, Rule::FaultRegistry);
-    assert!(f[0].message.contains("engine.gamma"), "got {f:?}");
-}
-
-#[test]
-fn dead_registry_point_fires() {
-    let registry = src("crates/engine/src/faults.rs", REGISTRY_SRC);
-    let user = src("crates/x/src/user.rs", "fn f() { hit(ALPHA); }");
-    let f = rules::faultreg::check(&registry, &[&user]);
-    assert_eq!(f.len(), 1, "got {f:?}");
-    assert!(f[0].message.contains("engine.beta"), "got {f:?}");
-}
-
-#[test]
-fn fully_referenced_registry_is_clean() {
-    let registry = src("crates/engine/src/faults.rs", REGISTRY_SRC);
-    let user = src("crates/x/src/user.rs", "fn f() { hit(ALPHA); hit(BETA); }");
-    assert!(rules::faultreg::check(&registry, &[&user]).is_empty());
-}
-
 // ---- panic-path ----
 
 #[test]
@@ -191,30 +153,6 @@ fn test_modules_are_exempt() {
         }",
     );
     assert!(rules::panics::check(&[&file]).is_empty());
-}
-
-// ---- bench-schema ----
-
-#[test]
-fn schema_drift_in_committed_record_fires() {
-    let f = rules::schema::check(&SchemaInputs {
-        tool: Some(("tool.py", "SCHEMA_VERSION = 3\n")),
-        bench_json: Some(("BENCH.json", "{\"schema_version\": 2}")),
-        emitters: vec![],
-    });
-    assert_eq!(f.len(), 1, "got {f:?}");
-    assert_eq!(f[0].rule, Rule::BenchSchema);
-}
-
-#[test]
-fn missing_validator_tool_fires() {
-    let f = rules::schema::check(&SchemaInputs {
-        tool: None,
-        bench_json: None,
-        emitters: vec![],
-    });
-    assert_eq!(f.len(), 1, "got {f:?}");
-    assert_eq!(f[0].key_detail, "tool-missing");
 }
 
 // ---- self-check harness ----

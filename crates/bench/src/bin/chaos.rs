@@ -24,14 +24,13 @@
 //! interleaving still varies, so *which* request suffers may differ, but
 //! the invariants hold for every interleaving — that is the point).
 
-use dbs3_engine::faults::points;
-use dbs3_engine::{FaultAction, FaultPlan, FaultTrigger, SchedulerOptions};
+use dbs3_engine::{FaultAction, FaultPlan, FaultPoint, FaultTrigger, SchedulerOptions};
 use dbs3_lera::{plans, JoinAlgorithm};
-use dbs3_serve::server::fault_points;
 use dbs3_serve::{ResilientClient, RetryPolicy, ServeError, Server, ServerConfig};
 use dbs3_storage::{
     Catalog, ColumnDef, PartitionSpec, PartitionedRelation, Relation, Schema, Tuple, Value,
 };
+use std::num::NonZeroU64;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -122,40 +121,41 @@ fn main() -> ExitCode {
     // fires on a run of this size.
     let guard = FaultPlan::new(args.seed)
         .rule(
-            fault_points::WRITE,
+            FaultPoint::ServeWrite,
             FaultTrigger::Probability(0.12),
             FaultAction::Drop,
         )
         .rule(
-            fault_points::WRITE,
+            FaultPoint::ServeWrite,
             FaultTrigger::Probability(0.08),
             FaultAction::Delay(Duration::from_millis(15)),
         )
         .rule(
-            fault_points::READ,
+            FaultPoint::ServeRead,
             FaultTrigger::Probability(0.04),
             FaultAction::Drop,
         )
         .rule(
-            fault_points::ACCEPT,
+            FaultPoint::ServeAccept,
             FaultTrigger::Probability(0.05),
             FaultAction::Drop,
         )
         .rule(
-            points::WORKER_PROCESS,
-            FaultTrigger::EveryK(401),
+            FaultPoint::WorkerProcess,
+            // allow-panic: evaluated at compile time, on a nonzero literal.
+            FaultTrigger::EveryK(const { NonZeroU64::new(401).expect("401 is nonzero") }),
             FaultAction::Panic,
         )
         // Only the first wave builds (the catalog never changes), so these
         // cost milliseconds: the first shared build panics, and slowed
         // builds keep other queries waiting in the same cell.
         .rule(
-            points::CACHE_BUILD,
-            FaultTrigger::Nth(1),
+            FaultPoint::CacheBuild,
+            FaultTrigger::Nth(NonZeroU64::MIN),
             FaultAction::Panic,
         )
         .rule(
-            points::CACHE_BUILD,
+            FaultPoint::CacheBuild,
             FaultTrigger::Probability(0.5),
             FaultAction::Delay(Duration::from_millis(20)),
         )

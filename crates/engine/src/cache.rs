@@ -31,14 +31,14 @@
 //! entries from unrelated sessions can never be confused, and
 //! cross-connection reuse in the serve layer falls out for free.
 //!
-//! Fault points [`faults::points::CACHE_LOOKUP`] and
-//! [`faults::points::CACHE_BUILD`] cover the new path: a lookup fault
+//! Fault points [`FaultPoint::CacheLookup`] and
+//! [`FaultPoint::CacheBuild`] cover the new path: a lookup fault
 //! bypasses the cache (an uncached build is always correct — faults may
 //! fail or slow queries, never falsify them), a build fault escalates to a
 //! panic contained by the worker's `catch_unwind` and leaves the cell empty
 //! for the next requester to build into.
 
-use crate::faults::{self, points, FaultAction};
+use crate::faults::{self, FaultAction, FaultPoint};
 use crate::schedule::{ExecutionSchedule, Scheduler, SchedulerOptions};
 use crate::Result;
 use dbs3_lera::{ContentHasher, CostParameters, ExtendedPlan, OperatorKind, OuterInput, Plan};
@@ -369,7 +369,7 @@ pub fn clear_caches() {
 /// computes privately, which can only cost time. Delay sleeps, panic
 /// panics (containment is the caller's concern), error/drop bypass.
 fn lookup_fault_bypasses() -> bool {
-    match faults::hit(points::CACHE_LOOKUP) {
+    match faults::hit(FaultPoint::CacheLookup) {
         None => false,
         Some(FaultAction::Delay(d)) => {
             std::thread::sleep(d);
@@ -380,7 +380,7 @@ fn lookup_fault_bypasses() -> bool {
             // allow-panic: injected fault — exercises the same containment
             // as a real panic at this point (worker catch_unwind / submit
             // path unwinding); faults may fail queries, never falsify them.
-            panic!("fault injected: {}", points::CACHE_LOOKUP)
+            panic!("fault injected: {}", FaultPoint::CacheLookup)
         }
     }
 }
@@ -391,14 +391,14 @@ fn lookup_fault_bypasses() -> bool {
 /// `WorkerPanicked`; the cell stays empty and the next requester, a waiter
 /// included, builds into it).
 fn honor_build_fault() {
-    match faults::hit(points::CACHE_BUILD) {
+    match faults::hit(FaultPoint::CacheBuild) {
         None => {}
         Some(FaultAction::Delay(d)) => std::thread::sleep(d),
         Some(_) => {
             // allow-panic: injected fault; error/drop escalate on purpose —
             // a silently skipped build has no typed-error channel here, and
             // the panic is contained into WorkerPanicked.
-            panic!("fault injected: {}", points::CACHE_BUILD)
+            panic!("fault injected: {}", FaultPoint::CacheBuild)
         }
     }
 }

@@ -1,5 +1,6 @@
 //! Engine errors.
 
+use crate::faults::FaultPoint;
 use std::fmt;
 
 /// Errors produced while scheduling or executing a plan.
@@ -36,7 +37,7 @@ pub enum EngineError {
     QueryStuck { query: u64, stalled_for_ms: u64 },
     /// An installed [`FaultPlan`](crate::faults::FaultPlan) fired an
     /// `error`/`drop` action at the named fault point.
-    FaultInjected { point: String },
+    FaultInjected { point: FaultPoint },
 }
 
 impl fmt::Display for EngineError {
@@ -121,7 +122,7 @@ mod tests {
         .to_string()
         .contains("250"));
         assert!(EngineError::FaultInjected {
-            point: "serve.write".into()
+            point: FaultPoint::ServeWrite
         }
         .to_string()
         .contains("serve.write"));

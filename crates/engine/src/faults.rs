@@ -18,10 +18,11 @@
 //!
 //! ## Fault-point catalog
 //!
-//! The canonical list is the [`REGISTRY`] table below — `dbs3-serve --help`
-//! and the static analyzer's `fault-registry` rule both derive from it, so
-//! a point that exists anywhere else is a build failure, not a typo that
-//! silently tests nothing.
+//! [`FaultPoint`] has one variant per point, so a mistyped point is a
+//! compile error rather than a rule that silently tests nothing. Text
+//! reaches a point only through [`FaultPoint::from_name`] (used by
+//! [`FaultPlan::parse_rule`] and so by `dbs3-serve --fault`), which rejects
+//! unknown names; `dbs3-serve --help` lists [`FaultPoint::ALL`].
 //!
 //! | point                   | location                         | honored actions |
 //! |-------------------------|----------------------------------|-----------------|
@@ -40,95 +41,89 @@
 //! [`WorkerPanicked`](crate::EngineError::WorkerPanicked) — faults may fail
 //! queries, never falsify them.
 
+use std::fmt;
+use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Canonical fault-point names for the whole workspace. The serve layer
-/// re-exports its three under `dbs3_serve::server::fault_points` — the
-/// strings live here so [`REGISTRY`] is the single source of truth.
-pub mod points {
+/// Every fault point in the workspace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultPoint {
     /// A worker about to process a batch of activations for an operator.
-    pub const WORKER_PROCESS: &str = "engine.worker.process";
+    WorkerProcess,
     /// An activation batch about to be pushed into an [`crate::ActivationQueue`].
-    pub const QUEUE_PUSH: &str = "engine.queue.push";
+    QueuePush,
     /// A plan about to be submitted to the [`crate::Runtime`].
-    pub const RUNTIME_SUBMIT: &str = "engine.runtime.submit";
+    RuntimeSubmit,
     /// A listener about to accept a connection (dbs3-serve).
-    pub const SERVE_ACCEPT: &str = "serve.accept";
+    ServeAccept,
     /// A session thread about to read a request frame (dbs3-serve).
-    pub const SERVE_READ: &str = "serve.read";
+    ServeRead,
     /// A session thread about to write a response frame (dbs3-serve).
-    pub const SERVE_WRITE: &str = "serve.write";
+    ServeWrite,
     /// A query-setup cache lookup (prepared plans / shared indexes). Firing
     /// `error`/`drop` here bypasses the cache — correct, just slower.
-    pub const CACHE_LOOKUP: &str = "engine.cache.lookup";
+    CacheLookup,
     /// A cache-owned shared hash-index build about to run. Everything but
     /// `delay` escalates to a panic; the cell stays empty and the next
     /// requester, a waiter included, builds into it (through this point
     /// again).
-    pub const CACHE_BUILD: &str = "engine.cache.build";
+    CacheBuild,
 }
 
-/// One registered fault point: its canonical name and a one-line summary of
-/// where it fires, for `--help` text and operator docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultPoint {
-    /// Canonical dotted name (`layer.component[.event]`).
-    pub name: &'static str,
-    /// Where in the pipeline the point fires.
-    pub doc: &'static str,
+impl FaultPoint {
+    /// Every point, in catalog order.
+    pub const ALL: [FaultPoint; 8] = [
+        FaultPoint::WorkerProcess,
+        FaultPoint::QueuePush,
+        FaultPoint::RuntimeSubmit,
+        FaultPoint::ServeAccept,
+        FaultPoint::ServeRead,
+        FaultPoint::ServeWrite,
+        FaultPoint::CacheLookup,
+        FaultPoint::CacheBuild,
+    ];
+
+    /// Canonical dotted name (`layer.component[.event]`), as `--fault`
+    /// rules spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            FaultPoint::WorkerProcess => "engine.worker.process",
+            FaultPoint::QueuePush => "engine.queue.push",
+            FaultPoint::RuntimeSubmit => "engine.runtime.submit",
+            FaultPoint::ServeAccept => "serve.accept",
+            FaultPoint::ServeRead => "serve.read",
+            FaultPoint::ServeWrite => "serve.write",
+            FaultPoint::CacheLookup => "engine.cache.lookup",
+            FaultPoint::CacheBuild => "engine.cache.build",
+        }
+    }
+
+    /// Where in the pipeline the point fires, for `--help` text.
+    pub fn doc(self) -> &'static str {
+        match self {
+            FaultPoint::WorkerProcess => "worker about to process an activation batch",
+            FaultPoint::QueuePush => "activation batch pushed into an ActivationQueue",
+            FaultPoint::RuntimeSubmit => "plan submitted to the Runtime",
+            FaultPoint::ServeAccept => "listener accepting a connection (dbs3-serve)",
+            FaultPoint::ServeRead => "session reading a request frame (dbs3-serve)",
+            FaultPoint::ServeWrite => "session writing a response frame (dbs3-serve)",
+            FaultPoint::CacheLookup => "query-setup cache lookup (error/drop bypass the cache)",
+            FaultPoint::CacheBuild => "cache-owned shared hash-index build",
+        }
+    }
+
+    /// The point named `name`, if there is one.
+    pub fn from_name(name: &str) -> Option<FaultPoint> {
+        FaultPoint::ALL.into_iter().find(|p| p.name() == name)
+    }
 }
 
-/// The canonical registry of every fault point in the workspace. CLI
-/// parsing ([`FaultPlan::parse_rule`]), `dbs3-serve --help` and the
-/// `fault-registry` static-analysis rule all derive from this table;
-/// adding a point anywhere else fails `dbs3-analyze`.
-pub const REGISTRY: &[FaultPoint] = &[
-    FaultPoint {
-        name: points::WORKER_PROCESS,
-        doc: "worker about to process an activation batch",
-    },
-    FaultPoint {
-        name: points::QUEUE_PUSH,
-        doc: "activation batch pushed into an ActivationQueue",
-    },
-    FaultPoint {
-        name: points::RUNTIME_SUBMIT,
-        doc: "plan submitted to the Runtime",
-    },
-    FaultPoint {
-        name: points::SERVE_ACCEPT,
-        doc: "listener accepting a connection (dbs3-serve)",
-    },
-    FaultPoint {
-        name: points::SERVE_READ,
-        doc: "session reading a request frame (dbs3-serve)",
-    },
-    FaultPoint {
-        name: points::SERVE_WRITE,
-        doc: "session writing a response frame (dbs3-serve)",
-    },
-    FaultPoint {
-        name: points::CACHE_LOOKUP,
-        doc: "query-setup cache lookup (error/drop bypass the cache)",
-    },
-    FaultPoint {
-        name: points::CACHE_BUILD,
-        doc: "cache-owned shared hash-index build",
-    },
-];
-
-/// Whether `point` names an entry of [`REGISTRY`].
-pub fn is_registered(point: &str) -> bool {
-    REGISTRY.iter().any(|p| p.name == point)
-}
-
-/// The registered point names, comma-joined — for error messages and help
-/// text.
-pub fn registered_points() -> String {
-    let names: Vec<&str> = REGISTRY.iter().map(|p| p.name).collect();
-    names.join(", ")
+impl fmt::Display for FaultPoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
 }
 
 /// What happens when a rule fires.
@@ -149,9 +144,9 @@ pub enum FaultAction {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultTrigger {
     /// Fire exactly on the N-th hit.
-    Nth(u64),
-    /// Fire on every K-th hit (K > 0).
-    EveryK(u64),
+    Nth(NonZeroU64),
+    /// Fire on every K-th hit.
+    EveryK(NonZeroU64),
     /// Fire with probability `p` per hit, decided by hashing
     /// `(plan seed, rule index, hit index)` — deterministic per seed.
     Probability(f64),
@@ -160,8 +155,8 @@ pub enum FaultTrigger {
 /// One named fault: a point, a trigger and an action.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultRule {
-    /// Fault-point name this rule matches (exact string equality).
-    pub point: String,
+    /// The fault point this rule matches.
+    pub point: FaultPoint,
     /// When the rule fires.
     pub trigger: FaultTrigger,
     /// What happens when it fires.
@@ -188,9 +183,9 @@ impl FaultPlan {
     }
 
     /// Builder-style rule addition.
-    pub fn rule(mut self, point: &str, trigger: FaultTrigger, action: FaultAction) -> Self {
+    pub fn rule(mut self, point: FaultPoint, trigger: FaultTrigger, action: FaultAction) -> Self {
         self.rules.push(FaultRule {
-            point: point.to_string(),
+            point,
             trigger,
             action,
         });
@@ -199,9 +194,9 @@ impl FaultPlan {
 
     /// Parses a CLI rule spec: `POINT:TRIGGER:ACTION` where TRIGGER is
     /// `nth=N`, `every=K` or `p=F` and ACTION is `panic`, `error`, `drop`
-    /// or `delay=MS`. Example: `serve.write:p=0.1:drop`. POINT must name an
-    /// entry of [`REGISTRY`] — a typo'd point would otherwise arm a plan
-    /// that never fires.
+    /// or `delay=MS`. Example: `serve.write:p=0.1:drop`. POINT must be a
+    /// [`FaultPoint::name`] and N, K must be positive — a typo'd point or a
+    /// zero count would otherwise arm a plan that never fires.
     pub fn parse_rule(spec: &str) -> Result<FaultRule, String> {
         let parts: Vec<&str> = spec.split(':').collect();
         if parts.len() != 3 {
@@ -209,27 +204,21 @@ impl FaultPlan {
                 "fault spec `{spec}` must be POINT:TRIGGER:ACTION (e.g. serve.write:p=0.1:drop)"
             ));
         }
-        let point = parts[0].trim();
-        if !is_registered(point) {
-            return Err(format!(
-                "unknown fault point `{point}` in `{spec}` (known points: {})",
-                registered_points()
-            ));
-        }
+        let name = parts[0].trim();
+        let point = FaultPoint::from_name(name).ok_or_else(|| {
+            let known: Vec<&str> = FaultPoint::ALL.iter().map(|p| p.name()).collect();
+            format!(
+                "unknown fault point `{name}` in `{spec}` (known points: {})",
+                known.join(", ")
+            )
+        })?;
+        let count = |key: &str, n: &str| match n.parse::<u64>() {
+            Ok(n) => NonZeroU64::new(n).ok_or_else(|| format!("{key}=0 never fires in `{spec}`")),
+            Err(_) => Err(format!("bad {key} count in `{spec}`")),
+        };
         let trigger = match parts[1].split_once('=') {
-            Some(("nth", n)) => FaultTrigger::Nth(
-                n.parse::<u64>()
-                    .map_err(|_| format!("bad nth count in `{spec}`"))?,
-            ),
-            Some(("every", k)) => {
-                let k = k
-                    .parse::<u64>()
-                    .map_err(|_| format!("bad every count in `{spec}`"))?;
-                if k == 0 {
-                    return Err(format!("every=0 never fires in `{spec}`"));
-                }
-                FaultTrigger::EveryK(k)
-            }
+            Some(("nth", n)) => FaultTrigger::Nth(count("nth", n)?),
+            Some(("every", k)) => FaultTrigger::EveryK(count("every", k)?),
             Some(("p", p)) => {
                 let p = p
                     .parse::<f64>()
@@ -268,7 +257,7 @@ impl FaultPlan {
             }
         };
         Ok(FaultRule {
-            point: point.to_string(),
+            point,
             trigger,
             action,
         })
@@ -308,13 +297,13 @@ pub struct FaultGuard {
 
 impl FaultGuard {
     /// Snapshot of `(point, hits, fired)` per rule, in rule order.
-    pub fn counts(&self) -> Vec<(String, u64, u64)> {
+    pub fn counts(&self) -> Vec<(FaultPoint, u64, u64)> {
         self.plan
             .rules
             .iter()
             .map(|r| {
                 (
-                    r.rule.point.clone(),
+                    r.rule.point,
                     r.hits.load(Ordering::SeqCst),
                     r.fired.load(Ordering::SeqCst),
                 )
@@ -369,7 +358,7 @@ fn install_lock() -> &'static Mutex<()> {
 /// may fail a query or a connection with a typed error but must never
 /// produce a silently wrong result.
 #[inline]
-pub fn hit(point: &str) -> Option<FaultAction> {
+pub fn hit(point: FaultPoint) -> Option<FaultAction> {
     if !ENABLED.load(Ordering::Relaxed) {
         return None;
     }
@@ -377,7 +366,7 @@ pub fn hit(point: &str) -> Option<FaultAction> {
 }
 
 #[cold]
-fn hit_slow(point: &str) -> Option<FaultAction> {
+fn hit_slow(point: FaultPoint) -> Option<FaultAction> {
     let plan = active()
         .lock()
         .unwrap_or_else(|p| p.into_inner())
@@ -392,7 +381,7 @@ fn hit_slow(point: &str) -> Option<FaultAction> {
         // earlier rule fired, so counters stay comparable across rules.
         let hit_index = rule.hits.fetch_add(1, Ordering::SeqCst) + 1;
         let fires = match rule.rule.trigger {
-            FaultTrigger::Nth(n) => hit_index == n,
+            FaultTrigger::Nth(n) => hit_index == n.get(),
             FaultTrigger::EveryK(k) => hit_index % k == 0,
             FaultTrigger::Probability(p) => decide(plan.seed, index as u64, hit_index) < p,
         };
@@ -426,22 +415,25 @@ mod tests {
 
     #[test]
     fn disabled_registry_returns_none() {
-        assert_eq!(hit("engine.worker.process"), None);
+        assert_eq!(hit(FaultPoint::WorkerProcess), None);
     }
 
     #[test]
     fn parse_rule_grammar() {
         let r = FaultPlan::parse_rule("serve.write:p=0.25:drop").unwrap();
-        assert_eq!(r.point, "serve.write");
+        assert_eq!(r.point, FaultPoint::ServeWrite);
         assert_eq!(r.trigger, FaultTrigger::Probability(0.25));
         assert_eq!(r.action, FaultAction::Drop);
 
         let r = FaultPlan::parse_rule("engine.worker.process:nth=3:panic").unwrap();
-        assert_eq!(r.trigger, FaultTrigger::Nth(3));
+        assert_eq!(r.trigger, FaultTrigger::Nth(NonZeroU64::new(3).unwrap()));
         assert_eq!(r.action, FaultAction::Panic);
 
         let r = FaultPlan::parse_rule("engine.queue.push:every=10:delay=25").unwrap();
-        assert_eq!(r.trigger, FaultTrigger::EveryK(10));
+        assert_eq!(
+            r.trigger,
+            FaultTrigger::EveryK(NonZeroU64::new(10).unwrap())
+        );
         assert_eq!(r.action, FaultAction::Delay(Duration::from_millis(25)));
 
         for bad in [
@@ -449,6 +441,7 @@ mod tests {
             "a:b",
             "serve.read:nth=x:panic",
             "serve.read:every=0:panic",
+            "serve.read:nth=0:panic",
             "serve.read:p=1.5:panic",
             "serve.read:nth=1:explode",
             "serve.read:nth=1:delay=abc",
@@ -473,24 +466,11 @@ mod tests {
 
     #[test]
     fn registry_and_points_module_agree() {
-        for p in REGISTRY {
-            assert!(is_registered(p.name));
-            assert!(!p.doc.is_empty(), "{} has no doc", p.name);
+        for p in FaultPoint::ALL {
+            assert_eq!(FaultPoint::from_name(p.name()), Some(p));
+            let same = FaultPoint::ALL.iter().filter(|q| q.name() == p.name());
+            assert_eq!(same.count(), 1, "{p} must be named exactly once");
         }
-        let listed = |s: &str| REGISTRY.iter().filter(|p| p.name == s).count();
-        for name in [
-            points::WORKER_PROCESS,
-            points::QUEUE_PUSH,
-            points::RUNTIME_SUBMIT,
-            points::SERVE_ACCEPT,
-            points::SERVE_READ,
-            points::SERVE_WRITE,
-            points::CACHE_LOOKUP,
-            points::CACHE_BUILD,
-        ] {
-            assert_eq!(listed(name), 1, "{name} must appear exactly once");
-        }
-        assert_eq!(REGISTRY.len(), 8);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod sync;
 pub use activation::{Activation, TupleBatch};
 pub use cache::{cache_stats, clear_caches, prepare, CacheCounters, CacheStats, PreparedPlan};
 pub use error::EngineError;
-pub use faults::{FaultAction, FaultGuard, FaultPlan, FaultRule, FaultTrigger};
+pub use faults::{FaultAction, FaultGuard, FaultPlan, FaultPoint, FaultRule, FaultTrigger};
 pub use metrics::{ExecutionMetrics, OperationMetrics};
 pub use queue::{ActivationQueue, TryPushError};
 pub use runtime::{ExecutionOutcome, QueryHandle, QueryId, Runtime};

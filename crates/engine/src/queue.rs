@@ -165,13 +165,13 @@ impl ActivationQueue {
     /// [`TryPushError`] so no tuple is ever lost. Empty data batches are
     /// accepted and dropped (no work).
     pub fn try_push(&self, activation: Activation) -> std::result::Result<(), TryPushError> {
-        match crate::faults::hit(crate::faults::points::QUEUE_PUSH) {
+        match crate::faults::hit(crate::faults::FaultPoint::QueuePush) {
             Some(crate::faults::FaultAction::Delay(d)) => std::thread::sleep(d),
             // allow-panic: `error`/`drop` escalate to a panic on purpose —
             // silently losing an activation would corrupt results, while the
             // panic is contained by the worker's catch_unwind into a typed
             // `WorkerPanicked`.
-            Some(_) => panic!("injected fault at {}", crate::faults::points::QUEUE_PUSH),
+            Some(_) => panic!("injected fault at {}", crate::faults::FaultPoint::QueuePush),
             None => {}
         }
         let weight = activation.queue_weight();

@@ -116,7 +116,7 @@
 use crate::activation::{Activation, TupleBatch};
 use crate::cache::PreparedPlan;
 use crate::error::EngineError;
-use crate::faults::{self, FaultAction};
+use crate::faults::{self, FaultAction, FaultPoint};
 use crate::metrics::{ExecutionMetrics, OperationMetrics, ThreadMetrics};
 use crate::operators::{
     BoundOperator, FilterOperator, PipelinedJoinOperator, StoreOperator, TransmitOperator,
@@ -948,9 +948,9 @@ fn abort_query(inner: &RuntimeInner, query: &QueryState, error: EngineError) {
 /// Honors an installed fault rule at `engine.runtime.submit`, shared by
 /// every submission path.
 fn honor_submit_fault() -> Result<()> {
-    match faults::hit(faults::points::RUNTIME_SUBMIT) {
+    match faults::hit(FaultPoint::RuntimeSubmit) {
         Some(FaultAction::Error) | Some(FaultAction::Drop) => Err(EngineError::FaultInjected {
-            point: faults::points::RUNTIME_SUBMIT.to_string(),
+            point: FaultPoint::RuntimeSubmit,
         }),
         Some(FaultAction::Delay(d)) => {
             std::thread::sleep(d);
@@ -959,7 +959,7 @@ fn honor_submit_fault() -> Result<()> {
         Some(FaultAction::Panic) => {
             // allow-panic: FaultAction::Panic is the injected-crash
             // contract of the fault registry.
-            panic!("injected fault at {}", faults::points::RUNTIME_SUBMIT)
+            panic!("injected fault at {}", FaultPoint::RuntimeSubmit)
         }
         None => Ok(()),
     }
@@ -1197,12 +1197,12 @@ fn try_process_op(
     // while tuples are still being processed.
     op.inflight.fetch_add(1, Ordering::SeqCst);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        match faults::hit(faults::points::WORKER_PROCESS) {
+        match faults::hit(FaultPoint::WorkerProcess) {
             // allow-panic: FaultAction::Panic is the injected-crash contract;
             // catch_unwind right above contains it into WorkerPanicked.
             Some(FaultAction::Panic) => panic!(
                 "injected fault at {} in `{}`",
-                faults::points::WORKER_PROCESS,
+                FaultPoint::WorkerProcess,
                 op.name
             ),
             Some(FaultAction::Delay(d)) => std::thread::sleep(d),
@@ -1252,7 +1252,7 @@ fn try_process_op(
                 inner,
                 query,
                 EngineError::FaultInjected {
-                    point: faults::points::WORKER_PROCESS.to_string(),
+                    point: FaultPoint::WorkerProcess,
                 },
             );
         }

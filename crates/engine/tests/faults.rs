@@ -8,7 +8,7 @@
 //! must NOT move into the `dbs3-engine` unit-test binary: an installed plan
 //! would fire in unrelated tests running concurrently in that process.
 
-use dbs3_engine::faults::{points, FaultAction, FaultPlan, FaultTrigger};
+use dbs3_engine::faults::{FaultAction, FaultPlan, FaultPoint, FaultTrigger};
 use dbs3_engine::{
     faults, EngineError, ExecutionSchedule, QueryHandle, Runtime, Scheduler, SchedulerOptions,
 };
@@ -16,6 +16,7 @@ use dbs3_lera::{plans, CostParameters, ExtendedPlan, JoinAlgorithm, Plan};
 use dbs3_storage::{
     Catalog, ColumnDef, PartitionSpec, PartitionedRelation, Relation, Schema, Tuple, Value,
 };
+use std::num::NonZeroU64;
 use std::time::Duration;
 
 fn catalog(a_card: usize, b_card: usize, degree: usize) -> Catalog {
@@ -59,8 +60,8 @@ fn submit(runtime: &Runtime, cat: &Catalog, threads: usize) -> QueryHandle {
 fn injected_panic_fails_the_query_typed_and_keeps_the_pool() {
     let guard = FaultPlan::new(1)
         .rule(
-            points::WORKER_PROCESS,
-            FaultTrigger::Nth(1),
+            FaultPoint::WorkerProcess,
+            FaultTrigger::Nth(NonZeroU64::MIN),
             FaultAction::Panic,
         )
         .install();
@@ -94,15 +95,15 @@ fn injected_panic_fails_the_query_typed_and_keeps_the_pool() {
 fn injected_error_fails_the_query_typed() {
     let _guard = FaultPlan::new(2)
         .rule(
-            points::WORKER_PROCESS,
-            FaultTrigger::Nth(1),
+            FaultPoint::WorkerProcess,
+            FaultTrigger::Nth(NonZeroU64::MIN),
             FaultAction::Error,
         )
         .install();
     let cat = catalog(1_000, 100, 8);
     let runtime = Runtime::new(1).unwrap();
     match submit(&runtime, &cat, 1).wait() {
-        Err(EngineError::FaultInjected { point }) => assert_eq!(point, points::WORKER_PROCESS),
+        Err(EngineError::FaultInjected { point }) => assert_eq!(point, FaultPoint::WorkerProcess),
         other => panic!("expected FaultInjected, got {other:?}"),
     }
     assert_eq!(runtime.live_queries(), 0);
@@ -114,8 +115,8 @@ fn injected_error_fails_the_query_typed() {
 fn submit_fault_returns_a_typed_error_synchronously() {
     let _guard = FaultPlan::new(3)
         .rule(
-            points::RUNTIME_SUBMIT,
-            FaultTrigger::Nth(1),
+            FaultPoint::RuntimeSubmit,
+            FaultTrigger::Nth(NonZeroU64::MIN),
             FaultAction::Error,
         )
         .install();
@@ -124,7 +125,7 @@ fn submit_fault_returns_a_typed_error_synchronously() {
     let schedule = schedule_for(&plan, &cat, 2);
     let runtime = Runtime::new(2).unwrap();
     match runtime.submit(&cat, &plan, &schedule) {
-        Err(EngineError::FaultInjected { point }) => assert_eq!(point, points::RUNTIME_SUBMIT),
+        Err(EngineError::FaultInjected { point }) => assert_eq!(point, FaultPoint::RuntimeSubmit),
         other => panic!("expected FaultInjected, got {other:?}"),
     }
     // The second submit (hit 2, Nth(1) spent) goes through.
@@ -142,7 +143,11 @@ fn submit_fault_returns_a_typed_error_synchronously() {
 #[test]
 fn queue_push_fault_is_contained_as_a_worker_panic() {
     let _guard = FaultPlan::new(4)
-        .rule(points::QUEUE_PUSH, FaultTrigger::Nth(1), FaultAction::Drop)
+        .rule(
+            FaultPoint::QueuePush,
+            FaultTrigger::Nth(NonZeroU64::MIN),
+            FaultAction::Drop,
+        )
         .install();
     let cat = catalog(2_000, 200, 8);
     let runtime = Runtime::new(1).unwrap();
@@ -162,8 +167,8 @@ fn queue_push_fault_is_contained_as_a_worker_panic() {
 fn watchdog_aborts_a_wedged_query() {
     let _guard = FaultPlan::new(5)
         .rule(
-            points::WORKER_PROCESS,
-            FaultTrigger::EveryK(1),
+            FaultPoint::WorkerProcess,
+            FaultTrigger::EveryK(NonZeroU64::MIN),
             FaultAction::Delay(Duration::from_millis(1_200)),
         )
         .install();
@@ -188,8 +193,8 @@ fn watchdog_aborts_a_wedged_query() {
 fn cache_lookup_fault_bypasses_the_caches_without_falsifying_results() {
     let _guard = FaultPlan::new(6)
         .rule(
-            points::CACHE_LOOKUP,
-            FaultTrigger::EveryK(1),
+            FaultPoint::CacheLookup,
+            FaultTrigger::EveryK(NonZeroU64::MIN),
             FaultAction::Error,
         )
         .install();
@@ -230,8 +235,8 @@ fn cache_lookup_fault_bypasses_the_caches_without_falsifying_results() {
 fn cache_build_fault_is_contained_and_the_next_submit_rebuilds() {
     let _guard = FaultPlan::new(7)
         .rule(
-            points::CACHE_BUILD,
-            FaultTrigger::Nth(1),
+            FaultPoint::CacheBuild,
+            FaultTrigger::Nth(NonZeroU64::MIN),
             FaultAction::Error,
         )
         .install();
@@ -266,8 +271,8 @@ fn cancelling_during_a_build_frees_the_admission_slot() {
     let delay = Duration::from_millis(500);
     let guard = FaultPlan::new(8)
         .rule(
-            points::CACHE_BUILD,
-            FaultTrigger::Nth(1),
+            FaultPoint::CacheBuild,
+            FaultTrigger::Nth(NonZeroU64::MIN),
             FaultAction::Delay(delay),
         )
         .install();
@@ -301,19 +306,20 @@ fn cancelling_during_a_build_frees_the_admission_slot() {
 
 /// The whole point of seeding: the same plan and seed produce the same
 /// per-hit decision sequence at a probabilistic fault point, end to end
-/// through the public `hit` API.
+/// through the public `hit` API. `serve.accept` is the probe because nothing
+/// in this process serves connections, so only this test hits it.
 #[test]
 fn same_seed_reproduces_the_same_fault_sequence() {
     let sequence = |seed: u64| -> Vec<bool> {
         let _guard = FaultPlan::new(seed)
             .rule(
-                "determinism.probe",
+                FaultPoint::ServeAccept,
                 FaultTrigger::Probability(0.4),
                 FaultAction::Error,
             )
             .install();
         (0..500)
-            .map(|_| faults::hit("determinism.probe").is_some())
+            .map(|_| faults::hit(FaultPoint::ServeAccept).is_some())
             .collect()
     };
     let a = sequence(42);

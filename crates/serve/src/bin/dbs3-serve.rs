@@ -17,8 +17,7 @@
 //! `--fault serve.write:p=0.1:drop --fault-seed 7`. `--stall-after-ms`
 //! arms the runtime watchdog against wedged queries.
 
-use dbs3_engine::faults::REGISTRY;
-use dbs3_engine::FaultPlan;
+use dbs3_engine::{FaultPlan, FaultPoint};
 use dbs3_serve::{Server, ServerConfig};
 use dbs3_storage::{
     Catalog, PartitionSpec, PartitionedRelation, WisconsinConfig, WisconsinGenerator,
@@ -125,8 +124,8 @@ fn parse_args() -> Result<Args, String> {
                 );
                 println!();
                 println!("fault points (TRIGGER: nth=N | every=K | p=F; ACTION: panic | error | drop | delay=MS):");
-                for point in REGISTRY {
-                    println!("  {:24} {}", point.name, point.doc);
+                for point in FaultPoint::ALL {
+                    println!("  {:24} {}", point.name(), point.doc());
                 }
                 std::process::exit(0);
             }

@@ -27,8 +27,9 @@
 //! ## Fault injection & idempotent retries
 //!
 //! The accept loop, every socket read and every response write pass through
-//! named fault points ([`fault_points`]) of the engine's deterministic
-//! fault registry ([`dbs3_engine::faults`]) — a seeded plan can drop
+//! the fault points [`FaultPoint::ServeAccept`], [`FaultPoint::ServeRead`]
+//! and [`FaultPoint::ServeWrite`] of the engine's deterministic fault
+//! registry ([`dbs3_engine::faults`]) — a seeded plan can drop
 //! connections mid-frame, delay writes or kill reads, which is how the
 //! chaos suite drives the server. Retried requests carry an idempotency id:
 //! a response ledger keeps the frames of recently answered requests, so a
@@ -37,7 +38,7 @@
 
 use crate::error::{ServeError, ServeResult};
 use crate::wire::{Frame, QueryRequest, WireMetrics};
-use dbs3_engine::faults::{self, FaultAction};
+use dbs3_engine::faults::{self, FaultAction, FaultPoint};
 use dbs3_engine::{CacheStats, EngineError, Runtime};
 use dbs3_lera::CostParameters;
 use dbs3_storage::Catalog;
@@ -48,27 +49,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Named fault points of the serve layer. The canonical strings live in the
-/// engine's [`dbs3_engine::faults::REGISTRY`] table (one registry for the
-/// whole workspace); this module re-exports them under their historical
-/// local names. Install a [`FaultPlan`](dbs3_engine::FaultPlan) targeting
-/// these to make the server drop accepted connections, fail reads or damage
-/// writes on a seeded, reproducible schedule.
-pub mod fault_points {
-    /// Fires right after `accept` returns, before the session thread
-    /// spawns. `drop`/`error` close the fresh connection (the client sees
-    /// a reset or an immediate EOF), `delay` stalls the accept loop.
-    pub use dbs3_engine::faults::points::SERVE_ACCEPT as ACCEPT;
-    /// Fires inside every socket read of a session thread. `drop` shuts the
-    /// connection down and reports EOF, `error` surfaces a transport error,
-    /// `delay` stalls the read.
-    pub use dbs3_engine::faults::points::SERVE_READ as READ;
-    /// Fires inside every response write. `drop` severs the connection
-    /// mid-response (the client sees a truncated frame), `error` fails the
-    /// write, `delay` slows it — the classic slow-consumer shape.
-    pub use dbs3_engine::faults::points::SERVE_WRITE as WRITE;
-}
 
 /// How long a session thread keeps polling its socket between frames before
 /// rechecking the stop flag. Small enough that shutdown is responsive,
@@ -383,7 +363,7 @@ impl Server {
         while !self.state.stopping() {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    match faults::hit(fault_points::ACCEPT) {
+                    match faults::hit(FaultPoint::ServeAccept) {
                         // The freshly accepted connection is severed before
                         // a session exists: the client's first read sees an
                         // EOF or a reset, exactly like an accept-side crash.
@@ -395,7 +375,7 @@ impl Server {
                         Some(FaultAction::Panic) => {
                             // allow-panic: FaultAction::Panic is the contract —
                             // the chaos suite injects exactly this crash.
-                            panic!("injected fault at {}", fault_points::ACCEPT)
+                            panic!("injected fault at {}", FaultPoint::ServeAccept)
                         }
                         None => {}
                     }
@@ -445,7 +425,7 @@ struct DrainAwareReader<'a> {
 
 impl Read for DrainAwareReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match faults::hit(fault_points::READ) {
+        match faults::hit(FaultPoint::ServeRead) {
             // EOF with the socket actually shut down: a dropped connection,
             // not merely a short read the codec could retry.
             Some(FaultAction::Drop) => {
@@ -460,7 +440,7 @@ impl Read for DrainAwareReader<'_> {
             }
             Some(FaultAction::Delay(d)) => std::thread::sleep(d),
             // allow-panic: FaultAction::Panic is the injected-crash contract.
-            Some(FaultAction::Panic) => panic!("injected fault at {}", fault_points::READ),
+            Some(FaultAction::Panic) => panic!("injected fault at {}", FaultPoint::ServeRead),
             None => {}
         }
         loop {
@@ -482,7 +462,7 @@ impl Read for DrainAwareReader<'_> {
 }
 
 /// A [`Write`] adapter over the response half of a session socket that
-/// passes every write through the [`fault_points::WRITE`] fault point: a
+/// passes every write through the [`FaultPoint::ServeWrite`] fault point: a
 /// seeded plan can sever the connection mid-response, fail a write or slow
 /// it down — the failure shapes a self-healing client must survive.
 struct FaultyWriter {
@@ -491,7 +471,7 @@ struct FaultyWriter {
 
 impl Write for FaultyWriter {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match faults::hit(fault_points::WRITE) {
+        match faults::hit(FaultPoint::ServeWrite) {
             Some(FaultAction::Drop) => {
                 self.stream.shutdown(std::net::Shutdown::Both).ok();
                 return Err(std::io::Error::new(
@@ -507,7 +487,7 @@ impl Write for FaultyWriter {
             }
             Some(FaultAction::Delay(d)) => std::thread::sleep(d),
             // allow-panic: FaultAction::Panic is the injected-crash contract.
-            Some(FaultAction::Panic) => panic!("injected fault at {}", fault_points::WRITE),
+            Some(FaultAction::Panic) => panic!("injected fault at {}", FaultPoint::ServeWrite),
             None => {}
         }
         self.stream.write(buf)

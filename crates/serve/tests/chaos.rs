@@ -9,10 +9,8 @@
 //! with no fault rules — because the registry is process-wide and the
 //! install lock is what serializes these tests against each other.
 
-use dbs3_engine::faults::points;
-use dbs3_engine::{FaultAction, FaultPlan, FaultTrigger, SchedulerOptions};
+use dbs3_engine::{FaultAction, FaultPlan, FaultPoint, FaultTrigger, SchedulerOptions};
 use dbs3_lera::{plans, JoinAlgorithm};
-use dbs3_serve::server::fault_points;
 use dbs3_serve::{
     RemoteSession, ResilientClient, RetryPolicy, ServeError, Server, ServerConfig, ServerHandle,
     ServerStats,
@@ -21,6 +19,7 @@ use dbs3_storage::{
     Catalog, ColumnDef, PartitionSpec, PartitionedRelation, Relation, Schema, Tuple, Value,
 };
 use std::net::SocketAddr;
+use std::num::NonZeroU64;
 use std::time::{Duration, Instant};
 
 fn catalog(a_card: usize, b_card: usize, degree: usize) -> Catalog {
@@ -79,22 +78,22 @@ fn drained(handle: &ServerHandle, within: Duration) -> bool {
 fn chaos_storm_never_hangs_and_never_lies() {
     let _guard = FaultPlan::new(7)
         .rule(
-            fault_points::WRITE,
+            FaultPoint::ServeWrite,
             FaultTrigger::Probability(0.08),
             FaultAction::Drop,
         )
         .rule(
-            fault_points::READ,
+            FaultPoint::ServeRead,
             FaultTrigger::Probability(0.04),
             FaultAction::Error,
         )
         .rule(
-            fault_points::ACCEPT,
+            FaultPoint::ServeAccept,
             FaultTrigger::Probability(0.10),
             FaultAction::Drop,
         )
         .rule(
-            points::WORKER_PROCESS,
+            FaultPoint::WorkerProcess,
             FaultTrigger::Probability(0.001),
             FaultAction::Error,
         )
@@ -104,7 +103,7 @@ fn chaos_storm_never_hangs_and_never_lies() {
         // executions of the same plan interleave throughout the storm and
         // the cardinality assertion below judges them all.
         .rule(
-            points::CACHE_LOOKUP,
+            FaultPoint::CacheLookup,
             FaultTrigger::Probability(0.2),
             FaultAction::Error,
         )
@@ -190,7 +189,11 @@ fn chaos_storm_never_hangs_and_never_lies() {
 #[test]
 fn dropped_response_is_replayed_not_reexecuted() {
     let _guard = FaultPlan::new(11)
-        .rule(fault_points::WRITE, FaultTrigger::Nth(1), FaultAction::Drop)
+        .rule(
+            FaultPoint::ServeWrite,
+            FaultTrigger::Nth(NonZeroU64::MIN),
+            FaultAction::Drop,
+        )
         .install();
 
     let (handle, addr, runner) = start_server(catalog(2_000, 200, 8), ServerConfig::default());
@@ -293,8 +296,8 @@ fn busy_shedding_heals_with_backoff() {
 fn over_admission_gets_a_typed_busy_frame() {
     let _guard = FaultPlan::new(0)
         .rule(
-            points::WORKER_PROCESS,
-            FaultTrigger::Nth(1),
+            FaultPoint::WorkerProcess,
+            FaultTrigger::Nth(NonZeroU64::MIN),
             FaultAction::Delay(Duration::from_millis(300)),
         )
         .install();
@@ -338,4 +341,45 @@ fn over_admission_gets_a_typed_busy_frame() {
     let stats = runner.join().unwrap();
     assert_eq!(stats.served, 1, "only the holder executed");
     assert_eq!(stats.shed, 1, "the busy refusal is counted as shed");
+}
+
+/// Every fault point is a live hit site: one served hash join over a
+/// freshly registered catalog (a new generation, so the shared-index cache
+/// misses and builds) passes through all of [`FaultPoint::ALL`]. The rules
+/// never fire — they only count hits — so a point whose `faults::hit` call
+/// was deleted shows up here as zero hits.
+#[test]
+fn a_served_join_reaches_every_fault_point() {
+    let guard = FaultPoint::ALL
+        .into_iter()
+        .fold(FaultPlan::new(0), |plan, point| {
+            plan.rule(
+                point,
+                FaultTrigger::Nth(NonZeroU64::MAX),
+                FaultAction::Delay(Duration::ZERO),
+            )
+        })
+        .install();
+
+    let (handle, addr, runner) = start_server(catalog(2_000, 200, 8), ServerConfig::default());
+    let mut session = RemoteSession::connect(addr).expect("connect");
+    let outcome = session
+        .query(&plans::assoc_join(
+            "Bprime",
+            "A",
+            "unique1",
+            JoinAlgorithm::Hash,
+        ))
+        .run()
+        .expect("no rule fires");
+    assert_eq!(outcome.result_cardinality(), Some(200));
+    drop(session);
+    assert!(drained(&handle, Duration::from_secs(10)));
+    handle.stop();
+    runner.join().unwrap();
+
+    for (point, hits, fired) in guard.counts() {
+        assert!(hits >= 1, "{point} was never reached");
+        assert_eq!(fired, 0, "{point} fired");
+    }
 }
