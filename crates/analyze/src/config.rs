@@ -10,14 +10,8 @@ use std::path::Path;
 /// Parsed analyzer configuration.
 #[derive(Debug, Clone, Default)]
 pub struct Config {
-    /// Declared lock acquisition order, outermost first. Rule `lock-hierarchy`
-    /// fails nested acquisitions that go backwards in this list and nested
-    /// locks that are not listed at all.
-    pub lock_order: Vec<String>,
     /// Path prefixes (workspace-relative) where the panic-path lint applies.
     pub panic_deny_in: Vec<String>,
-    /// Path prefixes scanned by the lock and atomic-ordering rules.
-    pub sync_scan: Vec<String>,
 }
 
 impl Config {
@@ -39,9 +33,7 @@ impl Config {
                 return Err(format!("duplicate key {full} in analyze.toml"));
             }
             match full.as_str() {
-                "locks.order" => config.lock_order = values,
                 "panics.deny_in" => config.panic_deny_in = values,
-                "sync.scan" => config.sync_scan = values,
                 other => return Err(format!("unknown analyze.toml key {other}")),
             }
         }
@@ -128,37 +120,33 @@ mod tests {
         let c = Config::parse(
             r#"
 # comment
-[locks]
-order = [
-    "faults.INSTALL_LOCK",  # outermost
-    "faults.ACTIVE",
-]
-
 [panics]
-deny_in = ["crates/engine/src"]
-
-[sync]
-scan = ["crates", "src"]
+deny_in = [
+    "crates/engine/src",  # worker paths
+    "crates/serve/src",
+]
 "#,
         )
         .unwrap();
-        assert_eq!(c.lock_order, vec!["faults.INSTALL_LOCK", "faults.ACTIVE"]);
-        assert_eq!(c.panic_deny_in, vec!["crates/engine/src"]);
-        assert_eq!(c.sync_scan, vec!["crates", "src"]);
+        assert_eq!(
+            c.panic_deny_in,
+            vec!["crates/engine/src", "crates/serve/src"]
+        );
     }
 
     #[test]
     fn unknown_key_is_an_error() {
-        assert!(Config::parse("[locks]\ntypo = [\"x\"]").is_err());
+        assert!(Config::parse("[panics]\ntypo = [\"x\"]").is_err());
+        assert!(Config::parse("[sync]\nscan = [\"crates\"]").is_err());
     }
 
     #[test]
     fn duplicate_key_is_an_error() {
-        assert!(Config::parse("[sync]\nscan = [\"a\"]\nscan = [\"b\"]").is_err());
+        assert!(Config::parse("[panics]\ndeny_in = [\"a\"]\ndeny_in = [\"b\"]").is_err());
     }
 
     #[test]
     fn unquoted_value_is_an_error() {
-        assert!(Config::parse("[sync]\nscan = bare").is_err());
+        assert!(Config::parse("[panics]\ndeny_in = bare").is_err());
     }
 }

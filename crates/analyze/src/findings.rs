@@ -9,11 +9,9 @@
 use std::fmt;
 use std::path::Path;
 
-/// The three rules, used as stable finding-key prefixes.
+/// The rules, used as stable finding-key prefixes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
-    LockHierarchy,
-    AtomicOrdering,
     PanicPath,
 }
 
@@ -21,14 +19,12 @@ impl Rule {
     /// Stable kebab-case name (baseline keys, CLI output).
     pub fn name(self) -> &'static str {
         match self {
-            Rule::LockHierarchy => "lock-hierarchy",
-            Rule::AtomicOrdering => "atomic-ordering",
             Rule::PanicPath => "panic-path",
         }
     }
 
     /// All rules, in reporting order.
-    pub const ALL: [Rule; 3] = [Rule::LockHierarchy, Rule::AtomicOrdering, Rule::PanicPath];
+    pub const ALL: [Rule; 1] = [Rule::PanicPath];
 }
 
 impl fmt::Display for Rule {
@@ -49,7 +45,7 @@ pub struct Finding {
     pub message: String,
     /// Short stable discriminator for the baseline key. Line numbers are
     /// NOT part of the key — unrelated edits above a baselined finding must
-    /// not resurrect it — so the ident (lock pair, field, method) is.
+    /// not resurrect it — so the ident (panic site and function) is.
     pub key_detail: String,
 }
 

@@ -361,10 +361,10 @@ mod tests {
 
     #[test]
     fn comments_keep_text_and_kind() {
-        let toks = lex("// ordering: because\n/// doc\n/* block */ fn x() {}");
+        let toks = lex("// allow-panic: because\n/// doc\n/* block */ fn x() {}");
         assert_eq!(
             toks[0].kind,
-            TokKind::LineComment(" ordering: because".into())
+            TokKind::LineComment(" allow-panic: because".into())
         );
         assert_eq!(toks[1].kind, TokKind::DocComment(" doc".into()));
         assert_eq!(toks[2].kind, TokKind::BlockComment(" block ".into()));

@@ -1,7 +1,5 @@
-//! The three rule passes and their shared token-walking helpers.
+//! The rule pass and its token-walking helpers.
 
-pub mod atomics;
-pub mod locks;
 pub mod panics;
 
 use crate::lexer::Token;
@@ -120,124 +118,12 @@ pub fn enclosing_fn(spans: &[FnSpan], i: usize) -> Option<&str> {
         .map(|s| s.name.as_str())
 }
 
-/// One segment of a method-call receiver chain: the identifier and whether
-/// it was called (`foo()`) rather than read as a field (`foo` / `foo[i]`).
-pub struct Segment {
-    pub name: String,
-    pub is_call: bool,
-}
-
-/// Walks the receiver chain backwards from `dot` (the position of the `.`
-/// before a method name): `self.cell.outcome.lock()` at the `.` before
-/// `lock` yields `[self, cell, outcome]`. Returns outermost-first.
-pub fn receiver_chain(code: &Code<'_>, dot: usize) -> Vec<Segment> {
-    let mut segments = Vec::new();
-    let mut i = dot; // position of the current `.`
-    loop {
-        if i == 0 {
-            break;
-        }
-        let mut j = i - 1;
-        let mut is_call = false;
-        // Skip trailing `(...)` / `[...]` groups of this segment.
-        loop {
-            let (open, close) = match code.get(j) {
-                Some(t) if t.is_punct(')') => ('(', ')'),
-                Some(t) if t.is_punct(']') => ('[', ']'),
-                _ => break,
-            };
-            if close == ')' {
-                is_call = true;
-            }
-            let mut depth = 0usize;
-            loop {
-                if code.punct(j, close) {
-                    depth += 1;
-                } else if code.punct(j, open) {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                if j == 0 {
-                    return reversed(segments);
-                }
-                j -= 1;
-            }
-            if j == 0 {
-                return reversed(segments);
-            }
-            j -= 1;
-        }
-        match code.ident(j) {
-            Some(name) => segments.push(Segment {
-                name: name.to_string(),
-                is_call,
-            }),
-            None => break,
-        }
-        if j == 0 || !code.punct(j - 1, '.') {
-            break;
-        }
-        i = j - 1;
-    }
-    reversed(segments)
-}
-
-fn reversed(mut segments: Vec<Segment>) -> Vec<Segment> {
-    segments.reverse();
-    segments
-}
-
-/// The name a receiver chain is known by: the last field-like (non-call)
-/// segment other than `self`, falling back to the first segment. This maps
-/// `self.inner.queries.lock()` to `queries`, `active().lock()` to `active`
-/// and `CACHES.get_or_init(..).lock()` to `CACHES`.
-pub fn chain_name(segments: &[Segment]) -> Option<String> {
-    segments
-        .iter()
-        .rev()
-        .find(|s| !s.is_call && s.name != "self")
-        .or_else(|| segments.first())
-        .map(|s| s.name.clone())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn code_of(src: &str) -> SourceFile {
         SourceFile::parse("t.rs", src)
-    }
-
-    fn name_at_lock(src: &str) -> Option<String> {
-        let f = code_of(src);
-        let code = Code::new(&f);
-        for i in 0..code.len() {
-            if code.ident(i) == Some("lock") && i > 0 && code.punct(i - 1, '.') {
-                return chain_name(&receiver_chain(&code, i - 1));
-            }
-        }
-        None
-    }
-
-    #[test]
-    fn receiver_names() {
-        assert_eq!(name_at_lock("self.state.lock();").as_deref(), Some("state"));
-        assert_eq!(
-            name_at_lock("self.cell.outcome.lock();").as_deref(),
-            Some("outcome")
-        );
-        assert_eq!(name_at_lock("active().lock();").as_deref(), Some("active"));
-        assert_eq!(
-            name_at_lock("CACHES.get_or_init(|| x).lock();").as_deref(),
-            Some("CACHES")
-        );
-        assert_eq!(
-            name_at_lock("query.metrics[op][id].lock();").as_deref(),
-            Some("metrics")
-        );
-        assert_eq!(name_at_lock("guard.lock();").as_deref(), Some("guard"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! A lexed source file plus the derived maps every rule needs: which tokens
 //! are test-only, which lines carry comments, and where justification
-//! markers (`// ordering:`, `// allow-panic:`) are attached.
+//! markers (`// allow-panic:`) are attached.
 
 use crate::lexer::{lex, TokKind, Token};
 use std::collections::{BTreeMap, BTreeSet};
@@ -48,15 +48,6 @@ impl SourceFile {
         }
     }
 
-    /// The file stem ("runtime" for `crates/engine/src/runtime.rs`), used to
-    /// qualify lock and atomic-field names.
-    pub fn stem(&self) -> String {
-        self.path
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_default()
-    }
-
     /// Whether the file lives in an inherently test-only tree (`tests/`,
     /// `benches/`, `examples/`).
     pub fn is_test_file(&self) -> bool {
@@ -92,12 +83,6 @@ impl SourceFile {
             }
         }
         false
-    }
-
-    /// All non-doc comment texts in the file, for file-scoped markers like
-    /// `// ordering(field): reason`.
-    pub fn all_comments(&self) -> impl Iterator<Item = &str> {
-        self.comments.values().map(String::as_str)
     }
 }
 

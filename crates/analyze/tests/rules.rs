@@ -1,117 +1,13 @@
-//! Fixture-driven tests of each rule through the crate's public API — the
+//! Fixture-driven tests of the rule through the crate's public API — the
 //! same surface `main.rs` and the workspace smoke test use. These complement
-//! the unit tests inside each rule module: here every fixture goes through
+//! the unit tests inside the rule module: here every fixture goes through
 //! `SourceFile::parse` exactly as a walked file would, so comment
 //! attachment, test-region marking and path handling are all in play.
 
-use dbs3_analyze::{rules, selfcheck, Config, Rule, SourceFile};
+use dbs3_analyze::{rules, selfcheck, Rule, SourceFile};
 
 fn src(path: &str, text: &str) -> SourceFile {
     SourceFile::parse(path, text)
-}
-
-// ---- lock-hierarchy ----
-
-fn lock_config() -> Config {
-    Config {
-        lock_order: vec!["pool.outer".into(), "pool.inner".into()],
-        ..Config::default()
-    }
-}
-
-#[test]
-fn lock_order_violation_fires() {
-    let bad = src(
-        "crates/x/src/pool.rs",
-        "fn f(&self) { let i = self.inner.lock(); let o = self.outer.lock(); }",
-    );
-    let f = rules::locks::check(&[&bad], &lock_config());
-    assert_eq!(f.len(), 1, "got {f:?}");
-    assert_eq!(f[0].rule, Rule::LockHierarchy);
-}
-
-#[test]
-fn declared_lock_order_is_clean() {
-    let good = src(
-        "crates/x/src/pool.rs",
-        "fn f(&self) { let o = self.outer.lock(); let i = self.inner.lock(); }",
-    );
-    assert!(rules::locks::check(&[&good], &lock_config()).is_empty());
-}
-
-#[test]
-fn undeclared_nested_lock_fires() {
-    let config = Config {
-        lock_order: vec!["pool.outer".into()],
-        ..Config::default()
-    };
-    let bad = src(
-        "crates/x/src/pool.rs",
-        "fn f(&self) { let o = self.outer.lock(); let s = self.stray.lock(); }",
-    );
-    let f = rules::locks::check(&[&bad], &config);
-    assert_eq!(f.len(), 1, "got {f:?}");
-    assert_eq!(f[0].rule, Rule::LockHierarchy);
-}
-
-#[test]
-fn dropped_guard_does_not_count_as_held() {
-    // Sequential (non-nested) acquisitions in the reverse of the declared
-    // order are fine: the first guard is dropped before the second lock.
-    let good = src(
-        "crates/x/src/pool.rs",
-        "fn f(&self) {
-            { let i = self.inner.lock(); }
-            let o = self.outer.lock();
-        }",
-    );
-    assert!(rules::locks::check(&[&good], &lock_config()).is_empty());
-}
-
-// ---- atomic-ordering ----
-
-#[test]
-fn unjustified_relaxed_fires() {
-    let bad = src(
-        "crates/x/src/counters.rs",
-        "fn f(&self) { self.hits.fetch_add(1, Ordering::Relaxed); }",
-    );
-    let f = rules::atomics::check(&[&bad]);
-    assert_eq!(f.len(), 1, "got {f:?}");
-    assert_eq!(f[0].rule, Rule::AtomicOrdering);
-}
-
-#[test]
-fn site_justification_is_clean() {
-    let good = src(
-        "crates/x/src/counters.rs",
-        "fn f(&self) {
-            // ordering: monotonic statistics counter, readers tolerate staleness
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }",
-    );
-    assert!(rules::atomics::check(&[&good]).is_empty());
-}
-
-#[test]
-fn field_declaration_covers_all_its_sites() {
-    let good = src(
-        "crates/x/src/counters.rs",
-        "// ordering(hits): SeqCst — totals are compared across threads at drain
-        fn f(&self) { self.hits.fetch_add(1, Ordering::SeqCst); }
-        fn g(&self) -> u64 { self.hits.load(Ordering::SeqCst) }",
-    );
-    assert!(rules::atomics::check(&[&good]).is_empty());
-}
-
-#[test]
-fn acquire_release_pair_needs_no_justification() {
-    let good = src(
-        "crates/x/src/flag.rs",
-        "fn set(&self) { self.ready.store(true, Ordering::Release); }
-        fn get(&self) -> bool { self.ready.load(Ordering::Acquire) }",
-    );
-    assert!(rules::atomics::check(&[&good]).is_empty());
 }
 
 // ---- panic-path ----

@@ -49,8 +49,8 @@ fn workspace_has_no_unsuppressed_findings() {
 fn committed_baseline_is_empty() {
     // All findings from the analyzer's introduction were fixed or justified
     // at the source, none silently baselined. Keep it that way: if this
-    // assertion blocks you, justify the site (`// ordering:` /
-    // `// allow-panic:`) or fix the code rather than growing the baseline.
+    // assertion blocks you, justify the site (`// allow-panic:`) or fix
+    // the code rather than growing the baseline.
     let baseline =
         Baseline::load(&repo_root().join("analyze-baseline.json")).expect("baseline parses");
     assert!(

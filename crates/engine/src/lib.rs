@@ -52,6 +52,7 @@ pub mod cache;
 pub mod error;
 pub mod faults;
 pub mod metrics;
+mod op_state;
 pub mod operators;
 pub mod queue;
 pub mod runtime;

@@ -1,0 +1,723 @@
+//! One state word per operation: whether it has work, whether it is being
+//! worked on, and whether it is done.
+//!
+//! The paper's adaptive execution makes one decision per operation over its
+//! per-instance activation queues (Figure 4). The runtime keeps that
+//! decision in a single [`OpState`], packed into one `AtomicU64` per
+//! operation ([`OpWord`]), and changes it only through the pure transition
+//! function [`apply`]. Every announce, pop, retire and finish is one
+//! read-modify-write on that one location, so the transitions of an
+//! operation happen in one total order, and the exhaustive explorer in this
+//! module's tests checks the protocol over every interleaving instead of
+//! prose arguing it.
+//!
+//! # Accounting
+//!
+//! `pending` is the queue weight buffered across the operation's queues,
+//! plus the weight of pushes in progress. A producer raises it *before*
+//! every push ([`Event::Reserve`]) and gives it back if the push is refused
+//! ([`Event::Unreserve`]); a consumer lowers it only *after* a pop
+//! ([`Event::Popped`]). So `pending` is at least the buffered weight at
+//! every instant, and `pending = 0` means the queues are empty.
+//!
+//! The operation is finished when `input_closed ∧ pending = 0 ∧
+//! inflight = 0`: its producers are done and have closed its queues
+//! ([`Event::InputClosed`]), nothing is buffered, and no worker holds a
+//! popped batch ([`Event::Begin`] … [`Event::End`]). [`apply`] checks that
+//! condition after every transition, so exactly one transition — an
+//! `End`, an `InputClosed` or a give-back — reports [`Effect::Finished`],
+//! and its caller closes the consumer's queues. The one cross-location edge
+//! left is push-before-close: the queue mutex orders them, and a push that
+//! lands after the close is refused and given back.
+//!
+//! # The ready-deque entry
+//!
+//! `announced` is set exactly while the operation holds its one entry in
+//! the runtime's ready deque. [`Event::Announce`] after a successful push
+//! sets it unless it is set already or the operation is finished, and only
+//! then tells the caller to enqueue. A worker that popped the entry applies
+//! [`Event::Retire`]: the entry stays (the worker re-queues it) while the
+//! query is live and `pending > 0`, and is dropped, clearing `announced`,
+//! otherwise. That read of `pending` and the clear are one transition, so a
+//! racing `Reserve` lands either before it (the entry stays) or after it
+//! (the producer's `Announce` enqueues afresh): no announcement is lost,
+//! with no clear-then-recheck step.
+
+use crate::sync::CachePadded;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Bits of the `pending` field.
+const PENDING_BITS: u32 = 45;
+/// Largest `pending` queue weight the word can hold.
+const MAX_PENDING: u64 = (1 << PENDING_BITS) - 1;
+const INFLIGHT_SHIFT: u32 = PENDING_BITS;
+const ANNOUNCED: u64 = 1 << 61;
+const INPUT_CLOSED: u64 = 1 << 62;
+const FINISHED: u64 = 1 << 63;
+
+/// Widest pool the word can count: `inflight` is 16 bits.
+pub(crate) const MAX_INFLIGHT: usize = u16::MAX as usize;
+
+/// The state of one operation (see the [module docs](self)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub(crate) struct OpState {
+    /// The operation holds its one ready-deque entry.
+    pub announced: bool,
+    /// The producers are done and the queues are closed.
+    pub input_closed: bool,
+    /// Set once, by the transition that found the operation closed,
+    /// drained and idle.
+    pub finished: bool,
+    /// Workers holding a claim on the operation. A worker holds at most one
+    /// claim on each operation: it claims the operation it pops, and helping
+    /// a full queue only claims operations further downstream. So
+    /// `inflight` never exceeds the pool width, which `Runtime::new` bounds
+    /// by [`MAX_INFLIGHT`].
+    pub inflight: u16,
+    /// Queue weight buffered or being pushed (45 bits).
+    pub pending: u64,
+}
+
+impl OpState {
+    /// The state of a triggered operation at submit: its `pending`
+    /// control activations are queued and its queues closed. A fragment
+    /// yields at most one activation per row, far below 45 bits.
+    pub(crate) fn triggered(pending: u64) -> OpState {
+        OpState {
+            input_closed: true,
+            pending,
+            ..OpState::default()
+        }
+    }
+
+    fn pack(self) -> u64 {
+        self.pending
+            | u64::from(self.inflight) << INFLIGHT_SHIFT
+            | if self.announced { ANNOUNCED } else { 0 }
+            | if self.input_closed { INPUT_CLOSED } else { 0 }
+            | if self.finished { FINISHED } else { 0 }
+    }
+
+    fn unpack(bits: u64) -> OpState {
+        OpState {
+            announced: bits & ANNOUNCED != 0,
+            input_closed: bits & INPUT_CLOSED != 0,
+            finished: bits & FINISHED != 0,
+            inflight: (bits >> INFLIGHT_SHIFT) as u16,
+            pending: bits & MAX_PENDING,
+        }
+    }
+}
+
+/// What happened to an operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Event {
+    /// A producer is about to push this queue weight.
+    Reserve(u64),
+    /// The push was refused: the reservation is given back.
+    Unreserve(u64),
+    /// A push landed: claim the ready-deque entry if nobody holds it.
+    Announce,
+    /// A worker wants to pop a batch: claim the operation if it has work.
+    Begin,
+    /// The claiming worker popped this queue weight.
+    Popped(u64),
+    /// The claiming worker is done with its batch.
+    End,
+    /// The producers finished and closed the queues.
+    InputClosed,
+    /// The worker that popped the ready-deque entry decides its fate;
+    /// `live` says whether the query can still make progress.
+    Retire { live: bool },
+}
+
+/// What the caller of a transition must do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Effect {
+    /// Nothing.
+    None,
+    /// `Announce`: push the operation's entry onto the ready deque.
+    Enqueue,
+    /// `Retire`: the entry stays; re-queue it and work on the operation.
+    Keep,
+    /// `Retire`: the entry is gone.
+    Drop,
+    /// `Begin`: the caller holds a claim and must end it with `End`.
+    Claimed,
+    /// The operation just finished: close the consumer's queues.
+    Finished,
+}
+
+/// A transition the protocol never makes; [`apply`] refuses it rather
+/// than wrap a field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Violation {
+    /// `pending` would exceed its 45 bits.
+    PendingOverflow,
+    /// More weight popped or given back than is pending.
+    PendingUnderflow,
+    /// More claims than 16 bits count.
+    InflightOverflow,
+    /// `Popped` or `End` without a claim.
+    NoClaim,
+    /// `Retire` by a worker that holds no entry.
+    NoEntry,
+}
+
+/// The transition function of an operation's state.
+pub(crate) fn apply(s: OpState, event: Event) -> Result<(OpState, Effect), Violation> {
+    let mut next = s;
+    let mut effect = Effect::None;
+    match event {
+        Event::Reserve(w) => {
+            next.pending = s
+                .pending
+                .checked_add(w)
+                .filter(|p| *p <= MAX_PENDING)
+                .ok_or(Violation::PendingOverflow)?;
+        }
+        Event::Unreserve(w) | Event::Popped(w) => {
+            if matches!(event, Event::Popped(_)) && s.inflight == 0 {
+                return Err(Violation::NoClaim);
+            }
+            next.pending = s
+                .pending
+                .checked_sub(w)
+                .ok_or(Violation::PendingUnderflow)?;
+        }
+        Event::Announce => {
+            if !s.announced && !s.finished {
+                next.announced = true;
+                effect = Effect::Enqueue;
+            }
+        }
+        Event::Begin => {
+            if s.pending > 0 {
+                next.inflight = s
+                    .inflight
+                    .checked_add(1)
+                    .ok_or(Violation::InflightOverflow)?;
+                effect = Effect::Claimed;
+            }
+        }
+        Event::End => {
+            next.inflight = s.inflight.checked_sub(1).ok_or(Violation::NoClaim)?;
+        }
+        Event::InputClosed => next.input_closed = true,
+        Event::Retire { live } => {
+            if !s.announced {
+                return Err(Violation::NoEntry);
+            }
+            if live && s.pending > 0 {
+                effect = Effect::Keep;
+            } else {
+                next.announced = false;
+                effect = Effect::Drop;
+            }
+        }
+    }
+    if !next.finished && next.input_closed && next.pending == 0 && next.inflight == 0 {
+        next.finished = true;
+        effect = Effect::Finished;
+    }
+    Ok((next, effect))
+}
+
+/// An operation's state word: [`apply`] over one cache-padded `AtomicU64`
+/// (padded because every worker touching the operation writes it).
+pub(crate) struct OpWord {
+    // ordering(word): AcqRel — the word's own transitions are totally
+    // ordered by any ordering; AcqRel also carries each worker's batch
+    // effects (store rows, metrics) to whichever worker's later transition
+    // finishes the operation and seals the query.
+    word: CachePadded<AtomicU64>,
+}
+
+impl OpWord {
+    pub(crate) fn new(state: OpState) -> OpWord {
+        OpWord {
+            word: CachePadded::new(AtomicU64::new(state.pack())),
+        }
+    }
+
+    pub(crate) fn load(&self) -> OpState {
+        OpState::unpack(self.word.load(Ordering::Acquire))
+    }
+
+    /// Applies `event` as one read-modify-write and returns the new state
+    /// and the caller's [`Effect`]. A transition that changes nothing is a
+    /// single load.
+    pub(crate) fn apply(&self, event: Event) -> (OpState, Effect) {
+        let mut outcome = Err(Violation::NoClaim);
+        let _ = self
+            .word
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |bits| {
+                outcome = apply(OpState::unpack(bits), event);
+                match outcome {
+                    Ok((next, _)) if next.pack() != bits => Some(next.pack()),
+                    _ => None,
+                }
+            });
+        match outcome {
+            Ok(done) => done,
+            // allow-panic: the runtime never makes a refused transition —
+            // the explorer below checks every interleaving of the events it
+            // issues, and `Runtime::new` bounds the pool by MAX_INFLIGHT.
+            // A wrapped field would hang the query's waiters instead.
+            Err(violation) => panic!("operation state violation: {violation:?} on {event:?}"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+
+    type Transition = fn(OpState, Event) -> Result<(OpState, Effect), Violation>;
+
+    #[test]
+    fn packing_round_trips_at_the_field_limits() {
+        for state in [
+            OpState::default(),
+            OpState {
+                announced: true,
+                input_closed: true,
+                finished: true,
+                inflight: u16::MAX,
+                pending: MAX_PENDING,
+            },
+            OpState {
+                announced: true,
+                inflight: 1,
+                pending: 1,
+                ..OpState::default()
+            },
+        ] {
+            assert_eq!(OpState::unpack(state.pack()), state);
+        }
+    }
+
+    #[test]
+    fn refused_transitions_leave_no_field_wrapped() {
+        let full = OpState {
+            inflight: u16::MAX,
+            pending: MAX_PENDING,
+            ..OpState::default()
+        };
+        assert_eq!(
+            apply(full, Event::Reserve(1)),
+            Err(Violation::PendingOverflow)
+        );
+        assert_eq!(apply(full, Event::Begin), Err(Violation::InflightOverflow));
+        let idle = OpState::default();
+        assert_eq!(
+            apply(idle, Event::Unreserve(1)),
+            Err(Violation::PendingUnderflow)
+        );
+        assert_eq!(apply(idle, Event::End), Err(Violation::NoClaim));
+        assert_eq!(apply(idle, Event::Popped(0)), Err(Violation::NoClaim));
+        assert_eq!(
+            apply(idle, Event::Retire { live: true }),
+            Err(Violation::NoEntry)
+        );
+    }
+
+    #[test]
+    fn the_word_applies_transitions_in_place() {
+        let word = OpWord::new(OpState::triggered(2));
+        assert_eq!(word.apply(Event::Announce).1, Effect::Enqueue);
+        assert_eq!(word.apply(Event::Announce).1, Effect::None);
+        assert_eq!(word.apply(Event::Retire { live: true }).1, Effect::Keep);
+        assert_eq!(word.apply(Event::Begin).1, Effect::Claimed);
+        assert_eq!(word.apply(Event::Popped(2)).0.pending, 0);
+        assert_eq!(word.apply(Event::End).1, Effect::Finished);
+        assert_eq!(word.apply(Event::Begin).1, Effect::None);
+        assert_eq!(word.apply(Event::Retire { live: true }).1, Effect::Drop);
+        let done = word.load();
+        assert!(done.finished && !done.announced);
+    }
+
+    // ---- the exhaustive explorer ----
+
+    /// Queue capacity and pop budget of the model, in queue weight: small
+    /// enough that pushes are refused and pops leave work behind.
+    const CAPACITY: u64 = 1;
+    const BUDGET: u64 = 1;
+
+    /// What one modelled worker does. Each is at most four events on the
+    /// word, interleaved with its queue and ready-deque actions.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum Role {
+        /// Pushes `batches` batches of weight 1: `Reserve`, push, then
+        /// `Announce` or, if the push was refused, `Unreserve`.
+        Producer { batches: u8 },
+        /// The upstream finishing: close the queues, then `InputClosed`
+        /// (after the producers' pushes, see [`Model::enabled`]).
+        Closer,
+        /// Pops the ready entry and works one batch: `Retire`, re-queue,
+        /// `Begin`, pop, `Popped`, `End`.
+        Consumer,
+        /// Helps drain a full queue: `Begin`, pop, `Popped`, `End`.
+        Helper,
+        /// Cancels the query: it stops being live, and its queues are
+        /// closed and drained without touching the word.
+        Canceller,
+    }
+
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    struct Worker {
+        role: Role,
+        pc: u8,
+        batches_left: u8,
+        /// Holds the ready entry (popped it, has not re-queued or dropped it).
+        holds_entry: bool,
+        /// Weight of the last push (0 if refused) or pop.
+        moved: u64,
+        done: bool,
+    }
+
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    struct Model {
+        word: OpState,
+        /// Weight really in the queues.
+        buffered: u64,
+        closed: bool,
+        live: bool,
+        /// Entries in the ready deque (not held by a worker).
+        deque: u8,
+        finishes: u8,
+        workers: Vec<Worker>,
+    }
+
+    impl Model {
+        fn entries(&self) -> usize {
+            usize::from(self.deque) + self.workers.iter().filter(|w| w.holds_entry).count()
+        }
+
+        fn enabled(&self, i: usize) -> bool {
+            let w = &self.workers[i];
+            match (w.role, w.pc) {
+                _ if w.done => false,
+                // A consumer with no entry to pop is parked.
+                (Role::Consumer, 0) => self.deque > 0,
+                // Producers push while they hold a claim upstream, so the
+                // upstream finishes, and closes this input, only after every
+                // push has landed or been refused. Their announcements and
+                // give-backs may still trail the close here, which the
+                // runtime never does: the model checks more schedules than
+                // the runtime can make.
+                (Role::Closer, 0) => self.workers.iter().all(|p| match p.role {
+                    Role::Producer { .. } => p.done || (p.batches_left == 1 && p.pc == 2),
+                    _ => true,
+                }),
+                _ => true,
+            }
+        }
+
+        /// Applies `event` to the word, counting a finish.
+        fn event(&mut self, apply: Transition, event: Event) -> Result<Effect, String> {
+            let before = self.word;
+            let (next, effect) = apply(before, event).map_err(|v| format!("{v:?} on {event:?}"))?;
+            self.word = next;
+            if effect == Effect::Finished {
+                self.finishes += 1;
+            }
+            if effect == Effect::Enqueue {
+                if before.finished {
+                    return Err("a finished operation gained a ready entry".into());
+                }
+                self.deque += 1;
+            }
+            Ok(effect)
+        }
+
+        /// Runs worker `i`'s next atomic action.
+        fn step(&mut self, apply: Transition, i: usize) -> Result<(), String> {
+            let mut w = self.workers[i].clone();
+            let live = self.live;
+            match (w.role, w.pc) {
+                (Role::Producer { .. }, 0) => {
+                    self.event(apply, Event::Reserve(1))?;
+                    w.pc = 1;
+                }
+                (Role::Producer { .. }, 1) => {
+                    w.moved = if self.closed || self.buffered >= CAPACITY {
+                        0
+                    } else {
+                        self.buffered += 1;
+                        1
+                    };
+                    w.pc = 2;
+                }
+                (Role::Producer { .. }, _) => {
+                    if w.moved > 0 {
+                        self.event(apply, Event::Announce)?;
+                    } else {
+                        self.event(apply, Event::Unreserve(1))?;
+                    }
+                    w.batches_left -= 1;
+                    w.pc = 0;
+                    w.done = w.batches_left == 0;
+                }
+                (Role::Closer, 0) => {
+                    self.closed = true;
+                    w.pc = 1;
+                }
+                (Role::Closer, _) => {
+                    self.event(apply, Event::InputClosed)?;
+                    w.done = true;
+                }
+                (Role::Canceller, _) => {
+                    self.live = false;
+                    self.closed = true;
+                    self.buffered = 0;
+                    w.done = true;
+                }
+                (Role::Consumer, 0) => {
+                    self.deque -= 1;
+                    w.holds_entry = true;
+                    w.pc = 1;
+                }
+                (Role::Consumer, 1) => match self.event(apply, Event::Retire { live })? {
+                    Effect::Keep => w.pc = 2,
+                    _ => {
+                        w.holds_entry = false;
+                        w.done = true;
+                    }
+                },
+                (Role::Consumer, 2) => {
+                    w.holds_entry = false;
+                    self.deque += 1;
+                    w.pc = 3;
+                }
+                // The helper starts here, at the consumer's `Begin`.
+                (_, 3) => {
+                    if self.event(apply, Event::Begin)? == Effect::Claimed {
+                        w.pc = 4;
+                    } else {
+                        w.done = true;
+                    }
+                }
+                (_, 4) => {
+                    w.moved = self.buffered.min(BUDGET);
+                    self.buffered -= w.moved;
+                    w.pc = if w.moved > 0 { 5 } else { 6 };
+                }
+                (_, 5) => {
+                    self.event(apply, Event::Popped(w.moved))?;
+                    w.pc = 6;
+                }
+                (_, _) => {
+                    self.event(apply, Event::End)?;
+                    w.done = true;
+                }
+            }
+            self.workers[i] = w;
+            self.check()
+        }
+
+        /// The invariants of every reachable state.
+        fn check(&self) -> Result<(), String> {
+            let s = self.word;
+            if self.entries() > 1 {
+                return Err(format!("{} ready entries", self.entries()));
+            }
+            if s.announced != (self.entries() == 1) {
+                return Err(format!(
+                    "announced = {} with {} ready entries",
+                    s.announced,
+                    self.entries()
+                ));
+            }
+            if s.finished && (s.inflight > 0 || s.pending > 0) {
+                return Err(format!("finished while busy: {s:?}"));
+            }
+            if u8::from(s.finished) != self.finishes {
+                return Err(format!(
+                    "{} finishes, finished = {}",
+                    self.finishes, s.finished
+                ));
+            }
+            if s.pending < self.buffered {
+                return Err(format!(
+                    "pending {} below buffered {}",
+                    s.pending, self.buffered
+                ));
+            }
+            Ok(())
+        }
+
+        /// The invariants of a state where no worker can move.
+        fn check_quiescent(&self) -> Result<(), String> {
+            let s = self.word;
+            if !self.live {
+                return Ok(());
+            }
+            if s.inflight != 0 || s.pending != self.buffered {
+                return Err(format!(
+                    "quiescent with inflight {} and pending {} over buffered {}",
+                    s.inflight, s.pending, self.buffered
+                ));
+            }
+            if s.input_closed && s.pending == 0 && !s.finished {
+                return Err("closed and drained but never finished".into());
+            }
+            if s.pending > 0 && !s.finished && !s.announced {
+                return Err(format!("lost announcement: {s:?}"));
+            }
+            Ok(())
+        }
+    }
+
+    /// Visits every state reachable from `start` under any interleaving of
+    /// its workers (memoised: a state's successors do not depend on the
+    /// path to it) and returns how many there are.
+    fn explore_from(start: Model, apply: Transition) -> Result<usize, String> {
+        start.check()?;
+        let mut seen: HashSet<Model> = HashSet::new();
+        let mut stack = vec![start];
+        while let Some(model) = stack.pop() {
+            if !seen.insert(model.clone()) {
+                continue;
+            }
+            let runnable: Vec<usize> = (0..model.workers.len())
+                .filter(|&i| model.enabled(i))
+                .collect();
+            if runnable.is_empty() {
+                model
+                    .check_quiescent()
+                    .map_err(|e| format!("{e} in {model:?}"))?;
+            }
+            for i in runnable {
+                let mut next = model.clone();
+                next.step(apply, i)
+                    .map_err(|e| format!("{e} after worker {i} of {model:?}"))?;
+                stack.push(next);
+            }
+        }
+        Ok(seen.len())
+    }
+
+    /// Every team of at most three workers, against a pipelined operation
+    /// (empty, fed by producers) and a triggered one (two control
+    /// activations queued and announced at submit).
+    fn explore(apply: Transition) -> Result<usize, String> {
+        let pipelined_roles = [
+            Role::Producer { batches: 1 },
+            Role::Producer { batches: 2 },
+            Role::Closer,
+            Role::Consumer,
+            Role::Helper,
+            Role::Canceller,
+        ];
+        let triggered_roles = [Role::Consumer, Role::Helper, Role::Canceller];
+        let triggered = OpState {
+            announced: true,
+            ..OpState::triggered(2)
+        };
+        let mut states = 0;
+        for (word, buffered, closed, deque, roles) in [
+            (OpState::default(), 0, false, 0, &pipelined_roles[..]),
+            (triggered, 2, true, 1, &triggered_roles[..]),
+        ] {
+            for team in teams(roles) {
+                let once = |r: Role| team.iter().filter(|t| **t == r).count() <= 1;
+                if !once(Role::Closer) || !once(Role::Canceller) {
+                    continue;
+                }
+                let workers = team
+                    .iter()
+                    .map(|&role| Worker {
+                        role,
+                        pc: if role == Role::Helper { 3 } else { 0 },
+                        batches_left: match role {
+                            Role::Producer { batches } => batches,
+                            _ => 1,
+                        },
+                        holds_entry: false,
+                        moved: 0,
+                        done: false,
+                    })
+                    .collect();
+                let model = Model {
+                    word,
+                    buffered,
+                    closed,
+                    live: true,
+                    deque,
+                    finishes: 0,
+                    workers,
+                };
+                states += explore_from(model, apply).map_err(|e| format!("team {team:?}: {e}"))?;
+            }
+        }
+        Ok(states)
+    }
+
+    /// Every multiset of one to three roles.
+    fn teams(roles: &[Role]) -> Vec<Vec<Role>> {
+        let mut out = Vec::new();
+        for a in 0..roles.len() {
+            out.push(vec![roles[a]]);
+            for b in a..roles.len() {
+                out.push(vec![roles[a], roles[b]]);
+                for c in b..roles.len() {
+                    out.push(vec![roles[a], roles[b], roles[c]]);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_interleaving_keeps_the_protocol() {
+        let states = explore(apply).unwrap();
+        assert!(states > 1_000, "explored only {states} states");
+    }
+
+    #[test]
+    fn the_explorer_catches_an_end_that_ignores_pending() {
+        fn broken(s: OpState, event: Event) -> Result<(OpState, Effect), Violation> {
+            let (mut next, effect) = apply(s, event)?;
+            if event == Event::End && next.input_closed && next.inflight == 0 && !next.finished {
+                next.finished = true;
+                return Ok((next, Effect::Finished));
+            }
+            Ok((next, effect))
+        }
+        let report = explore(broken).unwrap_err();
+        assert!(report.contains("finished while busy"), "{report}");
+    }
+
+    #[test]
+    fn the_explorer_catches_a_retire_that_always_clears_announced() {
+        fn broken(s: OpState, event: Event) -> Result<(OpState, Effect), Violation> {
+            let (mut next, effect) = apply(s, event)?;
+            if matches!(event, Event::Retire { .. }) {
+                next.announced = false;
+            }
+            Ok((next, effect))
+        }
+        let report = explore(broken).unwrap_err();
+        assert!(report.contains("ready entries"), "{report}");
+    }
+
+    #[test]
+    fn the_explorer_catches_an_announce_that_ignores_finished() {
+        fn broken(s: OpState, event: Event) -> Result<(OpState, Effect), Violation> {
+            if event == Event::Announce && !s.announced {
+                return Ok((
+                    OpState {
+                        announced: true,
+                        ..s
+                    },
+                    Effect::Enqueue,
+                ));
+            }
+            apply(s, event)
+        }
+        let report = explore(broken).unwrap_err();
+        assert!(report.contains("finished operation gained"), "{report}");
+    }
+}

@@ -35,31 +35,26 @@
 //! terminated): a consumer popping from an empty closed queue knows the
 //! operation instance has no further work.
 //!
-//! # Lock-free observation fast paths
+//! # Lock-free observation fast path
 //!
 //! The worker scan of the shared-pool runtime asks every queue "anything for
-//! me?" far more often than it moves data, and the termination check asks
-//! `is_exhausted()` once per queue per finished batch. Taking the buffer
-//! mutex just to *look* made those reads contend with the producers and
-//! consumers actually moving tuples. The queue therefore mirrors its logical
-//! length and closed flag in atomics, updated inside the critical section of
-//! every mutation: `len()`, `is_empty()`, `is_closed()` and `is_exhausted()`
-//! are single atomic loads, and an empty-queue pop
+//! me?" far more often than it moves data. Taking the buffer mutex just to
+//! *look* made those reads contend with the producers and consumers
+//! actually moving tuples. The queue therefore mirrors its buffered weight
+//! in an atomic, updated inside the critical section of every mutation:
+//! `len()` and `is_empty()` are single atomic loads, and an empty-queue pop
 //! ([`ActivationQueue::try_pop_into`] or its allocating wrapper
 //! [`ActivationQueue::try_pop_batch`]) returns without touching the mutex
 //! at all. The mutex remains the sole guard of buffer *mutation*; the
-//! mirrors are observational.
-//!
-//! The mirrors are safe for termination because they are monotone where it
-//! matters: once a queue is closed no push can succeed, so an observed
-//! `closed && len == 0` can never be invalidated later — reading the closed
-//! flag *before* the length makes `is_exhausted()` conservative under races
-//! (a stale read reports "not yet exhausted", never the reverse).
+//! mirror is observational. Termination does not read the queues: it
+//! counts their weight in the operation's state word
+//! ([`crate::runtime`]), so `is_closed()` and `is_exhausted()`, which only
+//! tests call, read the closed flag under the mutex.
 
 use crate::activation::Activation;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Why [`ActivationQueue::try_push`] refused an activation. The activation is
 /// handed back so the caller can retry (after making room) or drop it.
@@ -95,17 +90,12 @@ pub struct ActivationQueue {
     /// workers' queue scan.
     estimated_cost: f64,
     state: Mutex<QueueState>,
-    // ordering(atomic_len): SeqCst — `is_exhausted` reads closed before len
-    // and needs a single total order against the closed flag; every write
-    // happens inside the buffer mutex, the loads are lock-free observers.
+    // ordering(atomic_len): SeqCst — every write happens inside the buffer
+    // mutex, the loads are lock-free observers; a stale zero only skips a
+    // probe the next scan repeats.
     /// Atomic mirror of `QueueState::weight`, written inside the critical
     /// section of every mutation so observers never lock.
     atomic_len: AtomicUsize,
-    // ordering(atomic_closed): SeqCst — monotone false → true; paired with
-    // `atomic_len` in the exhaustion check (closed read first), so both
-    // sides must agree on one total order.
-    /// Atomic mirror of `QueueState::closed` (monotone false → true).
-    atomic_closed: AtomicBool,
 }
 
 impl ActivationQueue {
@@ -126,7 +116,6 @@ impl ActivationQueue {
                 closed: false,
             }),
             atomic_len: AtomicUsize::new(0),
-            atomic_closed: AtomicBool::new(false),
         }
     }
 
@@ -272,14 +261,12 @@ impl ActivationQueue {
 
     /// Marks the queue closed: no further activations will be pushed.
     pub fn close(&self) {
-        let mut state = self.state.lock();
-        state.closed = true;
-        self.atomic_closed.store(true, Ordering::SeqCst);
+        self.state.lock().closed = true;
     }
 
-    /// Whether the queue is closed (producers finished). Lock-free.
+    /// Whether the queue is closed (producers finished).
     pub fn is_closed(&self) -> bool {
-        self.atomic_closed.load(Ordering::SeqCst)
+        self.state.lock().closed
     }
 
     /// Whether the queue currently holds no activations. Lock-free.
@@ -293,14 +280,10 @@ impl ActivationQueue {
     }
 
     /// Whether the queue is closed *and* drained: no work will ever come out
-    /// of it again. Lock-free.
-    ///
-    /// The closed flag is read *before* the length: a push can never succeed
-    /// after the queue closed, so "closed, then empty" can only be observed
-    /// when it is permanently true — the read order makes races err on the
-    /// conservative "not yet exhausted" side.
+    /// of it again.
     pub fn is_exhausted(&self) -> bool {
-        self.atomic_closed.load(Ordering::SeqCst) && self.atomic_len.load(Ordering::SeqCst) == 0
+        let state = self.state.lock();
+        state.closed && state.weight == 0
     }
 }
 
@@ -309,6 +292,7 @@ mod tests {
     use super::*;
     use crate::activation::TupleBatch;
     use dbs3_storage::tuple::int_tuple;
+    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
     use std::thread;
 

@@ -35,13 +35,14 @@
 //!   operation when it is the only one with work (this is what makes
 //!   fragment morsels actually run in parallel).
 //!
-//! The invariant is *at most one deque entry per operation*, maintained by
-//! the per-op `announced` flag: producers announce an operation on every
-//! successful push (the CAS makes duplicates impossible), and a worker that
-//! pops an entry whose operation has no buffered work left clears the flag,
-//! then re-checks and re-announces if a push raced the clear — the classic
-//! lost-wakeup two-step. Within an operation, *which queue* to pop follows
-//! one fixed consumption order (see below).
+//! The invariant is *at most one deque entry per operation*, kept by the
+//! `announced` bit of the operation's state word (`op_state.rs`):
+//! producers announce an operation after every successful push, and only
+//! the announcement that sets the bit enqueues; a worker that pops an
+//! entry retires it in one transition that drops the entry (clearing the
+//! bit) exactly when nothing is pending or the query is dead, so a racing
+//! push either keeps the entry or announces afresh. Within an operation,
+//! *which queue* to pop follows one fixed consumption order (see below).
 //!
 //! # Queue scan: one cost-ordered ring
 //!
@@ -77,12 +78,15 @@
 //!   only in the simulator.
 //! * **Termination is by accounting, not by thread exit.** The old executor
 //!   closed a consumer's queues when the last producer *thread* exited.
-//!   Here an operation is *finished* when all its queues are exhausted
-//!   (closed + drained) and no worker holds one of its activations
-//!   (`inflight == 0`); finishing closes the consumer's queues, and the
-//!   check cascades down the pipeline. When every operation of a query has
-//!   finished, its results and metrics are sealed into a completion cell
-//!   and the query's [`QueryHandle::wait`] returns.
+//!   Here each operation's state word counts the queue weight it has
+//!   pending (raised before every push, lowered after every pop) and the
+//!   workers holding a batch of it; the operation is *finished* by the one
+//!   transition that finds its input closed, nothing pending and nothing
+//!   in flight (see `op_state.rs`). Finishing closes the consumer's
+//!   queues and closes its input, and the check cascades down the
+//!   pipeline. When every operation of a query has finished, its results
+//!   and metrics are sealed into a completion cell and the query's
+//!   [`QueryHandle::wait`] returns.
 //! * **Backpressure is cooperative.** A dedicated-pool engine can block on
 //!   a full consumer queue because the consumer owns other threads. A
 //!   shared pool cannot — if every worker blocked producing, nobody would
@@ -118,13 +122,13 @@ use crate::cache::PreparedPlan;
 use crate::error::EngineError;
 use crate::faults::{self, FaultAction, FaultPoint};
 use crate::metrics::{ExecutionMetrics, OperationMetrics, ThreadMetrics};
+use crate::op_state::{Effect, Event, OpState, OpWord, MAX_INFLIGHT};
 use crate::operators::{
     BoundOperator, FilterOperator, PipelinedJoinOperator, StoreOperator, TransmitOperator,
     TriggeredJoinOperator,
 };
 use crate::queue::{ActivationQueue, TryPushError};
 use crate::schedule::ExecutionSchedule;
-use crate::sync::CachePadded;
 use crate::Result;
 use dbs3_lera::{CostParameters, ExtendedPlan, NodeId, OperatorKind, OuterInput, Plan};
 use dbs3_storage::{Catalog, Tuple};
@@ -182,47 +186,9 @@ struct OpRuntime {
     /// Queue indexes in decreasing estimated-cost order: the ring every
     /// worker walks. Computed once at submit: the estimates are static.
     order: Vec<usize>,
-    /// Workers currently holding popped activations of this operation (or
-    /// probing its queues). The operation cannot finish while non-zero.
-    /// Cache-padded: bumped by every worker touching the operation, and a
-    /// line shared with `pending` (or a neighbouring op's counters) would
-    /// ping-pong between cores on every poll.
-    // ordering(inflight): SeqCst — the termination check reads inflight
-    // against queue exhaustion; a weaker pair could observe "no inflight"
-    // before a racing worker's increment and finish an op that still has a
-    // popped batch in hand.
-    inflight: CachePadded<AtomicUsize>,
-    /// Set exactly once, when the operation's queues are exhausted and no
-    /// activation is in flight.
-    // ordering(finished): SeqCst — the once-only CAS and its readers form
-    // the op-termination protocol with `inflight` and the queue mirrors;
-    // one total order keeps "finished" from outrunning the exhaustion it
-    // summarizes.
-    finished: AtomicBool,
-    /// Whether the operation currently holds its (single) entry in the
-    /// runtime's ready deque. Producers CAS this `false → true` on every
-    /// successful push, so an operation is announced at most once however
-    /// many flushes race; a worker that finds the operation drained clears
-    /// it and re-checks `pending` (see [`retire_ready_entry`]).
-    // ordering(announced): SeqCst — the announce CAS must be ordered
-    // against the `pending` bump it gates: retire clears announced, then
-    // re-reads pending; a producer bumps pending, then CASes announced.
-    // SeqCst on both sides closes the lost-announcement window.
-    announced: AtomicBool,
-    /// Advisory count of *queue weight* (control activations count one,
-    /// data activations count their tuples) buffered across the operation's
-    /// queues, maintained by the runtime's own pushes and pops. Gates the
-    /// ready-deque announcements and lets workers skip drained operations
-    /// with one atomic load instead of probing every queue. Termination
-    /// never reads this (it re-checks the queues themselves), so staleness
-    /// costs a wasted probe at most.
-    /// Cache-padded so producer-side `fetch_add`s don't invalidate the line
-    /// the consumers' read-mostly fields live on (false sharing): workers
-    /// read `pending` on every poll of the op, while flushes write it.
-    // ordering(pending): SeqCst — one half of the announce/retire protocol
-    // (see `announced`); advisory for work-skipping but load-bearing for
-    // the at-most-one-deque-entry invariant.
-    pending: CachePadded<AtomicU64>,
+    /// Announced, input-closed and finished bits, workers in flight and
+    /// pending queue weight, changed one transition at a time.
+    state: OpWord,
 }
 
 /// Per-operation, per-worker thread metrics slots of one query.
@@ -249,7 +215,7 @@ struct QueryState {
     cancelled: AtomicBool,
     /// Operations not yet finished; the query completes when this hits 0.
     // ordering(ops_remaining): SeqCst on the finish-side decrement (it
-    // decides query completion, ordered against op `finished` flags);
+    // decides query completion: the last operation to finish seals it);
     // `is_live` probes with Relaxed because staleness only costs a wasted
     // scan.
     ops_remaining: AtomicUsize,
@@ -387,37 +353,13 @@ impl RuntimeInner {
 }
 
 /// Puts `op_index` of `query` into the ready deque unless it is already
-/// there (the `announced` CAS enforces the one-entry-per-op invariant) and
-/// wakes one parked worker; [`try_process_op`] carries the wake-up on to the
-/// next sleeper while work remains. Called by every producer-side push.
+/// there or finished (the `Announce` transition decides) and wakes one
+/// parked worker; [`try_process_op`] carries the wake-up on to the next
+/// sleeper while work remains. Called after every successful push.
 fn announce_op(inner: &RuntimeInner, query: &Arc<QueryState>, op_index: usize) {
-    let op = &query.ops[op_index];
-    if op.finished.load(Ordering::SeqCst) {
-        return;
-    }
-    if op
-        .announced
-        .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-        .is_ok()
-    {
+    if query.ops[op_index].state.apply(Event::Announce).1 == Effect::Enqueue {
         inner.push_ready(Arc::clone(query), op_index);
         inner.idle.wake_one();
-    }
-}
-
-/// Drops an op's claim on its ready-deque entry after a worker popped the
-/// entry and found the operation drained (or its query dead). Clearing the
-/// flag opens the classic lost-wakeup window — a producer may have pushed
-/// between the drain check and the clear, with its CAS failing against the
-/// still-set flag — so the op is re-checked and re-announced afterwards.
-fn retire_ready_entry(inner: &RuntimeInner, query: &Arc<QueryState>, op_index: usize) {
-    let op = &query.ops[op_index];
-    op.announced.store(false, Ordering::SeqCst);
-    if query.is_live()
-        && !op.finished.load(Ordering::SeqCst)
-        && op.pending.load(Ordering::SeqCst) > 0
-    {
-        announce_op(inner, query, op_index);
     }
 }
 
@@ -475,6 +417,11 @@ impl Runtime {
             return Err(EngineError::InvalidOptions(
                 "runtime pool must have at least 1 thread".to_string(),
             ));
+        }
+        if pool_threads > MAX_INFLIGHT {
+            return Err(EngineError::InvalidOptions(format!(
+                "runtime pool must have at most {MAX_INFLIGHT} threads"
+            )));
         }
         let inner = Arc::new(RuntimeInner {
             pool_threads,
@@ -646,10 +593,7 @@ impl Runtime {
                 cache_size: op_schedule.cache_size.max(1),
                 consumer: None,
                 order,
-                inflight: CachePadded::new(AtomicUsize::new(0)),
-                finished: AtomicBool::new(false),
-                announced: AtomicBool::new(false),
-                pending: CachePadded::new(AtomicU64::new(0)),
+                state: OpWord::new(OpState::default()),
             });
         }
 
@@ -689,9 +633,9 @@ impl Runtime {
         // workers can scan it concurrently; only the lead morsel counts as
         // a logical activation, keeping per-op activation counts identical
         // to the single-trigger model. Workers cannot see the query yet, so
-        // the pending counts need no ordering care.
+        // the state words are set outright.
         let morsel_rows = schedule.morsel_rows().max(1);
-        for op in &ops {
+        for op in &mut ops {
             let node = plan.node(op.node)?;
             if node.producer().is_none() {
                 let mut pending = 0u64;
@@ -723,7 +667,7 @@ impl Runtime {
                     }
                     q.close();
                 }
-                op.pending.store(pending, Ordering::SeqCst);
+                op.state = OpWord::new(OpState::triggered(pending));
             }
         }
 
@@ -767,7 +711,7 @@ impl Runtime {
         // submit time); announce_op wakes one parked worker per leaf and
         // the workers wake the rest.
         for op_index in 0..query.ops.len() {
-            if query.ops[op_index].pending.load(Ordering::SeqCst) > 0 {
+            if query.ops[op_index].state.load().pending > 0 {
                 announce_op(&self.inner, &query, op_index);
             }
         }
@@ -1102,12 +1046,10 @@ fn worker_loop(inner: &Arc<RuntimeInner>, worker: usize) {
             inner.idle.park(epoch);
             continue;
         };
-        let op = &query.ops[op_index];
-        if !query.is_live()
-            || op.finished.load(Ordering::SeqCst)
-            || op.pending.load(Ordering::SeqCst) == 0
-        {
-            retire_ready_entry(inner, &query, op_index);
+        let retire = Event::Retire {
+            live: query.is_live(),
+        };
+        if query.ops[op_index].state.apply(retire).1 == Effect::Drop {
             continue;
         }
         inner.push_ready(Arc::clone(&query), op_index);
@@ -1175,7 +1117,7 @@ enum Processed {
 /// whether any work was done.
 ///
 /// Processing runs under `catch_unwind`: a panicking operator must neither
-/// kill the pool worker nor leave the in-flight guard elevated forever
+/// kill the pool worker nor leave its claim on the operation up forever
 /// (which would hang every waiter) — instead the query is aborted with the
 /// typed [`EngineError::WorkerPanicked`] the scoped-thread executor used to
 /// produce, and the pool keeps serving other queries. The
@@ -1188,14 +1130,12 @@ fn try_process_op(
     ctx: &mut WorkerCtx,
 ) -> bool {
     let op = &query.ops[op_index];
-    if op.finished.load(Ordering::SeqCst) || op.pending.load(Ordering::SeqCst) == 0 {
+    // The claim goes up before the pop and `pending` comes down only after
+    // it, so the operation can never be declared finished while tuples are
+    // still being processed.
+    if op.state.apply(Event::Begin).1 != Effect::Claimed {
         return false;
     }
-    // The in-flight guard goes up before the pop: once a queue looks empty
-    // to another worker, this worker's claim on the batch it popped is
-    // already visible, so the operation can never be declared finished
-    // while tuples are still being processed.
-    op.inflight.fetch_add(1, Ordering::SeqCst);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         match faults::hit(FaultPoint::WorkerProcess) {
             // allow-panic: FaultAction::Panic is the injected-crash contract;
@@ -1210,11 +1150,11 @@ fn try_process_op(
             None => {}
         }
         match select_and_pop(op, inner.pool_threads, ctx) {
-            Some((queue_index, main)) => {
+            Some((queue_index, main, weight)) => {
                 // More is buffered behind this batch: pass the wake-up on
                 // before starting to work, so a parked pool comes up as a
                 // doubling cascade instead of all at once from `submit`.
-                if op.pending.load(Ordering::SeqCst) > 0 {
+                if op.state.apply(Event::Popped(weight)).0.pending > 0 {
                     inner.idle.wake_one();
                 }
                 process_batch(
@@ -1238,7 +1178,7 @@ fn try_process_op(
             }
         }
     }));
-    // Seal the typed failure BEFORE dropping the in-flight guard: a batch
+    // Seal the typed failure BEFORE dropping the claim: a batch
     // lost to the unwind mid-processing must never be papered over by a
     // sibling worker's termination accounting cascading to finalize_query
     // and sealing a *partial* Ok. Aborting first wins the first-writer race
@@ -1257,7 +1197,7 @@ fn try_process_op(
             );
         }
         Err(_) => {
-            // Nested help_drain guards may have been skipped by the unwind,
+            // Nested help_drain claims may have been skipped by the unwind,
             // leaving other operations' inflight counts elevated — harmless,
             // because aborting seals the outcome and the query is never
             // finalized through the counting path.
@@ -1270,8 +1210,8 @@ fn try_process_op(
             );
         }
     }
-    if op.inflight.fetch_sub(1, Ordering::SeqCst) == 1 {
-        try_finish_op(inner, query, op_index);
+    if op.state.apply(Event::End).1 == Effect::Finished {
+        finish_op(inner, query, op_index);
     }
     match outcome {
         Ok(Processed::Worked(did_work)) => {
@@ -1286,19 +1226,19 @@ fn try_process_op(
 
 /// Selects the next queue of `op` for this worker in [`ring_scan`] order,
 /// pops up to `cache_size` logical activations from it into `ctx.popped`
-/// and returns the queue's index and whether it is one of the worker's main
-/// queues. Probing an empty queue is one atomic load.
+/// and returns the queue's index, whether it is one of the worker's main
+/// queues and the queue weight popped. Probing an empty queue is one
+/// atomic load.
 fn select_and_pop(
     op: &OpRuntime,
     pool_threads: usize,
     ctx: &mut WorkerCtx,
-) -> Option<(usize, bool)> {
+) -> Option<(usize, bool, u64)> {
     for (position, main) in ring_scan(ctx.id, pool_threads, op.order.len()) {
         let queue_index = op.order[position];
         let weight = op.queues[queue_index].try_pop_into(op.cache_size, &mut ctx.popped);
         if weight > 0 {
-            op.pending.fetch_sub(weight as u64, Ordering::SeqCst);
-            return Some((queue_index, main));
+            return Some((queue_index, main, weight as u64));
         }
     }
     None
@@ -1372,7 +1312,7 @@ fn recycle_scatter_buffers(mut buffers: Vec<Vec<Tuple>>) {
 ///   per-destination buffers flushed at `CacheSize` tuples, so `CacheSize`
 ///   stays the transport-batch granularity of every redistributing hop.
 ///
-/// The caller holds the operation's in-flight guard, so the producer-side
+/// The caller holds a claim on the operation, so the producer-side
 /// scatter buffers live entirely within this call — nothing can be stranded
 /// when the operation is later declared finished. `batch` is drained (also
 /// on an early exit), so no activation outlives its batch; only the
@@ -1531,20 +1471,22 @@ fn flush_to(
         if query.cancelled.load(Ordering::Relaxed) || inner.shutdown.load(Ordering::Relaxed) {
             return;
         }
-        // The pending count goes up before the push so a concurrent popper
-        // can never decrement it below zero; a refused push takes it back.
-        consumer.pending.fetch_add(weight, Ordering::SeqCst);
-        match consumer.queues[dest].try_push(activation) {
+        // The pending weight goes up before the push, so it never falls
+        // below what the queues hold; a refused push gives it back.
+        consumer.state.apply(Event::Reserve(weight));
+        let refused = match consumer.queues[dest].try_push(activation) {
             Ok(()) => {
                 announce_op(inner, query, consumer_index);
                 return;
             }
-            Err(TryPushError::Closed(_)) => {
-                consumer.pending.fetch_sub(weight, Ordering::SeqCst);
-                return;
-            }
-            Err(TryPushError::Full(back)) => {
-                consumer.pending.fetch_sub(weight, Ordering::SeqCst);
+            Err(refused) => refused,
+        };
+        if consumer.state.apply(Event::Unreserve(weight)).1 == Effect::Finished {
+            finish_op(inner, query, consumer_index);
+        }
+        match refused {
+            TryPushError::Closed(_) => return,
+            TryPushError::Full(back) => {
                 activation = back;
                 let help_started = Instant::now();
                 help_drain(inner, query, consumer_index, dest, worker);
@@ -1568,14 +1510,17 @@ fn help_drain(
     worker: usize,
 ) {
     let consumer = &query.ops[consumer_index];
-    consumer.inflight.fetch_add(1, Ordering::SeqCst);
+    if consumer.state.apply(Event::Begin).1 != Effect::Claimed {
+        // Another worker drained it first; capacity will free up shortly.
+        std::thread::yield_now();
+        return;
+    }
     let mut popped = Vec::new();
     let weight = consumer.queues[dest].try_pop_into(consumer.cache_size, &mut popped);
     if weight == 0 {
-        // Another worker drained it first; capacity will free up shortly.
         std::thread::yield_now();
     } else {
-        consumer.pending.fetch_sub(weight as u64, Ordering::SeqCst);
+        consumer.state.apply(Event::Popped(weight as u64));
         process_batch(
             inner,
             query,
@@ -1586,47 +1531,25 @@ fn help_drain(
             worker,
         );
     }
-    if consumer.inflight.fetch_sub(1, Ordering::SeqCst) == 1 {
-        try_finish_op(inner, query, consumer_index);
+    if consumer.state.apply(Event::End).1 == Effect::Finished {
+        finish_op(inner, query, consumer_index);
     }
 }
 
-/// Declares `op` finished if its queues are exhausted and nothing is in
-/// flight; closing the consumer's queues then cascades the check down the
-/// pipeline. The query completes when its last operation finishes.
-fn try_finish_op(inner: &Arc<RuntimeInner>, query: &Arc<QueryState>, op_index: usize) {
-    let op = &query.ops[op_index];
-    // Order matters: exhaustion is read *before* the in-flight count. A
-    // worker claiming a batch raises `inflight` before popping, so once a
-    // queue is observed empty here, any claim on its last batch is already
-    // visible in `inflight`. Reading inflight first would open a window
-    // where another worker pops the final batch between the two reads and
-    // this thread declares the operation finished while those tuples are
-    // still being processed (their output would flush into closed queues
-    // and vanish).
-    if op.finished.load(Ordering::SeqCst)
-        || !op.queues.iter().all(|q| q.is_exhausted())
-        || op.inflight.load(Ordering::SeqCst) != 0
-    {
-        return;
-    }
-    if op
-        .finished
-        .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-        .is_err()
-    {
-        return;
-    }
-    if let Some(link) = &op.consumer {
-        for q in &query.ops[link.consumer_index].queues {
+/// Runs once per operation, by the worker whose transition finished it:
+/// closes the consumer's queues and input, which may finish the consumer
+/// in turn (e.g. nothing matched), so the cascade runs down the pipeline.
+/// The query completes when its last operation finishes.
+fn finish_op(inner: &Arc<RuntimeInner>, query: &Arc<QueryState>, op_index: usize) {
+    let remaining = query.ops_remaining.fetch_sub(1, Ordering::SeqCst) - 1;
+    if let Some(link) = &query.ops[op_index].consumer {
+        let consumer = &query.ops[link.consumer_index];
+        for q in &consumer.queues {
             q.close();
         }
-    }
-    let remaining = query.ops_remaining.fetch_sub(1, Ordering::SeqCst) - 1;
-    if let Some(link) = &op.consumer {
-        // The consumer may already be drained (e.g. nothing matched):
-        // re-check it now that its queues are closed.
-        try_finish_op(inner, query, link.consumer_index);
+        if consumer.state.apply(Event::InputClosed).1 == Effect::Finished {
+            finish_op(inner, query, link.consumer_index);
+        }
     }
     if remaining == 0 {
         finalize_query(inner, query);
@@ -1925,10 +1848,20 @@ mod tests {
 
     #[test]
     fn zero_thread_pool_is_rejected() {
-        assert!(matches!(
-            Runtime::new(0),
-            Err(EngineError::InvalidOptions(_))
-        ));
+        // Nor a pool wider than an operation's 16-bit in-flight count.
+        for threads in [0, MAX_INFLIGHT + 1] {
+            assert!(
+                matches!(Runtime::new(threads), Err(EngineError::InvalidOptions(_))),
+                "{threads} threads"
+            );
+            assert!(
+                matches!(
+                    Runtime::with_watchdog(threads, Duration::from_secs(1)),
+                    Err(EngineError::InvalidOptions(_))
+                ),
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]

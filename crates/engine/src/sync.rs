@@ -6,13 +6,12 @@ use std::ops::{Deref, DerefMut};
 /// never share a cache line (nor the adjacent line the spatial prefetcher
 /// pairs it with on x86 — hence 128, not 64).
 ///
-/// The runtime keeps one advisory `pending` counter and one `inflight`
-/// guard per operation, stored in a `Vec` per query. Without padding,
-/// neighbouring operations' counters land on the same line, so every
-/// producer-side `fetch_add` invalidates the line a consumer is spinning
-/// on — classic false sharing, measurable as soon as more than a couple of
-/// workers poll. Padding trades a few hundred bytes per query for
-/// contention-free counters.
+/// The runtime keeps one state word per operation, stored in a `Vec` per
+/// query. Without padding, neighbouring operations' words land on the same
+/// line, so every transition of one operation invalidates the line the
+/// workers of the next one are reading — classic false sharing, measurable
+/// as soon as more than a couple of workers poll. Padding trades a few
+/// hundred bytes per query for words that share a line with nothing.
 #[derive(Debug, Default)]
 #[repr(align(128))]
 pub struct CachePadded<T> {

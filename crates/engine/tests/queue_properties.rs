@@ -1,9 +1,8 @@
 //! Property-based tests of the [`ActivationQueue`]: under arbitrary
 //! interleavings of `push` / `push_batch` / `try_push` / `try_pop_batch` /
 //! `try_pop_into` / `close`, no tuple is ever lost or duplicated, and the
-//! lock-free
-//! observation mirrors (`len` / `is_empty` / `is_closed` / `is_exhausted`)
-//! always agree with the data that actually moved.
+//! observers (`len` / `is_empty` / `is_closed` / `is_exhausted`) always
+//! agree with the data that actually moved.
 //!
 //! Two complementary properties:
 //!
