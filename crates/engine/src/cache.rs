@@ -9,8 +9,8 @@
 //! * the **plan cache** maps a content hash of (plan structure, scheduler
 //!   options, cost parameters) to the expanded [`ExtendedPlan`] and built
 //!   [`ExecutionSchedule`] (a [`PreparedPlan`]);
-//! * the **index cache** maps (relation, key column, fragment, relation
-//!   *generation*) to an `Arc<HashIndex>`, so concurrent and repeated
+//! * the **index cache** maps (relation, key column, fragment, *fragment
+//!   generation*) to an `Arc<HashIndex>`, so concurrent and repeated
 //!   queries over one relation share a single build — each entry holds its
 //!   fragment's build cell (a [`OnceLock`]): the first requester builds
 //!   into it, concurrent requesters *wait on the build in flight* instead
@@ -18,9 +18,12 @@
 //!
 //! **Invalidation is by generation, not by flushing**: every [`Catalog`]
 //! mutation stamps the touched relation with a process-wide unique
-//! generation, entries record the generations they were derived from, and a
+//! generation, and each of its fragments with one that changes only when
+//! the fragment's tuples do. Prepared plans record the relation generations
+//! they were derived from, index entries their fragment's generation, and a
 //! lookup that finds a stale entry evicts it and reports a miss. Stale
-//! entries are therefore unreachable the instant the catalog changes.
+//! entries are therefore unreachable the instant the catalog changes, and a
+//! replace that edits one fragment leaves the other fragments' indexes hit.
 //! Capacity is bounded with LRU eviction on top. The per-cache
 //! hit/miss/evict counters are process-wide too: a caller meters a phase
 //! as `cache_stats().since(&before)` ([`cache_stats`], [`CacheStats::since`]),
@@ -237,7 +240,7 @@ impl PlanCache {
     }
 }
 
-/// Key of an index-cache entry. The relation *generation* lives in the
+/// Key of an index-cache entry. The fragment *generation* lives in the
 /// entry, not the key, so a stale entry is found (and evicted) by the very
 /// lookup that replaces it. The relation name is shared with the caller, so
 /// building a key for a lookup allocates nothing.
@@ -405,6 +408,7 @@ fn honor_build_fault() {
 
 /// Fetches (or builds) the shared hash index of one relation fragment.
 ///
+/// `generation` is the fragment's own ([`Catalog::fragment_generations`]).
 /// The first requester of a `(relation, column, fragment, generation)`
 /// builds into the entry's cell; concurrent requesters wait for that build;
 /// later requesters clone the `Arc`. `build` runs *outside* the cache lock.

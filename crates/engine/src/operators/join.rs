@@ -22,13 +22,17 @@ struct Probe {
     /// instance and shared by every later morsel or data batch — splitting
     /// the outer scan must not multiply the build work. The resolution goes
     /// through the engine-wide index cache, so concurrent and repeated
-    /// queries over one relation share one build across operators.
-    indexes: Vec<OnceLock<Arc<HashIndex>>>,
-    /// The inner relation's name and catalog generation: the key under
-    /// which builds are shared through [`crate::cache::shared_index`]. The
-    /// name is copied once here, at bind time, so per-fragment lookups
-    /// allocate nothing.
-    shared_key: (Arc<str>, u64),
+    /// queries over one relation share one build across operators. A boxed
+    /// slice, since the instance count is fixed at bind.
+    indexes: Box<[OnceLock<Arc<HashIndex>>]>,
+    /// The inner relation's name and its catalog fragment generations: the
+    /// key under which instance `i`'s build is shared through
+    /// [`crate::cache::shared_index`] is the name with `generations[i]`, so
+    /// a fragment the last replace left unchanged keeps its cached index.
+    /// The name is copied once here, at bind time, and the generations are
+    /// the catalog's own shared slice, so per-fragment lookups allocate
+    /// nothing.
+    shared_key: (Arc<str>, Arc<[u64]>),
     /// Whether matches are counted instead of built (the consumer is a
     /// counting store, which only ever reads `batch.len()`).
     count_only: bool,
@@ -40,11 +44,11 @@ impl Probe {
         outer_column: usize,
         inner_column: usize,
         algorithm: JoinAlgorithm,
-        generation: u64,
+        generations: Arc<[u64]>,
     ) -> Self {
         let indexes = (0..inner.degree()).map(|_| OnceLock::new()).collect();
         Probe {
-            shared_key: (Arc::from(inner.name()), generation),
+            shared_key: (Arc::from(inner.name()), generations),
             inner,
             outer_column,
             inner_column,
@@ -72,10 +76,10 @@ impl Probe {
         // matching bucket.
         let index = (self.algorithm != JoinAlgorithm::NestedLoop).then(|| {
             self.indexes[instance].get_or_init(|| {
-                let (relation, generation) = &self.shared_key;
+                let (relation, generations) = &self.shared_key;
                 crate::cache::shared_index(
                     relation,
-                    *generation,
+                    generations[instance],
                     self.inner_column,
                     instance,
                     || HashIndex::build(inner, self.inner_column),
@@ -125,19 +129,20 @@ pub struct TriggeredJoinOperator {
 }
 
 impl TriggeredJoinOperator {
-    /// Creates a bound triggered join. `generation` is the inner relation's
-    /// catalog generation, which keys its indexes in the engine-wide cache.
+    /// Creates a bound triggered join. `generations` are the inner
+    /// relation's catalog fragment generations, which key its indexes in the
+    /// engine-wide cache, one per fragment.
     pub fn new(
         outer: Arc<PartitionedRelation>,
         inner: Arc<PartitionedRelation>,
         outer_column: usize,
         inner_column: usize,
         algorithm: JoinAlgorithm,
-        generation: u64,
+        generations: Arc<[u64]>,
     ) -> Self {
         TriggeredJoinOperator {
             outer,
-            probe: Probe::new(inner, outer_column, inner_column, algorithm, generation),
+            probe: Probe::new(inner, outer_column, inner_column, algorithm, generations),
         }
     }
 
@@ -184,17 +189,17 @@ pub struct PipelinedJoinOperator {
 
 impl PipelinedJoinOperator {
     /// Creates a bound pipelined join. `outer_column` is the key column of
-    /// the *incoming* tuples; `generation` is as for
+    /// the *incoming* tuples; `generations` are as for
     /// [`TriggeredJoinOperator::new`].
     pub fn new(
         inner: Arc<PartitionedRelation>,
         outer_column: usize,
         inner_column: usize,
         algorithm: JoinAlgorithm,
-        generation: u64,
+        generations: Arc<[u64]>,
     ) -> Self {
         PipelinedJoinOperator {
-            probe: Probe::new(inner, outer_column, inner_column, algorithm, generation),
+            probe: Probe::new(inner, outer_column, inner_column, algorithm, generations),
         }
     }
 
@@ -220,42 +225,51 @@ mod tests {
     use dbs3_storage::{Catalog, PartitionSpec, Relation, WisconsinConfig, WisconsinGenerator};
 
     /// Generates `name` and registers it in a catalog of its own: the
-    /// relation, its fragments and the catalog generation that keys its
-    /// indexes in the engine-wide cache (so no two tests share an entry).
+    /// relation, its fragments and the catalog fragment generations that
+    /// key its indexes in the engine-wide cache (so no two tests share an
+    /// entry).
     fn partitioned(
         name: &str,
         cardinality: usize,
         degree: usize,
-    ) -> (Relation, Arc<PartitionedRelation>, u64) {
+    ) -> (Relation, Arc<PartitionedRelation>, Arc<[u64]>) {
         let rel = WisconsinGenerator::new()
             .generate(&WisconsinConfig::narrow(name, cardinality))
             .unwrap();
         let spec = PartitionSpec::on("unique1", degree, 2);
         let mut catalog = Catalog::new();
         let part = catalog.register(PartitionedRelation::from_relation(&rel, spec).unwrap());
-        (rel, part.unwrap(), catalog.generation(name).unwrap())
+        let generations = Arc::clone(catalog.fragment_generations(name).unwrap());
+        (rel, part.unwrap(), generations)
     }
 
     /// A triggered join of `outer` with `inner` on `unique1`.
     fn triggered(
         outer: &Arc<PartitionedRelation>,
         inner: &Arc<PartitionedRelation>,
-        generation: u64,
+        generations: &Arc<[u64]>,
         algorithm: JoinAlgorithm,
     ) -> TriggeredJoinOperator {
         let u1 = outer.schema().column_index("unique1").unwrap();
         let (outer, inner) = (Arc::clone(outer), Arc::clone(inner));
-        TriggeredJoinOperator::new(outer, inner, u1, u1, algorithm, generation)
+        let generations = Arc::clone(generations);
+        TriggeredJoinOperator::new(outer, inner, u1, u1, algorithm, generations)
     }
 
     /// A pipelined join of incoming tuples with `inner` on `unique1`.
     fn pipelined(
         inner: &Arc<PartitionedRelation>,
-        generation: u64,
+        generations: &Arc<[u64]>,
         algorithm: JoinAlgorithm,
     ) -> PipelinedJoinOperator {
         let u1 = inner.schema().column_index("unique1").unwrap();
-        PipelinedJoinOperator::new(Arc::clone(inner), u1, u1, algorithm, generation)
+        PipelinedJoinOperator::new(
+            Arc::clone(inner),
+            u1,
+            u1,
+            algorithm,
+            Arc::clone(generations),
+        )
     }
 
     fn run_triggered(op: &TriggeredJoinOperator, degree: usize) -> usize {
@@ -277,7 +291,7 @@ mod tests {
             JoinAlgorithm::Hash,
             JoinAlgorithm::TempIndex,
         ] {
-            let op = triggered(&a, &b, gb, algorithm);
+            let op = triggered(&a, &b, &gb, algorithm);
             assert_eq!(run_triggered(&op, 10), expected, "algorithm {algorithm:?}");
         }
     }
@@ -287,7 +301,7 @@ mod tests {
         let (_, a, _) = partitioned("A", 100, 5);
         let (_, b, gb) = partitioned("Bprime", 100, 5);
         let u1 = a.schema().column_index("unique1").unwrap();
-        let op = triggered(&a, &b, gb, JoinAlgorithm::Hash);
+        let op = triggered(&a, &b, &gb, JoinAlgorithm::Hash);
         let out = op.process(2, Activation::Trigger);
         assert!(!out.is_empty());
         let width = a.schema().width() + b.schema().width();
@@ -308,7 +322,7 @@ mod tests {
             .len();
 
         for algorithm in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
-            let op = pipelined(&a, ga, algorithm);
+            let op = pipelined(&a, &ga, algorithm);
             // Route every B' tuple to the instance its key hashes to, exactly
             // like the executor does.
             let mut total = 0usize;
@@ -325,7 +339,7 @@ mod tests {
     fn batched_probes_match_per_tuple_probes() {
         let (_, a, ga) = partitioned("A", 200, 4);
         for algorithm in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
-            let op = pipelined(&a, ga, algorithm);
+            let op = pipelined(&a, &ga, algorithm);
             // All tuples of fragment 1 probed against themselves, once as
             // one batch and once tuple by tuple.
             let probes: Vec<Tuple> = a.fragments()[1].tuples().to_vec();
@@ -342,7 +356,7 @@ mod tests {
     #[test]
     fn pipelined_join_reuses_per_instance_index() {
         let (_, a, ga) = partitioned("A", 100, 4);
-        let op = pipelined(&a, ga, JoinAlgorithm::TempIndex);
+        let op = pipelined(&a, &ga, JoinAlgorithm::TempIndex);
         // Probing twice must not rebuild (OnceLock gives the same instance).
         let probe = a.fragments()[1].tuples()[0].clone();
         let _ = op.process(1, Activation::single(probe.clone()));
@@ -354,10 +368,10 @@ mod tests {
 
     #[test]
     fn shared_generation_shares_builds_across_operators() {
-        let (_, a, generation) = partitioned("A", 200, 4);
+        let (_, a, generations) = partitioned("A", 200, 4);
         let probe = a.fragments()[2].tuples()[0].clone();
-        let first = pipelined(&a, generation, JoinAlgorithm::Hash);
-        let second = pipelined(&a, generation, JoinAlgorithm::Hash);
+        let first = pipelined(&a, &generations, JoinAlgorithm::Hash);
+        let second = pipelined(&a, &generations, JoinAlgorithm::Hash);
         let out1 = first.process(2, Activation::single(probe.clone()));
         let out2 = second.process(2, Activation::single(probe.clone()));
         assert_eq!(out1, out2);
@@ -366,10 +380,10 @@ mod tests {
             Arc::as_ptr(second.probe.indexes[2].get().unwrap()),
             "two operators over one (relation, generation) share one build"
         );
-        // The same rows registered again carry a new generation and get a
-        // build of their own.
+        // The same rows registered again carry new fragment generations and
+        // get a build of their own.
         let (_, again, regenerated) = partitioned("A", 200, 4);
-        let fresh = pipelined(&again, regenerated, JoinAlgorithm::Hash);
+        let fresh = pipelined(&again, &regenerated, JoinAlgorithm::Hash);
         assert_eq!(fresh.process(2, Activation::single(probe)), out1);
         assert_ne!(
             Arc::as_ptr(first.probe.indexes[2].get().unwrap()),
@@ -383,10 +397,10 @@ mod tests {
         let (_, b, gb) = partitioned("Bprime", 40, 4);
         for algorithm in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
             let whole = {
-                let op = triggered(&a, &b, gb, algorithm);
+                let op = triggered(&a, &b, &gb, algorithm);
                 op.process(1, Activation::Trigger)
             };
-            let op = triggered(&a, &b, gb, algorithm);
+            let op = triggered(&a, &b, &gb, algorithm);
             let rows = op.triggered_rows(1).unwrap();
             let mut pieces = Vec::new();
             let mut start = 0usize;
@@ -411,8 +425,8 @@ mod tests {
         let (_, a, _) = partitioned("A", 400, 4);
         let (_, b, gb) = partitioned("Bprime", 40, 4);
         for algorithm in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
-            let built = triggered(&a, &b, gb, algorithm).process(1, Activation::Trigger);
-            let op = triggered(&a, &b, gb, algorithm).counting_matches(true);
+            let built = triggered(&a, &b, &gb, algorithm).process(1, Activation::Trigger);
+            let op = triggered(&a, &b, &gb, algorithm).counting_matches(true);
             let whole = op.process(1, Activation::Trigger);
             assert_eq!(whole, TupleBatch::counted(built.len()));
             assert!(!whole.is_empty(), "fragment 1 has matches to count");
@@ -428,7 +442,7 @@ mod tests {
             assert_eq!(counted, built.len(), "algorithm {algorithm:?}");
             // The pipelined twin: the outer fragment arriving as one batch.
             let probes = TupleBatch::from(a.fragments()[1].tuples().to_vec());
-            let pipelined = pipelined(&b, gb, algorithm)
+            let pipelined = pipelined(&b, &gb, algorithm)
                 .counting_matches(true)
                 .process(1, Activation::Data(probes));
             assert_eq!(pipelined, whole, "algorithm {algorithm:?}");
@@ -439,7 +453,7 @@ mod tests {
     fn triggered_join_reuses_per_instance_index_across_morsels() {
         let (_, a, _) = partitioned("A", 100, 4);
         let (_, b, gb) = partitioned("Bprime", 100, 4);
-        let op = triggered(&a, &b, gb, JoinAlgorithm::Hash);
+        let op = triggered(&a, &b, &gb, JoinAlgorithm::Hash);
         let _ = op.process(
             1,
             Activation::Morsel {
@@ -465,10 +479,10 @@ mod tests {
     fn stray_activations_are_ignored() {
         let (_, a, ga) = partitioned("A", 50, 4);
         let (_, b, gb) = partitioned("Bprime", 50, 4);
-        let triggered = triggered(&a, &b, gb, JoinAlgorithm::Hash);
+        let triggered = triggered(&a, &b, &gb, JoinAlgorithm::Hash);
         let some = a.fragments()[0].tuples()[0].clone();
         assert!(triggered.process(0, Activation::single(some)).is_empty());
-        let pipelined = pipelined(&a, ga, JoinAlgorithm::Hash);
+        let pipelined = pipelined(&a, &ga, JoinAlgorithm::Hash);
         assert!(pipelined.process(0, Activation::Trigger).is_empty());
     }
 }

@@ -953,15 +953,18 @@ pub(crate) fn bind_operator(
         } => {
             let inner = catalog.get(inner_relation)?;
             let inner_column = inner.schema().column_index(&condition.inner_column)?;
-            // The inner relation's generation keys the engine-wide shared
-            // build-index cache: every query binding this (relation,
-            // generation) pair shares one build per fragment.
-            let generation = catalog
-                .generation(inner_relation)
-                // allow-panic: the catalog registers, replaces and removes
-                // a relation and its generation together, and `get` just
-                // found this one.
-                .expect("a registered relation has a generation");
+            // The inner relation's fragment generations key the engine-wide
+            // shared build-index cache: every query binding a fragment at
+            // one generation shares its build. The slice is the catalog's
+            // own, so binding allocates nothing for it.
+            let generations = Arc::clone(
+                catalog
+                    .fragment_generations(inner_relation)
+                    // allow-panic: the catalog registers, replaces and
+                    // removes a relation and its generations together, and
+                    // `get` just found this one.
+                    .expect("a registered relation has fragment generations"),
+            );
             match outer {
                 OuterInput::Fragment { relation } => {
                     let outer_rel = catalog.get(relation)?;
@@ -973,7 +976,7 @@ pub(crate) fn bind_operator(
                             outer_column,
                             inner_column,
                             *algorithm,
-                            generation,
+                            generations,
                         )
                         .counting_matches(count_only),
                     ))
@@ -990,7 +993,7 @@ pub(crate) fn bind_operator(
                             outer_column,
                             inner_column,
                             *algorithm,
-                            generation,
+                            generations,
                         )
                         .counting_matches(count_only),
                     ))

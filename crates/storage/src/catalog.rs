@@ -4,6 +4,13 @@
 //! names to partitioned relations. It corresponds to the part of DBS3's
 //! storage manager the compiler consults to find the degree of partitioning
 //! and the partitioning attributes of each relation.
+//!
+//! Each name also carries *generations*: one for the relation, which every
+//! mutation renews, and one per fragment, which a [`replace`](Catalog::replace)
+//! renews only where the fragment's tuples changed. Caches above the catalog
+//! key on them — prepared plans on the relation generation, shared
+//! build-side indexes on the fragment generations — so a one-row edit
+//! invalidates every plan over the relation but only one fragment's index.
 
 use crate::error::StorageError;
 use crate::partition::PartitionedRelation;
@@ -17,14 +24,28 @@ use std::sync::Arc;
 // distinct values across threads and catalogs.
 static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
 
-/// Hands out a process-wide unique relation generation. Generations are
-/// unique across *all* catalogs, not merely monotonic within one, so a
-/// `(relation name, generation)` pair identifies one immutable
-/// [`PartitionedRelation`] no matter how many catalogs or sessions exist —
+/// Hands out a process-wide unique generation. Generations are unique
+/// across *all* catalogs, not merely monotonic within one, and relation and
+/// fragment generations come from the same counter, so a `(relation name,
+/// generation)` pair identifies one immutable [`PartitionedRelation`] (or
+/// one fragment's content) no matter how many catalogs or sessions exist —
 /// the property the engine's shared build-index cache keys on.
 fn next_generation() -> u64 {
     // ordering: Relaxed — see NEXT_GENERATION; only uniqueness matters.
     NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
+}
+
+/// One fresh generation per fragment.
+fn fresh_generations(degree: usize) -> Arc<[u64]> {
+    (0..degree).map(|_| next_generation()).collect()
+}
+
+/// A registered relation and the generations stamped on it.
+#[derive(Debug, Clone)]
+struct Entry {
+    relation: Arc<PartitionedRelation>,
+    generation: u64,
+    fragment_generations: Arc<[u64]>,
 }
 
 /// Name → partitioned relation map.
@@ -36,84 +57,127 @@ fn next_generation() -> u64 {
 /// Every mutation ([`register`](Catalog::register),
 /// [`replace`](Catalog::replace), [`remove`](Catalog::remove)) stamps the
 /// affected name with a fresh process-wide unique *generation*
-/// ([`generation`](Catalog::generation)). Caches layered above the catalog
-/// (prepared plans, shared build-side hash indexes) key their entries on it:
-/// a mutation makes every stale entry unreachable without the catalog
-/// knowing the caches exist.
+/// ([`generation`](Catalog::generation)), and each fragment carries a
+/// generation of its own ([`fragment_generations`](Catalog::fragment_generations))
+/// that changes only with the fragment's content. Caches layered above the
+/// catalog key their entries on these: a mutation makes every stale entry
+/// unreachable without the catalog knowing the caches exist.
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
-    relations: HashMap<String, Arc<PartitionedRelation>>,
-    generations: HashMap<String, u64>,
+    entries: HashMap<String, Entry>,
 }
 
 impl Catalog {
     /// Creates an empty catalog.
     pub fn new() -> Self {
         Catalog {
-            relations: HashMap::new(),
-            generations: HashMap::new(),
+            entries: HashMap::new(),
         }
     }
 
-    /// Registers a partitioned relation under its name.
+    /// Registers a partitioned relation under its name. The relation and
+    /// every fragment get fresh generations.
     pub fn register(&mut self, relation: PartitionedRelation) -> Result<Arc<PartitionedRelation>> {
         let name = relation.name().to_string();
-        if self.relations.contains_key(&name) {
+        if self.entries.contains_key(&name) {
             return Err(StorageError::DuplicateRelation(name));
         }
-        let arc = Arc::new(relation);
-        self.generations.insert(name.clone(), next_generation());
-        self.relations.insert(name, Arc::clone(&arc));
-        Ok(arc)
+        let fragment_generations = fresh_generations(relation.degree());
+        let relation = Arc::new(relation);
+        self.entries.insert(
+            name,
+            Entry {
+                relation: Arc::clone(&relation),
+                generation: next_generation(),
+                fragment_generations,
+            },
+        );
+        Ok(relation)
     }
 
     /// Replaces (or inserts) a relation, returning the previous entry if any.
-    /// The name is stamped with a fresh generation either way.
+    ///
+    /// The name is stamped with a fresh relation generation either way. A
+    /// fragment whose tuples equal the predecessor's fragment at the same
+    /// index keeps its fragment generation; every other fragment gets a
+    /// fresh one, and all do when there is no predecessor or the degree
+    /// changed. Tuples shared with the predecessor compare by pointer, so an
+    /// edit that reuses the unchanged rows costs one pointer compare per row.
     pub fn replace(&mut self, relation: PartitionedRelation) -> Option<Arc<PartitionedRelation>> {
         let name = relation.name().to_string();
-        self.generations.insert(name.clone(), next_generation());
-        self.relations.insert(name, Arc::new(relation))
+        let fragment_generations = match self.entries.get(&name) {
+            Some(previous) if previous.relation.degree() == relation.degree() => previous
+                .relation
+                .fragments()
+                .iter()
+                .zip(relation.fragments())
+                .zip(previous.fragment_generations.iter())
+                .map(|((old, new), &generation)| {
+                    if old.tuples() == new.tuples() {
+                        generation
+                    } else {
+                        next_generation()
+                    }
+                })
+                .collect(),
+            _ => fresh_generations(relation.degree()),
+        };
+        let entry = Entry {
+            relation: Arc::new(relation),
+            generation: next_generation(),
+            fragment_generations,
+        };
+        self.entries.insert(name, entry).map(|e| e.relation)
     }
 
-    /// The current generation of a registered relation. `None` for unknown
-    /// names. Generations are unique across the whole process: two distinct
+    /// The current relation generation of a registered relation. `None` for
+    /// unknown names. Every mutation of the name renews it, and generations
+    /// are unique across the whole process: two distinct
     /// `PartitionedRelation`s never share one, even across catalogs.
     pub fn generation(&self, name: &str) -> Option<u64> {
-        self.generations.get(name).copied()
+        self.entries.get(name).map(|e| e.generation)
+    }
+
+    /// The current generation of each fragment of a registered relation,
+    /// indexed by fragment id. `None` for unknown names. A fragment's
+    /// generation changes only when its tuples do (see
+    /// [`replace`](Catalog::replace)), so equal generations under one name
+    /// mean equal fragment content. The slice is shared: cloning the `Arc`
+    /// allocates nothing.
+    pub fn fragment_generations(&self, name: &str) -> Option<&Arc<[u64]>> {
+        self.entries.get(name).map(|e| &e.fragment_generations)
     }
 
     /// Looks up a relation by name.
     pub fn get(&self, name: &str) -> Result<Arc<PartitionedRelation>> {
-        self.relations
+        self.entries
             .get(name)
-            .cloned()
+            .map(|e| Arc::clone(&e.relation))
             .ok_or_else(|| StorageError::UnknownRelation(name.to_string()))
     }
 
     /// Whether a relation with this name is registered.
     pub fn contains(&self, name: &str) -> bool {
-        self.relations.contains_key(name)
+        self.entries.contains_key(name)
     }
 
-    /// Removes a relation by name. The name's generation entry is removed
-    /// with it, so re-registering later assigns a fresh one.
+    /// Removes a relation by name. Its generations are removed with it, so
+    /// re-registering later assigns fresh ones.
     pub fn remove(&mut self, name: &str) -> Result<Arc<PartitionedRelation>> {
-        let removed = self
-            .relations
+        self.entries
             .remove(name)
-            .ok_or_else(|| StorageError::UnknownRelation(name.to_string()))?;
-        self.generations.remove(name);
-        Ok(removed)
+            .map(|e| e.relation)
+            .ok_or_else(|| StorageError::UnknownRelation(name.to_string()))
     }
 
     /// Number of registered relations.
     pub fn len(&self) -> usize {
-        self.relations.len()
+        self.entries.len()
     }
 
     /// Returns true when the catalog is empty.
     pub fn is_empty(&self) -> bool {
-        self.relations.is_empty()
+        self.entries.is_empty()
     }
 }
 
@@ -122,6 +186,7 @@ mod tests {
     use super::*;
     use crate::partition::{PartitionSpec, PartitionedRelation};
     use crate::relation::test_relation;
+    use crate::value::Value;
 
     fn partitioned(name: &str) -> PartitionedRelation {
         let rel = test_relation(name, &[(1, 10), (2, 20), (3, 30)]);
@@ -175,33 +240,85 @@ mod tests {
     fn generations_are_unique_and_bump_on_mutation() {
         let mut cat = Catalog::new();
         assert_eq!(cat.generation("A"), None);
+        assert_eq!(cat.fragment_generations("A"), None);
         cat.register(partitioned("A")).unwrap();
         cat.register(partitioned("B")).unwrap();
         let gen_a = cat.generation("A").unwrap();
         let gen_b = cat.generation("B").unwrap();
         assert_ne!(gen_a, gen_b);
+        let fragments = |cat: &Catalog| cat.fragment_generations("A").unwrap().to_vec();
+        let frag_a = fragments(&cat);
+        let mut stamps = [frag_a.as_slice(), &[gen_a, gen_b]].concat();
+        stamps.sort_unstable();
+        stamps.dedup();
+        assert_eq!(stamps.len(), 4, "register stamps every fragment fresh");
 
-        // replace() stamps a fresh generation; the old one is never reused.
+        // replace() stamps a fresh relation generation, so plans over A
+        // miss; the old one is never reused. `partitioned` allocates every
+        // tuple afresh, and equal content keeps every fragment generation:
+        // values are compared, not only pointers.
         cat.replace(partitioned("A"));
         let gen_a2 = cat.generation("A").unwrap();
         assert_ne!(gen_a2, gen_a);
         assert_ne!(gen_a2, gen_b);
+        assert_eq!(fragments(&cat), frag_a);
 
-        // remove() forgets the generation; re-register assigns a fresh one.
+        // One changed row renews exactly its fragment's generation, and the
+        // relation generation once more.
+        let edited = PartitionedRelation::from_relation(
+            &test_relation("A", &[(1, 10), (2, 21), (3, 30)]),
+            PartitionSpec::on("id", 2, 1),
+        )
+        .unwrap();
+        let changed = edited
+            .fragments()
+            .iter()
+            .position(|f| f.tuples().iter().any(|t| t.value(1) == &Value::Int(21)))
+            .unwrap();
+        cat.replace(edited);
+        let frag_edited = fragments(&cat);
+        for (fragment, (old, new)) in frag_a.iter().zip(&frag_edited).enumerate() {
+            assert_eq!(old == new, fragment != changed, "fragment {fragment}");
+        }
+        assert!(!stamps.contains(&frag_edited[changed]));
+        let gen_a3 = cat.generation("A").unwrap();
+        assert_ne!(gen_a3, gen_a2);
+
+        // A degree change renews every fragment generation.
+        cat.replace(partitioned("A").repartitioned(3).unwrap());
+        let frag_regraded = fragments(&cat);
+        assert_eq!(frag_regraded.len(), 3);
+        assert!(frag_regraded.iter().all(|g| !frag_edited.contains(g)));
+        assert_ne!(cat.generation("A").unwrap(), gen_a3);
+
+        // remove() forgets the generations; re-registering the same content
+        // assigns fresh ones, relation and fragments alike.
         cat.remove("A").unwrap();
         assert_eq!(cat.generation("A"), None);
-        cat.register(partitioned("A")).unwrap();
-        assert_ne!(cat.generation("A").unwrap(), gen_a2);
+        assert_eq!(cat.fragment_generations("A"), None);
+        cat.register(partitioned("A").repartitioned(3).unwrap())
+            .unwrap();
+        assert_ne!(cat.generation("A").unwrap(), gen_a3);
+        assert!(fragments(&cat).iter().all(|g| !frag_regraded.contains(g)));
 
         // Generations are process-wide unique: an unrelated catalog
         // registering the same name never collides with this one.
         let mut other = Catalog::new();
         other.register(partitioned("A")).unwrap();
         assert_ne!(other.generation("A"), cat.generation("A"));
+        assert!(!other
+            .fragment_generations("A")
+            .unwrap()
+            .iter()
+            .any(|g| frag_a.contains(g)));
 
         // Cloning shares the stamps (same underlying relations).
         let cloned = cat.clone();
         assert_eq!(cloned.generation("A"), cat.generation("A"));
+        assert_eq!(
+            cloned.fragment_generations("A"),
+            cat.fragment_generations("A")
+        );
     }
 
     #[test]

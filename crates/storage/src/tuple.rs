@@ -18,9 +18,30 @@ use std::sync::Arc;
 /// every column access saves a pointer chase. Construction moves the values
 /// through a transient exact-size buffer into that block; cloning allocates
 /// nothing.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// Equality is by value, but two tuples sharing one allocation — clones,
+/// or a relation version built from its predecessor's rows — are equal
+/// without reading a value. `Value` equality is reflexive, so the pointer
+/// check only short-cuts; std's `Arc` equality does not take it.
+#[derive(Debug, Clone)]
 pub struct Tuple {
     values: Arc<[Value]>,
+}
+
+impl PartialEq for Tuple {
+    #[inline]
+    fn eq(&self, other: &Tuple) -> bool {
+        Arc::ptr_eq(&self.values, &other.values) || *self.values == *other.values
+    }
+}
+
+impl Eq for Tuple {}
+
+// Hashes exactly what the derive would, consistent with `eq` above.
+impl std::hash::Hash for Tuple {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.values.hash(state);
+    }
 }
 
 impl Tuple {

@@ -181,6 +181,84 @@ fn catalog_mutation_invalidates_cached_plans_and_indexes() {
     assert!(stats.index.hits >= 1, "re-warmed run must hit: {stats:?}");
 }
 
+/// A replace invalidates only the fragments it changed. Two versions of
+/// the build side `A` that differ by one row, alternated on one runtime:
+/// after the cold first query, each query meters exactly one index miss
+/// (the edited fragment's rebuild), one eviction (its stale entry) and
+/// `degree - 1` hits, while the cardinalities alternate. The control, a
+/// regenerated `A` in which every fragment changed, meters exactly
+/// `degree` misses.
+#[test]
+fn a_replace_rebuilds_only_the_fragments_it_changed() {
+    let _serial = serial();
+    let degree = 8;
+    let mut session = session(4_000, 400, degree, 0.0);
+    let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
+    let runtime = Runtime::new(4).unwrap();
+    let query = |session: &Session| {
+        metered(|| {
+            let handle = session.query(&plan).threads(4).submit(&runtime);
+            handle.unwrap().wait().unwrap()
+        })
+    };
+
+    // The second version drops the row keyed 0, which joins one Bprime
+    // row; every other tuple is shared with the first version.
+    let full = session.catalog().get("A").unwrap();
+    let key = full.schema().column_index("unique1").unwrap();
+    let kept: Vec<Tuple> = full
+        .reassemble()
+        .tuples()
+        .iter()
+        .filter(|t| t.value(key) != &Value::Int(0))
+        .cloned()
+        .collect();
+    let shorter = Relation::new("A", full.schema().clone(), kept).unwrap();
+    let versions = [
+        ((*full).clone(), 400),
+        (
+            PartitionedRelation::from_relation(&shorter, full.spec().clone()).unwrap(),
+            399,
+        ),
+    ];
+    drop(full);
+    for round in 0..6 {
+        let (version, expected) = &versions[round % 2];
+        session.catalog_mut().replace(version.clone());
+        let (outcome, stats) = query(&session);
+        assert_eq!(
+            outcome.result_cardinality("Result"),
+            Some(*expected),
+            "round {round}"
+        );
+        if round > 0 {
+            let index = stats.index;
+            assert_eq!(
+                (index.misses, index.hits, index.evictions),
+                (1, degree as u64 - 1, 1),
+                "round {round} must rebuild only the edited fragment: {stats:?}"
+            );
+        }
+    }
+
+    // The control: a regenerated A with twice the rows changes every
+    // fragment, so every index is rebuilt.
+    let doubled = WisconsinGenerator::new()
+        .generate(&WisconsinConfig::narrow("A", 8_000))
+        .unwrap();
+    session.catalog_mut().replace(
+        PartitionedRelation::from_relation(&doubled, PartitionSpec::on("unique1", degree, 4))
+            .unwrap(),
+    );
+    let (outcome, stats) = query(&session);
+    assert_eq!(outcome.result_cardinality("Result"), Some(400));
+    assert_eq!(
+        stats.index.misses, degree as u64,
+        "every fragment changed: {stats:?}"
+    );
+    assert_eq!(runtime.live_queries(), 0);
+}
+
 /// One plan-cache entry per preparation, not two: after `clear_caches()` a
 /// cold `prepare` is exactly one miss, a warm repeat exactly one hit, and a
 /// `prepare` after a catalog `replace` exactly one miss and one eviction

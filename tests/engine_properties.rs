@@ -88,6 +88,47 @@ fn reference(a: &Relation, b: &Relation) -> Vec<(i64, i64, i64, i64)> {
     rows
 }
 
+/// The fragment `key` lands in under `spec` (partitioned on column 0).
+fn fragment_of(spec: &PartitionSpec, key: i64) -> usize {
+    spec.fragment_of_hash(Tuple::new(vec![Value::Int(key)]).hash_key(&[0]))
+}
+
+/// The first key from `start` upwards that `accept`s its fragment.
+fn key_from(start: i64, accept: impl Fn(i64) -> bool) -> i64 {
+    (start..)
+        .find(|&k| accept(k))
+        .expect("some key lands in every fragment")
+}
+
+/// Applies one single-row edit, drawn as `(kind, row, key, payload)`, to
+/// rows partitioned under `spec` (degree ≥ 2):
+/// - 0 inserts `(key, payload)` (also every kind on no rows);
+/// - 1 deletes a row;
+/// - 2 sets a row's payload, a non-key column;
+/// - 3 moves a row's key to another fragment;
+/// - 4 re-keys a row inside its own fragment, the one edit that changes a
+///   fragment's keys but not its length.
+fn apply_edit(rows: &mut Vec<(i64, i64)>, edit: (u8, usize, i64, i64), spec: &PartitionSpec) {
+    let (kind, row, key, payload) = edit;
+    if kind == 0 || rows.is_empty() {
+        rows.push((key, payload));
+        return;
+    }
+    let row = row % rows.len();
+    let home = fragment_of(spec, rows[row].0);
+    match kind {
+        1 => {
+            rows.remove(row);
+        }
+        2 => rows[row].1 = payload,
+        3 => rows[row].0 = key_from(key, |k| fragment_of(spec, k) != home),
+        _ => {
+            let old = rows[row].0;
+            rows[row].0 = key_from(key, |k| k != old && fragment_of(spec, k) == home);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -120,6 +161,33 @@ proptest! {
         let (catalog, a, b) = catalog_from_rows(&a_rows, &b_rows, degree);
         let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
         prop_assert_eq!(run(&catalog, &plan, threads), reference(&b, &a));
+    }
+
+    /// A catalog replace keeps a fragment's cached index only while the
+    /// fragment's tuples are unchanged: after every single-row edit of the
+    /// build side `A`, replaced into the same catalog, the hash AssocJoin
+    /// still returns exactly the reference join of the current version. An
+    /// index surviving a replace that changed its fragment would probe
+    /// stale positions and lose or invent matches.
+    #[test]
+    fn assoc_join_after_single_row_edits_equals_reference(
+        a_rows in proptest::collection::vec((-30i64..30, any::<i64>()), 0..60),
+        b_rows in proptest::collection::vec((-30i64..30, any::<i64>()), 0..40),
+        edits in proptest::collection::vec((0u8..5, any::<usize>(), -30i64..30, any::<i64>()), 1..8),
+        degree in 2usize..8,
+        threads in 1usize..4,
+    ) {
+        let (mut catalog, a, b) = catalog_from_rows(&a_rows, &b_rows, degree);
+        let spec = PartitionSpec::on("unique1", degree, 2);
+        let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
+        prop_assert_eq!(run(&catalog, &plan, threads), reference(&b, &a));
+        let mut rows = a_rows;
+        for edit in edits {
+            apply_edit(&mut rows, edit, &spec);
+            let a = relation_from_rows("A", &rows);
+            catalog.replace(PartitionedRelation::from_relation(&a, spec.clone()).unwrap());
+            prop_assert_eq!(run(&catalog, &plan, threads), reference(&b, &a));
+        }
     }
 
     /// A parallel selection returns exactly the reference selection.
