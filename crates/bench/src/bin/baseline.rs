@@ -24,6 +24,17 @@
 //! The emitted file is re-read and sanity-checked so a truncated write fails
 //! loudly (the CI smoke step relies on a non-zero exit here).
 
+// A panic here kills a query, a session thread or the process: each
+// justified site carries an `#[expect(clippy::.., reason = "..")]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use dbs3_bench::baseline::{host_cpus, run_tier, to_json, BaselineTier, BASELINE_THREADS};
 use dbs3_bench::concurrent::{
     is_non_collapsing, run_concurrent_baseline, ConcurrentRun, CONCURRENT_QUERIES,

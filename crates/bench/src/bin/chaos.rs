@@ -24,11 +24,23 @@
 //! interleaving still varies, so *which* request suffers may differ, but
 //! the invariants hold for every interleaving — that is the point).
 
+// A panic here kills a query, a session thread or the process: each
+// justified site carries an `#[expect(clippy::.., reason = "..")]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use dbs3_engine::{FaultAction, FaultPlan, FaultPoint, FaultTrigger, SchedulerOptions};
 use dbs3_lera::{plans, JoinAlgorithm};
 use dbs3_serve::{ResilientClient, RetryPolicy, ServeError, Server, ServerConfig};
 use dbs3_storage::{
-    Catalog, ColumnDef, PartitionSpec, PartitionedRelation, Relation, Schema, Tuple, Value,
+    Catalog, ColumnDef, PartitionSpec, PartitionedRelation, Relation, Schema, StorageError, Tuple,
+    Value,
 };
 use std::num::NonZeroU64;
 use std::process::ExitCode;
@@ -78,26 +90,20 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn catalog(a_card: usize, b_card: usize, degree: usize) -> Catalog {
+fn catalog(a_card: usize, b_card: usize, degree: usize) -> Result<Catalog, StorageError> {
     let schema = || Schema::new(vec![ColumnDef::int("unique1"), ColumnDef::int("payload")]);
     let tuples = |card: usize| {
         (0..card as i64)
             .map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i * 3)]))
             .collect()
     };
-    // allow-panic: harness setup over fixed synthetic data — a failure here
-    // is a bug in the harness itself and should abort the run loudly.
-    let a = Relation::new("A", schema(), tuples(a_card)).expect("valid relation");
-    let b = Relation::new("Bprime", schema(), tuples(b_card)).expect("valid relation"); // allow-panic: see above
+    let a = Relation::new("A", schema(), tuples(a_card))?;
+    let b = Relation::new("Bprime", schema(), tuples(b_card))?;
     let spec = PartitionSpec::on("unique1", degree, 4);
     let mut cat = Catalog::new();
-    // allow-panic: same harness-setup invariant as above.
-    cat.register(PartitionedRelation::from_relation(&a, spec.clone()).expect("valid partitioning"))
-        .expect("fresh catalog"); // allow-panic: see above
-                                  // allow-panic: same harness-setup invariant as above.
-    cat.register(PartitionedRelation::from_relation(&b, spec).expect("valid partitioning"))
-        .expect("fresh catalog"); // allow-panic: see above
-    cat
+    cat.register(PartitionedRelation::from_relation(&a, spec.clone())?)?;
+    cat.register(PartitionedRelation::from_relation(&b, spec)?)?;
+    Ok(cat)
 }
 
 fn main() -> ExitCode {
@@ -142,8 +148,7 @@ fn main() -> ExitCode {
         )
         .rule(
             FaultPoint::WorkerProcess,
-            // allow-panic: evaluated at compile time, on a nonzero literal.
-            FaultTrigger::EveryK(const { NonZeroU64::new(401).expect("401 is nonzero") }),
+            FaultTrigger::EveryK(NonZeroU64::MIN.saturating_add(400)),
             FaultAction::Panic,
         )
         // Only the first wave builds (the catalog never changes), so these
@@ -161,8 +166,15 @@ fn main() -> ExitCode {
         )
         .install();
 
+    let catalog = match catalog(4_000, b_card as usize, 16) {
+        Ok(catalog) => catalog,
+        Err(e) => {
+            eprintln!("chaos: setup: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let server = match Server::bind(
-        catalog(4_000, b_card as usize, 16),
+        catalog,
         ("127.0.0.1", 0),
         ServerConfig {
             workers: 4,
@@ -187,6 +199,7 @@ fn main() -> ExitCode {
             let queries = args.queries;
             let seed = args.seed;
             std::thread::spawn(move || {
+                #[expect(clippy::expect_used, reason = "127.0.0.1 always resolves")]
                 let mut client = ResilientClient::connect(
                     addr,
                     RetryPolicy {
@@ -197,7 +210,7 @@ fn main() -> ExitCode {
                         read_timeout: Some(Duration::from_secs(20)),
                     },
                 )
-                .expect("resolve loopback"); // allow-panic: 127.0.0.1 always resolves
+                .expect("resolve loopback");
                 let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
                 let options = SchedulerOptions::default().with_total_threads(2);
                 let (mut ok, mut deadlines, mut typed, mut wrong) = (0u64, 0u64, 0u64, 0u64);

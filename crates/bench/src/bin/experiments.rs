@@ -11,6 +11,17 @@
 //! `ablation-bound`, `all`. The `--smoke` flag switches to the reduced scale
 //! whose output `tests/golden/figures_smoke.txt` pins.
 
+// A panic here kills a query, a session thread or the process: each
+// justified site carries an `#[expect(clippy::.., reason = "..")]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use dbs3_bench::experiments as exp;
 use dbs3_bench::ExperimentScale;
 

@@ -379,12 +379,13 @@ fn lookup_fault_bypasses() -> bool {
             false
         }
         Some(FaultAction::Error) | Some(FaultAction::Drop) => true,
-        Some(FaultAction::Panic) => {
-            // allow-panic: injected fault — exercises the same containment
-            // as a real panic at this point (worker catch_unwind / submit
-            // path unwinding); faults may fail queries, never falsify them.
-            panic!("fault injected: {}", FaultPoint::CacheLookup)
-        }
+        #[expect(
+            clippy::panic,
+            reason = "injected fault: exercises the containment of a real panic here (the \
+                      worker's catch_unwind, the submit path's unwinding); faults may fail \
+                      queries, never falsify them"
+        )]
+        Some(FaultAction::Panic) => panic!("fault injected: {}", FaultPoint::CacheLookup),
     }
 }
 
@@ -397,12 +398,13 @@ fn honor_build_fault() {
     match faults::hit(FaultPoint::CacheBuild) {
         None => {}
         Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-        Some(_) => {
-            // allow-panic: injected fault; error/drop escalate on purpose —
-            // a silently skipped build has no typed-error channel here, and
-            // the panic is contained into WorkerPanicked.
-            panic!("fault injected: {}", FaultPoint::CacheBuild)
-        }
+        #[expect(
+            clippy::panic,
+            reason = "injected fault; error and drop escalate on purpose: a silently skipped \
+                      build has no typed-error channel here, and the panic is contained into \
+                      WorkerPanicked"
+        )]
+        Some(_) => panic!("fault injected: {}", FaultPoint::CacheBuild),
     }
 }
 

@@ -19,7 +19,7 @@ pub enum EngineError {
     InvalidOptions(String),
     /// A worker thread panicked during execution.
     WorkerPanicked { operation: String },
-    /// The executor was asked to run a plan with no store operator, so there
+    /// The runtime was asked to run a plan with no store operator, so there
     /// is nowhere to put the result.
     NoStoreOperator,
     /// The query was cancelled through its

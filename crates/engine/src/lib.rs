@@ -47,6 +47,17 @@
 //! query result and detailed [`metrics`] (per-thread busy time, activation
 //! counts, queue contention) used by the experiments.
 
+// A panic here kills a query, a session thread or the process: each
+// justified site carries an `#[expect(clippy::.., reason = "..")]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod activation;
 pub mod cache;
 pub mod error;

@@ -3,8 +3,7 @@
 //! The experiments need more than the elapsed time: the load-balancing story
 //! of the paper is about *how evenly* the threads of a pool were busy, how
 //! many activations each consumed, and how often threads had to leave their
-//! main queues. These metrics also power the ablation benches (adaptive pool
-//! vs static one-thread-per-instance, effect of the internal cache).
+//! main queues.
 
 use dbs3_lera::NodeId;
 use std::time::Duration;
@@ -111,7 +110,7 @@ impl OperationMetrics {
 pub struct ExecutionMetrics {
     /// Wall-clock time of the parallel execution (excluding plan binding).
     pub elapsed: Duration,
-    /// Total threads spawned across all pools.
+    /// Width of the worker pool that ran the query.
     pub total_threads: usize,
     /// Per-operation metrics, in plan order.
     pub operations: Vec<OperationMetrics>,

@@ -260,10 +260,13 @@ impl OpWord {
             });
         match outcome {
             Ok(done) => done,
-            // allow-panic: the runtime never makes a refused transition —
-            // the explorer below checks every interleaving of the events it
-            // issues, and `Runtime::new` bounds the pool by MAX_INFLIGHT.
-            // A wrapped field would hang the query's waiters instead.
+            #[expect(
+                clippy::panic,
+                reason = "the runtime never makes a refused transition: the explorer below \
+                          checks every interleaving of the events it issues, and `Runtime::new` \
+                          bounds the pool by MAX_INFLIGHT; a wrapped field would hang the \
+                          query's waiters instead"
+            )]
             Err(violation) => panic!("operation state violation: {violation:?} on {event:?}"),
         }
     }

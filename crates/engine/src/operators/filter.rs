@@ -38,15 +38,18 @@ impl FilterOperator {
     /// A trigger scans the whole fragment; a morsel scans its row range.
     ///
     /// Data activations are ignored (a filter is always triggered); the
-    /// executor never routes them here, but being lenient keeps the operator
+    /// runtime never routes them here, but being lenient keeps the operator
     /// harmless under misuse.
     pub fn process(&self, instance: usize, activation: Activation) -> TupleBatch {
+        #[expect(
+            clippy::expect_used,
+            reason = "plan binding sized the instance range; an out-of-range instance is a \
+                      planner bug worth crashing on"
+        )]
         let fragment = self
             .relation
             .fragment(instance)
-            // allow-panic: plan binding sized the instance range; an
-            // out-of-range instance is a planner bug worth crashing on.
-            .expect("executor only routes activations to existing instances");
+            .expect("the runtime only routes activations to existing instances");
         let tuples = fragment.tuples();
         let Some((start, end)) = super::control_range(&activation, tuples.len()) else {
             return TupleBatch::default();

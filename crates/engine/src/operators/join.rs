@@ -63,12 +63,15 @@ impl Probe {
     /// one partner (the key joins of the paper's plans), a first guess
     /// otherwise — instead of regrowing from empty on every activation.
     fn join(&self, instance: usize, outers: &[Tuple]) -> TupleBatch {
+        #[expect(
+            clippy::expect_used,
+            reason = "plan binding verified co-partitioning and hash routing is modulo the \
+                      instance count, so the fragment exists; a miss is a planner bug worth \
+                      crashing on"
+        )]
         let inner = self
             .inner
             .fragment(instance)
-            // allow-panic: plan binding verified co-partitioning and hash
-            // routing is modulo the instance count, so the fragment exists;
-            // a miss is a planner bug worth crashing on.
             .expect("every join instance has an inner fragment")
             .tuples();
         // The paper's "index built on the fly": resolved once per instance,
@@ -157,11 +160,14 @@ impl TriggeredJoinOperator {
     /// A trigger joins the whole outer fragment against the co-partitioned
     /// inner fragment; a morsel joins only its outer row range.
     pub fn process(&self, instance: usize, activation: Activation) -> TupleBatch {
+        #[expect(
+            clippy::expect_used,
+            reason = "plan binding verified co-partitioning; a missing fragment is a planner \
+                      bug worth crashing on"
+        )]
         let outer = self
             .outer
             .fragment(instance)
-            // allow-panic: plan binding verified co-partitioning; a missing
-            // fragment is a planner bug worth crashing on.
             .expect("co-partitioned operands share the degree of partitioning")
             .tuples();
         match super::control_range(&activation, outer.len()) {
@@ -324,7 +330,7 @@ mod tests {
         for algorithm in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
             let op = pipelined(&a, &ga, algorithm);
             // Route every B' tuple to the instance its key hashes to, exactly
-            // like the executor does.
+            // like the runtime does.
             let mut total = 0usize;
             for t in b_rel.tuples() {
                 let h = t.hash_key(&[u1]);

@@ -8,7 +8,7 @@ use std::sync::Arc;
 /// one output batch.
 ///
 /// The *redistribution* itself — deciding which consumer instance each tuple
-/// goes to — is the executor's routing step (hash of the key column), exactly
+/// goes to — is the runtime's routing step (hash of the key column), exactly
 /// as in the paper's AssocJoin plan where the transmit operator's data
 /// activations are spread over the join instances.
 #[derive(Debug)]
@@ -26,12 +26,15 @@ impl TransmitOperator {
     /// A trigger forwards the whole fragment; a morsel forwards its row
     /// range.
     pub fn process(&self, instance: usize, activation: Activation) -> TupleBatch {
+        #[expect(
+            clippy::expect_used,
+            reason = "plan binding sized the instance range; an out-of-range instance is a \
+                      planner bug worth crashing on"
+        )]
         let tuples = self
             .relation
             .fragment(instance)
-            // allow-panic: plan binding sized the instance range; an
-            // out-of-range instance is a planner bug worth crashing on.
-            .expect("executor only routes activations to existing instances")
+            .expect("the runtime only routes activations to existing instances")
             .tuples();
         let Some((start, end)) = super::control_range(&activation, tuples.len()) else {
             return TupleBatch::default();

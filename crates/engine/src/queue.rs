@@ -156,10 +156,12 @@ impl ActivationQueue {
     pub fn try_push(&self, activation: Activation) -> std::result::Result<(), TryPushError> {
         match crate::faults::hit(crate::faults::FaultPoint::QueuePush) {
             Some(crate::faults::FaultAction::Delay(d)) => std::thread::sleep(d),
-            // allow-panic: `error`/`drop` escalate to a panic on purpose —
-            // silently losing an activation would corrupt results, while the
-            // panic is contained by the worker's catch_unwind into a typed
-            // `WorkerPanicked`.
+            #[expect(
+                clippy::panic,
+                reason = "error and drop escalate to a panic on purpose: silently losing an \
+                          activation would corrupt results, while the worker's catch_unwind \
+                          contains the panic into a typed WorkerPanicked"
+            )]
             Some(_) => panic!("injected fault at {}", crate::faults::FaultPoint::QueuePush),
             None => {}
         }
@@ -244,8 +246,11 @@ impl ActivationQueue {
             if popped > 0 && popped + weight > max_weight {
                 break;
             }
-            // allow-panic: the `while let Some(front)` above proved
-            // non-emptiness under the same lock.
+            #[expect(
+                clippy::expect_used,
+                reason = "the `while let Some(front)` above proved non-emptiness under the same \
+                          lock"
+            )]
             let a = state.buffer.pop_front().expect("front exists");
             state.weight -= weight;
             popped += weight;

@@ -27,9 +27,7 @@
 //!   in a buffer the worker owns, and a scatter buffer is allocated once,
 //!   exactly one batch wide, and leaves as that batch;
 //! * **cross-query fairness** — entries rotate through the deque, so no
-//!   query can starve another however long its own queues are (the
-//!   pathology the old sticky-cursor registry scan produced at 4
-//!   concurrent queries);
+//!   query can starve another however long its own queues are;
 //! * **intra-operator parallelism** — the entry is back in the deque while
 //!   the batch is processed, so sibling workers converge on the same
 //!   operation when it is the only one with work (this is what makes
@@ -70,30 +68,26 @@
 //! whatever the morsel size, which `tests/backend_equivalence.rs` pins
 //! across backends.
 //!
-//! # Differences from the per-query scoped-thread executor
+//! # Threads, termination, backpressure and idling
 //!
-//! * **Thread ownership is inverted.** Threads belong to the runtime, not
-//!   to an operation of one query, and the pool width bounds actual
-//!   parallelism. Per-operation thread counts (scheduling steps 2–3) exist
-//!   only in the simulator.
-//! * **Termination is by accounting, not by thread exit.** The old executor
-//!   closed a consumer's queues when the last producer *thread* exited.
-//!   Here each operation's state word counts the queue weight it has
-//!   pending (raised before every push, lowered after every pop) and the
-//!   workers holding a batch of it; the operation is *finished* by the one
-//!   transition that finds its input closed, nothing pending and nothing
-//!   in flight (see `op_state.rs`). Finishing closes the consumer's
-//!   queues and closes its input, and the check cascades down the
-//!   pipeline. When every operation of a query has finished, its results
-//!   and metrics are sealed into a completion cell and the query's
-//!   [`QueryHandle::wait`] returns.
-//! * **Backpressure is cooperative.** A dedicated-pool engine can block on
-//!   a full consumer queue because the consumer owns other threads. A
-//!   shared pool cannot — if every worker blocked producing, nobody would
-//!   be left to consume and the pool would deadlock. Workers therefore
-//!   never block on a push: when a destination queue is full they *help
-//!   drain it* (pop a batch from that very queue and process it, exactly as
-//!   the consumer would), then retry. Helping recurses at most to the
+//! * **Threads belong to the runtime.** No operation of a query owns a
+//!   thread, and the pool width bounds actual parallelism. Per-operation
+//!   thread counts (scheduling steps 2–3) exist only in the simulator.
+//! * **Termination is by accounting.** Each operation's state word counts
+//!   the queue weight it has pending (raised before every push, lowered
+//!   after every pop) and the workers holding a batch of it; the operation
+//!   is *finished* by the one transition that finds its input closed,
+//!   nothing pending and nothing in flight (see `op_state.rs`). Finishing
+//!   closes the consumer's queues and closes its input, and the check
+//!   cascades down the pipeline. When every operation of a query has
+//!   finished, its results and metrics are sealed into a completion cell
+//!   and the query's [`QueryHandle::wait`] returns.
+//! * **Backpressure is cooperative.** The pool is shared, so if every
+//!   worker blocked producing, nobody would be left to consume and the
+//!   pool would deadlock. Workers therefore never block on a push: when a
+//!   destination queue is full they *help drain it* (pop a batch from that
+//!   very queue and process it, exactly as the consumer would), then
+//!   retry. Helping recurses at most to the
 //!   pipeline depth and each step makes real progress, so tiny queue
 //!   capacities stay deadlock-free.
 //! * **Idle costs nothing.** Workers that find no poppable activation
@@ -152,7 +146,7 @@ impl fmt::Display for QueryId {
 }
 
 /// How data activations produced by one operation find the consumer
-/// instance's queue (identical to the static executor's routing).
+/// instance's queue.
 #[derive(Debug, Clone)]
 enum Router {
     /// Hash the given column over the consumer's degree — the dynamic
@@ -431,24 +425,30 @@ impl Runtime {
             shutdown: AtomicBool::new(false),
             idle: IdleParking::new(),
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "thread spawn fails only on resource exhaustion at startup; no query is \
+                      in flight yet"
+        )]
         let mut workers: Vec<JoinHandle<()>> = (0..pool_threads)
             .map(|worker| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("dbs3-runtime-{worker}"))
                     .spawn(move || worker_loop(&inner, worker))
-                    // allow-panic: thread spawn fails only on resource
-                    // exhaustion at startup; no query is in flight yet.
                     .expect("spawning a runtime worker thread")
             })
             .collect();
         if let Some(stall_after) = stall_after {
             let inner = Arc::clone(&inner);
+            #[expect(
+                clippy::expect_used,
+                reason = "the same startup-only spawn as the workers"
+            )]
             workers.push(
                 std::thread::Builder::new()
                     .name("dbs3-watchdog".to_string())
                     .spawn(move || watchdog_loop(&inner, stall_after))
-                    // allow-panic: same startup-only spawn as the workers.
                     .expect("spawning the runtime watchdog thread"),
             );
         }
@@ -547,10 +547,13 @@ impl Runtime {
         // producers before consumers.
         for id in &order {
             let node = plan.node(*id)?;
+            #[expect(
+                clippy::expect_used,
+                reason = "ExtendedPlan::from_plan above covered every node of the same plan \
+                          this order came from"
+            )]
             let ext_op = extended
                 .operation(*id)
-                // allow-panic: ExtendedPlan::from_plan above covered every
-                // node of the same plan this order came from.
                 .expect("extended plan covers every node");
             let op_schedule = schedule.operation(*id)?;
 
@@ -900,11 +903,11 @@ fn honor_submit_fault() -> Result<()> {
             std::thread::sleep(d);
             Ok(())
         }
-        Some(FaultAction::Panic) => {
-            // allow-panic: FaultAction::Panic is the injected-crash
-            // contract of the fault registry.
-            panic!("injected fault at {}", FaultPoint::RuntimeSubmit)
-        }
+        #[expect(
+            clippy::panic,
+            reason = "FaultAction::Panic is the injected-crash contract of the fault registry"
+        )]
+        Some(FaultAction::Panic) => panic!("injected fault at {}", FaultPoint::RuntimeSubmit),
         None => Ok(()),
     }
 }
@@ -957,12 +960,14 @@ pub(crate) fn bind_operator(
             // shared build-index cache: every query binding a fragment at
             // one generation shares its build. The slice is the catalog's
             // own, so binding allocates nothing for it.
+            #[expect(
+                clippy::expect_used,
+                reason = "the catalog registers, replaces and removes a relation and its \
+                          generations together, and `get` just found this one"
+            )]
             let generations = Arc::clone(
                 catalog
                     .fragment_generations(inner_relation)
-                    // allow-panic: the catalog registers, replaces and
-                    // removes a relation and its generations together, and
-                    // `get` just found this one.
                     .expect("a registered relation has fragment generations"),
             );
             match outer {
@@ -982,8 +987,11 @@ pub(crate) fn bind_operator(
                     ))
                 }
                 OuterInput::Pipeline => {
-                    // allow-panic: Plan::validate rejected pipeline joins
-                    // without a producer edge before binding started.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "Plan::validate rejected pipeline joins without a producer \
+                                  edge before binding started"
+                    )]
                     let producer = node.producer().expect("validated");
                     let incoming_schema = plan.output_schema(producer, catalog)?;
                     let outer_column = incoming_schema.column_index(&condition.outer_column)?;
@@ -1122,8 +1130,8 @@ enum Processed {
 /// Processing runs under `catch_unwind`: a panicking operator must neither
 /// kill the pool worker nor leave its claim on the operation up forever
 /// (which would hang every waiter) — instead the query is aborted with the
-/// typed [`EngineError::WorkerPanicked`] the scoped-thread executor used to
-/// produce, and the pool keeps serving other queries. The
+/// typed [`EngineError::WorkerPanicked`], and the pool keeps serving other
+/// queries. The
 /// `engine.worker.process` fault point sits inside the guarded section, so
 /// injected panics exercise exactly this containment path.
 fn try_process_op(
@@ -1141,8 +1149,11 @@ fn try_process_op(
     }
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         match faults::hit(FaultPoint::WorkerProcess) {
-            // allow-panic: FaultAction::Panic is the injected-crash contract;
-            // catch_unwind right above contains it into WorkerPanicked.
+            #[expect(
+                clippy::panic,
+                reason = "FaultAction::Panic is the injected-crash contract; the catch_unwind \
+                          right above contains it into WorkerPanicked"
+            )]
             Some(FaultAction::Panic) => panic!(
                 "injected fault at {} in `{}`",
                 FaultPoint::WorkerProcess,
@@ -1870,12 +1881,22 @@ mod tests {
     #[test]
     fn submitting_a_storeless_plan_is_an_error() {
         let (cat, _, _) = build_catalog(200, 20, 4);
-        // Build a plan whose store was... every helper plan stores; use the
-        // executor's validation path instead: a schedule missing a node.
-        let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
-        let schedule = ExecutionSchedule::from_parts(BTreeMap::new(), 1);
+        let join =
+            plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash).nodes()[0].clone();
+        let plan = Plan::from_nodes("join-only", vec![join]).unwrap();
+        let schedule = schedule_for(&plan, &cat, 1);
         let runtime = Runtime::new(1).unwrap();
-        assert!(runtime.submit(&cat, &plan, &schedule).is_err());
+        assert!(matches!(
+            runtime.submit(&cat, &plan, &schedule),
+            Err(EngineError::NoStoreOperator)
+        ));
+
+        let options = SchedulerOptions::default().with_total_threads(1);
+        let prepared = crate::prepare(&cat, &plan, &options, &CostParameters::default()).unwrap();
+        assert!(matches!(
+            runtime.submit_prepared(&cat, &prepared),
+            Err(EngineError::NoStoreOperator)
+        ));
     }
 
     #[test]

@@ -17,6 +17,17 @@
 //! `--fault serve.write:p=0.1:drop --fault-seed 7`. `--stall-after-ms`
 //! arms the runtime watchdog against wedged queries.
 
+// A panic here kills a query, a session thread or the process: each
+// justified site carries an `#[expect(clippy::.., reason = "..")]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use dbs3_engine::{FaultPlan, FaultPoint};
 use dbs3_serve::{Server, ServerConfig};
 use dbs3_storage::{

@@ -285,11 +285,12 @@ impl ResilientClient {
             }
             self.conn = Some(client);
         }
-        self.conn
-            .as_mut()
-            // allow-panic: the branch above just filled the None case.
-            .expect("connection was just established")
-            .execute_with_id(plan, options, deadline_ms, request_id)
+        #[expect(
+            clippy::expect_used,
+            reason = "the branch above just filled the None case"
+        )]
+        let conn = self.conn.as_mut().expect("connection was just established");
+        conn.execute_with_id(plan, options, deadline_ms, request_id)
     }
 
     /// Exponential backoff capped at `max_backoff`, plus a seeded jitter

@@ -25,6 +25,17 @@
 //! The `dbs3-e2e` benchmark measures this stack end to end with open-loop
 //! traffic (its `serve_open_assoc` workload).
 
+// A panic here kills a query, a session thread or the process: each
+// justified site carries an `#[expect(clippy::.., reason = "..")]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod client;
 pub mod error;
 pub mod server;

@@ -175,7 +175,10 @@ impl ResponseLedger {
         inner.entries.insert(id, LedgerEntry::Done(frames.to_vec()));
         inner.order.push_back(id);
         while inner.order.len() > LEDGER_CAPACITY {
-            // allow-panic: the loop condition just checked len > 0.
+            #[expect(
+                clippy::expect_used,
+                reason = "the loop condition just checked len > 0"
+            )]
             let oldest = inner.order.pop_front().expect("order is non-empty");
             if matches!(inner.entries.get(&oldest), Some(LedgerEntry::Done(_))) {
                 inner.entries.remove(&oldest);
@@ -372,9 +375,12 @@ impl Server {
                             continue;
                         }
                         Some(FaultAction::Delay(d)) => std::thread::sleep(d),
+                        #[expect(
+                            clippy::panic,
+                            reason = "FaultAction::Panic is the contract: the chaos suite \
+                                      injects exactly this crash"
+                        )]
                         Some(FaultAction::Panic) => {
-                            // allow-panic: FaultAction::Panic is the contract —
-                            // the chaos suite injects exactly this crash.
                             panic!("injected fault at {}", FaultPoint::ServeAccept)
                         }
                         None => {}
@@ -439,7 +445,10 @@ impl Read for DrainAwareReader<'_> {
                 ))
             }
             Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-            // allow-panic: FaultAction::Panic is the injected-crash contract.
+            #[expect(
+                clippy::panic,
+                reason = "FaultAction::Panic is the injected-crash contract"
+            )]
             Some(FaultAction::Panic) => panic!("injected fault at {}", FaultPoint::ServeRead),
             None => {}
         }
@@ -486,7 +495,10 @@ impl Write for FaultyWriter {
                 ))
             }
             Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-            // allow-panic: FaultAction::Panic is the injected-crash contract.
+            #[expect(
+                clippy::panic,
+                reason = "FaultAction::Panic is the injected-crash contract"
+            )]
             Some(FaultAction::Panic) => panic!("injected fault at {}", FaultPoint::ServeWrite),
             None => {}
         }

@@ -211,19 +211,18 @@ impl<'a> Dec<'a> {
         Ok(self.take(1, what)?[0])
     }
 
+    #[expect(clippy::unwrap_used, reason = "take(4, ..) returns exactly 4 bytes")]
     fn u32(&mut self, what: &str) -> ServeResult<u32> {
-        // allow-panic: take(4, ..) returned exactly 4 bytes, so the array
-        // conversion cannot fail.
         Ok(u32::from_be_bytes(self.take(4, what)?.try_into().unwrap()))
     }
 
+    #[expect(clippy::unwrap_used, reason = "take(8, ..) returns exactly 8 bytes")]
     fn u64(&mut self, what: &str) -> ServeResult<u64> {
-        // allow-panic: take(8, ..) returned exactly 8 bytes.
         Ok(u64::from_be_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
+    #[expect(clippy::unwrap_used, reason = "take(8, ..) returns exactly 8 bytes")]
     fn i64(&mut self, what: &str) -> ServeResult<i64> {
-        // allow-panic: take(8, ..) returned exactly 8 bytes.
         Ok(i64::from_be_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
@@ -703,7 +702,7 @@ impl Frame {
             ReadOutcome::TruncatedEof => return Err(ServeError::Truncated),
             ReadOutcome::Filled => {}
         }
-        // allow-panic: header[..4] is exactly 4 bytes by construction.
+        #[expect(clippy::unwrap_used, reason = "header[..4] is exactly 4 bytes")]
         let len = u32::from_be_bytes(header[..4].try_into().unwrap()) as usize;
         if len > MAX_FRAME_LEN {
             return Err(ServeError::FrameTooLarge { len });

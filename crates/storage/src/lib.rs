@@ -25,6 +25,17 @@
 //! experiments (the KSR1 configuration had a single disk, so measurements
 //! were done with cached relations).
 
+// A panic here kills a query, a session thread or the process: each
+// justified site carries an `#[expect(clippy::.., reason = "..")]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod catalog;
 pub mod error;
 pub mod fragment;

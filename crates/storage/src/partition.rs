@@ -148,10 +148,13 @@ impl PartitionedRelation {
             let key = keys[frag_id];
             for _ in 0..card {
                 // Re-key the next source tuple onto this fragment's key.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`cards` was built by distributing exactly `relation.cardinality()` \
+                              units over the fragments"
+                )]
                 let tuple = source
                     .next()
-                    // allow-panic: `cards` was built by distributing exactly
-                    // `relation.cardinality()` units over the fragments.
                     .expect("cardinalities sum to the relation cardinality");
                 let mut values = tuple.values().to_vec();
                 values[key_index] = crate::value::Value::Int(key);
@@ -277,6 +280,11 @@ impl PartitionedRelation {
 /// fragment under `spec`. Scans the natural numbers; for any reasonable
 /// degree this terminates quickly because the stable hash spreads integers
 /// uniformly.
+#[expect(
+    clippy::expect_used,
+    reason = "the loop only exits once every slot is Some (the assert is the safety valve \
+              against a degenerate hash)"
+)]
 pub fn fragment_key_pool(spec: &PartitionSpec, degree: usize) -> Vec<i64> {
     let mut keys: Vec<Option<i64>> = vec![None; degree];
     let mut found = 0usize;
@@ -298,8 +306,6 @@ pub fn fragment_key_pool(spec: &PartitionSpec, degree: usize) -> Vec<i64> {
             "could not find keys for all fragments"
         );
     }
-    // allow-panic: the loop above only exits once every slot is Some (the
-    // assert is the safety valve against a degenerate hash).
     keys.into_iter().map(|k| k.expect("all found")).collect()
 }
 

@@ -147,6 +147,11 @@ impl PartialEq for Relation {
 
 /// Builds a tiny two-column integer relation, used in unit tests across the
 /// workspace (`id`, `val`).
+#[expect(
+    clippy::expect_used,
+    reason = "test-support constructor over a fixed two-column schema, reachable only from \
+              tests and examples"
+)]
 pub fn test_relation(name: &str, rows: &[(i64, i64)]) -> Relation {
     use crate::schema::ColumnDef;
     use crate::value::Value;
@@ -155,8 +160,6 @@ pub fn test_relation(name: &str, rows: &[(i64, i64)]) -> Relation {
         .iter()
         .map(|&(a, b)| Tuple::new(vec![Value::Int(a), Value::Int(b)]))
         .collect();
-    // allow-panic: test-support constructor over a fixed two-column schema;
-    // only reachable from tests and examples.
     Relation::new(name, schema, tuples).expect("test relation is always valid")
 }
 

@@ -226,10 +226,10 @@ mod tests {
     fn cloning_a_string_value_shares_the_allocation() {
         let v = Value::from("BAAAAAAX");
         let c = v.clone();
-        match (&v, &c) {
-            (Value::Str(a), Value::Str(b)) => assert!(Arc::ptr_eq(a, b)),
-            _ => unreachable!("both values are strings"),
-        }
+        let (Value::Str(a), Value::Str(b)) = (&v, &c) else {
+            panic!("both values are strings")
+        };
+        assert!(Arc::ptr_eq(a, b));
     }
 
     #[test]

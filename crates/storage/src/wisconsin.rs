@@ -183,6 +183,10 @@ impl WisconsinGenerator {
 /// in base-26 letters (A..Z), most significant first, padded to `len` with
 /// 'A', mirroring the original benchmark's convention of unique strings that
 /// sort like the numbers they encode.
+#[expect(
+    clippy::expect_used,
+    reason = "the buffer only ever holds ASCII letters"
+)]
 pub fn wisconsin_string(mut v: u64, len: usize) -> String {
     let mut digits = Vec::new();
     loop {
@@ -198,14 +202,16 @@ pub fn wisconsin_string(mut v: u64, len: usize) -> String {
     }
     s.extend(digits.iter().rev());
     s.truncate(len.max(digits.len()));
-    // allow-panic: the buffer only ever holds ASCII letters.
     String::from_utf8(s).expect("letters are valid UTF-8")
 }
 
 /// The Wisconsin `string4` attribute: cycles through four constant strings.
+#[expect(
+    clippy::expect_used,
+    reason = "the buffer only ever holds ASCII letters"
+)]
 pub fn string4(row: usize, len: usize) -> String {
     let c = [b'A', b'H', b'O', b'V'][row % 4];
-    // allow-panic: the buffer only ever holds ASCII letters.
     String::from_utf8(vec![c; len.max(1)]).expect("letters are valid UTF-8")
 }
 
