@@ -6,8 +6,8 @@
 //!
 //! Boots an in-process `dbs3-serve` server with the runtime watchdog armed
 //! and a seeded fault plan injecting connection drops, read/write failures,
-//! slow writes, worker faults and shared-index build faults (the first
-//! build panics while other clients' queries wait in the same cache cell;
+//! slow writes, worker faults and index build faults (the first build
+//! panics while other clients' queries wait in the same fragment's cell;
 //! slowed builds widen that window), then drives it with a fleet of
 //! self-healing clients. Every fourth request carries a 1 ms deadline so
 //! the deadline-cancellation path runs under fire too.
@@ -152,8 +152,8 @@ fn main() -> ExitCode {
             FaultAction::Panic,
         )
         // Only the first wave builds (the catalog never changes), so these
-        // cost milliseconds: the first shared build panics, and slowed
-        // builds keep other queries waiting in the same cell.
+        // cost milliseconds: the first index build panics, and slowed
+        // builds keep other queries waiting in the same fragment's cell.
         .rule(
             FaultPoint::CacheBuild,
             FaultTrigger::Nth(NonZeroU64::MIN),

@@ -1,5 +1,5 @@
-//! Process-wide query-setup caches: prepared plans and shared build-side
-//! hash indexes.
+//! Process-wide query-setup caches: prepared plans, and the counters of the
+//! build-side hash indexes that live in their fragments.
 //!
 //! Under real traffic the same plan shapes repeat and concurrent queries
 //! hash-join the *same* relations, yet historically every submission
@@ -9,53 +9,47 @@
 //! * the **plan cache** maps a content hash of (plan structure, scheduler
 //!   options, cost parameters) to the expanded [`ExtendedPlan`] and built
 //!   [`ExecutionSchedule`] (a [`PreparedPlan`]);
-//! * the **index cache** maps (relation, key column, fragment, *fragment
-//!   generation*) to an `Arc<HashIndex>`, so concurrent and repeated
-//!   queries over one relation share a single build — each entry holds its
-//!   fragment's build cell (a [`OnceLock`]): the first requester builds
-//!   into it, concurrent requesters *wait on the build in flight* instead
-//!   of duplicating it, and later requesters clone the `Arc`.
+//! * **indexes live in their fragments**: [`fragment_index`] resolves the
+//!   build cell a [`Fragment`] owns for each column. The first requester
+//!   builds into it, concurrent requesters *wait on the build in flight*
+//!   instead of duplicating it, and later requesters clone the `Arc`. A
+//!   fragment is immutable, so its index can never go stale; it is dropped
+//!   with the fragment, and a [`Catalog::replace`] hands it on to an equal
+//!   fragment of the new version.
 //!
-//! **Invalidation is by generation, not by flushing**: every [`Catalog`]
-//! mutation stamps the touched relation with a process-wide unique
-//! generation, and each of its fragments with one that changes only when
-//! the fragment's tuples do. Prepared plans record the relation generations
-//! they were derived from, index entries their fragment's generation, and a
-//! lookup that finds a stale entry evicts it and reports a miss. Stale
-//! entries are therefore unreachable the instant the catalog changes, and a
-//! replace that edits one fragment leaves the other fragments' indexes hit.
-//! Capacity is bounded with LRU eviction on top. The per-cache
-//! hit/miss/evict counters are process-wide too: a caller meters a phase
-//! as `cache_stats().since(&before)` ([`cache_stats`], [`CacheStats::since`]),
+//! **Plans are invalidated by generation, not by flushing**: every
+//! [`Catalog`] mutation stamps the touched relation with a process-wide
+//! unique generation, prepared plans record the generations they were
+//! derived from, and a lookup that finds a stale entry evicts it and reports
+//! a miss. Capacity is bounded with LRU eviction on top. The hit/miss/evict
+//! counters are process-wide too: a caller meters a phase as
+//! `cache_stats().since(&before)` ([`cache_stats`], [`CacheStats::since`]),
 //! as the serve stats path does over a server's lifetime.
 //!
-//! Both caches are process-wide — with the fault registry, the engine's
-//! only process-globals: generations are unique across *all* catalogs, so
-//! entries from unrelated sessions can never be confused, and
-//! cross-connection reuse in the serve layer falls out for free.
+//! `static CACHES` — the plan cache and the two index counters — is, with
+//! the fault registry, the engine's only process-global: generations are
+//! unique across *all* catalogs, so plans from unrelated sessions can never
+//! be confused, and cross-connection reuse in the serve layer falls out for
+//! free.
 //!
-//! Fault points [`FaultPoint::CacheLookup`] and
-//! [`FaultPoint::CacheBuild`] cover the new path: a lookup fault
-//! bypasses the cache (an uncached build is always correct — faults may
-//! fail or slow queries, never falsify them), a build fault escalates to a
-//! panic contained by the worker's `catch_unwind` and leaves the cell empty
-//! for the next requester to build into.
+//! Fault points [`FaultPoint::CacheLookup`] and [`FaultPoint::CacheBuild`]
+//! cover both paths: a lookup fault bypasses the plan cache or the
+//! fragment's cell (an uncached build is always correct — faults may fail
+//! or slow queries, never falsify them), a build fault escalates to a panic
+//! contained by the worker's `catch_unwind` and leaves the fragment's cell
+//! empty for the next requester to build into.
 
 use crate::faults::{self, FaultAction, FaultPoint};
 use crate::schedule::{ExecutionSchedule, Scheduler, SchedulerOptions};
 use crate::Result;
 use dbs3_lera::{ContentHasher, CostParameters, ExtendedPlan, OperatorKind, OuterInput, Plan};
-use dbs3_storage::{Catalog, HashIndex};
+use dbs3_storage::{Catalog, Fragment, HashIndex};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Bounded capacity of the plan cache, in prepared plans.
 pub const PLAN_CACHE_CAPACITY: usize = 256;
-
-/// Bounded capacity of the index cache, in fragment indexes. A paper-scale
-/// query at degree 200 uses 200 entries; 1024 comfortably holds a handful
-/// of live relations before LRU eviction starts.
-pub const INDEX_CACHE_CAPACITY: usize = 1024;
 
 /// Hit/miss/evict counters of one cache. Monotonic over the process
 /// lifetime — consumers subtract snapshots to meter a phase.
@@ -66,6 +60,8 @@ pub struct CacheCounters {
     /// Lookups that had to compute the value.
     pub misses: u64,
     /// Entries removed — stale generations and LRU capacity overflow alike.
+    /// Always 0 for indexes: an index is dropped with its fragment, not
+    /// evicted.
     pub evictions: u64,
 }
 
@@ -90,12 +86,14 @@ impl CacheCounters {
     }
 }
 
-/// Snapshot of both query-setup caches.
+/// Snapshot of the plan-cache and index counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Prepared-plan cache (expanded plans + schedules).
     pub plan: CacheCounters,
-    /// Shared build-side hash-index cache.
+    /// Build-side hash indexes resolved through [`fragment_index`]: a miss
+    /// built the index, a hit found it built or waited for the build in
+    /// flight. Evictions are 0.
     pub index: CacheCounters,
 }
 
@@ -240,96 +238,11 @@ impl PlanCache {
     }
 }
 
-/// Key of an index-cache entry. The fragment *generation* lives in the
-/// entry, not the key, so a stale entry is found (and evicted) by the very
-/// lookup that replaces it. The relation name is shared with the caller, so
-/// building a key for a lookup allocates nothing.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct IndexKey {
-    relation: Arc<str>,
-    column: usize,
-    fragment: usize,
-}
-
-/// A fragment's build cell: empty while its index is in flight (or after
-/// a build panicked), then the shared index. Concurrent requesters wait in
-/// [`OnceLock::get_or_init`]; if the builder panics, the cell stays empty
-/// and the next caller, a waiter included, builds into it.
-type IndexCell = Arc<OnceLock<Arc<HashIndex>>>;
-
-#[derive(Debug)]
-struct IndexEntry {
-    generation: u64,
-    cell: IndexCell,
-    last_used: u64,
-}
-
-#[derive(Debug, Default)]
-struct IndexCacheInner {
-    entries: HashMap<IndexKey, IndexEntry>,
-    counters: CacheCounters,
-    tick: u64,
-}
-
-#[derive(Debug, Default)]
-struct IndexCache {
-    inner: Mutex<IndexCacheInner>,
-}
-
-impl IndexCache {
-    /// The build cell of `key` at `generation`, under one lock: a
-    /// generation match is a hit whether the cell is built or in flight
-    /// (the work is shared, not repeated); anything else evicts the stale
-    /// entry, inserts an empty cell and is a miss. The LRU bound is
-    /// enforced here too, over built cells only: an empty one is a build in
-    /// flight (or a failed one awaiting its retry) and is never evicted.
-    fn cell(&self, key: &IndexKey, generation: u64) -> IndexCell {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(entry) = inner.entries.get_mut(key) {
-            if entry.generation == generation {
-                entry.last_used = tick;
-                let cell = Arc::clone(&entry.cell);
-                inner.counters.hits += 1;
-                return cell;
-            }
-            // Stale generation — evict the map entry (a stale build in
-            // flight still fills its own cell for the callers holding it).
-            inner.entries.remove(key);
-            inner.counters.evictions += 1;
-        }
-        inner.counters.misses += 1;
-        let cell = IndexCell::default();
-        inner.entries.insert(
-            key.clone(),
-            IndexEntry {
-                generation,
-                cell: Arc::clone(&cell),
-                last_used: tick,
-            },
-        );
-        while inner.entries.len() > INDEX_CACHE_CAPACITY {
-            let Some(oldest) = inner
-                .entries
-                .iter()
-                .filter(|(_, e)| e.cell.get().is_some())
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            inner.entries.remove(&oldest);
-            inner.counters.evictions += 1;
-        }
-        cell
-    }
-}
-
 #[derive(Debug, Default)]
 struct Caches {
     plan: PlanCache,
-    index: IndexCache,
+    index_hits: AtomicU64,
+    index_misses: AtomicU64,
 }
 
 static CACHES: OnceLock<Caches> = OnceLock::new();
@@ -338,34 +251,32 @@ fn caches() -> &'static Caches {
     CACHES.get_or_init(Caches::default)
 }
 
-/// Snapshot of both caches' counters.
+/// Snapshot of the plan-cache and index counters.
 pub fn cache_stats() -> CacheStats {
     let caches = caches();
     let plan = {
         let inner = caches.plan.inner.lock().unwrap_or_else(|p| p.into_inner());
         inner.counters
     };
-    let index = {
-        let inner = caches.index.inner.lock().unwrap_or_else(|p| p.into_inner());
-        inner.counters
+    // ordering: Relaxed — monotonic tallies read for reporting only.
+    let index = CacheCounters {
+        hits: caches.index_hits.load(Ordering::Relaxed),
+        misses: caches.index_misses.load(Ordering::Relaxed),
+        evictions: 0,
     };
     CacheStats { plan, index }
 }
 
-/// Drops every cached entry (counters keep accumulating). Benchmarks call
-/// this between tiers so retained scaled-tier indexes don't distort memory
-/// or accidentally warm an unrelated measurement; builds in flight still
-/// fill the cells their waiters hold.
+/// Drops every prepared plan (counters keep accumulating). Benchmarks call
+/// this between tiers so a warm plan doesn't distort an unrelated
+/// measurement. Indexes are not cached here: they go with their fragments.
 pub fn clear_caches() {
-    let caches = caches();
-    {
-        let mut inner = caches.plan.inner.lock().unwrap_or_else(|p| p.into_inner());
-        inner.entries.clear();
-    }
-    {
-        let mut inner = caches.index.inner.lock().unwrap_or_else(|p| p.into_inner());
-        inner.entries.clear();
-    }
+    let mut inner = caches()
+        .plan
+        .inner
+        .lock()
+        .unwrap_or_else(|p| p.into_inner());
+    inner.entries.clear();
 }
 
 /// A fired lookup fault means "pretend the cache is not there": the caller
@@ -408,36 +319,43 @@ fn honor_build_fault() {
     }
 }
 
-/// Fetches (or builds) the shared hash index of one relation fragment.
+/// Resolves the hash index on `column` of `fragment` — the paper's
+/// temporary index, built on the fly by the first join that probes it.
 ///
-/// `generation` is the fragment's own ([`Catalog::fragment_generations`]).
-/// The first requester of a `(relation, column, fragment, generation)`
-/// builds into the entry's cell; concurrent requesters wait for that build;
-/// later requesters clone the `Arc`. `build` runs *outside* the cache lock.
-/// A build that panics leaves the cell empty, and the next requester builds
-/// into it again (through the `engine.cache.build` fault point again).
-/// `relation` is the caller's shared copy of the name (a bound join makes
-/// it once), so the lookup key costs a reference count, not an allocation.
-pub fn shared_index(
-    relation: &Arc<str>,
-    generation: u64,
-    column: usize,
-    fragment: usize,
-    build: impl FnOnce() -> HashIndex,
-) -> Arc<HashIndex> {
+/// The first requester builds into the fragment's cell
+/// ([`Fragment::index_cell`]); concurrent requesters wait for that build,
+/// later ones clone the `Arc`. A build that panics leaves the cell empty,
+/// and the next requester builds into it again (through the
+/// `engine.cache.build` fault point again).
+pub fn fragment_index(fragment: &Fragment, column: usize) -> Arc<HashIndex> {
+    resolve(fragment.index_cell(column), || {
+        HashIndex::build_for_fragment(fragment, column)
+    })
+}
+
+/// [`fragment_index`] over any build cell: honours both fault points and
+/// counts a miss if this call ran `build`, a hit otherwise.
+fn resolve(cell: &OnceLock<Arc<HashIndex>>, build: impl FnOnce() -> HashIndex) -> Arc<HashIndex> {
     if lookup_fault_bypasses() {
         return Arc::new(build());
     }
-    let key = IndexKey {
-        relation: Arc::clone(relation),
-        column,
-        fragment,
-    };
-    let cell = caches().index.cell(&key, generation);
-    Arc::clone(cell.get_or_init(|| {
+    let mut built = false;
+    let index = Arc::clone(cell.get_or_init(|| {
         honor_build_fault();
-        Arc::new(build())
-    }))
+        let index = Arc::new(build());
+        built = true;
+        index
+    }));
+    let caches = caches();
+    let counter = if built {
+        &caches.index_misses
+    } else {
+        &caches.index_hits
+    };
+    // ordering: Relaxed — a tally; the index itself is published by the
+    // OnceLock.
+    counter.fetch_add(1, Ordering::Relaxed);
+    index
 }
 
 fn write_cost(h: &mut ContentHasher, cost: &CostParameters) {
@@ -633,55 +551,47 @@ mod tests {
     }
 
     #[test]
-    fn shared_index_is_shared_and_invalidated_by_generation() {
+    fn a_fragment_index_is_built_once_and_shared() {
         let cat = catalog(400, 40, 2);
         let rel = cat.get("A").unwrap();
-        let generation = cat.generation("A").unwrap();
-        let tuples = rel.fragments()[0].tuples();
+        let fragment = &rel.fragments()[0];
 
-        let name: Arc<str> = Arc::from("A");
         let before = cache_stats();
-        let first = shared_index(&name, generation, 0, 0, || HashIndex::build(tuples, 0));
-        // A separately allocated copy of the name finds the same entry.
-        let again = shared_index(&Arc::from("A"), generation, 0, 0, || {
-            HashIndex::build(tuples, 0)
-        });
+        let first = fragment_index(fragment, 0);
+        let again = fragment_index(fragment, 0);
         assert!(Arc::ptr_eq(&first, &again), "one build, shared Arc");
+        assert!(Arc::ptr_eq(fragment.index_cell(0).get().unwrap(), &first));
         let delta = cache_stats().since(&before);
         assert!(
             delta.index.hits >= 1 && delta.index.misses >= 1,
             "{delta:?}"
         );
+        assert_eq!(delta.index.evictions, 0);
 
-        // A different generation never sees the old build.
-        let fresh = shared_index(&name, generation + 1_000_000, 0, 0, || {
-            HashIndex::build(tuples, 0)
-        });
+        // The same rows partitioned afresh are another fragment with a cell
+        // of its own: it never sees the old build.
+        let copy = relation("A", 400, 2);
+        let fresh = fragment_index(&copy.fragments()[0], 0);
         assert!(!Arc::ptr_eq(&first, &fresh));
     }
 
     #[test]
     fn concurrent_requesters_share_one_build() {
-        let cat = catalog(2_000, 40, 2);
-        let rel = cat.get("A").unwrap();
-        // A private generation namespace far away from real ones keeps this
-        // test independent of everything else in the process.
-        let generation = u64::MAX - 7;
+        let rel = relation("A", 2_000, 2);
+        let fragment = &rel.fragments()[0];
         let threads = 8;
-        let built = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let built = AtomicU64::new(0);
         let indexes: Vec<Arc<HashIndex>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
-                    let rel = Arc::clone(&rel);
-                    let built = Arc::clone(&built);
-                    scope.spawn(move || {
-                        shared_index(&Arc::from("concurrent-test"), generation, 0, 0, || {
+                    scope.spawn(|| {
+                        resolve(fragment.index_cell(0), || {
                             // ordering: Relaxed — test-only tally of how many
                             // closures ran; no ordering dependencies.
-                            built.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            built.fetch_add(1, Ordering::Relaxed);
                             // Slow the build down so contenders really race.
                             std::thread::sleep(std::time::Duration::from_millis(20));
-                            HashIndex::build(rel.fragments()[0].tuples(), 0)
+                            HashIndex::build_for_fragment(fragment, 0)
                         })
                     })
                 })
@@ -689,7 +599,7 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert_eq!(
-            built.load(std::sync::atomic::Ordering::Relaxed),
+            built.load(Ordering::Relaxed),
             1,
             "first requester builds, everyone else waits or clones"
         );
@@ -700,30 +610,28 @@ mod tests {
 
     #[test]
     fn a_failed_build_is_retried_in_the_shared_cell() {
-        use std::sync::atomic::{AtomicU64, Ordering};
         use std::time::Duration;
-        let cat = catalog(2_000, 40, 2);
-        let rel = cat.get("A").unwrap();
-        let generation = u64::MAX - 13;
-        let name: Arc<str> = Arc::from("failed-build-test");
+        let rel = relation("A", 2_000, 2);
+        let fragment = &rel.fragments()[0];
+        let cell = fragment.index_cell(0);
         let built = AtomicU64::new(0);
         let build = || {
             // ordering: Relaxed — test-only tally of how many non-panicking
             // closures ran; no ordering dependencies.
             built.fetch_add(1, Ordering::Relaxed);
-            HashIndex::build(rel.fragments()[0].tuples(), 0)
+            HashIndex::build_for_fragment(fragment, 0)
         };
         let (waiter, third) = std::thread::scope(|scope| {
             let failing = scope.spawn(|| {
-                shared_index(&name, generation, 0, 0, || -> HashIndex {
+                resolve(cell, || -> HashIndex {
                     std::thread::sleep(Duration::from_millis(200));
                     panic!("deliberate build failure");
                 })
             });
             std::thread::sleep(Duration::from_millis(20));
-            let waiter = scope.spawn(|| shared_index(&name, generation, 0, 0, build));
+            let waiter = scope.spawn(|| resolve(cell, build));
             assert!(failing.join().is_err(), "the first build panics");
-            let third = shared_index(&name, generation, 0, 0, build);
+            let third = resolve(cell, build);
             (waiter.join().unwrap(), third)
         });
         assert_eq!(
@@ -735,26 +643,6 @@ mod tests {
             Arc::ptr_eq(&waiter, &third),
             "the retry is shared, not private"
         );
-    }
-
-    #[test]
-    fn lru_eviction_respects_capacity() {
-        // Drive more distinct fragments than the capacity through a private
-        // relation name; the map must stay bounded.
-        let cat = catalog(200, 20, 2);
-        let rel = cat.get("A").unwrap();
-        let tuples = rel.fragments()[0].tuples();
-        let generation = u64::MAX - 99;
-        let name: Arc<str> = Arc::from("lru-test");
-        let before = cache_stats().index.evictions;
-        for fragment in 0..(INDEX_CACHE_CAPACITY + 8) {
-            let _ = shared_index(&name, generation, 0, fragment, || {
-                HashIndex::build(tuples, 0)
-            });
-        }
-        let inner = caches().index.inner.lock().unwrap();
-        assert!(inner.entries.len() <= INDEX_CACHE_CAPACITY);
-        drop(inner);
-        assert!(cache_stats().index.evictions > before);
+        assert!(Arc::ptr_eq(cell.get().unwrap(), &third));
     }
 }

@@ -32,8 +32,8 @@
 //! | `serve.accept`          | accept loop (dbs3-serve)         | drop/error close the connection; delay; panic |
 //! | `serve.read`            | request frame read (dbs3-serve)  | drop/error close the connection; delay; panic |
 //! | `serve.write`           | response frame write (dbs3-serve)| drop/error close the connection; delay; panic |
-//! | `engine.cache.lookup`   | prepared-plan / index cache lookup | error, drop → bypass the cache (compute uncached); delay; panic |
-//! | `engine.cache.build`    | shared hash-index build (cache-owned) | panic, delay (error/drop escalate to panic; the next requester rebuilds) |
+//! | `engine.cache.lookup`   | prepared-plan lookup / fragment index resolution | error, drop → bypass (prepare or build privately); delay; panic |
+//! | `engine.cache.build`    | a fragment's hash-index build    | panic, delay (error/drop escalate to panic; the next requester rebuilds) |
 //!
 //! `engine.queue.push` escalates `error`/`drop` to a panic on purpose:
 //! silently dropping an activation would corrupt results, and the panic is
@@ -62,11 +62,13 @@ pub enum FaultPoint {
     ServeRead,
     /// A session thread about to write a response frame (dbs3-serve).
     ServeWrite,
-    /// A query-setup cache lookup (prepared plans / shared indexes). Firing
-    /// `error`/`drop` here bypasses the cache — correct, just slower.
+    /// A prepared-plan cache lookup, or the resolution of a fragment's
+    /// hash index. Firing `error`/`drop` here bypasses the plan cache or
+    /// the fragment's build cell, preparing or building privately —
+    /// correct, just slower.
     CacheLookup,
-    /// A cache-owned shared hash-index build about to run. Everything but
-    /// `delay` escalates to a panic; the cell stays empty and the next
+    /// A hash-index build into a fragment's cell about to run. Everything
+    /// but `delay` escalates to a panic; the cell stays empty and the next
     /// requester, a waiter included, builds into it (through this point
     /// again).
     CacheBuild,
@@ -109,8 +111,10 @@ impl FaultPoint {
             FaultPoint::ServeAccept => "listener accepting a connection (dbs3-serve)",
             FaultPoint::ServeRead => "session reading a request frame (dbs3-serve)",
             FaultPoint::ServeWrite => "session writing a response frame (dbs3-serve)",
-            FaultPoint::CacheLookup => "query-setup cache lookup (error/drop bypass the cache)",
-            FaultPoint::CacheBuild => "cache-owned shared hash-index build",
+            FaultPoint::CacheLookup => {
+                "plan cache lookup / fragment index resolution (error/drop bypass them)"
+            }
+            FaultPoint::CacheBuild => "hash-index build into a fragment's cell",
         }
     }
 

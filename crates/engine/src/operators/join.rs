@@ -20,19 +20,12 @@ struct Probe {
     /// Lazily resolved per-instance indexes over the inner fragments
     /// (Hash / TempIndex). Resolved once on the first activation of an
     /// instance and shared by every later morsel or data batch — splitting
-    /// the outer scan must not multiply the build work. The resolution goes
-    /// through the engine-wide index cache, so concurrent and repeated
+    /// the outer scan must not multiply the build work, nor the index
+    /// counters. The resolution goes through [`crate::cache::fragment_index`]
+    /// to the index the inner fragment owns, so concurrent and repeated
     /// queries over one relation share one build across operators. A boxed
     /// slice, since the instance count is fixed at bind.
     indexes: Box<[OnceLock<Arc<HashIndex>>]>,
-    /// The inner relation's name and its catalog fragment generations: the
-    /// key under which instance `i`'s build is shared through
-    /// [`crate::cache::shared_index`] is the name with `generations[i]`, so
-    /// a fragment the last replace left unchanged keeps its cached index.
-    /// The name is copied once here, at bind time, and the generations are
-    /// the catalog's own shared slice, so per-fragment lookups allocate
-    /// nothing.
-    shared_key: (Arc<str>, Arc<[u64]>),
     /// Whether matches are counted instead of built (the consumer is a
     /// counting store, which only ever reads `batch.len()`).
     count_only: bool,
@@ -44,11 +37,9 @@ impl Probe {
         outer_column: usize,
         inner_column: usize,
         algorithm: JoinAlgorithm,
-        generations: Arc<[u64]>,
     ) -> Self {
         let indexes = (0..inner.degree()).map(|_| OnceLock::new()).collect();
         Probe {
-            shared_key: (Arc::from(inner.name()), generations),
             inner,
             outer_column,
             inner_column,
@@ -69,25 +60,17 @@ impl Probe {
                       instance count, so the fragment exists; a miss is a planner bug worth \
                       crashing on"
         )]
-        let inner = self
+        let fragment = self
             .inner
             .fragment(instance)
-            .expect("every join instance has an inner fragment")
-            .tuples();
+            .expect("every join instance has an inner fragment");
+        let inner = fragment.tuples();
         // The paper's "index built on the fly": resolved once per instance,
-        // engine-wide. The probe is an allocation-free iterator over the
-        // matching bucket.
+        // owned by the fragment. The probe is an allocation-free iterator
+        // over the matching bucket.
         let index = (self.algorithm != JoinAlgorithm::NestedLoop).then(|| {
-            self.indexes[instance].get_or_init(|| {
-                let (relation, generations) = &self.shared_key;
-                crate::cache::shared_index(
-                    relation,
-                    generations[instance],
-                    self.inner_column,
-                    instance,
-                    || HashIndex::build(inner, self.inner_column),
-                )
-            })
+            self.indexes[instance]
+                .get_or_init(|| crate::cache::fragment_index(fragment, self.inner_column))
         });
         if self.count_only {
             let mut rows = 0usize;
@@ -132,20 +115,17 @@ pub struct TriggeredJoinOperator {
 }
 
 impl TriggeredJoinOperator {
-    /// Creates a bound triggered join. `generations` are the inner
-    /// relation's catalog fragment generations, which key its indexes in the
-    /// engine-wide cache, one per fragment.
+    /// Creates a bound triggered join.
     pub fn new(
         outer: Arc<PartitionedRelation>,
         inner: Arc<PartitionedRelation>,
         outer_column: usize,
         inner_column: usize,
         algorithm: JoinAlgorithm,
-        generations: Arc<[u64]>,
     ) -> Self {
         TriggeredJoinOperator {
             outer,
-            probe: Probe::new(inner, outer_column, inner_column, algorithm, generations),
+            probe: Probe::new(inner, outer_column, inner_column, algorithm),
         }
     }
 
@@ -195,17 +175,15 @@ pub struct PipelinedJoinOperator {
 
 impl PipelinedJoinOperator {
     /// Creates a bound pipelined join. `outer_column` is the key column of
-    /// the *incoming* tuples; `generations` are as for
-    /// [`TriggeredJoinOperator::new`].
+    /// the *incoming* tuples.
     pub fn new(
         inner: Arc<PartitionedRelation>,
         outer_column: usize,
         inner_column: usize,
         algorithm: JoinAlgorithm,
-        generations: Arc<[u64]>,
     ) -> Self {
         PipelinedJoinOperator {
-            probe: Probe::new(inner, outer_column, inner_column, algorithm, generations),
+            probe: Probe::new(inner, outer_column, inner_column, algorithm),
         }
     }
 
@@ -228,54 +206,41 @@ impl PipelinedJoinOperator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbs3_storage::{Catalog, PartitionSpec, Relation, WisconsinConfig, WisconsinGenerator};
+    use dbs3_storage::{PartitionSpec, Relation, WisconsinConfig, WisconsinGenerator};
 
-    /// Generates `name` and registers it in a catalog of its own: the
-    /// relation, its fragments and the catalog fragment generations that
-    /// key its indexes in the engine-wide cache (so no two tests share an
-    /// entry).
+    /// Generates `name` and partitions it afresh: its fragments, and so the
+    /// indexes they own, are this test's alone.
     fn partitioned(
         name: &str,
         cardinality: usize,
         degree: usize,
-    ) -> (Relation, Arc<PartitionedRelation>, Arc<[u64]>) {
+    ) -> (Relation, Arc<PartitionedRelation>) {
         let rel = WisconsinGenerator::new()
             .generate(&WisconsinConfig::narrow(name, cardinality))
             .unwrap();
         let spec = PartitionSpec::on("unique1", degree, 2);
-        let mut catalog = Catalog::new();
-        let part = catalog.register(PartitionedRelation::from_relation(&rel, spec).unwrap());
-        let generations = Arc::clone(catalog.fragment_generations(name).unwrap());
-        (rel, part.unwrap(), generations)
+        let part = PartitionedRelation::from_relation(&rel, spec).unwrap();
+        (rel, Arc::new(part))
     }
 
     /// A triggered join of `outer` with `inner` on `unique1`.
     fn triggered(
         outer: &Arc<PartitionedRelation>,
         inner: &Arc<PartitionedRelation>,
-        generations: &Arc<[u64]>,
         algorithm: JoinAlgorithm,
     ) -> TriggeredJoinOperator {
         let u1 = outer.schema().column_index("unique1").unwrap();
         let (outer, inner) = (Arc::clone(outer), Arc::clone(inner));
-        let generations = Arc::clone(generations);
-        TriggeredJoinOperator::new(outer, inner, u1, u1, algorithm, generations)
+        TriggeredJoinOperator::new(outer, inner, u1, u1, algorithm)
     }
 
     /// A pipelined join of incoming tuples with `inner` on `unique1`.
     fn pipelined(
         inner: &Arc<PartitionedRelation>,
-        generations: &Arc<[u64]>,
         algorithm: JoinAlgorithm,
     ) -> PipelinedJoinOperator {
         let u1 = inner.schema().column_index("unique1").unwrap();
-        PipelinedJoinOperator::new(
-            Arc::clone(inner),
-            u1,
-            u1,
-            algorithm,
-            Arc::clone(generations),
-        )
+        PipelinedJoinOperator::new(Arc::clone(inner), u1, u1, algorithm)
     }
 
     fn run_triggered(op: &TriggeredJoinOperator, degree: usize) -> usize {
@@ -286,8 +251,8 @@ mod tests {
 
     #[test]
     fn triggered_join_matches_reference_for_all_algorithms() {
-        let (a_rel, a, _) = partitioned("A", 400, 10);
-        let (b_rel, b, gb) = partitioned("Bprime", 40, 10);
+        let (a_rel, a) = partitioned("A", 400, 10);
+        let (b_rel, b) = partitioned("Bprime", 40, 10);
         let expected = a_rel
             .reference_join(&b_rel, "unique1", "unique1")
             .unwrap()
@@ -297,17 +262,17 @@ mod tests {
             JoinAlgorithm::Hash,
             JoinAlgorithm::TempIndex,
         ] {
-            let op = triggered(&a, &b, &gb, algorithm);
+            let op = triggered(&a, &b, algorithm);
             assert_eq!(run_triggered(&op, 10), expected, "algorithm {algorithm:?}");
         }
     }
 
     #[test]
     fn triggered_join_result_tuples_are_concatenations() {
-        let (_, a, _) = partitioned("A", 100, 5);
-        let (_, b, gb) = partitioned("Bprime", 100, 5);
+        let (_, a) = partitioned("A", 100, 5);
+        let (_, b) = partitioned("Bprime", 100, 5);
         let u1 = a.schema().column_index("unique1").unwrap();
-        let op = triggered(&a, &b, &gb, JoinAlgorithm::Hash);
+        let op = triggered(&a, &b, JoinAlgorithm::Hash);
         let out = op.process(2, Activation::Trigger);
         assert!(!out.is_empty());
         let width = a.schema().width() + b.schema().width();
@@ -319,8 +284,8 @@ mod tests {
 
     #[test]
     fn pipelined_join_matches_reference() {
-        let (a_rel, a, ga) = partitioned("A", 300, 8);
-        let (b_rel, _, _) = partitioned("Bprime", 30, 8);
+        let (a_rel, a) = partitioned("A", 300, 8);
+        let (b_rel, _) = partitioned("Bprime", 30, 8);
         let u1 = a.schema().column_index("unique1").unwrap();
         let expected = b_rel
             .reference_join(&a_rel, "unique1", "unique1")
@@ -328,7 +293,7 @@ mod tests {
             .len();
 
         for algorithm in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
-            let op = pipelined(&a, &ga, algorithm);
+            let op = pipelined(&a, algorithm);
             // Route every B' tuple to the instance its key hashes to, exactly
             // like the runtime does.
             let mut total = 0usize;
@@ -343,9 +308,9 @@ mod tests {
 
     #[test]
     fn batched_probes_match_per_tuple_probes() {
-        let (_, a, ga) = partitioned("A", 200, 4);
+        let (_, a) = partitioned("A", 200, 4);
         for algorithm in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
-            let op = pipelined(&a, &ga, algorithm);
+            let op = pipelined(&a, algorithm);
             // All tuples of fragment 1 probed against themselves, once as
             // one batch and once tuple by tuple.
             let probes: Vec<Tuple> = a.fragments()[1].tuples().to_vec();
@@ -361,8 +326,8 @@ mod tests {
 
     #[test]
     fn pipelined_join_reuses_per_instance_index() {
-        let (_, a, ga) = partitioned("A", 100, 4);
-        let op = pipelined(&a, &ga, JoinAlgorithm::TempIndex);
+        let (_, a) = partitioned("A", 100, 4);
+        let op = pipelined(&a, JoinAlgorithm::TempIndex);
         // Probing twice must not rebuild (OnceLock gives the same instance).
         let probe = a.fragments()[1].tuples()[0].clone();
         let _ = op.process(1, Activation::single(probe.clone()));
@@ -373,23 +338,23 @@ mod tests {
     }
 
     #[test]
-    fn shared_generation_shares_builds_across_operators() {
-        let (_, a, generations) = partitioned("A", 200, 4);
+    fn operators_over_one_relation_share_its_fragments_builds() {
+        let (_, a) = partitioned("A", 200, 4);
         let probe = a.fragments()[2].tuples()[0].clone();
-        let first = pipelined(&a, &generations, JoinAlgorithm::Hash);
-        let second = pipelined(&a, &generations, JoinAlgorithm::Hash);
+        let first = pipelined(&a, JoinAlgorithm::Hash);
+        let second = pipelined(&a, JoinAlgorithm::Hash);
         let out1 = first.process(2, Activation::single(probe.clone()));
         let out2 = second.process(2, Activation::single(probe.clone()));
         assert_eq!(out1, out2);
         assert_eq!(
             Arc::as_ptr(first.probe.indexes[2].get().unwrap()),
             Arc::as_ptr(second.probe.indexes[2].get().unwrap()),
-            "two operators over one (relation, generation) share one build"
+            "two operators over one relation share its fragment's build"
         );
-        // The same rows registered again carry new fragment generations and
-        // get a build of their own.
-        let (_, again, regenerated) = partitioned("A", 200, 4);
-        let fresh = pipelined(&again, &regenerated, JoinAlgorithm::Hash);
+        // The same rows partitioned afresh are new fragments, which build
+        // their own.
+        let (_, again) = partitioned("A", 200, 4);
+        let fresh = pipelined(&again, JoinAlgorithm::Hash);
         assert_eq!(fresh.process(2, Activation::single(probe)), out1);
         assert_ne!(
             Arc::as_ptr(first.probe.indexes[2].get().unwrap()),
@@ -399,14 +364,14 @@ mod tests {
 
     #[test]
     fn triggered_join_morsels_union_to_the_whole_trigger() {
-        let (_, a, _) = partitioned("A", 400, 4);
-        let (_, b, gb) = partitioned("Bprime", 40, 4);
+        let (_, a) = partitioned("A", 400, 4);
+        let (_, b) = partitioned("Bprime", 40, 4);
         for algorithm in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
             let whole = {
-                let op = triggered(&a, &b, &gb, algorithm);
+                let op = triggered(&a, &b, algorithm);
                 op.process(1, Activation::Trigger)
             };
-            let op = triggered(&a, &b, &gb, algorithm);
+            let op = triggered(&a, &b, algorithm);
             let rows = op.triggered_rows(1).unwrap();
             let mut pieces = Vec::new();
             let mut start = 0usize;
@@ -428,11 +393,11 @@ mod tests {
 
     #[test]
     fn counted_morsels_sum_to_the_built_trigger() {
-        let (_, a, _) = partitioned("A", 400, 4);
-        let (_, b, gb) = partitioned("Bprime", 40, 4);
+        let (_, a) = partitioned("A", 400, 4);
+        let (_, b) = partitioned("Bprime", 40, 4);
         for algorithm in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
-            let built = triggered(&a, &b, &gb, algorithm).process(1, Activation::Trigger);
-            let op = triggered(&a, &b, &gb, algorithm).counting_matches(true);
+            let built = triggered(&a, &b, algorithm).process(1, Activation::Trigger);
+            let op = triggered(&a, &b, algorithm).counting_matches(true);
             let whole = op.process(1, Activation::Trigger);
             assert_eq!(whole, TupleBatch::counted(built.len()));
             assert!(!whole.is_empty(), "fragment 1 has matches to count");
@@ -448,7 +413,7 @@ mod tests {
             assert_eq!(counted, built.len(), "algorithm {algorithm:?}");
             // The pipelined twin: the outer fragment arriving as one batch.
             let probes = TupleBatch::from(a.fragments()[1].tuples().to_vec());
-            let pipelined = pipelined(&b, &gb, algorithm)
+            let pipelined = pipelined(&b, algorithm)
                 .counting_matches(true)
                 .process(1, Activation::Data(probes));
             assert_eq!(pipelined, whole, "algorithm {algorithm:?}");
@@ -457,9 +422,9 @@ mod tests {
 
     #[test]
     fn triggered_join_reuses_per_instance_index_across_morsels() {
-        let (_, a, _) = partitioned("A", 100, 4);
-        let (_, b, gb) = partitioned("Bprime", 100, 4);
-        let op = triggered(&a, &b, &gb, JoinAlgorithm::Hash);
+        let (_, a) = partitioned("A", 100, 4);
+        let (_, b) = partitioned("Bprime", 100, 4);
+        let op = triggered(&a, &b, JoinAlgorithm::Hash);
         let _ = op.process(
             1,
             Activation::Morsel {
@@ -483,12 +448,12 @@ mod tests {
 
     #[test]
     fn stray_activations_are_ignored() {
-        let (_, a, ga) = partitioned("A", 50, 4);
-        let (_, b, gb) = partitioned("Bprime", 50, 4);
-        let triggered = triggered(&a, &b, &gb, JoinAlgorithm::Hash);
+        let (_, a) = partitioned("A", 50, 4);
+        let (_, b) = partitioned("Bprime", 50, 4);
+        let triggered = triggered(&a, &b, JoinAlgorithm::Hash);
         let some = a.fragments()[0].tuples()[0].clone();
         assert!(triggered.process(0, Activation::single(some)).is_empty());
-        let pipelined = pipelined(&a, &ga, JoinAlgorithm::Hash);
+        let pipelined = pipelined(&a, JoinAlgorithm::Hash);
         assert!(pipelined.process(0, Activation::Trigger).is_empty());
     }
 }

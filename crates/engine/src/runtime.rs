@@ -956,20 +956,6 @@ pub(crate) fn bind_operator(
         } => {
             let inner = catalog.get(inner_relation)?;
             let inner_column = inner.schema().column_index(&condition.inner_column)?;
-            // The inner relation's fragment generations key the engine-wide
-            // shared build-index cache: every query binding a fragment at
-            // one generation shares its build. The slice is the catalog's
-            // own, so binding allocates nothing for it.
-            #[expect(
-                clippy::expect_used,
-                reason = "the catalog registers, replaces and removes a relation and its \
-                          generations together, and `get` just found this one"
-            )]
-            let generations = Arc::clone(
-                catalog
-                    .fragment_generations(inner_relation)
-                    .expect("a registered relation has fragment generations"),
-            );
             match outer {
                 OuterInput::Fragment { relation } => {
                     let outer_rel = catalog.get(relation)?;
@@ -981,7 +967,6 @@ pub(crate) fn bind_operator(
                             outer_column,
                             inner_column,
                             *algorithm,
-                            generations,
                         )
                         .counting_matches(count_only),
                     ))
@@ -996,14 +981,8 @@ pub(crate) fn bind_operator(
                     let incoming_schema = plan.output_schema(producer, catalog)?;
                     let outer_column = incoming_schema.column_index(&condition.outer_column)?;
                     Ok(BoundOperator::PipelinedJoin(
-                        PipelinedJoinOperator::new(
-                            inner,
-                            outer_column,
-                            inner_column,
-                            *algorithm,
-                            generations,
-                        )
-                        .counting_matches(count_only),
+                        PipelinedJoinOperator::new(inner, outer_column, inner_column, *algorithm)
+                            .counting_matches(count_only),
                     ))
                 }
             }

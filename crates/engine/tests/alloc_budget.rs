@@ -111,7 +111,7 @@ fn discarding_queries_do_not_allocate_per_result_row() {
     let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
     let runtime = Runtime::new(2).unwrap();
     let counted_run = counted_runner(&cat, &plan, &runtime);
-    // Warm the shared index cache so both counted runs start alike.
+    // Build the fragments' indexes so both counted runs start alike.
     counted_run(true);
     let (rows, discarding) = counted_run(true);
     let (built_rows, materialising) = counted_run(false);
@@ -149,7 +149,7 @@ fn discarding_queries_allocate_a_few_times_per_operator_instance() {
         ),
     ] {
         let counted_run = counted_runner(&cat, &plan, &runtime);
-        // Warm the shared index cache (and the workers' buffers).
+        // Build the fragments' indexes (and warm the workers' buffers).
         counted_run(true);
         let (rows, allocs) = counted_run(true);
         assert_eq!(rows, 2_000, "{name}: every B′ row has one partner in A");

@@ -186,9 +186,10 @@ fn watchdog_aborts_a_wedged_query() {
 /// An `error` at `engine.cache.lookup` means "pretend the caches are not
 /// there": every prepare and every build-side index request computes
 /// privately. That may only cost time — repeated identical submits still
-/// return the right answer, and neither cache records a single hit, miss
-/// or insert while the fault is live (the install guard serializes this
-/// binary's tests, so the process-global counters are exactly ours).
+/// return the right answer, and neither the plan cache nor the index
+/// counters record a single hit or miss while the fault is live (the
+/// install guard serializes this binary's tests, so the process-global
+/// counters are exactly ours).
 #[test]
 fn cache_lookup_fault_bypasses_the_caches_without_falsifying_results() {
     let _guard = FaultPlan::new(6)
@@ -222,15 +223,15 @@ fn cache_lookup_fault_bypasses_the_caches_without_falsifying_results() {
     assert_eq!(
         delta.index.hits + delta.index.misses,
         0,
-        "a bypassed index cache must not be touched: {delta:?}"
+        "a bypassed fragment cell must not be touched: {delta:?}"
     );
     runtime.shutdown();
 }
 
 /// A non-delay fault at `engine.cache.build` escalates to a panic inside
-/// the shared build, which the worker contains as a typed
-/// `WorkerPanicked`; the failed build leaves its cache cell empty, so the
-/// next submit rebuilds into it and succeeds.
+/// the fragment's index build, which the worker contains as a typed
+/// `WorkerPanicked`; the failed build leaves the fragment's cell empty, so
+/// the next submit rebuilds into it and succeeds.
 #[test]
 fn cache_build_fault_is_contained_and_the_next_submit_rebuilds() {
     let _guard = FaultPlan::new(7)
@@ -262,7 +263,7 @@ fn cache_build_fault_is_contained_and_the_next_submit_rebuilds() {
     runtime.shutdown();
 }
 
-/// Cancelling a query whose only worker is inside a slow shared build
+/// Cancelling a query whose only worker is inside a slow index build
 /// frees its admission slot at once and wakes `wait()` with
 /// `QueryCancelled` without waiting for the build; the pool stays usable,
 /// and the next query on it answers correctly.
@@ -276,8 +277,8 @@ fn cancelling_during_a_build_frees_the_admission_slot() {
             FaultAction::Delay(delay),
         )
         .install();
-    // A fresh catalog has fresh generations: its first build is a miss
-    // that really runs, so the delay fires inside it.
+    // A fresh catalog has fresh fragments: its first build really runs,
+    // so the delay fires inside it.
     let cat = catalog(2_000, 200, 8);
     let runtime = Runtime::new(1).unwrap();
     let handle = submit(&runtime, &cat, 1);

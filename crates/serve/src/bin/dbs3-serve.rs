@@ -266,13 +266,12 @@ fn main() -> ExitCode {
             );
             eprintln!(
                 "dbs3-serve: caches; plans {} hits / {} misses / {} evictions, \
-                 indexes {} hits / {} misses / {} evictions",
+                 indexes {} hits / {} misses",
                 stats.caches.plan.hits,
                 stats.caches.plan.misses,
                 stats.caches.plan.evictions,
                 stats.caches.index.hits,
-                stats.caches.index.misses,
-                stats.caches.index.evictions
+                stats.caches.index.misses
             );
             ExitCode::SUCCESS
         }

@@ -97,9 +97,10 @@ pub struct ServerStats {
     pub replayed: u64,
     /// Queries cancelled because their request deadline elapsed.
     pub deadlines: u64,
-    /// Prepared-plan and shared-index cache activity over this server's
+    /// Prepared-plan cache and fragment-index activity over this server's
     /// lifetime (delta of the process-wide counters between bind and drain):
-    /// how much query setup was shared across connections.
+    /// how much query setup was shared across connections. Index evictions
+    /// are always 0: an index is dropped with its fragment.
     pub caches: CacheStats,
 }
 

@@ -99,9 +99,9 @@ fn chaos_storm_never_hangs_and_never_lies() {
         )
         // A failing query-setup cache must degrade to uncached setup, never
         // to a wrong answer: every fifth-ish lookup bypasses the prepared
-        // plan and shared-index caches entirely, so cached and uncached
-        // executions of the same plan interleave throughout the storm and
-        // the cardinality assertion below judges them all.
+        // plan cache or a fragment's index cell entirely, so cached and
+        // uncached executions of the same plan interleave throughout the
+        // storm and the cardinality assertion below judges them all.
         .rule(
             FaultPoint::CacheLookup,
             FaultTrigger::Probability(0.2),
@@ -344,8 +344,8 @@ fn over_admission_gets_a_typed_busy_frame() {
 }
 
 /// Every fault point is a live hit site: one served hash join over a
-/// freshly registered catalog (a new generation, so the shared-index cache
-/// misses and builds) passes through all of [`FaultPoint::ALL`]. The rules
+/// freshly registered catalog (new fragments, whose indexes are not built
+/// yet) passes through all of [`FaultPoint::ALL`]. The rules
 /// never fire — they only count hits — so a point whose `faults::hit` call
 /// was deleted shows up here as zero hits.
 #[test]

@@ -5,12 +5,12 @@
 //! storage manager the compiler consults to find the degree of partitioning
 //! and the partitioning attributes of each relation.
 //!
-//! Each name also carries *generations*: one for the relation, which every
-//! mutation renews, and one per fragment, which a [`replace`](Catalog::replace)
-//! renews only where the fragment's tuples changed. Caches above the catalog
-//! key on them — prepared plans on the relation generation, shared
-//! build-side indexes on the fragment generations — so a one-row edit
-//! invalidates every plan over the relation but only one fragment's index.
+//! Each name also carries a *generation*, which every mutation renews. The
+//! engine's plan cache keys prepared plans on it, so a mutation makes every
+//! plan over the relation stale. Indexes need no such key: each fragment
+//! owns the indexes built over it (see [`Fragment`](crate::Fragment)), and
+//! a [`replace`](Catalog::replace) hands the built ones on to the fragments
+//! of the new version whose tuples did not change.
 
 use crate::error::StorageError;
 use crate::partition::PartitionedRelation;
@@ -25,27 +25,20 @@ use std::sync::Arc;
 static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
 
 /// Hands out a process-wide unique generation. Generations are unique
-/// across *all* catalogs, not merely monotonic within one, and relation and
-/// fragment generations come from the same counter, so a `(relation name,
-/// generation)` pair identifies one immutable [`PartitionedRelation`] (or
-/// one fragment's content) no matter how many catalogs or sessions exist —
-/// the property the engine's shared build-index cache keys on.
+/// across *all* catalogs, not merely monotonic within one, so a
+/// `(relation name, generation)` pair identifies one immutable
+/// [`PartitionedRelation`] no matter how many catalogs or sessions exist —
+/// the property the engine's process-wide plan cache keys on.
 fn next_generation() -> u64 {
     // ordering: Relaxed — see NEXT_GENERATION; only uniqueness matters.
     NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
 }
 
-/// One fresh generation per fragment.
-fn fresh_generations(degree: usize) -> Arc<[u64]> {
-    (0..degree).map(|_| next_generation()).collect()
-}
-
-/// A registered relation and the generations stamped on it.
+/// A registered relation and the generation stamped on it.
 #[derive(Debug, Clone)]
 struct Entry {
     relation: Arc<PartitionedRelation>,
     generation: u64,
-    fragment_generations: Arc<[u64]>,
 }
 
 /// Name → partitioned relation map.
@@ -57,11 +50,9 @@ struct Entry {
 /// Every mutation ([`register`](Catalog::register),
 /// [`replace`](Catalog::replace), [`remove`](Catalog::remove)) stamps the
 /// affected name with a fresh process-wide unique *generation*
-/// ([`generation`](Catalog::generation)), and each fragment carries a
-/// generation of its own ([`fragment_generations`](Catalog::fragment_generations))
-/// that changes only with the fragment's content. Caches layered above the
-/// catalog key their entries on these: a mutation makes every stale entry
-/// unreachable without the catalog knowing the caches exist.
+/// ([`generation`](Catalog::generation)). Caches layered above the catalog
+/// key their entries on it: a mutation makes every stale entry unreachable
+/// without the catalog knowing the caches exist.
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
     entries: HashMap<String, Entry>,
@@ -75,21 +66,19 @@ impl Catalog {
         }
     }
 
-    /// Registers a partitioned relation under its name. The relation and
-    /// every fragment get fresh generations.
+    /// Registers a partitioned relation under its name, with a fresh
+    /// generation.
     pub fn register(&mut self, relation: PartitionedRelation) -> Result<Arc<PartitionedRelation>> {
         let name = relation.name().to_string();
         if self.entries.contains_key(&name) {
             return Err(StorageError::DuplicateRelation(name));
         }
-        let fragment_generations = fresh_generations(relation.degree());
         let relation = Arc::new(relation);
         self.entries.insert(
             name,
             Entry {
                 relation: Arc::clone(&relation),
                 generation: next_generation(),
-                fragment_generations,
             },
         );
         Ok(relation)
@@ -97,55 +86,41 @@ impl Catalog {
 
     /// Replaces (or inserts) a relation, returning the previous entry if any.
     ///
-    /// The name is stamped with a fresh relation generation either way. A
-    /// fragment whose tuples equal the predecessor's fragment at the same
-    /// index keeps its fragment generation; every other fragment gets a
-    /// fresh one, and all do when there is no predecessor or the degree
-    /// changed. Tuples shared with the predecessor compare by pointer, so an
-    /// edit that reuses the unchanged rows costs one pointer compare per row.
+    /// The name is stamped with a fresh generation either way. A fragment
+    /// whose tuples equal the predecessor's fragment at the same index takes
+    /// over the indexes the predecessor built, so only the fragments the
+    /// replace changed are indexed afresh. Tuples shared with the
+    /// predecessor compare by pointer, so an edit that reuses the unchanged
+    /// rows costs one pointer compare per row.
     pub fn replace(&mut self, relation: PartitionedRelation) -> Option<Arc<PartitionedRelation>> {
         let name = relation.name().to_string();
-        let fragment_generations = match self.entries.get(&name) {
-            Some(previous) if previous.relation.degree() == relation.degree() => previous
-                .relation
-                .fragments()
-                .iter()
-                .zip(relation.fragments())
-                .zip(previous.fragment_generations.iter())
-                .map(|((old, new), &generation)| {
+        if let Some(previous) = self.entries.get(&name) {
+            if previous.relation.degree() == relation.degree() {
+                for (old, new) in previous
+                    .relation
+                    .fragments()
+                    .iter()
+                    .zip(relation.fragments())
+                {
                     if old.tuples() == new.tuples() {
-                        generation
-                    } else {
-                        next_generation()
+                        new.adopt_indexes(old);
                     }
-                })
-                .collect(),
-            _ => fresh_generations(relation.degree()),
-        };
+                }
+            }
+        }
         let entry = Entry {
             relation: Arc::new(relation),
             generation: next_generation(),
-            fragment_generations,
         };
         self.entries.insert(name, entry).map(|e| e.relation)
     }
 
-    /// The current relation generation of a registered relation. `None` for
-    /// unknown names. Every mutation of the name renews it, and generations
-    /// are unique across the whole process: two distinct
-    /// `PartitionedRelation`s never share one, even across catalogs.
+    /// The current generation of a registered relation. `None` for unknown
+    /// names. Every mutation of the name renews it, and generations are
+    /// unique across the whole process: two distinct `PartitionedRelation`s
+    /// never share one, even across catalogs.
     pub fn generation(&self, name: &str) -> Option<u64> {
         self.entries.get(name).map(|e| e.generation)
-    }
-
-    /// The current generation of each fragment of a registered relation,
-    /// indexed by fragment id. `None` for unknown names. A fragment's
-    /// generation changes only when its tuples do (see
-    /// [`replace`](Catalog::replace)), so equal generations under one name
-    /// mean equal fragment content. The slice is shared: cloning the `Arc`
-    /// allocates nothing.
-    pub fn fragment_generations(&self, name: &str) -> Option<&Arc<[u64]>> {
-        self.entries.get(name).map(|e| &e.fragment_generations)
     }
 
     /// Looks up a relation by name.
@@ -161,8 +136,8 @@ impl Catalog {
         self.entries.contains_key(name)
     }
 
-    /// Removes a relation by name. Its generations are removed with it, so
-    /// re-registering later assigns fresh ones.
+    /// Removes a relation by name. Its generation is removed with it, so
+    /// re-registering later assigns a fresh one.
     pub fn remove(&mut self, name: &str) -> Result<Arc<PartitionedRelation>> {
         self.entries
             .remove(name)
@@ -184,6 +159,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::HashIndex;
     use crate::partition::{PartitionSpec, PartitionedRelation};
     use crate::relation::test_relation;
     use crate::value::Value;
@@ -240,31 +216,67 @@ mod tests {
     fn generations_are_unique_and_bump_on_mutation() {
         let mut cat = Catalog::new();
         assert_eq!(cat.generation("A"), None);
-        assert_eq!(cat.fragment_generations("A"), None);
         cat.register(partitioned("A")).unwrap();
         cat.register(partitioned("B")).unwrap();
         let gen_a = cat.generation("A").unwrap();
         let gen_b = cat.generation("B").unwrap();
         assert_ne!(gen_a, gen_b);
-        let fragments = |cat: &Catalog| cat.fragment_generations("A").unwrap().to_vec();
-        let frag_a = fragments(&cat);
-        let mut stamps = [frag_a.as_slice(), &[gen_a, gen_b]].concat();
-        stamps.sort_unstable();
-        stamps.dedup();
-        assert_eq!(stamps.len(), 4, "register stamps every fragment fresh");
 
-        // replace() stamps a fresh relation generation, so plans over A
-        // miss; the old one is never reused. `partitioned` allocates every
-        // tuple afresh, and equal content keeps every fragment generation:
-        // values are compared, not only pointers.
+        // replace() stamps a fresh generation, so plans over A miss; the
+        // old one is never reused.
         cat.replace(partitioned("A"));
         let gen_a2 = cat.generation("A").unwrap();
         assert_ne!(gen_a2, gen_a);
         assert_ne!(gen_a2, gen_b);
-        assert_eq!(fragments(&cat), frag_a);
 
-        // One changed row renews exactly its fragment's generation, and the
-        // relation generation once more.
+        // remove() forgets the generation; re-registering the same content
+        // assigns a fresh one.
+        cat.remove("A").unwrap();
+        assert_eq!(cat.generation("A"), None);
+        cat.register(partitioned("A")).unwrap();
+        let gen_a3 = cat.generation("A").unwrap();
+        assert!(![gen_a, gen_a2, gen_b].contains(&gen_a3));
+
+        // Generations are process-wide unique: an unrelated catalog
+        // registering the same name never collides with this one.
+        let mut other = Catalog::new();
+        other.register(partitioned("A")).unwrap();
+        assert_ne!(other.generation("A"), cat.generation("A"));
+
+        // Cloning shares the stamps (same underlying relations).
+        let cloned = cat.clone();
+        assert_eq!(cloned.generation("A"), cat.generation("A"));
+    }
+
+    /// Builds the index on column 0 of every fragment of `relation`.
+    fn build_all(relation: &PartitionedRelation) -> Vec<Arc<HashIndex>> {
+        relation
+            .fragments()
+            .iter()
+            .map(|f| {
+                let cell = f.index_cell(0);
+                Arc::clone(cell.get_or_init(|| Arc::new(HashIndex::build_for_fragment(f, 0))))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn replace_hands_built_indexes_only_to_equal_fragments() {
+        let mut cat = Catalog::new();
+        let first = cat.register(partitioned("A")).unwrap();
+        let built = build_all(&first);
+
+        // Equal content, every tuple allocated afresh: values are compared,
+        // not only pointers, so every fragment takes its predecessor's index.
+        cat.replace(partitioned("A"));
+        let same = cat.get("A").unwrap();
+        for (fragment, index) in same.fragments().iter().zip(&built) {
+            assert!(Arc::ptr_eq(fragment.index_cell(0).get().unwrap(), index));
+            assert!(fragment.index_cell(1).get().is_none(), "never built");
+        }
+
+        // One changed row: its fragment starts empty, the others are handed
+        // their built indexes.
         let edited = PartitionedRelation::from_relation(
             &test_relation("A", &[(1, 10), (2, 21), (3, 30)]),
             PartitionSpec::on("id", 2, 1),
@@ -276,49 +288,23 @@ mod tests {
             .position(|f| f.tuples().iter().any(|t| t.value(1) == &Value::Int(21)))
             .unwrap();
         cat.replace(edited);
-        let frag_edited = fragments(&cat);
-        for (fragment, (old, new)) in frag_a.iter().zip(&frag_edited).enumerate() {
-            assert_eq!(old == new, fragment != changed, "fragment {fragment}");
+        let edited = cat.get("A").unwrap();
+        for (fragment, (new, index)) in edited.fragments().iter().zip(&built).enumerate() {
+            let handed = new.index_cell(0).get();
+            if fragment == changed {
+                assert!(handed.is_none(), "the changed fragment is indexed afresh");
+            } else {
+                assert!(Arc::ptr_eq(handed.unwrap(), index), "fragment {fragment}");
+            }
         }
-        assert!(!stamps.contains(&frag_edited[changed]));
-        let gen_a3 = cat.generation("A").unwrap();
-        assert_ne!(gen_a3, gen_a2);
 
-        // A degree change renews every fragment generation.
+        // A degree change hands nothing over.
         cat.replace(partitioned("A").repartitioned(3).unwrap());
-        let frag_regraded = fragments(&cat);
-        assert_eq!(frag_regraded.len(), 3);
-        assert!(frag_regraded.iter().all(|g| !frag_edited.contains(g)));
-        assert_ne!(cat.generation("A").unwrap(), gen_a3);
-
-        // remove() forgets the generations; re-registering the same content
-        // assigns fresh ones, relation and fragments alike.
-        cat.remove("A").unwrap();
-        assert_eq!(cat.generation("A"), None);
-        assert_eq!(cat.fragment_generations("A"), None);
-        cat.register(partitioned("A").repartitioned(3).unwrap())
-            .unwrap();
-        assert_ne!(cat.generation("A").unwrap(), gen_a3);
-        assert!(fragments(&cat).iter().all(|g| !frag_regraded.contains(g)));
-
-        // Generations are process-wide unique: an unrelated catalog
-        // registering the same name never collides with this one.
-        let mut other = Catalog::new();
-        other.register(partitioned("A")).unwrap();
-        assert_ne!(other.generation("A"), cat.generation("A"));
-        assert!(!other
-            .fragment_generations("A")
-            .unwrap()
+        let regraded = cat.get("A").unwrap();
+        assert!(regraded
+            .fragments()
             .iter()
-            .any(|g| frag_a.contains(g)));
-
-        // Cloning shares the stamps (same underlying relations).
-        let cloned = cat.clone();
-        assert_eq!(cloned.generation("A"), cat.generation("A"));
-        assert_eq!(
-            cloned.fragment_generations("A"),
-            cat.fragment_generations("A")
-        );
+            .all(|f| f.index_cell(0).get().is_none()));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Relation fragments.
 
+use crate::index::HashIndex;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
+use std::sync::{Arc, OnceLock};
 
 /// One fragment of a statically partitioned relation.
 ///
@@ -12,6 +14,11 @@ use crate::tuple::Tuple;
 /// (round-robin placement, Section 2); the disk assignment is carried along
 /// so benches can reason about placement even though all data is
 /// memory-resident, as in the paper's experiments.
+///
+/// A fragment is immutable once built, so it owns the temporary hash
+/// indexes joins build over it (Expt 3): one build cell per column, filled
+/// by the first join that needs it and dropped with the fragment. A clone
+/// shares the built indexes.
 #[derive(Debug, Clone)]
 pub struct Fragment {
     /// Fragment identifier, `0 .. degree`.
@@ -22,22 +29,21 @@ pub struct Fragment {
     schema: Schema,
     /// The tuples of this fragment.
     tuples: Vec<Tuple>,
+    /// One index build cell per column of `schema`.
+    indexes: Box<[OnceLock<Arc<HashIndex>>]>,
 }
 
 impl Fragment {
     /// Creates a fragment.
     pub fn new(id: usize, disk: usize, schema: Schema, tuples: Vec<Tuple>) -> Self {
+        let indexes = (0..schema.width()).map(|_| OnceLock::new()).collect();
         Fragment {
             id,
             disk,
             schema,
             tuples,
+            indexes,
         }
-    }
-
-    /// Creates an empty fragment.
-    pub fn empty(id: usize, disk: usize, schema: Schema) -> Self {
-        Self::new(id, disk, schema, Vec::new())
     }
 
     /// Fragment identifier.
@@ -70,23 +76,27 @@ impl Fragment {
         self.tuples.is_empty()
     }
 
-    /// Appends a tuple.
-    pub fn push(&mut self, tuple: Tuple) {
-        self.tuples.push(tuple);
+    /// The build cell of the hash index on `column`: empty until a join
+    /// builds into it (or while that build is in flight, or after it
+    /// panicked), then that index for the fragment's lifetime. Concurrent
+    /// requesters wait in [`OnceLock::get_or_init`].
+    ///
+    /// # Panics
+    ///
+    /// If `column` is outside the fragment's schema.
+    pub fn index_cell(&self, column: usize) -> &OnceLock<Arc<HashIndex>> {
+        &self.indexes[column]
     }
 
-    /// Approximate in-memory size in bytes (Allcache cache-occupancy model).
-    pub fn approximate_size(&self) -> usize {
-        self.tuples.iter().map(Tuple::approximate_size).sum()
-    }
-
-    /// Static cost estimate for processing this fragment with a per-tuple
-    /// cost of 1: simply the cardinality. The LPT consumption strategy sorts
-    /// activation queues by this estimate (the paper: "we can arrange the
-    /// operation instance in decreasing order of estimated execution time,
-    /// for instance, based on static information on fragment sizes").
-    pub fn estimated_cost(&self) -> u64 {
-        self.tuples.len() as u64
+    /// Takes over the indexes `previous` has built, for a fragment whose
+    /// tuples equal `previous`'s: the same rows give the same index. Cells
+    /// this fragment has already filled keep their own index.
+    pub(crate) fn adopt_indexes(&self, previous: &Fragment) {
+        for (cell, built) in self.indexes.iter().zip(previous.indexes.iter()) {
+            if let Some(index) = built.get() {
+                let _ = cell.set(Arc::clone(index));
+            }
+        }
     }
 }
 
@@ -112,17 +122,23 @@ mod tests {
 
     #[test]
     fn empty_fragment() {
-        let f = Fragment::empty(0, 0, schema());
+        let f = Fragment::new(0, 0, schema(), Vec::new());
         assert!(f.is_empty());
-        assert_eq!(f.estimated_cost(), 0);
+        assert_eq!(f.cardinality(), 0);
     }
 
     #[test]
-    fn push_updates_cost() {
-        let mut f = Fragment::empty(0, 0, schema());
-        f.push(int_tuple(&[1, 1]));
-        f.push(int_tuple(&[2, 2]));
-        assert_eq!(f.estimated_cost(), 2);
-        assert!(f.approximate_size() > 0);
+    fn a_clone_shares_built_indexes() {
+        let f = Fragment::new(0, 0, schema(), vec![int_tuple(&[1, 2]), int_tuple(&[3, 4])]);
+        let built = Arc::clone(
+            f.index_cell(1)
+                .get_or_init(|| Arc::new(HashIndex::build_for_fragment(&f, 1))),
+        );
+        let clone = f.clone();
+        assert!(Arc::ptr_eq(clone.index_cell(1).get().unwrap(), &built));
+        assert!(
+            clone.index_cell(0).get().is_none(),
+            "column 0 was never built"
+        );
     }
 }

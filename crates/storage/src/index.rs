@@ -3,8 +3,8 @@
 //! Expt 3 (Section 5.6.1) compares joins "without indexes" (nested loop) and
 //! "using a temporary index" built on the fly over 500K/50K-tuple relations.
 //! This module provides that temporary index: an equi-join hash index from
-//! key value to the positions of matching tuples inside one fragment (or a
-//! whole relation).
+//! key value to the positions of matching tuples inside one fragment (or any
+//! other tuple slice).
 //!
 //! The index stores positions rather than tuple clones so that building it is
 //! cheap — the cost the paper attributes to "building indexes on the fly".
@@ -22,7 +22,6 @@
 //! correlate with the partitioning hash that chose the fragment's rows.
 
 use crate::fragment::Fragment;
-use crate::relation::Relation;
 use crate::tuple::Tuple;
 use crate::value::Value;
 
@@ -117,11 +116,6 @@ impl HashIndex {
         Self::build(fragment.tuples(), key_index)
     }
 
-    /// Builds an index over a whole relation.
-    pub fn build_for_relation(relation: &Relation, key_index: usize) -> Self {
-        Self::build(relation.tuples(), key_index)
-    }
-
     /// Column the index is keyed on.
     pub fn key_index(&self) -> usize {
         self.key_index
@@ -173,7 +167,7 @@ mod tests {
     #[test]
     fn build_and_probe_matches_equality_scan() {
         let rel = test_relation("r", &[(1, 10), (2, 20), (2, 21), (3, 30), (2, 22)]);
-        let idx = HashIndex::build_for_relation(&rel, 0);
+        let idx = HashIndex::build(rel.tuples(), 0);
         assert_eq!(idx.len(), 5);
         let hits = idx.probe(rel.tuples(), &Value::Int(2)).collect::<Vec<_>>();
         assert_eq!(hits.len(), 3);
@@ -188,17 +182,15 @@ mod tests {
         // Even if two different values collided in hash, probe would filter
         // them out; simulate by probing with a value that is absent.
         let rel = test_relation("r", &[(5, 1)]);
-        let idx = HashIndex::build_for_relation(&rel, 0);
+        let idx = HashIndex::build(rel.tuples(), 0);
         assert_eq!(idx.probe(rel.tuples(), &Value::Int(6)).count(), 0);
     }
 
     #[test]
     fn fragment_index() {
         let schema = Schema::new(vec![ColumnDef::int("id"), ColumnDef::int("val")]);
-        let mut frag = Fragment::empty(0, 0, schema);
-        for i in 0..100 {
-            frag.push(int_tuple(&[i % 10, i]));
-        }
+        let tuples = (0..100).map(|i| int_tuple(&[i % 10, i])).collect();
+        let frag = Fragment::new(0, 0, schema, tuples);
         let idx = HashIndex::build_for_fragment(&frag, 0);
         assert_eq!(idx.probe(frag.tuples(), &Value::Int(3)).count(), 10);
         assert_eq!(idx.probe(frag.tuples(), &Value::Int(999)).count(), 0);
@@ -209,7 +201,7 @@ mod tests {
         // Duplicate keys must come back in insertion order so joins are
         // deterministic.
         let rel = test_relation("r", &[(7, 0), (1, 1), (7, 2), (7, 3)]);
-        let idx = HashIndex::build_for_relation(&rel, 0);
+        let idx = HashIndex::build(rel.tuples(), 0);
         let payloads: Vec<i64> = idx
             .probe(rel.tuples(), &Value::Int(7))
             .map(|t| t.value(1).as_int().unwrap())
@@ -227,10 +219,10 @@ mod tests {
     #[test]
     fn index_on_string_column() {
         let schema = Schema::new(vec![ColumnDef::str("s")]);
-        let mut frag = Fragment::empty(0, 0, schema);
-        frag.push(Tuple::new(vec![Value::from("AAA")]));
-        frag.push(Tuple::new(vec![Value::from("BBB")]));
-        frag.push(Tuple::new(vec![Value::from("AAA")]));
+        let tuples = ["AAA", "BBB", "AAA"]
+            .map(|s| Tuple::new(vec![Value::from(s)]))
+            .to_vec();
+        let frag = Fragment::new(0, 0, schema, tuples);
         let idx = HashIndex::build_for_fragment(&frag, 0);
         assert_eq!(idx.probe(frag.tuples(), &Value::from("AAA")).count(), 2);
         assert_eq!(idx.probe(frag.tuples(), &Value::from("BBB")).count(), 1);
@@ -241,7 +233,7 @@ mod tests {
     fn every_position_is_indexed_exactly_once() {
         let rows: Vec<(i64, i64)> = (0..1000).map(|i| (i % 37, i)).collect();
         let rel = test_relation("r", &rows);
-        let idx = HashIndex::build_for_relation(&rel, 0);
+        let idx = HashIndex::build(rel.tuples(), 0);
         let mut seen: Vec<i64> = (0..37)
             .flat_map(|k| {
                 let key = Value::Int(k);

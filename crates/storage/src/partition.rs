@@ -86,20 +86,36 @@ impl PartitionedRelation {
     /// which for Wisconsin `uniqueN` keys yields nearly uniform fragments.
     pub fn from_relation(relation: &Relation, spec: PartitionSpec) -> Result<Self> {
         let key_indexes = spec.validate(relation.schema())?;
-        let mut fragments: Vec<Fragment> = (0..spec.degree)
-            .map(|id| Fragment::empty(id, spec.disk_of_fragment(id), relation.schema().clone()))
-            .collect();
+        let mut buckets: Vec<Vec<Tuple>> = vec![Vec::new(); spec.degree];
         for tuple in relation.tuples() {
             let frag = spec.fragment_of_hash(tuple.hash_key(&key_indexes));
-            fragments[frag].push(tuple.clone());
+            buckets[frag].push(tuple.clone());
         }
-        Ok(PartitionedRelation {
+        Ok(Self::from_buckets(relation, spec, key_indexes, buckets))
+    }
+
+    /// Wraps one tuple vector per fragment id into the relation's fragments.
+    fn from_buckets(
+        relation: &Relation,
+        spec: PartitionSpec,
+        key_indexes: Vec<usize>,
+        buckets: Vec<Vec<Tuple>>,
+    ) -> Self {
+        let fragments = buckets
+            .into_iter()
+            .enumerate()
+            .map(|(id, tuples)| {
+                let disk = spec.disk_of_fragment(id);
+                Fragment::new(id, disk, relation.schema().clone(), tuples)
+            })
+            .collect();
+        PartitionedRelation {
             name: relation.name().to_string(),
             schema: relation.schema().clone(),
             spec,
             key_indexes,
             fragments,
-        })
+        }
     }
 
     /// Builds a partitioned relation whose *fragment cardinalities* follow a
@@ -139,13 +155,10 @@ impl PartitionedRelation {
         // per-fragment work) only depends on the cardinalities.
         let keys = fragment_key_pool(&spec, spec.degree);
 
-        let mut fragments: Vec<Fragment> = (0..spec.degree)
-            .map(|id| Fragment::empty(id, spec.disk_of_fragment(id), relation.schema().clone()))
-            .collect();
-
+        let mut buckets: Vec<Vec<Tuple>> = Vec::with_capacity(spec.degree);
         let mut source = relation.tuples().iter();
-        for (frag_id, &card) in cards.iter().enumerate() {
-            let key = keys[frag_id];
+        for (&card, &key) in cards.iter().zip(&keys) {
+            let mut tuples = Vec::with_capacity(card);
             for _ in 0..card {
                 // Re-key the next source tuple onto this fragment's key.
                 #[expect(
@@ -158,17 +171,11 @@ impl PartitionedRelation {
                     .expect("cardinalities sum to the relation cardinality");
                 let mut values = tuple.values().to_vec();
                 values[key_index] = crate::value::Value::Int(key);
-                fragments[frag_id].push(Tuple::new(values));
+                tuples.push(Tuple::new(values));
             }
+            buckets.push(tuples);
         }
-
-        Ok(PartitionedRelation {
-            name: relation.name().to_string(),
-            schema: relation.schema().clone(),
-            spec,
-            key_indexes,
-            fragments,
-        })
+        Ok(Self::from_buckets(relation, spec, key_indexes, buckets))
     }
 
     /// Relation name.

@@ -88,11 +88,6 @@ impl Relation {
         self.schema.column_index(name)
     }
 
-    /// Approximate total size in bytes (used by the Allcache model).
-    pub fn approximate_size(&self) -> usize {
-        self.tuples.iter().map(Tuple::approximate_size).sum()
-    }
-
     /// Reference nested-loop join used as a correctness oracle in tests.
     ///
     /// Joins `self` with `right` on equality of the named columns and returns
@@ -225,11 +220,5 @@ mod tests {
     fn integrity_check_passes_for_generated() {
         let a = test_relation("a", &[(1, 10), (2, 20)]);
         assert!(a.check_integrity().is_ok());
-    }
-
-    #[test]
-    fn approximate_size_positive() {
-        let a = test_relation("a", &[(1, 10), (2, 20)]);
-        assert!(a.approximate_size() > 0);
     }
 }

@@ -110,19 +110,6 @@ impl Tuple {
     pub fn hash_key(&self, key_indexes: &[usize]) -> u64 {
         stable_hash_values(key_indexes.iter().map(|&i| &self.values[i]))
     }
-
-    /// Approximate in-memory size in bytes (used by the Allcache model):
-    /// the `Arc<[Value]>` header (two reference counts) plus the inline
-    /// value slots plus the out-of-line string bytes each value reports.
-    pub fn approximate_size(&self) -> usize {
-        let header = 16; // Arc strong + weak counts preceding the slice
-        header
-            + self
-                .values
-                .iter()
-                .map(Value::approximate_size)
-                .sum::<usize>()
-    }
 }
 
 impl fmt::Display for Tuple {
@@ -196,22 +183,5 @@ mod tests {
     fn display_formats_values() {
         let t = Tuple::new(vec![Value::Int(1), Value::from("X")]);
         assert_eq!(t.to_string(), "[1, X]");
-    }
-
-    #[test]
-    fn approximate_size_grows_with_arity() {
-        assert!(int_tuple(&[1, 2, 3]).approximate_size() > int_tuple(&[1]).approximate_size());
-    }
-
-    #[test]
-    fn approximate_size_reflects_single_allocation_representation() {
-        // Arc<[Value]> header (16) + one 8-byte int slot.
-        assert_eq!(int_tuple(&[1]).approximate_size(), 16 + 8);
-        // Strings add their own Arc<str> header + bytes on top of the slot.
-        let t = Tuple::new(vec![Value::Int(1), Value::from("ABCD")]);
-        assert_eq!(
-            t.approximate_size(),
-            16 + 8 + Value::from("ABCD").approximate_size()
-        );
     }
 }

@@ -49,19 +49,6 @@ impl Value {
         }
     }
 
-    /// Approximate in-memory size of the value in bytes.
-    ///
-    /// Used by the Allcache simulator to account for the bytes a fragment
-    /// occupies in a processor's local cache. A string is one shared
-    /// `Arc<str>` allocation: a 16-byte reference-count header plus the
-    /// bytes themselves.
-    pub fn approximate_size(&self) -> usize {
-        match self {
-            Value::Int(_) => 8,
-            Value::Str(s) => 16 + s.len(),
-        }
-    }
-
     /// A stable 64-bit hash of the value, used by the partitioning function
     /// and by the `Transmit` (redistribution) operator.
     ///
@@ -214,12 +201,6 @@ mod tests {
         let a = [Value::Int(1), Value::Int(2)];
         let b = [Value::Int(2), Value::Int(1)];
         assert_ne!(stable_hash_values(a.iter()), stable_hash_values(b.iter()));
-    }
-
-    #[test]
-    fn approximate_size_accounts_for_string_length() {
-        assert_eq!(Value::Int(1).approximate_size(), 8);
-        assert!(Value::from("ABCDEFGH").approximate_size() > Value::from("AB").approximate_size());
     }
 
     #[test]

@@ -507,7 +507,7 @@ mod tests {
         let stats = crate::cache_stats().since(&before);
         assert!(
             stats.index.hits + stats.index.misses > 0,
-            "join builds must consult the shared index cache"
+            "join builds must resolve their fragments' indexes"
         );
     }
 

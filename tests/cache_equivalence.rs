@@ -1,23 +1,18 @@
 //! Cache-counter equivalence: the tests that assert on the engine's
 //! process-wide cache counters, in a test binary of their own.
 //!
-//! The plan and index caches — and their hit/miss/eviction counters — are
-//! one process-wide static (`crates/engine/src/cache.rs`). Inside
-//! `backend_equivalence` these tests shared a process with degree-200
-//! sessions whose index entries pushed this file's eight entries out of the
-//! 1024-entry LRU between rounds, so "warm round missed the cache" failed
-//! most runs on a 2-vCPU host. Here they have no neighbours (own process)
-//! and run one at a time (the file-local [`SERIAL`] mutex), so counter
-//! deltas are exact.
-//!
-//! This is the stop-gap. The root-cause fix is ROADMAP item 6(a): caches
-//! owned by the `Runtime`/`Session` instead of the process, after which a
-//! neighbour cannot evict what it cannot reach and these tests can move
-//! back.
+//! Prepared plans are cached process-wide, and build-side indexes live in
+//! the fragments they index; the plan cache and the index hit/miss counters
+//! are one process-wide static (`crates/engine/src/cache.rs`). The counters
+//! being process-wide is why these tests keep a binary of their own and run
+//! one at a time (the file-local [`SERIAL`] mutex): any query running beside
+//! one of them would add to its counter deltas, which are exact here. They
+//! can move back once the counters are owned by the `Runtime`/`Session`
+//! instead of the process (ROADMAP item 8(a)).
 
 use dbs3::prelude::*;
 use dbs3_lera::OperatorKind;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -47,14 +42,14 @@ fn session(a_card: usize, b_card: usize, degree: usize, theta: f64) -> Session {
     session
 }
 
-/// Prepared-query and shared-index caching must be *invisible* to results:
-/// the first (cold) execution populates the caches, every later (warm)
-/// execution of the same plan is served by them — and cardinalities plus
+/// Prepared-plan caching and fragment-owned indexes must be *invisible* to
+/// results: the first (cold) execution prepares the plan and builds the
+/// indexes, every later (warm) execution of the same plan is served by them — and cardinalities plus
 /// per-operation logical activation counts must be bit-identical between
 /// the cold run and warm runs on a blocking run's own pool, a caller-owned
-/// pool and the simulator. The cache-stats delta metered around each warm engine run
-/// proves the warm path actually hit the caches rather than accidentally
-/// rebuilding.
+/// pool and the simulator. The cache-stats delta metered around each warm
+/// engine run proves the warm path actually found built indexes rather
+/// than accidentally rebuilding.
 #[test]
 fn cached_setup_is_identical_to_cold_setup_across_all_backends() {
     let _serial = serial();
@@ -67,8 +62,8 @@ fn cached_setup_is_identical_to_cold_setup_across_all_backends() {
         plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash),
     ] {
         let mut reference: Option<Pinned> = None;
-        // Round 0 is cold for this (fresh) session's generations; rounds
-        // 1..3 repeat the identical query and must be served by the caches.
+        // Round 0 is cold for this (fresh) session's relations; rounds 1..3
+        // repeat the identical query and must be served by what it built.
         for round in 0..3 {
             let query = || session.query(&plan).threads(4);
             let (run, run_stats) = metered(|| query().run().unwrap());
@@ -83,14 +78,14 @@ fn cached_setup_is_identical_to_cold_setup_across_all_backends() {
                 (submitted, Some(submit_stats)),
                 (simulated, None),
             ] {
-                // The cache signal of a warm engine run is the shared
-                // build-side index, which operator binding consults during
-                // execution.
+                // The cache signal of a warm engine run is the build-side
+                // index, which the join resolves from its inner fragment
+                // during execution.
                 if round > 0 {
                     if let Some(stats) = stats {
                         assert!(
                             stats.index.hits >= 1,
-                            "warm round {round} of {} missed the shared-index cache: {stats:?}",
+                            "warm round {round} of {} rebuilt a fragment's index: {stats:?}",
                             plan.name()
                         );
                     }
@@ -129,11 +124,11 @@ fn cached_setup_is_identical_to_cold_setup_across_all_backends() {
     assert_eq!(runtime.live_queries(), 0);
 }
 
-/// Generation-based invalidation end-to-end: replacing a relation in the
-/// catalog must route the next execution of a cached plan to a *fresh*
-/// build over the new data — correct new results, never the stale index —
-/// and the stale entries must leave the caches as evictions, observable in
-/// the process-wide counters.
+/// Invalidation end-to-end: replacing a relation in the catalog must route
+/// the next execution of a cached plan to a *fresh* preparation and fresh
+/// index builds over the new data — correct new results, never a stale
+/// index — and the stale plan must leave the plan cache as an eviction,
+/// observable in the process-wide counters.
 #[test]
 fn catalog_mutation_invalidates_cached_plans_and_indexes() {
     let _serial = serial();
@@ -181,30 +176,9 @@ fn catalog_mutation_invalidates_cached_plans_and_indexes() {
     assert!(stats.index.hits >= 1, "re-warmed run must hit: {stats:?}");
 }
 
-/// A replace invalidates only the fragments it changed. Two versions of
-/// the build side `A` that differ by one row, alternated on one runtime:
-/// after the cold first query, each query meters exactly one index miss
-/// (the edited fragment's rebuild), one eviction (its stale entry) and
-/// `degree - 1` hits, while the cardinalities alternate. The control, a
-/// regenerated `A` in which every fragment changed, meters exactly
-/// `degree` misses.
-#[test]
-fn a_replace_rebuilds_only_the_fragments_it_changed() {
-    let _serial = serial();
-    let degree = 8;
-    let mut session = session(4_000, 400, degree, 0.0);
-    let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
-    let runtime = Runtime::new(4).unwrap();
-    let query = |session: &Session| {
-        metered(|| {
-            let handle = session.query(&plan).threads(4).submit(&runtime);
-            handle.unwrap().wait().unwrap()
-        })
-    };
-
-    // The second version drops the row keyed 0, which joins one Bprime
-    // row; every other tuple is shared with the first version.
-    let full = session.catalog().get("A").unwrap();
+/// `A` without its row keyed 0, which joins one Bprime row; every other
+/// tuple is shared with `full`, and only one fragment differs.
+fn without_key_zero(full: &PartitionedRelation) -> PartitionedRelation {
     let key = full.schema().column_index("unique1").unwrap();
     let kept: Vec<Tuple> = full
         .reassemble()
@@ -214,18 +188,41 @@ fn a_replace_rebuilds_only_the_fragments_it_changed() {
         .cloned()
         .collect();
     let shorter = Relation::new("A", full.schema().clone(), kept).unwrap();
-    let versions = [
-        ((*full).clone(), 400),
-        (
-            PartitionedRelation::from_relation(&shorter, full.spec().clone()).unwrap(),
-            399,
-        ),
-    ];
+    PartitionedRelation::from_relation(&shorter, full.spec().clone()).unwrap()
+}
+
+/// Submits `plan` on `runtime`, metering the cache activity it causes.
+fn metered_submit(session: &Session, plan: &Plan, runtime: &Runtime) -> (QueryOutcome, CacheStats) {
+    metered(|| {
+        let handle = session.query(plan).threads(4).submit(runtime);
+        handle.unwrap().wait().unwrap()
+    })
+}
+
+/// A freshly built edit rebuilds only the fragments it changed. Two
+/// versions of the build side `A` that differ by one row, each installed as
+/// a fresh copy with no index built, alternated on one runtime: after the
+/// cold first query, each query meters exactly one index miss (the edited
+/// fragment's build) and `degree - 1` hits (the indexes `replace` handed
+/// over from the equal fragments), while the cardinalities alternate. Index
+/// evictions stay 0: an index goes with its fragment. The control, a
+/// regenerated `A` in which every fragment changed, meters exactly `degree`
+/// misses.
+#[test]
+fn a_replace_rebuilds_only_the_fragments_it_changed() {
+    let _serial = serial();
+    let degree = 8;
+    let mut session = session(4_000, 400, degree, 0.0);
+    let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
+    let runtime = Runtime::new(4).unwrap();
+
+    let full = session.catalog().get("A").unwrap();
+    let versions = [((*full).clone(), 400), (without_key_zero(&full), 399)];
     drop(full);
     for round in 0..6 {
         let (version, expected) = &versions[round % 2];
         session.catalog_mut().replace(version.clone());
-        let (outcome, stats) = query(&session);
+        let (outcome, stats) = metered_submit(&session, &plan, &runtime);
         assert_eq!(
             outcome.result_cardinality("Result"),
             Some(*expected),
@@ -235,7 +232,7 @@ fn a_replace_rebuilds_only_the_fragments_it_changed() {
             let index = stats.index;
             assert_eq!(
                 (index.misses, index.hits, index.evictions),
-                (1, degree as u64 - 1, 1),
+                (1, degree as u64 - 1, 0),
                 "round {round} must rebuild only the edited fragment: {stats:?}"
             );
         }
@@ -250,12 +247,49 @@ fn a_replace_rebuilds_only_the_fragments_it_changed() {
         PartitionedRelation::from_relation(&doubled, PartitionSpec::on("unique1", degree, 4))
             .unwrap(),
     );
-    let (outcome, stats) = query(&session);
+    let (outcome, stats) = metered_submit(&session, &plan, &runtime);
     assert_eq!(outcome.result_cardinality("Result"), Some(400));
     assert_eq!(
         stats.index.misses, degree as u64,
         "every fragment changed: {stats:?}"
     );
+    assert_eq!(runtime.live_queries(), 0);
+}
+
+/// A reinstalled version rebuilds nothing. The two versions of `A` above
+/// alternate the way a write-heavy client reinstalls them: each `replace`
+/// returns the version it displaced, which is taken back whole
+/// (`Arc::try_unwrap`, or a clone while a pool worker still holds it) and
+/// installed again two queries later, its fragments still owning the
+/// indexes they built. From round 2 on, when both versions have been
+/// queried, every query meters index `(misses, hits) == (0, degree)`.
+#[test]
+fn a_reinstalled_version_rebuilds_no_index() {
+    let _serial = serial();
+    let degree = 8;
+    let mut session = session(4_000, 400, degree, 0.0);
+    let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
+    let runtime = Runtime::new(4).unwrap();
+
+    let mut spare = without_key_zero(&session.catalog().get("A").unwrap());
+    for round in 0..6 {
+        let previous = session.catalog_mut().replace(spare).unwrap();
+        spare = Arc::try_unwrap(previous).unwrap_or_else(|shared| (*shared).clone());
+        let (outcome, stats) = metered_submit(&session, &plan, &runtime);
+        let expected = if round % 2 == 0 { 399 } else { 400 };
+        assert_eq!(
+            outcome.result_cardinality("Result"),
+            Some(expected),
+            "round {round}"
+        );
+        if round >= 2 {
+            assert_eq!(
+                (stats.index.misses, stats.index.hits),
+                (0, degree as u64),
+                "round {round} reinstalled a version whose indexes are built: {stats:?}"
+            );
+        }
+    }
     assert_eq!(runtime.live_queries(), 0);
 }
 
