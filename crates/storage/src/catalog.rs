@@ -89,9 +89,12 @@ impl Catalog {
     /// The name is stamped with a fresh generation either way. A fragment
     /// whose tuples equal the predecessor's fragment at the same index takes
     /// over the indexes the predecessor built, so only the fragments the
-    /// replace changed are indexed afresh. Tuples shared with the
-    /// predecessor compare by pointer, so an edit that reuses the unchanged
-    /// rows costs one pointer compare per row.
+    /// replace changed are indexed afresh. A pair is compared only when the
+    /// new fragment could receive an index: some column is empty in it and
+    /// built in its predecessor. A version that already holds every index
+    /// its predecessor could hand it is installed without reading a tuple.
+    /// Tuples shared with the predecessor compare by pointer, so an edit
+    /// that reuses the unchanged rows costs one pointer compare per row.
     pub fn replace(&mut self, relation: PartitionedRelation) -> Option<Arc<PartitionedRelation>> {
         let name = relation.name().to_string();
         if let Some(previous) = self.entries.get(&name) {
@@ -102,7 +105,7 @@ impl Catalog {
                     .iter()
                     .zip(relation.fragments())
                 {
-                    if old.tuples() == new.tuples() {
+                    if new.could_adopt(old) && old.tuples() == new.tuples() {
                         new.adopt_indexes(old);
                     }
                 }

@@ -17,8 +17,11 @@ use std::sync::{Arc, OnceLock};
 ///
 /// A fragment is immutable once built, so it owns the temporary hash
 /// indexes joins build over it (Expt 3): one build cell per column, filled
-/// by the first join that needs it and dropped with the fragment. A clone
-/// shares the built indexes.
+/// by the first join that needs it and dropped with the fragment.
+///
+/// A clone copies the build cells as they stand: it shares every index
+/// built so far, and an index built in either fragment afterwards stays its
+/// own.
 #[derive(Debug, Clone)]
 pub struct Fragment {
     /// Fragment identifier, `0 .. degree`.
@@ -88,6 +91,17 @@ impl Fragment {
         &self.indexes[column]
     }
 
+    /// Whether [`adopt_indexes`](Self::adopt_indexes) could fill a cell of
+    /// this fragment from `previous`: some column's cell is empty here and
+    /// built there. When it could not, a replace need not compare the two
+    /// fragments' tuples.
+    pub(crate) fn could_adopt(&self, previous: &Fragment) -> bool {
+        self.indexes
+            .iter()
+            .zip(previous.indexes.iter())
+            .any(|(cell, built)| cell.get().is_none() && built.get().is_some())
+    }
+
     /// Takes over the indexes `previous` has built, for a fragment whose
     /// tuples equal `previous`'s: the same rows give the same index. Cells
     /// this fragment has already filled keep their own index.
@@ -125,6 +139,67 @@ mod tests {
         let f = Fragment::new(0, 0, schema(), Vec::new());
         assert!(f.is_empty());
         assert_eq!(f.cardinality(), 0);
+    }
+
+    /// Builds the index on `column` of `f` into its cell.
+    fn build(f: &Fragment, column: usize) -> Arc<HashIndex> {
+        Arc::clone(
+            f.index_cell(column)
+                .get_or_init(|| Arc::new(HashIndex::build_for_fragment(f, column))),
+        )
+    }
+
+    #[test]
+    fn a_fragment_could_adopt_only_a_cell_empty_here_and_built_there() {
+        let rows = || vec![int_tuple(&[1, 2]), int_tuple(&[3, 4])];
+        let old = Fragment::new(0, 0, schema(), rows());
+        let new = Fragment::new(0, 0, schema(), rows());
+        assert!(!new.could_adopt(&old), "old has built nothing");
+
+        build(&old, 1);
+        assert!(new.could_adopt(&old), "column 1: empty here, built there");
+        assert!(
+            !old.could_adopt(&new),
+            "the other way round, nothing is built"
+        );
+
+        build(&new, 1);
+        assert!(!new.could_adopt(&old), "both built: nothing to hand over");
+
+        build(&old, 0);
+        assert!(new.could_adopt(&old), "column 0 is now empty here only");
+    }
+
+    #[test]
+    fn the_adoption_guard_reads_only_the_columns_both_fragments_have() {
+        let wide = Schema::new(vec![
+            ColumnDef::int("id"),
+            ColumnDef::int("val"),
+            ColumnDef::int("extra"),
+        ]);
+        let narrow = Fragment::new(0, 0, schema(), Vec::new());
+        let wider = Fragment::new(0, 0, wide, Vec::new());
+        build(&narrow, 1);
+        build(&wider, 2);
+        assert!(
+            wider.could_adopt(&narrow),
+            "column 1 is empty in the wider one"
+        );
+        assert!(
+            !narrow.could_adopt(&wider),
+            "column 2 has no cell in the narrower one"
+        );
+    }
+
+    #[test]
+    fn a_clone_snapshots_its_cells() {
+        let f = Fragment::new(0, 0, schema(), vec![int_tuple(&[1, 2]), int_tuple(&[3, 4])]);
+        let clone = f.clone();
+        build(&clone, 0);
+        assert!(
+            f.index_cell(0).get().is_none(),
+            "an index built in the clone after cloning stays the clone's"
+        );
     }
 
     #[test]

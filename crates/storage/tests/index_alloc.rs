@@ -1,8 +1,9 @@
 //! Allocation ratchet for the temporary hash index. A build allocates the
 //! two arrays the index keeps — bucket starts and `(tag, position)` entries
 //! — and nothing else: no staged hashes, no cursor copy, no parallel
-//! arrays. A cold query rebuilds one index per join fragment, so every
-//! byte here is paid once per fragment per query.
+//! arrays. An index lives in its fragment and a replace hands it on to an
+//! equal fragment of the new version, so every byte here is paid once per
+//! fragment and column, and again only for a fragment a replace changed.
 //!
 //! Own test binary: it installs a counting `#[global_allocator]`.
 

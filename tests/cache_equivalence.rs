@@ -8,7 +8,7 @@
 //! one at a time (the file-local [`SERIAL`] mutex): any query running beside
 //! one of them would add to its counter deltas, which are exact here. They
 //! can move back once the counters are owned by the `Runtime`/`Session`
-//! instead of the process (ROADMAP item 8(a)).
+//! instead of the process (ROADMAP item 4(a)/(b)).
 
 use dbs3::prelude::*;
 use dbs3_lera::OperatorKind;
