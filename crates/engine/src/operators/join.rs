@@ -2,13 +2,21 @@
 
 use crate::activation::{Activation, TupleBatch};
 use dbs3_lera::JoinAlgorithm;
-use dbs3_storage::{HashIndex, PartitionedRelation, Tuple};
+use dbs3_storage::{HashIndex, PartitionedRelation, Tuple, Value};
+use std::borrow::Borrow;
 use std::sync::Arc;
 use std::sync::OnceLock;
 
 /// What both join operators share: the inner relation, the key columns, the
 /// algorithm, the lazily resolved per-instance indexes, and what a match
 /// becomes — a built row, or one more in a count.
+///
+/// An indexed count reads keys, not rows: it sums [`HashIndex::count`] over
+/// the outer keys, which for integer keys in an all-integer index matches
+/// full hashes and reads no inner row. A triggered join takes its outer
+/// keys from the outer fragment's dense integer column
+/// ([`Fragment::int_column`](dbs3_storage::Fragment::int_column)), so it
+/// reads no outer row either; a pipelined join reads them from its batch.
 #[derive(Debug)]
 struct Probe {
     inner: Arc<PartitionedRelation>,
@@ -49,11 +57,19 @@ impl Probe {
         }
     }
 
-    /// Joins `outers` against inner fragment `instance`. Built output is
+    /// Whether matches are counted through an index, the path that can take
+    /// the outer keys alone ([`join`](Self::join)'s `int_keys`).
+    fn counts_by_index(&self) -> bool {
+        self.count_only && self.algorithm != JoinAlgorithm::NestedLoop
+    }
+
+    /// Joins `outers` against inner fragment `instance`. `int_keys`, when
+    /// given, holds the outer join keys of `outers`, in order, and an
+    /// indexed count reads them instead of the rows. Built output is
     /// presized to one row per outer tuple — exact when every outer key has
     /// one partner (the key joins of the paper's plans), a first guess
     /// otherwise — instead of regrowing from empty on every activation.
-    fn join(&self, instance: usize, outers: &[Tuple]) -> TupleBatch {
+    fn join(&self, instance: usize, outers: &[Tuple], int_keys: Option<&[i64]>) -> TupleBatch {
         #[expect(
             clippy::expect_used,
             reason = "plan binding verified co-partitioning and hash routing is modulo the \
@@ -73,8 +89,21 @@ impl Probe {
                 .get_or_init(|| crate::cache::fragment_index(fragment, self.inner_column))
         });
         if self.count_only {
-            let mut rows = 0usize;
-            self.each_match(outers, inner, index, |_, _| rows += 1);
+            let rows = match (index, int_keys) {
+                (Some(index), Some(keys)) => {
+                    count_matches(index, inner, keys.iter().map(|&k| Value::Int(k)))
+                }
+                (Some(index), None) => count_matches(
+                    index,
+                    inner,
+                    outers.iter().map(|o| o.value(self.outer_column)),
+                ),
+                (None, _) => {
+                    let mut rows = 0usize;
+                    self.each_match(outers, inner, None, |_, _| rows += 1);
+                    rows
+                }
+            };
             TupleBatch::counted(rows)
         } else {
             let mut out = Vec::with_capacity(outers.len());
@@ -103,6 +132,16 @@ impl Probe {
             }
         }
     }
+}
+
+/// The one count loop: the matches of every outer key in `index` over
+/// `inner`.
+fn count_matches<K: Borrow<Value>>(
+    index: &HashIndex,
+    inner: &[Tuple],
+    keys: impl Iterator<Item = K>,
+) -> usize {
+    keys.map(|key| index.count(inner, key.borrow())).sum()
 }
 
 /// A triggered co-partitioned join (the IdealJoin operation): when instance
@@ -138,20 +177,30 @@ impl TriggeredJoinOperator {
 
     /// Processes one activation for `instance`, returning the output batch.
     /// A trigger joins the whole outer fragment against the co-partitioned
-    /// inner fragment; a morsel joins only its outer row range.
+    /// inner fragment; a morsel joins only its outer row range. An indexed
+    /// count reads the range's keys from the outer fragment's dense integer
+    /// column, which the first such join over the fragment builds.
     pub fn process(&self, instance: usize, activation: Activation) -> TupleBatch {
         #[expect(
             clippy::expect_used,
             reason = "plan binding verified co-partitioning; a missing fragment is a planner \
                       bug worth crashing on"
         )]
-        let outer = self
+        let fragment = self
             .outer
             .fragment(instance)
-            .expect("co-partitioned operands share the degree of partitioning")
-            .tuples();
+            .expect("co-partitioned operands share the degree of partitioning");
+        let outer = fragment.tuples();
         match super::control_range(&activation, outer.len()) {
-            Some((start, end)) => self.probe.join(instance, &outer[start..end]),
+            Some((start, end)) => {
+                let int_keys = self
+                    .probe
+                    .counts_by_index()
+                    .then(|| fragment.int_column(self.probe.outer_column))
+                    .flatten()
+                    .map(|keys| &keys[start..end]);
+                self.probe.join(instance, &outer[start..end], int_keys)
+            }
             None => TupleBatch::default(),
         }
     }
@@ -197,7 +246,7 @@ impl PipelinedJoinOperator {
     /// Processes one activation for `instance`, returning the output batch.
     pub fn process(&self, instance: usize, activation: Activation) -> TupleBatch {
         match activation.into_batch() {
-            Some(batch) => self.probe.join(instance, batch.tuples()),
+            Some(batch) => self.probe.join(instance, batch.tuples(), None),
             None => TupleBatch::default(), // pipelined joins ignore stray triggers
         }
     }
@@ -417,6 +466,54 @@ mod tests {
                 .counting_matches(true)
                 .process(1, Activation::Data(probes));
             assert_eq!(pipelined, whole, "algorithm {algorithm:?}");
+        }
+    }
+
+    #[test]
+    fn counted_string_key_joins_equal_built_ones() {
+        // Full relations partitioned on a string column: no dense integer
+        // column, no all-integer index, so every count re-checks rows.
+        let on_stringu1 = |name: &str, cardinality: usize| {
+            let rel = WisconsinGenerator::new()
+                .generate(&WisconsinConfig::full(name, cardinality))
+                .unwrap();
+            let spec = PartitionSpec::on("stringu1", 4, 2);
+            let part = PartitionedRelation::from_relation(&rel, spec).unwrap();
+            (rel, Arc::new(part))
+        };
+        let (a_rel, a) = on_stringu1("A", 400);
+        let (b_rel, b) = on_stringu1("Bprime", 40);
+        let s1 = a.schema().column_index("stringu1").unwrap();
+        let expected = a_rel
+            .reference_join(&b_rel, "stringu1", "stringu1")
+            .unwrap()
+            .len();
+        assert!(expected > 0, "the string keys meet");
+        for algorithm in [JoinAlgorithm::Hash, JoinAlgorithm::TempIndex] {
+            let triggered = |count_only: bool| {
+                TriggeredJoinOperator::new(Arc::clone(&a), Arc::clone(&b), s1, s1, algorithm)
+                    .counting_matches(count_only)
+            };
+            let pipelined = |count_only: bool| {
+                PipelinedJoinOperator::new(Arc::clone(&b), s1, s1, algorithm)
+                    .counting_matches(count_only)
+            };
+            let (built, counted) = (triggered(false), triggered(true));
+            let (built_pipe, counted_pipe) = (pipelined(false), pipelined(true));
+            let mut total = 0usize;
+            for i in 0..4 {
+                let whole = built.process(i, Activation::Trigger);
+                let count = counted.process(i, Activation::Trigger);
+                assert_eq!(count, TupleBatch::counted(whole.len()), "{algorithm:?} {i}");
+                let probes = TupleBatch::from(a.fragments()[i].tuples().to_vec());
+                let piped = built_pipe.process(i, Activation::Data(probes.clone()));
+                assert_eq!(piped.len(), whole.len(), "{algorithm:?} {i}");
+                let piped_count = counted_pipe.process(i, Activation::Data(probes));
+                assert_eq!(piped_count, count, "{algorithm:?} {i}");
+                assert_eq!(a.fragments()[i].int_column(s1), None, "string keys");
+                total += count.len();
+            }
+            assert_eq!(total, expected, "algorithm {algorithm:?}");
         }
     }
 

@@ -88,11 +88,12 @@ impl Catalog {
     ///
     /// The name is stamped with a fresh generation either way. A fragment
     /// whose tuples equal the predecessor's fragment at the same index takes
-    /// over the indexes the predecessor built, so only the fragments the
-    /// replace changed are indexed afresh. A pair is compared only when the
-    /// new fragment could receive an index: some column is empty in it and
-    /// built in its predecessor. A version that already holds every index
-    /// its predecessor could hand it is installed without reading a tuple.
+    /// over the indexes and dense integer columns the predecessor built, so
+    /// only the fragments the replace changed build them afresh. A pair is
+    /// compared only when the new fragment could receive one: some cell is
+    /// empty in it and built in its predecessor. A version that already
+    /// holds everything its predecessor could hand it is installed without
+    /// reading a tuple.
     /// Tuples shared with the predecessor compare by pointer, so an edit
     /// that reuses the unchanged rows costs one pointer compare per row.
     pub fn replace(&mut self, relation: PartitionedRelation) -> Option<Arc<PartitionedRelation>> {
@@ -308,6 +309,37 @@ mod tests {
             .fragments()
             .iter()
             .all(|f| f.index_cell(0).get().is_none()));
+    }
+
+    #[test]
+    fn replace_hands_a_built_dense_column_only_to_an_equal_fragment() {
+        let mut cat = Catalog::new();
+        let first = cat.register(partitioned("A")).unwrap();
+        let built: Vec<*const i64> = first
+            .fragments()
+            .iter()
+            .map(|f| f.int_column(1).unwrap().as_ptr())
+            .collect();
+
+        // One changed row: its fragment builds its own column, the other is
+        // handed the built one. No index was built, so only the dense
+        // columns make the pairs worth comparing.
+        let edited = PartitionedRelation::from_relation(
+            &test_relation("A", &[(1, 10), (2, 21), (3, 30)]),
+            PartitionSpec::on("id", 2, 1),
+        )
+        .unwrap();
+        cat.replace(edited);
+        let edited = cat.get("A").unwrap();
+        let mut handed = 0;
+        for (new, old) in edited.fragments().iter().zip(&built) {
+            let changed = new.tuples().iter().any(|t| t.value(1) == &Value::Int(21));
+            let keys = new.int_column(1).unwrap();
+            assert_eq!(keys.as_ptr() == *old, !changed, "{keys:?}");
+            assert!(new.index_cell(0).get().is_none(), "never built");
+            handed += usize::from(!changed);
+        }
+        assert_eq!(handed, 1, "one of the two fragments is unchanged");
     }
 
     #[test]

@@ -3,7 +3,37 @@
 use crate::index::HashIndex;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
+use crate::value::Value;
 use std::sync::{Arc, OnceLock};
+
+/// The build cells of one column of a fragment: what joins derive from its
+/// values, each empty until first needed.
+#[derive(Debug, Clone, Default)]
+struct ColumnCells {
+    /// The hash index on the column.
+    index: OnceLock<Arc<HashIndex>>,
+    /// The column's values in row order, or `None` when some value is not
+    /// an integer.
+    ints: OnceLock<Option<Arc<[i64]>>>,
+}
+
+impl ColumnCells {
+    /// Whether some cell is empty here and built in `built`.
+    fn could_adopt(&self, built: &ColumnCells) -> bool {
+        (self.index.get().is_none() && built.index.get().is_some())
+            || (self.ints.get().is_none() && built.ints.get().is_some())
+    }
+
+    /// Fills every cell that is empty here and built in `built`.
+    fn adopt(&self, built: &ColumnCells) {
+        if let Some(index) = built.index.get() {
+            let _ = self.index.set(Arc::clone(index));
+        }
+        if let Some(ints) = built.ints.get() {
+            let _ = self.ints.set(ints.clone());
+        }
+    }
+}
 
 /// One fragment of a statically partitioned relation.
 ///
@@ -15,13 +45,18 @@ use std::sync::{Arc, OnceLock};
 /// so benches can reason about placement even though all data is
 /// memory-resident, as in the paper's experiments.
 ///
-/// A fragment is immutable once built, so it owns the temporary hash
-/// indexes joins build over it (Expt 3): one build cell per column, filled
-/// by the first join that needs it and dropped with the fragment.
+/// A fragment is immutable once built, so it owns what joins derive from
+/// its rows, each in one build cell per column, filled by the first join
+/// that needs it and dropped with the fragment:
 ///
-/// A clone copies the build cells as they stand: it shares every index
-/// built so far, and an index built in either fragment afterwards stays its
-/// own.
+/// * the temporary hash index joins build over an inner fragment (Expt 3);
+/// * a dense `i64` copy of the column, which a counting join scans over an
+///   outer fragment instead of its rows, to read only the keys. It holds
+///   `None` when some value of the column is not an integer.
+///
+/// A clone copies the build cells as they stand: it shares every index and
+/// dense column built so far, and one built in either fragment afterwards
+/// stays its own.
 #[derive(Debug, Clone)]
 pub struct Fragment {
     /// Fragment identifier, `0 .. degree`.
@@ -32,20 +67,22 @@ pub struct Fragment {
     schema: Schema,
     /// The tuples of this fragment.
     tuples: Vec<Tuple>,
-    /// One index build cell per column of `schema`.
-    indexes: Box<[OnceLock<Arc<HashIndex>>]>,
+    /// The build cells of each column of `schema`.
+    columns: Box<[ColumnCells]>,
 }
 
 impl Fragment {
     /// Creates a fragment.
     pub fn new(id: usize, disk: usize, schema: Schema, tuples: Vec<Tuple>) -> Self {
-        let indexes = (0..schema.width()).map(|_| OnceLock::new()).collect();
+        let columns = (0..schema.width())
+            .map(|_| ColumnCells::default())
+            .collect();
         Fragment {
             id,
             disk,
             schema,
             tuples,
-            indexes,
+            columns,
         }
     }
 
@@ -88,28 +125,46 @@ impl Fragment {
     ///
     /// If `column` is outside the fragment's schema.
     pub fn index_cell(&self, column: usize) -> &OnceLock<Arc<HashIndex>> {
-        &self.indexes[column]
+        &self.columns[column].index
+    }
+
+    /// The dense integer copy of `column`: its values in row order, or
+    /// `None` when some value is not an integer. The first call builds it
+    /// (one allocation); concurrent callers wait for that build.
+    ///
+    /// # Panics
+    ///
+    /// If `column` is outside the fragment's schema.
+    pub fn int_column(&self, column: usize) -> Option<&[i64]> {
+        self.columns[column]
+            .ints
+            .get_or_init(|| {
+                let values = || self.tuples.iter().map(|t| t.value(column));
+                values()
+                    .all(|v| matches!(v, Value::Int(_)))
+                    .then(|| values().map(|v| v.as_int().unwrap_or_default()).collect())
+            })
+            .as_deref()
     }
 
     /// Whether [`adopt_indexes`](Self::adopt_indexes) could fill a cell of
-    /// this fragment from `previous`: some column's cell is empty here and
-    /// built there. When it could not, a replace need not compare the two
-    /// fragments' tuples.
+    /// this fragment from `previous`: some column's index or dense column
+    /// cell is empty here and built there. When it could not, a replace
+    /// need not compare the two fragments' tuples.
     pub(crate) fn could_adopt(&self, previous: &Fragment) -> bool {
-        self.indexes
+        self.columns
             .iter()
-            .zip(previous.indexes.iter())
-            .any(|(cell, built)| cell.get().is_none() && built.get().is_some())
+            .zip(previous.columns.iter())
+            .any(|(cells, built)| cells.could_adopt(built))
     }
 
-    /// Takes over the indexes `previous` has built, for a fragment whose
-    /// tuples equal `previous`'s: the same rows give the same index. Cells
-    /// this fragment has already filled keep their own index.
+    /// Takes over the indexes and dense columns `previous` has built, for a
+    /// fragment whose tuples equal `previous`'s: the same rows give the same
+    /// index and the same column. Cells this fragment has already filled
+    /// keep their own.
     pub(crate) fn adopt_indexes(&self, previous: &Fragment) {
-        for (cell, built) in self.indexes.iter().zip(previous.indexes.iter()) {
-            if let Some(index) = built.get() {
-                let _ = cell.set(Arc::clone(index));
-            }
+        for (cells, built) in self.columns.iter().zip(previous.columns.iter()) {
+            cells.adopt(built);
         }
     }
 }
@@ -168,6 +223,16 @@ mod tests {
 
         build(&old, 0);
         assert!(new.could_adopt(&old), "column 0 is now empty here only");
+        build(&new, 0);
+        assert!(!new.could_adopt(&old), "every index is built in both");
+
+        old.int_column(1);
+        assert!(
+            new.could_adopt(&old),
+            "a dense column: empty here, built there"
+        );
+        new.int_column(1);
+        assert!(!new.could_adopt(&old), "both built again");
     }
 
     #[test]
@@ -199,6 +264,63 @@ mod tests {
         assert!(
             f.index_cell(0).get().is_none(),
             "an index built in the clone after cloning stays the clone's"
+        );
+        let keys = clone.int_column(0).unwrap().as_ptr();
+        assert!(
+            f.columns[0].ints.get().is_none(),
+            "a dense column built in the clone after cloning stays the clone's"
+        );
+        assert_ne!(f.int_column(0).unwrap().as_ptr(), keys, "built apart");
+    }
+
+    #[test]
+    fn a_dense_column_holds_the_integers_in_row_order() {
+        let f = Fragment::new(
+            0,
+            0,
+            schema(),
+            vec![int_tuple(&[1, 2]), int_tuple(&[-3, 4])],
+        );
+        assert_eq!(f.int_column(0), Some(&[1, -3][..]));
+        assert_eq!(f.int_column(1), Some(&[2, 4][..]));
+        let empty = Fragment::new(0, 0, schema(), Vec::new());
+        assert_eq!(empty.int_column(0), Some(&[][..]));
+    }
+
+    #[test]
+    fn a_dense_column_is_none_for_a_column_with_a_string() {
+        let mixed = Schema::new(vec![ColumnDef::int("id"), ColumnDef::str("s")]);
+        let tuples = vec![
+            Tuple::new(vec![Value::Int(1), Value::Int(5)]),
+            Tuple::new(vec![Value::Int(2), Value::from("x")]),
+        ];
+        let f = Fragment::new(0, 0, mixed, tuples);
+        assert_eq!(f.int_column(1), None);
+        assert!(
+            matches!(f.columns[1].ints.get(), Some(None)),
+            "the cell is built, and holds None"
+        );
+        assert_eq!(f.int_column(0), Some(&[1, 2][..]));
+    }
+
+    #[test]
+    fn a_clone_shares_a_built_dense_column() {
+        let f = Fragment::new(0, 0, schema(), vec![int_tuple(&[1, 2]), int_tuple(&[3, 4])]);
+        let keys = f.int_column(1).unwrap().as_ptr();
+        let clone = f.clone();
+        assert_eq!(
+            clone.columns[1]
+                .ints
+                .get()
+                .unwrap()
+                .as_deref()
+                .unwrap()
+                .as_ptr(),
+            keys
+        );
+        assert!(
+            clone.columns[0].ints.get().is_none(),
+            "column 0 was never read"
         );
     }
 

@@ -9,17 +9,26 @@
 //! The index stores positions rather than tuple clones so that building it is
 //! cheap — the cost the paper attributes to "building indexes on the fly".
 //! The layout is a contiguous grouped table: per-bucket start offsets plus
-//! one `(tag, position)` entry per row, grouped by bucket. A counting sort
-//! builds it in two passes over the rows and exactly two right-sized
-//! allocations — the two arrays the index keeps. The obvious alternative — a
-//! `HashMap<u64, Vec<u32>>` — costs one heap allocation *per distinct key*,
-//! which at Wisconsin cardinalities (unique join keys) made index
-//! construction the single most expensive step of a pipelined join.
+//! one 8-byte word per row, grouped by bucket. A word is the key's index
+//! hash with its bucket bits replaced by the row's position: the position is
+//! below the bucket count, so it fits in the bits the bucket mask covers, and
+//! the bucket a word sits in supplies those bits of the hash back. A counting
+//! sort builds the table in two passes over the rows and exactly two
+//! right-sized allocations — the two arrays the index keeps. The obvious
+//! alternative — a `HashMap<u64, Vec<u32>>` — costs one heap allocation *per
+//! distinct key*, which at Wisconsin cardinalities (unique join keys) made
+//! index construction the single most expensive step of a pipelined join.
 //!
 //! The index hashes keys with its own `index_hash`, not with
 //! [`Value::stable_hash`]: nothing outside the index sees its buckets, so it
 //! needs no stable byte-wise hash, only a cheap one whose low bits do not
 //! correlate with the partitioning hash that chose the fragment's rows.
+//!
+//! For integers that hash is a splitmix64 finaliser: xor-shifts and
+//! multiplies by odd constants, each a bijection on `u64`, so two integers
+//! share a full hash only when they are equal. A word therefore identifies
+//! an integer key exactly, and [`HashIndex::count`] counts the matches of
+//! an integer key in an all-integer index without reading a row.
 
 use crate::fragment::Fragment;
 use crate::tuple::Tuple;
@@ -35,16 +44,22 @@ pub struct HashIndex {
     /// `starts[b]` is the offset of bucket `b`'s first entry (length
     /// `buckets + 1`, so `starts[buckets]` is the row count).
     starts: Vec<u32>,
-    /// `(tag, position)` of every indexed tuple, grouped by bucket and in
-    /// ascending position within a bucket. The tag lets a probe skip
+    /// One word per indexed tuple, grouped by bucket and in ascending
+    /// position within a bucket: the key's index hash above the bucket
+    /// mask, OR'd with the tuple's position below it. With the bucket's own
+    /// bits, a word's high part is the key's full hash, so a probe skips
     /// same-bucket entries of other keys without touching the tuple data.
-    entries: Vec<(u32, u32)>,
+    entries: Vec<u64>,
+    /// Whether every indexed key is an integer: then a full-hash match is
+    /// an exact key match.
+    all_int: bool,
 }
 
 /// The index's key hash: a splitmix64 finaliser for integers (a few
-/// independent multiplies instead of FNV-1a's nine dependent ones), the
-/// stable hash for strings. Probes re-check equality, so the hash decides
-/// speed only, never a result.
+/// independent multiplies instead of FNV-1a's nine dependent ones, and a
+/// bijection on `u64`), the stable hash for strings. A string probe
+/// re-checks equality, so for strings the hash decides speed only, never a
+/// result.
 #[inline]
 fn index_hash(value: &Value) -> u64 {
     match value {
@@ -64,26 +79,22 @@ fn bucket_of(hash: u64, mask: usize) -> usize {
     hash as usize & mask
 }
 
-/// The tag of an index hash: its high 32 bits, disjoint from the bucket
-/// bits below 2³² buckets.
-#[inline]
-fn tag_of(hash: u64) -> u32 {
-    (hash >> 32) as u32
-}
-
 impl HashIndex {
     /// Builds an index over an arbitrary slice of tuples.
     pub fn build(tuples: &[Tuple], key_index: usize) -> Self {
-        // Load factor <= 1: at least one bucket per tuple, rounded up.
+        // Load factor <= 1: at least one bucket per tuple, rounded up, so
+        // every position fits below the mask.
         let buckets = tuples.len().next_power_of_two().max(1);
         let mask = buckets - 1;
         let mut starts = vec![0u32; buckets + 1];
-        let mut entries = vec![(0u32, 0u32); tuples.len()];
+        let mut entries = vec![0u64; tuples.len()];
         // A counting sort. Each key is hashed twice, once per pass: staging
         // the n hashes instead would save a little CPU but cost 8 bytes per
         // row.
         let hash = |t: &Tuple| index_hash(t.value(key_index));
+        let mut all_int = true;
         for t in tuples {
+            all_int &= matches!(t.value(key_index), Value::Int(_));
             starts[bucket_of(hash(t), mask)] += 1;
         }
         // Running totals: each bucket's ends one past its entries, and the
@@ -96,17 +107,19 @@ impl HashIndex {
             acc += *slot;
             *slot = acc;
         }
+        let high = !(mask as u64);
         for (pos, t) in tuples.iter().enumerate().rev() {
             let h = hash(t);
             let slot = &mut starts[bucket_of(h, mask)];
             *slot -= 1;
-            entries[*slot as usize] = (tag_of(h), pos as u32);
+            entries[*slot as usize] = (h & high) | pos as u64;
         }
         HashIndex {
             key_index,
             mask,
             starts,
             entries,
+            all_int,
         }
     }
 
@@ -131,9 +144,24 @@ impl HashIndex {
         self.entries.is_empty()
     }
 
+    /// The positions of the tuples whose key has the full index hash of
+    /// `value`, ascending.
+    #[inline]
+    fn hash_matches(&self, value: &Value) -> impl Iterator<Item = usize> + '_ {
+        let h = index_hash(value);
+        let b = bucket_of(h, self.mask);
+        let low = self.mask as u64;
+        let (lo, hi) = (self.starts[b] as usize, self.starts[b + 1] as usize);
+        self.entries[lo..hi]
+            .iter()
+            .filter(move |&&word| (word ^ h) & !low == 0)
+            .map(move |&word| (word & low) as usize)
+    }
+
     /// Probes the index with `value` over `tuples` (the same collection the
     /// index was built from) and yields references to the matching tuples
-    /// in ascending position, with exact equality re-checked.
+    /// in ascending position, with exact equality re-checked on the tuples
+    /// whose key has `value`'s full hash.
     ///
     /// The probe is allocation-free: it walks the bucket's entry range
     /// lazily instead of materialising a `Vec` per call, which matters in
@@ -145,15 +173,21 @@ impl HashIndex {
         value: &'a Value,
     ) -> impl Iterator<Item = &'a Tuple> + 'a {
         let key_index = self.key_index;
-        let h = index_hash(value);
-        let tag = tag_of(h);
-        let b = bucket_of(h, self.mask);
-        let (lo, hi) = (self.starts[b] as usize, self.starts[b + 1] as usize);
-        self.entries[lo..hi]
-            .iter()
-            .filter(move |&&(t, _)| t == tag)
-            .map(move |&(_, pos)| &tuples[pos as usize])
+        self.hash_matches(value)
+            .map(move |pos| &tuples[pos])
             .filter(move |t| t.value(key_index) == value)
+    }
+
+    /// The number of tuples [`probe`](Self::probe) would yield for `value`
+    /// over `tuples`. When `value` and every indexed key are integers, a
+    /// full-hash match is a key match (see the module doc), so the count
+    /// reads no tuple; otherwise it re-checks equality as a probe does.
+    #[inline]
+    pub fn count(&self, tuples: &[Tuple], value: &Value) -> usize {
+        match value {
+            Value::Int(_) if self.all_int => self.hash_matches(value).count(),
+            _ => self.probe(tuples, value).count(),
+        }
     }
 }
 
@@ -217,6 +251,59 @@ mod tests {
     }
 
     #[test]
+    fn an_all_integer_index_counts_without_reading_a_row() {
+        let keys = [7, -1, 7, i64::MIN, 0, i64::MAX, 7];
+        let tuples: Vec<Tuple> = keys.iter().map(|&k| int_tuple(&[k])).collect();
+        let idx = HashIndex::build(&tuples, 0);
+        for key in [7, -1, i64::MIN, 0, i64::MAX, 1, 8, -7] {
+            let expected = keys.iter().filter(|&&k| k == key).count();
+            assert_eq!(idx.count(&tuples, &Value::Int(key)), expected, "{key}");
+            // Handed no rows at all, the count still holds: it reads none.
+            assert_eq!(idx.count(&[], &Value::Int(key)), expected, "{key}");
+        }
+    }
+
+    /// The integer whose index hash is `hash`: the splitmix64 finaliser run
+    /// backwards, step by step.
+    fn int_with_hash(hash: u64) -> i64 {
+        let unshift = |y: u64, s: u32| (0..64 / s).fold(y, |x, _| y ^ (x >> s));
+        let inverse = |c: u64| {
+            (0..6).fold(c, |i, _| {
+                i.wrapping_mul(2u64.wrapping_sub(c.wrapping_mul(i)))
+            })
+        };
+        let mut z = unshift(hash, 31);
+        z = unshift(z.wrapping_mul(inverse(0x94d0_49bb_1331_11eb)), 27);
+        z = unshift(z.wrapping_mul(inverse(0xbf58_476d_1ce4_e5b9)), 30);
+        z as i64
+    }
+
+    #[test]
+    fn a_full_hash_shared_across_types_is_rechecked() {
+        // The integer hash is a bijection, so some integer shares the full
+        // hash of any string; only an all-integer index may trust a hash.
+        let s = Value::from("AAA");
+        let k = Value::Int(int_with_hash(s.stable_hash()));
+        assert_eq!(index_hash(&k), index_hash(&s));
+        let mixed = vec![Tuple::new(vec![s.clone()]), int_tuple(&[1])];
+        let idx = HashIndex::build(&mixed, 0);
+        assert_eq!(
+            idx.count(&mixed, &k),
+            0,
+            "an integer key against a string row"
+        );
+        assert_eq!(idx.count(&mixed, &s), 1);
+        let ints = vec![Tuple::new(vec![k.clone()])];
+        let idx = HashIndex::build(&ints, 0);
+        assert_eq!(
+            idx.count(&ints, &s),
+            0,
+            "a string key against an integer row"
+        );
+        assert_eq!(idx.count(&ints, &k), 1);
+    }
+
+    #[test]
     fn index_on_string_column() {
         let schema = Schema::new(vec![ColumnDef::str("s")]);
         let tuples = ["AAA", "BBB", "AAA"]
@@ -227,6 +314,8 @@ mod tests {
         assert_eq!(idx.probe(frag.tuples(), &Value::from("AAA")).count(), 2);
         assert_eq!(idx.probe(frag.tuples(), &Value::from("BBB")).count(), 1);
         assert_eq!(idx.probe(frag.tuples(), &Value::from("")).count(), 0);
+        assert_eq!(idx.count(frag.tuples(), &Value::from("AAA")), 2);
+        assert_eq!(idx.count(frag.tuples(), &Value::Int(1)), 0);
     }
 
     #[test]

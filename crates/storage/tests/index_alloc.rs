@@ -1,7 +1,7 @@
 //! Allocation ratchet for the temporary hash index. A build allocates the
-//! two arrays the index keeps — bucket starts and `(tag, position)` entries
-//! — and nothing else: no staged hashes, no cursor copy, no parallel
-//! arrays. An index lives in its fragment and a replace hands it on to an
+//! two arrays the index keeps — bucket starts and one 8-byte hash-and-position
+//! word per row — and nothing else: no staged hashes, no cursor copy, no
+//! parallel arrays. An index lives in its fragment and a replace hands it on to an
 //! equal fragment of the new version, so every byte here is paid once per
 //! fragment and column, and again only for a fragment a replace changed.
 //!

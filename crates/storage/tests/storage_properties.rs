@@ -47,6 +47,17 @@ fn key_universe() -> Vec<Value> {
     keys
 }
 
+/// An integer index key: the extremes, a small value that repeats, or any
+/// `i64`. `(kind, small, any)` is what the strategy draws.
+fn integer_key((kind, small, any): (u8, i64, i64)) -> i64 {
+    match kind {
+        0 => i64::MIN,
+        1 => i64::MAX,
+        2 => small,
+        _ => any,
+    }
+}
+
 /// Tuples `(key, position)` over a bag of drawn keys.
 fn keyed_tuples(draws: &[(u8, i64)]) -> Vec<Tuple> {
     draws
@@ -174,6 +185,40 @@ proptest! {
             let scanned: Vec<i64> =
                 tuples.iter().filter(|t| t.value(0) == &key).map(position).collect();
             prop_assert_eq!(probed, scanned);
+        }
+    }
+
+    /// An index count equals an equality scan's count for every key, present
+    /// or absent. Strings in the bag make the count re-check rows.
+    #[test]
+    fn index_count_equals_scan(
+        draws in proptest::collection::vec((0u8..6, -20i64..20), 0..400),
+    ) {
+        let tuples = keyed_tuples(&draws);
+        let idx = HashIndex::build(&tuples, 0);
+        for key in key_universe() {
+            let scanned = tuples.iter().filter(|t| t.value(0) == &key).count();
+            prop_assert_eq!(idx.count(&tuples, &key), scanned);
+        }
+    }
+
+    /// Over integer keys alone — any `i64`, the extremes, and small values
+    /// that repeat — the count matches full hashes without reading a row,
+    /// and still equals the scan's count for every key.
+    #[test]
+    fn integer_index_count_equals_scan(
+        draws in proptest::collection::vec((0u8..4, -20i64..20, any::<i64>()), 0..400),
+        absent in any::<i64>(),
+    ) {
+        let keys: Vec<i64> = draws.iter().map(|&d| integer_key(d)).collect();
+        let tuples: Vec<Tuple> = keys.iter().map(|&k| Tuple::new(vec![Value::Int(k)])).collect();
+        let idx = HashIndex::build(&tuples, 0);
+        let neighbours = keys.iter().map(|k| k.wrapping_add(1));
+        let probes = [absent, i64::MIN, i64::MAX, 0, -1].into_iter().chain(neighbours);
+        for key in keys.iter().copied().chain(probes) {
+            let scanned = keys.iter().filter(|&&k| k == key).count();
+            prop_assert_eq!(idx.count(&tuples, &Value::Int(key)), scanned);
+            prop_assert_eq!(idx.count(&[], &Value::Int(key)), scanned, "reads no row");
         }
     }
 
