@@ -466,8 +466,8 @@ pub struct IndexPartitioningRow {
 pub fn fig17_index_partitioning(scale: ExperimentScale) -> Vec<IndexPartitioningRow> {
     let db = JoinDatabase::generate(scale.cardinality(500_000), scale.cardinality(50_000));
     let threads = 20;
-    let ideal = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::TempIndex);
-    let assoc = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::TempIndex);
+    let ideal = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
+    let assoc = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
     degree_sweep(scale)
         .into_iter()
         .map(|d| {
@@ -502,7 +502,7 @@ pub struct SkewVsPartitioningRow {
     pub degree: usize,
     /// Skew overhead v0.6 of the nested-loop IdealJoin (100K/10K).
     pub v_nested_loop: f64,
-    /// Skew overhead v0.6 of the temp-index IdealJoin (500K/50K).
+    /// Skew overhead v0.6 of the temporary-index IdealJoin (500K/50K).
     pub v_index: f64,
     /// The analytic bound vworst at this degree.
     pub v_worst: f64,
@@ -515,7 +515,7 @@ pub fn fig18_skew_vs_partitioning(scale: ExperimentScale) -> Vec<SkewVsPartition
     let nl_db = JoinDatabase::generate(scale.cardinality(100_000), scale.cardinality(10_000));
     let ix_db = JoinDatabase::generate(scale.cardinality(500_000), scale.cardinality(50_000));
     let nl_plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
-    let ix_plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::TempIndex);
+    let ix_plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
 
     let run = |db: &JoinDatabase, plan: &Plan, degree: usize, theta: f64| -> f64 {
         let session = db.session(degree, theta);
@@ -562,18 +562,18 @@ pub fn print_fig18(rows: &[SkewVsPartitioningRow]) {
 #[derive(Debug, Clone, Copy)]
 pub struct SavedTimeRow {
     pub degree: usize,
-    /// Execution time of the skewed temp-index IdealJoin at this degree.
+    /// Execution time of the skewed temporary-index IdealJoin at this degree.
     pub time_s: f64,
     /// Time saved relative to the smallest degree of the sweep.
     pub saved_s: f64,
 }
 
 /// Figure 19: time saved by raising the degree of partitioning for the
-/// temp-index IdealJoin over skewed (Zipf = 0.6) data, 20 threads, LPT.
+/// temporary-index IdealJoin over skewed (Zipf = 0.6) data, 20 threads, LPT.
 pub fn fig19_saved_time(scale: ExperimentScale) -> Vec<SavedTimeRow> {
     let db = JoinDatabase::generate(scale.cardinality(500_000), scale.cardinality(50_000));
     let threads = 20;
-    let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::TempIndex);
+    let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
     let degrees = degree_sweep(scale);
     let times: Vec<f64> = degrees
         .iter()
@@ -608,11 +608,11 @@ pub fn print_fig19(rows: &[SavedTimeRow], t0_reference_s: f64) {
     }
 }
 
-/// The unskewed reference time `T0` quoted in Figure 19 (temp-index
+/// The unskewed reference time `T0` quoted in Figure 19 (temporary-index
 /// IdealJoin at the paper's base degree).
 pub fn fig19_t0_reference(scale: ExperimentScale) -> f64 {
     let db = JoinDatabase::generate(scale.cardinality(500_000), scale.cardinality(50_000));
-    let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::TempIndex);
+    let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
     let session = db.session(scale.degree(250), 0.0);
     simulate(session.query(&plan).threads(20), SimConfig::ksr1()).total_seconds()
 }

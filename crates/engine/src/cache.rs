@@ -46,7 +46,7 @@ use dbs3_lera::{ContentHasher, CostParameters, ExtendedPlan, OperatorKind, Outer
 use dbs3_storage::{Catalog, Fragment, HashIndex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Bounded capacity of the plan cache, in prepared plans.
 pub const PLAN_CACHE_CAPACITY: usize = 256;
@@ -186,7 +186,7 @@ impl PlanCache {
     /// Looks up `key`, validating the stored generations against `catalog`.
     /// A stale entry is evicted and reported as a miss.
     fn lookup(&self, key: PlanKey, catalog: &Catalog) -> Option<Arc<PreparedPlan>> {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.tick += 1;
         let tick = inner.tick;
         match inner.entries.get_mut(&key) {
@@ -213,7 +213,7 @@ impl PlanCache {
     }
 
     fn insert(&self, key: PlanKey, prepared: Arc<PreparedPlan>) {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.tick += 1;
         let tick = inner.tick;
         inner.entries.insert(
@@ -255,7 +255,11 @@ fn caches() -> &'static Caches {
 pub fn cache_stats() -> CacheStats {
     let caches = caches();
     let plan = {
-        let inner = caches.plan.inner.lock().unwrap_or_else(|p| p.into_inner());
+        let inner = caches
+            .plan
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         inner.counters
     };
     // ordering: Relaxed — monotonic tallies read for reporting only.
@@ -275,7 +279,7 @@ pub fn clear_caches() {
         .plan
         .inner
         .lock()
-        .unwrap_or_else(|p| p.into_inner());
+        .unwrap_or_else(PoisonError::into_inner);
     inner.entries.clear();
 }
 

@@ -44,7 +44,7 @@
 use std::fmt;
 use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Every fault point in the workspace.
@@ -274,7 +274,7 @@ impl FaultPlan {
     pub fn install(self) -> FaultGuard {
         let lock = install_lock()
             .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+            .unwrap_or_else(PoisonError::into_inner);
         let plan = Arc::new(ActivePlan {
             seed: self.seed,
             rules: self
@@ -287,7 +287,7 @@ impl FaultPlan {
                 })
                 .collect(),
         });
-        *active().lock().unwrap_or_else(|p| p.into_inner()) = Some(Arc::clone(&plan));
+        *active().lock().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(&plan));
         ENABLED.store(true, Ordering::Release);
         FaultGuard { _lock: lock, plan }
     }
@@ -319,7 +319,7 @@ impl FaultGuard {
 impl Drop for FaultGuard {
     fn drop(&mut self) {
         ENABLED.store(false, Ordering::Release);
-        *active().lock().unwrap_or_else(|p| p.into_inner()) = None;
+        *active().lock().unwrap_or_else(PoisonError::into_inner) = None;
     }
 }
 
@@ -373,7 +373,7 @@ pub fn hit(point: FaultPoint) -> Option<FaultAction> {
 fn hit_slow(point: FaultPoint) -> Option<FaultAction> {
     let plan = active()
         .lock()
-        .unwrap_or_else(|p| p.into_inner())
+        .unwrap_or_else(PoisonError::into_inner)
         .as_ref()
         .map(Arc::clone)?;
     let mut decision = None;

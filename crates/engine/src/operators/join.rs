@@ -25,10 +25,10 @@ struct Probe {
     /// Column of the inner relation holding the join key.
     inner_column: usize,
     algorithm: JoinAlgorithm,
-    /// Lazily resolved per-instance indexes over the inner fragments
-    /// (Hash / TempIndex). Resolved once on the first activation of an
-    /// instance and shared by every later morsel or data batch — splitting
-    /// the outer scan must not multiply the build work, nor the index
+    /// Lazily resolved per-instance indexes over the inner fragments (the
+    /// indexed join, [`JoinAlgorithm::Hash`]). Resolved once on the first
+    /// activation of an instance and shared by every later morsel or data
+    /// batch — splitting the outer scan must not multiply the build work, nor the index
     /// counters. The resolution goes through [`crate::cache::fragment_index`]
     /// to the index the inner fragment owns, so concurrent and repeated
     /// queries over one relation share one build across operators. A boxed
@@ -306,11 +306,7 @@ mod tests {
             .reference_join(&b_rel, "unique1", "unique1")
             .unwrap()
             .len();
-        for algorithm in [
-            JoinAlgorithm::NestedLoop,
-            JoinAlgorithm::Hash,
-            JoinAlgorithm::TempIndex,
-        ] {
+        for algorithm in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
             let op = triggered(&a, &b, algorithm);
             assert_eq!(run_triggered(&op, 10), expected, "algorithm {algorithm:?}");
         }
@@ -376,7 +372,7 @@ mod tests {
     #[test]
     fn pipelined_join_reuses_per_instance_index() {
         let (_, a) = partitioned("A", 100, 4);
-        let op = pipelined(&a, JoinAlgorithm::TempIndex);
+        let op = pipelined(&a, JoinAlgorithm::Hash);
         // Probing twice must not rebuild (OnceLock gives the same instance).
         let probe = a.fragments()[1].tuples()[0].clone();
         let _ = op.process(1, Activation::single(probe.clone()));
@@ -489,32 +485,31 @@ mod tests {
             .unwrap()
             .len();
         assert!(expected > 0, "the string keys meet");
-        for algorithm in [JoinAlgorithm::Hash, JoinAlgorithm::TempIndex] {
-            let triggered = |count_only: bool| {
-                TriggeredJoinOperator::new(Arc::clone(&a), Arc::clone(&b), s1, s1, algorithm)
-                    .counting_matches(count_only)
-            };
-            let pipelined = |count_only: bool| {
-                PipelinedJoinOperator::new(Arc::clone(&b), s1, s1, algorithm)
-                    .counting_matches(count_only)
-            };
-            let (built, counted) = (triggered(false), triggered(true));
-            let (built_pipe, counted_pipe) = (pipelined(false), pipelined(true));
-            let mut total = 0usize;
-            for i in 0..4 {
-                let whole = built.process(i, Activation::Trigger);
-                let count = counted.process(i, Activation::Trigger);
-                assert_eq!(count, TupleBatch::counted(whole.len()), "{algorithm:?} {i}");
-                let probes = TupleBatch::from(a.fragments()[i].tuples().to_vec());
-                let piped = built_pipe.process(i, Activation::Data(probes.clone()));
-                assert_eq!(piped.len(), whole.len(), "{algorithm:?} {i}");
-                let piped_count = counted_pipe.process(i, Activation::Data(probes));
-                assert_eq!(piped_count, count, "{algorithm:?} {i}");
-                assert_eq!(a.fragments()[i].int_column(s1), None, "string keys");
-                total += count.len();
-            }
-            assert_eq!(total, expected, "algorithm {algorithm:?}");
+        let algorithm = JoinAlgorithm::Hash;
+        let triggered = |count_only: bool| {
+            TriggeredJoinOperator::new(Arc::clone(&a), Arc::clone(&b), s1, s1, algorithm)
+                .counting_matches(count_only)
+        };
+        let pipelined = |count_only: bool| {
+            PipelinedJoinOperator::new(Arc::clone(&b), s1, s1, algorithm)
+                .counting_matches(count_only)
+        };
+        let (built, counted) = (triggered(false), triggered(true));
+        let (built_pipe, counted_pipe) = (pipelined(false), pipelined(true));
+        let mut total = 0usize;
+        for i in 0..4 {
+            let whole = built.process(i, Activation::Trigger);
+            let count = counted.process(i, Activation::Trigger);
+            assert_eq!(count, TupleBatch::counted(whole.len()), "{algorithm:?} {i}");
+            let probes = TupleBatch::from(a.fragments()[i].tuples().to_vec());
+            let piped = built_pipe.process(i, Activation::Data(probes.clone()));
+            assert_eq!(piped.len(), whole.len(), "{algorithm:?} {i}");
+            let piped_count = counted_pipe.process(i, Activation::Data(probes));
+            assert_eq!(piped_count, count, "{algorithm:?} {i}");
+            assert_eq!(a.fragments()[i].int_column(s1), None, "string keys");
+            total += count.len();
         }
+        assert_eq!(total, expected, "algorithm {algorithm:?}");
     }
 
     #[test]

@@ -2,9 +2,8 @@
 
 use crate::activation::{Activation, TupleBatch};
 use dbs3_storage::Tuple;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Materialises incoming tuples into per-instance result buffers — or, in
 /// *counting* mode, only tallies them.
@@ -81,7 +80,9 @@ impl StoreOperator {
             if self.discard {
                 self.counts[slot].fetch_add(batch.len(), Ordering::Relaxed);
             } else {
-                let mut buffer = self.buffers[slot].lock();
+                let mut buffer = self.buffers[slot]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
                 buffer.extend(batch);
             }
         }
@@ -94,7 +95,10 @@ impl StoreOperator {
         if self.discard {
             self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
         } else {
-            self.buffers.iter().map(|b| b.lock().len()).sum()
+            self.buffers
+                .iter()
+                .map(|b| b.lock().unwrap_or_else(PoisonError::into_inner).len())
+                .sum()
         }
     }
 
@@ -107,7 +111,10 @@ impl StoreOperator {
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect()
         } else {
-            self.buffers.iter().map(|b| b.lock().len()).collect()
+            self.buffers
+                .iter()
+                .map(|b| b.lock().unwrap_or_else(PoisonError::into_inner).len())
+                .collect()
         }
     }
 
@@ -116,7 +123,7 @@ impl StoreOperator {
     pub fn take_all(&self) -> Vec<Tuple> {
         let mut out = Vec::new();
         for b in self.buffers.iter() {
-            out.append(&mut b.lock());
+            out.append(&mut b.lock().unwrap_or_else(PoisonError::into_inner));
         }
         out
     }

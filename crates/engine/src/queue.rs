@@ -52,9 +52,9 @@
 //! tests call, read the closed flag under the mutex.
 
 use crate::activation::Activation;
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Why [`ActivationQueue::try_push`] refused an activation. The activation is
 /// handed back so the caller can retry (after making room) or drop it.
@@ -169,7 +169,7 @@ impl ActivationQueue {
         if weight == 0 {
             return Ok(());
         }
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if state.closed {
             return Err(TryPushError::Closed(activation));
         }
@@ -185,7 +185,7 @@ impl ActivationQueue {
     /// Appends several activations under one lock acquisition, all of them
     /// even past the capacity. Same contract as [`ActivationQueue::push`].
     pub fn push_batch(&self, batch: impl IntoIterator<Item = Activation>) {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         assert!(!state.closed, "push into a closed activation queue");
         debug_assert!(
             state.weight < self.capacity,
@@ -239,7 +239,7 @@ impl ActivationQueue {
         if self.atomic_len.load(Ordering::SeqCst) == 0 {
             return 0;
         }
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let mut popped = 0usize;
         while let Some(front) = state.buffer.front() {
             let weight = front.queue_weight();
@@ -266,12 +266,18 @@ impl ActivationQueue {
 
     /// Marks the queue closed: no further activations will be pushed.
     pub fn close(&self) {
-        self.state.lock().closed = true;
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed = true;
     }
 
     /// Whether the queue is closed (producers finished).
     pub fn is_closed(&self) -> bool {
-        self.state.lock().closed
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed
     }
 
     /// Whether the queue currently holds no activations. Lock-free.
@@ -287,7 +293,7 @@ impl ActivationQueue {
     /// Whether the queue is closed *and* drained: no work will ever come out
     /// of it again.
     pub fn is_exhausted(&self) -> bool {
-        let state = self.state.lock();
+        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         state.closed && state.weight == 0
     }
 }
@@ -478,6 +484,29 @@ mod tests {
         let q = ActivationQueue::new(0, 4, 0.0);
         q.close();
         q.push_batch(vec![Activation::single(int_tuple(&[1]))]);
+    }
+
+    /// The closed-queue assert fires while the state lock is held, which
+    /// poisons a std mutex; the queue ignores poisoning, so every later call
+    /// still answers.
+    #[test]
+    fn a_panic_under_the_lock_does_not_poison_the_queue() {
+        let q = ActivationQueue::new(0, 4, 0.0);
+        q.push(Activation::single(int_tuple(&[1])));
+        q.close();
+        let pushed =
+            std::panic::catch_unwind(|| q.push_batch([Activation::single(int_tuple(&[2]))]));
+        assert!(pushed.is_err(), "push_batch into a closed queue panics");
+        assert_eq!(q.len(), 1);
+        assert!(q.is_closed());
+        assert!(matches!(
+            q.try_push(Activation::single(int_tuple(&[3]))),
+            Err(TryPushError::Closed(_))
+        ));
+        let mut out = Vec::new();
+        assert_eq!(q.try_pop_into(4, &mut out), 1);
+        assert_eq!(out.len(), 1);
+        assert!(q.is_exhausted());
     }
 
     /// The pool's own protocol: producers retry `try_push` with a yield,

@@ -126,12 +126,11 @@ use crate::schedule::ExecutionSchedule;
 use crate::Result;
 use dbs3_lera::{CostParameters, ExtendedPlan, NodeId, OperatorKind, OuterInput, Plan};
 use dbs3_storage::{Catalog, Tuple};
-use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -229,7 +228,11 @@ impl QueryState {
     /// Seals the outcome exactly once (first writer wins — a cancel racing
     /// a natural completion keeps the cancel) and wakes every waiter.
     fn complete(&self, result: Result<ExecutionOutcome>) {
-        let mut slot = self.cell.outcome.lock();
+        let mut slot = self
+            .cell
+            .outcome
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if slot.is_none() {
             *slot = Some(result);
             self.cell.done.notify_all();
@@ -282,7 +285,7 @@ impl IdleParking {
     fn wake_one(&self) {
         self.epoch.fetch_add(1, Ordering::SeqCst);
         if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = self.mutex.lock();
+            let _guard = self.mutex.lock().unwrap_or_else(PoisonError::into_inner);
             self.cv.notify_one();
         }
     }
@@ -290,7 +293,7 @@ impl IdleParking {
     /// Wakes every sleeper (shutdown).
     fn wake_all(&self) {
         self.epoch.fetch_add(1, Ordering::SeqCst);
-        let _guard = self.mutex.lock();
+        let _guard = self.mutex.lock().unwrap_or_else(PoisonError::into_inner);
         self.cv.notify_all();
     }
 
@@ -299,11 +302,16 @@ impl IdleParking {
     /// belt-and-braces liveness net, not a polling loop: a parked worker
     /// re-scans a few times per second at most.
     fn park(&self, seen: u64) {
-        let mut guard = self.mutex.lock();
+        let guard = self.mutex.lock().unwrap_or_else(PoisonError::into_inner);
         self.sleepers.fetch_add(1, Ordering::SeqCst);
-        if self.epoch.load(Ordering::SeqCst) == seen {
-            self.cv.wait_for(&mut guard, Duration::from_millis(200));
-        }
+        let _guard = if self.epoch.load(Ordering::SeqCst) == seen {
+            self.cv
+                .wait_timeout(guard, Duration::from_millis(200))
+                .unwrap_or_else(PoisonError::into_inner)
+                .0
+        } else {
+            guard
+        };
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 }
@@ -334,15 +342,24 @@ struct RuntimeInner {
 
 impl RuntimeInner {
     fn remove_query(&self, id: QueryId) {
-        self.queries.lock().retain(|q| q.id != id);
+        self.queries
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .retain(|q| q.id != id);
     }
 
     fn pop_ready(&self) -> Option<(Arc<QueryState>, usize)> {
-        self.ready.lock().pop_front()
+        self.ready
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop_front()
     }
 
     fn push_ready(&self, query: Arc<QueryState>, op_index: usize) {
-        self.ready.lock().push_back((query, op_index));
+        self.ready
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push_back((query, op_index));
     }
 }
 
@@ -466,7 +483,11 @@ impl Runtime {
     /// Number of queries currently registered (submitted, not yet completed
     /// or cancelled).
     pub fn live_queries(&self) -> usize {
-        self.inner.queries.lock().len()
+        self.inner
+            .queries
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// Submits `plan` for execution under an explicitly built `schedule`
@@ -699,7 +720,11 @@ impl Runtime {
             },
         });
 
-        self.inner.queries.lock().push(Arc::clone(&query));
+        self.inner
+            .queries
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(Arc::clone(&query));
         // Re-check the shutdown flag now that the query is visible: a
         // concurrent `shutdown()` that drained the registry between the
         // check at the top of this method and the push above would leave
@@ -737,7 +762,7 @@ impl Runtime {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         self.inner.idle.wake_all();
         let workers: Vec<JoinHandle<()>> = {
-            let mut workers = self.workers.lock();
+            let mut workers = self.workers.lock().unwrap_or_else(PoisonError::into_inner);
             workers.drain(..).collect()
         };
         for handle in workers {
@@ -745,10 +770,18 @@ impl Runtime {
         }
         // Fail whatever is still registered so no waiter ever hangs.
         let leftover: Vec<Arc<QueryState>> = {
-            let mut queries = self.inner.queries.lock();
+            let mut queries = self
+                .inner
+                .queries
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             queries.drain(..).collect()
         };
-        self.inner.ready.lock().clear();
+        self.inner
+            .ready
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
         for query in leftover {
             query.complete(Err(EngineError::RuntimeShutdown));
         }
@@ -803,13 +836,15 @@ impl QueryHandle {
     /// [`EngineError::QueryCancelled`] if it was cancelled and
     /// [`EngineError::RuntimeShutdown`] if the runtime was dropped first.
     pub fn wait(self) -> Result<ExecutionOutcome> {
-        let mut slot = self.query.cell.outcome.lock();
-        loop {
-            if let Some(result) = slot.take() {
-                return result;
-            }
-            self.query.cell.done.wait(&mut slot);
-        }
+        let cell = &self.query.cell;
+        let slot = cell.outcome.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut slot = cell
+            .done
+            .wait_while(slot, |slot| slot.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        // `wait_while` returns only once the outcome is sealed, so the
+        // fallback is never taken.
+        slot.take().unwrap_or(Err(EngineError::RuntimeShutdown))
     }
 
     /// Like [`QueryHandle::wait`] with a deadline: blocks for at most
@@ -824,18 +859,15 @@ impl QueryHandle {
     /// If the query completes in the race window between the timeout and
     /// the cancellation, the completed outcome wins and is returned.
     pub fn wait_timeout_or_cancel(self, timeout: Duration) -> Result<ExecutionOutcome> {
-        let deadline = Instant::now() + timeout;
         {
-            let mut slot = self.query.cell.outcome.lock();
-            loop {
-                if let Some(result) = slot.take() {
-                    return result;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                self.query.cell.done.wait_for(&mut slot, deadline - now);
+            let cell = &self.query.cell;
+            let slot = cell.outcome.lock().unwrap_or_else(PoisonError::into_inner);
+            let (mut slot, _) = cell
+                .done
+                .wait_timeout_while(slot, timeout, |slot| slot.is_none())
+                .unwrap_or_else(PoisonError::into_inner);
+            if let Some(result) = slot.take() {
+                return result;
             }
         }
         let error = EngineError::DeadlineExceeded {
@@ -844,7 +876,13 @@ impl QueryHandle {
         abort_query(&self.inner, &self.query, error.clone());
         // abort_query seals an outcome unless a natural completion won the
         // race — either way one is there to take.
-        self.query.cell.outcome.lock().take().unwrap_or(Err(error))
+        self.query
+            .cell
+            .outcome
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+            .unwrap_or(Err(error))
     }
 
     /// Cancels the query: its queues are closed and drained, in-flight
@@ -1067,7 +1105,11 @@ fn watchdog_loop(inner: &Arc<RuntimeInner>, stall_after: Duration) {
         if inner.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let live: Vec<Arc<QueryState>> = inner.queries.lock().clone();
+        let live: Vec<Arc<QueryState>> = inner
+            .queries
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
         let now = Instant::now();
         let mut alive: Vec<u64> = Vec::with_capacity(live.len());
         for query in &live {
@@ -1164,7 +1206,9 @@ fn try_process_op(
             None => {
                 // The pending hint said there was work but every queue
                 // probe came up empty (another worker got there first).
-                let mut slot = query.metrics[op_index][ctx.id].lock();
+                let mut slot = query.metrics[op_index][ctx.id]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
                 slot.thread = ctx.id;
                 slot.idle_polls += 1;
                 Processed::Worked(false)
@@ -1428,7 +1472,9 @@ fn process_batch(
     // spent helping a congested downstream operation is charged to that
     // operation (by its own nested process_batch) and subtracted here, so
     // summed busy time never exceeds wall-clock × workers.
-    let mut slot = query.metrics[op_index][worker].lock();
+    let mut slot = query.metrics[op_index][worker]
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     slot.thread = worker;
     slot.activations += logical;
     slot.tuples_out += tuples_out;
@@ -1563,7 +1609,7 @@ fn finalize_query(inner: &Arc<RuntimeInner>, query: &Arc<QueryState>) {
             // but real busy time and output tuples.
             let mut threads: Vec<ThreadMetrics> = query.metrics[op_index]
                 .iter()
-                .map(|slot| slot.lock().clone())
+                .map(|slot| slot.lock().unwrap_or_else(PoisonError::into_inner).clone())
                 .filter(|tm| tm.activations > 0 || tm.tuples_out > 0 || tm.busy > Duration::ZERO)
                 .collect();
             if threads.is_empty() {

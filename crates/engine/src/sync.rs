@@ -1,4 +1,18 @@
-//! Small concurrency primitives shared by the runtime's hot paths.
+//! Small concurrency primitives shared by the runtime's hot paths, and the
+//! workspace's lock rule.
+//!
+//! Every lock in the workspace is a `std::sync` `Mutex` (with a `Condvar`
+//! where a thread waits), taken with
+//! `.lock().unwrap_or_else(PoisonError::into_inner)`: poisoning is ignored.
+//! That is sound because no panic that can fire under one of these locks
+//! leaves the guarded state half-changed. The panics that can, such as the
+//! closed-queue assert in `ActivationQueue::push_batch` or an injected fault
+//! while `PreparedQuery` re-prepares its plan, fire before the guarded state
+//! is changed, so a poisoned lock still guards a consistent value. The
+//! panic itself is reported where it fires (a worker's `catch_unwind` turns
+//! it into a typed `WorkerPanicked`; a caller's thread unwinds); refusing
+//! the lock afterwards would only turn that one failure into a cascade of
+//! new ones in every later user of the lock.
 
 use std::ops::{Deref, DerefMut};
 

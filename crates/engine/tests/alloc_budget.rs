@@ -17,7 +17,7 @@ use dbs3_storage::{Catalog, PartitionSpec, PartitionedRelation};
 use dbs3_storage::{WisconsinConfig, WisconsinGenerator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 // ordering(COUNTING): Relaxed — gates a statistic and publishes no data; the
 // pool workers observe it through the runtime's own submit/wake hand-off.
@@ -104,7 +104,7 @@ fn counted_runner<'a>(
 
 #[test]
 fn discarding_queries_do_not_allocate_per_result_row() {
-    let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     // A re-keyed onto one key per fragment (Zipf 1.0), each present in B′:
     // every A row finds exactly one partner, so the join emits 20 000 rows.
     let cat = catalog(1.0);
@@ -129,7 +129,7 @@ fn discarding_queries_do_not_allocate_per_result_row() {
 
 #[test]
 fn discarding_queries_allocate_a_few_times_per_operator_instance() {
-    let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let cat = catalog(0.0);
     let runtime = Runtime::new(2).unwrap();
     let degree = DEGREE as u64;

@@ -190,7 +190,7 @@ fn skewed_joins_match_reference_and_count_every_activation_as_main_or_secondary(
 #[test]
 fn single_thread_execution_works() {
     let (cat, a_ref, b_ref) = build_catalog(300, 30, 5, 0.0);
-    let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::TempIndex);
+    let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
     let schedule = schedule_for(&plan, &cat, 1);
     let outcome = execute(&cat, &plan, &schedule).unwrap();
     let expected = a_ref.reference_join(&b_ref, "unique1", "unique1").unwrap();

@@ -139,7 +139,7 @@ fn many_threads_little_work() {
     let a = int_relation("A", 0..50);
     let b = int_relation("Bprime", 0..50);
     let cat = catalog_with(a, b, 2);
-    let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::TempIndex);
+    let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
     let schedule = manual_schedule(&plan, 32, 8, 4);
     let outcome = execute(&cat, &plan, &schedule).unwrap();
     assert_eq!(outcome.results["Result"].len(), 50);

@@ -143,7 +143,7 @@ mod tests {
     fn nested_loop_costs_more_than_indexed() {
         let cat = catalog();
         let nl_plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
-        let ix_plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::TempIndex);
+        let ix_plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
         let params = CostParameters::default();
         let nl = PlanComplexity::from_extended(
             &ExtendedPlan::from_plan(&nl_plan, &cat, &params).unwrap(),

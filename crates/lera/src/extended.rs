@@ -279,9 +279,7 @@ fn triggered_join_cost(
     let (oc, ic) = (outer_card as f64, inner_card as f64);
     match algorithm {
         JoinAlgorithm::NestedLoop => oc * ic * params.nested_loop_probe_per_inner_tuple,
-        JoinAlgorithm::Hash | JoinAlgorithm::TempIndex => {
-            ic * params.build_per_tuple + oc * params.indexed_probe
-        }
+        JoinAlgorithm::Hash => ic * params.build_per_tuple + oc * params.indexed_probe,
     }
 }
 
@@ -294,9 +292,7 @@ fn pipelined_join_cost(
     let ic = inner_card as f64;
     match algorithm {
         JoinAlgorithm::NestedLoop => incoming * ic * params.nested_loop_probe_per_inner_tuple,
-        JoinAlgorithm::Hash | JoinAlgorithm::TempIndex => {
-            ic * params.build_per_tuple + incoming * params.indexed_probe
-        }
+        JoinAlgorithm::Hash => ic * params.build_per_tuple + incoming * params.indexed_probe,
     }
 }
 

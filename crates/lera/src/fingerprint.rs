@@ -161,7 +161,6 @@ fn write_kind(h: &mut ContentHasher, kind: &OperatorKind) {
             h.write_u64(match algorithm {
                 JoinAlgorithm::NestedLoop => 0,
                 JoinAlgorithm::Hash => 1,
-                JoinAlgorithm::TempIndex => 2,
             });
         }
         OperatorKind::Store { result_name } => {

@@ -28,17 +28,16 @@ pub enum ActivationKind {
 ///
 /// The paper uses a nested-loop join "when the join algorithm has no impact
 /// ... in order to slow down the execution time" and a join over a temporary
-/// index built on the fly for the larger databases (Section 5.3). A classic
-/// build/probe hash join is also provided for completeness.
+/// index built on the fly for the larger databases (Section 5.3); Expt 3
+/// (Section 5.6.1) compares the two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinAlgorithm {
     /// Nested loop over the inner fragment per outer tuple.
     NestedLoop,
-    /// Probe a hash table built over the inner fragment once per instance.
+    /// Probe the paper's temporary index built on the fly over the inner
+    /// fragment (its "temp. index" configurations): a `HashIndex` built once
+    /// in the inner fragment's cell and shared by every probe of it.
     Hash,
-    /// Probe a temporary index built on the fly over the inner fragment
-    /// (the paper's "temp. index" configurations).
-    TempIndex,
 }
 
 impl JoinAlgorithm {
@@ -47,7 +46,6 @@ impl JoinAlgorithm {
         match self {
             JoinAlgorithm::NestedLoop => "nested-loop",
             JoinAlgorithm::Hash => "hash",
-            JoinAlgorithm::TempIndex => "temp-index",
         }
     }
 }
@@ -275,7 +273,6 @@ mod tests {
     fn join_algorithm_names() {
         assert_eq!(JoinAlgorithm::NestedLoop.name(), "nested-loop");
         assert_eq!(JoinAlgorithm::Hash.name(), "hash");
-        assert_eq!(JoinAlgorithm::TempIndex.name(), "temp-index");
     }
 
     #[test]

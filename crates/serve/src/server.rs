@@ -42,12 +42,11 @@ use dbs3_engine::faults::{self, FaultAction, FaultPoint};
 use dbs3_engine::{CacheStats, EngineError, Runtime};
 use dbs3_lera::CostParameters;
 use dbs3_storage::Catalog;
-use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How long a session thread keeps polling its socket between frames before
@@ -149,7 +148,7 @@ impl ResponseLedger {
     /// execution of this id and must end it with [`ResponseLedger::finish`]
     /// or [`ResponseLedger::abandon`].
     fn enter(&self, id: u64, state: &ServerState, grace: Duration) -> Option<Vec<Frame>> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             match inner.entries.get(&id) {
                 None => {
@@ -161,8 +160,12 @@ impl ResponseLedger {
                     // The original attempt is still executing on another
                     // session thread; wait for it. Waking without a result
                     // only matters once the server is past its drain grace.
-                    let timed_out = self.completed.wait_for(&mut inner, POLL_INTERVAL);
-                    if timed_out && state.drain_expired(grace) {
+                    let (guard, wait) = self
+                        .completed
+                        .wait_timeout(inner, POLL_INTERVAL)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    inner = guard;
+                    if wait.timed_out() && state.drain_expired(grace) {
                         return Some(vec![Frame::Error(ServeError::RemoteShutdown)]);
                     }
                 }
@@ -172,7 +175,7 @@ impl ResponseLedger {
 
     /// Records the response of an executed id and wakes waiting retries.
     fn finish(&self, id: u64, frames: &[Frame]) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.entries.insert(id, LedgerEntry::Done(frames.to_vec()));
         inner.order.push_back(id);
         while inner.order.len() > LEDGER_CAPACITY {
@@ -191,7 +194,7 @@ impl ResponseLedger {
     /// Releases an id that was claimed but never executed (the request was
     /// shed or refused), so a retry can execute it for real.
     fn abandon(&self, id: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if matches!(inner.entries.get(&id), Some(LedgerEntry::InFlight)) {
             inner.entries.remove(&id);
         }
@@ -223,7 +226,7 @@ struct ServerState {
 
 impl ServerState {
     fn stop(&self) {
-        let mut at = self.stop_at.lock();
+        let mut at = self.stop_at.lock().unwrap_or_else(PoisonError::into_inner);
         if at.is_none() {
             *at = Some(Instant::now());
         }
@@ -235,7 +238,7 @@ impl ServerState {
     }
 
     fn drain_expired(&self, grace: Duration) -> bool {
-        match *self.stop_at.lock() {
+        match *self.stop_at.lock().unwrap_or_else(PoisonError::into_inner) {
             Some(at) => at.elapsed() >= grace,
             None => false,
         }

@@ -435,7 +435,6 @@ fn encode_kind(enc: &mut Enc, kind: &OperatorKind) {
             enc.u8(match algorithm {
                 JoinAlgorithm::NestedLoop => 0,
                 JoinAlgorithm::Hash => 1,
-                JoinAlgorithm::TempIndex => 2,
             });
         }
         OperatorKind::Store { result_name } => {
@@ -473,7 +472,6 @@ fn decode_kind(dec: &mut Dec<'_>) -> ServeResult<OperatorKind> {
             let algorithm = match dec.u8("join algorithm")? {
                 0 => JoinAlgorithm::NestedLoop,
                 1 => JoinAlgorithm::Hash,
-                2 => JoinAlgorithm::TempIndex,
                 other => {
                     return Err(ServeError::Malformed(format!(
                         "unknown join algorithm {other}"
@@ -947,6 +945,25 @@ mod tests {
             Frame::decode(frame_type::ERROR, &enc.buf),
             Err(ServeError::Malformed(_))
         ));
+        // A join whose algorithm tag is 2, the tag a second name for the
+        // indexed join once had; decoding stops at the tag.
+        let mut enc = Enc::new();
+        enc.u8(PROTOCOL_VERSION);
+        enc.str("ideal");
+        enc.u32(1); // node count
+        enc.u64(0); // node id
+        enc.str("join");
+        enc.u8(2); // operator kind: join
+        enc.u8(0); // outer: fragment
+        enc.str("A");
+        enc.str("Bprime");
+        enc.str("unique1");
+        enc.str("unique1");
+        enc.u8(2); // join algorithm
+        match Frame::decode(frame_type::QUERY, &enc.buf) {
+            Err(ServeError::Malformed(msg)) => assert_eq!(msg, "unknown join algorithm 2"),
+            other => panic!("expected a typed algorithm error, got {other:?}"),
+        }
     }
 
     #[test]

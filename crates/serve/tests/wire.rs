@@ -50,10 +50,9 @@ fn predicate_from(seed: u32, depth: u32) -> Predicate {
 }
 
 fn algorithm_from(seed: u32) -> JoinAlgorithm {
-    match seed % 3 {
+    match seed % 2 {
         0 => JoinAlgorithm::NestedLoop,
-        1 => JoinAlgorithm::Hash,
-        _ => JoinAlgorithm::TempIndex,
+        _ => JoinAlgorithm::Hash,
     }
 }
 

@@ -76,9 +76,7 @@ impl SimCostParams {
         let (oc, ic, rc) = (outer_card as f64, inner_card as f64, output_card as f64);
         let join = match algorithm {
             JoinAlgorithm::NestedLoop => oc * ic * self.nested_loop_compare_us,
-            JoinAlgorithm::Hash | JoinAlgorithm::TempIndex => {
-                ic * self.build_per_tuple_us + oc * self.indexed_probe_us
-            }
+            JoinAlgorithm::Hash => ic * self.build_per_tuple_us + oc * self.indexed_probe_us,
         };
         self.activation_overhead_us + oc * self.scan_tuple_us + join + rc * self.store_tuple_us
     }
@@ -93,7 +91,7 @@ impl SimCostParams {
     ) -> f64 {
         let probe = match algorithm {
             JoinAlgorithm::NestedLoop => inner_card as f64 * self.nested_loop_compare_us,
-            JoinAlgorithm::Hash | JoinAlgorithm::TempIndex => self.indexed_probe_us,
+            JoinAlgorithm::Hash => self.indexed_probe_us,
         };
         self.activation_overhead_us + probe + matches as f64 * self.store_tuple_us
     }
@@ -103,9 +101,7 @@ impl SimCostParams {
     pub fn pipelined_build_us(&self, inner_card: usize, algorithm: JoinAlgorithm) -> f64 {
         match algorithm {
             JoinAlgorithm::NestedLoop => 0.0,
-            JoinAlgorithm::Hash | JoinAlgorithm::TempIndex => {
-                inner_card as f64 * self.build_per_tuple_us
-            }
+            JoinAlgorithm::Hash => inner_card as f64 * self.build_per_tuple_us,
         }
     }
 
@@ -165,7 +161,7 @@ mod tests {
     fn indexed_join_cheaper_than_nested_loop_for_large_fragments() {
         let p = SimCostParams::default();
         let nl = p.triggered_join_activation_us(1000, 1000, 100, JoinAlgorithm::NestedLoop);
-        let ix = p.triggered_join_activation_us(1000, 1000, 100, JoinAlgorithm::TempIndex);
+        let ix = p.triggered_join_activation_us(1000, 1000, 100, JoinAlgorithm::Hash);
         assert!(ix < nl / 10.0);
     }
 
@@ -181,6 +177,6 @@ mod tests {
     fn pipelined_build_only_for_indexed_algorithms() {
         let p = SimCostParams::default();
         assert_eq!(p.pipelined_build_us(500, JoinAlgorithm::NestedLoop), 0.0);
-        assert!(p.pipelined_build_us(500, JoinAlgorithm::TempIndex) > 0.0);
+        assert!(p.pipelined_build_us(500, JoinAlgorithm::Hash) > 0.0);
     }
 }

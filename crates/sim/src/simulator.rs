@@ -984,7 +984,7 @@ pub(crate) mod tests {
 
     #[test]
     fn startup_grows_with_partitioning_degree() {
-        let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::TempIndex);
+        let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
         let low = catalog(5_000, 500, 20, 0.0);
         let high = catalog(5_000, 500, 400, 0.0);
         let r_low = Simulator::new(&low)

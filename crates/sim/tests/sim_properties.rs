@@ -139,7 +139,7 @@ proptest! {
         indexed in any::<bool>(),
     ) {
         let cat = catalog(a_card, b_card, degree, 0.0);
-        let algorithm = if indexed { JoinAlgorithm::TempIndex } else { JoinAlgorithm::NestedLoop };
+        let algorithm = if indexed { JoinAlgorithm::Hash } else { JoinAlgorithm::NestedLoop };
         let ideal = plans::ideal_join("A", "Bprime", "unique1", algorithm);
         let assoc = plans::assoc_join("Bprime", "A", "unique1", algorithm);
         let sim = Simulator::new(&cat);

@@ -25,7 +25,7 @@ fn build_session(degree: usize, theta: f64) -> Result<Session> {
 fn main() -> Result<()> {
     let threads = 20;
     let theta = 0.6;
-    let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::TempIndex);
+    let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
 
     println!("IdealJoin (temporary index), {threads} threads, Zipf = {theta}");
     println!(

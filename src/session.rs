@@ -25,7 +25,7 @@ use dbs3_sim::{SimConfig, Simulator};
 use dbs3_storage::{
     Catalog, PartitionSpec, PartitionedRelation, WisconsinConfig, WisconsinGenerator,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// An execution session: a catalog of partitioned relations plus the entry
 /// point for running queries against it on any [`Backend`].
@@ -306,7 +306,7 @@ impl PreparedQuery {
     /// The content fingerprint of the underlying plan (the structural half
     /// of the prepared-query cache key).
     pub fn fingerprint(&self) -> u64 {
-        let slot = self.prepared.lock().unwrap_or_else(|p| p.into_inner());
+        let slot = self.prepared.lock().unwrap_or_else(PoisonError::into_inner);
         slot.fingerprint()
     }
 
@@ -314,7 +314,7 @@ impl PreparedQuery {
     /// relation the plan references is at the generation it was prepared
     /// against.
     pub fn is_current(&self, session: &Session) -> bool {
-        let slot = self.prepared.lock().unwrap_or_else(|p| p.into_inner());
+        let slot = self.prepared.lock().unwrap_or_else(PoisonError::into_inner);
         slot.is_current(session.catalog())
     }
 
@@ -322,7 +322,7 @@ impl PreparedQuery {
     /// caching the replacement) when a referenced relation changed
     /// generation since preparation.
     fn current(&self, catalog: &Catalog) -> Result<Arc<PreparedPlan>> {
-        let mut slot = self.prepared.lock().unwrap_or_else(|p| p.into_inner());
+        let mut slot = self.prepared.lock().unwrap_or_else(PoisonError::into_inner);
         if !slot.is_current(catalog) {
             *slot = prepare_plan(catalog, &self.plan, &self.options)?;
         }

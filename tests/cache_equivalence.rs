@@ -12,14 +12,14 @@
 
 use dbs3::prelude::*;
 use dbs3_lera::OperatorKind;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// One test at a time; a test that failed while holding the lock must not
 /// fail the others through poisoning.
 fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|p| p.into_inner())
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Runs `run`, returning its outcome and the cache activity it caused

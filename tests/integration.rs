@@ -40,11 +40,7 @@ fn run_threaded(session: &Session, plan: &Plan, threads: usize) -> usize {
 fn ideal_and_assoc_join_agree_with_each_other_and_the_reference() {
     let session = build_session(2_000, 200, 16, 0.0);
     let expected = reference_join_size(&session);
-    for algorithm in [
-        JoinAlgorithm::NestedLoop,
-        JoinAlgorithm::Hash,
-        JoinAlgorithm::TempIndex,
-    ] {
+    for algorithm in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
         let ideal = plans::ideal_join("A", "Bprime", "unique1", algorithm);
         let assoc = plans::assoc_join("Bprime", "A", "unique1", algorithm);
         assert_eq!(
