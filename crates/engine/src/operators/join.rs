@@ -28,11 +28,12 @@ struct Probe {
     /// Lazily resolved per-instance indexes over the inner fragments (the
     /// indexed join, [`JoinAlgorithm::Hash`]). Resolved once on the first
     /// activation of an instance and shared by every later morsel or data
-    /// batch — splitting the outer scan must not multiply the build work, nor the index
-    /// counters. The resolution goes through [`crate::cache::fragment_index`]
-    /// to the index the inner fragment owns, so concurrent and repeated
-    /// queries over one relation share one build across operators. A boxed
-    /// slice, since the instance count is fixed at bind.
+    /// batch — splitting the outer scan must not multiply the build work,
+    /// nor the index counters. The resolution goes through
+    /// [`crate::cache::fragment_index`] to the index the inner fragment
+    /// owns, so concurrent and repeated queries over one relation share one
+    /// build across operators. A boxed slice, since the instance count is
+    /// fixed at bind.
     indexes: Box<[OnceLock<Arc<HashIndex>>]>,
     /// Whether matches are counted instead of built (the consumer is a
     /// counting store, which only ever reads `batch.len()`).

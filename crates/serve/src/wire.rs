@@ -945,8 +945,8 @@ mod tests {
             Frame::decode(frame_type::ERROR, &enc.buf),
             Err(ServeError::Malformed(_))
         ));
-        // A join whose algorithm tag is 2, the tag a second name for the
-        // indexed join once had; decoding stops at the tag.
+        // A join whose algorithm tag (2) is past the last one: a typed
+        // error, not a misparse. Decoding stops at the tag.
         let mut enc = Enc::new();
         enc.u8(PROTOCOL_VERSION);
         enc.str("ideal");
