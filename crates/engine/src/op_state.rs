@@ -42,6 +42,15 @@
 //! racing `Reserve` lands either before it (the entry stays) or after it
 //! (the producer's `Announce` enqueues afresh): no announcement is lost,
 //! with no clear-then-recheck step.
+//!
+//! # Occupancy
+//!
+//! Which of the operation's queues hold work is not part of the state:
+//! [`OpWord`] keeps a 512-bit summary of it beside the word, in padding the
+//! word had anyway. The summary changes outside [`apply`], by a mark after
+//! each push and a clear-then-recheck settle after a pop that empties a
+//! queue; the runtime's module docs give that protocol, and a second
+//! explorer below checks it.
 
 use crate::sync::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -223,25 +232,53 @@ pub(crate) fn apply(s: OpState, event: Event) -> Result<(OpState, Effect), Viola
     Ok((next, effect))
 }
 
-/// An operation's state word: [`apply`] over one cache-padded `AtomicU64`
+/// Bits of an operation's occupancy summary (see [`OpWord`]).
+pub(crate) const OCCUPANCY_BITS: usize = 512;
+const OCCUPANCY_WORDS: usize = OCCUPANCY_BITS / 64;
+
+/// An operation's state word: [`apply`] over one `AtomicU64`, and the
+/// operation's occupancy summary in the rest of its 128-byte padded block
 /// (padded because every worker touching the operation writes it).
+///
+/// The summary is [`OCCUPANCY_BITS`] bits over the operation's cost-ordered
+/// ring of queues: bit `b` is set when a queue of ring chunk `b` may hold
+/// work (the runtime's module docs give the chunks and the protocol that
+/// keeps every non-empty queue's bit set). The bits live in padding the word
+/// had anyway, so they cost no allocation and no byte.
+///
+/// [`OpWord::new`] starts with every bit clear. Submit replaces the word of
+/// a triggered operation after filling its queues, so it marks their bits
+/// only after that replacement: marks made before it would be wiped, and
+/// workers would never find the queued triggers.
 pub(crate) struct OpWord {
+    slots: CachePadded<Slots>,
+}
+
+struct Slots {
     // ordering(word): AcqRel — the word's own transitions are totally
     // ordered by any ordering; AcqRel also carries each worker's batch
     // effects (store rows, metrics) to whichever worker's later transition
     // finishes the operation and seals the query.
-    word: CachePadded<AtomicU64>,
+    word: AtomicU64,
+    // ordering(occupancy): SeqCst, like the queues' `atomic_len` mirrors
+    // it summarises — a consumer's clear, its re-read of the mirrors and a
+    // producer's push and mark sit in one total order, so the re-read sees
+    // the push or the mark lands after the clear.
+    occupancy: [AtomicU64; OCCUPANCY_WORDS],
 }
 
 impl OpWord {
     pub(crate) fn new(state: OpState) -> OpWord {
         OpWord {
-            word: CachePadded::new(AtomicU64::new(state.pack())),
+            slots: CachePadded::new(Slots {
+                word: AtomicU64::new(state.pack()),
+                occupancy: Default::default(),
+            }),
         }
     }
 
     pub(crate) fn load(&self) -> OpState {
-        OpState::unpack(self.word.load(Ordering::Acquire))
+        OpState::unpack(self.slots.word.load(Ordering::Acquire))
     }
 
     /// Applies `event` as one read-modify-write and returns the new state
@@ -250,6 +287,7 @@ impl OpWord {
     pub(crate) fn apply(&self, event: Event) -> (OpState, Effect) {
         let mut outcome = Err(Violation::NoClaim);
         let _ = self
+            .slots
             .word
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |bits| {
                 outcome = apply(OpState::unpack(bits), event);
@@ -269,6 +307,38 @@ impl OpWord {
             )]
             Err(violation) => panic!("operation state violation: {violation:?} on {event:?}"),
         }
+    }
+
+    /// Occupancy bits `64 * index ..` (`index < OCCUPANCY_BITS / 64`).
+    pub(crate) fn occupancy(&self, index: usize) -> u64 {
+        self.slots.occupancy[index].load(Ordering::SeqCst)
+    }
+
+    /// A producer's mark after a push landed in a queue of chunk `bit`: a
+    /// load, and a write only if the bit is clear, so producers feeding a
+    /// busy operation do not keep taking its line exclusive.
+    pub(crate) fn mark(&self, bit: usize) {
+        let (slot, mask) = self.bit(bit);
+        if slot.load(Ordering::SeqCst) & mask == 0 {
+            slot.fetch_or(mask, Ordering::SeqCst);
+        }
+    }
+
+    /// A consumer's settle after it found chunk `bit` empty or popped one
+    /// of its queues to empty: clear the bit, then set it again if
+    /// `occupied` (a re-read of the chunk's queue lengths) finds work. A
+    /// push that the re-read misses comes after the clear in the total
+    /// order, and so does its producer's mark.
+    pub(crate) fn settle(&self, bit: usize, occupied: impl FnOnce() -> bool) {
+        let (slot, mask) = self.bit(bit);
+        slot.fetch_and(!mask, Ordering::SeqCst);
+        if occupied() {
+            slot.fetch_or(mask, Ordering::SeqCst);
+        }
+    }
+
+    fn bit(&self, bit: usize) -> (&AtomicU64, u64) {
+        (&self.slots.occupancy[bit / 64], 1 << (bit % 64))
     }
 }
 
@@ -722,5 +792,205 @@ mod tests {
         }
         let report = explore(broken).unwrap_err();
         assert!(report.contains("finished operation gained"), "{report}");
+    }
+
+    // ---- the occupancy protocol ----
+
+    /// The occupancy protocol as the runtime runs it, and the two broken
+    /// forms the explorer must catch.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Protocol {
+        /// Push, then mark; pop, then clear, re-read and maybe set.
+        Sound,
+        /// A settle that clears the bit and never re-reads the queues.
+        NoReread,
+        /// A producer that marks before its push.
+        MarkFirst,
+    }
+
+    /// One modelled thread of the occupancy protocol.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    struct Actor {
+        /// Pushes into this queue, or (`None`) is a consumer that pops
+        /// either queue.
+        push_to: Option<usize>,
+        rounds: u8,
+        /// 0 between rounds; every other value is a step in flight.
+        pc: u8,
+        /// A producer's load found the bit set; a consumer's re-read found
+        /// a queue holding work.
+        seen: bool,
+    }
+
+    /// One occupancy chunk of two queues.
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    struct Chunk {
+        queues: [u8; 2],
+        bit: bool,
+        actors: Vec<Actor>,
+    }
+
+    impl Chunk {
+        /// Every state worker `i`'s next atomic step can lead to.
+        fn steps(&self, protocol: Protocol, i: usize) -> Vec<Chunk> {
+            let a = self.actors[i];
+            let mut outs = Vec::new();
+            let mut next = self.clone();
+            let round_done = |c: &mut Chunk| {
+                let a = &mut c.actors[i];
+                a.pc = 0;
+                a.seen = false;
+                a.rounds -= 1;
+            };
+            match (a.push_to, a.pc) {
+                (Some(q), pc) => {
+                    // The sound order is push (0), load (1), mark (2); a
+                    // mark-first producer loads (0), marks (1), pushes (2).
+                    let step = match protocol {
+                        Protocol::MarkFirst => [1, 2, 0][usize::from(pc)],
+                        _ => pc,
+                    };
+                    match step {
+                        0 => next.queues[q] += 1,
+                        1 => next.actors[i].seen = self.bit,
+                        _ => next.bit |= !a.seen,
+                    }
+                    next.actors[i].pc += 1;
+                    if next.actors[i].pc == 3 {
+                        round_done(&mut next);
+                    }
+                    outs.push(next);
+                }
+                (None, 0) => {
+                    // Pop one activation or all of one queue; popping to
+                    // empty, or finding it empty, starts the settle.
+                    for q in 0..2 {
+                        for take in 1..=self.queues[q].max(1) {
+                            let mut next = self.clone();
+                            next.queues[q] = self.queues[q].saturating_sub(take);
+                            if next.queues[q] == 0 {
+                                next.actors[i].pc = 1;
+                            } else {
+                                round_done(&mut next);
+                            }
+                            outs.push(next);
+                        }
+                    }
+                }
+                (None, 1) => {
+                    next.bit = false;
+                    if protocol == Protocol::NoReread {
+                        round_done(&mut next);
+                    } else {
+                        next.actors[i].pc = 2;
+                    }
+                    outs.push(next);
+                }
+                (None, pc @ (2 | 3)) => {
+                    next.actors[i].seen |= self.queues[usize::from(pc - 2)] > 0;
+                    next.actors[i].pc += 1;
+                    outs.push(next);
+                }
+                (None, _) => {
+                    next.bit |= a.seen;
+                    round_done(&mut next);
+                    outs.push(next);
+                }
+            }
+            outs
+        }
+    }
+
+    /// Visits every state reachable from every start and team: one or two
+    /// producers (one or two rounds each) and one or two consumers, over a
+    /// chunk that starts empty or with both queues holding work. In every
+    /// state where no step is in flight, each non-empty queue's bit must be
+    /// set. Returns the number of states.
+    fn explore_occupancy(protocol: Protocol) -> Result<usize, String> {
+        let producer = |q, rounds| Actor {
+            push_to: Some(q),
+            rounds,
+            pc: 0,
+            seen: false,
+        };
+        let consumer = |rounds| Actor {
+            push_to: None,
+            rounds,
+            pc: 0,
+            seen: false,
+        };
+        let producers = [
+            vec![producer(0, 1)],
+            vec![producer(0, 2)],
+            vec![producer(0, 1), producer(1, 1)],
+            vec![producer(0, 1), producer(0, 1)],
+            vec![producer(0, 2), producer(1, 1)],
+        ];
+        let consumers = [
+            vec![consumer(1)],
+            vec![consumer(2)],
+            vec![consumer(1), consumer(1)],
+        ];
+        let mut states = 0;
+        for (queues, bit) in [([0, 0], false), ([1, 1], true)] {
+            for team in &producers {
+                for eaters in &consumers {
+                    let start = Chunk {
+                        queues,
+                        bit,
+                        actors: team.iter().chain(eaters).copied().collect(),
+                    };
+                    let mut seen: HashSet<Chunk> = HashSet::new();
+                    let mut stack = vec![start];
+                    while let Some(chunk) = stack.pop() {
+                        if !seen.insert(chunk.clone()) {
+                            continue;
+                        }
+                        let between_rounds = chunk.actors.iter().all(|a| a.pc == 0);
+                        if between_rounds && (0..2).any(|q| chunk.queues[q] > 0 && !chunk.bit) {
+                            return Err(format!("a queue holds work under a clear bit: {chunk:?}"));
+                        }
+                        for i in 0..chunk.actors.len() {
+                            if chunk.actors[i].rounds > 0 {
+                                stack.extend(chunk.steps(protocol, i));
+                            }
+                        }
+                    }
+                    states += seen.len();
+                }
+            }
+        }
+        Ok(states)
+    }
+
+    #[test]
+    fn every_interleaving_keeps_a_working_queue_marked() {
+        let states = explore_occupancy(Protocol::Sound).unwrap();
+        assert!(states > 1_000, "explored only {states} states");
+    }
+
+    #[test]
+    fn the_occupancy_explorer_catches_a_settle_without_reread() {
+        let report = explore_occupancy(Protocol::NoReread).unwrap_err();
+        assert!(report.contains("clear bit"), "{report}");
+    }
+
+    #[test]
+    fn the_occupancy_explorer_catches_a_mark_before_the_push() {
+        let report = explore_occupancy(Protocol::MarkFirst).unwrap_err();
+        assert!(report.contains("clear bit"), "{report}");
+    }
+
+    #[test]
+    fn the_summary_fits_in_the_padding_the_word_had() {
+        assert_eq!(std::mem::size_of::<OpWord>(), 128);
+        let word = OpWord::new(OpState::default());
+        word.mark(0);
+        word.mark(511);
+        assert_eq!((word.occupancy(0), word.occupancy(7)), (1, 1 << 63));
+        word.settle(511, || true);
+        word.settle(0, || false);
+        assert_eq!((word.occupancy(0), word.occupancy(7)), (0, 1 << 63));
+        assert_eq!(word.load(), OpState::default());
     }
 }

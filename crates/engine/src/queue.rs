@@ -37,16 +37,21 @@
 //!
 //! # Lock-free observation fast path
 //!
-//! The worker scan of the shared-pool runtime asks every queue "anything for
-//! me?" far more often than it moves data. Taking the buffer mutex just to
-//! *look* made those reads contend with the producers and consumers
+//! The shared-pool runtime looks at queues far more often than it moves
+//! data through them. Its workers probe only the queues their operation's
+//! occupancy bits point at, but a bit can be stale: a pop may find the
+//! queue empty. And whoever clears a bit re-reads the lengths of the queues
+//! behind it before leaving it clear. Taking the buffer mutex just to
+//! *look* would make those reads contend with the producers and consumers
 //! actually moving tuples. The queue therefore mirrors its buffered weight
 //! in an atomic, updated inside the critical section of every mutation:
 //! `len()` and `is_empty()` are single atomic loads, and an empty-queue pop
 //! ([`ActivationQueue::try_pop_into`] or its allocating wrapper
 //! [`ActivationQueue::try_pop_batch`]) returns without touching the mutex
-//! at all. The mutex remains the sole guard of buffer *mutation*; the
-//! mirror is observational. Termination does not read the queues: it
+//! at all. The mirror is `SeqCst`, like the occupancy bits, so a re-read
+//! that follows a clear sees every push that came before it. The mutex
+//! remains the sole guard of buffer *mutation*; the mirror is
+//! observational. Termination does not read the queues: it
 //! counts their weight in the operation's state word
 //! ([`crate::runtime`]), so `is_closed()` and `is_exhausted()`, which only
 //! tests call, read the closed flag under the mutex.
@@ -87,12 +92,13 @@ pub struct ActivationQueue {
     /// the bound (the queue briefly overfills rather than deadlocking).
     capacity: usize,
     /// Static cost estimate of the work behind this queue; it orders the
-    /// workers' queue scan.
+    /// workers' ring of queues.
     estimated_cost: f64,
     state: Mutex<QueueState>,
     // ordering(atomic_len): SeqCst — every write happens inside the buffer
-    // mutex, the loads are lock-free observers; a stale zero only skips a
-    // probe the next scan repeats.
+    // mutex, the loads are lock-free observers; it shares one total order
+    // with the runtime's occupancy bits, so the re-read after a bit's clear
+    // sees every push made before it.
     /// Atomic mirror of `QueueState::weight`, written inside the critical
     /// section of every mutation so observers never lock.
     atomic_len: AtomicUsize,
@@ -124,7 +130,7 @@ impl ActivationQueue {
         self.instance
     }
 
-    /// The static cost estimate that orders the workers' queue scan.
+    /// The static cost estimate that orders the workers' ring of queues.
     pub fn estimated_cost(&self) -> f64 {
         self.estimated_cost
     }

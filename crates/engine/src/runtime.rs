@@ -42,19 +42,52 @@
 //! push either keeps the entry or announces afresh. Within an operation,
 //! *which queue* to pop follows one fixed consumption order (see below).
 //!
-//! # Queue scan: one cost-ordered ring
+//! # Queue walk: the occupied positions of one cost-ordered ring
 //!
 //! At submit, each operation sorts its queues once by decreasing estimated
-//! cost into `order`. Slice `w` of `P` equal contiguous slices of `order`
+//! cost into a ring (`OpRuntime::ring`, which also maps each queue back to
+//! its position). Slice `w` of `P` equal contiguous slices of the ring
 //! holds worker `w`'s *main* queues (each queue is the main queue of only
-//! one worker, as in the paper). A worker walks `order` as a ring from the
-//! first entry of its slice: its main queues first, costliest first, then
-//! the others as *secondary* queues, so idle workers start from different
-//! points instead of converging on one queue. There is no per-operation
-//! `Random`/`LPT` choice (scheduling step 4): a per-poll shuffle cost CPU
-//! and bought nothing measurable with morsels, while the cost order keeps
-//! what LPT's visit order is worth on wider pools. The simulator keeps
-//! both strategies.
+//! one worker, as in the paper). A worker consumes the ring from the first
+//! entry of its slice, wrapping once: its main queues first, costliest
+//! first, then the others as *secondary* queues, so idle workers start from
+//! different points instead of converging on one queue. There is no
+//! per-operation `Random`/`LPT` choice (scheduling step 4): a per-poll
+//! shuffle cost CPU and bought nothing measurable with morsels, while the
+//! cost order keeps what LPT's visit order is worth on wider pools. The
+//! simulator keeps both strategies.
+//!
+//! The worker does not probe every queue on that ring. The operation's
+//! state word carries a 512-bit occupancy summary (`op_state.rs`): bit `b`
+//! is ring position `b` when the operation has at most 512 queues, and
+//! above that the contiguous chunk of positions `p` with
+//! `p * 512 / n == b`. `select_and_pop` walks the set bits in the ring
+//! order above (`OccupiedChunks`, `trailing_zeros` over eight words)
+//! and probes only the queues behind them, so it pops exactly what a probe
+//! of every queue in that order would, from the queues that hold work.
+//!
+//! The bits follow one protocol, every access `SeqCst` like the queues'
+//! `atomic_len` mirrors:
+//!
+//! * a producer marks a queue's bit after every successful push and before
+//!   it announces the operation (a load, and a `fetch_or` only if the bit
+//!   is clear); submit marks a triggered operation's queues after it has
+//!   written the operation's fresh word, which starts with every bit clear;
+//! * a worker that pops a queue to empty, or finds a set bit's chunk empty
+//!   (in `select_and_pop` or `help_drain`), *settles* the bit: it
+//!   clears it, re-reads the chunk's queue lengths, and sets it again if
+//!   any queue holds work.
+//!
+//! No bit is lost. In the one total order of those accesses, a push lands
+//! before its producer loads the bit. If the load finds the bit clear, the
+//! producer sets it. If it finds it set, any clear that follows is also
+//! after the push, and the re-read after that clear sees the push's weight
+//! (or the queue has been popped since, by a worker that settles in turn).
+//! A bit may be left set over an empty queue; the next walk that finds it
+//! settles it. A lost bit would fail no assertion: the operation's ready
+//! entry would rotate with `pending > 0` and no worker would ever find the
+//! work, so an explorer in `op_state.rs` checks every interleaving of two
+//! producers and two consumers over one chunk.
 //!
 //! # Morsels
 //!
@@ -116,7 +149,7 @@ use crate::cache::PreparedPlan;
 use crate::error::EngineError;
 use crate::faults::{self, FaultAction, FaultPoint};
 use crate::metrics::{ExecutionMetrics, OperationMetrics, ThreadMetrics};
-use crate::op_state::{Effect, Event, OpState, OpWord, MAX_INFLIGHT};
+use crate::op_state::{Effect, Event, OpState, OpWord, MAX_INFLIGHT, OCCUPANCY_BITS};
 use crate::operators::{
     BoundOperator, FilterOperator, PipelinedJoinOperator, StoreOperator, TransmitOperator,
     TriggeredJoinOperator,
@@ -176,12 +209,37 @@ struct OpRuntime {
     /// scatter buffers (the paper's `CacheSize`).
     cache_size: usize,
     consumer: Option<ConsumerLink>,
-    /// Queue indexes in decreasing estimated-cost order: the ring every
-    /// worker walks. Computed once at submit: the estimates are static.
-    order: Vec<usize>,
+    /// The ring every worker walks and its inverse: `ring[p]` is the queue
+    /// at position `p` in decreasing estimated-cost order, and `ring[n + q]`
+    /// is the position of queue `q`, for `n` queues. Computed once at
+    /// submit: the estimates are static.
+    ring: Vec<u32>,
     /// Announced, input-closed and finished bits, workers in flight and
-    /// pending queue weight, changed one transition at a time.
+    /// pending queue weight, changed one transition at a time; and the
+    /// occupancy bits of the ring's chunks.
     state: OpWord,
+}
+
+impl OpRuntime {
+    /// The queue at ring position `position`.
+    fn queue_at(&self, position: usize) -> usize {
+        self.ring[position] as usize
+    }
+
+    /// The occupancy bit of queue `queue`.
+    fn bit_of(&self, queue: usize) -> usize {
+        let n = self.queues.len();
+        occupancy_bit(self.ring[n + queue] as usize, n)
+    }
+
+    /// Clears chunk `bit`'s occupancy bit, then sets it again if a queue
+    /// of the chunk holds work (see the module docs).
+    fn settle(&self, bit: usize) {
+        let n = self.queues.len();
+        self.state.settle(bit, || {
+            chunk(bit, n).any(|position| !self.queues[self.queue_at(position)].is_empty())
+        });
+    }
 }
 
 /// Per-operation, per-worker thread metrics slots of one query.
@@ -600,13 +658,23 @@ impl Runtime {
                     )
                 })
                 .collect();
-            let mut order: Vec<usize> = (0..queues.len()).collect();
-            order.sort_by(|a, b| {
-                queues[*b]
+            let n = queues.len();
+            let count = u32::try_from(n).map_err(|_| {
+                EngineError::Plan(format!("{} has {n} instances, above u32", node.name))
+            })?;
+            let mut ring: Vec<u32> = Vec::with_capacity(2 * n);
+            ring.extend(0..count);
+            ring.sort_by(|a, b| {
+                queues[*b as usize]
                     .estimated_cost()
-                    .partial_cmp(&queues[*a].estimated_cost())
+                    .partial_cmp(&queues[*a as usize].estimated_cost())
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
+            ring.resize(2 * n, 0);
+            for position in 0..count {
+                let queue = ring[position as usize] as usize;
+                ring[n + queue] = position;
+            }
 
             index_of.insert(*id, ops.len());
             ops.push(OpRuntime {
@@ -616,7 +684,7 @@ impl Runtime {
                 queues,
                 cache_size: op_schedule.cache_size.max(1),
                 consumer: None,
-                order,
+                ring,
                 state: OpWord::new(OpState::default()),
             });
         }
@@ -657,7 +725,8 @@ impl Runtime {
         // workers can scan it concurrently; only the lead morsel counts as
         // a logical activation, keeping per-op activation counts identical
         // to the single-trigger model. Workers cannot see the query yet, so
-        // the state words are set outright.
+        // the state words are set outright, and only then are the queues
+        // marked occupied: a fresh word starts with every bit clear.
         let morsel_rows = schedule.morsel_rows().max(1);
         for op in &mut ops {
             let node = plan.node(op.node)?;
@@ -692,6 +761,11 @@ impl Runtime {
                     q.close();
                 }
                 op.state = OpWord::new(OpState::triggered(pending));
+                for queue in 0..op.queues.len() {
+                    if !op.queues[queue].is_empty() {
+                        op.state.mark(op.bit_of(queue));
+                    }
+                }
             }
         }
 
@@ -1261,41 +1335,139 @@ fn try_process_op(
     }
 }
 
-/// Selects the next queue of `op` for this worker in [`ring_scan`] order,
-/// pops up to `cache_size` logical activations from it into `ctx.popped`
-/// and returns the queue's index, whether it is one of the worker's main
-/// queues and the queue weight popped. Probing an empty queue is one
-/// atomic load.
+/// Selects the next queue of `op` for this worker, pops up to
+/// `cache_size` logical activations from it into `ctx.popped` and returns
+/// the queue's index, whether it is one of the worker's main queues and
+/// the queue weight popped. Only queues whose occupancy bit is set are
+/// probed, in [`OccupiedChunks`] order; a chunk found empty, or a queue
+/// popped to empty, has its bit settled.
 fn select_and_pop(
     op: &OpRuntime,
     pool_threads: usize,
     ctx: &mut WorkerCtx,
 ) -> Option<(usize, bool, u64)> {
-    for (position, main) in ring_scan(ctx.id, pool_threads, op.order.len()) {
-        let queue_index = op.order[position];
-        let weight = op.queues[queue_index].try_pop_into(op.cache_size, &mut ctx.popped);
-        if weight > 0 {
-            return Some((queue_index, main, weight as u64));
+    let n = op.queues.len();
+    let main = main_slice(ctx.id, pool_threads, n);
+    for (bit, positions) in OccupiedChunks::new(|i| op.state.occupancy(i), n, main.start) {
+        for position in positions {
+            let queue_index = op.queue_at(position);
+            let queue = &op.queues[queue_index];
+            let weight = queue.try_pop_into(op.cache_size, &mut ctx.popped);
+            if weight > 0 {
+                if queue.is_empty() {
+                    op.settle(bit);
+                }
+                return Some((queue_index, main.contains(&position), weight as u64));
+            }
         }
+        op.settle(bit);
     }
     None
 }
 
-/// Positions in an `n`-queue `order` of `worker`'s main queues: slice
+/// Positions in an `n`-queue ring of `worker`'s main queues: slice
 /// `worker` of `pool_threads` equal contiguous slices, which differ in size
 /// by at most one (some are empty when `n < pool_threads`).
 fn main_slice(worker: usize, pool_threads: usize, n: usize) -> Range<usize> {
     worker * n / pool_threads..(worker + 1) * n / pool_threads
 }
 
-/// The positions of an `n`-queue `order` that `worker` probes, in order,
-/// each with whether it is a main queue: the ring from the first entry of
-/// the worker's [`main_slice`] (see the module docs).
-fn ring_scan(worker: usize, pool_threads: usize, n: usize) -> impl Iterator<Item = (usize, bool)> {
-    let main = main_slice(worker, pool_threads, n);
-    (main.start..n)
-        .chain(0..main.start)
-        .map(move |position| (position, main.contains(&position)))
+/// The occupancy bit of ring position `position` of an `n`-queue ring:
+/// the position itself up to [`OCCUPANCY_BITS`] queues, and above that
+/// the `b` with `position * OCCUPANCY_BITS / n == b`.
+fn occupancy_bit(position: usize, n: usize) -> usize {
+    position * OCCUPANCY_BITS / n.max(OCCUPANCY_BITS)
+}
+
+/// The ring positions whose [`occupancy_bit`] is `bit`: contiguous, one
+/// position up to [`OCCUPANCY_BITS`] queues and at least one above.
+fn chunk(bit: usize, n: usize) -> Range<usize> {
+    let m = n.max(OCCUPANCY_BITS);
+    (bit * m).div_ceil(OCCUPANCY_BITS).min(n)..((bit + 1) * m).div_ceil(OCCUPANCY_BITS).min(n)
+}
+
+/// The occupied chunks of an `n`-queue ring, in the order a worker whose
+/// main slice starts at position `start` consumes them: the ring from
+/// `start`, wrapping once (see the module docs). Each item is a chunk's
+/// bit and the positions of it to probe; the chunk holding `start` comes
+/// first from `start` on and, when it holds positions before `start`,
+/// again last with those. `word(i)` reads occupancy bits `64 * i ..`; a
+/// word is read again for every set bit found in it, so bits set or
+/// cleared during the walk count from then on.
+struct OccupiedChunks<F> {
+    word: F,
+    n: usize,
+    start: usize,
+    start_bit: usize,
+    /// Next bit to look at, and the end of the current sweep: first
+    /// `start_bit..bits`, then `0..start_bit`.
+    next: usize,
+    end: usize,
+    wrapped: bool,
+    done: bool,
+}
+
+impl<F: Fn(usize) -> u64> OccupiedChunks<F> {
+    fn new(word: F, n: usize, start: usize) -> Self {
+        let start_bit = occupancy_bit(start, n);
+        OccupiedChunks {
+            word,
+            n,
+            start,
+            start_bit,
+            next: start_bit,
+            end: n.min(OCCUPANCY_BITS),
+            wrapped: false,
+            done: false,
+        }
+    }
+
+    /// The first set bit in `self.next..self.end`.
+    fn next_set(&mut self) -> Option<usize> {
+        while self.next < self.end {
+            let index = self.next / 64;
+            let bits = (self.word)(index) & (!0u64 << (self.next % 64));
+            if bits == 0 {
+                self.next = (index + 1) * 64;
+                continue;
+            }
+            let bit = index * 64 + bits.trailing_zeros() as usize;
+            if bit >= self.end {
+                break;
+            }
+            self.next = bit + 1;
+            return Some(bit);
+        }
+        self.next = self.end;
+        None
+    }
+}
+
+impl<F: Fn(usize) -> u64> Iterator for OccupiedChunks<F> {
+    type Item = (usize, Range<usize>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if let Some(bit) = self.next_set() {
+            let mut positions = chunk(bit, self.n);
+            if bit == self.start_bit {
+                positions.start = self.start;
+            }
+            return Some((bit, positions));
+        }
+        if !self.wrapped {
+            self.wrapped = true;
+            (self.next, self.end) = (0, self.start_bit);
+            return self.next();
+        }
+        if self.done {
+            return None;
+        }
+        self.done = true;
+        // The start chunk's positions before `start`, last.
+        let before = chunk(self.start_bit, self.n).start..self.start;
+        let set = (self.word)(self.start_bit / 64) & (1 << (self.start_bit % 64)) != 0;
+        (set && !before.is_empty()).then_some((self.start_bit, before))
+    }
 }
 
 thread_local! {
@@ -1511,10 +1683,13 @@ fn flush_to(
             return;
         }
         // The pending weight goes up before the push, so it never falls
-        // below what the queues hold; a refused push gives it back.
+        // below what the queues hold; a refused push gives it back. The
+        // queue's occupancy bit is marked after the push and before the
+        // announcement that sends a worker looking for it.
         consumer.state.apply(Event::Reserve(weight));
         let refused = match consumer.queues[dest].try_push(activation) {
             Ok(()) => {
+                consumer.state.mark(consumer.bit_of(dest));
                 announce_op(inner, query, consumer_index);
                 return;
             }
@@ -1555,7 +1730,11 @@ fn help_drain(
         return;
     }
     let mut popped = Vec::new();
-    let weight = consumer.queues[dest].try_pop_into(consumer.cache_size, &mut popped);
+    let queue = &consumer.queues[dest];
+    let weight = queue.try_pop_into(consumer.cache_size, &mut popped);
+    if queue.is_empty() {
+        consumer.settle(consumer.bit_of(dest));
+    }
     if weight == 0 {
         std::thread::yield_now();
     } else {
@@ -1731,11 +1910,46 @@ mod tests {
         assert_eq!(runtime.live_queries(), 0);
     }
 
+    /// The consumption order of the ring: every position from the first
+    /// entry of `worker`'s [`main_slice`], wrapping once, each with whether
+    /// it is a main queue. The oracle of [`OccupiedChunks`].
+    fn ring_scan(
+        worker: usize,
+        pool_threads: usize,
+        n: usize,
+    ) -> impl Iterator<Item = (usize, bool)> {
+        let main = main_slice(worker, pool_threads, n);
+        (main.start..n)
+            .chain(0..main.start)
+            .map(move |position| (position, main.contains(&position)))
+    }
+
     #[test]
     fn main_slices_partition_the_ring_and_each_scan_starts_at_its_own() {
+        // splitmix64: a seeded occupancy per case.
+        let mut seed = 1u64;
+        let mut random = move || {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (seed ^ (seed >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
         for pool in [1usize, 2, 3, 4, 7] {
-            // Fewer queues than workers, as many, and more.
-            for n in [0, pool / 2, pool, pool + 1, 3 * pool + 2, 200] {
+            // Fewer queues than workers, as many, and more; and fewer
+            // queues than occupancy bits, as many, and more.
+            for n in [
+                0,
+                1,
+                pool / 2,
+                pool,
+                pool + 1,
+                3 * pool + 2,
+                200,
+                511,
+                512,
+                513,
+                1500,
+            ] {
                 let slices: Vec<Range<usize>> = (0..pool).map(|w| main_slice(w, pool, n)).collect();
                 // Contiguous, in worker order, covering 0..n: a partition.
                 assert_eq!(slices[0].start, 0);
@@ -1749,6 +1963,25 @@ mod tests {
                     max.unwrap() - min.unwrap() <= 1,
                     "pool {pool}, n {n}: {sizes:?}"
                 );
+
+                // The chunks partition the ring in bit order, each position
+                // in the chunk of its own bit, one position per bit up to
+                // OCCUPANCY_BITS queues.
+                let bits = n.min(OCCUPANCY_BITS);
+                let chunks: Vec<Range<usize>> = (0..bits).map(|b| chunk(b, n)).collect();
+                assert_eq!(chunks.first().map_or(0, |c| c.start), 0);
+                assert_eq!(chunks.last().map_or(0, |c| c.end), n);
+                for pair in chunks.windows(2) {
+                    assert_eq!(pair[0].end, pair[1].start, "n {n}");
+                }
+                for (b, c) in chunks.iter().enumerate() {
+                    assert!(!c.is_empty(), "n {n}, bit {b}");
+                    assert!(n > OCCUPANCY_BITS || c.len() == 1, "n {n}, bit {b}");
+                    assert!(
+                        c.clone().all(|p| occupancy_bit(p, n) == b),
+                        "n {n}, bit {b}"
+                    );
+                }
 
                 for (w, slice) in slices.iter().enumerate() {
                     let scan: Vec<(usize, bool)> = ring_scan(w, pool, n).collect();
@@ -1766,6 +1999,38 @@ mod tests {
                     let main: Vec<usize> = scan.iter().filter(|p| p.1).map(|p| p.0).collect();
                     assert_eq!(main, slice.clone().collect::<Vec<_>>());
                     assert!(scan[..slice.len()].iter().all(|p| p.1));
+                }
+
+                // The walk over the set bits visits exactly the scan's
+                // positions whose chunk is occupied, in the scan's order,
+                // from empty through sparse to full occupancy.
+                for density in [0, 1, 8, 64] {
+                    let mut words = [0u64; OCCUPANCY_BITS / 64];
+                    for position in 0..n {
+                        if random() % 64 < density {
+                            let bit = occupancy_bit(position, n);
+                            words[bit / 64] |= 1 << (bit % 64);
+                        }
+                    }
+                    let occupied = |p: usize| {
+                        words[occupancy_bit(p, n) / 64] >> (occupancy_bit(p, n) % 64) & 1 == 1
+                    };
+                    for (w, slice) in slices.iter().enumerate() {
+                        let walk: Vec<(usize, bool)> =
+                            OccupiedChunks::new(|i| words[i], n, slice.start)
+                                .flat_map(|(bit, positions)| {
+                                    assert!(positions.clone().all(|p| occupancy_bit(p, n) == bit));
+                                    positions.map(|p| (p, slice.contains(&p)))
+                                })
+                                .collect();
+                        let expected: Vec<(usize, bool)> = ring_scan(w, pool, n)
+                            .filter(|(p, _)| occupied(*p))
+                            .collect();
+                        assert_eq!(
+                            walk, expected,
+                            "pool {pool}, n {n}, w {w}, density {density}"
+                        );
+                    }
                 }
             }
         }

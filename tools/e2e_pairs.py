@@ -25,6 +25,10 @@ one): such a clone counts against the timings of the run it happens in.
 `--trace` runs each side once more with `--trace 1` on the first seed and
 prints the per-layer metrics side by side.
 
+A run that outlives `120 + 10 * --seconds` seconds is killed and reported
+as failed, so a build that hangs (a livelocked pool) shows up as a failed
+run instead of stopping the comparison.
+
 Exits 1 when any run reports `"correct": false` or fails, 2 on bad usage.
 Standard library only.
 """
@@ -33,6 +37,7 @@ import argparse
 import json
 import os
 import re
+import signal
 import statistics
 import subprocess
 import sys
@@ -74,12 +79,24 @@ def run(checkout, workload, seed, seconds, trace):
         "--seconds", str(seconds),
         "--trace", "1" if trace else "0",
     ]
-    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
-    sys.stderr.write(done.stderr)
-    notes = [int(n) for n in NOTE.findall(done.stderr)]
-    lines = done.stdout.strip().splitlines()
-    if done.returncode != 0 or not lines:
-        print(f"{checkout}: seed {seed} ended with {done.returncode}", file=sys.stderr)
+    timeout = 120 + 10 * seconds
+    # A session of its own, so a kill reaches the run's child processes.
+    with subprocess.Popen(command, cwd=checkout, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True,
+                          start_new_session=True) as child:
+        try:
+            stdout, stderr = child.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            stdout, stderr = child.communicate()
+            sys.stderr.write(stderr)
+            print(f"{checkout}: seed {seed} killed after {timeout:g} s", file=sys.stderr)
+            return {}, False, []
+    sys.stderr.write(stderr)
+    notes = [int(n) for n in NOTE.findall(stderr)]
+    lines = stdout.strip().splitlines()
+    if child.returncode != 0 or not lines:
+        print(f"{checkout}: seed {seed} ended with {child.returncode}", file=sys.stderr)
         return {}, False, notes
     result = json.loads(lines[-1])
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
@@ -113,6 +130,9 @@ def main():
     parser.add_argument("--trace", action="store_true",
                         help="one traced run per side on the first seed")
     args = parser.parse_args()
+    # Each run starts in its checkout, so a relative path would be resolved
+    # a second time from there.
+    args.parent, args.change = os.path.abspath(args.parent), os.path.abspath(args.change)
     for checkout in (args.parent, args.change):
         if not os.access(os.path.join(checkout, BINARY), os.X_OK):
             parser.error(f"{checkout}: no built {BINARY}")
