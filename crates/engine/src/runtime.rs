@@ -1400,10 +1400,12 @@ struct OccupiedChunks<F> {
     start: usize,
     start_bit: usize,
     /// Next bit to look at, and the end of the current sweep: first
-    /// `start_bit..bits`, then `0..start_bit`.
+    /// `start_bit` up to the bits in use, then, once `wrapped`,
+    /// `0..start_bit`.
     next: usize,
     end: usize,
     wrapped: bool,
+    /// The start chunk's positions before `start` have been offered.
     done: bool,
 }
 
