@@ -16,9 +16,11 @@
 //! * `baseline` writes `BENCH_engine.json`, the paper-figure record: fig14 /
 //!   fig15 elapsed time at 1/4/8 threads with derived speedups, plus the
 //!   multi-query queries/s shape; `--gate` turns it into the CI scaling gate;
-//! * `chaos` replays a seeded fault storm against an in-process server.
+//! * `chaos` replays the seeded fault storm of [`chaos`] against an
+//!   in-process server; `tests/chaos.rs` runs the same storm at seed 7.
 
 pub mod baseline;
+pub mod chaos;
 pub mod concurrent;
 pub mod data;
 pub mod experiments;

@@ -6,9 +6,15 @@
 //! re-expanded the plan, re-ran the scheduler and rebuilt every build-side
 //! [`HashIndex`] from scratch. This module makes that setup ~free on repeat:
 //!
-//! * the **plan cache** maps a content hash of (plan structure, scheduler
-//!   options, cost parameters) to the expanded [`ExtendedPlan`] and built
-//!   [`ExecutionSchedule`] (a [`PreparedPlan`]);
+//! * the **plan cache** maps a plan's [`Plan::content_hash`] and the
+//!   [`SchedulerOptions`] to the expanded [`ExtendedPlan`] and built
+//!   [`ExecutionSchedule`] (a [`PreparedPlan`]). A lookup is a hit only
+//!   when the stored plan and [`CostParameters`] also equal the request's:
+//!   a 64-bit hash can collide, and an entry handed to another plan would
+//!   run that plan's schedule — a wrong answer, not a slow one. A hash
+//!   match with unequal values is a miss whose preparation replaces the
+//!   entry. The key holds no copy of the plan: the entry's [`PreparedPlan`]
+//!   owns one already;
 //! * **indexes live in their fragments**: [`fragment_index`] resolves the
 //!   build cell a [`Fragment`] owns for each column. The first requester
 //!   builds into it, concurrent requesters *wait on the build in flight*
@@ -42,7 +48,7 @@
 use crate::faults::{self, FaultAction, FaultPoint};
 use crate::schedule::{ExecutionSchedule, Scheduler, SchedulerOptions};
 use crate::Result;
-use dbs3_lera::{ContentHasher, CostParameters, ExtendedPlan, OperatorKind, OuterInput, Plan};
+use dbs3_lera::{CostParameters, ExtendedPlan, OperatorKind, OuterInput, Plan};
 use dbs3_storage::{Catalog, Fragment, HashIndex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -113,14 +119,15 @@ impl CacheStats {
 /// [`Runtime::submit_prepared`](crate::Runtime::submit_prepared) needs that
 /// does not depend on live query state: the plan, its extended view and the
 /// execution schedule, plus the catalog generations they were derived from
-/// (so staleness is a cheap per-relation comparison, not a re-expansion).
+/// (so staleness is a cheap per-relation comparison, not a re-expansion)
+/// and the cost parameters of the expansion (which a cache hit compares).
 #[derive(Debug)]
 pub struct PreparedPlan {
     plan: Plan,
     extended: ExtendedPlan,
     schedule: ExecutionSchedule,
     generations: Vec<(String, u64)>,
-    fingerprint: u64,
+    cost: CostParameters,
 }
 
 impl PreparedPlan {
@@ -140,11 +147,6 @@ impl PreparedPlan {
         &self.schedule
     }
 
-    /// The plan's structural content hash.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
     /// Whether every relation this preparation was derived from still has
     /// the same generation in `catalog`. A false return means the catalog
     /// mutated underneath: re-[`prepare`] (cheap — the cache evicts the
@@ -156,12 +158,14 @@ impl PreparedPlan {
     }
 }
 
-/// Key of a plan-cache entry: content hashes only, so equal-meaning inputs
-/// collide onto one entry no matter how they were built.
+/// Key of a plan-cache entry: the plan's content hash and the options, so
+/// equal requests meet at one entry no matter how they were built. Equal
+/// keys do not make equal requests: a hit also compares the entry's plan
+/// and cost with the request's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct PlanKey {
     plan: u64,
-    options: u64,
+    options: SchedulerOptions,
 }
 
 #[derive(Debug)]
@@ -183,13 +187,25 @@ struct PlanCache {
 }
 
 impl PlanCache {
-    /// Looks up `key`, validating the stored generations against `catalog`.
-    /// A stale entry is evicted and reported as a miss.
-    fn lookup(&self, key: PlanKey, catalog: &Catalog) -> Option<Arc<PreparedPlan>> {
+    /// Looks up `key` for `plan` prepared with `cost`, validating the stored
+    /// generations against `catalog`. An entry for another plan or cost is
+    /// a miss (the caller's insert replaces it); a stale entry is evicted
+    /// and reported as a miss.
+    fn lookup(
+        &self,
+        key: PlanKey,
+        plan: &Plan,
+        cost: &CostParameters,
+        catalog: &Catalog,
+    ) -> Option<Arc<PreparedPlan>> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.tick += 1;
         let tick = inner.tick;
         match inner.entries.get_mut(&key) {
+            Some(entry) if entry.prepared.plan != *plan || entry.prepared.cost != *cost => {
+                inner.counters.misses += 1;
+                None
+            }
             Some(entry) if entry.prepared.is_current(catalog) => {
                 entry.last_used = tick;
                 let prepared = Arc::clone(&entry.prepared);
@@ -362,38 +378,6 @@ fn resolve(cell: &OnceLock<Arc<HashIndex>>, build: impl FnOnce() -> HashIndex) -
     index
 }
 
-fn write_cost(h: &mut ContentHasher, cost: &CostParameters) {
-    h.write_f64(cost.scan_tuple);
-    h.write_f64(cost.move_tuple);
-    h.write_f64(cost.nested_loop_probe_per_inner_tuple);
-    h.write_f64(cost.build_per_tuple);
-    h.write_f64(cost.indexed_probe);
-    h.write_f64(cost.store_tuple);
-    h.write_f64(cost.queue_creation);
-}
-
-fn write_option_usize(h: &mut ContentHasher, v: Option<usize>) {
-    match v {
-        None => h.write_u64(0),
-        Some(n) => {
-            h.write_u64(1);
-            h.write_usize(n);
-        }
-    }
-}
-
-/// Content hash of everything besides the plan that shapes a preparation:
-/// the full scheduler options and the cost parameters.
-fn options_hash(options: &SchedulerOptions, cost: &CostParameters) -> u64 {
-    let mut h = ContentHasher::new();
-    write_option_usize(&mut h, options.total_threads);
-    h.write_usize(options.queue_capacity);
-    h.write_usize(options.cache_size);
-    h.write_u64(options.discard_results as u64);
-    write_cost(&mut h, cost);
-    h.finish()
-}
-
 /// The relations a plan reads, with their current catalog generations —
 /// what a cache entry derived from this (plan, catalog) pair depends on.
 fn referenced_generations(catalog: &Catalog, plan: &Plan) -> Vec<(String, u64)> {
@@ -419,23 +403,22 @@ fn referenced_generations(catalog: &Catalog, plan: &Plan) -> Vec<(String, u64)> 
 }
 
 /// Prepares a plan for execution: expansion + scheduling, answered from the
-/// plan cache when this (plan, options, cost) shape was prepared before and
-/// the referenced relations are unchanged.
+/// plan cache when an equal (plan, options, cost) request was prepared
+/// before and the referenced relations are unchanged.
 pub fn prepare(
     catalog: &Catalog,
     plan: &Plan,
     options: &SchedulerOptions,
     cost: &CostParameters,
 ) -> Result<Arc<PreparedPlan>> {
-    let fingerprint = plan.content_hash();
     let key = PlanKey {
-        plan: fingerprint,
-        options: options_hash(options, cost),
+        plan: plan.content_hash(),
+        options: *options,
     };
     let bypass = lookup_fault_bypasses();
     let cache = &caches().plan;
     if !bypass {
-        if let Some(prepared) = cache.lookup(key, catalog) {
+        if let Some(prepared) = cache.lookup(key, plan, cost, catalog) {
             return Ok(prepared);
         }
     }
@@ -446,7 +429,7 @@ pub fn prepare(
         extended,
         schedule,
         generations: referenced_generations(catalog, plan),
-        fingerprint,
+        cost: *cost,
     });
     if !bypass {
         cache.insert(key, Arc::clone(&prepared));
@@ -489,7 +472,8 @@ mod tests {
 
         let before = cache_stats();
         let first = prepare(&cat, &plan, &options, &cost).unwrap();
-        let second = prepare(&cat, &plan, &options, &cost).unwrap();
+        // An equal plan built apart.
+        let second = prepare(&cat, &fig14(&cat).0, &options, &cost).unwrap();
         assert!(Arc::ptr_eq(&first, &second), "repeat must share one entry");
         assert!(first.is_current(&cat));
         let after = cache_stats().since(&before);
@@ -513,7 +497,7 @@ mod tests {
         let cost = CostParameters::default();
         let base_options = SchedulerOptions::default().with_total_threads(2);
         let base = prepare(&cat, &plan, &base_options, &cost).unwrap();
-        // Each row changes exactly one field: `options_hash` must see it.
+        // Each row changes exactly one field: the key must see it.
         let variants = [
             ("total_threads", base_options.with_total_threads(4)),
             (
@@ -545,13 +529,57 @@ mod tests {
                 !Arc::ptr_eq(&base, &prepared),
                 "changing {field} alone must prepare a new plan"
             );
-            assert_eq!(base.fingerprint(), prepared.fingerprint());
+            assert_eq!(prepared.plan(), &plan);
         }
         let four = prepare(&cat, &plan, &base_options.with_total_threads(4), &cost).unwrap();
         assert_ne!(
             base.schedule().query_threads(),
             four.schedule().query_threads()
         );
+    }
+
+    #[test]
+    fn a_renamed_node_or_another_cost_gets_its_own_entry() {
+        let cat = catalog(500, 50, 4);
+        let (plan, _) = fig14(&cat);
+        // Options no other test here uses, so parallel tests preparing the
+        // same plan on other catalogs cannot evict these entries.
+        let options = SchedulerOptions {
+            queue_capacity: 701,
+            ..SchedulerOptions::default().with_total_threads(2)
+        };
+        let cost = CostParameters::default();
+        let base = prepare(&cat, &plan, &options, &cost).unwrap();
+
+        let mut nodes = plan.nodes().to_vec();
+        nodes[1].name.push_str("-renamed");
+        let renamed = Plan::from_nodes(plan.name(), nodes).unwrap();
+        let costlier = CostParameters {
+            scan_tuple: cost.scan_tuple * 2.0,
+            ..cost
+        };
+        for (what, request, cost) in [("a node name", &renamed, &cost), ("cost", &plan, &costlier)]
+        {
+            let prepared = prepare(&cat, request, &options, cost).unwrap();
+            assert!(
+                !Arc::ptr_eq(&base, &prepared),
+                "changing {what} alone must prepare a new plan"
+            );
+            assert_eq!(prepared.plan(), request);
+            assert_eq!(prepared.cost, *cost);
+        }
+
+        // An entry behind an equal key is handed out only to an equal plan:
+        // a 64-bit collision is a miss.
+        let cache = PlanCache::default();
+        let key = PlanKey {
+            plan: plan.content_hash(),
+            options,
+        };
+        cache.insert(key, Arc::clone(&base));
+        assert!(cache.lookup(key, &renamed, &cost, &cat).is_none());
+        let hit = cache.lookup(key, &plan, &cost, &cat).unwrap();
+        assert!(Arc::ptr_eq(&base, &hit));
     }
 
     #[test]

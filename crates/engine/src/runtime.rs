@@ -86,8 +86,11 @@
 //! A bit may be left set over an empty queue; the next walk that finds it
 //! settles it. A lost bit would fail no assertion: the operation's ready
 //! entry would rotate with `pending > 0` and no worker would ever find the
-//! work, so an explorer in `op_state.rs` checks every interleaving of two
-//! producers and two consumers over one chunk.
+//! work, so the pool livelocks and the threaded suites cannot see the lost
+//! bit itself. An explorer in `op_state.rs` checks every interleaving of a
+//! *model* of the protocol (push → mark, pop → clear → re-read) for two
+//! producers and two consumers over one chunk; it does not run the code
+//! above.
 //!
 //! # Morsels
 //!
@@ -843,21 +846,19 @@ impl Runtime {
             let _ = handle.join();
         }
         // Fail whatever is still registered so no waiter ever hangs.
-        let leftover: Vec<Arc<QueryState>> = {
-            let mut queries = self
-                .inner
-                .queries
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            queries.drain(..).collect()
-        };
+        let leftover: Vec<Arc<QueryState>> = self
+            .inner
+            .queries
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
         self.inner
             .ready
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clear();
         for query in leftover {
-            query.complete(Err(EngineError::RuntimeShutdown));
+            abort_query(&self.inner, &query, EngineError::RuntimeShutdown);
         }
     }
 }
@@ -993,11 +994,14 @@ fn abort_query(inner: &RuntimeInner, query: &QueryState, error: EngineError) {
             q.close();
         }
     }
+    // A pop stops after one control activation, so a triggered queue of
+    // morsels takes one pop per morsel.
     let mut drained = Vec::new();
     for op in &query.ops {
         for q in &op.queues {
-            q.try_pop_into(usize::MAX, &mut drained);
-            drained.clear();
+            while q.try_pop_into(usize::MAX, &mut drained) > 0 {
+                drained.clear();
+            }
         }
     }
     inner.remove_query(query.id);
@@ -2235,6 +2239,35 @@ mod tests {
             // Workers may have finished the query before the flag landed.
             Ok(_) | Err(EngineError::RuntimeShutdown) => {}
             other => panic!("expected Ok or RuntimeShutdown, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn shutdown_tears_a_running_query_down_like_an_abort() {
+        // A nested-loop join far longer than the gap between submit and
+        // shutdown, so it is still registered when the workers are joined.
+        let (cat, _, _) = build_catalog(40_000, 4_000, 4);
+        let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
+        let schedule = schedule_for(&plan, &cat, 2);
+        let runtime = Runtime::new(2).unwrap();
+        let handle = runtime.submit(&cat, &plan, &schedule).unwrap();
+        let query = Arc::clone(&handle.query);
+        runtime.shutdown();
+        match handle.wait() {
+            Err(EngineError::RuntimeShutdown) => assert!(query.cancelled.load(Ordering::SeqCst)),
+            // Only if the submitting thread stalled for the whole join; a
+            // query that finished has closed and emptied its queues too.
+            Ok(_) => {}
+            Err(other) => panic!("expected RuntimeShutdown, got {other:?}"),
+        }
+        for op in &query.ops {
+            for q in &op.queues {
+                assert!(
+                    q.is_closed() && q.is_empty(),
+                    "{}: a queue left open or full",
+                    op.name
+                );
+            }
         }
     }
 

@@ -133,7 +133,7 @@ impl ExecutionSchedule {
 
 /// Tunables of the scheduler: every setting a caller can vary per query,
 /// each settable here and nowhere else.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SchedulerOptions {
     /// Explicit total thread count (the experiments fix this). `None` lets
     /// step 1 derive it from the estimated complexity.

@@ -25,7 +25,6 @@ pub mod builder;
 pub mod complexity;
 pub mod error;
 pub mod extended;
-pub mod fingerprint;
 pub mod ops;
 pub mod plan;
 pub mod plans;
@@ -36,7 +35,6 @@ pub use builder::PlanBuilder;
 pub use complexity::{CostParameters, PlanComplexity};
 pub use error::PlanError;
 pub use extended::{ExtendedOperation, ExtendedPlan, InstanceInfo};
-pub use fingerprint::ContentHasher;
 pub use ops::{
     ActivationKind, InputSource, JoinAlgorithm, NodeId, OperatorKind, OperatorNode, OuterInput,
 };

@@ -30,7 +30,7 @@ pub enum ActivationKind {
 /// ... in order to slow down the execution time" and a join over a temporary
 /// index built on the fly for the larger databases (Section 5.3); Expt 3
 /// (Section 5.6.1) compares the two.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JoinAlgorithm {
     /// Nested loop over the inner fragment per outer tuple.
     NestedLoop,
@@ -51,7 +51,7 @@ impl JoinAlgorithm {
 }
 
 /// The outer (probing) input of a join.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum OuterInput {
     /// The outer operand is the co-partitioned fragment of a base relation:
     /// the join is a *triggered* operation (IdealJoin).
@@ -64,7 +64,7 @@ pub enum OuterInput {
 
 /// What starts an operator: a trigger (control activation broadcast to all
 /// instances) or the pipelined output of a producer node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InputSource {
     /// The operator is triggered: each instance receives exactly one control
     /// activation and then processes its associated fragment.
@@ -74,7 +74,7 @@ pub enum InputSource {
 }
 
 /// The relational operation performed by a node.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum OperatorKind {
     /// Scan the fragments of `relation` and emit tuples satisfying
     /// `predicate`. Triggered.
@@ -168,7 +168,7 @@ impl OperatorKind {
 }
 
 /// A node of the simple-view plan.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct OperatorNode {
     /// Node identifier (index in the plan's node list).
     pub id: NodeId,

@@ -4,6 +4,7 @@ use crate::error::PlanError;
 use crate::ops::{InputSource, NodeId, OperatorKind, OperatorNode, OuterInput};
 use crate::Result;
 use dbs3_storage::{Catalog, Schema};
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 /// A Lera-par execution plan (simple view): one node per logical operator.
 ///
@@ -11,7 +12,7 @@ use dbs3_storage::{Catalog, Schema};
 /// constructors in [`crate::plans`], validated against a catalog with
 /// [`Plan::validate`], and expanded to the extended view with
 /// [`crate::extended::ExtendedPlan::from_plan`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Plan {
     name: String,
     nodes: Vec<OperatorNode>,
@@ -66,14 +67,15 @@ impl Plan {
         &self.name
     }
 
-    /// Structural fingerprint of the plan: a stable content hash over every
-    /// semantics-bearing field (operators, relations, predicates, join
-    /// conditions, pipeline wiring) in node-id order. Two plans with the
-    /// same structure hash equal regardless of how they were built; display
-    /// names do not participate. This is the keying half of the
-    /// prepared-query cache.
+    /// Content hash of the plan: the derived [`Hash`] of every field, the
+    /// plan's and its nodes' display names included, fed to a
+    /// [`DefaultHasher`]. Equal plans hash equal however they were built;
+    /// unequal plans may collide, so the prepared-plan cache keys by this
+    /// hash and then compares the plans.
     pub fn content_hash(&self) -> u64 {
-        crate::fingerprint::hash_plan(self)
+        let mut hasher = DefaultHasher::new();
+        self.hash(&mut hasher);
+        hasher.finish()
     }
 
     /// All nodes in id order.
@@ -361,6 +363,7 @@ impl Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::JoinAlgorithm;
     use crate::plans;
     use crate::predicate::Predicate;
     use dbs3_storage::{PartitionSpec, PartitionedRelation, WisconsinConfig, WisconsinGenerator};
@@ -387,7 +390,7 @@ mod tests {
 
     #[test]
     fn from_nodes_round_trips_a_builder_plan_and_checks_invariants() {
-        let built = plans::ideal_join("A", "Bprime", "unique1", crate::ops::JoinAlgorithm::Hash);
+        let built = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
         // Reconstructing from the same nodes yields an equal plan (names
         // included) — the wire-decode path relies on this.
         let rebuilt = Plan::from_nodes(built.name(), built.nodes().to_vec()).unwrap();
@@ -418,12 +421,7 @@ mod tests {
     #[test]
     fn ideal_join_plan_validates() {
         let cat = catalog(20, 20);
-        let plan = plans::ideal_join(
-            "A",
-            "Bprime",
-            "unique1",
-            crate::ops::JoinAlgorithm::NestedLoop,
-        );
+        let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
         plan.validate(&cat).unwrap();
         assert_eq!(plan.len(), 2);
         assert_eq!(plan.triggered_nodes().len(), 1);
@@ -433,7 +431,7 @@ mod tests {
     #[test]
     fn assoc_join_plan_validates() {
         let cat = catalog(20, 30);
-        let plan = plans::assoc_join("Bprime", "A", "unique1", crate::ops::JoinAlgorithm::Hash);
+        let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
         plan.validate(&cat).unwrap();
         assert_eq!(plan.len(), 3);
         let order = plan.topological_order().unwrap();
@@ -446,12 +444,7 @@ mod tests {
     #[test]
     fn ideal_join_degree_mismatch_detected() {
         let cat = catalog(20, 30);
-        let plan = plans::ideal_join(
-            "A",
-            "Bprime",
-            "unique1",
-            crate::ops::JoinAlgorithm::NestedLoop,
-        );
+        let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
         assert!(matches!(
             plan.validate(&cat),
             Err(PlanError::DegreeMismatch { .. })
@@ -462,12 +455,7 @@ mod tests {
     fn not_copartitioned_detected() {
         let cat = catalog(20, 20);
         // Joining on unique2 while relations are partitioned on unique1.
-        let plan = plans::ideal_join(
-            "A",
-            "Bprime",
-            "unique2",
-            crate::ops::JoinAlgorithm::NestedLoop,
-        );
+        let plan = plans::ideal_join("A", "Bprime", "unique2", JoinAlgorithm::NestedLoop);
         assert!(matches!(
             plan.validate(&cat),
             Err(PlanError::NotCoPartitioned { .. })
@@ -477,12 +465,7 @@ mod tests {
     #[test]
     fn unknown_relation_detected() {
         let cat = catalog(10, 10);
-        let plan = plans::ideal_join(
-            "A",
-            "Missing",
-            "unique1",
-            crate::ops::JoinAlgorithm::NestedLoop,
-        );
+        let plan = plans::ideal_join("A", "Missing", "unique1", JoinAlgorithm::NestedLoop);
         assert!(plan.validate(&cat).is_err());
     }
 
@@ -494,7 +477,7 @@ mod tests {
             Predicate::one_in("onePercent", 2),
             "Bprime",
             "unique1",
-            crate::ops::JoinAlgorithm::Hash,
+            JoinAlgorithm::Hash,
         );
         plan.validate(&cat).unwrap();
         let join_id = NodeId(1);
@@ -527,5 +510,40 @@ mod tests {
             plan.node(NodeId(9)),
             Err(PlanError::UnknownNode(9))
         ));
+    }
+
+    #[test]
+    fn equal_plans_hash_equal_and_survive_clone() {
+        let a = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
+        let b = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
+        assert_eq!(a.content_hash(), b.content_hash());
+        assert_eq!(a.content_hash(), a.clone().content_hash());
+    }
+
+    #[test]
+    fn semantic_fields_split_the_hash() {
+        let base = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
+        let other_algo = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::NestedLoop);
+        let other_rel = plans::assoc_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
+        let other_col = plans::assoc_join("Bprime", "A", "unique2", JoinAlgorithm::Hash);
+        let other_shape = plans::ideal_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
+        for other in [&other_algo, &other_rel, &other_col, &other_shape] {
+            assert_ne!(base.content_hash(), other.content_hash());
+        }
+    }
+
+    #[test]
+    fn predicates_feed_the_hash() {
+        let p1 = plans::selection("A", Predicate::range("unique1", 0, 100), "Out");
+        let p2 = plans::selection("A", Predicate::range("unique1", 0, 101), "Out");
+        let p3 = plans::selection("A", Predicate::one_in("unique1", 7), "Out");
+        assert_ne!(p1.content_hash(), p2.content_hash());
+        assert_ne!(p1.content_hash(), p3.content_hash());
+        let not = plans::selection(
+            "A",
+            Predicate::Not(Box::new(Predicate::range("unique1", 0, 100))),
+            "Out",
+        );
+        assert_ne!(p1.content_hash(), not.content_hash());
     }
 }

@@ -11,7 +11,7 @@ use crate::Result;
 use dbs3_storage::{Schema, Tuple, Value};
 
 /// Comparison operators for scalar predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompareOp {
     Eq,
     Ne,
@@ -37,7 +37,7 @@ impl CompareOp {
 
 /// A predicate over a single tuple, expressed on column *names* and bound to
 /// column indexes against a schema before evaluation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Predicate {
     /// Always true (used to express "scan everything").
     True,
@@ -212,7 +212,7 @@ impl BoundPredicate {
 }
 
 /// An equi-join condition `outer.column = inner.column`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct JoinCondition {
     /// Column of the outer (probing / pipelined) side.
     pub outer_column: String,

@@ -303,13 +303,6 @@ pub struct PreparedQuery {
 }
 
 impl PreparedQuery {
-    /// The content fingerprint of the underlying plan (the structural half
-    /// of the prepared-query cache key).
-    pub fn fingerprint(&self) -> u64 {
-        let slot = self.prepared.lock().unwrap_or_else(PoisonError::into_inner);
-        slot.fingerprint()
-    }
-
     /// Whether the preparation still matches `session`'s catalog: every
     /// relation the plan references is at the generation it was prepared
     /// against.
@@ -458,8 +451,8 @@ mod tests {
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
         let prepared = session.query(&plan).threads(4).prepare().unwrap();
         assert!(prepared.is_current(&session));
-        let fingerprint = prepared.fingerprint();
-        assert_eq!(fingerprint, plan.content_hash());
+        let prepared_plan = |session: &Session| prepared.current(session.catalog()).unwrap();
+        assert_eq!(prepared_plan(&session).plan(), &plan);
         let runtime = Runtime::new(4).unwrap();
         let run = |session: &Session| prepared.submit(session, &runtime).unwrap().wait().unwrap();
         assert_eq!(run(&session).result_cardinality("Result"), Some(80));
@@ -477,7 +470,7 @@ mod tests {
             prepared.is_current(&session),
             "submit() must transparently re-prepare against the mutated catalog"
         );
-        assert_eq!(prepared.fingerprint(), fingerprint);
+        assert_eq!(prepared_plan(&session).plan(), &plan);
     }
 
     #[test]

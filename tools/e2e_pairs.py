@@ -14,10 +14,14 @@ sides alike. Each run is the benchmark's own command line,
 `dbs3-e2e --workload W --seed N --seconds S --trace 0`, started from its
 checkout's root.
 
-It prints one row per pair, then for each of the seven end-to-end metrics
-the median and quartiles of each side, the change's median relative to the
-parent's, on how many pairs the change was better, and whether the medians
-lie further apart than the parent's interquartile distance. It also counts,
+It prints one row per pair, then for each end-to-end metric of
+`BENCHMARK.json` (read, never written) the median and quartiles of each
+side, the change's median relative to the parent's, on how many pairs the
+change was better, whether the medians lie further apart than the parent's
+interquartile distance, and the parent's relative spread,
+(Q3 - Q1) / median, beside the metric's `bound`. A spread above the bound
+is marked `unresolved`: the benchmark cannot tell a change on that metric
+from the parent's own noise, whatever the medians read. It also counts,
 per side, the `note: N replaced relation versions ... were cloned` lines
 the runs print on stderr (the number of versions, and the runs that printed
 one): such a clone counts against the timings of the run it happens in.
@@ -43,17 +47,18 @@ import subprocess
 import sys
 
 BINARY = os.path.join("crates", "e2e", "target", "release", "dbs3-e2e")
+BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                         "BENCHMARK.json")
 
-# name -> True when lower is better; BENCHMARK.json's end-to-end list.
-METRICS = {
-    "query_p50_ms": True,
-    "query_p90_ms": True,
-    "throughput_qps": False,
-    "cpu_ms_per_query": True,
-    "alloc_kib_per_query": True,
-    "allocs_per_query": True,
-    "setup_s": True,
-}
+
+def end_to_end_metrics():
+    """BENCHMARK.json's end-to-end metrics: name -> (lower is better, bound)."""
+    with open(BENCHMARK) as f:
+        spec = json.load(f)
+    return {m["name"]: (m["better"] == "lower", m["bound"]) for m in spec["end_to_end"]}
+
+
+METRICS = end_to_end_metrics()
 
 NOTE = re.compile(r"note: (\d+) replaced relation versions")
 
@@ -170,9 +175,10 @@ def main():
 
     print()
     print("| metric | parent median [Q1, Q3] | change median [Q1, Q3] "
-          "| change / parent | change better | medians apart > parent IQR |")
-    print("|---|---|---|---|---|---|")
-    for name, lower_is_better in METRICS.items():
+          "| change / parent | change better | medians apart > parent IQR "
+          "| parent IQR / median (bound) |")
+    print("|---|---|---|---|---|---|---|")
+    for name, (lower_is_better, bound) in METRICS.items():
         before = [v for n, v in results["parent"] if n == name]
         after = [v for n, v in results["change"] if n == name]
         if not before:
@@ -184,8 +190,11 @@ def main():
         iqr = q_before[1] - q_before[0]
         show = [fmt_metric(name, v) for v in (m_before, *q_before, m_after, *q_after)]
         apart = "yes" if abs(m_after - m_before) > iqr else "no"
+        spread = iqr / m_before if m_before else (float("inf") if iqr else 0.0)
+        verdict = " unresolved" if spread > bound else ""
         print(f"| {name} | {show[0]} [{show[1]}, {show[2]}] | {show[3]} [{show[4]}, {show[5]}] "
-              f"| {ratio:.3f} | {better} of {len(before)} | {apart} |")
+              f"| {ratio:.3f} | {better} of {len(before)} | {apart} "
+              f"| {spread:.3f} ({bound:g}){verdict} |")
 
     print()
     for side in sides:
