@@ -12,8 +12,11 @@
 //!   bypass the caches and cached and uncached executions of one plan
 //!   interleave throughout the storm.
 //!
-//! Every fourth request carries a 1 ms deadline, so cancellation runs under
-//! fire too, and the server's runtime watchdog is armed.
+//! Every fourth request carries a 1 ms deadline and asks for the same join
+//! by nested loop, the slower algorithm, so that cancellation, when the
+//! deadline fires, runs under fire too, and the nested-loop join reads its
+//! outer rows by position under faults. The server's runtime watchdog is
+//! armed.
 //!
 //! [`run`] returns a [`StormReport`] when every invariant held, or the
 //! invariant the storm broke:
@@ -223,12 +226,17 @@ fn client(addr: std::net::SocketAddr, storm: Storm, index: usize) -> Result<Clie
         },
     )
     .map_err(|e| format!("client {index}: {e}"))?;
-    let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
+    let hash = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
+    let nested_loop = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::NestedLoop);
     let options = SchedulerOptions::default().with_total_threads(2);
     let (mut ok, mut deadlines, mut typed, mut wrong) = (0, 0, 0, 0);
     for q in 0..storm.queries {
-        let deadline_ms = if q % 4 == 3 { 1 } else { 0 };
-        match client.execute(&plan, &options, deadline_ms) {
+        let (plan, deadline_ms) = if q % 4 == 3 {
+            (&nested_loop, 1)
+        } else {
+            (&hash, 0)
+        };
+        match client.execute(plan, &options, deadline_ms) {
             // A success must be THE answer: a fault may fail a query, it
             // may never falsify one.
             Ok(outcome) if outcome.cardinalities.get("Result") == Some(&B_CARD) => ok += 1,

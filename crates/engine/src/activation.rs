@@ -27,48 +27,83 @@
 //! query discards its results, the store only tallies `batch.len()` — so the
 //! operator feeding it does not build (and the store's thread does not free)
 //! one tuple per output row; it ships a batch that *stands for* `n` rows
-//! ([`TupleBatch::len`] = built + unbuilt). Such a batch is still `n` logical
-//! activations and `n` units of queue weight, so metrics, back-pressure and
-//! the simulator-pinned activation counts cannot tell the difference.
-//! **Invariant:** unbuilt rows only ever cross a co-located
-//! (`Router::SameInstance`) hop into a counting store. The runtime decides
-//! this once per operator, at bind time, from the schedule's
-//! `discard_results` and the plan edge; every place that reads tuples out of
-//! a batch `debug_assert`s that it has none.
+//! ([`TupleBatch::len`]). Such a batch is still `n` logical activations and
+//! `n` units of queue weight, so metrics, back-pressure and the
+//! simulator-pinned activation counts cannot tell the difference.
+//! **Invariant:** counted rows only ever cross a co-located
+//! (`Router::SameInstance`) hop into a counting store.
+//!
+//! And a fourth: rows that travel as **positions**. A transmit scans base
+//! fragments the catalog already holds, so it ships no row at all: each row
+//! crosses the queue as its 4-byte position in the fragment, in a batch
+//! tagged with that fragment. The consumer reads what it needs from the
+//! fragment — a counting indexed join only the dense key column, a building
+//! join or a materialising store the rows, a counting store only
+//! `batch.len()`. A batch of `n` positions is `n` logical activations and
+//! `n` units of queue weight, like `n` rows. **Invariant:** positions only
+//! ever travel from a transmit to a consumer bound with the transmitted
+//! relation.
+//!
+//! The runtime decides both once per operator, at bind time, from the
+//! schedule's `discard_results` and the plan edge; every place that reads
+//! tuples out of a batch `debug_assert`s that it holds built rows.
 
 use dbs3_storage::Tuple;
 
 /// An ordered batch of tuples moving through a pipeline as one transport
 /// unit. The batch size is bounded by the producer's `CacheSize` (the flush
 /// threshold of the internal activation cache).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TupleBatch {
-    tuples: Vec<Tuple>,
-    /// Rows this batch stands for beyond `tuples`: counted by the producer,
-    /// never built (see the module docs for where they may travel).
-    unbuilt: usize,
+#[derive(Debug, Clone, PartialEq)]
+pub struct TupleBatch(Rows);
+
+/// What a batch carries for its rows (see the module docs for where each
+/// form may travel). Every form fits in the 32 bytes of an [`Activation`].
+#[derive(Debug, Clone, PartialEq)]
+enum Rows {
+    /// Built rows.
+    Built(Vec<Tuple>),
+    /// Rows counted by the producer, never built.
+    Counted(usize),
+    /// Row positions in fragment `source` of the transmitted relation.
+    Positions { source: u32, rows: Vec<u32> },
+}
+
+impl Default for TupleBatch {
+    fn default() -> Self {
+        TupleBatch(Rows::Built(Vec::new()))
+    }
 }
 
 impl TupleBatch {
     /// Creates a batch from tuples.
     pub fn new(tuples: Vec<Tuple>) -> Self {
-        TupleBatch { tuples, unbuilt: 0 }
+        TupleBatch(Rows::Built(tuples))
     }
 
     /// A batch standing for `rows` rows that were counted but never built.
-    /// Only a counting store may receive it.
+    /// Only a counting store may receive it. No rows is the empty batch.
     pub(crate) fn counted(rows: usize) -> Self {
-        TupleBatch {
-            tuples: Vec::new(),
-            unbuilt: rows,
+        if rows == 0 {
+            return TupleBatch::default();
         }
+        TupleBatch(Rows::Counted(rows))
     }
 
-    /// Number of rows in the batch, built or not — the batch's *logical*
-    /// activation count in the paper's per-tuple model.
+    /// A batch of the rows at `rows` in fragment `source` of a transmitted
+    /// relation. Only a consumer bound with that relation may receive it.
+    pub(crate) fn from_positions(source: u32, rows: Vec<u32>) -> Self {
+        TupleBatch(Rows::Positions { source, rows })
+    }
+
+    /// Number of rows in the batch, whatever its form — the batch's
+    /// *logical* activation count in the paper's per-tuple model.
     #[inline]
     pub fn len(&self) -> usize {
-        self.tuples.len() + self.unbuilt
+        match &self.0 {
+            Rows::Built(tuples) => tuples.len(),
+            Rows::Counted(rows) => *rows,
+            Rows::Positions { rows, .. } => rows.len(),
+        }
     }
 
     /// Whether the batch stands for no rows.
@@ -77,11 +112,23 @@ impl TupleBatch {
         self.len() == 0
     }
 
+    /// The fragment and the row positions of a batch of positions.
+    #[inline]
+    pub(crate) fn positions(&self) -> Option<(usize, &[u32])> {
+        match &self.0 {
+            Rows::Positions { source, rows } => Some((*source as usize, rows)),
+            Rows::Built(_) | Rows::Counted(_) => None,
+        }
+    }
+
     /// The tuples in arrival order.
     #[inline]
     pub fn tuples(&self) -> &[Tuple] {
         self.debug_assert_built();
-        &self.tuples
+        match &self.0 {
+            Rows::Built(tuples) => tuples,
+            Rows::Counted(_) | Rows::Positions { .. } => &[],
+        }
     }
 
     /// Iterates over the tuples.
@@ -93,17 +140,21 @@ impl TupleBatch {
     #[inline]
     pub fn into_vec(self) -> Vec<Tuple> {
         self.debug_assert_built();
-        self.tuples
+        match self.0 {
+            Rows::Built(tuples) => tuples,
+            Rows::Counted(_) | Rows::Positions { .. } => Vec::new(),
+        }
     }
 
-    /// Reading tuples out of a batch that carries unbuilt rows would
+    /// Reading tuples out of a batch of counted rows or of positions would
     /// silently lose them: such a batch reached something other than a
-    /// counting store.
+    /// counting store or a consumer bound with the transmitted relation.
     #[inline]
     fn debug_assert_built(&self) {
-        debug_assert_eq!(
-            self.unbuilt, 0,
-            "unbuilt rows may only reach a counting store"
+        debug_assert!(
+            matches!(self.0, Rows::Built(_)),
+            "counted rows may only reach a counting store, and positions only a consumer \
+             bound with the transmitted relation"
         );
     }
 }
@@ -306,6 +357,32 @@ mod tests {
     #[should_panic(expected = "counting store")]
     fn reading_tuples_out_of_a_counted_batch_is_a_bug() {
         let _ = TupleBatch::counted(2).into_vec();
+    }
+
+    #[test]
+    fn positions_weigh_like_the_rows_they_stand_for() {
+        let batch = TupleBatch::from_positions(3, vec![0, 7, 9]);
+        assert_eq!(batch.positions(), Some((3, &[0, 7, 9][..])));
+        let a = Activation::Data(batch);
+        assert_eq!(a.logical_len(), 3);
+        assert_eq!(a.queue_weight(), 3);
+        assert!(TupleBatch::new(vec![int_tuple(&[1])]).positions().is_none());
+        assert!(TupleBatch::counted(1).positions().is_none());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "transmitted relation")]
+    fn reading_tuples_out_of_a_batch_of_positions_is_a_bug() {
+        let _ = TupleBatch::from_positions(0, vec![1, 2]).tuples();
+    }
+
+    #[test]
+    fn an_activation_stays_four_words() {
+        // Every queue slot holds one activation: a fifth word would grow
+        // every queue and every pop buffer.
+        assert_eq!(std::mem::size_of::<TupleBatch>(), 32);
+        assert_eq!(std::mem::size_of::<Activation>(), 32);
     }
 
     #[test]

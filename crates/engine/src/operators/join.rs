@@ -16,7 +16,9 @@ use std::sync::OnceLock;
 /// full hashes and reads no inner row. A triggered join takes its outer
 /// keys from the outer fragment's dense integer column
 /// ([`Fragment::int_column`](dbs3_storage::Fragment::int_column)), so it
-/// reads no outer row either; a pipelined join reads them from its batch.
+/// reads no outer row either; so does a pipelined join fed the positions of
+/// a transmitted fragment. A pipelined join fed built rows reads the keys
+/// from them.
 #[derive(Debug)]
 struct Probe {
     inner: Arc<PartitionedRelation>,
@@ -65,12 +67,17 @@ impl Probe {
     }
 
     /// Joins `outers` against inner fragment `instance`. `int_keys`, when
-    /// given, holds the outer join keys of `outers`, in order, and an
+    /// given, yields the outer join keys of `outers`, in order, and an
     /// indexed count reads them instead of the rows. Built output is
     /// presized to one row per outer tuple — exact when every outer key has
     /// one partner (the key joins of the paper's plans), a first guess
     /// otherwise — instead of regrowing from empty on every activation.
-    fn join(&self, instance: usize, outers: &[Tuple], int_keys: Option<&[i64]>) -> TupleBatch {
+    fn join<'a>(
+        &self,
+        instance: usize,
+        outers: impl ExactSizeIterator<Item = &'a Tuple>,
+        int_keys: Option<impl Iterator<Item = i64>>,
+    ) -> TupleBatch {
         #[expect(
             clippy::expect_used,
             reason = "plan binding verified co-partitioning and hash routing is modulo the \
@@ -91,14 +98,10 @@ impl Probe {
         });
         if self.count_only {
             let rows = match (index, int_keys) {
-                (Some(index), Some(keys)) => {
-                    count_matches(index, inner, keys.iter().map(|&k| Value::Int(k)))
+                (Some(index), Some(keys)) => count_matches(index, inner, keys.map(Value::Int)),
+                (Some(index), None) => {
+                    count_matches(index, inner, outers.map(|o| o.value(self.outer_column)))
                 }
-                (Some(index), None) => count_matches(
-                    index,
-                    inner,
-                    outers.iter().map(|o| o.value(self.outer_column)),
-                ),
                 (None, _) => {
                     let mut rows = 0usize;
                     self.each_match(outers, inner, None, |_, _| rows += 1);
@@ -115,12 +118,12 @@ impl Probe {
 
     /// The one match loop: calls `on_match(outer, inner)` for every pair
     /// with equal keys, in outer order then inner-fragment order.
-    fn each_match(
+    fn each_match<'a>(
         &self,
-        outers: &[Tuple],
+        outers: impl Iterator<Item = &'a Tuple>,
         inner: &[Tuple],
         index: Option<&Arc<HashIndex>>,
-        mut on_match: impl FnMut(&Tuple, &Tuple),
+        mut on_match: impl FnMut(&'a Tuple, &Tuple),
     ) {
         for o in outers {
             let key = o.value(self.outer_column);
@@ -199,8 +202,9 @@ impl TriggeredJoinOperator {
                     .counts_by_index()
                     .then(|| fragment.int_column(self.probe.outer_column))
                     .flatten()
-                    .map(|keys| &keys[start..end]);
-                self.probe.join(instance, &outer[start..end], int_keys)
+                    .map(|keys| keys[start..end].iter().copied());
+                self.probe
+                    .join(instance, outer[start..end].iter(), int_keys)
             }
             None => TupleBatch::default(),
         }
@@ -218,9 +222,17 @@ impl TriggeredJoinOperator {
 /// receiving instance (the join of AssocJoin and of the filter–join
 /// pipeline). Probing the whole batch against one inner fragment under a
 /// single activation dispatch is where transport batching pays off.
+///
+/// Fed by a transmit, the batch holds row positions in a fragment of the
+/// transmitted relation instead of rows: a counting indexed join reads
+/// their keys from that fragment's dense integer column, any other join
+/// borrows the rows there.
 #[derive(Debug)]
 pub struct PipelinedJoinOperator {
     probe: Probe,
+    /// The relation whose fragments incoming positions point into, when
+    /// the producer is a transmit.
+    transmitted: Option<Arc<PartitionedRelation>>,
 }
 
 impl PipelinedJoinOperator {
@@ -234,6 +246,7 @@ impl PipelinedJoinOperator {
     ) -> Self {
         PipelinedJoinOperator {
             probe: Probe::new(inner, outer_column, inner_column, algorithm),
+            transmitted: None,
         }
     }
 
@@ -244,12 +257,35 @@ impl PipelinedJoinOperator {
         self
     }
 
+    /// Reads incoming positions in `relation`, the relation the producing
+    /// transmit scatters; only for an operator whose producer is that
+    /// transmit.
+    pub(crate) fn transmitted(mut self, relation: Option<Arc<PartitionedRelation>>) -> Self {
+        self.transmitted = relation;
+        self
+    }
+
     /// Processes one activation for `instance`, returning the output batch.
     pub fn process(&self, instance: usize, activation: Activation) -> TupleBatch {
-        match activation.into_batch() {
-            Some(batch) => self.probe.join(instance, batch.tuples(), None),
-            None => TupleBatch::default(), // pipelined joins ignore stray triggers
-        }
+        // Pipelined joins ignore stray triggers.
+        let Some(batch) = activation.into_batch() else {
+            return TupleBatch::default();
+        };
+        let (Some((source, rows)), Some(relation)) = (batch.positions(), &self.transmitted) else {
+            return self
+                .probe
+                .join(instance, batch.tuples().iter(), None::<std::iter::Empty<_>>);
+        };
+        let fragment = super::source_fragment(relation, source);
+        let tuples = fragment.tuples();
+        let int_keys = self
+            .probe
+            .counts_by_index()
+            .then(|| fragment.int_column(self.probe.outer_column))
+            .flatten()
+            .map(|keys| rows.iter().map(|&row| keys[row as usize]));
+        let outers = rows.iter().map(|&row| &tuples[row as usize]);
+        self.probe.join(instance, outers, int_keys)
     }
 }
 
@@ -463,6 +499,50 @@ mod tests {
                 .counting_matches(true)
                 .process(1, Activation::Data(probes));
             assert_eq!(pipelined, whole, "algorithm {algorithm:?}");
+        }
+    }
+
+    #[test]
+    fn positions_join_like_the_rows_they_point_at() {
+        let (_, a) = partitioned("A", 400, 4);
+        let (_, b) = partitioned("Bprime", 40, 4);
+        let u1 = a.schema().column_index("unique1").unwrap();
+        for algorithm in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
+            let join = |count_only: bool| {
+                pipelined(&b, algorithm)
+                    .counting_matches(count_only)
+                    .transmitted(Some(Arc::clone(&a)))
+            };
+            let (built, counted) = (join(false), join(true));
+            for i in 0..4 {
+                // Fragment i of A, backwards, and only the rows with a
+                // partner in B′ and every fifth without one: a position
+                // read as the wrong row changes the result.
+                let tuples = a.fragments()[i].tuples();
+                let rows: Vec<u32> = (0..tuples.len() as u32)
+                    .rev()
+                    .filter(|&r| tuples[r as usize].value(u1).as_int().unwrap() < 40 || r % 5 == 0)
+                    .collect();
+                let outers: Vec<Tuple> = rows.iter().map(|&r| tuples[r as usize].clone()).collect();
+                let as_rows = || Activation::Data(TupleBatch::new(outers.clone()));
+                let as_positions =
+                    || Activation::Data(TupleBatch::from_positions(i as u32, rows.clone()));
+                let expected = built.process(i, as_rows());
+                assert!(!expected.is_empty(), "fragment {i} has partners in B′");
+                assert!(expected.len() < rows.len(), "fragment {i} has rows without");
+                assert_eq!(
+                    built.process(i, as_positions()),
+                    expected,
+                    "{algorithm:?} {i}"
+                );
+                let count = TupleBatch::counted(expected.len());
+                assert_eq!(
+                    counted.process(i, as_positions()),
+                    count,
+                    "{algorithm:?} {i}"
+                );
+                assert_eq!(counted.process(i, as_rows()), count, "{algorithm:?} {i}");
+            }
         }
     }
 

@@ -17,6 +17,7 @@ pub use store::StoreOperator;
 pub use transmit::TransmitOperator;
 
 use crate::activation::{Activation, TupleBatch};
+use dbs3_storage::{Fragment, PartitionedRelation};
 
 /// Resolves a control activation to the fragment row range it covers, given
 /// the fragment's cardinality: a trigger covers the whole fragment, a morsel
@@ -34,6 +35,19 @@ pub(crate) fn control_range(
         }
         Activation::Data(_) => None,
     }
+}
+
+/// The fragment of the transmitted `relation` a batch of positions from
+/// transmit instance `source` points into.
+#[expect(
+    clippy::expect_used,
+    reason = "a batch of positions names the transmit instance that scanned the fragment, and \
+              binding gave its consumer the same relation"
+)]
+pub(crate) fn source_fragment(relation: &PartitionedRelation, source: usize) -> &Fragment {
+    relation
+        .fragment(source)
+        .expect("positions point into an existing fragment")
 }
 
 /// A bound physical operator: given an activation for one of its instances,
@@ -57,10 +71,14 @@ impl BoundOperator {
     /// produced output batch (empty for `Store`; rows counted but not built
     /// for a producer bound to a counting store). A data activation's whole
     /// tuple batch is processed under this single dispatch.
+    ///
+    /// A transmit builds no batch: the runtime scatters the positions of
+    /// its rows straight from the fragment ([`TransmitOperator::scatter`]),
+    /// so here it returns an empty one.
     pub fn process(&self, instance: usize, activation: Activation) -> TupleBatch {
         match self {
             BoundOperator::Filter(op) => op.process(instance, activation),
-            BoundOperator::Transmit(op) => op.process(instance, activation),
+            BoundOperator::Transmit(_) => TupleBatch::default(),
             BoundOperator::TriggeredJoin(op) => op.process(instance, activation),
             BoundOperator::PipelinedJoin(op) => op.process(instance, activation),
             BoundOperator::Store(op) => op.process(instance, activation),

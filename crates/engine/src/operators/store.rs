@@ -1,7 +1,7 @@
 //! The store operator.
 
 use crate::activation::{Activation, TupleBatch};
-use dbs3_storage::Tuple;
+use dbs3_storage::{PartitionedRelation, Tuple};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -20,6 +20,10 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// reads nothing of a batch but its length, which is why the operator bound
 /// in front of it counts its output rows instead of building them (see
 /// [`crate::activation`]): the batches arriving here usually hold no tuples.
+///
+/// Fed by a transmit, a batch holds row positions in a fragment of the
+/// transmitted relation: a counting store reads only their number, a
+/// materialising one clones the rows out of that fragment.
 #[derive(Debug)]
 pub struct StoreOperator {
     result_name: String,
@@ -32,6 +36,9 @@ pub struct StoreOperator {
     counts: Arc<Vec<AtomicUsize>>,
     /// Whether tuples are counted and dropped instead of materialised.
     discard: bool,
+    /// The relation whose fragments incoming positions point into, when
+    /// the producer is a transmit.
+    transmitted: Option<Arc<PartitionedRelation>>,
 }
 
 impl StoreOperator {
@@ -53,7 +60,15 @@ impl StoreOperator {
             buffers: Arc::new((0..instances).map(|_| Mutex::new(Vec::new())).collect()),
             counts: Arc::new((0..instances).map(|_| AtomicUsize::new(0)).collect()),
             discard,
+            transmitted: None,
         }
+    }
+
+    /// Reads incoming positions in `relation`, the relation the producing
+    /// transmit scatters; only for a store whose producer is that transmit.
+    pub(crate) fn transmitted(mut self, relation: Option<Arc<PartitionedRelation>>) -> Self {
+        self.transmitted = relation;
+        self
     }
 
     /// Name of the stored result.
@@ -83,7 +98,13 @@ impl StoreOperator {
                 let mut buffer = self.buffers[slot]
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner);
-                buffer.extend(batch);
+                match (batch.positions(), &self.transmitted) {
+                    (Some((source, rows)), Some(relation)) => {
+                        let tuples = super::source_fragment(relation, source).tuples();
+                        buffer.extend(rows.iter().map(|&row| tuples[row as usize].clone()));
+                    }
+                    _ => buffer.extend(batch),
+                }
             }
         }
         TupleBatch::default()

@@ -162,12 +162,14 @@ use crate::schedule::ExecutionSchedule;
 use crate::Result;
 use dbs3_lera::{CostParameters, ExtendedPlan, NodeId, OperatorKind, OuterInput, Plan};
 use dbs3_storage::{Catalog, Tuple};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::mem;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, LocalKey};
 use std::time::{Duration, Instant};
 
 /// Identifier of a query submitted to a [`Runtime`], unique within it.
@@ -1033,8 +1035,11 @@ fn honor_submit_fault() -> Result<()> {
 /// materialisation) — and, for a filter or join whose consumer is that
 /// store, counting its matches instead of building rows nobody will read
 /// (the one place this is decided; see [`crate::activation`] for the
-/// invariant). A hash or temporary-index join builds each inner fragment's
-/// index on the worker whose activation first needs it.
+/// invariant). The consumer of a transmit is bound with the transmitted
+/// relation, since it receives row positions in that relation's fragments
+/// (the one other form a batch may take). A hash or temporary-index join
+/// builds each inner fragment's index on the worker whose activation first
+/// needs it.
 pub(crate) fn bind_operator(
     catalog: &Catalog,
     plan: &Plan,
@@ -1049,6 +1054,13 @@ pub(crate) fn bind_operator(
             Some(consumer) => matches!(plan.node(*consumer)?.kind, OperatorKind::Store { .. }),
             None => false,
         };
+    let transmitted = match node.producer() {
+        Some(producer) => match &plan.node(producer)?.kind {
+            OperatorKind::Transmit { relation, .. } => Some(catalog.get(relation)?),
+            _ => None,
+        },
+        None => None,
+    };
     match &node.kind {
         OperatorKind::Filter {
             relation,
@@ -1062,6 +1074,16 @@ pub(crate) fn bind_operator(
         }
         OperatorKind::Transmit { relation, .. } => {
             let rel = catalog.get(relation)?;
+            if rel
+                .fragments()
+                .iter()
+                .any(|f| u32::try_from(f.cardinality()).is_err())
+            {
+                return Err(EngineError::Plan(format!(
+                    "{}: a fragment of `{relation}` has more rows than a u32 position holds",
+                    node.name
+                )));
+            }
             Ok(BoundOperator::Transmit(TransmitOperator::new(rel)))
         }
         OperatorKind::Join {
@@ -1098,7 +1120,8 @@ pub(crate) fn bind_operator(
                     let outer_column = incoming_schema.column_index(&condition.outer_column)?;
                     Ok(BoundOperator::PipelinedJoin(
                         PipelinedJoinOperator::new(inner, outer_column, inner_column, *algorithm)
-                            .counting_matches(count_only),
+                            .counting_matches(count_only)
+                            .transmitted(transmitted),
                     ))
                 }
             }
@@ -1106,7 +1129,7 @@ pub(crate) fn bind_operator(
         OperatorKind::Store { result_name } => Ok(BoundOperator::Store(if discard_results {
             StoreOperator::counting(result_name.clone(), instance_count)
         } else {
-            StoreOperator::new(result_name.clone(), instance_count)
+            StoreOperator::new(result_name.clone(), instance_count).transmitted(transmitted)
         })),
     }
 }
@@ -1485,26 +1508,33 @@ thread_local! {
     /// so the inner ones come back empty and unallocated, and the first push
     /// into one reserves exactly one batch — the transport batch is the
     /// only allocation a scattered tuple's hop makes.
-    static SCATTER_SCRATCH: std::cell::RefCell<Vec<Vec<Vec<Tuple>>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+    static SCATTER_SCRATCH: RefCell<Vec<Vec<Vec<Tuple>>>> = const { RefCell::new(Vec::new()) };
+    /// The same for a transmit's buffers of row positions.
+    static POSITION_SCRATCH: RefCell<Vec<Vec<Vec<u32>>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Takes a recycled scatter-buffer set resized to `degree` (all buffers
-/// empty), or builds a fresh one.
-fn take_scatter_buffers(degree: usize) -> Vec<Vec<Tuple>> {
-    let mut buffers = SCATTER_SCRATCH
+/// Takes a recycled scatter-buffer set from `pool` resized to `degree` (all
+/// buffers empty), or builds a fresh one.
+fn take_scatter_buffers<T: 'static>(
+    pool: &'static LocalKey<RefCell<Vec<Vec<Vec<T>>>>>,
+    degree: usize,
+) -> Vec<Vec<T>> {
+    let mut buffers = pool
         .with(|scratch| scratch.borrow_mut().pop())
         .unwrap_or_default();
     buffers.resize_with(degree, Vec::new);
     buffers
 }
 
-/// Returns a scatter-buffer set to the thread-local pool. Buffers are
-/// cleared so no tuple outlives its batch, and the pool is bounded by the
+/// Returns a scatter-buffer set to the thread-local `pool`. Buffers are
+/// cleared so no row outlives its batch, and the pool is bounded by the
 /// plausible help-recursion depth.
-fn recycle_scatter_buffers(mut buffers: Vec<Vec<Tuple>>) {
+fn recycle_scatter_buffers<T: 'static>(
+    pool: &'static LocalKey<RefCell<Vec<Vec<Vec<T>>>>>,
+    mut buffers: Vec<Vec<T>>,
+) {
     buffers.iter_mut().for_each(Vec::clear);
-    SCATTER_SCRATCH.with(|scratch| {
+    pool.with(|scratch| {
         let mut pool = scratch.borrow_mut();
         if pool.len() < 8 {
             pool.push(buffers);
@@ -1512,8 +1542,19 @@ fn recycle_scatter_buffers(mut buffers: Vec<Vec<Tuple>>) {
     });
 }
 
+/// Appends `item` to a scatter buffer, reserving one batch on its first
+/// push, and says whether the buffer reached `cache_size` and must flush.
+#[inline]
+fn buffer_push<T>(buffer: &mut Vec<T>, item: T, cache_size: usize) -> bool {
+    if buffer.capacity() == 0 {
+        buffer.reserve_exact(cache_size.min(1024));
+    }
+    buffer.push(item);
+    buffer.len() >= cache_size
+}
+
 /// Processes one popped batch of activations of `op`, scattering the
-/// produced tuples to the consumer's queues and recording metrics. `main`
+/// produced rows to the consumer's queues and recording metrics. `main`
 /// says whether the batch came from one of `worker`'s main queues.
 ///
 /// Routing is the producer-side activation cache of the paper, specialised
@@ -1526,6 +1567,11 @@ fn recycle_scatter_buffers(mut buffers: Vec<Vec<Tuple>>) {
 /// * [`Router::HashColumn`] (dynamic redistribution): tuples scatter into
 ///   per-destination buffers flushed at `CacheSize` tuples, so `CacheSize`
 ///   stays the transport-batch granularity of every redistributing hop.
+///
+/// A transmit builds no output batch at all: it scatters the *position* of
+/// each row it covers straight from its fragment into per-destination
+/// buffers of positions, flushed at `CacheSize` as batches tagged with the
+/// fragment, whichever the router (see [`crate::activation`]).
 ///
 /// The caller holds a claim on the operation, so the producer-side
 /// scatter buffers live entirely within this call — nothing can be stranded
@@ -1548,20 +1594,40 @@ fn process_batch(
         .as_ref()
         .map(|link| query.ops[link.consumer_index].queues.len())
         .unwrap_or(0);
-    // Scatter buffers exist only for hash redistribution; a co-located
-    // consumer receives output batches directly. Ops that need no buffers
-    // must not touch the thread-local scratch at all — popping the warm set
-    // just to truncate it to zero would throw away the outer vector the
-    // cache exists to preserve.
-    let needs_buffers = matches!(
-        op.consumer.as_ref().map(|link| &link.router),
-        Some(Router::HashColumn { .. })
-    );
+    let transmit = match &*op.operator {
+        BoundOperator::Transmit(transmit) => Some(transmit),
+        _ => None,
+    };
+    // Scatter buffers exist only for hash redistribution and transmits; a
+    // co-located consumer receives output batches directly. Ops that need
+    // no buffers must not touch the thread-local scratch at all — popping
+    // the warm set just to truncate it to zero would throw away the outer
+    // vector the cache exists to preserve.
+    let needs_buffers = transmit.is_none()
+        && matches!(
+            op.consumer.as_ref().map(|link| &link.router),
+            Some(Router::HashColumn { .. })
+        );
+    let needs_positions = transmit.is_some() && op.consumer.is_some();
     let mut buffers = if needs_buffers {
-        take_scatter_buffers(consumer_degree)
+        take_scatter_buffers(&SCATTER_SCRATCH, consumer_degree)
     } else {
         Vec::new()
     };
+    let mut positions = if needs_positions {
+        take_scatter_buffers(&POSITION_SCRATCH, consumer_degree)
+    } else {
+        Vec::new()
+    };
+    // A transmit's destination for a row, and the fragment its batches of
+    // positions name: the transmit instance's own.
+    let route = |tuple: &Tuple| match op.consumer.as_ref().map(|link| &link.router) {
+        Some(Router::HashColumn { column, degree }) => {
+            (tuple.hash_key(&[*column]) % *degree as u64) as usize
+        }
+        _ => queue_index % consumer_degree.max(1),
+    };
+    let source = queue_index as u32;
     let mut flushes = 0u64;
     let mut logical = 0u64;
     let mut tuples_out = 0u64;
@@ -1579,6 +1645,27 @@ fn process_batch(
         // Metrics stay in the paper's per-tuple model: a data activation
         // counts one logical activation per batched tuple.
         logical += activation.logical_len() as u64;
+        if let Some(transmit) = transmit {
+            let rows = transmit.scatter(queue_index, &activation, route, |dest, position| {
+                let Some(link) = &op.consumer else { return };
+                let buffer = &mut positions[dest];
+                if buffer_push(buffer, position, op.cache_size) {
+                    let batch = TupleBatch::from_positions(source, mem::take(buffer));
+                    flush_to(
+                        inner,
+                        query,
+                        link.consumer_index,
+                        dest,
+                        batch,
+                        worker,
+                        &mut helped,
+                    );
+                    flushes += 1;
+                }
+            });
+            tuples_out += rows as u64;
+            continue;
+        }
         let out = op.operator.process(queue_index, activation);
         tuples_out += out.len() as u64;
         let Some(link) = &op.consumer else { continue };
@@ -1606,17 +1693,13 @@ fn process_batch(
                 for tuple in out {
                     let dest = (tuple.hash_key(&[*column]) % *degree as u64) as usize;
                     let buffer = &mut buffers[dest];
-                    if buffer.capacity() == 0 {
-                        buffer.reserve_exact(op.cache_size.min(1024));
-                    }
-                    buffer.push(tuple);
-                    if buffer.len() >= op.cache_size {
+                    if buffer_push(buffer, tuple, op.cache_size) {
                         flush_to(
                             inner,
                             query,
                             link.consumer_index,
                             dest,
-                            TupleBatch::new(std::mem::take(buffer)),
+                            TupleBatch::new(mem::take(buffer)),
                             worker,
                             &mut helped,
                         );
@@ -1627,14 +1710,19 @@ fn process_batch(
         }
     }
     if let Some(link) = &op.consumer {
-        for (dest, buffer) in buffers.iter_mut().enumerate() {
-            if !buffer.is_empty() {
+        // At most one of the two sets holds buffers.
+        let rows = buffers.iter_mut().map(|b| TupleBatch::new(mem::take(b)));
+        let at = positions
+            .iter_mut()
+            .map(|b| TupleBatch::from_positions(source, mem::take(b)));
+        for (dest, batch) in rows.enumerate().chain(at.enumerate()) {
+            if !batch.is_empty() {
                 flush_to(
                     inner,
                     query,
                     link.consumer_index,
                     dest,
-                    TupleBatch::new(std::mem::take(buffer)),
+                    batch,
                     worker,
                     &mut helped,
                 );
@@ -1643,7 +1731,10 @@ fn process_batch(
         }
     }
     if needs_buffers {
-        recycle_scatter_buffers(buffers);
+        recycle_scatter_buffers(&SCATTER_SCRATCH, buffers);
+    }
+    if needs_positions {
+        recycle_scatter_buffers(&POSITION_SCRATCH, positions);
     }
 
     // Merge this batch's contribution into the worker's metrics slot. Time

@@ -326,6 +326,15 @@ fn discarding_counts_exactly_what_materialising_builds() {
                 p.build()
             };
             chain.validate(&cat).unwrap();
+            // transmit(B′) → store: the store receives row positions, which
+            // a materialising store turns back into B′'s rows.
+            let redistribute = {
+                let mut p = PlanBuilder::new("TransmitStore");
+                let transmit = p.transmit("Bprime", "unique1");
+                p.store(transmit, "Result");
+                p.build()
+            };
+            redistribute.validate(&cat).unwrap();
             let range = || Predicate::range("unique1", 0, 200);
             let cases = [
                 (
@@ -345,6 +354,7 @@ fn discarding_counts_exactly_what_materialising_builds() {
                     a.reference_select(low),
                 ),
                 (chain, b_a_c.clone()),
+                (redistribute, b.tuples().to_vec()),
             ];
             for (plan, expected) in &cases {
                 // One trigger per fragment, then morsels of 7 rows.

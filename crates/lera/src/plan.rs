@@ -16,15 +16,23 @@ use std::hash::{DefaultHasher, Hash, Hasher};
 pub struct Plan {
     name: String,
     nodes: Vec<OperatorNode>,
+    /// [`Plan::content_hash`], computed once at construction: a plan never
+    /// changes after it is built, and this is a function of the fields
+    /// above, so the derived `Eq` and `Hash` stay consistent.
+    content_hash: u64,
 }
 
 impl Plan {
     /// Creates a plan from nodes. Nodes must be stored at the index given by
     /// their id; the builder guarantees this.
     pub(crate) fn new(name: impl Into<String>, nodes: Vec<OperatorNode>) -> Self {
+        let name = name.into();
+        let mut hasher = DefaultHasher::new();
+        (&name, &nodes).hash(&mut hasher);
         Plan {
-            name: name.into(),
+            name,
             nodes,
+            content_hash: hasher.finish(),
         }
     }
 
@@ -67,15 +75,13 @@ impl Plan {
         &self.name
     }
 
-    /// Content hash of the plan: the derived [`Hash`] of every field, the
-    /// plan's and its nodes' display names included, fed to a
-    /// [`DefaultHasher`]. Equal plans hash equal however they were built;
+    /// Content hash of the plan: the derived [`Hash`] of its name and nodes,
+    /// display names included, fed to a [`DefaultHasher`] once, when the
+    /// plan is built. Equal plans hash equal however they were built;
     /// unequal plans may collide, so the prepared-plan cache keys by this
     /// hash and then compares the plans.
     pub fn content_hash(&self) -> u64 {
-        let mut hasher = DefaultHasher::new();
-        self.hash(&mut hasher);
-        hasher.finish()
+        self.content_hash
     }
 
     /// All nodes in id order.
@@ -518,6 +524,26 @@ mod tests {
         let b = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
         assert_eq!(a.content_hash(), b.content_hash());
         assert_eq!(a.content_hash(), a.clone().content_hash());
+    }
+
+    #[test]
+    fn the_stored_hash_is_a_fresh_hash_of_name_and_nodes() {
+        let fresh = |plan: &Plan| {
+            let mut hasher = DefaultHasher::new();
+            (plan.name().to_string(), plan.nodes().to_vec()).hash(&mut hasher);
+            hasher.finish()
+        };
+        let plan = plans::filter_join(
+            "A",
+            Predicate::range("unique1", 0, 100),
+            "Bprime",
+            "unique1",
+            JoinAlgorithm::Hash,
+        );
+        assert_eq!(plan.content_hash(), fresh(&plan));
+        let copy = plan.clone();
+        assert_eq!(copy.content_hash(), fresh(&copy));
+        assert_eq!(copy.content_hash(), plan.content_hash());
     }
 
     #[test]
