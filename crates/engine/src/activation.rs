@@ -42,7 +42,12 @@
 //! `batch.len()`. A batch of `n` positions is `n` logical activations and
 //! `n` units of queue weight, like `n` rows. **Invariant:** positions only
 //! ever travel from a transmit to a consumer bound with the transmitted
-//! relation.
+//! relation. The consumer only reads them, so the runtime keeps the
+//! buffer once it is consumed: it goes to the consuming worker's stash,
+//! and a producing worker fills its next batch of positions from its own
+//! stash (the runtime's `take_position_buffer` and
+//! `stash_position_buffer`), so a warm runtime ships positions without
+//! allocating.
 //!
 //! The runtime decides both once per operator, at bind time, from the
 //! schedule's `discard_results` and the plan edge; every place that reads
@@ -117,6 +122,15 @@ impl TupleBatch {
     pub(crate) fn positions(&self) -> Option<(usize, &[u32])> {
         match &self.0 {
             Rows::Positions { source, rows } => Some((*source as usize, rows)),
+            Rows::Built(_) | Rows::Counted(_) => None,
+        }
+    }
+
+    /// Consumes a batch of positions, returning its buffer of positions.
+    #[inline]
+    pub(crate) fn into_positions(self) -> Option<Vec<u32>> {
+        match self.0 {
+            Rows::Positions { rows, .. } => Some(rows),
             Rows::Built(_) | Rows::Counted(_) => None,
         }
     }
@@ -368,6 +382,9 @@ mod tests {
         assert_eq!(a.queue_weight(), 3);
         assert!(TupleBatch::new(vec![int_tuple(&[1])]).positions().is_none());
         assert!(TupleBatch::counted(1).positions().is_none());
+        let rows = TupleBatch::from_positions(3, vec![4, 2]).into_positions();
+        assert_eq!(rows, Some(vec![4, 2]));
+        assert!(TupleBatch::counted(1).into_positions().is_none());
     }
 
     #[test]

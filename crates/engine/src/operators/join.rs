@@ -268,9 +268,15 @@ impl PipelinedJoinOperator {
     /// Processes one activation for `instance`, returning the output batch.
     pub fn process(&self, instance: usize, activation: Activation) -> TupleBatch {
         // Pipelined joins ignore stray triggers.
-        let Some(batch) = activation.into_batch() else {
-            return TupleBatch::default();
-        };
+        match activation.batch() {
+            Some(batch) => self.probe_batch(instance, batch),
+            None => TupleBatch::default(),
+        }
+    }
+
+    /// Probes the outer rows of `batch`, built or given by position, and
+    /// returns the output batch. The batch is only read.
+    pub(crate) fn probe_batch(&self, instance: usize, batch: &TupleBatch) -> TupleBatch {
         let (Some((source, rows)), Some(relation)) = (batch.positions(), &self.transmitted) else {
             return self
                 .probe

@@ -85,6 +85,24 @@ impl BoundOperator {
         }
     }
 
+    /// Processes a batch of positions for `instance` without taking it, so
+    /// the runtime keeps its buffer for a later batch. Only a pipelined
+    /// join or a store bound with the transmitted relation receives
+    /// positions; any other operator returns an empty batch, as
+    /// [`BoundOperator::process`] does for a data activation it ignores.
+    pub(crate) fn process_positions(&self, instance: usize, batch: &TupleBatch) -> TupleBatch {
+        match self {
+            BoundOperator::PipelinedJoin(op) => op.probe_batch(instance, batch),
+            BoundOperator::Store(op) => {
+                op.store_batch(instance, batch);
+                TupleBatch::default()
+            }
+            BoundOperator::Filter(_)
+            | BoundOperator::Transmit(_)
+            | BoundOperator::TriggeredJoin(_) => TupleBatch::default(),
+        }
+    }
+
     /// For triggered operators, the number of fragment rows instance
     /// `instance` scans when triggered — the cardinality the runtime splits
     /// into morsels at submit time. `None` for pipelined/store operators

@@ -3,7 +3,7 @@
 use crate::activation::{Activation, TupleBatch};
 use dbs3_storage::{PartitionedRelation, Tuple};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Materialises incoming tuples into per-instance result buffers — or, in
 /// *counting* mode, only tallies them.
@@ -91,23 +91,39 @@ impl StoreOperator {
     /// pass; triggers are ignored.
     pub fn process(&self, instance: usize, activation: Activation) -> TupleBatch {
         if let Some(batch) = activation.into_batch() {
-            let slot = instance % self.buffers.len();
-            if self.discard {
-                self.counts[slot].fetch_add(batch.len(), Ordering::Relaxed);
+            if self.discard || batch.positions().is_some() {
+                self.store_batch(instance, &batch);
             } else {
-                let mut buffer = self.buffers[slot]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                match (batch.positions(), &self.transmitted) {
-                    (Some((source, rows)), Some(relation)) => {
-                        let tuples = super::source_fragment(relation, source).tuples();
-                        buffer.extend(rows.iter().map(|&row| tuples[row as usize].clone()));
-                    }
-                    _ => buffer.extend(batch),
-                }
+                self.buffer(instance).extend(batch);
             }
         }
         TupleBatch::default()
+    }
+
+    /// Stores a batch that stays the caller's: tallies it in counting
+    /// mode, and otherwise appends clones of its rows, read from the
+    /// transmitted relation for a batch of positions.
+    pub(crate) fn store_batch(&self, instance: usize, batch: &TupleBatch) {
+        if self.discard {
+            let slot = instance % self.counts.len();
+            self.counts[slot].fetch_add(batch.len(), Ordering::Relaxed);
+            return;
+        }
+        let mut buffer = self.buffer(instance);
+        match (batch.positions(), &self.transmitted) {
+            (Some((source, rows)), Some(relation)) => {
+                let tuples = super::source_fragment(relation, source).tuples();
+                buffer.extend(rows.iter().map(|&row| tuples[row as usize].clone()));
+            }
+            _ => buffer.extend(batch.iter().cloned()),
+        }
+    }
+
+    /// The locked result fragment of `instance`.
+    fn buffer(&self, instance: usize) -> MutexGuard<'_, Vec<Tuple>> {
+        self.buffers[instance % self.buffers.len()]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Total number of stored (or, in counting mode, tallied) tuples across

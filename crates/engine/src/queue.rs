@@ -114,15 +114,52 @@ impl ActivationQueue {
             capacity,
             estimated_cost,
             state: Mutex::new(QueueState {
-                // Grown on demand: a triggered queue holds a few control
-                // activations and a store queue a handful of batches, and a
-                // query builds hundreds of queues.
+                // Grown on demand, once: a runtime re-arms a finished
+                // query's queues for the next one (`rearm`), so a warm
+                // query's queues arrive with their buffers already grown.
                 buffer: VecDeque::new(),
                 weight: 0,
                 closed: false,
             }),
             atomic_len: AtomicUsize::new(0),
         }
+    }
+
+    /// Makes this queue a fresh queue for `instance` with the given
+    /// capacity and cost estimate, as [`ActivationQueue::new`] would, but
+    /// keeping its buffer's capacity: the queue is open and empty, with
+    /// weight 0. Anything still buffered is dropped. Takes `&mut self`, so
+    /// no other thread can see the queue while it changes identity.
+    pub(crate) fn rearm(&mut self, instance: usize, capacity: usize, estimated_cost: f64) {
+        assert!(capacity > 0, "queue capacity must be positive");
+        self.instance = instance;
+        self.capacity = capacity;
+        self.estimated_cost = estimated_cost;
+        let state = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
+        state.buffer.clear();
+        state.weight = 0;
+        state.closed = false;
+        *self.atomic_len.get_mut() = 0;
+    }
+
+    /// Frees the buffer if it has room for more than `slots` activations,
+    /// and returns the room, in activations, the queue keeps.
+    pub(crate) fn trim_buffer(&mut self, slots: usize) -> usize {
+        let state = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if state.buffer.capacity() > slots {
+            state.buffer = VecDeque::new();
+        }
+        state.buffer.capacity()
+    }
+
+    /// Room of the buffer, in activations.
+    #[cfg(test)]
+    pub(crate) fn buffer_capacity(&self) -> usize {
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .buffer
+            .capacity()
     }
 
     /// The instance (fragment) this queue belongs to.
@@ -619,6 +656,36 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _ = ActivationQueue::new(0, 0, 0.0);
+    }
+
+    #[test]
+    fn rearm_makes_a_fresh_queue_that_keeps_its_buffer() {
+        let mut q = ActivationQueue::new(3, 16, 1.0);
+        for i in 0..6 {
+            q.push_batch([Activation::single(int_tuple(&[i]))]);
+        }
+        q.close();
+        let grown = q.buffer_capacity();
+        assert!(grown >= 6);
+        q.rearm(9, 32, 7.5);
+        assert!(!q.is_closed(), "a re-armed queue is open");
+        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
+        assert!(!q.is_exhausted());
+        assert_eq!(q.state.lock().unwrap().weight, 0);
+        assert_eq!(q.instance(), 9);
+        assert_eq!(q.capacity(), 32);
+        assert!((q.estimated_cost() - 7.5).abs() < 1e-12);
+        assert_eq!(q.buffer_capacity(), grown, "the buffer's room is kept");
+        // It takes pushes like a new queue, up to its new capacity.
+        assert!(q.try_push(Activation::single(int_tuple(&[1]))).is_ok());
+        assert_eq!(q.len(), 1);
+        // Trimming keeps a buffer within the limit and frees a larger one.
+        assert_eq!(q.trim_buffer(grown), grown);
+        let mut popped = Vec::new();
+        q.try_pop_into(usize::MAX, &mut popped);
+        assert_eq!(q.trim_buffer(grown - 1), 0);
+        assert_eq!(q.buffer_capacity(), 0);
     }
 
     #[test]

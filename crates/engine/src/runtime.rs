@@ -6,9 +6,11 @@
 //! that model taken to its conclusion at the API boundary: a [`Runtime`]
 //! spawns its worker threads **once**, parks them on a condvar while no
 //! query is live, and accepts any number of concurrently submitted queries.
-//! Each [`Runtime::submit`] call builds a private *queue set* for the query
-//! — one [`ActivationQueue`] per operation instance, exactly the structure
+//! Each [`Runtime::submit`] call gives the query a private *queue set* —
+//! one [`ActivationQueue`] per operation instance, exactly the structure
 //! of Figure 4 — tags it with a [`QueryId`], and registers it with the pool.
+//! A set comes re-armed from an earlier query when the runtime holds one
+//! (see [`Runtime`] for what a warm runtime keeps).
 //! Workers then pick activations **across all live queries**, still under
 //! the paper's main/secondary queue split, so the intra-query scheduling of
 //! Section 3 extends to inter-query scheduling without new mechanism.
@@ -23,9 +25,11 @@
 //!
 //! * **O(1) work finding** — idle-probe cost is independent of how many
 //!   queries or operations are live. The idle path allocates nothing, and
-//!   the busy path allocates only the transport batches it ships: pops land
-//!   in a buffer the worker owns, and a scatter buffer is allocated once,
-//!   exactly one batch wide, and leaves as that batch;
+//!   the busy path allocates only the batches of tuples it ships: pops land
+//!   in a buffer the worker owns, a buffer of tuples is allocated once,
+//!   exactly one batch wide, and leaves as that batch, and a buffer of
+//!   positions comes from the worker's stash and returns to the stash of
+//!   the worker that consumes it;
 //! * **cross-query fairness** — entries rotate through the deque, so no
 //!   query can starve another however long its own queues are;
 //! * **intra-operator parallelism** — the entry is back in the deque while
@@ -285,7 +289,149 @@ struct QueryState {
     progress: AtomicU64,
     metrics: MetricsSlots,
     cell: CompletionCell,
+    /// The runtime's spare queue sets, which this query's sets join when
+    /// it drops.
+    spares: Arc<Mutex<SpareSets>>,
+    /// Test only: every batch a worker takes up for this query panics, as
+    /// an operator's panic would.
+    #[cfg(test)]
+    panics: bool,
 }
+
+impl Drop for QueryState {
+    /// Hands each operation's queue set to the runtime's spares, whichever
+    /// thread drops the last reference. A set the bounds refuse is freed
+    /// outside the lock.
+    fn drop(&mut self) {
+        for (position, op) in self.ops.iter_mut().enumerate() {
+            let set = mem::take(&mut op.queues);
+            let refused = self
+                .spares
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .give(set, position);
+            drop(refused);
+        }
+    }
+}
+
+/// Emptied queue sets of dropped queries, which later submissions re-arm
+/// ([`ActivationQueue::rearm`]) instead of building queues whose buffers
+/// every warm query would grow again. Bounded by [`SPARE_SETS`] sets,
+/// [`SPARE_QUEUES`] queues and [`SPARE_SLOTS`] buffered-activation slots
+/// in all; see [`Runtime`] for the memory that makes.
+#[derive(Default)]
+struct SpareSets {
+    sets: Vec<SpareSet>,
+    /// Queues over all of `sets`.
+    queues: usize,
+    /// Room for activations over all their buffers.
+    slots: usize,
+}
+
+/// One operation's emptied queue set.
+struct SpareSet {
+    queues: Vec<ActivationQueue>,
+    /// Room for activations its buffers keep.
+    slots: usize,
+    /// The operation's place in its query's topological order.
+    position: usize,
+}
+
+impl SpareSets {
+    /// Takes the set that best fits the operation at `position` of a
+    /// query, with `n` instances: the shortest set at least `n` long, else
+    /// the longest; an empty one when there is none. Of sets that fit
+    /// alike, one an operation at the same position left, so a plan run
+    /// again finds each set in the role that grew its buffers (a store
+    /// whose instances mostly got no rows leaves buffers that a join would
+    /// grow again); then the one with the most room.
+    fn take(&mut self, n: usize, position: usize) -> Vec<ActivationQueue> {
+        let fits = (0..self.sets.len())
+            .filter(|&i| self.sets[i].queues.len() >= n)
+            .min_by_key(|&i| {
+                let set = &self.sets[i];
+                let elsewhere = set.position != position;
+                (set.queues.len(), elsewhere, std::cmp::Reverse(set.slots))
+            });
+        let longest = || (0..self.sets.len()).max_by_key(|&i| self.sets[i].queues.len());
+        let Some(index) = fits.or_else(longest) else {
+            return Vec::new();
+        };
+        let set = self.sets.swap_remove(index);
+        self.queues -= set.queues.len();
+        self.slots -= set.slots;
+        set.queues
+    }
+
+    /// Keeps the set of the operation at `position`, each buffer trimmed
+    /// to [`SPARE_QUEUE_SLOTS`], if the bounds allow; otherwise hands it
+    /// back for the caller to free.
+    fn give(
+        &mut self,
+        mut queues: Vec<ActivationQueue>,
+        position: usize,
+    ) -> Option<Vec<ActivationQueue>> {
+        if queues.is_empty()
+            || self.sets.len() >= SPARE_SETS
+            || self.queues + queues.len() > SPARE_QUEUES
+        {
+            return Some(queues);
+        }
+        let slots: usize = queues
+            .iter_mut()
+            .map(|q| q.trim_buffer(SPARE_QUEUE_SLOTS))
+            .sum();
+        if self.slots + slots > SPARE_SLOTS {
+            return Some(queues);
+        }
+        self.queues += queues.len();
+        self.slots += slots;
+        self.sets.push(SpareSet {
+            queues,
+            slots,
+            position,
+        });
+        None
+    }
+}
+
+/// What [`Runtime::spare_counts`] reports.
+#[cfg(test)]
+#[derive(Debug)]
+struct SpareCounts {
+    /// Spare queue sets.
+    sets: usize,
+    /// Queues in them.
+    queues: usize,
+    /// Their buffers' room, in activations.
+    slots: usize,
+    /// Queue weight they hold, which a dropped query leaves at 0.
+    weight: usize,
+    /// Buffers of positions in the depot.
+    depot: usize,
+}
+
+/// Times [`QueryHandle::release`] yields before it sleeps instead.
+const RELEASE_YIELDS: usize = 64;
+/// Longest [`QueryHandle::release`] waits for the workers.
+const RELEASE_WAIT: Duration = Duration::from_millis(5);
+/// Most emptied queue sets a runtime keeps for later queries.
+const SPARE_SETS: usize = 16;
+/// Most queues a runtime keeps over all its spare sets.
+const SPARE_QUEUES: usize = 4096;
+/// Most activations a spare queue's buffer keeps room for; a queue whose
+/// buffer grew larger goes to the spares without it.
+const SPARE_QUEUE_SLOTS: usize = 1024;
+/// Most activations the buffers of all spare queues keep room for.
+const SPARE_SLOTS: usize = 65_536;
+/// Most buffers of positions in one worker's stash.
+const STASH_BUFFERS: usize = 64;
+/// Most buffers of positions in a runtime's depot.
+const DEPOT_BUFFERS: usize = 1024;
+/// Most items a scatter buffer reserves room for ahead of its pushes; a
+/// buffer of positions with more room is freed rather than kept.
+const MAX_RESERVED_BATCH: usize = 1024;
 
 impl QueryState {
     /// Seals the outcome exactly once (first writer wins — a cancel racing
@@ -401,6 +547,12 @@ struct RuntimeInner {
     // more batch before exit.
     shutdown: AtomicBool,
     idle: IdleParking,
+    /// Queue sets of dropped queries, shared with every query so its drop
+    /// can return them.
+    spares: Arc<Mutex<SpareSets>>,
+    /// Buffers of positions the workers' stashes spill to and refill from
+    /// (see [`stash_position_buffer`]).
+    depot: Mutex<Vec<Vec<u32>>>,
 }
 
 impl RuntimeInner {
@@ -443,6 +595,27 @@ fn announce_op(inner: &RuntimeInner, query: &Arc<QueryState>, op_index: usize) {
 /// [`Runtime::shutdown`] (or dropping the runtime) signals shutdown, joins
 /// the workers and fails any query still in flight with
 /// [`EngineError::RuntimeShutdown`].
+///
+/// # Memory a warm runtime keeps
+///
+/// So that a warm query allocates no queue buffer and no batch of
+/// positions, a runtime keeps two kinds of spares, each bounded by
+/// constants:
+///
+/// * **Queue sets.** A dropped query's sets, emptied, wait for a later
+///   submit to re-arm them: at most 16 sets and 4 096 queues in all, whose
+///   buffers keep room for at most 65 536 activations (a queue's buffer
+///   grown past 1 024 is freed first). At 88 bytes a queue, 32 an
+///   activation and 40 a set's record, that is at most 2 458 240 bytes
+///   (2.34 MiB).
+/// * **Buffers of positions.** A consumed batch's buffer stays in the
+///   consuming worker's stash of at most 64 buffers; stashes exchange half
+///   their buffers with a depot of at most 1 024. A kept buffer holds at
+///   most 1 024 positions (4 KiB), so the depot keeps at most 4 MiB and
+///   each worker's stash 256 KiB.
+///
+/// A buffer dropped off the worker path (a cancelled query's queues, a
+/// shutdown) is freed, not kept.
 pub struct Runtime {
     inner: Arc<RuntimeInner>,
     /// Worker join handles, behind a mutex so `shutdown(&self)` can retire
@@ -504,6 +677,8 @@ impl Runtime {
             next_query: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             idle: IdleParking::new(),
+            spares: Arc::default(),
+            depot: Mutex::new(Vec::new()),
         });
         #[expect(
             clippy::expect_used,
@@ -541,6 +716,34 @@ impl Runtime {
     /// Number of worker threads in the pool.
     pub fn pool_threads(&self) -> usize {
         self.inner.pool_threads
+    }
+
+    /// What the runtime keeps for later queries.
+    #[cfg(test)]
+    fn spare_counts(&self) -> SpareCounts {
+        let spares = self
+            .inner
+            .spares
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let depot = self
+            .inner
+            .depot
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len();
+        SpareCounts {
+            sets: spares.sets.len(),
+            queues: spares.queues,
+            slots: spares.slots,
+            weight: spares
+                .sets
+                .iter()
+                .flat_map(|set| &set.queues)
+                .map(ActivationQueue::len)
+                .sum(),
+            depot,
+        }
     }
 
     /// Number of queries currently registered (submitted, not yet completed
@@ -652,17 +855,31 @@ impl Runtime {
                 stores.push((result_name.clone(), Arc::clone(&operator)));
             }
 
-            let queues: Vec<ActivationQueue> = ext_op
-                .instances()
-                .iter()
-                .map(|info| {
-                    ActivationQueue::new(
-                        info.instance,
-                        op_schedule.queue_capacity,
-                        info.estimated_cost,
-                    )
-                })
-                .collect();
+            // A spare set is re-armed in place, its buffers already grown;
+            // only the instances it lacks get new queues.
+            let instances = ext_op.instances();
+            let mut queues = self
+                .inner
+                .spares
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take(instances.len(), ops.len());
+            queues.truncate(instances.len());
+            for (queue, info) in queues.iter_mut().zip(instances) {
+                queue.rearm(
+                    info.instance,
+                    op_schedule.queue_capacity,
+                    info.estimated_cost,
+                );
+            }
+            let reused = queues.len();
+            queues.extend(instances[reused..].iter().map(|info| {
+                ActivationQueue::new(
+                    info.instance,
+                    op_schedule.queue_capacity,
+                    info.estimated_cost,
+                )
+            }));
             let n = queues.len();
             let count = u32::try_from(n).map_err(|_| {
                 EngineError::Plan(format!("{} has {n} instances, above u32", node.name))
@@ -797,6 +1014,9 @@ impl Runtime {
                 outcome: Mutex::new(None),
                 done: Condvar::new(),
             },
+            spares: Arc::clone(&self.inner.spares),
+            #[cfg(test)]
+            panics: tests::PANIC_NEXT_QUERY.with(std::cell::Cell::take),
         });
 
         self.inner
@@ -921,7 +1141,30 @@ impl QueryHandle {
             .unwrap_or_else(PoisonError::into_inner);
         // `wait_while` returns only once the outcome is sealed, so the
         // fallback is never taken.
-        slot.take().unwrap_or(Err(EngineError::RuntimeShutdown))
+        let outcome = slot.take().unwrap_or(Err(EngineError::RuntimeShutdown));
+        drop(slot);
+        self.release();
+        outcome
+    }
+
+    /// Gives the worker that sealed the outcome a moment to let go of the
+    /// query before this handle does, so the query's queue sets are back
+    /// with the runtime before the caller can submit again. Without it, a
+    /// worker descheduled right after sealing made the next query build
+    /// fresh queues and grow their buffers. It yields first, for a worker
+    /// on this CPU, then sleeps, which leaves this CPU idle for a worker
+    /// waiting on another; and it gives up after [`RELEASE_WAIT`].
+    fn release(self) {
+        let started = Instant::now();
+        let mut yields = 0;
+        while Arc::strong_count(&self.query) > 1 && started.elapsed() < RELEASE_WAIT {
+            if yields < RELEASE_YIELDS {
+                yields += 1;
+                std::thread::yield_now();
+            } else {
+                std::thread::sleep(Duration::from_micros(20));
+            }
+        }
     }
 
     /// Like [`QueryHandle::wait`] with a deadline: blocks for at most
@@ -944,6 +1187,8 @@ impl QueryHandle {
                 .wait_timeout_while(slot, timeout, |slot| slot.is_none())
                 .unwrap_or_else(PoisonError::into_inner);
             if let Some(result) = slot.take() {
+                drop(slot);
+                self.release();
                 return result;
             }
         }
@@ -1285,6 +1530,10 @@ fn try_process_op(
             Some(FaultAction::Error) | Some(FaultAction::Drop) => return Processed::Fault,
             None => {}
         }
+        #[cfg(test)]
+        if query.panics {
+            std::panic::resume_unwind(Box::new("a test query's worker panics"));
+        }
         match select_and_pop(op, inner.pool_threads, ctx) {
             Some((queue_index, main, weight)) => {
                 // More is buffered behind this batch: pass the wake-up on
@@ -1505,12 +1754,61 @@ thread_local! {
     /// `Vec<Vec<Tuple>>` on every popped batch. Only that outer vector is
     /// kept warm: every filled inner buffer leaves with its flush (it
     /// *becomes* the transport batch, taken with no capacity left behind),
-    /// so the inner ones come back empty and unallocated, and the first push
-    /// into one reserves exactly one batch — the transport batch is the
-    /// only allocation a scattered tuple's hop makes.
+    /// so the inner ones come back empty and unallocated. The first push
+    /// into a buffer of tuples reserves exactly one batch, the one
+    /// allocation a scattered tuple's hop makes; a buffer of positions is
+    /// filled from [`POSITION_STASH`] instead.
     static SCATTER_SCRATCH: RefCell<Vec<Vec<Vec<Tuple>>>> = const { RefCell::new(Vec::new()) };
     /// The same for a transmit's buffers of row positions.
     static POSITION_SCRATCH: RefCell<Vec<Vec<Vec<u32>>>> = const { RefCell::new(Vec::new()) };
+    /// Pop buffers of [`help_drain`], one per nesting depth.
+    static HELP_POPS: RefCell<Vec<Vec<Activation>>> = const { RefCell::new(Vec::new()) };
+    /// This worker's magazine of consumed buffers of positions (Bonwick &
+    /// Adams, USENIX 2001): at most [`STASH_BUFFERS`], exchanged with the
+    /// runtime's depot half a stash at a time, one lock per exchange.
+    static POSITION_STASH: RefCell<Vec<Vec<u32>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A buffer of positions with room for a `cache_size` batch: one from this
+/// worker's stash, which an empty stash first refills with half a stash
+/// from `inner`'s depot, or a new one when both are empty.
+fn take_position_buffer(inner: &RuntimeInner, cache_size: usize) -> Vec<u32> {
+    let mut buffer = POSITION_STASH
+        .with(|stash| {
+            let mut stash = stash.borrow_mut();
+            if stash.is_empty() {
+                let mut depot = inner.depot.lock().unwrap_or_else(PoisonError::into_inner);
+                let from = depot.len().saturating_sub(STASH_BUFFERS / 2);
+                stash.extend(depot.drain(from..));
+            }
+            stash.pop()
+        })
+        .unwrap_or_default();
+    buffer.reserve_exact(cache_size.min(MAX_RESERVED_BATCH));
+    buffer
+}
+
+/// Keeps a consumed batch's buffer of positions in this worker's stash. A
+/// full stash first spills half of itself to `inner`'s depot; what the
+/// depot has no room for is freed, and so is a buffer too large to keep.
+fn stash_position_buffer(inner: &RuntimeInner, mut buffer: Vec<u32>) {
+    if buffer.capacity() == 0 || buffer.capacity() > MAX_RESERVED_BATCH {
+        return;
+    }
+    buffer.clear();
+    POSITION_STASH.with(|stash| {
+        let mut stash = stash.borrow_mut();
+        if stash.len() >= STASH_BUFFERS {
+            let mut spill = stash.drain(STASH_BUFFERS / 2..);
+            {
+                let mut depot = inner.depot.lock().unwrap_or_else(PoisonError::into_inner);
+                let room = DEPOT_BUFFERS.saturating_sub(depot.len());
+                depot.extend(spill.by_ref().take(room));
+            }
+            drop(spill);
+        }
+        stash.push(buffer);
+    });
 }
 
 /// Takes a recycled scatter-buffer set from `pool` resized to `degree` (all
@@ -1547,7 +1845,7 @@ fn recycle_scatter_buffers<T: 'static>(
 #[inline]
 fn buffer_push<T>(buffer: &mut Vec<T>, item: T, cache_size: usize) -> bool {
     if buffer.capacity() == 0 {
-        buffer.reserve_exact(cache_size.min(1024));
+        buffer.reserve_exact(cache_size.min(MAX_RESERVED_BATCH));
     }
     buffer.push(item);
     buffer.len() >= cache_size
@@ -1571,7 +1869,10 @@ fn buffer_push<T>(buffer: &mut Vec<T>, item: T, cache_size: usize) -> bool {
 /// A transmit builds no output batch at all: it scatters the *position* of
 /// each row it covers straight from its fragment into per-destination
 /// buffers of positions, flushed at `CacheSize` as batches tagged with the
-/// fragment, whichever the router (see [`crate::activation`]).
+/// fragment, whichever the router (see [`crate::activation`]). An empty
+/// buffer of positions is filled from the worker's stash before a push
+/// would reserve one, and a consumed batch of positions goes back to this
+/// worker's stash once its operator has read it.
 ///
 /// The caller holds a claim on the operation, so the producer-side
 /// scatter buffers live entirely within this call — nothing can be stranded
@@ -1649,6 +1950,9 @@ fn process_batch(
             let rows = transmit.scatter(queue_index, &activation, route, |dest, position| {
                 let Some(link) = &op.consumer else { return };
                 let buffer = &mut positions[dest];
+                if buffer.capacity() == 0 {
+                    *buffer = take_position_buffer(inner, op.cache_size);
+                }
                 if buffer_push(buffer, position, op.cache_size) {
                     let batch = TupleBatch::from_positions(source, mem::take(buffer));
                     flush_to(
@@ -1666,7 +1970,18 @@ fn process_batch(
             tuples_out += rows as u64;
             continue;
         }
-        let out = op.operator.process(queue_index, activation);
+        let out = match activation {
+            // Positions are only read, so their buffer stays on this
+            // worker for the next batch a transmit fills here.
+            Activation::Data(batch) if batch.positions().is_some() => {
+                let out = op.operator.process_positions(queue_index, &batch);
+                if let Some(rows) = batch.into_positions() {
+                    stash_position_buffer(inner, rows);
+                }
+                out
+            }
+            activation => op.operator.process(queue_index, activation),
+        };
         tuples_out += out.len() as u64;
         let Some(link) = &op.consumer else { continue };
         match &link.router {
@@ -1811,8 +2126,10 @@ fn flush_to(
 /// behalf of the consumer operation (cooperative backpressure). Recursion
 /// through [`process_batch`] is bounded by the pipeline depth. The batch
 /// counts as secondary consumption: the worker did not pick the queue. The
-/// pop buffer is local: this path is rare, and an empty `Vec` allocates
-/// only if the pop finds work.
+/// pop buffer comes from [`HELP_POPS`], one per nesting depth, so a warm
+/// worker's help allocates nothing: a fresh buffer per help made the
+/// allocation count of a query depend on how often its producers found a
+/// queue full.
 fn help_drain(
     inner: &Arc<RuntimeInner>,
     query: &Arc<QueryState>,
@@ -1826,7 +2143,9 @@ fn help_drain(
         std::thread::yield_now();
         return;
     }
-    let mut popped = Vec::new();
+    let mut popped = HELP_POPS
+        .with(|pops| pops.borrow_mut().pop())
+        .unwrap_or_default();
     let queue = &consumer.queues[dest];
     let weight = queue.try_pop_into(consumer.cache_size, &mut popped);
     if queue.is_empty() {
@@ -1846,6 +2165,13 @@ fn help_drain(
             worker,
         );
     }
+    // `process_batch` drained the buffer; only its capacity is kept.
+    HELP_POPS.with(|pops| {
+        let mut pops = pops.borrow_mut();
+        if pops.len() < 8 {
+            pops.push(popped);
+        }
+    });
     if consumer.state.apply(Event::End).1 == Effect::Finished {
         finish_op(inner, query, consumer_index);
     }
@@ -1917,6 +2243,13 @@ fn finalize_query(inner: &Arc<RuntimeInner>, query: &Arc<QueryState>) {
     }
 
     inner.remove_query(query.id);
+    // The query's ready entries would only be retired: dropping them now
+    // leaves the workers' own references the last ones to go.
+    inner
+        .ready
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .retain(|(entry, _)| !Arc::ptr_eq(entry, query));
     query.complete(Ok(ExecutionOutcome {
         results,
         cardinalities,
@@ -1948,6 +2281,13 @@ mod tests {
         cat.register(a_part).unwrap();
         cat.register(b_part).unwrap();
         (cat, a_ref, b_ref)
+    }
+
+    thread_local! {
+        /// Makes the next query this thread submits one whose workers
+        /// panic ([`QueryState::panics`]).
+        pub(super) static PANIC_NEXT_QUERY: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
     }
 
     fn schedule_for(plan: &Plan, cat: &Catalog, threads: usize) -> ExecutionSchedule {
@@ -2407,6 +2747,108 @@ mod tests {
         assert_eq!(outcome.results["Result"].len(), expected.len());
         // Shutdown joins the watchdog thread along with the workers.
         runtime.shutdown();
+    }
+
+    /// Submits `plan` with a `threads`-wide schedule and waits for it.
+    fn cardinality(runtime: &Runtime, cat: &Catalog, plan: &Plan, threads: usize) -> usize {
+        let schedule = schedule_for(plan, cat, threads);
+        let outcome = runtime.submit(cat, plan, &schedule).unwrap().wait();
+        outcome.unwrap().cardinalities["Result"]
+    }
+
+    /// One runtime re-arms the queue sets and re-fills the buffers of
+    /// positions that earlier queries left, whatever their shape and however
+    /// they ended, and every query still counts what a fresh runtime counts.
+    #[test]
+    fn recycled_queue_sets_and_position_buffers_answer_like_fresh_ones() {
+        let (wide, _, _) = build_catalog(4_000, 1_000, 20);
+        let (narrow, _, _) = build_catalog(2_000, 400, 7);
+        let (slow, _, _) = build_catalog(20_000, 2_000, 10);
+        let assoc = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
+        let ideal = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
+        let filter_join = plans::filter_join(
+            "A",
+            dbs3_lera::Predicate::range("unique1", 0, 1_000),
+            "Bprime",
+            "unique1",
+            JoinAlgorithm::Hash,
+        );
+        let nested = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
+        let fresh =
+            |cat: &Catalog, plan: &Plan| cardinality(&Runtime::new(3).unwrap(), cat, plan, 3);
+        let expected = [
+            fresh(&wide, &assoc),
+            fresh(&narrow, &ideal),
+            fresh(&wide, &filter_join),
+        ];
+        assert!(expected.iter().all(|&c| c > 0), "{expected:?}");
+
+        let runtime = Runtime::new(3).unwrap();
+        assert_eq!(cardinality(&runtime, &wide, &assoc, 3), expected[0]);
+        assert_eq!(cardinality(&runtime, &narrow, &ideal, 3), expected[1]);
+        assert_eq!(cardinality(&runtime, &wide, &filter_join, 3), expected[2]);
+
+        // Cancelled once a worker has taken up a batch.
+        let schedule = schedule_for(&nested, &slow, 3);
+        let handle = runtime.submit(&slow, &nested, &schedule).unwrap();
+        while handle.query.progress.load(Ordering::SeqCst) == 0
+            && handle.query.ops_remaining.load(Ordering::SeqCst) > 0
+        {
+            std::thread::yield_now();
+        }
+        handle.cancel();
+        assert!(matches!(
+            handle.wait(),
+            Err(EngineError::QueryCancelled { .. }) | Ok(_)
+        ));
+
+        // A worker panics in the middle of an assoc query.
+        PANIC_NEXT_QUERY.with(|panics| panics.set(true));
+        let schedule = schedule_for(&assoc, &wide, 3);
+        match runtime.submit(&wide, &assoc, &schedule).unwrap().wait() {
+            Err(EngineError::WorkerPanicked { .. }) => {}
+            other => panic!("expected WorkerPanicked, got {other:?}"),
+        }
+
+        // Every set those queries left is re-armed by the next ones, and
+        // a re-armed queue starts, and so ends, holding nothing.
+        for _ in 0..3 {
+            assert_eq!(cardinality(&runtime, &wide, &assoc, 3), expected[0]);
+            assert_eq!(cardinality(&runtime, &narrow, &ideal, 3), expected[1]);
+            let spares = runtime.spare_counts();
+            assert!(spares.sets > 0 && spares.queues > 0, "{spares:?}");
+            assert_eq!(spares.weight, 0, "{spares:?}");
+        }
+    }
+
+    /// A query far wider than the bounds leaves the runtime holding no more
+    /// than its constants allow, and the memory they allow is what the
+    /// [`Runtime`] docs state.
+    #[test]
+    fn spare_memory_stays_within_its_constant_bounds() {
+        let (cat, _, b_ref) = build_catalog(8_000, 8_000, 2_000);
+        let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
+        let runtime = Runtime::new(2).unwrap();
+        for _ in 0..2 {
+            assert_eq!(cardinality(&runtime, &cat, &plan, 2), b_ref.cardinality());
+        }
+        let spares = runtime.spare_counts();
+        assert!(spares.sets >= 1, "a 2 000-queue set fits the bounds");
+        assert!(spares.sets <= SPARE_SETS, "{spares:?}");
+        assert!(spares.queues <= SPARE_QUEUES, "{spares:?}");
+        assert!(spares.slots <= SPARE_SLOTS, "{spares:?}");
+        assert!(spares.depot <= DEPOT_BUFFERS, "{spares:?}");
+
+        let queue_bytes = SPARE_QUEUES * mem::size_of::<ActivationQueue>()
+            + SPARE_SLOTS * mem::size_of::<Activation>()
+            + SPARE_SETS * mem::size_of::<SpareSet>();
+        let position_bytes = DEPOT_BUFFERS * MAX_RESERVED_BATCH * mem::size_of::<u32>();
+        let stash_bytes = STASH_BUFFERS * MAX_RESERVED_BATCH * mem::size_of::<u32>();
+        assert_eq!(
+            (queue_bytes, position_bytes, stash_bytes),
+            (2_458_240, 4 << 20, 256 << 10),
+            "the bounds the Runtime docs state"
+        );
     }
 
     #[test]
