@@ -120,8 +120,10 @@
 //!   nothing pending and nothing in flight (see `op_state.rs`). Finishing
 //!   closes the consumer's queues and closes its input, and the check
 //!   cascades down the pipeline. When every operation of a query has
-//!   finished, its results and metrics are sealed into a completion cell
-//!   and the query's [`QueryHandle::wait`] returns.
+//!   finished, its results and metrics wait for the last worker to let go
+//!   of the query; its queue sets then go back to the runtime, the
+//!   outcome is sealed into a completion cell, and the query's
+//!   [`QueryHandle::wait`] returns.
 //! * **Backpressure is cooperative.** The pool is shared, so if every
 //!   worker blocked producing, nobody would be left to consume and the
 //!   pool would deadlock. Workers therefore never block on a push: when a
@@ -172,7 +174,7 @@ use std::fmt;
 use std::mem;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
 use std::thread::{JoinHandle, LocalKey};
 use std::time::{Duration, Instant};
 
@@ -254,10 +256,23 @@ impl OpRuntime {
 /// Per-operation, per-worker thread metrics slots of one query.
 type MetricsSlots = Vec<Vec<Mutex<ThreadMetrics>>>;
 
-/// The completion cell a [`QueryHandle`] waits on.
+/// The completion cell a [`QueryHandle`] waits on. It lives apart from
+/// the query's state, which the handle does not keep alive.
 struct CompletionCell {
     outcome: Mutex<Option<Result<ExecutionOutcome>>>,
     done: Condvar,
+}
+
+impl CompletionCell {
+    /// Seals the outcome exactly once (first writer wins — a cancel racing
+    /// a natural completion keeps the cancel) and wakes every waiter.
+    fn seal(&self, result: Result<ExecutionOutcome>) {
+        let mut slot = self.outcome.lock().unwrap_or_else(PoisonError::into_inner);
+        if slot.is_none() {
+            *slot = Some(result);
+            self.done.notify_all();
+        }
+    }
 }
 
 /// Everything the pool needs to execute one submitted query.
@@ -288,42 +303,56 @@ struct QueryState {
     // pair with the rest of the watchdog scan.
     progress: AtomicU64,
     metrics: MetricsSlots,
-    cell: CompletionCell,
+    cell: Arc<CompletionCell>,
+    /// The outcome of a query whose operations have all finished, which
+    /// the state's drop seals (see [`finalize_query`]).
+    finished: Mutex<Option<ExecutionOutcome>>,
     /// The runtime's spare queue sets, which this query's sets join when
     /// it drops.
     spares: Arc<Mutex<SpareSets>>,
-    /// Test only: every batch a worker takes up for this query panics, as
-    /// an operator's panic would.
-    #[cfg(test)]
-    panics: bool,
 }
 
 impl Drop for QueryState {
     /// Hands each operation's queue set to the runtime's spares, whichever
-    /// thread drops the last reference. A set the bounds refuse is freed
-    /// outside the lock.
+    /// thread drops the last reference, drops the bound operators, and then
+    /// seals a finished query's outcome: a caller its handle wakes finds the
+    /// sets there when it submits again, and no longer shares the relations
+    /// the operators read. A set the bounds refuse is freed outside the
+    /// lock.
     fn drop(&mut self) {
-        for (position, op) in self.ops.iter_mut().enumerate() {
+        for mut op in mem::take(&mut self.ops) {
             let set = mem::take(&mut op.queues);
             let refused = self
                 .spares
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .give(set, position);
+                .give(set);
             drop(refused);
         }
+        self.stores.clear();
+        // An aborted query was sealed already, and the registry keeps every
+        // other query alive until it finishes, so the fallback is never
+        // taken.
+        let finished = self
+            .finished
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        self.cell.seal(finished.ok_or(EngineError::RuntimeShutdown));
     }
 }
 
 /// Emptied queue sets of dropped queries, which later submissions re-arm
 /// ([`ActivationQueue::rearm`]) instead of building queues whose buffers
 /// every warm query would grow again. Bounded by [`SPARE_SETS`] sets,
-/// [`SPARE_QUEUES`] queues and [`SPARE_SLOTS`] buffered-activation slots
-/// in all; see [`Runtime`] for the memory that makes.
+/// room for [`SPARE_QUEUES`] queues and [`SPARE_SLOTS`] buffered-activation
+/// slots in all; see [`Runtime`] for the memory that makes.
 #[derive(Default)]
 struct SpareSets {
     sets: Vec<SpareSet>,
-    /// Queues over all of `sets`.
+    /// Room for queues over all of `sets`: their vectors' capacity, which
+    /// a set truncated for a narrower operation, or extended for a wider
+    /// one, keeps.
     queues: usize,
     /// Room for activations over all their buffers.
     slots: usize,
@@ -334,47 +363,36 @@ struct SpareSet {
     queues: Vec<ActivationQueue>,
     /// Room for activations its buffers keep.
     slots: usize,
-    /// The operation's place in its query's topological order.
-    position: usize,
 }
 
 impl SpareSets {
-    /// Takes the set that best fits the operation at `position` of a
-    /// query, with `n` instances: the shortest set at least `n` long, else
-    /// the longest; an empty one when there is none. Of sets that fit
-    /// alike, one an operation at the same position left, so a plan run
-    /// again finds each set in the role that grew its buffers (a store
-    /// whose instances mostly got no rows leaves buffers that a join would
-    /// grow again); then the one with the most room.
-    fn take(&mut self, n: usize, position: usize) -> Vec<ActivationQueue> {
+    /// Takes the set that best fits an operation with `n` instances: the
+    /// shortest set at least `n` long, of those the one with the most
+    /// room, else the longest; an empty one when there is none.
+    fn take(&mut self, n: usize) -> Vec<ActivationQueue> {
         let fits = (0..self.sets.len())
             .filter(|&i| self.sets[i].queues.len() >= n)
             .min_by_key(|&i| {
                 let set = &self.sets[i];
-                let elsewhere = set.position != position;
-                (set.queues.len(), elsewhere, std::cmp::Reverse(set.slots))
+                (set.queues.len(), std::cmp::Reverse(set.slots))
             });
         let longest = || (0..self.sets.len()).max_by_key(|&i| self.sets[i].queues.len());
         let Some(index) = fits.or_else(longest) else {
             return Vec::new();
         };
         let set = self.sets.swap_remove(index);
-        self.queues -= set.queues.len();
+        self.queues -= set.queues.capacity();
         self.slots -= set.slots;
         set.queues
     }
 
-    /// Keeps the set of the operation at `position`, each buffer trimmed
-    /// to [`SPARE_QUEUE_SLOTS`], if the bounds allow; otherwise hands it
-    /// back for the caller to free.
-    fn give(
-        &mut self,
-        mut queues: Vec<ActivationQueue>,
-        position: usize,
-    ) -> Option<Vec<ActivationQueue>> {
+    /// Keeps an operation's set, each buffer trimmed to
+    /// [`SPARE_QUEUE_SLOTS`], if the bounds allow; otherwise hands it back
+    /// for the caller to free.
+    fn give(&mut self, mut queues: Vec<ActivationQueue>) -> Option<Vec<ActivationQueue>> {
         if queues.is_empty()
             || self.sets.len() >= SPARE_SETS
-            || self.queues + queues.len() > SPARE_QUEUES
+            || self.queues + queues.capacity() > SPARE_QUEUES
         {
             return Some(queues);
         }
@@ -385,24 +403,21 @@ impl SpareSets {
         if self.slots + slots > SPARE_SLOTS {
             return Some(queues);
         }
-        self.queues += queues.len();
+        self.queues += queues.capacity();
         self.slots += slots;
-        self.sets.push(SpareSet {
-            queues,
-            slots,
-            position,
-        });
+        self.sets.push(SpareSet { queues, slots });
         None
     }
 }
 
-/// What [`Runtime::spare_counts`] reports.
+/// What [`Runtime::spare_counts`] reports, each counted from what is held
+/// rather than taken from the bookkeeping that enforces the bounds.
 #[cfg(test)]
 #[derive(Debug)]
 struct SpareCounts {
     /// Spare queue sets.
     sets: usize,
-    /// Queues in them.
+    /// Room for queues in their vectors.
     queues: usize,
     /// Their buffers' room, in activations.
     slots: usize,
@@ -410,15 +425,13 @@ struct SpareCounts {
     weight: usize,
     /// Buffers of positions in the depot.
     depot: usize,
+    /// Room for positions over the depot's buffers.
+    depot_positions: usize,
 }
 
-/// Times [`QueryHandle::release`] yields before it sleeps instead.
-const RELEASE_YIELDS: usize = 64;
-/// Longest [`QueryHandle::release`] waits for the workers.
-const RELEASE_WAIT: Duration = Duration::from_millis(5);
 /// Most emptied queue sets a runtime keeps for later queries.
 const SPARE_SETS: usize = 16;
-/// Most queues a runtime keeps over all its spare sets.
+/// Most room for queues a runtime keeps over all its spare sets' vectors.
 const SPARE_QUEUES: usize = 4096;
 /// Most activations a spare queue's buffer keeps room for; a queue whose
 /// buffer grew larger goes to the spares without it.
@@ -434,20 +447,6 @@ const DEPOT_BUFFERS: usize = 1024;
 const MAX_RESERVED_BATCH: usize = 1024;
 
 impl QueryState {
-    /// Seals the outcome exactly once (first writer wins — a cancel racing
-    /// a natural completion keeps the cancel) and wakes every waiter.
-    fn complete(&self, result: Result<ExecutionOutcome>) {
-        let mut slot = self
-            .cell
-            .outcome
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if slot.is_none() {
-            *slot = Some(result);
-            self.cell.done.notify_all();
-        }
-    }
-
     /// Whether any work could remain for this query.
     fn is_live(&self) -> bool {
         !self.cancelled.load(Ordering::Relaxed) && self.ops_remaining.load(Ordering::Relaxed) > 0
@@ -570,11 +569,15 @@ impl RuntimeInner {
             .pop_front()
     }
 
+    /// Puts an entry back unless its query is over. Checked under the
+    /// deque's lock, which [`finalize_query`] takes after the last
+    /// operation finished, so no entry of a finished query stays behind to
+    /// keep its state, and so its sealing, waiting.
     fn push_ready(&self, query: Arc<QueryState>, op_index: usize) {
-        self.ready
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_back((query, op_index));
+        let mut ready = self.ready.lock().unwrap_or_else(PoisonError::into_inner);
+        if query.is_live() {
+            ready.push_back((query, op_index));
+        }
     }
 }
 
@@ -603,11 +606,12 @@ fn announce_op(inner: &RuntimeInner, query: &Arc<QueryState>, op_index: usize) {
 /// constants:
 ///
 /// * **Queue sets.** A dropped query's sets, emptied, wait for a later
-///   submit to re-arm them: at most 16 sets and 4 096 queues in all, whose
-///   buffers keep room for at most 65 536 activations (a queue's buffer
-///   grown past 1 024 is freed first). At 88 bytes a queue, 32 an
-///   activation and 40 a set's record, that is at most 2 458 240 bytes
-///   (2.34 MiB).
+///   submit to re-arm them: at most 16 sets, whose vectors have room for
+///   at most 4 096 queues in all (their capacity counts, not their
+///   length), and whose buffers keep room for at most 65 536 activations
+///   (a queue's buffer grown past 1 024 is freed first). At 88 bytes a
+///   queue, 32 an activation and 32 a set's record, that is at most
+///   2 458 112 bytes (2.34 MiB).
 /// * **Buffers of positions.** A consumed batch's buffer stays in the
 ///   consuming worker's stash of at most 64 buffers; stashes exchange half
 ///   their buffers with a depot of at most 1 024. A kept buffer holds at
@@ -730,19 +734,15 @@ impl Runtime {
             .inner
             .depot
             .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len();
+            .unwrap_or_else(PoisonError::into_inner);
+        let queues = || spares.sets.iter().flat_map(|set| &set.queues);
         SpareCounts {
             sets: spares.sets.len(),
-            queues: spares.queues,
-            slots: spares.slots,
-            weight: spares
-                .sets
-                .iter()
-                .flat_map(|set| &set.queues)
-                .map(ActivationQueue::len)
-                .sum(),
-            depot,
+            queues: spares.sets.iter().map(|set| set.queues.capacity()).sum(),
+            slots: queues().map(ActivationQueue::buffer_capacity).sum(),
+            weight: queues().map(ActivationQueue::len).sum(),
+            depot: depot.len(),
+            depot_positions: depot.iter().map(Vec::capacity).sum(),
         }
     }
 
@@ -863,7 +863,7 @@ impl Runtime {
                 .spares
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .take(instances.len(), ops.len());
+                .take(instances.len());
             queues.truncate(instances.len());
             for (queue, info) in queues.iter_mut().zip(instances) {
                 queue.rearm(
@@ -1010,13 +1010,12 @@ impl Runtime {
             ops_remaining,
             progress: AtomicU64::new(0),
             metrics,
-            cell: CompletionCell {
+            cell: Arc::new(CompletionCell {
                 outcome: Mutex::new(None),
                 done: Condvar::new(),
-            },
+            }),
+            finished: Mutex::new(None),
             spares: Arc::clone(&self.inner.spares),
-            #[cfg(test)]
-            panics: tests::PANIC_NEXT_QUERY.with(std::cell::Cell::take),
         });
 
         self.inner
@@ -1043,7 +1042,9 @@ impl Runtime {
             }
         }
         Ok(QueryHandle {
-            query,
+            id,
+            query: Arc::downgrade(&query),
+            cell: Arc::clone(&query.cell),
             inner: Arc::clone(&self.inner),
         })
     }
@@ -1110,30 +1111,36 @@ pub struct ExecutionOutcome {
 /// The handle is detachable: dropping it does **not** cancel the query
 /// (use [`QueryHandle::cancel`] for that); the runtime finishes the work
 /// and discards the unobserved outcome.
+///
+/// The handle does not keep the query's state alive: a query that
+/// finishes is sealed when the last worker lets go of it, after its queue
+/// sets have gone back to the runtime, so the next query submitted after
+/// [`QueryHandle::wait`] re-arms them.
 pub struct QueryHandle {
-    query: Arc<QueryState>,
+    id: QueryId,
+    /// For [`QueryHandle::cancel`] and deadlines, while the query runs.
+    query: Weak<QueryState>,
+    cell: Arc<CompletionCell>,
     inner: Arc<RuntimeInner>,
 }
 
 impl fmt::Debug for QueryHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("QueryHandle")
-            .field("id", &self.query.id)
-            .finish()
+        f.debug_struct("QueryHandle").field("id", &self.id).finish()
     }
 }
 
 impl QueryHandle {
     /// The runtime-unique id of the submitted query.
     pub fn id(&self) -> QueryId {
-        self.query.id
+        self.id
     }
 
     /// Blocks until the query completes and returns its outcome. Returns
     /// [`EngineError::QueryCancelled`] if it was cancelled and
     /// [`EngineError::RuntimeShutdown`] if the runtime was dropped first.
     pub fn wait(self) -> Result<ExecutionOutcome> {
-        let cell = &self.query.cell;
+        let cell = &self.cell;
         let slot = cell.outcome.lock().unwrap_or_else(PoisonError::into_inner);
         let mut slot = cell
             .done
@@ -1141,30 +1148,7 @@ impl QueryHandle {
             .unwrap_or_else(PoisonError::into_inner);
         // `wait_while` returns only once the outcome is sealed, so the
         // fallback is never taken.
-        let outcome = slot.take().unwrap_or(Err(EngineError::RuntimeShutdown));
-        drop(slot);
-        self.release();
-        outcome
-    }
-
-    /// Gives the worker that sealed the outcome a moment to let go of the
-    /// query before this handle does, so the query's queue sets are back
-    /// with the runtime before the caller can submit again. Without it, a
-    /// worker descheduled right after sealing made the next query build
-    /// fresh queues and grow their buffers. It yields first, for a worker
-    /// on this CPU, then sleeps, which leaves this CPU idle for a worker
-    /// waiting on another; and it gives up after [`RELEASE_WAIT`].
-    fn release(self) {
-        let started = Instant::now();
-        let mut yields = 0;
-        while Arc::strong_count(&self.query) > 1 && started.elapsed() < RELEASE_WAIT {
-            if yields < RELEASE_YIELDS {
-                yields += 1;
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_micros(20));
-            }
-        }
+        slot.take().unwrap_or(Err(EngineError::RuntimeShutdown))
     }
 
     /// Like [`QueryHandle::wait`] with a deadline: blocks for at most
@@ -1180,26 +1164,24 @@ impl QueryHandle {
     /// the cancellation, the completed outcome wins and is returned.
     pub fn wait_timeout_or_cancel(self, timeout: Duration) -> Result<ExecutionOutcome> {
         {
-            let cell = &self.query.cell;
+            let cell = &self.cell;
             let slot = cell.outcome.lock().unwrap_or_else(PoisonError::into_inner);
             let (mut slot, _) = cell
                 .done
                 .wait_timeout_while(slot, timeout, |slot| slot.is_none())
                 .unwrap_or_else(PoisonError::into_inner);
             if let Some(result) = slot.take() {
-                drop(slot);
-                self.release();
                 return result;
             }
         }
-        let error = EngineError::DeadlineExceeded {
-            query: self.query.id.0,
-        };
-        abort_query(&self.inner, &self.query, error.clone());
-        // abort_query seals an outcome unless a natural completion won the
-        // race — either way one is there to take.
-        self.query
-            .cell
+        let error = EngineError::DeadlineExceeded { query: self.id.0 };
+        // A state that is gone was sealed as it dropped; otherwise
+        // abort_query seals the error, or the outcome of a query that
+        // finished in the meantime — either way one is there to take.
+        if let Some(query) = self.query.upgrade() {
+            abort_query(&self.inner, &query, error.clone());
+        }
+        self.cell
             .outcome
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -1212,8 +1194,11 @@ impl QueryHandle {
     /// [`EngineError::QueryCancelled`]. Idempotent; a query that already
     /// completed keeps its outcome. The pool stays fully reusable.
     pub fn cancel(&self) {
-        if self
-            .query
+        // A state that is gone belongs to a query already sealed.
+        let Some(query) = self.query.upgrade() else {
+            return;
+        };
+        if query
             .cancelled
             .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
             .is_err()
@@ -1222,10 +1207,8 @@ impl QueryHandle {
         }
         abort_query(
             &self.inner,
-            &self.query,
-            EngineError::QueryCancelled {
-                query: self.query.id.0,
-            },
+            &query,
+            EngineError::QueryCancelled { query: self.id.0 },
         );
     }
 }
@@ -1233,7 +1216,8 @@ impl QueryHandle {
 /// Tears a query down exceptionally: marks it cancelled so workers drop its
 /// remaining work, closes and drains every queue (releasing buffered
 /// memory immediately), removes it from the registry and seals `error` into
-/// the completion cell — unless an outcome was already sealed, which wins.
+/// the completion cell — unless an outcome was already sealed, which wins,
+/// or the query has finished, whose outcome is sealed instead.
 fn abort_query(inner: &RuntimeInner, query: &QueryState, error: EngineError) {
     query.cancelled.store(true, Ordering::SeqCst);
     for op in &query.ops {
@@ -1252,7 +1236,12 @@ fn abort_query(inner: &RuntimeInner, query: &QueryState, error: EngineError) {
         }
     }
     inner.remove_query(query.id);
-    query.complete(Err(error));
+    let finished = query
+        .finished
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .take();
+    query.cell.seal(finished.ok_or(error));
 }
 
 /// Honors an installed fault rule at `engine.runtime.submit`, shared by
@@ -1529,10 +1518,6 @@ fn try_process_op(
             Some(FaultAction::Delay(d)) => std::thread::sleep(d),
             Some(FaultAction::Error) | Some(FaultAction::Drop) => return Processed::Fault,
             None => {}
-        }
-        #[cfg(test)]
-        if query.panics {
-            std::panic::resume_unwind(Box::new("a test query's worker panics"));
         }
         match select_and_pop(op, inner.pool_threads, ctx) {
             Some((queue_index, main, weight)) => {
@@ -2244,17 +2229,23 @@ fn finalize_query(inner: &Arc<RuntimeInner>, query: &Arc<QueryState>) {
 
     inner.remove_query(query.id);
     // The query's ready entries would only be retired: dropping them now
-    // leaves the workers' own references the last ones to go.
+    // leaves the workers' own references the last ones to go, and no
+    // worker puts one back (see `RuntimeInner::push_ready`).
     inner
         .ready
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .retain(|(entry, _)| !Arc::ptr_eq(entry, query));
-    query.complete(Ok(ExecutionOutcome {
+    // Sealed as the state drops, right after its queue sets go back to the
+    // runtime (a cancel or deadline meanwhile seals it at once).
+    *query
+        .finished
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner) = Some(ExecutionOutcome {
         results,
         cardinalities,
         metrics,
-    }));
+    });
 }
 
 #[cfg(test)]
@@ -2281,13 +2272,6 @@ mod tests {
         cat.register(a_part).unwrap();
         cat.register(b_part).unwrap();
         (cat, a_ref, b_ref)
-    }
-
-    thread_local! {
-        /// Makes the next query this thread submits one whose workers
-        /// panic ([`QueryState::panics`]).
-        pub(super) static PANIC_NEXT_QUERY: std::cell::Cell<bool> =
-            const { std::cell::Cell::new(false) };
     }
 
     fn schedule_for(plan: &Plan, cat: &Catalog, threads: usize) -> ExecutionSchedule {
@@ -2682,15 +2666,10 @@ mod tests {
         let schedule = schedule_for(&plan, &cat, 2);
         let runtime = Runtime::new(2).unwrap();
         let handle = runtime.submit(&cat, &plan, &schedule).unwrap();
-        let query = Arc::clone(&handle.query);
+        // A strong reference keeps the state to look at after the workers
+        // are joined; a query that finishes is sealed only once it drops.
+        let query = handle.query.upgrade().unwrap();
         runtime.shutdown();
-        match handle.wait() {
-            Err(EngineError::RuntimeShutdown) => assert!(query.cancelled.load(Ordering::SeqCst)),
-            // Only if the submitting thread stalled for the whole join; a
-            // query that finished has closed and emptied its queues too.
-            Ok(_) => {}
-            Err(other) => panic!("expected RuntimeShutdown, got {other:?}"),
-        }
         for op in &query.ops {
             for q in &op.queues {
                 assert!(
@@ -2699,6 +2678,15 @@ mod tests {
                     op.name
                 );
             }
+        }
+        let cancelled = query.cancelled.load(Ordering::SeqCst);
+        drop(query);
+        match handle.wait() {
+            Err(EngineError::RuntimeShutdown) => assert!(cancelled),
+            // Only if the submitting thread stalled for the whole join; a
+            // query that finished has closed and emptied its queues too.
+            Ok(_) => {}
+            Err(other) => panic!("expected RuntimeShutdown, got {other:?}"),
         }
     }
 
@@ -2759,6 +2747,8 @@ mod tests {
     /// One runtime re-arms the queue sets and re-fills the buffers of
     /// positions that earlier queries left, whatever their shape and however
     /// they ended, and every query still counts what a fresh runtime counts.
+    /// (A query whose worker panics is the same case in
+    /// `tests/faults.rs`, where fault plans may be installed.)
     #[test]
     fn recycled_queue_sets_and_position_buffers_answer_like_fresh_ones() {
         let (wide, _, _) = build_catalog(4_000, 1_000, 20);
@@ -2791,9 +2781,10 @@ mod tests {
         // Cancelled once a worker has taken up a batch.
         let schedule = schedule_for(&nested, &slow, 3);
         let handle = runtime.submit(&slow, &nested, &schedule).unwrap();
-        while handle.query.progress.load(Ordering::SeqCst) == 0
-            && handle.query.ops_remaining.load(Ordering::SeqCst) > 0
-        {
+        while handle.query.upgrade().is_some_and(|query| {
+            query.progress.load(Ordering::SeqCst) == 0
+                && query.ops_remaining.load(Ordering::SeqCst) > 0
+        }) {
             std::thread::yield_now();
         }
         handle.cancel();
@@ -2801,14 +2792,6 @@ mod tests {
             handle.wait(),
             Err(EngineError::QueryCancelled { .. }) | Ok(_)
         ));
-
-        // A worker panics in the middle of an assoc query.
-        PANIC_NEXT_QUERY.with(|panics| panics.set(true));
-        let schedule = schedule_for(&assoc, &wide, 3);
-        match runtime.submit(&wide, &assoc, &schedule).unwrap().wait() {
-            Err(EngineError::WorkerPanicked { .. }) => {}
-            other => panic!("expected WorkerPanicked, got {other:?}"),
-        }
 
         // Every set those queries left is re-armed by the next ones, and
         // a re-armed queue starts, and so ends, holding nothing.
@@ -2821,23 +2804,43 @@ mod tests {
         }
     }
 
-    /// A query far wider than the bounds leaves the runtime holding no more
-    /// than its constants allow, and the memory they allow is what the
-    /// [`Runtime`] docs state.
+    /// Queries far wider than the bounds, then narrower ones that re-arm
+    /// their sets, leave the runtime holding no more than its constants
+    /// allow, and the memory they allow is what the [`Runtime`] docs state.
+    /// A set re-armed for a narrower operation keeps its vector's room, so
+    /// that room is what counts: a set of 2 000 queues truncated to 10 and
+    /// taken back counted as 10 would let the later queries at degree
+    /// 1 000 leave room for 5 000 queues.
     #[test]
     fn spare_memory_stays_within_its_constant_bounds() {
-        let (cat, _, b_ref) = build_catalog(8_000, 8_000, 2_000);
         let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
         let runtime = Runtime::new(2).unwrap();
-        for _ in 0..2 {
-            assert_eq!(cardinality(&runtime, &cat, &plan, 2), b_ref.cardinality());
+        let held_bytes = |spares: &SpareCounts| {
+            spares.queues * mem::size_of::<ActivationQueue>()
+                + spares.slots * mem::size_of::<Activation>()
+                + spares.sets * mem::size_of::<SpareSet>()
+        };
+        for (degree, queries) in [(2_000, 2), (10, 1), (1_000, 2), (10, 2)] {
+            let (cat, _, b_ref) = build_catalog(8_000, 8_000, degree);
+            for _ in 0..queries {
+                assert_eq!(cardinality(&runtime, &cat, &plan, 2), b_ref.cardinality());
+            }
+            let spares = runtime.spare_counts();
+            assert!(spares.sets >= 1, "degree {degree}: a set fits the bounds");
+            assert!(spares.sets <= SPARE_SETS, "degree {degree}: {spares:?}");
+            assert!(spares.queues <= SPARE_QUEUES, "degree {degree}: {spares:?}");
+            assert!(spares.slots <= SPARE_SLOTS, "degree {degree}: {spares:?}");
+            assert!(spares.depot <= DEPOT_BUFFERS, "degree {degree}: {spares:?}");
+            assert!(
+                spares.depot_positions <= DEPOT_BUFFERS * MAX_RESERVED_BATCH,
+                "degree {degree}: {spares:?}"
+            );
+            assert!(
+                held_bytes(&spares) <= 2_458_112,
+                "degree {degree}: {spares:?} hold {} bytes",
+                held_bytes(&spares)
+            );
         }
-        let spares = runtime.spare_counts();
-        assert!(spares.sets >= 1, "a 2 000-queue set fits the bounds");
-        assert!(spares.sets <= SPARE_SETS, "{spares:?}");
-        assert!(spares.queues <= SPARE_QUEUES, "{spares:?}");
-        assert!(spares.slots <= SPARE_SLOTS, "{spares:?}");
-        assert!(spares.depot <= DEPOT_BUFFERS, "{spares:?}");
 
         let queue_bytes = SPARE_QUEUES * mem::size_of::<ActivationQueue>()
             + SPARE_SLOTS * mem::size_of::<Activation>()
@@ -2846,7 +2849,7 @@ mod tests {
         let stash_bytes = STASH_BUFFERS * MAX_RESERVED_BATCH * mem::size_of::<u32>();
         assert_eq!(
             (queue_bytes, position_bytes, stash_bytes),
-            (2_458_240, 4 << 20, 256 << 10),
+            (2_458_112, 4 << 20, 256 << 10),
             "the bounds the Runtime docs state"
         );
     }

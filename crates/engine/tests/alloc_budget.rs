@@ -112,20 +112,23 @@ fn counted_runner<'a>(
 
 /// Builds the fragments' indexes and leaves the runtime warm — spare queue
 /// sets whose buffers have grown in every role, buffers of positions in its
-/// workers' stashes and its depot — then returns `(result rows, the least
-/// allocations)` over three discarding queries. The least, because a queue
-/// or pop buffer reaching a new high-water mark adds a few allocations to
-/// whichever query it happens in.
-fn warm_count(counted_run: &impl Fn(bool) -> (u64, u64)) -> (u64, u64) {
+/// workers' stashes and its depot — then counts three discarding queries.
+/// Returns the result rows and the fewest and the most allocations of the
+/// three: a queue, pop or position buffer reaching a new high-water mark
+/// adds a few allocations to whichever query it happens in.
+fn warm_count(counted_run: &impl Fn(bool) -> (u64, u64)) -> (u64, u64, u64) {
     for _ in 0..WARM_UP_QUERIES {
         counted_run(true);
     }
     let runs = [counted_run(true), counted_run(true), counted_run(true)];
     assert!(runs.iter().all(|run| run.0 == runs[0].0), "{runs:?}");
-    (runs[0].0, runs.iter().map(|run| run.1).min().unwrap_or(0))
+    let allocs = runs.map(|run| run.1);
+    let fewest = allocs.iter().copied().min().unwrap_or(0);
+    let most = allocs.iter().copied().max().unwrap_or(0);
+    (runs[0].0, fewest, most)
 }
 
-const WARM_UP_QUERIES: usize = 8;
+const WARM_UP_QUERIES: usize = 16;
 
 #[test]
 fn discarding_queries_do_not_allocate_per_result_row() {
@@ -161,22 +164,22 @@ fn discarding_queries_allocate_a_few_times_per_operator_instance() {
     // AssocJoin: transmit B′ → scatter → pipelined join → store, so pops,
     // queue sets, scatter batches and index lookups are all on the path.
     // IdealJoin: triggered join → store, no redistribution. Measured warm at
-    // degree 20 on 2 workers: 69–70 and 57–58 (206 and 99 while every
-    // query built fresh queues and new buffers of positions); the budgets
-    // leave 10 and 2 allocations of margin.
+    // degree 20 on 2 workers, the most of three queries: 71–88 and 59 (206
+    // and 99 while every query built fresh queues and new buffers of
+    // positions); the budgets leave 32 and 21 allocations of margin.
     for (name, plan, per_instance) in [
         (
             "assoc_join",
             plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash),
-            4,
+            6,
         ),
         (
             "ideal_join",
             plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash),
-            3,
+            4,
         ),
     ] {
-        let (rows, allocs) = warm_count(&counted_runner(&cat, &plan, &runtime));
+        let (rows, _, allocs) = warm_count(&counted_runner(&cat, &plan, &runtime));
         assert_eq!(rows, 2_000, "{name}: every B′ row has one partner in A");
         assert!(
             allocs < per_instance * degree,
@@ -187,28 +190,29 @@ fn discarding_queries_allocate_a_few_times_per_operator_instance() {
 }
 
 /// A warm query's allocations do not grow with its operator instances:
-/// 69 at degree 20 and at degree 200, where building fresh queues and new
-/// buffers of positions for every query made 206 and 872.
+/// the fewest of three queries read 71 at degree 20 and at degree 200,
+/// where building fresh queues and new buffers of positions for every
+/// query made 206 and 872. The most of three may add a high-water mark's
+/// few allocations, never one per queue (180 more at degree 200).
 #[test]
 fn a_warm_query_allocates_about_the_same_at_any_degree() {
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
-    let mut allocs = Vec::new();
-    for degree in [20, 200] {
+    let count_at = |degree: usize| {
         let cat = catalog_at(0.0, degree);
         let runtime = Runtime::new(2).unwrap();
-        let (rows, count) = warm_count(&counted_runner(&cat, &plan, &runtime));
+        let (rows, fewest, most) = warm_count(&counted_runner(&cat, &plan, &runtime));
         assert_eq!(
             rows, 2_000,
             "degree {degree}: every B′ row has one partner in A"
         );
-        allocs.push(count);
-    }
+        (fewest, most)
+    };
+    let (fewest_20, _) = count_at(20);
+    let (fewest_200, most_200) = count_at(200);
     assert!(
-        allocs[1] <= allocs[0] + 5,
-        "a warm discarding assoc_join made {} allocations at degree 200 and {} at degree 20: \
-         something is allocated per queue or per batch",
-        allocs[1],
-        allocs[0]
+        fewest_200 <= fewest_20 + 5 && most_200 <= fewest_20 + 40,
+        "a warm discarding assoc_join made {fewest_200}–{most_200} allocations at degree 200 \
+         and {fewest_20} at degree 20: something is allocated per queue or per batch"
     );
 }

@@ -89,6 +89,52 @@ fn injected_panic_fails_the_query_typed_and_keeps_the_pool() {
     runtime.shutdown();
 }
 
+/// A runtime re-arms the queue sets a query whose worker panicked left
+/// behind, and every later query on it still counts what a fresh runtime
+/// counts. The panicking query itself re-arms sets that healthy queries
+/// left.
+#[test]
+fn queue_sets_a_panicked_query_leaves_answer_like_fresh_ones() {
+    let wide = catalog(4_000, 1_000, 20);
+    let narrow = catalog(2_000, 400, 7);
+    let assoc = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
+    let ideal = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
+    let count = |runtime: &Runtime, cat: &Catalog, plan: &Plan| {
+        let schedule = schedule_for(plan, cat, 3);
+        let outcome = runtime.submit(cat, plan, &schedule).unwrap().wait();
+        outcome.unwrap().cardinalities["Result"]
+    };
+    let runtime = Runtime::new(3).unwrap();
+    let expected = {
+        // No rule: the guard only keeps other tests' faults out.
+        let _guard = FaultPlan::new(9).install();
+        let fresh = |cat: &Catalog, plan: &Plan| count(&Runtime::new(3).unwrap(), cat, plan);
+        let expected = [fresh(&wide, &assoc), fresh(&narrow, &ideal)];
+        assert_eq!(count(&runtime, &wide, &assoc), expected[0]);
+        assert_eq!(count(&runtime, &narrow, &ideal), expected[1]);
+        expected
+    };
+
+    let guard = FaultPlan::new(10)
+        .rule(
+            FaultPoint::WorkerProcess,
+            FaultTrigger::Nth(NonZeroU64::MIN),
+            FaultAction::Panic,
+        )
+        .install();
+    let schedule = schedule_for(&assoc, &wide, 3);
+    match runtime.submit(&wide, &assoc, &schedule).unwrap().wait() {
+        Err(EngineError::WorkerPanicked { .. }) => {}
+        other => panic!("expected WorkerPanicked, got {other:?}"),
+    }
+    for _ in 0..3 {
+        assert_eq!(count(&runtime, &wide, &assoc), expected[0]);
+        assert_eq!(count(&runtime, &narrow, &ideal), expected[1]);
+    }
+    assert_eq!(guard.counts()[0].2, 1, "the panic rule fired exactly once");
+    runtime.shutdown();
+}
+
 /// An `error` action at the worker fault point surfaces as the typed
 /// `FaultInjected` instead of a panic.
 #[test]
