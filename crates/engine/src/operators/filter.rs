@@ -40,7 +40,7 @@ impl FilterOperator {
     /// Data activations are ignored (a filter is always triggered); the
     /// runtime never routes them here, but being lenient keeps the operator
     /// harmless under misuse.
-    pub fn process(&self, instance: usize, activation: Activation) -> TupleBatch {
+    pub fn process(&self, instance: usize, activation: &Activation) -> TupleBatch {
         #[expect(
             clippy::expect_used,
             reason = "plan binding sized the instance range; an out-of-range instance is a \
@@ -51,7 +51,7 @@ impl FilterOperator {
             .fragment(instance)
             .expect("the runtime only routes activations to existing instances");
         let tuples = fragment.tuples();
-        let Some((start, end)) = super::control_range(&activation, tuples.len()) else {
+        let Some((start, end)) = super::control_range(activation, tuples.len()) else {
             return TupleBatch::default();
         };
         let selected = tuples[start..end].iter().filter(|t| self.predicate.eval(t));
@@ -98,7 +98,7 @@ mod tests {
 
         let mut total = 0usize;
         for instance in 0..rel.degree() {
-            let out = op.process(instance, Activation::Trigger);
+            let out = op.process(instance, &Activation::Trigger);
             total += out.len();
             let u1 = schema.column_index("unique1").unwrap();
             for t in &out {
@@ -118,7 +118,7 @@ mod tests {
         let pred = Predicate::True.bind("A", rel.schema()).unwrap();
         let op = FilterOperator::new(Arc::clone(&rel), pred);
         let some_tuple = rel.fragments()[0].tuples()[0].clone();
-        assert!(op.process(0, Activation::single(some_tuple)).is_empty());
+        assert!(op.process(0, &Activation::single(some_tuple)).is_empty());
     }
 
     #[test]
@@ -126,13 +126,13 @@ mod tests {
         let rel = relation();
         let pred = Predicate::True.bind("A", rel.schema()).unwrap();
         let op = FilterOperator::new(Arc::clone(&rel), pred);
-        let whole = op.process(2, Activation::Trigger);
+        let whole = op.process(2, &Activation::Trigger);
         let len = rel.fragment(2).unwrap().cardinality();
         // Split at an uneven boundary, with the last morsel overshooting the
         // fragment (clamped): the concatenation must equal the full scan.
         let mut pieces = Vec::new();
         for (start, end, lead) in [(0, 7, true), (7, len, false), (len, len + 50, false)] {
-            pieces.extend(op.process(2, Activation::Morsel { start, end, lead }));
+            pieces.extend(op.process(2, &Activation::Morsel { start, end, lead }));
         }
         assert_eq!(TupleBatch::new(pieces), whole);
         assert_eq!(op.triggered_rows(2), Some(len));
@@ -147,8 +147,8 @@ mod tests {
         let built = FilterOperator::new(Arc::clone(&rel), pred.clone());
         let counting = FilterOperator::new(Arc::clone(&rel), pred).counting_matches(true);
         for instance in 0..rel.degree() {
-            let rows = built.process(instance, Activation::Trigger).len();
-            let counted = counting.process(instance, Activation::Trigger);
+            let rows = built.process(instance, &Activation::Trigger).len();
+            let counted = counting.process(instance, &Activation::Trigger);
             assert_eq!(counted, TupleBatch::counted(rows));
         }
     }
@@ -158,7 +158,7 @@ mod tests {
         let rel = relation();
         let pred = Predicate::True.bind("A", rel.schema()).unwrap();
         let op = FilterOperator::new(Arc::clone(&rel), pred);
-        let out = op.process(3, Activation::Trigger);
+        let out = op.process(3, &Activation::Trigger);
         assert_eq!(out.len(), rel.fragment(3).unwrap().cardinality());
     }
 }

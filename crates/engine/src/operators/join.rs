@@ -184,7 +184,7 @@ impl TriggeredJoinOperator {
     /// inner fragment; a morsel joins only its outer row range. An indexed
     /// count reads the range's keys from the outer fragment's dense integer
     /// column, which the first such join over the fragment builds.
-    pub fn process(&self, instance: usize, activation: Activation) -> TupleBatch {
+    pub fn process(&self, instance: usize, activation: &Activation) -> TupleBatch {
         #[expect(
             clippy::expect_used,
             reason = "plan binding verified co-partitioning; a missing fragment is a planner \
@@ -195,7 +195,7 @@ impl TriggeredJoinOperator {
             .fragment(instance)
             .expect("co-partitioned operands share the degree of partitioning");
         let outer = fragment.tuples();
-        match super::control_range(&activation, outer.len()) {
+        match super::control_range(activation, outer.len()) {
             Some((start, end)) => {
                 let int_keys = self
                     .probe
@@ -265,18 +265,13 @@ impl PipelinedJoinOperator {
         self
     }
 
-    /// Processes one activation for `instance`, returning the output batch.
-    pub fn process(&self, instance: usize, activation: Activation) -> TupleBatch {
-        // Pipelined joins ignore stray triggers.
-        match activation.batch() {
-            Some(batch) => self.probe_batch(instance, batch),
-            None => TupleBatch::default(),
-        }
-    }
-
-    /// Probes the outer rows of `batch`, built or given by position, and
-    /// returns the output batch. The batch is only read.
-    pub(crate) fn probe_batch(&self, instance: usize, batch: &TupleBatch) -> TupleBatch {
+    /// Processes one activation for `instance`, returning the output batch:
+    /// probes the outer rows of a data batch, built or given by position.
+    /// Pipelined joins ignore stray triggers.
+    pub fn process(&self, instance: usize, activation: &Activation) -> TupleBatch {
+        let Some(batch) = activation.batch() else {
+            return TupleBatch::default();
+        };
         let (Some((source, rows)), Some(relation)) = (batch.positions(), &self.transmitted) else {
             return self
                 .probe
@@ -337,7 +332,7 @@ mod tests {
 
     fn run_triggered(op: &TriggeredJoinOperator, degree: usize) -> usize {
         (0..degree)
-            .map(|i| op.process(i, Activation::Trigger).len())
+            .map(|i| op.process(i, &Activation::Trigger).len())
             .sum()
     }
 
@@ -361,7 +356,7 @@ mod tests {
         let (_, b) = partitioned("Bprime", 100, 5);
         let u1 = a.schema().column_index("unique1").unwrap();
         let op = triggered(&a, &b, JoinAlgorithm::Hash);
-        let out = op.process(2, Activation::Trigger);
+        let out = op.process(2, &Activation::Trigger);
         assert!(!out.is_empty());
         let width = a.schema().width() + b.schema().width();
         for t in &out {
@@ -388,7 +383,7 @@ mod tests {
             for t in b_rel.tuples() {
                 let h = t.hash_key(&[u1]);
                 let instance = a.spec().fragment_of_hash(h);
-                total += op.process(instance, Activation::single(t.clone())).len();
+                total += op.process(instance, &Activation::single(t.clone())).len();
             }
             assert_eq!(total, expected, "algorithm {algorithm:?}");
         }
@@ -402,10 +397,10 @@ mod tests {
             // All tuples of fragment 1 probed against themselves, once as
             // one batch and once tuple by tuple.
             let probes: Vec<Tuple> = a.fragments()[1].tuples().to_vec();
-            let batched = op.process(1, Activation::Data(TupleBatch::from(probes.clone())));
+            let batched = op.process(1, &Activation::Data(TupleBatch::from(probes.clone())));
             let singles: Vec<Tuple> = probes
                 .iter()
-                .flat_map(|t| op.process(1, Activation::single(t.clone())))
+                .flat_map(|t| op.process(1, &Activation::single(t.clone())))
                 .collect();
             assert_eq!(batched, TupleBatch::new(singles), "algorithm {algorithm:?}");
             assert_eq!(batched.len(), probes.len(), "unique1 self-join");
@@ -418,9 +413,9 @@ mod tests {
         let op = pipelined(&a, JoinAlgorithm::Hash);
         // Probing twice must not rebuild (OnceLock gives the same instance).
         let probe = a.fragments()[1].tuples()[0].clone();
-        let _ = op.process(1, Activation::single(probe.clone()));
+        let _ = op.process(1, &Activation::single(probe.clone()));
         let ptr1 = Arc::as_ptr(op.probe.indexes[1].get().unwrap());
-        let _ = op.process(1, Activation::single(probe));
+        let _ = op.process(1, &Activation::single(probe));
         let ptr2 = Arc::as_ptr(op.probe.indexes[1].get().unwrap());
         assert_eq!(ptr1, ptr2);
     }
@@ -431,8 +426,8 @@ mod tests {
         let probe = a.fragments()[2].tuples()[0].clone();
         let first = pipelined(&a, JoinAlgorithm::Hash);
         let second = pipelined(&a, JoinAlgorithm::Hash);
-        let out1 = first.process(2, Activation::single(probe.clone()));
-        let out2 = second.process(2, Activation::single(probe.clone()));
+        let out1 = first.process(2, &Activation::single(probe.clone()));
+        let out2 = second.process(2, &Activation::single(probe.clone()));
         assert_eq!(out1, out2);
         assert_eq!(
             Arc::as_ptr(first.probe.indexes[2].get().unwrap()),
@@ -443,7 +438,7 @@ mod tests {
         // their own.
         let (_, again) = partitioned("A", 200, 4);
         let fresh = pipelined(&again, JoinAlgorithm::Hash);
-        assert_eq!(fresh.process(2, Activation::single(probe)), out1);
+        assert_eq!(fresh.process(2, &Activation::single(probe)), out1);
         assert_ne!(
             Arc::as_ptr(first.probe.indexes[2].get().unwrap()),
             Arc::as_ptr(fresh.probe.indexes[2].get().unwrap())
@@ -457,7 +452,7 @@ mod tests {
         for algorithm in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
             let whole = {
                 let op = triggered(&a, &b, algorithm);
-                op.process(1, Activation::Trigger)
+                op.process(1, &Activation::Trigger)
             };
             let op = triggered(&a, &b, algorithm);
             let rows = op.triggered_rows(1).unwrap();
@@ -467,7 +462,7 @@ mod tests {
                 let end = (start + 13).min(rows);
                 pieces.extend(op.process(
                     1,
-                    Activation::Morsel {
+                    &Activation::Morsel {
                         start,
                         end,
                         lead: start == 0,
@@ -484,9 +479,9 @@ mod tests {
         let (_, a) = partitioned("A", 400, 4);
         let (_, b) = partitioned("Bprime", 40, 4);
         for algorithm in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
-            let built = triggered(&a, &b, algorithm).process(1, Activation::Trigger);
+            let built = triggered(&a, &b, algorithm).process(1, &Activation::Trigger);
             let op = triggered(&a, &b, algorithm).counting_matches(true);
-            let whole = op.process(1, Activation::Trigger);
+            let whole = op.process(1, &Activation::Trigger);
             assert_eq!(whole, TupleBatch::counted(built.len()));
             assert!(!whole.is_empty(), "fragment 1 has matches to count");
             let rows = op.triggered_rows(1).unwrap();
@@ -494,7 +489,7 @@ mod tests {
             for start in (0..rows).step_by(13) {
                 let end = (start + 13).min(rows);
                 let lead = start == 0;
-                let piece = op.process(1, Activation::Morsel { start, end, lead });
+                let piece = op.process(1, &Activation::Morsel { start, end, lead });
                 assert_eq!(piece, TupleBatch::counted(piece.len()), "nothing built");
                 counted += piece.len();
             }
@@ -503,7 +498,7 @@ mod tests {
             let probes = TupleBatch::from(a.fragments()[1].tuples().to_vec());
             let pipelined = pipelined(&b, algorithm)
                 .counting_matches(true)
-                .process(1, Activation::Data(probes));
+                .process(1, &Activation::Data(probes));
             assert_eq!(pipelined, whole, "algorithm {algorithm:?}");
         }
     }
@@ -533,21 +528,21 @@ mod tests {
                 let as_rows = || Activation::Data(TupleBatch::new(outers.clone()));
                 let as_positions =
                     || Activation::Data(TupleBatch::from_positions(i as u32, rows.clone()));
-                let expected = built.process(i, as_rows());
+                let expected = built.process(i, &as_rows());
                 assert!(!expected.is_empty(), "fragment {i} has partners in B′");
                 assert!(expected.len() < rows.len(), "fragment {i} has rows without");
                 assert_eq!(
-                    built.process(i, as_positions()),
+                    built.process(i, &as_positions()),
                     expected,
                     "{algorithm:?} {i}"
                 );
                 let count = TupleBatch::counted(expected.len());
                 assert_eq!(
-                    counted.process(i, as_positions()),
+                    counted.process(i, &as_positions()),
                     count,
                     "{algorithm:?} {i}"
                 );
-                assert_eq!(counted.process(i, as_rows()), count, "{algorithm:?} {i}");
+                assert_eq!(counted.process(i, &as_rows()), count, "{algorithm:?} {i}");
             }
         }
     }
@@ -585,13 +580,13 @@ mod tests {
         let (built_pipe, counted_pipe) = (pipelined(false), pipelined(true));
         let mut total = 0usize;
         for i in 0..4 {
-            let whole = built.process(i, Activation::Trigger);
-            let count = counted.process(i, Activation::Trigger);
+            let whole = built.process(i, &Activation::Trigger);
+            let count = counted.process(i, &Activation::Trigger);
             assert_eq!(count, TupleBatch::counted(whole.len()), "{algorithm:?} {i}");
             let probes = TupleBatch::from(a.fragments()[i].tuples().to_vec());
-            let piped = built_pipe.process(i, Activation::Data(probes.clone()));
+            let piped = built_pipe.process(i, &Activation::Data(probes.clone()));
             assert_eq!(piped.len(), whole.len(), "{algorithm:?} {i}");
-            let piped_count = counted_pipe.process(i, Activation::Data(probes));
+            let piped_count = counted_pipe.process(i, &Activation::Data(probes));
             assert_eq!(piped_count, count, "{algorithm:?} {i}");
             assert_eq!(a.fragments()[i].int_column(s1), None, "string keys");
             total += count.len();
@@ -606,7 +601,7 @@ mod tests {
         let op = triggered(&a, &b, JoinAlgorithm::Hash);
         let _ = op.process(
             1,
-            Activation::Morsel {
+            &Activation::Morsel {
                 start: 0,
                 end: 5,
                 lead: true,
@@ -615,7 +610,7 @@ mod tests {
         let ptr1 = Arc::as_ptr(op.probe.indexes[1].get().unwrap());
         let _ = op.process(
             1,
-            Activation::Morsel {
+            &Activation::Morsel {
                 start: 5,
                 end: 10,
                 lead: false,
@@ -631,8 +626,8 @@ mod tests {
         let (_, b) = partitioned("Bprime", 50, 4);
         let triggered = triggered(&a, &b, JoinAlgorithm::Hash);
         let some = a.fragments()[0].tuples()[0].clone();
-        assert!(triggered.process(0, Activation::single(some)).is_empty());
+        assert!(triggered.process(0, &Activation::single(some)).is_empty());
         let pipelined = pipelined(&a, JoinAlgorithm::Hash);
-        assert!(pipelined.process(0, Activation::Trigger).is_empty());
+        assert!(pipelined.process(0, &Activation::Trigger).is_empty());
     }
 }

@@ -72,34 +72,20 @@ impl BoundOperator {
     /// for a producer bound to a counting store). A data activation's whole
     /// tuple batch is processed under this single dispatch.
     ///
+    /// The activation is only borrowed: a store keeps clones of the rows it
+    /// materialises, and the runtime keeps a batch of positions' buffer for
+    /// the next batch a transmit fills.
+    ///
     /// A transmit builds no batch: the runtime scatters the positions of
     /// its rows straight from the fragment ([`TransmitOperator::scatter`]),
     /// so here it returns an empty one.
-    pub fn process(&self, instance: usize, activation: Activation) -> TupleBatch {
+    pub fn process(&self, instance: usize, activation: &Activation) -> TupleBatch {
         match self {
             BoundOperator::Filter(op) => op.process(instance, activation),
             BoundOperator::Transmit(_) => TupleBatch::default(),
             BoundOperator::TriggeredJoin(op) => op.process(instance, activation),
             BoundOperator::PipelinedJoin(op) => op.process(instance, activation),
             BoundOperator::Store(op) => op.process(instance, activation),
-        }
-    }
-
-    /// Processes a batch of positions for `instance` without taking it, so
-    /// the runtime keeps its buffer for a later batch. Only a pipelined
-    /// join or a store bound with the transmitted relation receives
-    /// positions; any other operator returns an empty batch, as
-    /// [`BoundOperator::process`] does for a data activation it ignores.
-    pub(crate) fn process_positions(&self, instance: usize, batch: &TupleBatch) -> TupleBatch {
-        match self {
-            BoundOperator::PipelinedJoin(op) => op.probe_batch(instance, batch),
-            BoundOperator::Store(op) => {
-                op.store_batch(instance, batch);
-                TupleBatch::default()
-            }
-            BoundOperator::Filter(_)
-            | BoundOperator::Transmit(_)
-            | BoundOperator::TriggeredJoin(_) => TupleBatch::default(),
         }
     }
 

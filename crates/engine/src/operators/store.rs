@@ -86,28 +86,18 @@ impl StoreOperator {
         self.discard
     }
 
-    /// Processes one activation for `instance`. A data batch is appended to
-    /// the instance's result fragment (or tallied, in counting mode) in one
-    /// pass; triggers are ignored.
-    pub fn process(&self, instance: usize, activation: Activation) -> TupleBatch {
-        if let Some(batch) = activation.into_batch() {
-            if self.discard || batch.positions().is_some() {
-                self.store_batch(instance, &batch);
-            } else {
-                self.buffer(instance).extend(batch);
-            }
-        }
-        TupleBatch::default()
-    }
-
-    /// Stores a batch that stays the caller's: tallies it in counting
-    /// mode, and otherwise appends clones of its rows, read from the
-    /// transmitted relation for a batch of positions.
-    pub(crate) fn store_batch(&self, instance: usize, batch: &TupleBatch) {
+    /// Processes one activation for `instance`: tallies a data batch in
+    /// counting mode, and otherwise appends clones of its rows to the
+    /// instance's result fragment, read from the transmitted relation for a
+    /// batch of positions. Triggers are ignored.
+    pub fn process(&self, instance: usize, activation: &Activation) -> TupleBatch {
+        let Some(batch) = activation.batch() else {
+            return TupleBatch::default();
+        };
         if self.discard {
             let slot = instance % self.counts.len();
             self.counts[slot].fetch_add(batch.len(), Ordering::Relaxed);
-            return;
+            return TupleBatch::default();
         }
         let mut buffer = self.buffer(instance);
         match (batch.positions(), &self.transmitted) {
@@ -117,6 +107,7 @@ impl StoreOperator {
             }
             _ => buffer.extend(batch.iter().cloned()),
         }
+        TupleBatch::default()
     }
 
     /// The locked result fragment of `instance`.
@@ -176,12 +167,12 @@ mod tests {
         let op = StoreOperator::new("Result", 4);
         assert_eq!(op.result_name(), "Result");
         assert_eq!(op.instance_count(), 4);
-        op.process(0, Activation::Trigger);
+        op.process(0, &Activation::Trigger);
         op.process(
             1,
-            Activation::Data(TupleBatch::from(vec![int_tuple(&[1]), int_tuple(&[2])])),
+            &Activation::Data(TupleBatch::from(vec![int_tuple(&[1]), int_tuple(&[2])])),
         );
-        op.process(3, Activation::single(int_tuple(&[3])));
+        op.process(3, &Activation::single(int_tuple(&[3])));
         assert_eq!(op.stored_count(), 3);
         assert_eq!(op.fragment_counts(), vec![0, 2, 0, 1]);
     }
@@ -189,8 +180,8 @@ mod tests {
     #[test]
     fn take_all_collects_and_empties() {
         let op = StoreOperator::new("Result", 2);
-        op.process(0, Activation::single(int_tuple(&[1])));
-        op.process(1, Activation::single(int_tuple(&[2])));
+        op.process(0, &Activation::single(int_tuple(&[1])));
+        op.process(1, &Activation::single(int_tuple(&[2])));
         let all = op.take_all();
         assert_eq!(all.len(), 2);
         assert_eq!(op.stored_count(), 0);
@@ -200,7 +191,7 @@ mod tests {
     fn zero_instances_clamped_to_one() {
         let op = StoreOperator::new("Result", 0);
         assert_eq!(op.instance_count(), 1);
-        op.process(5, Activation::single(int_tuple(&[9])));
+        op.process(5, &Activation::single(int_tuple(&[9])));
         assert_eq!(op.stored_count(), 1);
     }
 
@@ -208,12 +199,12 @@ mod tests {
     fn counting_store_tallies_without_materialising() {
         let op = StoreOperator::counting("Result", 4);
         assert!(op.is_counting());
-        op.process(0, Activation::Trigger);
+        op.process(0, &Activation::Trigger);
         op.process(
             1,
-            Activation::Data(TupleBatch::from(vec![int_tuple(&[1]), int_tuple(&[2])])),
+            &Activation::Data(TupleBatch::from(vec![int_tuple(&[1]), int_tuple(&[2])])),
         );
-        op.process(3, Activation::single(int_tuple(&[3])));
+        op.process(3, &Activation::single(int_tuple(&[3])));
         assert_eq!(op.stored_count(), 3);
         assert_eq!(op.fragment_counts(), vec![0, 2, 0, 1]);
         assert!(
@@ -235,7 +226,7 @@ mod tests {
                         // Two tuples per batch: 250 stored per thread.
                         op.process(
                             (t + i) % 8,
-                            Activation::Data(TupleBatch::from(vec![
+                            &Activation::Data(TupleBatch::from(vec![
                                 int_tuple(&[i as i64]),
                                 int_tuple(&[-(i as i64)]),
                             ])),

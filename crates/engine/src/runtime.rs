@@ -168,14 +168,13 @@ use crate::schedule::ExecutionSchedule;
 use crate::Result;
 use dbs3_lera::{CostParameters, ExtendedPlan, NodeId, OperatorKind, OuterInput, Plan};
 use dbs3_storage::{Catalog, Tuple};
-use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::mem;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
-use std::thread::{JoinHandle, LocalKey};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Identifier of a query submitted to a [`Runtime`], unique within it.
@@ -550,7 +549,7 @@ struct RuntimeInner {
     /// can return them.
     spares: Arc<Mutex<SpareSets>>,
     /// Buffers of positions the workers' stashes spill to and refill from
-    /// (see [`stash_position_buffer`]).
+    /// (see [`WorkerCtx::stash_position_buffer`]).
     depot: Mutex<Vec<Vec<u32>>>,
 }
 
@@ -1368,21 +1367,99 @@ pub(crate) fn bind_operator(
     }
 }
 
-/// Per-worker scan state: the worker's index, which fixes its slice of
-/// every operation's queue ring, and the buffer every pop lands in.
+/// What one pool worker owns: its index, which fixes its slice of every
+/// operation's queue ring, one [`Frame`] per help-nesting depth, and its
+/// stash of buffers of positions.
 ///
-/// The pop buffer lives here and not in a thread-local pool on purpose: a
+/// All of it lives here and not in thread-local pools on purpose: a
 /// thread-local taken and returned around every queue probe made a scan
 /// over hundreds of mostly-empty queues pay two TLS round trips per probe
 /// instead of one atomic load, and cost 10–17 % more CPU per query at
 /// identical allocation counts (measured on `local_assoc_pipeline` and
-/// `local_ideal_skew`). Owned by the worker, the buffer is touched only by
-/// a pop that found work.
+/// `local_ideal_skew`). Owned by the worker and passed down its call path,
+/// a buffer is touched only by the batch that uses it.
 struct WorkerCtx {
     id: usize,
-    /// What [`select_and_pop`] popped; [`process_batch`] drains it, so it is
-    /// empty between batches and only its capacity carries over.
+    /// Frames not in use. A caller takes the top one for its depth and puts
+    /// it back when done; calls nest, so the top is always the frame its
+    /// depth had last time, and the stack is as deep as the deepest help.
+    frames: Vec<Frame>,
+    /// This worker's magazine of consumed buffers of positions (Bonwick &
+    /// Adams, USENIX 2001): at most [`STASH_BUFFERS`], exchanged with the
+    /// runtime's depot half a stash at a time, one lock per exchange.
+    stash: Vec<Vec<u32>>,
+}
+
+/// The buffers one batch works in: the activations popped for it and the
+/// producer-side scatter sets, one buffer per destination. All are empty
+/// between batches and only their capacity carries over. A filled scatter
+/// buffer leaves with its flush (it *becomes* the transport batch, taken
+/// with no capacity left behind), so only a set's outer vector stays warm:
+/// the first push into a buffer of tuples reserves exactly one batch, the
+/// one allocation a scattered tuple's hop makes, and a buffer of positions
+/// is filled from the stash instead.
+#[derive(Default)]
+struct Frame {
+    /// What a pop landed in; [`process_batch`] drains it.
     popped: Vec<Activation>,
+    /// A hash-routed producer's buffers of tuples.
+    tuples: Vec<Vec<Tuple>>,
+    /// A transmit's buffers of row positions.
+    positions: Vec<Vec<u32>>,
+}
+
+impl WorkerCtx {
+    fn new(id: usize) -> Self {
+        WorkerCtx {
+            id,
+            frames: Vec::new(),
+            stash: Vec::new(),
+        }
+    }
+
+    /// The frame for the next help-nesting depth.
+    fn take_frame(&mut self) -> Frame {
+        self.frames.pop().unwrap_or_default()
+    }
+
+    /// Gives back the frame [`WorkerCtx::take_frame`] handed out last.
+    fn put_frame(&mut self, frame: Frame) {
+        self.frames.push(frame);
+    }
+
+    /// A buffer of positions with room for a `cache_size` batch: one from
+    /// the stash, which an empty stash first refills with half a stash from
+    /// `inner`'s depot, or a new one when both are empty.
+    fn take_position_buffer(&mut self, inner: &RuntimeInner, cache_size: usize) -> Vec<u32> {
+        if self.stash.is_empty() {
+            let mut depot = inner.depot.lock().unwrap_or_else(PoisonError::into_inner);
+            let from = depot.len().saturating_sub(STASH_BUFFERS / 2);
+            self.stash.extend(depot.drain(from..));
+        }
+        let mut buffer = self.stash.pop().unwrap_or_default();
+        buffer.reserve_exact(cache_size.min(MAX_RESERVED_BATCH));
+        buffer
+    }
+
+    /// Keeps a consumed batch's buffer of positions in the stash. A full
+    /// stash first spills half of itself to `inner`'s depot; what the depot
+    /// has no room for is freed, and so is a buffer too large to keep.
+    fn stash_position_buffer(&mut self, inner: &RuntimeInner, mut buffer: Vec<u32>) {
+        if buffer.capacity() == 0 || buffer.capacity() > MAX_RESERVED_BATCH {
+            return;
+        }
+        buffer.clear();
+        if self.stash.len() >= STASH_BUFFERS {
+            let mut spill = self.stash.drain(STASH_BUFFERS / 2..);
+            {
+                let mut depot = inner.depot.lock().unwrap_or_else(PoisonError::into_inner);
+                let room = DEPOT_BUFFERS.saturating_sub(depot.len());
+                depot.extend(spill.by_ref().take(room));
+            }
+            drop(spill);
+        }
+        self.stash.push(buffer);
+    }
 }
 
 /// The body of one pool worker: pop the front ready-deque entry, re-push
@@ -1393,10 +1470,7 @@ struct WorkerCtx {
 /// parallelism) and entries rotate FIFO across every ready op of every
 /// query (cross-query fairness).
 fn worker_loop(inner: &Arc<RuntimeInner>, worker: usize) {
-    let mut ctx = WorkerCtx {
-        id: worker,
-        popped: Vec::new(),
-    };
+    let mut ctx = WorkerCtx::new(worker);
     loop {
         if inner.shutdown.load(Ordering::SeqCst) {
             return;
@@ -1519,7 +1593,11 @@ fn try_process_op(
             Some(FaultAction::Error) | Some(FaultAction::Drop) => return Processed::Fault,
             None => {}
         }
-        match select_and_pop(op, inner.pool_threads, ctx) {
+        // Depth 0's frame; a panic drops it, and the next batch starts
+        // a fresh one.
+        let mut frame = ctx.take_frame();
+        let main = main_slice(ctx.id, inner.pool_threads, op.queues.len());
+        let worked = match select_and_pop(op, main, &mut frame.popped) {
             Some((queue_index, main, weight)) => {
                 // More is buffered behind this batch: pass the wake-up on
                 // before starting to work, so a parked pool comes up as a
@@ -1527,16 +1605,8 @@ fn try_process_op(
                 if op.state.apply(Event::Popped(weight)).0.pending > 0 {
                     inner.idle.wake_one();
                 }
-                process_batch(
-                    inner,
-                    query,
-                    op_index,
-                    queue_index,
-                    main,
-                    &mut ctx.popped,
-                    ctx.id,
-                );
-                Processed::Worked(true)
+                process_batch(inner, query, op_index, queue_index, main, &mut frame, ctx);
+                true
             }
             None => {
                 // The pending hint said there was work but every queue
@@ -1546,9 +1616,11 @@ fn try_process_op(
                     .unwrap_or_else(PoisonError::into_inner);
                 slot.thread = ctx.id;
                 slot.idle_polls += 1;
-                Processed::Worked(false)
+                false
             }
-        }
+        };
+        ctx.put_frame(frame);
+        Processed::Worked(worked)
     }));
     // Seal the typed failure BEFORE dropping the claim: a batch
     // lost to the unwind mid-processing must never be papered over by a
@@ -1596,24 +1668,23 @@ fn try_process_op(
     }
 }
 
-/// Selects the next queue of `op` for this worker, pops up to
-/// `cache_size` logical activations from it into `ctx.popped` and returns
-/// the queue's index, whether it is one of the worker's main queues and
-/// the queue weight popped. Only queues whose occupancy bit is set are
-/// probed, in [`OccupiedChunks`] order; a chunk found empty, or a queue
-/// popped to empty, has its bit settled.
+/// Selects the next queue of `op` for the worker whose main queues sit at
+/// ring positions `main`, pops up to `cache_size` logical activations from
+/// it into `popped` and returns the queue's index, whether it is one of
+/// the worker's main queues and the queue weight popped. Only queues whose
+/// occupancy bit is set are probed, in [`OccupiedChunks`] order; a chunk
+/// found empty, or a queue popped to empty, has its bit settled.
 fn select_and_pop(
     op: &OpRuntime,
-    pool_threads: usize,
-    ctx: &mut WorkerCtx,
+    main: Range<usize>,
+    popped: &mut Vec<Activation>,
 ) -> Option<(usize, bool, u64)> {
     let n = op.queues.len();
-    let main = main_slice(ctx.id, pool_threads, n);
     for (bit, positions) in OccupiedChunks::new(|i| op.state.occupancy(i), n, main.start) {
         for position in positions {
             let queue_index = op.queue_at(position);
             let queue = &op.queues[queue_index];
-            let weight = queue.try_pop_into(op.cache_size, &mut ctx.popped);
+            let weight = queue.try_pop_into(op.cache_size, popped);
             if weight > 0 {
                 if queue.is_empty() {
                     op.settle(bit);
@@ -1733,96 +1804,13 @@ impl<F: Fn(usize) -> u64> Iterator for OccupiedChunks<F> {
     }
 }
 
-thread_local! {
-    /// Reusable scatter-buffer sets, one entry per nested [`help_drain`]
-    /// depth, so [`process_batch`] does not allocate a consumer-degree-sized
-    /// `Vec<Vec<Tuple>>` on every popped batch. Only that outer vector is
-    /// kept warm: every filled inner buffer leaves with its flush (it
-    /// *becomes* the transport batch, taken with no capacity left behind),
-    /// so the inner ones come back empty and unallocated. The first push
-    /// into a buffer of tuples reserves exactly one batch, the one
-    /// allocation a scattered tuple's hop makes; a buffer of positions is
-    /// filled from [`POSITION_STASH`] instead.
-    static SCATTER_SCRATCH: RefCell<Vec<Vec<Vec<Tuple>>>> = const { RefCell::new(Vec::new()) };
-    /// The same for a transmit's buffers of row positions.
-    static POSITION_SCRATCH: RefCell<Vec<Vec<Vec<u32>>>> = const { RefCell::new(Vec::new()) };
-    /// Pop buffers of [`help_drain`], one per nesting depth.
-    static HELP_POPS: RefCell<Vec<Vec<Activation>>> = const { RefCell::new(Vec::new()) };
-    /// This worker's magazine of consumed buffers of positions (Bonwick &
-    /// Adams, USENIX 2001): at most [`STASH_BUFFERS`], exchanged with the
-    /// runtime's depot half a stash at a time, one lock per exchange.
-    static POSITION_STASH: RefCell<Vec<Vec<u32>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// A buffer of positions with room for a `cache_size` batch: one from this
-/// worker's stash, which an empty stash first refills with half a stash
-/// from `inner`'s depot, or a new one when both are empty.
-fn take_position_buffer(inner: &RuntimeInner, cache_size: usize) -> Vec<u32> {
-    let mut buffer = POSITION_STASH
-        .with(|stash| {
-            let mut stash = stash.borrow_mut();
-            if stash.is_empty() {
-                let mut depot = inner.depot.lock().unwrap_or_else(PoisonError::into_inner);
-                let from = depot.len().saturating_sub(STASH_BUFFERS / 2);
-                stash.extend(depot.drain(from..));
-            }
-            stash.pop()
-        })
-        .unwrap_or_default();
-    buffer.reserve_exact(cache_size.min(MAX_RESERVED_BATCH));
-    buffer
-}
-
-/// Keeps a consumed batch's buffer of positions in this worker's stash. A
-/// full stash first spills half of itself to `inner`'s depot; what the
-/// depot has no room for is freed, and so is a buffer too large to keep.
-fn stash_position_buffer(inner: &RuntimeInner, mut buffer: Vec<u32>) {
-    if buffer.capacity() == 0 || buffer.capacity() > MAX_RESERVED_BATCH {
-        return;
+/// Buffer `dest` of a scatter set, which an emptied set grows back to the
+/// `degree` destinations of the batch filling it.
+fn scatter_buffer<T>(set: &mut Vec<Vec<T>>, dest: usize, degree: usize) -> &mut Vec<T> {
+    if set.len() <= dest {
+        set.resize_with(degree, Vec::new);
     }
-    buffer.clear();
-    POSITION_STASH.with(|stash| {
-        let mut stash = stash.borrow_mut();
-        if stash.len() >= STASH_BUFFERS {
-            let mut spill = stash.drain(STASH_BUFFERS / 2..);
-            {
-                let mut depot = inner.depot.lock().unwrap_or_else(PoisonError::into_inner);
-                let room = DEPOT_BUFFERS.saturating_sub(depot.len());
-                depot.extend(spill.by_ref().take(room));
-            }
-            drop(spill);
-        }
-        stash.push(buffer);
-    });
-}
-
-/// Takes a recycled scatter-buffer set from `pool` resized to `degree` (all
-/// buffers empty), or builds a fresh one.
-fn take_scatter_buffers<T: 'static>(
-    pool: &'static LocalKey<RefCell<Vec<Vec<Vec<T>>>>>,
-    degree: usize,
-) -> Vec<Vec<T>> {
-    let mut buffers = pool
-        .with(|scratch| scratch.borrow_mut().pop())
-        .unwrap_or_default();
-    buffers.resize_with(degree, Vec::new);
-    buffers
-}
-
-/// Returns a scatter-buffer set to the thread-local `pool`. Buffers are
-/// cleared so no row outlives its batch, and the pool is bounded by the
-/// plausible help-recursion depth.
-fn recycle_scatter_buffers<T: 'static>(
-    pool: &'static LocalKey<RefCell<Vec<Vec<Vec<T>>>>>,
-    mut buffers: Vec<Vec<T>>,
-) {
-    buffers.iter_mut().for_each(Vec::clear);
-    pool.with(|scratch| {
-        let mut pool = scratch.borrow_mut();
-        if pool.len() < 8 {
-            pool.push(buffers);
-        }
-    });
+    &mut set[dest]
 }
 
 /// Appends `item` to a scatter buffer, reserving one batch on its first
@@ -1836,9 +1824,10 @@ fn buffer_push<T>(buffer: &mut Vec<T>, item: T, cache_size: usize) -> bool {
     buffer.len() >= cache_size
 }
 
-/// Processes one popped batch of activations of `op`, scattering the
-/// produced rows to the consumer's queues and recording metrics. `main`
-/// says whether the batch came from one of `worker`'s main queues.
+/// Processes the batch of activations of `op` popped into `frame`,
+/// scattering the produced rows to the consumer's queues through `frame`'s
+/// scatter sets and recording metrics. `main` says whether the batch came
+/// from one of the worker's main queues.
 ///
 /// Routing is the producer-side activation cache of the paper, specialised
 /// per [`Router`]:
@@ -1861,17 +1850,17 @@ fn buffer_push<T>(buffer: &mut Vec<T>, item: T, cache_size: usize) -> bool {
 ///
 /// The caller holds a claim on the operation, so the producer-side
 /// scatter buffers live entirely within this call — nothing can be stranded
-/// when the operation is later declared finished. `batch` is drained (also
-/// on an early exit), so no activation outlives its batch; only the
-/// caller's buffer capacity does.
+/// when the operation is later declared finished. The frame is emptied
+/// (also on an early exit), so no activation or row outlives its batch;
+/// only the frame's capacity does.
 fn process_batch(
     inner: &Arc<RuntimeInner>,
     query: &Arc<QueryState>,
     op_index: usize,
     queue_index: usize,
     main: bool,
-    batch: &mut Vec<Activation>,
-    worker: usize,
+    frame: &mut Frame,
+    ctx: &mut WorkerCtx,
 ) {
     let op = &query.ops[op_index];
     let started = Instant::now();
@@ -1884,27 +1873,11 @@ fn process_batch(
         BoundOperator::Transmit(transmit) => Some(transmit),
         _ => None,
     };
-    // Scatter buffers exist only for hash redistribution and transmits; a
-    // co-located consumer receives output batches directly. Ops that need
-    // no buffers must not touch the thread-local scratch at all — popping
-    // the warm set just to truncate it to zero would throw away the outer
-    // vector the cache exists to preserve.
-    let needs_buffers = transmit.is_none()
-        && matches!(
-            op.consumer.as_ref().map(|link| &link.router),
-            Some(Router::HashColumn { .. })
-        );
-    let needs_positions = transmit.is_some() && op.consumer.is_some();
-    let mut buffers = if needs_buffers {
-        take_scatter_buffers(&SCATTER_SCRATCH, consumer_degree)
-    } else {
-        Vec::new()
-    };
-    let mut positions = if needs_positions {
-        take_scatter_buffers(&POSITION_SCRATCH, consumer_degree)
-    } else {
-        Vec::new()
-    };
+    let Frame {
+        popped,
+        tuples,
+        positions,
+    } = frame;
     // A transmit's destination for a row, and the fragment its batches of
     // positions name: the transmit instance's own.
     let route = |tuple: &Tuple| match op.consumer.as_ref().map(|link| &link.router) {
@@ -1922,7 +1895,7 @@ fn process_batch(
     // so it is subtracted from this operation's busy time below.
     let mut helped = Duration::ZERO;
 
-    for activation in batch.drain(..) {
+    for activation in popped.drain(..) {
         // A cancelled query's remaining work is dropped; on shutdown the
         // query will be failed by the runtime's Drop anyway.
         if query.cancelled.load(Ordering::Relaxed) || inner.shutdown.load(Ordering::Relaxed) {
@@ -1934,9 +1907,9 @@ fn process_batch(
         if let Some(transmit) = transmit {
             let rows = transmit.scatter(queue_index, &activation, route, |dest, position| {
                 let Some(link) = &op.consumer else { return };
-                let buffer = &mut positions[dest];
+                let buffer = scatter_buffer(positions, dest, consumer_degree);
                 if buffer.capacity() == 0 {
-                    *buffer = take_position_buffer(inner, op.cache_size);
+                    *buffer = ctx.take_position_buffer(inner, op.cache_size);
                 }
                 if buffer_push(buffer, position, op.cache_size) {
                     let batch = TupleBatch::from_positions(source, mem::take(buffer));
@@ -1946,7 +1919,7 @@ fn process_batch(
                         link.consumer_index,
                         dest,
                         batch,
-                        worker,
+                        ctx,
                         &mut helped,
                     );
                     flushes += 1;
@@ -1955,18 +1928,12 @@ fn process_batch(
             tuples_out += rows as u64;
             continue;
         }
-        let out = match activation {
-            // Positions are only read, so their buffer stays on this
-            // worker for the next batch a transmit fills here.
-            Activation::Data(batch) if batch.positions().is_some() => {
-                let out = op.operator.process_positions(queue_index, &batch);
-                if let Some(rows) = batch.into_positions() {
-                    stash_position_buffer(inner, rows);
-                }
-                out
-            }
-            activation => op.operator.process(queue_index, activation),
-        };
+        let out = op.operator.process(queue_index, &activation);
+        // Positions are only read, so their buffer stays on this worker for
+        // the next batch a transmit fills here.
+        if let Some(rows) = activation.into_batch().and_then(TupleBatch::into_positions) {
+            ctx.stash_position_buffer(inner, rows);
+        }
         tuples_out += out.len() as u64;
         let Some(link) = &op.consumer else { continue };
         match &link.router {
@@ -1983,7 +1950,7 @@ fn process_batch(
                         link.consumer_index,
                         dest,
                         out,
-                        worker,
+                        ctx,
                         &mut helped,
                     );
                     flushes += 1;
@@ -1992,15 +1959,16 @@ fn process_batch(
             Router::HashColumn { column, degree } => {
                 for tuple in out {
                     let dest = (tuple.hash_key(&[*column]) % *degree as u64) as usize;
-                    let buffer = &mut buffers[dest];
+                    let buffer = scatter_buffer(tuples, dest, *degree);
                     if buffer_push(buffer, tuple, op.cache_size) {
+                        let batch = TupleBatch::new(mem::take(buffer));
                         flush_to(
                             inner,
                             query,
                             link.consumer_index,
                             dest,
-                            TupleBatch::new(mem::take(buffer)),
-                            worker,
+                            batch,
+                            ctx,
                             &mut helped,
                         );
                         flushes += 1;
@@ -2010,11 +1978,11 @@ fn process_batch(
         }
     }
     if let Some(link) = &op.consumer {
-        // At most one of the two sets holds buffers.
-        let rows = buffers.iter_mut().map(|b| TupleBatch::new(mem::take(b)));
+        // At most one of the two sets holds buffers; both are left empty.
+        let rows = tuples.drain(..).map(TupleBatch::new);
         let at = positions
-            .iter_mut()
-            .map(|b| TupleBatch::from_positions(source, mem::take(b)));
+            .drain(..)
+            .map(|rows| TupleBatch::from_positions(source, rows));
         for (dest, batch) in rows.enumerate().chain(at.enumerate()) {
             if !batch.is_empty() {
                 flush_to(
@@ -2023,28 +1991,22 @@ fn process_batch(
                     link.consumer_index,
                     dest,
                     batch,
-                    worker,
+                    ctx,
                     &mut helped,
                 );
                 flushes += 1;
             }
         }
     }
-    if needs_buffers {
-        recycle_scatter_buffers(&SCATTER_SCRATCH, buffers);
-    }
-    if needs_positions {
-        recycle_scatter_buffers(&POSITION_SCRATCH, positions);
-    }
 
     // Merge this batch's contribution into the worker's metrics slot. Time
     // spent helping a congested downstream operation is charged to that
     // operation (by its own nested process_batch) and subtracted here, so
     // summed busy time never exceeds wall-clock × workers.
-    let mut slot = query.metrics[op_index][worker]
+    let mut slot = query.metrics[op_index][ctx.id]
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
-    slot.thread = worker;
+    slot.thread = ctx.id;
     slot.activations += logical;
     slot.tuples_out += tuples_out;
     slot.busy += started.elapsed().saturating_sub(helped);
@@ -2062,14 +2024,13 @@ fn process_batch(
 /// a closed queue (cancelled query) the batch is dropped. Help time is
 /// accumulated into `helped` so the caller can keep its own busy metric
 /// honest.
-#[allow(clippy::too_many_arguments)]
 fn flush_to(
     inner: &Arc<RuntimeInner>,
     query: &Arc<QueryState>,
     consumer_index: usize,
     dest: usize,
     batch: TupleBatch,
-    worker: usize,
+    ctx: &mut WorkerCtx,
     helped: &mut Duration,
 ) {
     let consumer = &query.ops[consumer_index];
@@ -2100,7 +2061,7 @@ fn flush_to(
             TryPushError::Full(back) => {
                 activation = back;
                 let help_started = Instant::now();
-                help_drain(inner, query, consumer_index, dest, worker);
+                help_drain(inner, query, consumer_index, dest, ctx);
                 *helped += help_started.elapsed();
             }
         }
@@ -2111,7 +2072,7 @@ fn flush_to(
 /// behalf of the consumer operation (cooperative backpressure). Recursion
 /// through [`process_batch`] is bounded by the pipeline depth. The batch
 /// counts as secondary consumption: the worker did not pick the queue. The
-/// pop buffer comes from [`HELP_POPS`], one per nesting depth, so a warm
+/// batch is popped into the worker's frame for the next depth, so a warm
 /// worker's help allocates nothing: a fresh buffer per help made the
 /// allocation count of a query depend on how often its producers found a
 /// queue full.
@@ -2120,7 +2081,7 @@ fn help_drain(
     query: &Arc<QueryState>,
     consumer_index: usize,
     dest: usize,
-    worker: usize,
+    ctx: &mut WorkerCtx,
 ) {
     let consumer = &query.ops[consumer_index];
     if consumer.state.apply(Event::Begin).1 != Effect::Claimed {
@@ -2128,11 +2089,9 @@ fn help_drain(
         std::thread::yield_now();
         return;
     }
-    let mut popped = HELP_POPS
-        .with(|pops| pops.borrow_mut().pop())
-        .unwrap_or_default();
+    let mut frame = ctx.take_frame();
     let queue = &consumer.queues[dest];
-    let weight = queue.try_pop_into(consumer.cache_size, &mut popped);
+    let weight = queue.try_pop_into(consumer.cache_size, &mut frame.popped);
     if queue.is_empty() {
         consumer.settle(consumer.bit_of(dest));
     }
@@ -2140,23 +2099,9 @@ fn help_drain(
         std::thread::yield_now();
     } else {
         consumer.state.apply(Event::Popped(weight as u64));
-        process_batch(
-            inner,
-            query,
-            consumer_index,
-            dest,
-            false,
-            &mut popped,
-            worker,
-        );
+        process_batch(inner, query, consumer_index, dest, false, &mut frame, ctx);
     }
-    // `process_batch` drained the buffer; only its capacity is kept.
-    HELP_POPS.with(|pops| {
-        let mut pops = pops.borrow_mut();
-        if pops.len() < 8 {
-            pops.push(popped);
-        }
-    });
+    ctx.put_frame(frame);
     if consumer.state.apply(Event::End).1 == Effect::Finished {
         finish_op(inner, query, consumer_index);
     }
