@@ -27,47 +27,58 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 #[derive(Debug)]
 pub struct StoreOperator {
     result_name: String,
-    buffers: Arc<Vec<Mutex<Vec<Tuple>>>>,
-    // ordering(counts): Relaxed — independent per-fragment tallies with no
-    // cross-field invariants; totals are only read after the query drains.
-    // ordering(c): the same counters bound as `c` in iterator closures —
-    // same Relaxed protocol.
-    /// Per-fragment tuple tallies, maintained only in counting mode.
-    counts: Arc<Vec<AtomicUsize>>,
-    /// Whether tuples are counted and dropped instead of materialised.
-    discard: bool,
-    /// The relation whose fragments incoming positions point into, when
-    /// the producer is a transmit.
-    transmitted: Option<Arc<PartitionedRelation>>,
+    fragments: Fragments,
+}
+
+/// A store's result fragments: tallies or rows, one per instance.
+#[derive(Debug)]
+enum Fragments {
+    // ordering(Counting): Relaxed — independent per-fragment tallies with
+    // no cross-field invariants; totals are only read after the query
+    // drains.
+    /// Tuples tallied and dropped, never materialised.
+    Counting(Box<[AtomicUsize]>),
+    /// Tuples kept as rows.
+    Materialising {
+        rows: Box<[Mutex<Vec<Tuple>>]>,
+        /// The relation whose fragments incoming positions point into,
+        /// when the producer is a transmit.
+        transmitted: Option<Arc<PartitionedRelation>>,
+    },
 }
 
 impl StoreOperator {
     /// Creates a store with `instances` result fragments.
     pub fn new(result_name: impl Into<String>, instances: usize) -> Self {
-        Self::build(result_name, instances, false)
+        let rows = (0..instances.max(1))
+            .map(|_| Mutex::new(Vec::new()))
+            .collect();
+        StoreOperator {
+            result_name: result_name.into(),
+            fragments: Fragments::Materialising {
+                rows,
+                transmitted: None,
+            },
+        }
     }
 
     /// Creates a counting store: incoming tuples are tallied per fragment
     /// and dropped, never materialised.
     pub fn counting(result_name: impl Into<String>, instances: usize) -> Self {
-        Self::build(result_name, instances, true)
-    }
-
-    fn build(result_name: impl Into<String>, instances: usize, discard: bool) -> Self {
-        let instances = instances.max(1);
+        let counts = (0..instances.max(1)).map(|_| AtomicUsize::new(0)).collect();
         StoreOperator {
             result_name: result_name.into(),
-            buffers: Arc::new((0..instances).map(|_| Mutex::new(Vec::new())).collect()),
-            counts: Arc::new((0..instances).map(|_| AtomicUsize::new(0)).collect()),
-            discard,
-            transmitted: None,
+            fragments: Fragments::Counting(counts),
         }
     }
 
     /// Reads incoming positions in `relation`, the relation the producing
     /// transmit scatters; only for a store whose producer is that transmit.
+    /// A counting store reads no rows and ignores it.
     pub(crate) fn transmitted(mut self, relation: Option<Arc<PartitionedRelation>>) -> Self {
-        self.transmitted = relation;
+        if let Fragments::Materialising { transmitted, .. } = &mut self.fragments {
+            *transmitted = relation;
+        }
         self
     }
 
@@ -78,12 +89,15 @@ impl StoreOperator {
 
     /// Number of result fragments.
     pub fn instance_count(&self) -> usize {
-        self.buffers.len()
+        match &self.fragments {
+            Fragments::Counting(counts) => counts.len(),
+            Fragments::Materialising { rows, .. } => rows.len(),
+        }
     }
 
     /// Whether this store counts tuples instead of materialising them.
     pub fn is_counting(&self) -> bool {
-        self.discard
+        matches!(self.fragments, Fragments::Counting(_))
     }
 
     /// Processes one activation for `instance`: tallies a data batch in
@@ -94,55 +108,41 @@ impl StoreOperator {
         let Some(batch) = activation.batch() else {
             return TupleBatch::default();
         };
-        if self.discard {
-            let slot = instance % self.counts.len();
-            self.counts[slot].fetch_add(batch.len(), Ordering::Relaxed);
-            return TupleBatch::default();
-        }
-        let mut buffer = self.buffer(instance);
-        match (batch.positions(), &self.transmitted) {
-            (Some((source, rows)), Some(relation)) => {
-                let tuples = super::source_fragment(relation, source).tuples();
-                buffer.extend(rows.iter().map(|&row| tuples[row as usize].clone()));
+        match &self.fragments {
+            Fragments::Counting(counts) => {
+                counts[instance % counts.len()].fetch_add(batch.len(), Ordering::Relaxed);
             }
-            _ => buffer.extend(batch.iter().cloned()),
+            Fragments::Materialising { rows, transmitted } => {
+                let mut buffer = lock(&rows[instance % rows.len()]);
+                match (batch.positions(), transmitted) {
+                    (Some((source, positions)), Some(relation)) => {
+                        let tuples = super::source_fragment(relation, source).tuples();
+                        buffer.extend(positions.iter().map(|&row| tuples[row as usize].clone()));
+                    }
+                    _ => buffer.extend(batch.iter().cloned()),
+                }
+            }
         }
         TupleBatch::default()
-    }
-
-    /// The locked result fragment of `instance`.
-    fn buffer(&self, instance: usize) -> MutexGuard<'_, Vec<Tuple>> {
-        self.buffers[instance % self.buffers.len()]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Total number of stored (or, in counting mode, tallied) tuples across
     /// fragments.
     pub fn stored_count(&self) -> usize {
-        if self.discard {
-            self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-        } else {
-            self.buffers
-                .iter()
-                .map(|b| b.lock().unwrap_or_else(PoisonError::into_inner).len())
-                .sum()
+        match &self.fragments {
+            Fragments::Counting(counts) => counts.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
+            Fragments::Materialising { rows, .. } => rows.iter().map(|r| lock(r).len()).sum(),
         }
     }
 
     /// Per-fragment stored counts (used to observe redistribution skew, RS in
     /// the paper's taxonomy). Valid in both modes.
     pub fn fragment_counts(&self) -> Vec<usize> {
-        if self.discard {
-            self.counts
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect()
-        } else {
-            self.buffers
-                .iter()
-                .map(|b| b.lock().unwrap_or_else(PoisonError::into_inner).len())
-                .collect()
+        match &self.fragments {
+            Fragments::Counting(counts) => {
+                counts.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+            }
+            Fragments::Materialising { rows, .. } => rows.iter().map(|r| lock(r).len()).collect(),
         }
     }
 
@@ -150,11 +150,18 @@ impl StoreOperator {
     /// has nothing to drain and returns an empty vector.
     pub fn take_all(&self) -> Vec<Tuple> {
         let mut out = Vec::new();
-        for b in self.buffers.iter() {
-            out.append(&mut b.lock().unwrap_or_else(PoisonError::into_inner));
+        if let Fragments::Materialising { rows, .. } = &self.fragments {
+            for r in rows.iter() {
+                out.append(&mut lock(r));
+            }
         }
         out
     }
+}
+
+/// A result fragment, locked; a panic while it was held left whole rows.
+fn lock(rows: &Mutex<Vec<Tuple>>) -> MutexGuard<'_, Vec<Tuple>> {
+    rows.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -211,7 +211,7 @@ struct ConsumerLink {
 struct OpRuntime {
     node: NodeId,
     name: String,
-    operator: Arc<BoundOperator>,
+    operator: BoundOperator,
     /// One queue per instance, held inline: nothing outside the query
     /// state ever holds a queue, so one allocation covers the whole set.
     queues: Vec<ActivationQueue>,
@@ -277,10 +277,9 @@ impl CompletionCell {
 /// Everything the pool needs to execute one submitted query.
 struct QueryState {
     id: QueryId,
-    /// Operations in topological (producer-before-consumer) order.
+    /// Operations in topological (producer-before-consumer) order; their
+    /// store operators hold the results.
     ops: Vec<OpRuntime>,
-    /// Store operators keyed by result name, for result collection.
-    stores: Vec<(String, Arc<BoundOperator>)>,
     started: Instant,
     // ordering(cancelled): SeqCst store on cancel so the flag is visible
     // before the queues close; the hot-path probes in `is_live` and the
@@ -328,7 +327,6 @@ impl Drop for QueryState {
                 .give(set);
             drop(refused);
         }
-        self.stores.clear();
         // An aborted query was sealed already, and the registry keeps every
         // other query alive until it finishes, so the fallback is never
         // taken.
@@ -827,7 +825,6 @@ impl Runtime {
         let order = plan.topological_order()?;
         let mut ops: Vec<OpRuntime> = Vec::with_capacity(plan.len());
         let mut index_of: BTreeMap<NodeId, usize> = BTreeMap::new();
-        let mut stores: Vec<(String, Arc<BoundOperator>)> = Vec::new();
 
         // Bind operators and create the query's private queue set,
         // producers before consumers.
@@ -843,16 +840,13 @@ impl Runtime {
                 .expect("extended plan covers every node");
             let op_schedule = schedule.operation(*id)?;
 
-            let operator = Arc::new(bind_operator(
+            let operator = bind_operator(
                 catalog,
                 plan,
                 node,
                 ext_op.instance_count(),
                 schedule.discard_results(),
-            )?);
-            if let OperatorKind::Store { result_name } = &node.kind {
-                stores.push((result_name.clone(), Arc::clone(&operator)));
-            }
+            )?;
 
             // A spare set is re-armed in place, its buffers already grown;
             // only the instances it lacks get new queues.
@@ -913,9 +907,9 @@ impl Runtime {
         // Wire consumer links.
         for id in &order {
             let producer_index = index_of[id];
-            if let Some(consumer_id) = plan.consumers(*id).first() {
-                let consumer_index = index_of[consumer_id];
-                let consumer_node = plan.node(*consumer_id)?;
+            if let Some(consumer_id) = plan.consumer(*id) {
+                let consumer_index = index_of[&consumer_id];
+                let consumer_node = plan.node(consumer_id)?;
                 let router = match consumer_node.kind.routing_column() {
                     Some(col) => {
                         let producer_schema = plan.output_schema(*id, catalog)?;
@@ -1003,7 +997,6 @@ impl Runtime {
         let query = Arc::new(QueryState {
             id,
             ops,
-            stores,
             started: Instant::now(),
             cancelled: AtomicBool::new(false),
             ops_remaining,
@@ -1283,8 +1276,8 @@ pub(crate) fn bind_operator(
     // A store is always co-located (`Router::SameInstance`: it has no
     // routing column), so "feeds a counting store" is all there is to check.
     let count_only = discard_results
-        && match plan.consumers(node.id).first() {
-            Some(consumer) => matches!(plan.node(*consumer)?.kind, OperatorKind::Store { .. }),
+        && match plan.consumer(node.id) {
+            Some(consumer) => matches!(plan.node(consumer)?.kind, OperatorKind::Store { .. }),
             None => false,
         };
     let transmitted = match node.producer() {
@@ -1869,7 +1862,7 @@ fn process_batch(
         .as_ref()
         .map(|link| query.ops[link.consumer_index].queues.len())
         .unwrap_or(0);
-    let transmit = match &*op.operator {
+    let transmit = match &op.operator {
         BoundOperator::Transmit(transmit) => Some(transmit),
         _ => None,
     };
@@ -2165,10 +2158,11 @@ fn finalize_query(inner: &Arc<RuntimeInner>, query: &Arc<QueryState>) {
 
     let mut results = BTreeMap::new();
     let mut cardinalities = BTreeMap::new();
-    for (name, operator) in &query.stores {
-        if let BoundOperator::Store(store) = operator.as_ref() {
-            cardinalities.insert(name.clone(), store.stored_count());
-            results.insert(name.clone(), store.take_all());
+    for op in &query.ops {
+        if let BoundOperator::Store(store) = &op.operator {
+            let name = store.result_name();
+            cardinalities.insert(name.to_string(), store.stored_count());
+            results.insert(name.to_string(), store.take_all());
         }
     }
 

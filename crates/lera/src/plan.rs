@@ -104,13 +104,19 @@ impl Plan {
         self.nodes.get(id.0).ok_or(PlanError::UnknownNode(id.0))
     }
 
-    /// The nodes that consume `id`'s pipelined output.
-    pub fn consumers(&self, id: NodeId) -> Vec<NodeId> {
+    /// The node that consumes `id`'s pipelined output, if any. A valid plan
+    /// has at most one ([`PlanError::MultipleConsumers`]).
+    pub fn consumer(&self, id: NodeId) -> Option<NodeId> {
+        self.consumers_of(id).next()
+    }
+
+    /// Every node that consumes `id`'s pipelined output, for the checks
+    /// that reject more than one.
+    pub(crate) fn consumers_of(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.nodes
             .iter()
-            .filter(|n| n.producer() == Some(id))
+            .filter(move |n| n.producer() == Some(id))
             .map(|n| n.id)
-            .collect()
     }
 
     /// The triggered nodes (roots of the dataflow graph).
@@ -126,7 +132,7 @@ impl Plan {
     pub fn sinks(&self) -> Vec<NodeId> {
         self.nodes
             .iter()
-            .filter(|n| self.consumers(n.id).is_empty())
+            .filter(|n| self.consumer(n.id).is_none())
             .map(|n| n.id)
             .collect()
     }
@@ -154,7 +160,7 @@ impl Plan {
         let mut order = Vec::with_capacity(n);
         while let Some(id) = ready.pop() {
             order.push(id);
-            for c in self.consumers(id) {
+            for c in self.consumers_of(id) {
                 in_degree[c.0] -= 1;
                 if in_degree[c.0] == 0 {
                     ready.push(c);
@@ -266,7 +272,7 @@ impl Plan {
                     ),
                 });
             }
-            if self.consumers(node.id).len() > 1 {
+            if self.consumers_of(node.id).nth(1).is_some() {
                 return Err(PlanError::MultipleConsumers(node.id.0));
             }
             self.validate_node_against_catalog(node, catalog)?;

@@ -67,14 +67,14 @@ impl SubqueryDecomposition {
             let mut nodes = vec![head];
             let mut current = head;
             loop {
-                let consumers = plan.consumers(current);
-                match consumers.len() {
-                    0 => break,
-                    1 => {
-                        current = consumers[0];
+                let mut consumers = plan.consumers_of(current);
+                match (consumers.next(), consumers.next()) {
+                    (None, _) => break,
+                    (Some(next), None) => {
+                        current = next;
                         nodes.push(current);
                     }
-                    _ => return Err(PlanError::MultipleConsumers(current.0)),
+                    (Some(_), Some(_)) => return Err(PlanError::MultipleConsumers(current.0)),
                 }
             }
             subqueries.push(Subquery {

@@ -307,12 +307,11 @@ impl<'a> Simulator<'a> {
             // instances), so the threads steps 2–3 reserved for a store are
             // credited back to the producer's pool.
             let store_threads: usize = plan
-                .consumers(id)
-                .iter()
-                .filter_map(|c| plan.node(*c).ok())
+                .consumer(id)
+                .and_then(|c| plan.node(c).ok())
                 .filter(|c| matches!(c.kind, OperatorKind::Store { .. }))
-                .filter_map(|c| op_threads.get(&c.id))
-                .sum();
+                .and_then(|c| op_threads.get(&c.id).copied())
+                .unwrap_or(0);
             let pool_threads = (op_threads[&id] + store_threads).min(threads);
 
             let (mut activations, tuples_out) =
@@ -334,7 +333,7 @@ impl<'a> Simulator<'a> {
             // If this operation feeds a pipelined consumer, derive the
             // consumer's activations (with release times) from the producer's
             // per-instance start times and the actual tuples.
-            if let Some(consumer_id) = plan.consumers(id).first().copied() {
+            if let Some(consumer_id) = plan.consumer(id) {
                 let consumer = plan.node(consumer_id)?;
                 if matches!(
                     consumer.kind,
@@ -393,9 +392,8 @@ impl<'a> Simulator<'a> {
     ) -> Result<(Vec<SimActivation>, usize)> {
         let node = plan.node(id)?;
         let consumer_is_store = plan
-            .consumers(id)
-            .first()
-            .and_then(|c| plan.node(*c).ok())
+            .consumer(id)
+            .and_then(|c| plan.node(c).ok())
             .map(|c| matches!(c.kind, OperatorKind::Store { .. }))
             .unwrap_or(false);
         let costs = &config.costs;
