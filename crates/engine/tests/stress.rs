@@ -8,8 +8,8 @@ use dbs3_engine::{
     SchedulerOptions,
 };
 use dbs3_lera::{
-    plans, CostParameters, ExtendedPlan, JoinAlgorithm, NodeId, OperatorKind, Plan, PlanError,
-    Predicate,
+    plans, CostParameters, ExtendedPlan, JoinAlgorithm, JoinCondition, NodeId, OperatorKind, Plan,
+    PlanBuilder, PlanError, Predicate,
 };
 use dbs3_storage::{
     Catalog, ColumnDef, PartitionSpec, PartitionedRelation, Relation, Schema, Tuple, Value,
@@ -77,6 +77,59 @@ fn tiny_queue_capacity_does_not_deadlock() {
     let schedule = manual_schedule(&plan, 6, 2, 1);
     let outcome = execute(&cat, &plan, &schedule).unwrap();
     assert_eq!(outcome.results["Result"].len(), 400);
+}
+
+/// Backpressure through both kinds of scatter set at once. In
+/// transmit(B′) → join(A) → join(C) → store with queue capacity 2 and cache
+/// size 1, a worker flushing positions finds the first join's queue full
+/// and helps drain it, scattering that join's tuples one nesting depth
+/// down, and helps the second join a depth further. Three materialising
+/// and three discarding runs on one runtime reuse the buffers the earlier
+/// runs left at every depth; each must count the sequential reference.
+#[test]
+fn nested_help_through_both_kinds_of_scatter_set() {
+    let a = int_relation("A", 0..2_000);
+    let b = int_relation("Bprime", 0..600);
+    let c = int_relation("C", 0..300);
+    let b_a = b.reference_join(&a, "unique1", "unique1").unwrap();
+    let expected = Relation::new("BA", b.schema().join(a.schema(), "A"), b_a)
+        .unwrap()
+        .reference_join(&c, "unique1", "unique1")
+        .unwrap()
+        .len();
+    assert_eq!(expected, 300);
+    let mut cat = catalog_with(a, b, 8);
+    cat.register(
+        PartitionedRelation::from_relation(&c, PartitionSpec::on("unique1", 8, 2)).unwrap(),
+    )
+    .unwrap();
+    // The first join's output prefixes A's colliding columns, so
+    // `unique1` still names B′'s key for the second.
+    let plan = {
+        let mut p = PlanBuilder::new("JoinChain");
+        let transmit = p.transmit("Bprime", "unique1");
+        let natural = || JoinCondition::natural("unique1");
+        let first = p.pipelined_join(transmit, "A", natural(), JoinAlgorithm::Hash);
+        let second = p.pipelined_join(first, "C", natural(), JoinAlgorithm::Hash);
+        p.store(second, "Result");
+        p.build()
+    };
+    let runtime = Runtime::new(2).unwrap();
+    let schedule = manual_schedule(&plan, 2, 2, 1);
+    for discard in [false, true, false, true, false, true] {
+        let schedule = schedule.clone().with_discard_results(discard);
+        let outcome = runtime
+            .submit(&cat, &plan, &schedule)
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(
+            outcome.cardinalities["Result"], expected,
+            "discard {discard}"
+        );
+        let built = if discard { 0 } else { expected };
+        assert_eq!(outcome.results["Result"].len(), built, "discard {discard}");
+    }
 }
 
 /// A cache size far larger than the queue capacity must still flush
