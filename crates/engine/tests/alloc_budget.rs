@@ -164,19 +164,21 @@ fn discarding_queries_allocate_a_few_times_per_operator_instance() {
     // AssocJoin: transmit B′ → scatter → pipelined join → store, so pops,
     // queue sets, scatter batches and index lookups are all on the path.
     // IdealJoin: triggered join → store, no redistribution. Measured warm at
-    // degree 20 on 2 workers, the most of three queries: 71–88 and 59 (206
-    // and 99 while every query built fresh queues and new buffers of
-    // positions); the budgets leave 32 and 21 allocations of margin.
+    // degree 20 on 2 workers, the most of three queries: 51–58 and 46 once
+    // each operator had one owner, the store one tally array and the plan
+    // no consumer vectors (70–88 and 58–59 before; 206 and 99 while every
+    // query built fresh queues and new buffers of positions); the budgets
+    // leave 22 and 14 allocations of margin.
     for (name, plan, per_instance) in [
         (
             "assoc_join",
             plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash),
-            6,
+            4,
         ),
         (
             "ideal_join",
             plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash),
-            4,
+            3,
         ),
     ] {
         let (rows, _, allocs) = warm_count(&counted_runner(&cat, &plan, &runtime));
@@ -190,7 +192,7 @@ fn discarding_queries_allocate_a_few_times_per_operator_instance() {
 }
 
 /// A warm query's allocations do not grow with its operator instances:
-/// the fewest of three queries read 71 at degree 20 and at degree 200,
+/// the fewest of three queries read 51 at degree 20 and at degree 200,
 /// where building fresh queues and new buffers of positions for every
 /// query made 206 and 872. The most of three may add a high-water mark's
 /// few allocations, never one per queue (180 more at degree 200).
