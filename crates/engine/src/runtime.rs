@@ -1371,11 +1371,13 @@ pub(crate) fn bind_operator(
 /// identical allocation counts (measured on `local_assoc_pipeline` and
 /// `local_ideal_skew`). Owned by the worker and passed down its call path,
 /// a buffer is touched only by the batch that uses it.
+#[derive(Default)]
 struct WorkerCtx {
     id: usize,
-    /// Frames not in use. A caller takes the top one for its depth and puts
-    /// it back when done; calls nest, so the top is always the frame its
-    /// depth had last time, and the stack is as deep as the deepest help.
+    /// Frames not in use. A caller pops the top one for its depth (a fresh
+    /// one when there is none) and pushes it back when done; calls nest, so
+    /// the top is always the frame its depth had last time, and the stack
+    /// is as deep as the deepest help.
     frames: Vec<Frame>,
     /// This worker's magazine of consumed buffers of positions (Bonwick &
     /// Adams, USENIX 2001): at most [`STASH_BUFFERS`], exchanged with the
@@ -1402,24 +1404,6 @@ struct Frame {
 }
 
 impl WorkerCtx {
-    fn new(id: usize) -> Self {
-        WorkerCtx {
-            id,
-            frames: Vec::new(),
-            stash: Vec::new(),
-        }
-    }
-
-    /// The frame for the next help-nesting depth.
-    fn take_frame(&mut self) -> Frame {
-        self.frames.pop().unwrap_or_default()
-    }
-
-    /// Gives back the frame [`WorkerCtx::take_frame`] handed out last.
-    fn put_frame(&mut self, frame: Frame) {
-        self.frames.push(frame);
-    }
-
     /// A buffer of positions with room for a `cache_size` batch: one from
     /// the stash, which an empty stash first refills with half a stash from
     /// `inner`'s depot, or a new one when both are empty.
@@ -1463,7 +1447,10 @@ impl WorkerCtx {
 /// parallelism) and entries rotate FIFO across every ready op of every
 /// query (cross-query fairness).
 fn worker_loop(inner: &Arc<RuntimeInner>, worker: usize) {
-    let mut ctx = WorkerCtx::new(worker);
+    let mut ctx = WorkerCtx {
+        id: worker,
+        ..WorkerCtx::default()
+    };
     loop {
         if inner.shutdown.load(Ordering::SeqCst) {
             return;
@@ -1588,7 +1575,7 @@ fn try_process_op(
         }
         // Depth 0's frame; a panic drops it, and the next batch starts
         // a fresh one.
-        let mut frame = ctx.take_frame();
+        let mut frame = ctx.frames.pop().unwrap_or_default();
         let main = main_slice(ctx.id, inner.pool_threads, op.queues.len());
         let worked = match select_and_pop(op, main, &mut frame.popped) {
             Some((queue_index, main, weight)) => {
@@ -1612,7 +1599,7 @@ fn try_process_op(
                 false
             }
         };
-        ctx.put_frame(frame);
+        ctx.frames.push(frame);
         Processed::Worked(worked)
     }));
     // Seal the typed failure BEFORE dropping the claim: a batch
@@ -2082,7 +2069,7 @@ fn help_drain(
         std::thread::yield_now();
         return;
     }
-    let mut frame = ctx.take_frame();
+    let mut frame = ctx.frames.pop().unwrap_or_default();
     let queue = &consumer.queues[dest];
     let weight = queue.try_pop_into(consumer.cache_size, &mut frame.popped);
     if queue.is_empty() {
@@ -2094,7 +2081,7 @@ fn help_drain(
         consumer.state.apply(Event::Popped(weight as u64));
         process_batch(inner, query, consumer_index, dest, false, &mut frame, ctx);
     }
-    ctx.put_frame(frame);
+    ctx.frames.push(frame);
     if consumer.state.apply(Event::End).1 == Effect::Finished {
         finish_op(inner, query, consumer_index);
     }
