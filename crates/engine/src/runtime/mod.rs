@@ -72,7 +72,7 @@ use parking::{watchdog_loop, IdleParking};
 use route::{ConsumerLink, Router};
 #[cfg(test)]
 use spares::SpareCounts;
-use spares::SpareSets;
+use spares::Spares;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::mem;
@@ -173,7 +173,7 @@ struct QueryState {
     finished: Mutex<Option<ExecutionOutcome>>,
     /// The runtime's spare queue sets, which this query's sets join when
     /// it drops.
-    spares: Arc<Mutex<SpareSets>>,
+    spares: Arc<Mutex<Spares>>,
 }
 
 impl Drop for QueryState {
@@ -236,10 +236,7 @@ struct RuntimeInner {
     idle: IdleParking,
     /// Queue sets of dropped queries, shared with every query so its drop
     /// can return them.
-    spares: Arc<Mutex<SpareSets>>,
-    /// Buffers of positions the workers' stashes spill to and refill from
-    /// (see [`WorkerCtx::stash_position_buffer`](worker::WorkerCtx::stash_position_buffer)).
-    depot: Mutex<Vec<Vec<u32>>>,
+    spares: Arc<Mutex<Spares>>,
 }
 
 impl RuntimeInner {
@@ -370,7 +367,6 @@ impl Runtime {
             shutdown: AtomicBool::new(false),
             idle: IdleParking::new(),
             spares: Arc::default(),
-            depot: Mutex::new(Vec::new()),
         });
         #[expect(
             clippy::expect_used,
@@ -413,25 +409,11 @@ impl Runtime {
     /// What the runtime keeps for later queries.
     #[cfg(test)]
     fn spare_counts(&self) -> SpareCounts {
-        let spares = self
-            .inner
+        self.inner
             .spares
             .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let depot = self
-            .inner
-            .depot
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let queues = || spares.sets.iter().flat_map(|set| &set.queues);
-        SpareCounts {
-            sets: spares.sets.len(),
-            queues: spares.sets.iter().map(|set| set.queues.capacity()).sum(),
-            slots: queues().map(ActivationQueue::buffer_capacity).sum(),
-            weight: queues().map(ActivationQueue::len).sum(),
-            depot: depot.len(),
-            depot_positions: depot.iter().map(Vec::capacity).sum(),
-        }
+            .unwrap_or_else(PoisonError::into_inner)
+            .counts()
     }
 
     /// Number of queries currently registered (submitted, not yet completed

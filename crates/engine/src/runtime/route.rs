@@ -145,7 +145,7 @@ pub(super) fn process_batch(
                 let Some(link) = &op.consumer else { return };
                 let buffer = scatter_buffer(positions, dest, consumer_degree);
                 if buffer.capacity() == 0 {
-                    *buffer = ctx.take_position_buffer(inner, op.cache_size);
+                    *buffer = ctx.stash.take(&inner.spares, op.cache_size);
                 }
                 if buffer_push(buffer, position, op.cache_size) {
                     let batch = TupleBatch::from_positions(source, mem::take(buffer));
@@ -168,7 +168,7 @@ pub(super) fn process_batch(
         // Positions are only read, so their buffer stays on this worker for
         // the next batch a transmit fills here.
         if let Some(rows) = activation.into_batch().and_then(TupleBatch::into_positions) {
-            ctx.stash_position_buffer(inner, rows);
+            ctx.stash.keep(&inner.spares, rows);
         }
         tuples_out += out.len() as u64;
         let Some(link) = &op.consumer else { continue };

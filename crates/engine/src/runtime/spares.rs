@@ -1,31 +1,40 @@
 //! What a warm runtime keeps for later queries.
 
 use crate::queue::ActivationQueue;
+use std::sync::{Mutex, PoisonError};
 
-/// Emptied queue sets of dropped queries, which later submissions re-arm
-/// ([`ActivationQueue::rearm`]) instead of building queues whose buffers
-/// every warm query would grow again. Bounded by [`SPARE_SETS`] sets,
-/// room for [`SPARE_QUEUES`] queues and [`SPARE_SLOTS`] buffered-activation
-/// slots in all; see [`Runtime`](super::Runtime) for the memory that makes.
+/// Everything a runtime keeps for later queries, behind the one lock that
+/// a dropped query's state and a worker's stash exchange both take:
+///
+/// * emptied queue sets of dropped queries, which later submissions re-arm
+///   ([`ActivationQueue::rearm`]) instead of building queues whose buffers
+///   every warm query would grow again. Bounded by [`SPARE_SETS`] sets,
+///   room for [`SPARE_QUEUES`] queues and [`SPARE_SLOTS`] buffered-activation
+///   slots in all;
+/// * the depot of buffers of positions the workers' [`Stash`]es spill to
+///   and refill from, at most [`DEPOT_BUFFERS`].
+///
+/// See [`Runtime`](super::Runtime) for the memory that makes.
 #[derive(Default)]
-pub(super) struct SpareSets {
-    pub(super) sets: Vec<SpareSet>,
+pub(super) struct Spares {
+    sets: Vec<SpareSet>,
     /// Room for queues over all of `sets`: their vectors' capacity, which
     /// a set truncated for a narrower operation, or extended for a wider
     /// one, keeps.
     queues: usize,
     /// Room for activations over all their buffers.
     slots: usize,
+    depot: Vec<Vec<u32>>,
 }
 
 /// One operation's emptied queue set.
-pub(super) struct SpareSet {
-    pub(super) queues: Vec<ActivationQueue>,
+struct SpareSet {
+    queues: Vec<ActivationQueue>,
     /// Room for activations its buffers keep.
     slots: usize,
 }
 
-impl SpareSets {
+impl Spares {
     /// Takes the set that best fits an operation with `n` instances: the
     /// shortest set at least `n` long, of those the one with the most
     /// room, else the longest; an empty one when there is none.
@@ -71,25 +80,81 @@ impl SpareSets {
         self.sets.push(SpareSet { queues, slots });
         None
     }
+
+    /// What the spares hold, counted from the sets and buffers themselves
+    /// rather than from the bookkeeping that enforces the bounds.
+    #[cfg(test)]
+    pub(super) fn counts(&self) -> SpareCounts {
+        let queues = || self.sets.iter().flat_map(|set| &set.queues);
+        SpareCounts {
+            sets: self.sets.len(),
+            queues: self.sets.iter().map(|set| set.queues.capacity()).sum(),
+            slots: queues().map(ActivationQueue::buffer_capacity).sum(),
+            weight: queues().map(ActivationQueue::len).sum(),
+            depot: self.depot.len(),
+            depot_positions: self.depot.iter().map(Vec::capacity).sum(),
+        }
+    }
 }
 
-/// What [`Runtime::spare_counts`] reports, each counted from what is held
-/// rather than taken from the bookkeeping that enforces the bounds.
+/// One worker's magazine of consumed buffers of positions (Bonwick &
+/// Adams, USENIX 2001): at most [`STASH_BUFFERS`], exchanged with the
+/// depot in [`Spares`] half a stash at a time, one lock per exchange.
+#[derive(Default)]
+pub(super) struct Stash(Vec<Vec<u32>>);
+
+impl Stash {
+    /// A buffer of positions with room for a `cache_size` batch: one from
+    /// the stash, which an empty stash first refills with half a stash from
+    /// the depot, or a new one when both are empty.
+    pub(super) fn take(&mut self, spares: &Mutex<Spares>, cache_size: usize) -> Vec<u32> {
+        if self.0.is_empty() {
+            let depot = &mut spares.lock().unwrap_or_else(PoisonError::into_inner).depot;
+            let from = depot.len().saturating_sub(STASH_BUFFERS / 2);
+            self.0.extend(depot.drain(from..));
+        }
+        let mut buffer = self.0.pop().unwrap_or_default();
+        buffer.reserve_exact(cache_size.min(MAX_RESERVED_BATCH));
+        buffer
+    }
+
+    /// Keeps a consumed batch's buffer of positions. A full stash first
+    /// spills half of itself to the depot; what the depot has no room for
+    /// is freed, and so is a buffer too large to keep.
+    pub(super) fn keep(&mut self, spares: &Mutex<Spares>, mut buffer: Vec<u32>) {
+        if buffer.capacity() == 0 || buffer.capacity() > MAX_RESERVED_BATCH {
+            return;
+        }
+        buffer.clear();
+        if self.0.len() >= STASH_BUFFERS {
+            let mut spill = self.0.drain(STASH_BUFFERS / 2..);
+            {
+                let depot = &mut spares.lock().unwrap_or_else(PoisonError::into_inner).depot;
+                let room = DEPOT_BUFFERS.saturating_sub(depot.len());
+                depot.extend(spill.by_ref().take(room));
+            }
+            drop(spill);
+        }
+        self.0.push(buffer);
+    }
+}
+
+/// What [`Runtime::spare_counts`](super::Runtime::spare_counts) reports.
 #[cfg(test)]
 #[derive(Debug)]
 pub(super) struct SpareCounts {
     /// Spare queue sets.
-    pub(super) sets: usize,
+    sets: usize,
     /// Room for queues in their vectors.
-    pub(super) queues: usize,
+    queues: usize,
     /// Their buffers' room, in activations.
-    pub(super) slots: usize,
+    slots: usize,
     /// Queue weight they hold, which a dropped query leaves at 0.
-    pub(super) weight: usize,
+    weight: usize,
     /// Buffers of positions in the depot.
-    pub(super) depot: usize,
+    depot: usize,
     /// Room for positions over the depot's buffers.
-    pub(super) depot_positions: usize,
+    depot_positions: usize,
 }
 
 /// Most emptied queue sets a runtime keeps for later queries.
@@ -102,9 +167,9 @@ const SPARE_QUEUE_SLOTS: usize = 1024;
 /// Most activations the buffers of all spare queues keep room for.
 const SPARE_SLOTS: usize = 65_536;
 /// Most buffers of positions in one worker's stash.
-pub(super) const STASH_BUFFERS: usize = 64;
+const STASH_BUFFERS: usize = 64;
 /// Most buffers of positions in a runtime's depot.
-pub(super) const DEPOT_BUFFERS: usize = 1024;
+const DEPOT_BUFFERS: usize = 1024;
 /// Most items a scatter buffer reserves room for ahead of its pushes; a
 /// buffer of positions with more room is freed rather than kept.
 pub(super) const MAX_RESERVED_BATCH: usize = 1024;

@@ -80,7 +80,7 @@
 //! above.
 
 use super::route::process_batch;
-use super::spares::{DEPOT_BUFFERS, MAX_RESERVED_BATCH, STASH_BUFFERS};
+use super::spares::Stash;
 use super::{abort_query, finish_op, OpRuntime, QueryState, RuntimeInner};
 use crate::activation::Activation;
 use crate::error::EngineError;
@@ -110,10 +110,7 @@ pub(super) struct WorkerCtx {
     /// the top is always the frame its depth had last time, and the stack
     /// is as deep as the deepest help.
     pub(super) frames: Vec<Frame>,
-    /// This worker's magazine of consumed buffers of positions (Bonwick &
-    /// Adams, USENIX 2001): at most [`STASH_BUFFERS`], exchanged with the
-    /// runtime's depot half a stash at a time, one lock per exchange.
-    stash: Vec<Vec<u32>>,
+    pub(super) stash: Stash,
 }
 
 /// The buffers one batch works in: the activations popped for it and the
@@ -132,46 +129,6 @@ pub(super) struct Frame {
     pub(super) tuples: Vec<Vec<Tuple>>,
     /// A transmit's buffers of row positions.
     pub(super) positions: Vec<Vec<u32>>,
-}
-
-impl WorkerCtx {
-    /// A buffer of positions with room for a `cache_size` batch: one from
-    /// the stash, which an empty stash first refills with half a stash from
-    /// `inner`'s depot, or a new one when both are empty.
-    pub(super) fn take_position_buffer(
-        &mut self,
-        inner: &RuntimeInner,
-        cache_size: usize,
-    ) -> Vec<u32> {
-        if self.stash.is_empty() {
-            let mut depot = inner.depot.lock().unwrap_or_else(PoisonError::into_inner);
-            let from = depot.len().saturating_sub(STASH_BUFFERS / 2);
-            self.stash.extend(depot.drain(from..));
-        }
-        let mut buffer = self.stash.pop().unwrap_or_default();
-        buffer.reserve_exact(cache_size.min(MAX_RESERVED_BATCH));
-        buffer
-    }
-
-    /// Keeps a consumed batch's buffer of positions in the stash. A full
-    /// stash first spills half of itself to `inner`'s depot; what the depot
-    /// has no room for is freed, and so is a buffer too large to keep.
-    pub(super) fn stash_position_buffer(&mut self, inner: &RuntimeInner, mut buffer: Vec<u32>) {
-        if buffer.capacity() == 0 || buffer.capacity() > MAX_RESERVED_BATCH {
-            return;
-        }
-        buffer.clear();
-        if self.stash.len() >= STASH_BUFFERS {
-            let mut spill = self.stash.drain(STASH_BUFFERS / 2..);
-            {
-                let mut depot = inner.depot.lock().unwrap_or_else(PoisonError::into_inner);
-                let room = DEPOT_BUFFERS.saturating_sub(depot.len());
-                depot.extend(spill.by_ref().take(room));
-            }
-            drop(spill);
-        }
-        self.stash.push(buffer);
-    }
 }
 
 /// The body of one pool worker: pop the front ready-deque entry, re-push
