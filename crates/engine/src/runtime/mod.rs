@@ -137,8 +137,10 @@ impl OpRuntime {
     }
 }
 
-/// Per-operation, per-worker thread metrics slots of one query.
-type MetricsSlots = Vec<Vec<Mutex<ThreadMetrics>>>;
+/// Thread metrics slots of one query, one per operation and worker, in
+/// one allocation: worker `w`'s slot for operation `op` is
+/// `op * pool_threads + w`.
+type MetricsSlots = Box<[Mutex<ThreadMetrics>]>;
 
 /// Everything the pool needs to execute one submitted query.
 struct QueryState {
@@ -497,7 +499,6 @@ impl Runtime {
 
         let order = plan.topological_order()?;
         let mut ops: Vec<OpRuntime> = Vec::with_capacity(plan.len());
-        let mut index_of: BTreeMap<NodeId, usize> = BTreeMap::new();
 
         // Bind operators and create the query's private queue set,
         // producers before consumers.
@@ -564,7 +565,6 @@ impl Runtime {
                 ring[n + queue] = position;
             }
 
-            index_of.insert(*id, ops.len());
             ops.push(OpRuntime {
                 node: *id,
                 name: node.name.clone(),
@@ -577,11 +577,18 @@ impl Runtime {
             });
         }
 
-        // Wire consumer links.
-        for id in &order {
-            let producer_index = index_of[id];
+        // Wire consumer links. `ops` follows `order`, so an operation's
+        // index is its position there.
+        for (producer_index, id) in order.iter().enumerate() {
             if let Some(consumer_id) = plan.consumer(*id) {
-                let consumer_index = index_of[&consumer_id];
+                #[expect(
+                    clippy::expect_used,
+                    reason = "topological_order lists every node of the plan, consumers included"
+                )]
+                let consumer_index = order
+                    .iter()
+                    .position(|&node| node == consumer_id)
+                    .expect("the order covers every node");
                 let consumer_node = plan.node(consumer_id)?;
                 let router = match consumer_node.kind.routing_column() {
                     Some(col) => {
@@ -658,13 +665,8 @@ impl Runtime {
         }
 
         let id = QueryId(self.inner.next_query.fetch_add(1, Ordering::SeqCst));
-        let metrics: MetricsSlots = ops
-            .iter()
-            .map(|_| {
-                (0..self.inner.pool_threads)
-                    .map(|_| Mutex::new(ThreadMetrics::default()))
-                    .collect()
-            })
+        let metrics: MetricsSlots = (0..ops.len() * self.inner.pool_threads)
+            .map(|_| Mutex::new(ThreadMetrics::default()))
             .collect();
         let ops_remaining = AtomicUsize::new(ops.len());
         let query = Arc::new(QueryState {
@@ -818,7 +820,7 @@ fn honor_submit_fault() -> Result<()> {
 /// (the one other form a batch may take). A hash or temporary-index join
 /// builds each inner fragment's index on the worker whose activation first
 /// needs it.
-pub(crate) fn bind_operator(
+fn bind_operator(
     catalog: &Catalog,
     plan: &Plan,
     node: &dbs3_lera::OperatorNode,
@@ -939,12 +941,12 @@ fn finalize_query(inner: &Arc<RuntimeInner>, query: &Arc<QueryState>) {
     let operations: Vec<OperationMetrics> = query
         .ops
         .iter()
-        .enumerate()
-        .map(|(op_index, op)| {
+        .zip(query.metrics.chunks(inner.pool_threads))
+        .map(|(op, slots)| {
             // A slot counts if it recorded any work at all: a thread that
             // only processed non-lead morsels has zero logical activations
             // but real busy time and output tuples.
-            let mut threads: Vec<ThreadMetrics> = query.metrics[op_index]
+            let mut threads: Vec<ThreadMetrics> = slots
                 .iter()
                 .map(|slot| slot.lock().unwrap_or_else(PoisonError::into_inner).clone())
                 .filter(|tm| tm.activations > 0 || tm.tuples_out > 0 || tm.busy > Duration::ZERO)

@@ -239,7 +239,7 @@ pub(super) fn process_batch(
     // spent helping a congested downstream operation is charged to that
     // operation (by its own nested process_batch) and subtracted here, so
     // summed busy time never exceeds wall-clock × workers.
-    let mut slot = query.metrics[op_index][ctx.id]
+    let mut slot = query.metrics[op_index * inner.pool_threads + ctx.id]
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
     slot.thread = ctx.id;

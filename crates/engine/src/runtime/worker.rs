@@ -231,7 +231,7 @@ fn try_process_op(
             None => {
                 // The pending hint said there was work but every queue
                 // probe came up empty (another worker got there first).
-                let mut slot = query.metrics[op_index][ctx.id]
+                let mut slot = query.metrics[op_index * inner.pool_threads + ctx.id]
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner);
                 slot.thread = ctx.id;
