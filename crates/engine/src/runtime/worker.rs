@@ -427,6 +427,10 @@ impl<F: Fn(usize) -> u64> Iterator for OccupiedChunks<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op_state::{OpState, OpWord};
+    use crate::operators::{BoundOperator, StoreOperator};
+    use crate::queue::ActivationQueue;
+    use dbs3_lera::NodeId;
 
     /// The consumption order of the ring: every position from the first
     /// entry of `worker`'s [`main_slice`], wrapping once, each with whether
@@ -552,5 +556,42 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Two queues behind one occupancy bit each hold an activation. The pop
+    /// that empties the first settles the bit, and the settle must leave it
+    /// set for the second: at 1 024 queues a bit covers two ring positions,
+    /// so a settle that clears the bit without re-reading the chunk, or
+    /// never sets it again, hides the second queue from every later walk.
+    #[test]
+    fn a_settled_chunk_keeps_its_bit_while_another_of_its_queues_holds_work() {
+        let n = 1024;
+        let mut ring: Vec<u32> = (0..n as u32).collect();
+        ring.extend(0..n as u32);
+        let op = OpRuntime {
+            node: NodeId(0),
+            name: "store".to_string(),
+            operator: BoundOperator::Store(StoreOperator::counting("R", n)),
+            queues: (0..n).map(|i| ActivationQueue::new(i, 4, 1.0)).collect(),
+            cache_size: 1,
+            consumer: None,
+            ring,
+            state: OpWord::new(OpState::default()),
+        };
+        assert_eq!(chunk(0, n), 0..2);
+        for queue in chunk(0, n) {
+            op.queues[queue].push(Activation::Trigger);
+            op.state.mark(op.bit_of(queue));
+        }
+        let main = main_slice(0, 1, n);
+        let mut popped = Vec::new();
+        let mut pop = || select_and_pop(&op, main.clone(), &mut popped).map(|(queue, ..)| queue);
+        assert_eq!(pop(), Some(0));
+        assert_eq!(
+            pop(),
+            Some(1),
+            "the chunk's bit was lost with work behind it"
+        );
+        assert_eq!(pop(), None);
     }
 }
