@@ -45,9 +45,8 @@
 //! relation. The consumer only reads them, so the runtime keeps the
 //! buffer once it is consumed: it goes to the consuming worker's stash,
 //! and a producing worker fills its next batch of positions from its own
-//! stash (the runtime's `take_position_buffer` and
-//! `stash_position_buffer`), so a warm runtime ships positions without
-//! allocating.
+//! stash (the runtime's `Stash::take` and `Stash::keep`), so a warm
+//! runtime ships positions without allocating.
 //!
 //! The runtime decides both once per operator, at bind time, from the
 //! schedule's `discard_results` and the plan edge; every place that reads

@@ -49,8 +49,8 @@
 //! [`OpWord`] keeps a 512-bit summary of it beside the word, in padding the
 //! word had anyway. The summary changes outside [`apply`], by a mark after
 //! each push and a clear-then-recheck settle after a pop that empties a
-//! queue; the runtime's module docs give that protocol, and a second
-//! explorer below checks it.
+//! queue; the runtime's `worker` module docs give that protocol, and a
+//! second explorer below checks it.
 
 use crate::sync::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -242,9 +242,9 @@ const OCCUPANCY_WORDS: usize = OCCUPANCY_BITS / 64;
 ///
 /// The summary is [`OCCUPANCY_BITS`] bits over the operation's cost-ordered
 /// ring of queues: bit `b` is set when a queue of ring chunk `b` may hold
-/// work (the runtime's module docs give the chunks and the protocol that
-/// keeps every non-empty queue's bit set). The bits live in padding the word
-/// had anyway, so they cost no allocation and no byte.
+/// work (the runtime's `worker` module docs give the chunks and the
+/// protocol that keeps every non-empty queue's bit set). The bits live in
+/// padding the word had anyway, so they cost no allocation and no byte.
 ///
 /// [`OpWord::new`] starts with every bit clear. Submit replaces the word of
 /// a triggered operation after filling its queues, so it marks their bits

@@ -1,10 +1,14 @@
+//! The caller's side of a submitted query: the handle it waits on or
+//! cancels through, the completion cell the handle reads and the outcome
+//! sealed into it.
+//!
 //! Cancellation ([`QueryHandle::cancel`]) closes and drains the query's
-//! queues and completes the cell with
-//! [`EngineError::QueryCancelled`]; in-flight workers notice the closed
-//! queues (their flushes are dropped) and move on, leaving the pool
-//! reusable. Dropping the [`Runtime`](super::Runtime) signals shutdown, joins the workers,
-//! and fails any still-pending query with [`EngineError::RuntimeShutdown`]
-//! so no waiter ever hangs.
+//! queues and completes the cell with [`EngineError::QueryCancelled`];
+//! in-flight workers notice the closed queues (their flushes are dropped)
+//! and move on, leaving the pool reusable. Dropping the
+//! [`Runtime`](super::Runtime) signals shutdown, joins the workers, and
+//! fails any still-pending query with [`EngineError::RuntimeShutdown`] so
+//! no waiter ever hangs.
 
 use super::{abort_query, QueryId, QueryState, RuntimeInner};
 use crate::error::EngineError;
@@ -97,8 +101,9 @@ impl QueryHandle {
 
     /// Like [`QueryHandle::wait`] with a deadline: blocks for at most
     /// `timeout`, and a timeout **cancels the query** — its queues are
-    /// closed and drained, the admission slot ([`Runtime::live_queries`](super::Runtime::live_queries))
-    /// is released immediately, and the typed
+    /// closed and drained, the admission slot
+    /// ([`Runtime::live_queries`](super::Runtime::live_queries)) is
+    /// released immediately, and the typed
     /// [`EngineError::DeadlineExceeded`] is returned. This is the deadline
     /// primitive a server wants: a wait that merely gave up would leave the
     /// timed-out query burning workers and holding its slot until it

@@ -10,10 +10,22 @@
 //! one [`ActivationQueue`] per operation instance, exactly the structure
 //! of Figure 4 — tags it with a [`QueryId`], and registers it with the pool.
 //! A set comes re-armed from an earlier query when the runtime holds one
-//! (see [`Runtime`] for what a warm runtime keeps).
+//! (the `spares` module keeps it).
 //! Workers then pick activations **across all live queries**, still under
 //! the paper's main/secondary queue split, so the intra-query scheduling of
 //! Section 3 extends to inter-query scheduling without new mechanism.
+//!
+//! Each part of that model is decided in one file:
+//!
+//! * this one: the runtime, a query's state, submit, shutdown and abort,
+//!   and the termination cascade that seals a query;
+//! * `handle.rs`: the handle a caller waits on and its completion cell;
+//! * `spares.rs`: what a warm runtime keeps for later queries;
+//! * `parking.rs`: how idle workers sleep and wake, and the watchdog;
+//! * `worker.rs`: how a worker finds work, from the ready deque to the
+//!   queue it pops;
+//! * `route.rs`: where a batch's output goes: the producer-side cache,
+//!   its flushes and cooperative backpressure.
 //!
 //! # Morsels
 //!
@@ -27,7 +39,7 @@
 //! whatever the morsel size, which `tests/backend_equivalence.rs` pins
 //! across backends.
 //!
-//! # Threads, termination, backpressure and idling
+//! # Threads and termination
 //!
 //! * **Threads belong to the runtime.** No operation of a query owns a
 //!   thread, and the pool width bounds actual parallelism. Per-operation
@@ -128,7 +140,7 @@ impl OpRuntime {
     }
 
     /// Clears chunk `bit`'s occupancy bit, then sets it again if a queue
-    /// of the chunk holds work (see the module docs).
+    /// of the chunk holds work (see the `worker` module docs).
     fn settle(&self, bit: usize) {
         let n = self.queues.len();
         self.state.settle(bit, || {
@@ -223,7 +235,8 @@ struct RuntimeInner {
     /// deque instead.
     queries: Mutex<Vec<Arc<QueryState>>>,
     /// The global ready-op deque: at most one `(query, op)` entry per
-    /// operation that has buffered activations (see the module docs).
+    /// operation that has buffered activations (see the `worker` module
+    /// docs).
     /// Workers pop the front; producers announce at the back.
     ready: Mutex<VecDeque<(Arc<QueryState>, usize)>>,
     // ordering(next_query): SeqCst — id allocation; uniqueness is all that
@@ -236,8 +249,9 @@ struct RuntimeInner {
     // more batch before exit.
     shutdown: AtomicBool,
     idle: IdleParking,
-    /// Queue sets of dropped queries, shared with every query so its drop
-    /// can return them.
+    /// What the runtime keeps for later queries: the queue sets of dropped
+    /// queries, shared with every query so its drop can return them, and
+    /// the depot the workers' stashes exchange with.
     spares: Arc<Mutex<Spares>>,
 }
 
@@ -289,24 +303,11 @@ fn announce_op(inner: &RuntimeInner, query: &Arc<QueryState>, op_index: usize) {
 /// # Memory a warm runtime keeps
 ///
 /// So that a warm query allocates no queue buffer and no batch of
-/// positions, a runtime keeps two kinds of spares, each bounded by
-/// constants:
-///
-/// * **Queue sets.** A dropped query's sets, emptied, wait for a later
-///   submit to re-arm them: at most 16 sets, whose vectors have room for
-///   at most 4 096 queues in all (their capacity counts, not their
-///   length), and whose buffers keep room for at most 65 536 activations
-///   (a queue's buffer grown past 1 024 is freed first). At 88 bytes a
-///   queue, 32 an activation and 32 a set's record, that is at most
-///   2 458 112 bytes (2.34 MiB).
-/// * **Buffers of positions.** A consumed batch's buffer stays in the
-///   consuming worker's stash of at most 64 buffers; stashes exchange half
-///   their buffers with a depot of at most 1 024. A kept buffer holds at
-///   most 1 024 positions (4 KiB), so the depot keeps at most 4 MiB and
-///   each worker's stash 256 KiB.
-///
-/// A buffer dropped off the worker path (a cancelled query's queues, a
-/// shutdown) is freed, not kept.
+/// positions, a runtime keeps the emptied queue sets of dropped queries
+/// and the buffers of positions its workers consumed: at most 2 458 112
+/// bytes (2.34 MiB) of queue sets, 4 MiB of buffers in its depot and
+/// 256 KiB in each worker's stash. The runtime's `spares` module states
+/// the constants these bounds come from.
 pub struct Runtime {
     inner: Arc<RuntimeInner>,
     /// Worker join handles, behind a mutex so `shutdown(&self)` can retire
@@ -936,6 +937,37 @@ fn finish_op(inner: &Arc<RuntimeInner>, query: &Arc<QueryState>, op_index: usize
 
 /// Seals a completed query: collects per-operation metrics and results,
 /// removes the query from the registry and fills the completion cell.
+///
+/// # What the seal reads, and the edge that publishes it
+///
+/// The seal is this function, then the state's drop, then the completion
+/// cell. Other workers wrote most of what it reads, and each datum reaches
+/// the sealing thread along one happens-before edge:
+///
+/// * **Metrics slots**: each slot's mutex. A worker merges its batch into
+///   its slot under the lock, and this function takes the same lock.
+/// * **Counting-store tallies**, added to with `Relaxed`: the `OpWord`
+///   chain, then `ops_remaining`. A worker adds to a tally inside its
+///   claim on the store, and drops the claim with an `AcqRel`
+///   read-modify-write of the store's word. Every later change to that
+///   word is a read-modify-write too, so the transition that finishes the
+///   store acquires every earlier claim's end. The worker that made it
+///   then decrements `ops_remaining` (`SeqCst`), and the decrement that
+///   reaches 0, this worker's, acquires every earlier one.
+/// * **Materialised rows**: each result fragment's mutex, which
+///   `StoreOperator::take_all` takes.
+/// * **The outcome**, `QueryState::finished`: its mutex, taken here and by
+///   `abort_query`. The state's drop reads it through `get_mut`: the last
+///   `Arc` reference's release and acquire give the dropping thread every
+///   other holder's writes, this function's among them.
+/// * **Returned queue sets**: each queue's own mutex for what was pushed
+///   and popped, and the same last-reference edge for the set as a whole.
+///   The spares' mutex then hands the set to the next submit.
+/// * **The sealed outcome** reaches the waiter under the cell's mutex.
+///
+/// Names, nodes, queue counts and the start time were written before
+/// submit shared the state; the registry's and the ready deque's mutexes
+/// publish them with it.
 fn finalize_query(inner: &Arc<RuntimeInner>, query: &Arc<QueryState>) {
     let elapsed = query.started.elapsed();
     let operations: Vec<OperationMetrics> = query

@@ -1,15 +1,20 @@
-//! * **Idle costs nothing.** Workers that find no poppable activation
-//!   anywhere park on a condvar (epoch-checked so a wakeup between the scan
-//!   and the park is never lost). An idle runtime burns no CPU. Wake-ups
-//!   *cascade*: an announcement wakes one sleeper, and a worker that pops a
-//!   batch and leaves more buffered behind it wakes the next. Besides
-//!   sparing a herd of wake-ups per flush, this decides where the kernel
-//!   puts the workers: woken together by a submitting thread that is about
-//!   to block in `wait`, two workers are placed while the submitter's CPU
-//!   still looks busy and can end up sharing the other one for the whole of
-//!   a millisecond-scale query (measured: a 2-worker pool on 2 vCPUs ran
-//!   streaks of hundreds of queries at half speed); woken by a *working*
-//!   sibling a moment later, the next worker finds the submitter's CPU idle.
+//! How idle workers sleep and wake, and the watchdog that fails a query
+//! which stops making progress.
+//!
+//! # Idle costs nothing
+//!
+//! Workers that find no poppable activation anywhere park on a condvar
+//! (epoch-checked so a wakeup between the scan and the park is never
+//! lost). An idle runtime burns no CPU. Wake-ups *cascade*: an
+//! announcement wakes one sleeper, and a worker that pops a batch and
+//! leaves more buffered behind it wakes the next. Besides sparing a herd
+//! of wake-ups per flush, this decides where the kernel puts the workers:
+//! woken together by a submitting thread that is about to block in `wait`,
+//! two workers are placed while the submitter's CPU still looks busy and
+//! can end up sharing the other one for the whole of a millisecond-scale
+//! query (measured: a 2-worker pool on 2 vCPUs ran streaks of hundreds of
+//! queries at half speed); woken by a *working* sibling a moment later,
+//! the next worker finds the submitter's CPU idle.
 
 use super::{abort_query, QueryState, RuntimeInner};
 use crate::error::EngineError;
@@ -89,7 +94,8 @@ impl IdleParking {
     }
 }
 
-/// The body of the optional watchdog thread (see [`Runtime::with_watchdog`](super::Runtime::with_watchdog)):
+/// The body of the optional watchdog thread (see
+/// [`Runtime::with_watchdog`](super::Runtime::with_watchdog)):
 /// samples every live query's progress counter a few times per stall
 /// interval and aborts queries whose counter has not moved for `stall_after`
 /// with [`EngineError::QueryStuck`]. Aborting seals the outcome and frees

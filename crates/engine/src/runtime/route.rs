@@ -1,11 +1,16 @@
-//! * **Backpressure is cooperative.** The pool is shared, so if every
-//!   worker blocked producing, nobody would be left to consume and the
-//!   pool would deadlock. Workers therefore never block on a push: when a
-//!   destination queue is full they *help drain it* (pop a batch from that
-//!   very queue and process it, exactly as the consumer would), then
-//!   retry. Helping recurses at most to the
-//!   pipeline depth and each step makes real progress, so tiny queue
-//!   capacities stay deadlock-free.
+//! Where a processed batch's output goes: the producer-side activation
+//! cache, which scatters rows into one buffer per destination and flushes
+//! each at `CacheSize`, and the push that delivers a flush.
+//!
+//! # Backpressure is cooperative
+//!
+//! The pool is shared, so if every worker blocked producing, nobody would
+//! be left to consume and the pool would deadlock. Workers therefore never
+//! block on a push: when a destination queue is full they *help drain it*
+//! (pop a batch from that very queue and process it, exactly as the
+//! consumer would), then retry. Helping recurses at most to the pipeline
+//! depth and each step makes real progress, so tiny queue capacities stay
+//! deadlock-free.
 
 use super::spares::MAX_RESERVED_BATCH;
 use super::worker::{Frame, WorkerCtx};

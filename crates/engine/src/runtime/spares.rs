@@ -1,4 +1,24 @@
 //! What a warm runtime keeps for later queries.
+//!
+//! So that a warm query allocates no queue buffer and no batch of
+//! positions, a runtime keeps two kinds of spares, each bounded by
+//! constants:
+//!
+//! * **Queue sets.** A dropped query's sets, emptied, wait for a later
+//!   submit to re-arm them: at most 16 sets, whose vectors have room for
+//!   at most 4 096 queues in all (their capacity counts, not their
+//!   length), and whose buffers keep room for at most 65 536 activations
+//!   (a queue's buffer grown past 1 024 is freed first). At 88 bytes a
+//!   queue, 32 an activation and 32 a set's record, that is at most
+//!   2 458 112 bytes (2.34 MiB).
+//! * **Buffers of positions.** A consumed batch's buffer stays in the
+//!   consuming worker's stash of at most 64 buffers; stashes exchange half
+//!   their buffers with a depot of at most 1 024. A kept buffer holds at
+//!   most 1 024 positions (4 KiB), so the depot keeps at most 4 MiB and
+//!   each worker's stash 256 KiB.
+//!
+//! A buffer dropped off the worker path (a cancelled query's queues, a
+//! shutdown) is freed, not kept.
 
 use crate::queue::ActivationQueue;
 use std::sync::{Mutex, PoisonError};
@@ -14,7 +34,7 @@ use std::sync::{Mutex, PoisonError};
 /// * the depot of buffers of positions the workers' [`Stash`]es spill to
 ///   and refill from, at most [`DEPOT_BUFFERS`].
 ///
-/// See [`Runtime`](super::Runtime) for the memory that makes.
+/// The module docs give the memory that makes.
 #[derive(Default)]
 pub(super) struct Spares {
     sets: Vec<SpareSet>,

@@ -1,3 +1,6 @@
+//! One pool worker: what it owns, how it finds work, and which queue of
+//! an operation it pops.
+//!
 //! # Work finding: the global ready-op deque
 //!
 //! Workers do not scan the registry for work. A single FIFO deque of
