@@ -164,11 +164,10 @@ fn discarding_queries_allocate_a_few_times_per_operator_instance() {
     // AssocJoin: transmit B′ → scatter → pipelined join → store, so pops,
     // queue sets, scatter batches and index lookups are all on the path.
     // IdealJoin: triggered join → store, no redistribution. Measured warm at
-    // degree 20 on 2 workers, the most of three queries: 51–58 and 46 once
-    // each operator had one owner, the store one tally array and the plan
-    // no consumer vectors (70–88 and 58–59 before; 206 and 99 while every
-    // query built fresh queues and new buffers of positions); the budgets
-    // leave 22 and 14 allocations of margin.
+    // degree 20 on 2 workers in a release build, the most of three queries:
+    // 47 and 43, so the budgets leave 33 and 17 allocations of margin. One
+    // less per instance (60 and 40) would leave assoc 1.28 times its
+    // reading and put ideal under its reading.
     for (name, plan, per_instance) in [
         (
             "assoc_join",
@@ -192,7 +191,7 @@ fn discarding_queries_allocate_a_few_times_per_operator_instance() {
 }
 
 /// A warm query's allocations do not grow with its operator instances:
-/// the fewest of three queries read 51 at degree 20 and at degree 200,
+/// the fewest of three queries read 47 at degree 20 and at degree 200,
 /// where building fresh queues and new buffers of positions for every
 /// query made 206 and 872. The most of three may add a high-water mark's
 /// few allocations, never one per queue (180 more at degree 200).
