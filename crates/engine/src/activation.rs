@@ -34,19 +34,20 @@
 //! (`Router::SameInstance`) hop into a counting store.
 //!
 //! And a fourth: rows that travel as **positions**. A transmit scans base
-//! fragments the catalog already holds, so it ships no row at all: each row
-//! crosses the queue as its 4-byte position in the fragment, in a batch
-//! tagged with that fragment. The consumer reads what it needs from the
-//! fragment — a counting indexed join only the dense key column, a building
-//! join or a materialising store the rows, a counting store only
-//! `batch.len()`. A batch of `n` positions is `n` logical activations and
-//! `n` units of queue weight, like `n` rows. **Invariant:** positions only
-//! ever travel from a transmit to a consumer bound with the transmitted
-//! relation. The consumer only reads them, so the runtime keeps the
-//! buffer once it is consumed: it goes to the consuming worker's stash,
-//! and a producing worker fills its next batch of positions from its own
-//! stash (the runtime's `Stash::take` and `Stash::keep`), so a warm
-//! runtime ships positions without allocating.
+//! fragments the catalog already holds, so it ships no row at all: a batch
+//! of positions names a fragment and a range `start..end`, 12 bytes with no
+//! buffer behind them. On a hash-routed hop the range indexes the
+//! fragment's route table ([`dbs3_storage::RouteTable`]: its rows grouped
+//! by destination, built once per fragment and degree), and each batch is
+//! a slice of one destination's group; on a co-located hop it is the rows
+//! themselves. The batch says which, in its `routed` flag. The consumer
+//! reads what it needs from the fragment — a counting indexed join only the
+//! dense key column, a building join or a materialising store the rows, a
+//! counting store only `batch.len()`. A batch of `n` positions is `n`
+//! logical activations and `n` units of queue weight, like `n` rows.
+//! **Invariant:** positions only ever travel from a transmit to a consumer
+//! bound with the transmitted relation, and a routed batch only to one
+//! bound with the column and degree it was routed by.
 //!
 //! The runtime decides both once per operator, at bind time, from the
 //! schedule's `discard_results` and the plan edge; every place that reads
@@ -61,15 +62,33 @@ use dbs3_storage::Tuple;
 pub struct TupleBatch(Rows);
 
 /// What a batch carries for its rows (see the module docs for where each
-/// form may travel). Every form fits in the 32 bytes of an [`Activation`].
+/// form may travel). Every form fits in the 32 bytes of an [`Activation`],
+/// which a morsel needs anyway: the form is a tag byte of its own rather
+/// than a niche in the vector's capacity, so telling the forms apart is
+/// one byte compare, and the batch keeps the four words of a queue slot.
 #[derive(Debug, Clone, PartialEq)]
+#[repr(u8)]
 enum Rows {
     /// Built rows.
     Built(Vec<Tuple>),
     /// Rows counted by the producer, never built.
     Counted(usize),
-    /// Row positions in fragment `source` of the transmitted relation.
-    Positions { source: u32, rows: Vec<u32> },
+    /// Rows of a fragment of the transmitted relation, by position.
+    Positions(Positions),
+}
+
+/// A batch of positions: rows of fragment `source` of a transmitted
+/// relation, given as the range `start..end` of the fragment's route table
+/// when `routed`, else of its rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Positions {
+    /// The fragment, which is the transmit instance that scanned it.
+    pub(crate) source: u32,
+    pub(crate) start: u32,
+    pub(crate) end: u32,
+    /// Whether `start..end` indexes the route table of the column and
+    /// degree of a hash-routed hop rather than the rows.
+    pub(crate) routed: bool,
 }
 
 impl Default for TupleBatch {
@@ -93,10 +112,10 @@ impl TupleBatch {
         TupleBatch(Rows::Counted(rows))
     }
 
-    /// A batch of the rows at `rows` in fragment `source` of a transmitted
-    /// relation. Only a consumer bound with that relation may receive it.
-    pub(crate) fn from_positions(source: u32, rows: Vec<u32>) -> Self {
-        TupleBatch(Rows::Positions { source, rows })
+    /// A batch of positions. Only a consumer bound with the transmitted
+    /// relation, and for a routed one with its route, may receive it.
+    pub(crate) fn at(positions: Positions) -> Self {
+        TupleBatch(Rows::Positions(positions))
     }
 
     /// Number of rows in the batch, whatever its form — the batch's
@@ -106,7 +125,7 @@ impl TupleBatch {
         match &self.0 {
             Rows::Built(tuples) => tuples.len(),
             Rows::Counted(rows) => *rows,
-            Rows::Positions { rows, .. } => rows.len(),
+            Rows::Positions(at) => at.end.saturating_sub(at.start) as usize,
         }
     }
 
@@ -116,20 +135,11 @@ impl TupleBatch {
         self.len() == 0
     }
 
-    /// The fragment and the row positions of a batch of positions.
+    /// What a batch of positions points at.
     #[inline]
-    pub(crate) fn positions(&self) -> Option<(usize, &[u32])> {
+    pub(crate) fn positions(&self) -> Option<Positions> {
         match &self.0 {
-            Rows::Positions { source, rows } => Some((*source as usize, rows)),
-            Rows::Built(_) | Rows::Counted(_) => None,
-        }
-    }
-
-    /// Consumes a batch of positions, returning its buffer of positions.
-    #[inline]
-    pub(crate) fn into_positions(self) -> Option<Vec<u32>> {
-        match self.0 {
-            Rows::Positions { rows, .. } => Some(rows),
+            Rows::Positions(at) => Some(*at),
             Rows::Built(_) | Rows::Counted(_) => None,
         }
     }
@@ -140,7 +150,7 @@ impl TupleBatch {
         self.debug_assert_built();
         match &self.0 {
             Rows::Built(tuples) => tuples,
-            Rows::Counted(_) | Rows::Positions { .. } => &[],
+            Rows::Counted(_) | Rows::Positions(_) => &[],
         }
     }
 
@@ -155,7 +165,7 @@ impl TupleBatch {
         self.debug_assert_built();
         match self.0 {
             Rows::Built(tuples) => tuples,
-            Rows::Counted(_) | Rows::Positions { .. } => Vec::new(),
+            Rows::Counted(_) | Rows::Positions(_) => Vec::new(),
         }
     }
 
@@ -374,23 +384,34 @@ mod tests {
 
     #[test]
     fn positions_weigh_like_the_rows_they_stand_for() {
-        let batch = TupleBatch::from_positions(3, vec![0, 7, 9]);
-        assert_eq!(batch.positions(), Some((3, &[0, 7, 9][..])));
-        let a = Activation::Data(batch);
-        assert_eq!(a.logical_len(), 3);
-        assert_eq!(a.queue_weight(), 3);
+        for routed in [false, true] {
+            let at = Positions {
+                source: 3,
+                start: 7,
+                end: 10,
+                routed,
+            };
+            let batch = TupleBatch::at(at);
+            assert_eq!(batch.positions(), Some(at));
+            let a = Activation::Data(batch);
+            assert_eq!(a.logical_len(), 3);
+            assert_eq!(a.queue_weight(), 3);
+        }
         assert!(TupleBatch::new(vec![int_tuple(&[1])]).positions().is_none());
         assert!(TupleBatch::counted(1).positions().is_none());
-        let rows = TupleBatch::from_positions(3, vec![4, 2]).into_positions();
-        assert_eq!(rows, Some(vec![4, 2]));
-        assert!(TupleBatch::counted(1).into_positions().is_none());
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "transmitted relation")]
     fn reading_tuples_out_of_a_batch_of_positions_is_a_bug() {
-        let _ = TupleBatch::from_positions(0, vec![1, 2]).tuples();
+        let _ = TupleBatch::at(Positions {
+            source: 0,
+            start: 1,
+            end: 3,
+            routed: false,
+        })
+        .tuples();
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Join operators: triggered (co-partitioned) and pipelined.
 
+use super::Transmitted;
 use crate::activation::{Activation, TupleBatch};
 use dbs3_lera::JoinAlgorithm;
 use dbs3_storage::{HashIndex, PartitionedRelation, Tuple, Value};
@@ -224,15 +225,16 @@ impl TriggeredJoinOperator {
 /// single activation dispatch is where transport batching pays off.
 ///
 /// Fed by a transmit, the batch holds row positions in a fragment of the
-/// transmitted relation instead of rows: a counting indexed join reads
-/// their keys from that fragment's dense integer column, any other join
-/// borrows the rows there.
+/// transmitted relation instead of rows, a slice of the fragment's route
+/// table for this join's key and instance count: a counting indexed join
+/// reads their keys from that fragment's dense integer column, any other
+/// join borrows the rows there.
 #[derive(Debug)]
 pub struct PipelinedJoinOperator {
     probe: Probe,
-    /// The relation whose fragments incoming positions point into, when
-    /// the producer is a transmit.
-    transmitted: Option<Arc<PartitionedRelation>>,
+    /// What incoming positions point into, when the producer is a
+    /// transmit.
+    transmitted: Option<Transmitted>,
 }
 
 impl PipelinedJoinOperator {
@@ -257,11 +259,10 @@ impl PipelinedJoinOperator {
         self
     }
 
-    /// Reads incoming positions in `relation`, the relation the producing
-    /// transmit scatters; only for an operator whose producer is that
-    /// transmit.
-    pub(crate) fn transmitted(mut self, relation: Option<Arc<PartitionedRelation>>) -> Self {
-        self.transmitted = relation;
+    /// Reads incoming positions in what the producing transmit ships;
+    /// only for an operator whose producer is that transmit.
+    pub(crate) fn transmitted(mut self, transmitted: Option<Transmitted>) -> Self {
+        self.transmitted = transmitted;
         self
     }
 
@@ -272,20 +273,19 @@ impl PipelinedJoinOperator {
         let Some(batch) = activation.batch() else {
             return TupleBatch::default();
         };
-        let (Some((source, rows)), Some(relation)) = (batch.positions(), &self.transmitted) else {
+        let Some((fragment, rows)) = self.transmitted.as_ref().and_then(|t| t.rows(batch)) else {
             return self
                 .probe
                 .join(instance, batch.tuples().iter(), None::<std::iter::Empty<_>>);
         };
-        let fragment = super::source_fragment(relation, source);
         let tuples = fragment.tuples();
         let int_keys = self
             .probe
             .counts_by_index()
             .then(|| fragment.int_column(self.probe.outer_column))
             .flatten()
-            .map(|keys| rows.iter().map(|&row| keys[row as usize]));
-        let outers = rows.iter().map(|&row| &tuples[row as usize]);
+            .map(|keys| rows.clone().map(|row| keys[row]));
+        let outers = rows.map(|row| &tuples[row]);
         self.probe.join(instance, outers, int_keys)
     }
 }
@@ -293,6 +293,8 @@ impl PipelinedJoinOperator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activation::Positions;
+    use crate::operators::Router;
     use dbs3_storage::{PartitionSpec, Relation, WisconsinConfig, WisconsinGenerator};
 
     /// Generates `name` and partitions it afresh: its fragments, and so the
@@ -505,44 +507,85 @@ mod tests {
 
     #[test]
     fn positions_join_like_the_rows_they_point_at() {
-        let (_, a) = partitioned("A", 400, 4);
+        // A partitioned on unique2: every fragment's route table on unique1
+        // sends rows to every join instance, out of row order, so a
+        // position read as the wrong row changes the result.
+        let a_rel = WisconsinGenerator::new()
+            .generate(&WisconsinConfig::narrow("A", 400))
+            .unwrap();
+        let spec = PartitionSpec::on("unique2", 4, 2);
+        let a = Arc::new(PartitionedRelation::from_relation(&a_rel, spec).unwrap());
         let (_, b) = partitioned("Bprime", 40, 4);
         let u1 = a.schema().column_index("unique1").unwrap();
         for algorithm in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
             let join = |count_only: bool| {
                 pipelined(&b, algorithm)
                     .counting_matches(count_only)
-                    .transmitted(Some(Arc::clone(&a)))
+                    .transmitted(Some(Transmitted {
+                        relation: Arc::clone(&a),
+                        router: Router::HashColumn {
+                            column: u1,
+                            degree: 4,
+                        },
+                    }))
             };
             let (built, counted) = (join(false), join(true));
             for i in 0..4 {
-                // Fragment i of A, backwards, and only the rows with a
-                // partner in B′ and every fifth without one: a position
-                // read as the wrong row changes the result.
-                let tuples = a.fragments()[i].tuples();
-                let rows: Vec<u32> = (0..tuples.len() as u32)
-                    .rev()
-                    .filter(|&r| tuples[r as usize].value(u1).as_int().unwrap() < 40 || r % 5 == 0)
-                    .collect();
-                let outers: Vec<Tuple> = rows.iter().map(|&r| tuples[r as usize].clone()).collect();
-                let as_rows = || Activation::Data(TupleBatch::new(outers.clone()));
-                let as_positions =
-                    || Activation::Data(TupleBatch::from_positions(i as u32, rows.clone()));
-                let expected = built.process(i, &as_rows());
-                assert!(!expected.is_empty(), "fragment {i} has partners in B′");
-                assert!(expected.len() < rows.len(), "fragment {i} has rows without");
-                assert_eq!(
-                    built.process(i, &as_positions()),
-                    expected,
-                    "{algorithm:?} {i}"
-                );
-                let count = TupleBatch::counted(expected.len());
-                assert_eq!(
-                    counted.process(i, &as_positions()),
-                    count,
-                    "{algorithm:?} {i}"
-                );
-                assert_eq!(counted.process(i, &as_rows()), count, "{algorithm:?} {i}");
+                let (mut matched, mut probed) = (0, 0);
+                for (j, fragment) in a.fragments().iter().enumerate() {
+                    let tuples = fragment.tuples();
+                    let table = fragment.routes(u1, 4);
+                    let group = table
+                        .groups()
+                        .find(|(dest, _)| *dest == i)
+                        .map_or(0..0, |(_, group)| group);
+                    // The group cut every 5 rows, as a transmit at
+                    // CacheSize 5 would, and the fragment's rows as a run.
+                    let mut batches: Vec<(Positions, Vec<u32>)> = group
+                        .clone()
+                        .step_by(5)
+                        .map(|start| {
+                            let end = (start + 5).min(group.end);
+                            let at = Positions {
+                                source: j as u32,
+                                start: start as u32,
+                                end: end as u32,
+                                routed: true,
+                            };
+                            (at, table.rows()[start..end].to_vec())
+                        })
+                        .collect();
+                    let run = Positions {
+                        source: j as u32,
+                        start: 0,
+                        end: tuples.len() as u32,
+                        routed: false,
+                    };
+                    batches.push((run, (0..tuples.len() as u32).collect()));
+                    for (at, rows) in batches {
+                        let outers: Vec<Tuple> =
+                            rows.iter().map(|&r| tuples[r as usize].clone()).collect();
+                        let as_rows = || Activation::Data(TupleBatch::new(outers.clone()));
+                        let as_positions = || Activation::Data(TupleBatch::at(at));
+                        let expected = built.process(i, &as_rows());
+                        assert_eq!(
+                            built.process(i, &as_positions()),
+                            expected,
+                            "{algorithm:?} {i} {at:?}"
+                        );
+                        let count = TupleBatch::counted(expected.len());
+                        assert_eq!(
+                            counted.process(i, &as_positions()),
+                            count,
+                            "{algorithm:?} {i} {at:?}"
+                        );
+                        assert_eq!(counted.process(i, &as_rows()), count, "{algorithm:?} {i}");
+                        matched += expected.len();
+                        probed += rows.len();
+                    }
+                }
+                assert!(matched > 0, "instance {i} has partners in B′");
+                assert!(matched < probed, "instance {i} probes rows without");
             }
         }
     }

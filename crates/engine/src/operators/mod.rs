@@ -18,6 +18,7 @@ pub use transmit::TransmitOperator;
 
 use crate::activation::{Activation, TupleBatch};
 use dbs3_storage::{Fragment, PartitionedRelation};
+use std::sync::Arc;
 
 /// Resolves a control activation to the fragment row range it covers, given
 /// the fragment's cardinality: a trigger covers the whole fragment, a morsel
@@ -37,17 +38,63 @@ pub(crate) fn control_range(
     }
 }
 
-/// The fragment of the transmitted `relation` a batch of positions from
-/// transmit instance `source` points into.
-#[expect(
-    clippy::expect_used,
-    reason = "a batch of positions names the transmit instance that scanned the fragment, and \
-              binding gave its consumer the same relation"
-)]
-pub(crate) fn source_fragment(relation: &PartitionedRelation, source: usize) -> &Fragment {
-    relation
-        .fragment(source)
-        .expect("positions point into an existing fragment")
+/// How data activations produced by one operation find the consumer
+/// instance's queue.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Router {
+    /// Hash the given column over the consumer's degree — the dynamic
+    /// redistribution of `Transmit`/pipelined joins, matching the static
+    /// partitioning function exactly. A transmit does not hash: its
+    /// fragment's route table for this column and degree holds the answer
+    /// for every row, and its batches are slices of it.
+    HashColumn { column: usize, degree: usize },
+    /// Keep the producing instance (result fragments are co-located with
+    /// the producing join instances).
+    SameInstance,
+}
+
+/// What a consumer of a transmit reads its batches of positions in: the
+/// transmitted relation, and the router of the hop, whose route tables a
+/// routed batch slices.
+#[derive(Debug, Clone)]
+pub(crate) struct Transmitted {
+    pub(crate) relation: Arc<PartitionedRelation>,
+    pub(crate) router: Router,
+}
+
+impl Transmitted {
+    /// The fragment a batch of positions points into and the positions of
+    /// its rows there, in batch order; `None` for a batch of another form,
+    /// or a routed one on a co-located hop. A routed batch's table was
+    /// built by the transmit that cut it, so finding it takes one atomic
+    /// load per degree built and no lock or reference count.
+    #[expect(
+        clippy::expect_used,
+        reason = "a batch of positions names the transmit instance that scanned the fragment, \
+                  and binding gave its consumer the same relation"
+    )]
+    pub(crate) fn rows(
+        &self,
+        batch: &TupleBatch,
+    ) -> Option<(&Fragment, impl ExactSizeIterator<Item = usize> + Clone + '_)> {
+        let at = batch.positions()?;
+        let fragment = self
+            .relation
+            .fragment(at.source as usize)
+            .expect("positions point into an existing fragment");
+        let table = match (at.routed, self.router) {
+            (false, _) => None,
+            (true, Router::HashColumn { column, degree }) => {
+                Some(fragment.routes(column, degree).rows())
+            }
+            (true, Router::SameInstance) => return None,
+        };
+        let rows = at.start as usize..at.end as usize;
+        Some((
+            fragment,
+            rows.map(move |i| table.map_or(i, |t| t[i] as usize)),
+        ))
+    }
 }
 
 /// A bound physical operator: given an activation for one of its instances,
@@ -73,12 +120,10 @@ impl BoundOperator {
     /// tuple batch is processed under this single dispatch.
     ///
     /// The activation is only borrowed: a store keeps clones of the rows it
-    /// materialises, and the runtime keeps a batch of positions' buffer for
-    /// the next batch a transmit fills.
+    /// materialises.
     ///
-    /// A transmit builds no batch: the runtime scatters the positions of
-    /// its rows straight from the fragment ([`TransmitOperator::scatter`]),
-    /// so here it returns an empty one.
+    /// A transmit builds no batch: the runtime has it cut its fragment's
+    /// positions into batches instead, so here it returns an empty one.
     pub fn process(&self, instance: usize, activation: &Activation) -> TupleBatch {
         match self {
             BoundOperator::Filter(op) => op.process(instance, activation),

@@ -1,9 +1,10 @@
 //! The store operator.
 
+use super::Transmitted;
 use crate::activation::{Activation, TupleBatch};
-use dbs3_storage::{PartitionedRelation, Tuple};
+use dbs3_storage::Tuple;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Materialises incoming tuples into per-instance result buffers — or, in
 /// *counting* mode, only tallies them.
@@ -41,9 +42,9 @@ enum Fragments {
     /// Tuples kept as rows.
     Materialising {
         rows: Box<[Mutex<Vec<Tuple>>]>,
-        /// The relation whose fragments incoming positions point into,
-        /// when the producer is a transmit.
-        transmitted: Option<Arc<PartitionedRelation>>,
+        /// What incoming positions point into, when the producer is a
+        /// transmit.
+        transmitted: Option<Transmitted>,
     },
 }
 
@@ -72,12 +73,12 @@ impl StoreOperator {
         }
     }
 
-    /// Reads incoming positions in `relation`, the relation the producing
-    /// transmit scatters; only for a store whose producer is that transmit.
-    /// A counting store reads no rows and ignores it.
-    pub(crate) fn transmitted(mut self, relation: Option<Arc<PartitionedRelation>>) -> Self {
+    /// Reads incoming positions in what the producing transmit ships; only
+    /// for a store whose producer is that transmit. A counting store reads
+    /// no rows and ignores it.
+    pub(crate) fn transmitted(mut self, from: Option<Transmitted>) -> Self {
         if let Fragments::Materialising { transmitted, .. } = &mut self.fragments {
-            *transmitted = relation;
+            *transmitted = from;
         }
         self
     }
@@ -114,12 +115,12 @@ impl StoreOperator {
             }
             Fragments::Materialising { rows, transmitted } => {
                 let mut buffer = lock(&rows[instance % rows.len()]);
-                match (batch.positions(), transmitted) {
-                    (Some((source, positions)), Some(relation)) => {
-                        let tuples = super::source_fragment(relation, source).tuples();
-                        buffer.extend(positions.iter().map(|&row| tuples[row as usize].clone()));
+                match transmitted.as_ref().and_then(|t| t.rows(batch)) {
+                    Some((fragment, at)) => {
+                        let tuples = fragment.tuples();
+                        buffer.extend(at.map(|row| tuples[row].clone()));
                     }
-                    _ => buffer.extend(batch.iter().cloned()),
+                    None => buffer.extend(batch.iter().cloned()),
                 }
             }
         }
@@ -168,6 +169,7 @@ fn lock(rows: &Mutex<Vec<Tuple>>) -> MutexGuard<'_, Vec<Tuple>> {
 mod tests {
     use super::*;
     use dbs3_storage::tuple::int_tuple;
+    use std::sync::Arc;
 
     #[test]
     fn stores_data_and_ignores_triggers() {

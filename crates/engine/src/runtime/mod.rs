@@ -71,8 +71,8 @@ use crate::faults::{self, FaultAction, FaultPoint};
 use crate::metrics::{ExecutionMetrics, OperationMetrics, ThreadMetrics};
 use crate::op_state::{Effect, Event, OpState, OpWord, MAX_INFLIGHT};
 use crate::operators::{
-    BoundOperator, FilterOperator, PipelinedJoinOperator, StoreOperator, TransmitOperator,
-    TriggeredJoinOperator,
+    BoundOperator, FilterOperator, PipelinedJoinOperator, Router, StoreOperator, TransmitOperator,
+    Transmitted, TriggeredJoinOperator,
 };
 use crate::queue::ActivationQueue;
 use crate::schedule::ExecutionSchedule;
@@ -81,7 +81,7 @@ use dbs3_lera::{CostParameters, ExtendedPlan, NodeId, OperatorKind, OuterInput, 
 use dbs3_storage::Catalog;
 use handle::CompletionCell;
 use parking::{watchdog_loop, IdleParking};
-use route::{ConsumerLink, Router};
+use route::ConsumerLink;
 #[cfg(test)]
 use spares::SpareCounts;
 use spares::Spares;
@@ -250,8 +250,7 @@ struct RuntimeInner {
     shutdown: AtomicBool,
     idle: IdleParking,
     /// What the runtime keeps for later queries: the queue sets of dropped
-    /// queries, shared with every query so its drop can return them, and
-    /// the depot the workers' stashes exchange with.
+    /// queries, shared with every query so its drop can return them.
     spares: Arc<Mutex<Spares>>,
 }
 
@@ -302,12 +301,10 @@ fn announce_op(inner: &RuntimeInner, query: &Arc<QueryState>, op_index: usize) {
 ///
 /// # Memory a warm runtime keeps
 ///
-/// So that a warm query allocates no queue buffer and no batch of
-/// positions, a runtime keeps the emptied queue sets of dropped queries
-/// and the buffers of positions its workers consumed: at most 2 458 112
-/// bytes (2.34 MiB) of queue sets, 4 MiB of buffers in its depot and
-/// 256 KiB in each worker's stash. The runtime's `spares` module states
-/// the constants these bounds come from.
+/// So that a warm query allocates no queue buffer, a runtime keeps the
+/// emptied queue sets of dropped queries: at most 2 458 112 bytes
+/// (2.34 MiB). The runtime's `spares` module states the constants this
+/// bound comes from.
 pub struct Runtime {
     inner: Arc<RuntimeInner>,
     /// Worker join handles, behind a mutex so `shutdown(&self)` can retire
@@ -818,7 +815,9 @@ fn honor_submit_fault() -> Result<()> {
 /// (the one place this is decided; see [`crate::activation`] for the
 /// invariant). The consumer of a transmit is bound with the transmitted
 /// relation, since it receives row positions in that relation's fragments
-/// (the one other form a batch may take). A hash or temporary-index join
+/// (the one other form a batch may take), and a pipelined join also with
+/// the column and degree its router hashes by, whose route tables its
+/// batches slice. A hash or temporary-index join
 /// builds each inner fragment's index on the worker whose activation first
 /// needs it.
 fn bind_operator(
@@ -899,6 +898,12 @@ fn bind_operator(
                     let producer = node.producer().expect("validated");
                     let incoming_schema = plan.output_schema(producer, catalog)?;
                     let outer_column = incoming_schema.column_index(&condition.outer_column)?;
+                    // The router the consumer wiring gives this join.
+                    let router = Router::HashColumn {
+                        column: outer_column,
+                        degree: instance_count,
+                    };
+                    let transmitted = transmitted.map(|relation| Transmitted { relation, router });
                     Ok(BoundOperator::PipelinedJoin(
                         PipelinedJoinOperator::new(inner, outer_column, inner_column, *algorithm)
                             .counting_matches(count_only)
@@ -910,6 +915,8 @@ fn bind_operator(
         OperatorKind::Store { result_name } => Ok(BoundOperator::Store(if discard_results {
             StoreOperator::counting(result_name.clone(), instance_count)
         } else {
+            let router = Router::SameInstance;
+            let transmitted = transmitted.map(|relation| Transmitted { relation, router });
             StoreOperator::new(result_name.clone(), instance_count).transmitted(transmitted)
         })),
     }

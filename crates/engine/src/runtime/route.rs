@@ -12,31 +12,16 @@
 //! depth and each step makes real progress, so tiny queue capacities stay
 //! deadlock-free.
 
-use super::spares::MAX_RESERVED_BATCH;
 use super::worker::{Frame, WorkerCtx};
 use super::{announce_op, finish_op, QueryState, RuntimeInner};
 use crate::activation::{Activation, TupleBatch};
 use crate::op_state::{Effect, Event};
-use crate::operators::BoundOperator;
+use crate::operators::{BoundOperator, Router};
 use crate::queue::TryPushError;
-use dbs3_storage::Tuple;
 use std::mem;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError};
 use std::time::{Duration, Instant};
-
-/// How data activations produced by one operation find the consumer
-/// instance's queue.
-#[derive(Debug, Clone)]
-pub(super) enum Router {
-    /// Hash the given column over the consumer's degree — the dynamic
-    /// redistribution of `Transmit`/pipelined joins, matching the static
-    /// partitioning function exactly.
-    HashColumn { column: usize, degree: usize },
-    /// Keep the producing instance (result fragments are co-located with
-    /// the producing join instances).
-    SameInstance,
-}
 
 /// A link from a producer operation to its consumer within one query.
 #[derive(Debug, Clone)]
@@ -65,6 +50,9 @@ fn buffer_push<T>(buffer: &mut Vec<T>, item: T, cache_size: usize) -> bool {
     buffer.len() >= cache_size
 }
 
+/// Most items a scatter buffer reserves room for ahead of its pushes.
+const MAX_RESERVED_BATCH: usize = 1024;
+
 /// Processes the batch of activations of `op` popped into `frame`,
 /// scattering the produced rows to the consumer's queues through `frame`'s
 /// scatter sets and recording metrics. `main` says whether the batch came
@@ -81,13 +69,13 @@ fn buffer_push<T>(buffer: &mut Vec<T>, item: T, cache_size: usize) -> bool {
 ///   per-destination buffers flushed at `CacheSize` tuples, so `CacheSize`
 ///   stays the transport-batch granularity of every redistributing hop.
 ///
-/// A transmit builds no output batch at all: it scatters the *position* of
-/// each row it covers straight from its fragment into per-destination
-/// buffers of positions, flushed at `CacheSize` as batches tagged with the
-/// fragment, whichever the router (see [`crate::activation`]). An empty
-/// buffer of positions is filled from the worker's stash before a push
-/// would reserve one, and a consumed batch of positions goes back to this
-/// worker's stash once its operator has read it.
+/// A transmit builds no output batch and reads no row: it cuts the
+/// positions of the rows a control activation covers, per destination,
+/// into `CacheSize` batches of positions, slices of its fragment's route
+/// table (see [`crate::activation`]). A pop of a triggered operation
+/// holds one control activation (the queue stops a pop after one), so the
+/// cuts fall where a per-destination buffer filled over the pop and
+/// flushed at `CacheSize` and at its end would flush.
 ///
 /// The caller holds a claim on the operation, so the producer-side
 /// scatter buffers live entirely within this call — nothing can be stranded
@@ -110,24 +98,7 @@ pub(super) fn process_batch(
         .as_ref()
         .map(|link| query.ops[link.consumer_index].queues.len())
         .unwrap_or(0);
-    let transmit = match &op.operator {
-        BoundOperator::Transmit(transmit) => Some(transmit),
-        _ => None,
-    };
-    let Frame {
-        popped,
-        tuples,
-        positions,
-    } = frame;
-    // A transmit's destination for a row, and the fragment its batches of
-    // positions name: the transmit instance's own.
-    let route = |tuple: &Tuple| match op.consumer.as_ref().map(|link| &link.router) {
-        Some(Router::HashColumn { column, degree }) => {
-            (tuple.hash_key(&[*column]) % *degree as u64) as usize
-        }
-        _ => queue_index % consumer_degree.max(1),
-    };
-    let source = queue_index as u32;
+    let Frame { popped, tuples } = frame;
     let mut flushes = 0u64;
     let mut logical = 0u64;
     let mut tuples_out = 0u64;
@@ -145,36 +116,30 @@ pub(super) fn process_batch(
         // Metrics stay in the paper's per-tuple model: a data activation
         // counts one logical activation per batched tuple.
         logical += activation.logical_len() as u64;
-        if let Some(transmit) = transmit {
-            let rows = transmit.scatter(queue_index, &activation, route, |dest, position| {
+        if let BoundOperator::Transmit(transmit) = &op.operator {
+            let router = op
+                .consumer
+                .as_ref()
+                .map_or(Router::SameInstance, |l| l.router);
+            let dest = queue_index % consumer_degree.max(1);
+            let emit = |dest, batch| {
                 let Some(link) = &op.consumer else { return };
-                let buffer = scatter_buffer(positions, dest, consumer_degree);
-                if buffer.capacity() == 0 {
-                    *buffer = ctx.stash.take(&inner.spares, op.cache_size);
-                }
-                if buffer_push(buffer, position, op.cache_size) {
-                    let batch = TupleBatch::from_positions(source, mem::take(buffer));
-                    flush_to(
-                        inner,
-                        query,
-                        link.consumer_index,
-                        dest,
-                        batch,
-                        ctx,
-                        &mut helped,
-                    );
-                    flushes += 1;
-                }
-            });
+                flush_to(
+                    inner,
+                    query,
+                    link.consumer_index,
+                    dest,
+                    batch,
+                    ctx,
+                    &mut helped,
+                );
+                flushes += 1;
+            };
+            let rows = transmit.cut(queue_index, &activation, router, dest, op.cache_size, emit);
             tuples_out += rows as u64;
             continue;
         }
         let out = op.operator.process(queue_index, &activation);
-        // Positions are only read, so their buffer stays on this worker for
-        // the next batch a transmit fills here.
-        if let Some(rows) = activation.into_batch().and_then(TupleBatch::into_positions) {
-            ctx.stash.keep(&inner.spares, rows);
-        }
         tuples_out += out.len() as u64;
         let Some(link) = &op.consumer else { continue };
         match &link.router {
@@ -219,19 +184,14 @@ pub(super) fn process_batch(
         }
     }
     if let Some(link) = &op.consumer {
-        // At most one of the two sets holds buffers; both are left empty.
-        let rows = tuples.drain(..).map(TupleBatch::new);
-        let at = positions
-            .drain(..)
-            .map(|rows| TupleBatch::from_positions(source, rows));
-        for (dest, batch) in rows.enumerate().chain(at.enumerate()) {
-            if !batch.is_empty() {
+        for (dest, buffer) in tuples.drain(..).enumerate() {
+            if !buffer.is_empty() {
                 flush_to(
                     inner,
                     query,
                     link.consumer_index,
                     dest,
-                    batch,
+                    TupleBatch::new(buffer),
                     ctx,
                     &mut helped,
                 );

@@ -1,40 +1,25 @@
 //! What a warm runtime keeps for later queries.
 //!
-//! So that a warm query allocates no queue buffer and no batch of
-//! positions, a runtime keeps two kinds of spares, each bounded by
-//! constants:
+//! So that a warm query allocates no queue buffer, a runtime keeps the
+//! emptied queue sets of dropped queries for a later submit to re-arm: at
+//! most 16 sets, whose vectors have room for at most 4 096 queues in all
+//! (their capacity counts, not their length), and whose buffers keep room
+//! for at most 65 536 activations (a queue's buffer grown past 1 024 is
+//! freed first). At 88 bytes a queue, 32 an activation and 32 a set's
+//! record, that is at most 2 458 112 bytes (2.34 MiB).
 //!
-//! * **Queue sets.** A dropped query's sets, emptied, wait for a later
-//!   submit to re-arm them: at most 16 sets, whose vectors have room for
-//!   at most 4 096 queues in all (their capacity counts, not their
-//!   length), and whose buffers keep room for at most 65 536 activations
-//!   (a queue's buffer grown past 1 024 is freed first). At 88 bytes a
-//!   queue, 32 an activation and 32 a set's record, that is at most
-//!   2 458 112 bytes (2.34 MiB).
-//! * **Buffers of positions.** A consumed batch's buffer stays in the
-//!   consuming worker's stash of at most 64 buffers; stashes exchange half
-//!   their buffers with a depot of at most 1 024. A kept buffer holds at
-//!   most 1 024 positions (4 KiB), so the depot keeps at most 4 MiB and
-//!   each worker's stash 256 KiB.
-//!
-//! A buffer dropped off the worker path (a cancelled query's queues, a
+//! A set dropped off the worker path (a cancelled query's queues, a
 //! shutdown) is freed, not kept.
 
 use crate::queue::ActivationQueue;
-use std::sync::{Mutex, PoisonError};
 
-/// Everything a runtime keeps for later queries, behind the one lock that
-/// a dropped query's state and a worker's stash exchange both take:
-///
-/// * emptied queue sets of dropped queries, which later submissions re-arm
-///   ([`ActivationQueue::rearm`]) instead of building queues whose buffers
-///   every warm query would grow again. Bounded by [`SPARE_SETS`] sets,
-///   room for [`SPARE_QUEUES`] queues and [`SPARE_SLOTS`] buffered-activation
-///   slots in all;
-/// * the depot of buffers of positions the workers' [`Stash`]es spill to
-///   and refill from, at most [`DEPOT_BUFFERS`].
-///
-/// The module docs give the memory that makes.
+/// What a runtime keeps for later queries, behind the one lock a dropped
+/// query's state and a submit take: emptied queue sets of dropped queries,
+/// which later submissions re-arm ([`ActivationQueue::rearm`]) instead of
+/// building queues whose buffers every warm query would grow again.
+/// Bounded by [`SPARE_SETS`] sets, room for [`SPARE_QUEUES`] queues and
+/// [`SPARE_SLOTS`] buffered-activation slots in all; the module docs give
+/// the memory that makes.
 #[derive(Default)]
 pub(super) struct Spares {
     sets: Vec<SpareSet>,
@@ -44,7 +29,6 @@ pub(super) struct Spares {
     queues: usize,
     /// Room for activations over all their buffers.
     slots: usize,
-    depot: Vec<Vec<u32>>,
 }
 
 /// One operation's emptied queue set.
@@ -111,51 +95,7 @@ impl Spares {
             queues: self.sets.iter().map(|set| set.queues.capacity()).sum(),
             slots: queues().map(ActivationQueue::buffer_capacity).sum(),
             weight: queues().map(ActivationQueue::len).sum(),
-            depot: self.depot.len(),
-            depot_positions: self.depot.iter().map(Vec::capacity).sum(),
         }
-    }
-}
-
-/// One worker's magazine of consumed buffers of positions (Bonwick &
-/// Adams, USENIX 2001): at most [`STASH_BUFFERS`], exchanged with the
-/// depot in [`Spares`] half a stash at a time, one lock per exchange.
-#[derive(Default)]
-pub(super) struct Stash(Vec<Vec<u32>>);
-
-impl Stash {
-    /// A buffer of positions with room for a `cache_size` batch: one from
-    /// the stash, which an empty stash first refills with half a stash from
-    /// the depot, or a new one when both are empty.
-    pub(super) fn take(&mut self, spares: &Mutex<Spares>, cache_size: usize) -> Vec<u32> {
-        if self.0.is_empty() {
-            let depot = &mut spares.lock().unwrap_or_else(PoisonError::into_inner).depot;
-            let from = depot.len().saturating_sub(STASH_BUFFERS / 2);
-            self.0.extend(depot.drain(from..));
-        }
-        let mut buffer = self.0.pop().unwrap_or_default();
-        buffer.reserve_exact(cache_size.min(MAX_RESERVED_BATCH));
-        buffer
-    }
-
-    /// Keeps a consumed batch's buffer of positions. A full stash first
-    /// spills half of itself to the depot; what the depot has no room for
-    /// is freed, and so is a buffer too large to keep.
-    pub(super) fn keep(&mut self, spares: &Mutex<Spares>, mut buffer: Vec<u32>) {
-        if buffer.capacity() == 0 || buffer.capacity() > MAX_RESERVED_BATCH {
-            return;
-        }
-        buffer.clear();
-        if self.0.len() >= STASH_BUFFERS {
-            let mut spill = self.0.drain(STASH_BUFFERS / 2..);
-            {
-                let depot = &mut spares.lock().unwrap_or_else(PoisonError::into_inner).depot;
-                let room = DEPOT_BUFFERS.saturating_sub(depot.len());
-                depot.extend(spill.by_ref().take(room));
-            }
-            drop(spill);
-        }
-        self.0.push(buffer);
     }
 }
 
@@ -171,10 +111,6 @@ pub(super) struct SpareCounts {
     slots: usize,
     /// Queue weight they hold, which a dropped query leaves at 0.
     weight: usize,
-    /// Buffers of positions in the depot.
-    depot: usize,
-    /// Room for positions over the depot's buffers.
-    depot_positions: usize,
 }
 
 /// Most emptied queue sets a runtime keeps for later queries.
@@ -186,13 +122,6 @@ const SPARE_QUEUES: usize = 4096;
 const SPARE_QUEUE_SLOTS: usize = 1024;
 /// Most activations the buffers of all spare queues keep room for.
 const SPARE_SLOTS: usize = 65_536;
-/// Most buffers of positions in one worker's stash.
-const STASH_BUFFERS: usize = 64;
-/// Most buffers of positions in a runtime's depot.
-const DEPOT_BUFFERS: usize = 1024;
-/// Most items a scatter buffer reserves room for ahead of its pushes; a
-/// buffer of positions with more room is freed rather than kept.
-pub(super) const MAX_RESERVED_BATCH: usize = 1024;
 
 #[cfg(test)]
 mod tests {
@@ -208,9 +137,10 @@ mod tests {
         outcome.unwrap().cardinalities["Result"]
     }
 
-    /// One runtime re-arms the queue sets and re-fills the buffers of
-    /// positions that earlier queries left, whatever their shape and however
-    /// they ended, and every query still counts what a fresh runtime counts.
+    /// One runtime re-arms the queue sets that earlier queries left,
+    /// whatever their shape and however they ended, and every query still
+    /// counts what a fresh runtime counts, its batches of positions among
+    /// them.
     /// (A query whose worker panics is the same case in
     /// `tests/faults.rs`, where fault plans may be installed.)
     #[test]
@@ -294,11 +224,6 @@ mod tests {
             assert!(spares.sets <= SPARE_SETS, "degree {degree}: {spares:?}");
             assert!(spares.queues <= SPARE_QUEUES, "degree {degree}: {spares:?}");
             assert!(spares.slots <= SPARE_SLOTS, "degree {degree}: {spares:?}");
-            assert!(spares.depot <= DEPOT_BUFFERS, "degree {degree}: {spares:?}");
-            assert!(
-                spares.depot_positions <= DEPOT_BUFFERS * MAX_RESERVED_BATCH,
-                "degree {degree}: {spares:?}"
-            );
             assert!(
                 held_bytes(&spares) <= 2_458_112,
                 "degree {degree}: {spares:?} hold {} bytes",
@@ -309,12 +234,6 @@ mod tests {
         let queue_bytes = SPARE_QUEUES * mem::size_of::<ActivationQueue>()
             + SPARE_SLOTS * mem::size_of::<Activation>()
             + SPARE_SETS * mem::size_of::<SpareSet>();
-        let position_bytes = DEPOT_BUFFERS * MAX_RESERVED_BATCH * mem::size_of::<u32>();
-        let stash_bytes = STASH_BUFFERS * MAX_RESERVED_BATCH * mem::size_of::<u32>();
-        assert_eq!(
-            (queue_bytes, position_bytes, stash_bytes),
-            (2_458_112, 4 << 20, 256 << 10),
-            "the bounds the Runtime docs state"
-        );
+        assert_eq!(queue_bytes, 2_458_112, "the bound the Runtime docs state");
     }
 }

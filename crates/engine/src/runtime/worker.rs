@@ -12,10 +12,9 @@
 //! * **O(1) work finding** — idle-probe cost is independent of how many
 //!   queries or operations are live. The idle path allocates nothing, and
 //!   the busy path allocates only the batches of tuples it ships: pops land
-//!   in a buffer the worker owns, a buffer of tuples is allocated once,
-//!   exactly one batch wide, and leaves as that batch, and a buffer of
-//!   positions comes from the worker's stash and returns to the stash of
-//!   the worker that consumes it;
+//!   in a buffer the worker owns, and a buffer of tuples is allocated once,
+//!   exactly one batch wide, and leaves as that batch. A batch of positions
+//!   has no buffer: it is a slice of its fragment's route table;
 //! * **cross-query fairness** — entries rotate through the deque, so no
 //!   query can starve another however long its own queues are;
 //! * **intra-operator parallelism** — the entry is back in the deque while
@@ -83,7 +82,6 @@
 //! above.
 
 use super::route::process_batch;
-use super::spares::Stash;
 use super::{abort_query, finish_op, OpRuntime, QueryState, RuntimeInner};
 use crate::activation::Activation;
 use crate::error::EngineError;
@@ -95,8 +93,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError};
 
 /// What one pool worker owns: its index, which fixes its slice of every
-/// operation's queue ring, one [`Frame`] per help-nesting depth, and its
-/// stash of buffers of positions.
+/// operation's queue ring, and one [`Frame`] per help-nesting depth.
 ///
 /// All of it lives here and not in thread-local pools on purpose: a
 /// thread-local taken and returned around every queue probe made a scan
@@ -113,25 +110,21 @@ pub(super) struct WorkerCtx {
     /// the top is always the frame its depth had last time, and the stack
     /// is as deep as the deepest help.
     pub(super) frames: Vec<Frame>,
-    pub(super) stash: Stash,
 }
 
 /// The buffers one batch works in: the activations popped for it and the
-/// producer-side scatter sets, one buffer per destination. All are empty
-/// between batches and only their capacity carries over. A filled scatter
-/// buffer leaves with its flush (it *becomes* the transport batch, taken
-/// with no capacity left behind), so only a set's outer vector stays warm:
-/// the first push into a buffer of tuples reserves exactly one batch, the
-/// one allocation a scattered tuple's hop makes, and a buffer of positions
-/// is filled from the stash instead.
+/// producer-side scatter set, one buffer of tuples per destination. All
+/// are empty between batches and only their capacity carries over. A
+/// filled scatter buffer leaves with its flush (it *becomes* the transport
+/// batch, taken with no capacity left behind), so only the set's outer
+/// vector stays warm: the first push into a buffer reserves exactly one
+/// batch, the one allocation a scattered tuple's hop makes.
 #[derive(Default)]
 pub(super) struct Frame {
     /// What a pop landed in; [`process_batch`] drains it.
     pub(super) popped: Vec<Activation>,
     /// A hash-routed producer's buffers of tuples.
     pub(super) tuples: Vec<Vec<Tuple>>,
-    /// A transmit's buffers of row positions.
-    pub(super) positions: Vec<Vec<u32>>,
 }
 
 /// The body of one pool worker: pop the front ready-deque entry, re-push

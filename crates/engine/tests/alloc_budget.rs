@@ -4,10 +4,10 @@
 //! `dbs3_engine::activation`), so a discarding IdealJoin costs its set-up
 //! and nothing that grows with the result. Nor must a warm query pay one
 //! allocation per operator instance: a runtime re-arms the queue sets of
-//! finished queries, their buffers already grown, and the transmit's
-//! batches of positions travel in buffers the workers keep and hand back
-//! (see `dbs3_engine::Runtime`). No vector per pop, no key per index
-//! lookup. What remains is per query and per operation — the bound
+//! finished queries, their buffers already grown (see
+//! `dbs3_engine::Runtime`), and a transmit's batches of positions are
+//! slices of its fragments' route tables, built by the first query, with
+//! no buffer behind them. No vector per pop, no key per index lookup. What remains is per query and per operation — the bound
 //! operators, the ring and metrics slots, the outcome — so a warm
 //! discarding query costs about the same at degree 200 as at degree 20.
 //!
@@ -110,12 +110,11 @@ fn counted_runner<'a>(
     }
 }
 
-/// Builds the fragments' indexes and leaves the runtime warm — spare queue
-/// sets whose buffers have grown in every role, buffers of positions in its
-/// workers' stashes and its depot — then counts three discarding queries.
-/// Returns the result rows and the fewest and the most allocations of the
-/// three: a queue, pop or position buffer reaching a new high-water mark
-/// adds a few allocations to whichever query it happens in.
+/// Builds the fragments' indexes and route tables and leaves the runtime
+/// warm, its spare queue sets' buffers grown in every role, then counts
+/// three discarding queries. Returns the result rows and the fewest and
+/// the most allocations of the three: a queue or pop buffer reaching a new
+/// high-water mark adds a few allocations to whichever query it happens in.
 fn warm_count(counted_run: &impl Fn(bool) -> (u64, u64)) -> (u64, u64, u64) {
     for _ in 0..WARM_UP_QUERIES {
         counted_run(true);
@@ -191,10 +190,11 @@ fn discarding_queries_allocate_a_few_times_per_operator_instance() {
 }
 
 /// A warm query's allocations do not grow with its operator instances:
-/// the fewest of three queries read 47 at degree 20 and at degree 200,
-/// where building fresh queues and new buffers of positions for every
-/// query made 206 and 872. The most of three may add a high-water mark's
-/// few allocations, never one per queue (180 more at degree 200).
+/// the fewest and the most of three queries read 47 at degree 20 and at
+/// degree 200, where building fresh queues and a buffer for every batch of
+/// positions of every query made 206 and 872. The most of three may add a
+/// high-water mark's few allocations, never one per queue (180 more at
+/// degree 200).
 #[test]
 fn a_warm_query_allocates_about_the_same_at_any_degree() {
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);

@@ -393,3 +393,117 @@ fn discarding_counts_exactly_what_materialising_builds() {
         }
     }
 }
+
+/// A transmit split into morsels, at a cache size that divides none of its
+/// destinations' groups, flushes where buffers filled row by row and
+/// flushed at the cache size did, and every operation counts the same
+/// logical activations. One worker, so which morsels share a pop is fixed.
+/// The pinned counts were measured on the engine whose transmit filled such
+/// buffers.
+#[test]
+fn a_split_transmit_flushes_where_filled_buffers_did() {
+    let gen = WisconsinGenerator::new();
+    let a = gen.generate(&WisconsinConfig::narrow("A", 1_500)).unwrap();
+    let b = gen
+        .generate(&WisconsinConfig::narrow("Bprime", 900))
+        .unwrap();
+    // B′ partitioned on another column, at another degree than the join's
+    // seven instances: every fragment sends rows to every instance.
+    let on = |rel: &Relation, column: &str, degree: usize| {
+        PartitionedRelation::from_relation(rel, PartitionSpec::on(column, degree, 4)).unwrap()
+    };
+    let mut cat = Catalog::new();
+    cat.register(on(&a, "unique1", 7)).unwrap();
+    cat.register(on(&b, "unique2", 5)).unwrap();
+    let cache_size = 18;
+    let u1 = b.schema().column_index("unique1").unwrap();
+    for fragment in cat.get("Bprime").unwrap().fragments() {
+        let mut groups = fragment.routes(u1, 7).groups();
+        assert!(groups.all(|(_, group)| group.len() % cache_size != 0));
+    }
+    let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
+    let ext = ExtendedPlan::from_plan(&plan, &cat, &CostParameters::default()).unwrap();
+    let options = SchedulerOptions {
+        total_threads: Some(1),
+        cache_size,
+        ..SchedulerOptions::default()
+    };
+    let schedule = Scheduler::build(&plan, &ext, &options)
+        .unwrap()
+        .with_morsel_rows(4);
+    let outcome = execute(&cat, &plan, &schedule).unwrap();
+    assert_eq!(outcome.results["Result"].len(), 900);
+    let counts: Vec<(String, u64, u64)> = outcome
+        .metrics
+        .operations
+        .iter()
+        .map(|op| {
+            let flushes = op.threads.iter().map(|t| t.cache_flushes).sum();
+            (op.name.clone(), op.total_activations(), flushes)
+        })
+        .collect();
+    let expected = [
+        ("transmit(Bprime)", 5, 727),
+        ("join(pipe,A)", 900, 727),
+        ("store(Result)", 900, 0),
+    ];
+    let expected: Vec<(String, u64, u64)> = expected
+        .iter()
+        .map(|&(name, logical, flushes)| (name.to_string(), logical, flushes))
+        .collect();
+    assert_eq!(counts, expected);
+}
+
+/// One relation transmitted at two degrees, to joins over relations of
+/// seven and of five fragments: each query reads its batches through the
+/// route tables of its own degree, in sequence and side by side on one
+/// runtime, and each answers what the reference join answers.
+#[test]
+fn a_relation_transmitted_at_two_degrees_routes_both() {
+    let gen = WisconsinGenerator::new();
+    let narrow = |name: &str, rows: usize| gen.generate(&WisconsinConfig::narrow(name, rows));
+    let (b, a, c) = (
+        narrow("Bprime", 900).unwrap(),
+        narrow("A", 1_500).unwrap(),
+        narrow("C", 1_200).unwrap(),
+    );
+    let on = |rel: &Relation, column: &str, degree: usize| {
+        PartitionedRelation::from_relation(rel, PartitionSpec::on(column, degree, 4)).unwrap()
+    };
+    let mut cat = Catalog::new();
+    cat.register(on(&b, "unique2", 3)).unwrap();
+    cat.register(on(&a, "unique1", 7)).unwrap();
+    cat.register(on(&c, "unique1", 5)).unwrap();
+    let queries = [("A", &a), ("C", &c)].map(|(inner, relation)| {
+        let plan = plans::assoc_join("Bprime", inner, "unique1", JoinAlgorithm::Hash);
+        let ext = ExtendedPlan::from_plan(&plan, &cat, &CostParameters::default()).unwrap();
+        let options = SchedulerOptions::default().with_total_threads(2);
+        let schedule = Scheduler::build(&plan, &ext, &options)
+            .unwrap()
+            .with_morsel_rows(64);
+        let expected = b.reference_join(relation, "unique1", "unique1").unwrap();
+        (plan, schedule, expected)
+    });
+    let runtime = Runtime::new(2).unwrap();
+    let check = |outcome: ExecutionOutcome, expected: &[dbs3_storage::Tuple]| {
+        assert_eq!(expected.len(), 900, "every B′ row has one partner");
+        assert_eq!(bag(&outcome.results["Result"]), bag(expected));
+    };
+    for (plan, schedule, expected) in &queries {
+        check(
+            runtime
+                .submit(&cat, plan, schedule)
+                .unwrap()
+                .wait()
+                .unwrap(),
+            expected,
+        );
+    }
+    let handles: Vec<_> = queries
+        .iter()
+        .map(|(plan, schedule, _)| runtime.submit(&cat, plan, schedule).unwrap())
+        .collect();
+    for (handle, (_, _, expected)) in handles.into_iter().zip(&queries) {
+        check(handle.wait().unwrap(), expected);
+    }
+}

@@ -79,13 +79,15 @@ fn tiny_queue_capacity_does_not_deadlock() {
     assert_eq!(outcome.results["Result"].len(), 400);
 }
 
-/// Backpressure through both kinds of scatter set at once. In
-/// transmit(B′) → join(A) → join(C) → store with queue capacity 2 and cache
-/// size 1, a worker flushing positions finds the first join's queue full
-/// and helps drain it, scattering that join's tuples one nesting depth
-/// down, and helps the second join a depth further. Three materialising
-/// and three discarding runs on one runtime reuse the buffers the earlier
-/// runs left at every depth; each must count the sequential reference.
+/// Backpressure through both kinds of producer output at once: a
+/// transmit's batches of positions, cut from its fragments' route tables,
+/// and a join's scatter set of tuples. In transmit(B′) → join(A) → join(C)
+/// → store with queue capacity 2 and cache size 1, a worker flushing
+/// positions finds the first join's queue full and helps drain it,
+/// scattering that join's tuples one nesting depth down, and helps the
+/// second join a depth further. Three materialising and three discarding
+/// runs on one runtime reuse the buffers the earlier runs left at every
+/// depth; each must count the sequential reference.
 #[test]
 fn nested_help_through_both_kinds_of_scatter_set() {
     let a = int_relation("A", 0..2_000);

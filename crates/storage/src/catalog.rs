@@ -88,10 +88,10 @@ impl Catalog {
     ///
     /// The name is stamped with a fresh generation either way. A fragment
     /// whose tuples equal the predecessor's fragment at the same index takes
-    /// over the indexes and dense integer columns the predecessor built, so
-    /// only the fragments the replace changed build them afresh. A pair is
-    /// compared only when the new fragment could receive one: some cell is
-    /// empty in it and built in its predecessor. A version that already
+    /// over the indexes, dense integer columns and route tables the
+    /// predecessor built, so only the fragments the replace changed build
+    /// them afresh. A pair is compared only when the new fragment could
+    /// receive one: some cell is empty in it and built in its predecessor. A version that already
     /// holds everything its predecessor could hand it is installed without
     /// reading a tuple.
     /// Tuples shared with the predecessor compare by pointer, so an edit
@@ -163,6 +163,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fragment::RouteTable;
     use crate::index::HashIndex;
     use crate::partition::{PartitionSpec, PartitionedRelation};
     use crate::relation::test_relation;
@@ -337,6 +338,39 @@ mod tests {
             let keys = new.int_column(1).unwrap();
             assert_eq!(keys.as_ptr() == *old, !changed, "{keys:?}");
             assert!(new.index_cell(0).get().is_none(), "never built");
+            handed += usize::from(!changed);
+        }
+        assert_eq!(handed, 1, "one of the two fragments is unchanged");
+    }
+
+    #[test]
+    fn replace_hands_route_tables_only_to_equal_fragments() {
+        let mut cat = Catalog::new();
+        let first = cat.register(partitioned("A")).unwrap();
+        let built: Vec<*const RouteTable> = first
+            .fragments()
+            .iter()
+            .map(|f| f.routes(1, 5) as *const _)
+            .collect();
+
+        let edited = PartitionedRelation::from_relation(
+            &test_relation("A", &[(1, 10), (2, 21), (3, 30)]),
+            PartitionSpec::on("id", 2, 1),
+        )
+        .unwrap();
+        cat.replace(edited);
+        let edited = cat.get("A").unwrap();
+        let mut handed = 0;
+        for (new, old) in edited.fragments().iter().zip(&built) {
+            let changed = new.tuples().iter().any(|t| t.value(1) == &Value::Int(21));
+            let table = new.routes(1, 5);
+            assert_eq!(std::ptr::eq(table, *old), !changed);
+            let dests: Vec<u64> = table
+                .rows()
+                .iter()
+                .map(|&r| new.tuples()[r as usize].hash_key(&[1]) % 5)
+                .collect();
+            assert!(dests.windows(2).all(|w| w[0] <= w[1]), "its own rows");
             handed += usize::from(!changed);
         }
         assert_eq!(handed, 1, "one of the two fragments is unchanged");

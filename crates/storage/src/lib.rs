@@ -50,7 +50,7 @@ pub mod zipf;
 
 pub use catalog::Catalog;
 pub use error::StorageError;
-pub use fragment::Fragment;
+pub use fragment::{Fragment, RouteTable};
 pub use index::HashIndex;
 pub use partition::{PartitionSpec, PartitionedRelation};
 pub use relation::Relation;

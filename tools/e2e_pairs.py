@@ -20,14 +20,20 @@ side, the change's median relative to the parent's, on how many pairs the
 change was better, whether the medians lie further apart than the parent's
 interquartile distance, and the parent's relative spread,
 (Q3 - Q1) / median, beside the metric's `bound`. A spread above the bound
-is marked `unresolved`: the benchmark cannot tell a change on that metric
-from the parent's own noise, whatever the medians read. It also counts,
+leaves the metric `unresolved`: the benchmark cannot tell a change on that
+metric from the parent's own noise, whatever the medians read. The one
+exception is two ranges that do not overlap: when every change run reads
+better than every parent run the row says `every change run better`, and
+when every one reads worse, `every change run worse`. It also counts,
 per side, the `note: N replaced relation versions ... were cloned` lines
 the runs print on stderr (the number of versions, and the runs that printed
 one): such a clone counts against the timings of the run it happens in.
 
 `--trace` runs each side once more with `--trace 1` on the first seed and
-prints the per-layer metrics side by side.
+prints the per-layer metrics side by side, then whether the logical
+activations and the cache flushes per query are equal on both sides, and
+their difference when not. A difference is reported, not failed on: a
+workload whose pops split differently between runs may move them by one.
 
 A run that outlives `120 + 10 * --seconds` seconds is killed and reported
 as failed, so a build that hangs (a livelocked pool) shows up as a failed
@@ -59,6 +65,9 @@ def end_to_end_metrics():
 
 
 METRICS = end_to_end_metrics()
+
+# Per-query counts a change to the transport must leave as they were.
+COUNTS = ("dbs3_engine.logical_activations_per_query", "dbs3_engine.cache_flushes_per_query")
 
 NOTE = re.compile(r"note: (\d+) replaced relation versions")
 
@@ -191,7 +200,16 @@ def main():
         show = [fmt_metric(name, v) for v in (m_before, *q_before, m_after, *q_after)]
         apart = "yes" if abs(m_after - m_before) > iqr else "no"
         spread = iqr / m_before if m_before else (float("inf") if iqr else 0.0)
-        verdict = " unresolved" if spread > bound else ""
+        verdict = ""
+        if spread > bound:
+            verdict = " unresolved"
+            low, high = (min(after), max(after)), (min(before), max(before))
+            if not lower_is_better:
+                low, high = high, low
+            if low[1] < high[0]:
+                verdict = " every change run better"
+            elif high[1] < low[0]:
+                verdict = " every change run worse"
         print(f"| {name} | {show[0]} [{show[1]}, {show[2]}] | {show[3]} [{show[4]}, {show[5]}] "
               f"| {ratio:.3f} | {better} of {len(before)} | {apart} "
               f"| {spread:.3f} ({bound:g}){verdict} |")
@@ -219,6 +237,15 @@ def main():
             after = traced["change"].get(name)
             after = "—" if after is None else fmt(after)
             print(f"| {name} | {fmt(traced['parent'][name])} | {after} |")
+        print()
+        for name in COUNTS:
+            before, after = traced["parent"].get(name), traced["change"].get(name)
+            if before is None or after is None:
+                print(f"{name}: not reported by both sides")
+            elif before == after:
+                print(f"{name}: equal on both sides ({fmt(before)})")
+            else:
+                print(f"{name}: {fmt(before)} -> {fmt(after)}, differs by {fmt(after - before)}")
 
     if not all_correct:
         print("a run was not correct", file=sys.stderr)
