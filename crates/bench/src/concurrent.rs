@@ -128,10 +128,11 @@ pub fn run_concurrent_baseline(
 /// Whether aggregate throughput holds up as concurrency rises: every
 /// successive concurrency level of each scale must keep at least
 /// `min_ratio` of the *best* queries/s seen at any lower level of that
-/// scale. This is the shape of the 4-query anomaly the ready-deque
-/// scheduler fixed — aggregate throughput at 4 concurrent queries dropped
-/// to a quarter of the 1-query figure because workers stuck to one query's
-/// longest queues — phrased loosely enough to tolerate bench noise.
+/// scale. This is the shape of the 4-query anomaly: aggregate throughput
+/// at 4 concurrent queries once dropped to a quarter of the 1-query figure
+/// because workers stuck to one query's longest queues. The runtime's walk
+/// for work moves one shared cursor past every pick so that none sticks;
+/// the check is phrased loosely enough to tolerate bench noise.
 pub fn is_non_collapsing(runs: &[ConcurrentRun], min_ratio: f64) -> bool {
     let scales: Vec<&'static str> = {
         let mut s: Vec<&'static str> = runs.iter().map(|r| r.scale).collect();

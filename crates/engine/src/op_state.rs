@@ -5,7 +5,7 @@
 //! per-instance activation queues (Figure 4). The runtime keeps that
 //! decision in a single [`OpState`], packed into one `AtomicU64` per
 //! operation ([`OpWord`]), and changes it only through the pure transition
-//! function [`apply`]. Every announce, pop, retire and finish is one
+//! function [`apply`]. Every reservation, claim, pop and finish is one
 //! read-modify-write on that one location, so the transitions of an
 //! operation happen in one total order, and the exhaustive explorer in this
 //! module's tests checks the protocol over every interleaving instead of
@@ -30,18 +30,18 @@
 //! left is push-before-close: the queue mutex orders them, and a push that
 //! lands after the close is refused and given back.
 //!
-//! # The ready-deque entry
+//! # Waking a worker
 //!
-//! `announced` is set exactly while the operation holds its one entry in
-//! the runtime's ready deque. [`Event::Announce`] after a successful push
-//! sets it unless it is set already or the operation is finished, and only
-//! then tells the caller to enqueue. A worker that popped the entry applies
-//! [`Event::Retire`]: the entry stays (the worker re-queues it) while the
-//! query is live and `pending > 0`, and is dropped, clearing `announced`,
-//! otherwise. That read of `pending` and the clear are one transition, so a
-//! racing `Reserve` lands either before it (the entry stays) or after it
-//! (the producer's `Announce` enqueues afresh): no announcement is lost,
-//! with no clear-then-recheck step.
+//! Workers find work by reading `pending`: a worker snapshots the pool's
+//! wake-up epoch, walks the live operations for one with `pending > 0`, and
+//! parks on that epoch if the walk finds none. A producer whose `Reserve`
+//! raised `pending` from 0 bumps the epoch after its push, landed or
+//! refused: a refused push may leave in the queue the batch of a producer
+//! whose `Reserve` came second and found `pending` above 0. A walk that
+//! read the 0 began before that bump, so its worker does not sleep through
+//! it, and a walk that began after it reads the raised `pending`. The
+//! explorer below checks that no worker is left parked beside pending
+//! work.
 //!
 //! # Occupancy
 //!
@@ -60,7 +60,6 @@ const PENDING_BITS: u32 = 45;
 /// Largest `pending` queue weight the word can hold.
 const MAX_PENDING: u64 = (1 << PENDING_BITS) - 1;
 const INFLIGHT_SHIFT: u32 = PENDING_BITS;
-const ANNOUNCED: u64 = 1 << 61;
 const INPUT_CLOSED: u64 = 1 << 62;
 const FINISHED: u64 = 1 << 63;
 
@@ -70,8 +69,6 @@ pub(crate) const MAX_INFLIGHT: usize = u16::MAX as usize;
 /// The state of one operation (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub(crate) struct OpState {
-    /// The operation holds its one ready-deque entry.
-    pub announced: bool,
     /// The producers are done and the queues are closed.
     pub input_closed: bool,
     /// Set once, by the transition that found the operation closed,
@@ -102,14 +99,12 @@ impl OpState {
     fn pack(self) -> u64 {
         self.pending
             | u64::from(self.inflight) << INFLIGHT_SHIFT
-            | if self.announced { ANNOUNCED } else { 0 }
             | if self.input_closed { INPUT_CLOSED } else { 0 }
             | if self.finished { FINISHED } else { 0 }
     }
 
     fn unpack(bits: u64) -> OpState {
         OpState {
-            announced: bits & ANNOUNCED != 0,
             input_closed: bits & INPUT_CLOSED != 0,
             finished: bits & FINISHED != 0,
             inflight: (bits >> INFLIGHT_SHIFT) as u16,
@@ -125,8 +120,6 @@ pub(crate) enum Event {
     Reserve(u64),
     /// The push was refused: the reservation is given back.
     Unreserve(u64),
-    /// A push landed: claim the ready-deque entry if nobody holds it.
-    Announce,
     /// A worker wants to pop a batch: claim the operation if it has work.
     Begin,
     /// The claiming worker popped this queue weight.
@@ -135,9 +128,6 @@ pub(crate) enum Event {
     End,
     /// The producers finished and closed the queues.
     InputClosed,
-    /// The worker that popped the ready-deque entry decides its fate;
-    /// `live` says whether the query can still make progress.
-    Retire { live: bool },
 }
 
 /// What the caller of a transition must do.
@@ -145,12 +135,6 @@ pub(crate) enum Event {
 pub(crate) enum Effect {
     /// Nothing.
     None,
-    /// `Announce`: push the operation's entry onto the ready deque.
-    Enqueue,
-    /// `Retire`: the entry stays; re-queue it and work on the operation.
-    Keep,
-    /// `Retire`: the entry is gone.
-    Drop,
     /// `Begin`: the caller holds a claim and must end it with `End`.
     Claimed,
     /// The operation just finished: close the consumer's queues.
@@ -169,8 +153,6 @@ pub(crate) enum Violation {
     InflightOverflow,
     /// `Popped` or `End` without a claim.
     NoClaim,
-    /// `Retire` by a worker that holds no entry.
-    NoEntry,
 }
 
 /// The transition function of an operation's state.
@@ -194,12 +176,6 @@ pub(crate) fn apply(s: OpState, event: Event) -> Result<(OpState, Effect), Viola
                 .checked_sub(w)
                 .ok_or(Violation::PendingUnderflow)?;
         }
-        Event::Announce => {
-            if !s.announced && !s.finished {
-                next.announced = true;
-                effect = Effect::Enqueue;
-            }
-        }
         Event::Begin => {
             if s.pending > 0 {
                 next.inflight = s
@@ -213,17 +189,6 @@ pub(crate) fn apply(s: OpState, event: Event) -> Result<(OpState, Effect), Viola
             next.inflight = s.inflight.checked_sub(1).ok_or(Violation::NoClaim)?;
         }
         Event::InputClosed => next.input_closed = true,
-        Event::Retire { live } => {
-            if !s.announced {
-                return Err(Violation::NoEntry);
-            }
-            if live && s.pending > 0 {
-                effect = Effect::Keep;
-            } else {
-                next.announced = false;
-                effect = Effect::Drop;
-            }
-        }
     }
     if !next.finished && next.input_closed && next.pending == 0 && next.inflight == 0 {
         next.finished = true;
@@ -354,14 +319,12 @@ mod tests {
         for state in [
             OpState::default(),
             OpState {
-                announced: true,
                 input_closed: true,
                 finished: true,
                 inflight: u16::MAX,
                 pending: MAX_PENDING,
             },
             OpState {
-                announced: true,
                 inflight: 1,
                 pending: 1,
                 ..OpState::default()
@@ -390,25 +353,16 @@ mod tests {
         );
         assert_eq!(apply(idle, Event::End), Err(Violation::NoClaim));
         assert_eq!(apply(idle, Event::Popped(0)), Err(Violation::NoClaim));
-        assert_eq!(
-            apply(idle, Event::Retire { live: true }),
-            Err(Violation::NoEntry)
-        );
     }
 
     #[test]
     fn the_word_applies_transitions_in_place() {
         let word = OpWord::new(OpState::triggered(2));
-        assert_eq!(word.apply(Event::Announce).1, Effect::Enqueue);
-        assert_eq!(word.apply(Event::Announce).1, Effect::None);
-        assert_eq!(word.apply(Event::Retire { live: true }).1, Effect::Keep);
         assert_eq!(word.apply(Event::Begin).1, Effect::Claimed);
         assert_eq!(word.apply(Event::Popped(2)).0.pending, 0);
         assert_eq!(word.apply(Event::End).1, Effect::Finished);
         assert_eq!(word.apply(Event::Begin).1, Effect::None);
-        assert_eq!(word.apply(Event::Retire { live: true }).1, Effect::Drop);
-        let done = word.load();
-        assert!(done.finished && !done.announced);
+        assert!(word.load().finished);
     }
 
     // ---- the exhaustive explorer ----
@@ -418,18 +372,31 @@ mod tests {
     const CAPACITY: u64 = 1;
     const BUDGET: u64 = 1;
 
-    /// What one modelled worker does. Each is at most four events on the
-    /// word, interleaved with its queue and ready-deque actions.
+    /// Whether a producer bumps the wake-up epoch after its push, given
+    /// whether its `Reserve` raised `pending` from 0 and whether the push
+    /// landed.
+    type Wakes = fn(bool, bool) -> bool;
+
+    /// The runtime's rule: the producer that raised `pending` from 0 wakes
+    /// a worker, whether its push landed or was refused.
+    fn raised_from_zero(raised: bool, _landed: bool) -> bool {
+        raised
+    }
+
+    /// What one modelled worker does: events on the word, interleaved with
+    /// its queue actions and its reads and bumps of the wake-up epoch.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
     enum Role {
-        /// Pushes `batches` batches of weight 1: `Reserve`, push, then
-        /// `Announce` or, if the push was refused, `Unreserve`.
+        /// Pushes `batches` batches of weight 1: `Reserve`, push,
+        /// `Unreserve` if the push was refused, then a wake-up if the
+        /// `Reserve` raised `pending` from 0 (see [`Wakes`]).
         Producer { batches: u8 },
         /// The upstream finishing: close the queues, then `InputClosed`
         /// (after the producers' pushes, see [`Model::enabled`]).
         Closer,
-        /// Pops the ready entry and works one batch: `Retire`, re-queue,
-        /// `Begin`, pop, `Popped`, `End`.
+        /// A pool worker's loop: snapshot the epoch, read `pending`, then
+        /// park on the snapshot, or claim and work one batch: `Begin`, pop,
+        /// `Popped` (waking another worker if work is left), `End`.
         Consumer,
         /// Helps drain a full queue: `Begin`, pop, `Popped`, `End`.
         Helper,
@@ -443,8 +410,10 @@ mod tests {
         role: Role,
         pc: u8,
         batches_left: u8,
-        /// Holds the ready entry (popped it, has not re-queued or dropped it).
-        holds_entry: bool,
+        /// A producer's `Reserve` raised `pending` from 0.
+        raised: bool,
+        /// The epoch a consumer snapshotted before its read.
+        epoch: u8,
         /// Weight of the last push (0 if refused) or pop.
         moved: u64,
         done: bool,
@@ -457,31 +426,27 @@ mod tests {
         buffered: u64,
         closed: bool,
         live: bool,
-        /// Entries in the ready deque (not held by a worker).
-        deque: u8,
+        /// The pool's wake-up epoch.
+        epoch: u8,
         finishes: u8,
         workers: Vec<Worker>,
     }
 
     impl Model {
-        fn entries(&self) -> usize {
-            usize::from(self.deque) + self.workers.iter().filter(|w| w.holds_entry).count()
-        }
-
         fn enabled(&self, i: usize) -> bool {
             let w = &self.workers[i];
             match (w.role, w.pc) {
                 _ if w.done => false,
-                // A consumer with no entry to pop is parked.
-                (Role::Consumer, 0) => self.deque > 0,
+                // A parked consumer runs again only once the epoch moved.
+                (Role::Consumer, 2) => self.epoch != w.epoch,
                 // Producers push while they hold a claim upstream, so the
                 // upstream finishes, and closes this input, only after every
-                // push has landed or been refused. Their announcements and
-                // give-backs may still trail the close here, which the
-                // runtime never does: the model checks more schedules than
-                // the runtime can make.
+                // push has landed or been refused. Their give-backs and
+                // wake-ups may still trail the close here, which the runtime
+                // never does: the model checks more schedules than the
+                // runtime can make.
                 (Role::Closer, 0) => self.workers.iter().all(|p| match p.role {
-                    Role::Producer { .. } => p.done || (p.batches_left == 1 && p.pc == 2),
+                    Role::Producer { .. } => p.done || (p.batches_left == 1 && p.pc >= 2),
                     _ => true,
                 }),
                 _ => true,
@@ -490,28 +455,32 @@ mod tests {
 
         /// Applies `event` to the word, counting a finish.
         fn event(&mut self, apply: Transition, event: Event) -> Result<Effect, String> {
-            let before = self.word;
-            let (next, effect) = apply(before, event).map_err(|v| format!("{v:?} on {event:?}"))?;
+            let (next, effect) =
+                apply(self.word, event).map_err(|v| format!("{v:?} on {event:?}"))?;
             self.word = next;
             if effect == Effect::Finished {
                 self.finishes += 1;
-            }
-            if effect == Effect::Enqueue {
-                if before.finished {
-                    return Err("a finished operation gained a ready entry".into());
-                }
-                self.deque += 1;
             }
             Ok(effect)
         }
 
         /// Runs worker `i`'s next atomic action.
-        fn step(&mut self, apply: Transition, i: usize) -> Result<(), String> {
+        fn step(&mut self, apply: Transition, wakes: Wakes, i: usize) -> Result<(), String> {
             let mut w = self.workers[i].clone();
-            let live = self.live;
+            let end_batch = |w: &mut Worker| {
+                w.batches_left -= 1;
+                w.pc = 0;
+                w.done = w.batches_left == 0;
+            };
+            // A consumer loops; a helper works one batch.
+            let end_round = |w: &mut Worker| {
+                w.pc = 0;
+                w.done = w.role == Role::Helper;
+            };
             match (w.role, w.pc) {
                 (Role::Producer { .. }, 0) => {
                     self.event(apply, Event::Reserve(1))?;
+                    w.raised = self.word.pending == 1;
                     w.pc = 1;
                 }
                 (Role::Producer { .. }, 1) => {
@@ -523,15 +492,19 @@ mod tests {
                     };
                     w.pc = 2;
                 }
-                (Role::Producer { .. }, _) => {
-                    if w.moved > 0 {
-                        self.event(apply, Event::Announce)?;
-                    } else {
+                (Role::Producer { .. }, 2) => {
+                    if w.moved == 0 {
                         self.event(apply, Event::Unreserve(1))?;
                     }
-                    w.batches_left -= 1;
-                    w.pc = 0;
-                    w.done = w.batches_left == 0;
+                    if wakes(w.raised, w.moved > 0) {
+                        w.pc = 3;
+                    } else {
+                        end_batch(&mut w);
+                    }
+                }
+                (Role::Producer { .. }, _) => {
+                    self.epoch += 1;
+                    end_batch(&mut w);
                 }
                 (Role::Closer, 0) => {
                     self.closed = true;
@@ -548,28 +521,23 @@ mod tests {
                     w.done = true;
                 }
                 (Role::Consumer, 0) => {
-                    self.deque -= 1;
-                    w.holds_entry = true;
+                    w.epoch = self.epoch;
                     w.pc = 1;
                 }
-                (Role::Consumer, 1) => match self.event(apply, Event::Retire { live })? {
-                    Effect::Keep => w.pc = 2,
-                    _ => {
-                        w.holds_entry = false;
-                        w.done = true;
-                    }
-                },
-                (Role::Consumer, 2) => {
-                    w.holds_entry = false;
-                    self.deque += 1;
-                    w.pc = 3;
+                (Role::Consumer, 1) => {
+                    w.pc = if self.live && self.word.pending > 0 {
+                        3
+                    } else {
+                        2
+                    };
                 }
+                (Role::Consumer, 2) => w.pc = 0,
                 // The helper starts here, at the consumer's `Begin`.
                 (_, 3) => {
                     if self.event(apply, Event::Begin)? == Effect::Claimed {
                         w.pc = 4;
                     } else {
-                        w.done = true;
+                        end_round(&mut w);
                     }
                 }
                 (_, 4) => {
@@ -579,11 +547,14 @@ mod tests {
                 }
                 (_, 5) => {
                     self.event(apply, Event::Popped(w.moved))?;
+                    if w.role == Role::Consumer && self.word.pending > 0 {
+                        self.epoch += 1;
+                    }
                     w.pc = 6;
                 }
                 (_, _) => {
                     self.event(apply, Event::End)?;
-                    w.done = true;
+                    end_round(&mut w);
                 }
             }
             self.workers[i] = w;
@@ -593,16 +564,6 @@ mod tests {
         /// The invariants of every reachable state.
         fn check(&self) -> Result<(), String> {
             let s = self.word;
-            if self.entries() > 1 {
-                return Err(format!("{} ready entries", self.entries()));
-            }
-            if s.announced != (self.entries() == 1) {
-                return Err(format!(
-                    "announced = {} with {} ready entries",
-                    s.announced,
-                    self.entries()
-                ));
-            }
             if s.finished && (s.inflight > 0 || s.pending > 0) {
                 return Err(format!("finished while busy: {s:?}"));
             }
@@ -621,7 +582,8 @@ mod tests {
             Ok(())
         }
 
-        /// The invariants of a state where no worker can move.
+        /// The invariants of a state where no worker can move: every
+        /// consumer is parked on an epoch that has not moved.
         fn check_quiescent(&self) -> Result<(), String> {
             let s = self.word;
             if !self.live {
@@ -636,8 +598,9 @@ mod tests {
             if s.input_closed && s.pending == 0 && !s.finished {
                 return Err("closed and drained but never finished".into());
             }
-            if s.pending > 0 && !s.finished && !s.announced {
-                return Err(format!("lost announcement: {s:?}"));
+            let parked = self.workers.iter().any(|w| w.role == Role::Consumer);
+            if parked && s.pending > 0 && !s.finished {
+                return Err(format!("lost wake-up: {s:?}"));
             }
             Ok(())
         }
@@ -646,7 +609,7 @@ mod tests {
     /// Visits every state reachable from `start` under any interleaving of
     /// its workers (memoised: a state's successors do not depend on the
     /// path to it) and returns how many there are.
-    fn explore_from(start: Model, apply: Transition) -> Result<usize, String> {
+    fn explore_from(start: Model, apply: Transition, wakes: Wakes) -> Result<usize, String> {
         start.check()?;
         let mut seen: HashSet<Model> = HashSet::new();
         let mut stack = vec![start];
@@ -664,7 +627,7 @@ mod tests {
             }
             for i in runnable {
                 let mut next = model.clone();
-                next.step(apply, i)
+                next.step(apply, wakes, i)
                     .map_err(|e| format!("{e} after worker {i} of {model:?}"))?;
                 stack.push(next);
             }
@@ -674,8 +637,8 @@ mod tests {
 
     /// Every team of at most three workers, against a pipelined operation
     /// (empty, fed by producers) and a triggered one (two control
-    /// activations queued and announced at submit).
-    fn explore(apply: Transition) -> Result<usize, String> {
+    /// activations queued at submit, which wakes the consumers).
+    fn explore(apply: Transition, wakes: Wakes) -> Result<usize, String> {
         let pipelined_roles = [
             Role::Producer { batches: 1 },
             Role::Producer { batches: 2 },
@@ -685,14 +648,10 @@ mod tests {
             Role::Canceller,
         ];
         let triggered_roles = [Role::Consumer, Role::Helper, Role::Canceller];
-        let triggered = OpState {
-            announced: true,
-            ..OpState::triggered(2)
-        };
         let mut states = 0;
-        for (word, buffered, closed, deque, roles) in [
-            (OpState::default(), 0, false, 0, &pipelined_roles[..]),
-            (triggered, 2, true, 1, &triggered_roles[..]),
+        for (word, buffered, closed, roles) in [
+            (OpState::default(), 0, false, &pipelined_roles[..]),
+            (OpState::triggered(2), 2, true, &triggered_roles[..]),
         ] {
             for team in teams(roles) {
                 let once = |r: Role| team.iter().filter(|t| **t == r).count() <= 1;
@@ -708,7 +667,8 @@ mod tests {
                             Role::Producer { batches } => batches,
                             _ => 1,
                         },
-                        holds_entry: false,
+                        raised: false,
+                        epoch: 0,
                         moved: 0,
                         done: false,
                     })
@@ -718,11 +678,12 @@ mod tests {
                     buffered,
                     closed,
                     live: true,
-                    deque,
+                    epoch: 0,
                     finishes: 0,
                     workers,
                 };
-                states += explore_from(model, apply).map_err(|e| format!("team {team:?}: {e}"))?;
+                states +=
+                    explore_from(model, apply, wakes).map_err(|e| format!("team {team:?}: {e}"))?;
             }
         }
         Ok(states)
@@ -745,7 +706,7 @@ mod tests {
 
     #[test]
     fn every_interleaving_keeps_the_protocol() {
-        let states = explore(apply).unwrap();
+        let states = explore(apply, raised_from_zero).unwrap();
         assert!(states > 1_000, "explored only {states} states");
     }
 
@@ -759,39 +720,24 @@ mod tests {
             }
             Ok((next, effect))
         }
-        let report = explore(broken).unwrap_err();
+        let report = explore(broken, raised_from_zero).unwrap_err();
         assert!(report.contains("finished while busy"), "{report}");
     }
 
     #[test]
-    fn the_explorer_catches_a_retire_that_always_clears_announced() {
-        fn broken(s: OpState, event: Event) -> Result<(OpState, Effect), Violation> {
-            let (mut next, effect) = apply(s, event)?;
-            if matches!(event, Event::Retire { .. }) {
-                next.announced = false;
-            }
-            Ok((next, effect))
-        }
-        let report = explore(broken).unwrap_err();
-        assert!(report.contains("ready entries"), "{report}");
+    fn the_explorer_catches_a_producer_that_never_wakes() {
+        let report = explore(apply, |_, _| false).unwrap_err();
+        assert!(report.contains("lost wake-up"), "{report}");
     }
 
+    /// A producer whose `Reserve` raised `pending` from 0 can be refused
+    /// because a second producer's push filled the queue in between; that
+    /// second `Reserve` found `pending` above 0, so only the first producer
+    /// is left to wake anyone.
     #[test]
-    fn the_explorer_catches_an_announce_that_ignores_finished() {
-        fn broken(s: OpState, event: Event) -> Result<(OpState, Effect), Violation> {
-            if event == Event::Announce && !s.announced {
-                return Ok((
-                    OpState {
-                        announced: true,
-                        ..s
-                    },
-                    Effect::Enqueue,
-                ));
-            }
-            apply(s, event)
-        }
-        let report = explore(broken).unwrap_err();
-        assert!(report.contains("finished operation gained"), "{report}");
+    fn the_explorer_catches_a_refused_push_that_does_not_wake() {
+        let report = explore(apply, |raised, landed| raised && landed).unwrap_err();
+        assert!(report.contains("lost wake-up"), "{report}");
     }
 
     // ---- the occupancy protocol ----

@@ -22,8 +22,8 @@
 //! * `handle.rs`: the handle a caller waits on and its completion cell;
 //! * `spares.rs`: what a warm runtime keeps for later queries;
 //! * `parking.rs`: how idle workers sleep and wake, and the watchdog;
-//! * `worker.rs`: how a worker finds work, from the ready deque to the
-//!   queue it pops;
+//! * `worker.rs`: how a worker finds work, from the walk over the live
+//!   queries to the queue it pops;
 //! * `route.rs`: where a batch's output goes: the producer-side cache,
 //!   its flushes and cooperative backpressure.
 //!
@@ -85,11 +85,11 @@ use route::ConsumerLink;
 #[cfg(test)]
 use spares::SpareCounts;
 use spares::Spares;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::mem;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use worker::{chunk, occupancy_bit, worker_loop};
@@ -121,9 +121,9 @@ struct OpRuntime {
     /// is the position of queue `q`, for `n` queues. Computed once at
     /// submit: the estimates are static.
     ring: Vec<u32>,
-    /// Announced, input-closed and finished bits, workers in flight and
-    /// pending queue weight, changed one transition at a time; and the
-    /// occupancy bits of the ring's chunks.
+    /// Input-closed and finished bits, workers in flight and pending queue
+    /// weight, changed one transition at a time; and the occupancy bits of
+    /// the ring's chunks.
     state: OpWord,
 }
 
@@ -230,15 +230,11 @@ impl QueryState {
 /// [`QueryHandle`].
 struct RuntimeInner {
     pool_threads: usize,
-    /// Bookkeeping registry of live queries (for `live_queries`, shutdown
-    /// and abort). Workers never scan it for work — they pop the ready
-    /// deque instead.
-    queries: Mutex<Vec<Arc<QueryState>>>,
-    /// The global ready-op deque: at most one `(query, op)` entry per
-    /// operation that has buffered activations (see the `worker` module
-    /// docs).
-    /// Workers pop the front; producers announce at the back.
-    ready: Mutex<VecDeque<(Arc<QueryState>, usize)>>,
+    /// The live queries, in submit order, and where the last walk for
+    /// work stopped: workers find their next operation here (see the
+    /// `worker` module docs), and `live_queries`, shutdown, abort and the
+    /// watchdog read it.
+    queries: Mutex<Registry>,
     // ordering(next_query): SeqCst — id allocation; uniqueness is all that
     // matters and the fetch_add is nowhere near a hot path.
     next_query: AtomicU64,
@@ -254,41 +250,58 @@ struct RuntimeInner {
     spares: Arc<Mutex<Spares>>,
 }
 
-impl RuntimeInner {
-    fn remove_query(&self, id: QueryId) {
-        self.queries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .retain(|q| q.id != id);
-    }
-
-    fn pop_ready(&self) -> Option<(Arc<QueryState>, usize)> {
-        self.ready
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop_front()
-    }
-
-    /// Puts an entry back unless its query is over. Checked under the
-    /// deque's lock, which [`finalize_query`] takes after the last
-    /// operation finished, so no entry of a finished query stays behind to
-    /// keep its state, and so its sealing, waiting.
-    fn push_ready(&self, query: Arc<QueryState>, op_index: usize) {
-        let mut ready = self.ready.lock().unwrap_or_else(PoisonError::into_inner);
-        if query.is_live() {
-            ready.push_back((query, op_index));
-        }
-    }
+/// The live queries and the walk's cursor.
+#[derive(Default)]
+struct Registry {
+    live: Vec<Arc<QueryState>>,
+    /// The (query, operation) after the one the last walk returned: the
+    /// next walk starts there, so the walks rotate over every operation
+    /// with work of every live query.
+    next: (usize, usize),
 }
 
-/// Puts `op_index` of `query` into the ready deque unless it is already
-/// there or finished (the `Announce` transition decides) and wakes one
-/// parked worker; `try_process_op` carries the wake-up on to the next
-/// sleeper while work remains. Called after every successful push.
-fn announce_op(inner: &RuntimeInner, query: &Arc<QueryState>, op_index: usize) {
-    if query.ops[op_index].state.apply(Event::Announce).1 == Effect::Enqueue {
-        inner.push_ready(Arc::clone(query), op_index);
-        inner.idle.wake_one();
+impl RuntimeInner {
+    fn registry(&self) -> MutexGuard<'_, Registry> {
+        self.queries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn remove_query(&self, id: QueryId) {
+        self.registry().live.retain(|q| q.id != id);
+    }
+
+    /// The next operation with work: one pass over every live query's
+    /// operations from the cursor on, wrapping once, for the first whose
+    /// state word has `pending > 0`. The cursor moves past it, so no query
+    /// can starve another however much work its own operations hold.
+    fn next_ready(&self) -> Option<(Arc<QueryState>, usize)> {
+        let mut registry = self.registry();
+        let Registry { live, next } = &mut *registry;
+        let n = live.len();
+        if n == 0 {
+            return None;
+        }
+        let (start, first_op) = if next.0 < n { *next } else { (0, 0) };
+        for step in 0..=n {
+            let index = (start + step) % n;
+            let query = &live[index];
+            if !query.is_live() {
+                continue;
+            }
+            // The start query from the cursor on first, and its operations
+            // before the cursor last.
+            let ops = match step {
+                0 => first_op..query.ops.len(),
+                _ if step == n => 0..first_op.min(query.ops.len()),
+                _ => 0..query.ops.len(),
+            };
+            for op_index in ops {
+                if query.ops[op_index].state.load().pending > 0 {
+                    *next = (index, op_index + 1);
+                    return Some((Arc::clone(query), op_index));
+                }
+            }
+        }
+        None
     }
 }
 
@@ -361,8 +374,7 @@ impl Runtime {
         }
         let inner = Arc::new(RuntimeInner {
             pool_threads,
-            queries: Mutex::new(Vec::new()),
-            ready: Mutex::new(VecDeque::new()),
+            queries: Mutex::default(),
             next_query: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             idle: IdleParking::new(),
@@ -419,11 +431,7 @@ impl Runtime {
     /// Number of queries currently registered (submitted, not yet completed
     /// or cancelled).
     pub fn live_queries(&self) -> usize {
-        self.inner
-            .queries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.inner.registry().live.len()
     }
 
     /// Submits `plan` for execution under an explicitly built `schedule`
@@ -683,11 +691,7 @@ impl Runtime {
             spares: Arc::clone(&self.inner.spares),
         });
 
-        self.inner
-            .queries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(Arc::clone(&query));
+        self.inner.registry().live.push(Arc::clone(&query));
         // Re-check the shutdown flag now that the query is visible: a
         // concurrent `shutdown()` that drained the registry between the
         // check at the top of this method and the push above would leave
@@ -698,12 +702,11 @@ impl Runtime {
             abort_query(&self.inner, &query, EngineError::RuntimeShutdown);
             return Err(EngineError::RuntimeShutdown);
         }
-        // Announce the triggered leaves (the only ops with queued work at
-        // submit time); announce_op wakes one parked worker per leaf and
-        // the workers wake the rest.
-        for op_index in 0..query.ops.len() {
-            if query.ops[op_index].state.load().pending > 0 {
-                announce_op(&self.inner, &query, op_index);
+        // Wake one parked worker per triggered leaf (the only operations
+        // with work at submit time); the workers wake the rest.
+        for op in &query.ops {
+            if op.state.load().pending > 0 {
+                self.inner.idle.wake_one();
             }
         }
         Ok(QueryHandle {
@@ -734,17 +737,7 @@ impl Runtime {
             let _ = handle.join();
         }
         // Fail whatever is still registered so no waiter ever hangs.
-        let leftover: Vec<Arc<QueryState>> = self
-            .inner
-            .queries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        self.inner
-            .ready
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
+        let leftover: Vec<Arc<QueryState>> = self.inner.registry().live.clone();
         for query in leftover {
             abort_query(&self.inner, &query, EngineError::RuntimeShutdown);
         }
@@ -973,8 +966,7 @@ fn finish_op(inner: &Arc<RuntimeInner>, query: &Arc<QueryState>, op_index: usize
 /// * **The sealed outcome** reaches the waiter under the cell's mutex.
 ///
 /// Names, nodes, queue counts and the start time were written before
-/// submit shared the state; the registry's and the ready deque's mutexes
-/// publish them with it.
+/// submit shared the state; the registry's mutex publishes them with it.
 fn finalize_query(inner: &Arc<RuntimeInner>, query: &Arc<QueryState>) {
     let elapsed = query.started.elapsed();
     let operations: Vec<OperationMetrics> = query
@@ -1020,14 +1012,6 @@ fn finalize_query(inner: &Arc<RuntimeInner>, query: &Arc<QueryState>) {
     }
 
     inner.remove_query(query.id);
-    // The query's ready entries would only be retired: dropping them now
-    // leaves the workers' own references the last ones to go, and no
-    // worker puts one back (see `RuntimeInner::push_ready`).
-    inner
-        .ready
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .retain(|(entry, _)| !Arc::ptr_eq(entry, query));
     // Sealed as the state drops, right after its queue sets go back to the
     // runtime (a cancel or deadline meanwhile seals it at once).
     *query
@@ -1125,6 +1109,34 @@ mod tests {
             assert_eq!(outcome.cardinalities["Result"], expected);
         }
         assert_eq!(runtime.live_queries(), 0);
+    }
+
+    #[test]
+    fn a_short_query_is_not_queued_behind_a_long_one() {
+        // One worker, a nested-loop join of a dozen long morsels, then a
+        // ten-row hash join: the walk's cursor moves past every pick, so
+        // the short query's operations get their turns between the long
+        // query's morsels instead of after all of them.
+        let (long_cat, _, _) = build_catalog(40_000, 4_000, 4);
+        let long = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
+        let long_schedule = schedule_for(&long, &long_cat, 1);
+        let (short_cat, _, _) = build_catalog(100, 10, 1);
+        let short = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
+        let short_schedule = schedule_for(&short, &short_cat, 1);
+        let runtime = Runtime::new(1).unwrap();
+        let long_handle = runtime.submit(&long_cat, &long, &long_schedule).unwrap();
+        let outcome = runtime
+            .submit(&short_cat, &short, &short_schedule)
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(outcome.results["Result"].len(), 10);
+        assert_eq!(
+            runtime.live_queries(),
+            1,
+            "the short query finished only after the long one"
+        );
+        long_handle.cancel();
     }
 
     #[test]

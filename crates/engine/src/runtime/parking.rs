@@ -5,16 +5,16 @@
 //!
 //! Workers that find no poppable activation anywhere park on a condvar
 //! (epoch-checked so a wakeup between the scan and the park is never
-//! lost). An idle runtime burns no CPU. Wake-ups *cascade*: an
-//! announcement wakes one sleeper, and a worker that pops a batch and
-//! leaves more buffered behind it wakes the next. Besides sparing a herd
-//! of wake-ups per flush, this decides where the kernel puts the workers:
-//! woken together by a submitting thread that is about to block in `wait`,
-//! two workers are placed while the submitter's CPU still looks busy and
-//! can end up sharing the other one for the whole of a millisecond-scale
-//! query (measured: a 2-worker pool on 2 vCPUs ran streaks of hundreds of
-//! queries at half speed); woken by a *working* sibling a moment later,
-//! the next worker finds the submitter's CPU idle.
+//! lost). An idle runtime burns no CPU. Wake-ups *cascade*: a push that
+//! gives an operation work wakes one sleeper, and a worker that pops a
+//! batch and leaves more buffered behind it wakes the next. Besides
+//! sparing a herd of wake-ups per flush, this decides where the kernel
+//! puts the workers: woken together by a submitting thread that is about
+//! to block in `wait`, two workers are placed while the submitter's CPU
+//! still looks busy and can end up sharing the other one for the whole of
+//! a millisecond-scale query (measured: a 2-worker pool on 2 vCPUs ran
+//! streaks of hundreds of queries at half speed); woken by a *working*
+//! sibling a moment later, the next worker finds the submitter's CPU idle.
 
 use super::{abort_query, QueryState, RuntimeInner};
 use crate::error::EngineError;
@@ -24,10 +24,11 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Epoch-checked condvar parking: workers that find no work anywhere sleep
-/// here; every producer-side event (submit, queue flush, shutdown) bumps the
-/// epoch and wakes a sleeper (all of them on shutdown). The parker re-checks
-/// the epoch *after* announcing itself, so a wakeup between its last scan
-/// and the wait can never be lost.
+/// here; every producer-side event (submit, a push that raises an
+/// operation's `pending` from 0, shutdown) bumps the epoch and wakes a
+/// sleeper (all of them on shutdown). The parker re-checks the epoch
+/// *after* announcing itself, so a wakeup between its last scan and the
+/// wait can never be lost.
 pub(super) struct IdleParking {
     // ordering(epoch): SeqCst — the snapshot/announce/re-check dance only
     // excludes lost wakeups if the epoch bump, the sleeper count and the
@@ -115,11 +116,7 @@ pub(super) fn watchdog_loop(inner: &Arc<RuntimeInner>, stall_after: Duration) {
         if inner.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let live: Vec<Arc<QueryState>> = inner
-            .queries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
+        let live: Vec<Arc<QueryState>> = inner.registry().live.clone();
         let now = Instant::now();
         let mut alive: Vec<u64> = Vec::with_capacity(live.len());
         for query in &live {

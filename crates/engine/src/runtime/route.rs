@@ -13,7 +13,7 @@
 //! deadlock-free.
 
 use super::worker::{Frame, WorkerCtx};
-use super::{announce_op, finish_op, QueryState, RuntimeInner};
+use super::{finish_op, QueryState, RuntimeInner};
 use crate::activation::{Activation, TupleBatch};
 use crate::op_state::{Effect, Event};
 use crate::operators::{BoundOperator, Router};
@@ -243,23 +243,25 @@ fn flush_to(
         }
         // The pending weight goes up before the push, so it never falls
         // below what the queues hold; a refused push gives it back. The
-        // queue's occupancy bit is marked after the push and before the
-        // announcement that sends a worker looking for it.
-        consumer.state.apply(Event::Reserve(weight));
-        let refused = match consumer.queues[dest].try_push(activation) {
-            Ok(()) => {
-                consumer.state.mark(consumer.bit_of(dest));
-                announce_op(inner, query, consumer_index);
-                return;
-            }
-            Err(refused) => refused,
-        };
-        if consumer.state.apply(Event::Unreserve(weight)).1 == Effect::Finished {
+        // queue's occupancy bit is marked after the push. The producer
+        // whose reservation raised `pending` from 0 wakes one parked worker
+        // after its push, landed or refused: a refused push may leave a
+        // second producer's batch in the queue, and that producer reserved
+        // after this one, found `pending` above 0 and wakes nobody (see
+        // `op_state.rs`).
+        let raised = consumer.state.apply(Event::Reserve(weight)).0.pending == weight;
+        let pushed = consumer.queues[dest].try_push(activation);
+        if pushed.is_ok() {
+            consumer.state.mark(consumer.bit_of(dest));
+        } else if consumer.state.apply(Event::Unreserve(weight)).1 == Effect::Finished {
             finish_op(inner, query, consumer_index);
         }
-        match refused {
-            TryPushError::Closed(_) => return,
-            TryPushError::Full(back) => {
+        if raised {
+            inner.idle.wake_one();
+        }
+        match pushed {
+            Ok(()) | Err(TryPushError::Closed(_)) => return,
+            Err(TryPushError::Full(back)) => {
                 activation = back;
                 let help_started = Instant::now();
                 help_drain(inner, query, consumer_index, dest, ctx);

@@ -1,35 +1,40 @@
 //! One pool worker: what it owns, how it finds work, and which queue of
 //! an operation it pops.
 //!
-//! # Work finding: the global ready-op deque
+//! # Work finding: a walk over the live queries
 //!
-//! Workers do not scan the registry for work. A single FIFO deque of
-//! *ready operations* (one `(query, op)` entry per operation that has
-//! buffered activations) is the only structure a worker consults: pop the
-//! front entry, put it straight back at the tail, process one batch. The
-//! re-push-before-processing move does three jobs at once:
+//! Each operation's state word (`op_state.rs`) already says whether it has
+//! work: `pending > 0`. A worker finds its next operation by walking the
+//! runtime's registry of live queries under the registry's one lock: one
+//! pass over every live query's operations, skipping queries that are
+//! cancelled or done, for the first with `pending > 0`. The pass starts
+//! just past the (query, operation) the last walk returned, and moves that
+//! shared cursor past its own pick. That cursor does three jobs:
 //!
-//! * **O(1) work finding** — idle-probe cost is independent of how many
-//!   queries or operations are live. The idle path allocates nothing, and
-//!   the busy path allocates only the batches of tuples it ships: pops land
-//!   in a buffer the worker owns, and a buffer of tuples is allocated once,
-//!   exactly one batch wide, and leaves as that batch. A batch of positions
-//!   has no buffer: it is a slice of its fragment's route table;
-//! * **cross-query fairness** — entries rotate through the deque, so no
-//!   query can starve another however long its own queues are;
-//! * **intra-operator parallelism** — the entry is back in the deque while
-//!   the batch is processed, so sibling workers converge on the same
-//!   operation when it is the only one with work (this is what makes
-//!   fragment morsels actually run in parallel).
+//! * **cross-query fairness**: the walks rotate over every operation with
+//!   work of every live query, so no query can starve another however
+//!   long its own queues are. The cursor is shared and moves on every
+//!   pick, so it cannot stick to one query;
+//! * **intra-operator parallelism**: an operation keeps its work visible
+//!   while a batch of it is processed, so sibling workers whose walks find
+//!   nothing else converge on it (this is what makes fragment morsels
+//!   actually run in parallel);
+//! * **a short walk**: the cursor rests on the work the last walk found,
+//!   so a walk does not start over at the first live query.
 //!
-//! The invariant is *at most one deque entry per operation*, kept by the
-//! `announced` bit of the operation's state word (`op_state.rs`):
-//! producers announce an operation after every successful push, and only
-//! the announcement that sets the bit enqueues; a worker that pops an
-//! entry retires it in one transition that drops the entry (clearing the
-//! bit) exactly when nothing is pending or the query is dead, so a racing
-//! push either keeps the entry or announces afresh. Within an operation,
-//! *which queue* to pop follows one fixed consumption order (see below).
+//! A walk costs one lock, one state-word load per operation it passes and
+//! one `Arc` clone. The idle path allocates nothing, and the busy path
+//! allocates only the batches of tuples it ships: pops land in a buffer the
+//! worker owns, and a buffer of tuples is allocated once, exactly one batch
+//! wide, and leaves as that batch. A batch of positions has no buffer: it
+//! is a slice of its fragment's route table.
+//!
+//! A walk that finds nothing parks the worker on the epoch it read before
+//! the walk. The producer whose reservation raises an operation's `pending`
+//! from 0 wakes one parked worker after its push, and submit wakes one per
+//! triggered operation; `op_state.rs` gives the argument and explores it.
+//! Within an operation, *which queue* to pop follows one fixed consumption
+//! order (see below).
 //!
 //! # Queue walk: the occupied positions of one cost-ordered ring
 //!
@@ -59,8 +64,8 @@
 //! `atomic_len` mirrors:
 //!
 //! * a producer marks a queue's bit after every successful push and before
-//!   it announces the operation (a load, and a `fetch_or` only if the bit
-//!   is clear); submit marks a triggered operation's queues after it has
+//!   it wakes a worker (a load, and a `fetch_or` only if the bit is
+//!   clear); submit marks a triggered operation's queues after it has
 //!   written the operation's fresh word, which starts with every bit clear;
 //! * a worker that pops a queue to empty, or finds a set bit's chunk empty
 //!   (in `select_and_pop` or `help_drain`), *settles* the bit: it
@@ -73,10 +78,10 @@
 //! after the push, and the re-read after that clear sees the push's weight
 //! (or the queue has been popped since, by a worker that settles in turn).
 //! A bit may be left set over an empty queue; the next walk that finds it
-//! settles it. A lost bit would fail no assertion: the operation's ready
-//! entry would rotate with `pending > 0` and no worker would ever find the
-//! work, so the pool livelocks and the threaded suites cannot see the lost
-//! bit itself. An explorer in `op_state.rs` checks every interleaving of a
+//! settles it. A lost bit would fail no assertion: every walk would find
+//! the operation's `pending > 0` and no worker would ever find the work,
+//! so the pool livelocks and the threaded suites cannot see the lost bit
+//! itself. An explorer in `op_state.rs` checks every interleaving of a
 //! *model* of the protocol (push → mark, pop → clear → re-read) for two
 //! producers and two consumers over one chunk; it does not run the code
 //! above.
@@ -127,13 +132,9 @@ pub(super) struct Frame {
     pub(super) tuples: Vec<Vec<Tuple>>,
 }
 
-/// The body of one pool worker: pop the front ready-deque entry, re-push
-/// it at the tail, process one batch. Work finding is O(1) in live
-/// queries and operations, and the idle path allocates nothing. The
-/// re-push *before* processing keeps the op discoverable while this batch
-/// runs, so sibling workers converge on the same operation (morsel
-/// parallelism) and entries rotate FIFO across every ready op of every
-/// query (cross-query fairness).
+/// The body of one pool worker: find the next operation with work in the
+/// registry, process one batch of it, and park when there is none (see
+/// the module docs).
 pub(super) fn worker_loop(inner: &Arc<RuntimeInner>, worker: usize) {
     let mut ctx = WorkerCtx {
         id: worker,
@@ -143,21 +144,14 @@ pub(super) fn worker_loop(inner: &Arc<RuntimeInner>, worker: usize) {
         if inner.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        // Epoch before the pop: an announcement landing after this read
-        // makes park() return immediately, so no wakeup between the empty
-        // pop and the park is lost.
+        // Epoch before the walk: a wake-up landing after this read makes
+        // park() return immediately, so no wake-up between a walk that
+        // found nothing and the park is lost.
         let epoch = inner.idle.current();
-        let Some((query, op_index)) = inner.pop_ready() else {
+        let Some((query, op_index)) = inner.next_ready() else {
             inner.idle.park(epoch);
             continue;
         };
-        let retire = Event::Retire {
-            live: query.is_live(),
-        };
-        if query.ops[op_index].state.apply(retire).1 == Effect::Drop {
-            continue;
-        }
-        inner.push_ready(Arc::clone(&query), op_index);
         try_process_op(inner, &query, op_index, &mut ctx);
     }
 }
