@@ -12,19 +12,23 @@
 //!   bypass the caches and cached and uncached executions of one plan
 //!   interleave throughout the storm.
 //!
-//! Every fourth request carries a 1 ms deadline and asks for the same join
-//! by nested loop, the slower algorithm, so that cancellation, when the
-//! deadline fires, runs under fire too, and the nested-loop join reads its
+//! Every fourth request carries a 1 ms deadline and asks for a nested-loop
+//! join of two larger relations, `Dprime` against `C`: unfaulted, it takes
+//! 34–45 ms on the server (4 workers on 2 vCPUs), far past its deadline, so
+//! cancellation runs under fire too, and the nested-loop join reads its
 //! outer rows by position under faults. The server's runtime watchdog is
 //! armed.
 //!
 //! [`run`] returns a [`StormReport`] when every invariant held, or the
 //! invariant the storm broke:
 //!
-//! * every request ends in the **correct** cardinality or a typed error;
+//! * every request ends in the **correct** cardinality or a typed error (a
+//!   deadline request that beats its deadline is checked too);
 //! * every request is accounted for;
 //! * at least one request succeeds (the storm must not eat everything);
 //! * at least one retry fires (the transport faults reached a client);
+//! * at least one query is cancelled at its deadline, when the storm sends
+//!   any (`queries >= 4`): cancellation ran against running work;
 //! * `live_queries` drains to zero afterwards: no admission slot leaks;
 //! * the server's run loop exits cleanly with its stats.
 //!
@@ -58,8 +62,13 @@ use std::fmt;
 use std::num::NonZeroU64;
 use std::time::{Duration, Instant};
 
-/// Rows of `Bprime`, and so the correct `Result` cardinality.
+/// Rows of `Bprime`, and so the correct `Result` cardinality of the hash
+/// join.
 const B_CARD: u64 = 400;
+/// Rows of `C` and of `Dprime`, the nested-loop join that runs under a
+/// deadline; `D_CARD` is its correct `Result` cardinality.
+const C_CARD: usize = 100_000;
+const D_CARD: u64 = 4_000;
 
 /// The size and seed of one storm.
 #[derive(Debug, Clone, Copy)]
@@ -195,19 +204,19 @@ fn fault_plan(seed: u64) -> FaultPlan {
         )
 }
 
-fn catalog(a_card: usize, b_card: usize, degree: usize) -> Result<Catalog, StorageError> {
+/// The storm's catalog: each named relation holds rows `(i, 3 i)` for
+/// `i < cardinality`, partitioned on `unique1` over `degree` fragments.
+fn catalog(relations: &[(&str, usize)], degree: usize) -> Result<Catalog, StorageError> {
     let schema = || Schema::new(vec![ColumnDef::int("unique1"), ColumnDef::int("payload")]);
-    let tuples = |card: usize| {
-        (0..card as i64)
-            .map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i * 3)]))
-            .collect()
-    };
-    let a = Relation::new("A", schema(), tuples(a_card))?;
-    let b = Relation::new("Bprime", schema(), tuples(b_card))?;
     let spec = PartitionSpec::on("unique1", degree, 4);
     let mut cat = Catalog::new();
-    cat.register(PartitionedRelation::from_relation(&a, spec.clone())?)?;
-    cat.register(PartitionedRelation::from_relation(&b, spec)?)?;
+    for &(name, card) in relations {
+        let tuples = (0..card as i64)
+            .map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i * 3)]))
+            .collect();
+        let relation = Relation::new(name, schema(), tuples)?;
+        cat.register(PartitionedRelation::from_relation(&relation, spec.clone())?)?;
+    }
     Ok(cat)
 }
 
@@ -227,19 +236,19 @@ fn client(addr: std::net::SocketAddr, storm: Storm, index: usize) -> Result<Clie
     )
     .map_err(|e| format!("client {index}: {e}"))?;
     let hash = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
-    let nested_loop = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::NestedLoop);
+    let nested_loop = plans::assoc_join("Dprime", "C", "unique1", JoinAlgorithm::NestedLoop);
     let options = SchedulerOptions::default().with_total_threads(2);
     let (mut ok, mut deadlines, mut typed, mut wrong) = (0, 0, 0, 0);
     for q in 0..storm.queries {
-        let (plan, deadline_ms) = if q % 4 == 3 {
-            (&nested_loop, 1)
+        let (plan, deadline_ms, rows) = if q % 4 == 3 {
+            (&nested_loop, 1, D_CARD)
         } else {
-            (&hash, 0)
+            (&hash, 0, B_CARD)
         };
         match client.execute(plan, &options, deadline_ms) {
             // A success must be THE answer: a fault may fail a query, it
             // may never falsify one.
-            Ok(outcome) if outcome.cardinalities.get("Result") == Some(&B_CARD) => ok += 1,
+            Ok(outcome) if outcome.cardinalities.get("Result") == Some(&rows) => ok += 1,
             Ok(_) => wrong += 1,
             Err(ServeError::DeadlineExceeded) => deadlines += 1,
             Err(_) => typed += 1,
@@ -254,7 +263,13 @@ fn client(addr: std::net::SocketAddr, storm: Storm, index: usize) -> Result<Clie
 /// the invariant the storm broke, or the set-up step that failed.
 pub fn run(storm: Storm) -> Result<StormReport, String> {
     let guard = fault_plan(storm.seed).install();
-    let catalog = catalog(4_000, B_CARD as usize, 16).map_err(|e| format!("setup: {e}"))?;
+    let relations = [
+        ("A", 4_000),
+        ("Bprime", B_CARD as usize),
+        ("C", C_CARD),
+        ("Dprime", D_CARD as usize),
+    ];
+    let catalog = catalog(&relations, 16).map_err(|e| format!("setup: {e}"))?;
     let server = Server::bind(
         catalog,
         ("127.0.0.1", 0),
@@ -336,5 +351,8 @@ pub fn run(storm: Storm) -> Result<StormReport, String> {
     report.replayed = stats.replayed;
     report.deadline_cancelled = stats.deadlines;
     report.faults_fired = guard.counts().iter().map(|(_, _, fired)| fired).sum();
+    if storm.queries >= 4 && report.deadline_cancelled == 0 {
+        return Err(format!("no query was cancelled at its deadline: {report}"));
+    }
     Ok(report)
 }
